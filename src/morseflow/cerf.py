@@ -132,12 +132,13 @@ class CerfTuple:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        # reversed, so the first arc with a repeated id wins
+        object.__setattr__(self, "_arc_by_id",
+                           {a.id: a for a in reversed(self.arcs)})
 
     def arc(self, arc_id):
-        for a in self.arcs:
-            if a.id == arc_id:
-                return a
-        raise KeyError(arc_id)
+        """The first arc with this id."""
+        return self._arc_by_id[arc_id]
 
     def vertex(self, vertex_id):
         for v in self.vertices:

@@ -32,7 +32,8 @@ from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_fo
 from .rings import Q, Z, Z2
 from .scenario import (Scenario, _phi_text, load_scenario, parse_chain,
                        parse_window_spec, serialize_scenario)
-from .tracker import filtered_homology, full_homology, track_class, wide_window
+from .tracker import (filtered_homology, full_homology, track_class,
+                      validate_window, wide_window)
 
 HEADER = "# morseflow 0.1.0"
 
@@ -171,7 +172,9 @@ def _trace(sc, flags):
         raise ScenarioSemanticError(
             "tracking needs a class: give --class or a [track] section")
     log = evolve(sc.gamma0, sc.events, sc.family)
-    return track_class(rep, log, _window_for(sc, flags), label=sc.label)
+    w = _window_for(sc, flags)
+    validate_window(w, sc.family)
+    return track_class(rep, log, w, label=sc.label)
 
 
 def _cmd_track(arg, flags):

@@ -91,6 +91,10 @@ class NonMonotoneTail(MorseflowError):
     """Trace heights outside the exclusion interval are not monotone."""
 
 
+class EmptyTrace(MorseflowError):
+    """Trace has no segments, so it realizes no height climb to price."""
+
+
 class UnsupportedFamily(MorseflowError):
     """No closed-form antiderivative is registered for this growth bound."""
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
                    Finding)
-from .errors import (InvalidParameters, NonMonotoneTail, UnsupportedFamily)
+from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
+                     UnsupportedFamily)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
@@ -388,8 +389,12 @@ def escape_budget(trace, phi, direction=1):
     """Parameter cost lower bound for the height climb a trace realizes.
 
     direction -1 reflects the heights to bound a dive toward -infinity
-    (the mirrored computation of the negative direction).
+    (the mirrored computation of the negative direction).  An empty
+    trace realizes no climb, so it has no budget and raises EmptyTrace.
     """
+    if not trace.segments:
+        raise EmptyTrace("the trace has no segments, so there is no climb "
+                         "to price (outcome %s)" % trace.outcome)
     heights = []
     for seg in trace.segments:
         for v in (seg.rho_lo, seg.rho_hi):

@@ -5,9 +5,13 @@ evaluation and crossing computations stay in Fraction arithmetic, so sign
 tests and crossing parameters are exact.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Tuple
+
+_PARAM = itemgetter(0)
 
 
 def frac(x):
@@ -46,17 +50,15 @@ class Piecewise:
 
     def value(self, r):
         r = frac(r)
-        if not self.contains(r):
-            raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
         pts = self.points
-        for (r0, v0), (r1, v1) in zip(pts, pts[1:]):
-            if r0 <= r <= r1:
-                if r == r0:
-                    return v0
-                if r == r1:
-                    return v1
-                return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
-        raise AssertionError("unreachable")
+        if not pts[0][0] <= r <= pts[-1][0]:
+            raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
+        i = bisect_left(pts, r, key=_PARAM)
+        r1, v1 = pts[i]
+        if r == r1:
+            return v1
+        r0, v0 = pts[i - 1]
+        return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
 
     def pieces(self):
         """Yield (r0, r1, v0, v1) linear pieces."""

@@ -14,6 +14,7 @@ constant theta are inputs measured elsewhere.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,6 +119,11 @@ class EtaTrajectory:
     samples: tuple               # ((r, bound), ...) nondecreasing in r
 
 
+# exp overflows beyond this exponent; it also caps _rk4_growth at about
+# 64 * 709 steps
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _rk4_growth(rate, eta0, r):
     """Numerically integrate eta' = rate * eta from |eta0| over [0, r]."""
     k = float(rate)
@@ -145,6 +151,9 @@ def eta_bound(model, eta0, r):
     if not 0 <= r <= 1:
         raise OutOfRange("the deformation parameter lives in [0, 1]")
     rate = model.eta_growth_rate
+    if float(rate) * float(r) > _LOG_FLOAT_MAX:
+        raise OutOfRange(
+            "exp(%s * %s) exceeds the floating-point range" % (rate, r))
     closed = math.exp(float(rate) * float(r)) * abs(float(eta0))
     if eta0 != 0:
         numeric = _rk4_growth(rate, eta0, r)

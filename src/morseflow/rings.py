@@ -12,10 +12,12 @@ from .errors import NonUnitError
 
 
 class Ring:
-    __slots__ = ("name",)
+    __slots__ = ("name", "_zero", "_one")
 
     def __init__(self, name):
         self.name = name
+        self._zero = self.coerce(0)
+        self._one = self.coerce(1)
 
     def __repr__(self):
         return self.name
@@ -39,11 +41,11 @@ class Ring:
 
     @property
     def zero(self):
-        return self.coerce(0)
+        return self._zero
 
     @property
     def one(self):
-        return self.coerce(1)
+        return self._one
 
     def add(self, a, b):
         return self.coerce(a + b)

@@ -13,6 +13,7 @@ action crossings; the spectral value of a class is the smallest top
 action over all representatives in its coset.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,34 +53,26 @@ def wide_window(t, pad=1):
     return Window.constant(lo - pad, hi + pad)
 
 
+@functools.lru_cache(maxsize=32)
 def window_violation(w, t):
     """Reason the window is unusable for t, or None if it is fine.
 
-    The margin is one billionth of the family's action range; the
-    cutoffs must clear every arc by at least that much, on the same side
-    for the arc's whole lifetime.
+    The cutoffs must clear every arc strictly, on the same side for the
+    arc's whole lifetime.  Both are piecewise-linear, so strict signs at
+    their common knots decide it exactly, whatever the scale or offset
+    of the actions.  Verdicts are cached by the value of (w, t).
     """
     if w.a.r_lo != 0 or w.a.r_hi != 1 or w.b.r_lo != 0 or w.b.r_hi != 1:
         return "cutoffs must be defined on all of [0, 1]"
     for k in common_knots(w.a, w.b, 0, 1):
         if not w.a.value(k) < w.b.value(k):
             return "floor meets ceiling at r=%s" % k
-    lo, hi = t.f3_range()
-    if lo is None:
-        return None
-    margin = (hi - lo) / 10**9
     for arc in t.arcs:
         for cutoff, name in ((w.a, "floor"), (w.b, "ceiling")):
             ks = common_knots(arc.f3, cutoff, arc.r_lo, arc.r_hi)
             diffs = [arc.f3.value(k) - cutoff.value(k) for k in ks]
-            if margin > 0:
-                clear = (all(d >= margin for d in diffs)
-                         or all(d <= -margin for d in diffs))
-            else:
-                clear = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
-            if not clear:
-                return ("arc %r comes within the margin of the %s"
-                        % (arc.id, name))
+            if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+                return "arc %r touches or crosses the %s" % (arc.id, name)
     return None
 
 
@@ -237,17 +230,10 @@ def _coset_minimize(ring, d, rep, order):
     vec = [ring.zero] * n
     for g, v in rep.items():
         vec[pos[g]] = v
-    img = []
-    for g in order:
-        row = [ring.zero] * n
-        nonzero = False
-        for c in order:
-            x = d.entry(g, c)
-            if x != ring.zero:
-                row[pos[c]] = x
-                nonzero = True
-        if nonzero:
-            img.append(row)
+    rows = {}
+    for (g, c), x in d.entries.items():
+        rows.setdefault(g, [ring.zero] * n)[pos[c]] = x
+    img = [rows[g] for g in order if g in rows]
 
     def leading(u):
         for i, x in enumerate(u):
@@ -555,6 +541,9 @@ def track_class(h0, log, w, label="h"):
     classes = []
     prev_top = None
     outcome = "Survived"
+    # each pair's crossings over its whole common domain, computed once;
+    # an interval keeps those strictly inside it
+    pair_crossings = {}
 
     for fc in log.intervals:
         gens = _window_gens_on_interval(t, w, fc)
@@ -567,10 +556,12 @@ def track_class(h0, log, w, label="h"):
             break
 
         cuts = set()
-        for g1, g2 in itertools.combinations(gens, 2):
-            for x in crossings(t.arc(g1).f3, t.arc(g2).f3, fc.r_lo, fc.r_hi):
-                if fc.r_lo < x < fc.r_hi:
-                    cuts.add(x)
+        for pair in itertools.combinations(gens, 2):
+            xs = pair_crossings.get(pair)
+            if xs is None:
+                xs = pair_crossings[pair] = crossings(
+                    t.arc(pair[0]).f3, t.arc(pair[1]).f3)
+            cuts.update(x for x in xs if fc.r_lo < x < fc.r_hi)
         bounds = [fc.r_lo] + sorted(cuts) + [fc.r_hi]
         first_seg = len(segments)
         for lo, hi in zip(bounds, bounds[1:]):

@@ -106,10 +106,26 @@ class TestReports:
         assert "# transfer at r=3/4: c1 -> c2" in out
 
     def test_window_flag(self, capsys):
-        assert main(["track", "slide", "--window", "a=0,b=5"]) == 0
+        # c2 climbs from 2 to 6, so a ceiling at 5 crosses it: the window
+        # is invalid, as homology reports with the same exit code
+        for cmd in ("track", "escape", "plot", "homology"):
+            assert main([cmd, "slide", "--window", "a=0,b=5",
+                         "--phi", "linear(c=9)"]) == 2
+            io = capsys.readouterr()
+            assert io.out == "" and "c2" in io.err and "ceiling" in io.err
+        assert main(["track", "slide", "--window", "a=1/2,b=7"]) == 0
         out = capsys.readouterr().out
-        # the window ceiling 5 hides the post-slide representative's climb
-        assert "outcome" in out
+        assert "# transfer at r=3/4: c1 -> c2" in out
+        assert "# outcome: Survived" in out and "final: 6" in out
+
+    def test_escape_on_an_empty_trace_gives_no_verdict(self, capsys):
+        # c3 lies below the floor, so the tracked class is zero from the start
+        flags = ["--class", "c3", "--window", "a=3/2,b=10", "--phi", "linear(c=9)"]
+        assert main(["track", "slide"] + flags) == 0
+        assert "# outcome: LeftWindow(below)" in capsys.readouterr().out
+        assert main(["escape", "slide"] + flags) == 4
+        io = capsys.readouterr()
+        assert "verdict" not in io.out and "no segments" in io.err
 
     def test_homology_table(self, capsys):
         assert main(["homology", "slide"]) == 0
@@ -183,6 +199,16 @@ class TestArtifacts:
         assert "total: 2.772588722239781" in text
         assert "verdict: InfeasibleWithinUnitTime" in text
         assert "escape to infinity costs +inf: True" in text
+
+    def test_cascade_thirty_passes_its_own_window_check(self, tmp_path, capsys):
+        main(["cascade", "--n", "30", "--out", str(tmp_path)])
+        path = capsys.readouterr().out.strip()
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["track", path]) == 0
+        out = capsys.readouterr().out
+        assert "# outcome: Survived" in out
+        assert out.endswith("final: %d\n" % 2**30)
 
     def test_cascade_needs_n(self, capsys):
         assert main(["cascade"]) == 1

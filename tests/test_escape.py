@@ -6,19 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fixtures import chord
+from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
 from morseflow.cerf import CerfTuple, Component
-from morseflow.errors import (InvalidParameters, NonMonotoneTail,
-                              UnsupportedFamily)
+from morseflow.errors import (EmptyTrace, InvalidParameters,
+                              NonMonotoneTail, UnsupportedFamily)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
                               parse_phi, polylog, square)
 from morseflow.matrix import SparseMatrix
 from morseflow.rings import Z, Z2
-from morseflow.tracker import track_class, wide_window
+from morseflow.tracker import (SpectralTrace, Window, track_class,
+                               wide_window, window_violation)
 
 INF = float("inf")
 
@@ -269,6 +270,21 @@ class TestCheckH2:
 
 
 class TestBudget:
+    def test_empty_trace_has_no_budget(self):
+        with pytest.raises(EmptyTrace):
+            escape_budget(SpectralTrace((), (), "LeftWindow(below)", ()),
+                          linear(1))
+        # a class wholly below the window floor tracks to an empty trace
+        t = three_lane_tuple()
+        ids = ("c1", "c2", "c3")
+        fc0 = FlowCounter(0, F(0), F(1),
+                          SparseMatrix(Z2, ids, ids, {("c2", "c3"): 1}))
+        trace = track_class({"c3": 1}, evolve(fc0, [], t),
+                            Window.constant(F(3, 2), 10))
+        assert trace.segments == () and trace.outcome == "LeftWindow(below)"
+        with pytest.raises(EmptyTrace):
+            escape_budget(trace, linear(1))
+
     def test_constant_heights_cost_nothing(self):
         b = budget_for_heights([3, 3, 3], linear(1))
         assert b.total == 0 and b.verdict == "WithinBudget"
@@ -398,6 +414,14 @@ class TestCascade:
         _, trace = cascade_trace(4, base=F(1, 2), ratio=3)
         assert trace.final_value() == F(81, 2)
         assert len(trace.transfers) == 4
+
+    def test_thirty_stages_pass_the_window_check_and_survive(self):
+        # the low lanes clear the floor by 1 while the top lane reaches
+        # 2^30: strict clearance is all the window rule asks
+        t, trace = cascade_trace(30)
+        assert window_violation(wide_window(t), t) is None
+        assert trace.survived and len(trace.transfers) == 30
+        assert trace.final_value() == 2 ** 30
 
     def test_homology_rank_never_moves(self):
         t, fc0, events = build_cascade(3)

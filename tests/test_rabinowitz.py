@@ -75,6 +75,15 @@ class TestEtaBound:
             with pytest.raises(OutOfRange):
                 eta_bound(model(), 1, r)
 
+    def test_overflowing_exponent_rejected(self):
+        # exp(1000) is beyond the float range; 64 * 1000 RK4 steps never run
+        with pytest.raises(OutOfRange):
+            eta_bound(HomotopyModel(h_sup=1000, tame_constant=1), 1, 1)
+        with pytest.raises(OutOfRange):
+            eta_bound(model(h=10**6), 0, F(1, 2))
+        assert eta_bound(model(h=1000), 1, F(1, 2)) == pytest.approx(
+            math.exp(500), rel=1e-12)
+
     @pytest.mark.parametrize("h", [0, 1, 5])
     def test_closed_form_matches_independent_integration(self, h):
         m = model(h=h)

@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import randgen
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
                       three_lane_tuple)
 from morseflow.bifurcation import (Birth, Death, EventRecord, EventStep,
@@ -15,7 +19,8 @@ from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, Component,
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
                               NonNestedLadder, NotACycle, VerificationFailed)
 from morseflow.matrix import SparseMatrix
-from morseflow.piecewise import Piecewise
+from morseflow.escape import build_cascade
+from morseflow.piecewise import Piecewise, crossings
 from morseflow.rings import Q, Z, Z2
 from morseflow.tracker import (NEG_INF, Window, chain_group, continuation_map,
                                filtered_homology, full_homology,
@@ -81,6 +86,77 @@ class TestWindow:
         w = wide_window(t)
         assert window_violation(w, t) is None
         assert w.a.value(0) == 0 and w.b.value(0) == 7
+
+    def test_equal_but_distinct_objects_share_a_verdict(self):
+        t1, t2 = three_lane_tuple(), three_lane_tuple()
+        for lo, hi in ((0, 10), (0, 3), (1, 10), (F(1, 2), 7), (5, 5)):
+            w1, w2 = Window.constant(lo, hi), Window.constant(F(lo), F(hi))
+            assert w1 is not w2 and w1 == w2
+            want = window_violation.__wrapped__(w1, t1)
+            assert window_violation(w1, t1) == want
+            assert window_violation(w2, t2) == want
+
+
+def affine_profile(pw, c, s):
+    return Piecewise(tuple((r, c * v + s) for r, v in pw.points))
+
+
+def affine_family(t, c, s):
+    """The family with every action v replaced by c*v + s."""
+    arcs = tuple(dataclasses.replace(a, f3=affine_profile(a.f3, c, s))
+                 for a in t.arcs)
+    verts = tuple(dataclasses.replace(v, f3=c * v.f3 + s) for v in t.vertices)
+    return CerfTuple(arcs, t.components, verts)
+
+
+@st.composite
+def family_and_window(draw):
+    """A random family and a window: either one through the clear bands
+    below, between and above randgen's height tiers, or one whose cutoffs
+    pass near, through or exactly onto the arcs' knot values."""
+    sc = randgen.random_scenario(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                 Z2)
+    lo, hi = sc.family.f3_range()
+    if draw(st.booleans()):
+        return sc.family, Window.constant(draw(st.sampled_from([lo - 1, 10])),
+                                          draw(st.sampled_from([70, 200, hi + 1])))
+    heights = sorted({v for a in sc.family.arcs for _, v in a.f3.points})
+    near = st.sampled_from(heights).flatmap(
+        lambda h: st.sampled_from([h, h - F(1, 3), h + F(1, 3), h - 7, h + 7]))
+
+    def cutoff():
+        if draw(st.booleans()):
+            return Piecewise.constant(draw(near))
+        knot = draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 7)]))
+        return Piecewise(((0, draw(near)), (knot, draw(near)), (1, draw(near))))
+    return sc.family, Window(cutoff(), cutoff())
+
+
+class TestWindowInvariance:
+    """Verdicts depend on the order of actions, not on their scale or offset."""
+
+    scales = st.builds(F, st.integers(1, 10**12), st.integers(1, 10**12))
+    shifts = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(fw=family_and_window(), c=scales)
+    def test_scaling_keeps_the_verdict(self, fw, c):
+        t, w = fw
+        w2 = Window(affine_profile(w.a, c, 0), affine_profile(w.b, c, 0))
+        assert window_violation(w2, affine_family(t, c, 0)) == window_violation(w, t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fw=family_and_window(), s=shifts)
+    def test_shifting_keeps_the_verdict(self, fw, s):
+        t, w = fw
+        w2 = Window(affine_profile(w.a, 1, s), affine_profile(w.b, 1, s))
+        assert window_violation(w2, affine_family(t, 1, s)) == window_violation(w, t)
+
+    def test_generated_windows_reach_both_verdicts(self):
+        for valid in (True, False):
+            find(family_and_window(),
+                 lambda fw: (window_violation(fw[1], fw[0]) is None) == valid,
+                 settings=settings(database=None, derandomize=True))
 
 
 class TestChainGroup:
@@ -398,6 +474,52 @@ class TestTrackClass:
         assert tr.outcome == "LeftWindow(below)"
         assert tr.final_value() == NEG_INF
         assert tr.classes[-1].representative == ()
+
+    @staticmethod
+    def assert_slabs_cut_at_interval_crossings(log, w, trace):
+        """Each interval's slabs are cut exactly where two in-window arcs
+        cross strictly inside it, crossings computed interval by interval."""
+        t = log.family
+        reached = {s.interval_index for s in trace.segments}
+        for fc in log.intervals:
+            if fc.interval_index not in reached:
+                continue
+            mid = fc.midpoint()
+            gens = [a.id for a in t.arcs_alive(mid)
+                    if w.contains_value(mid, a.value(mid))]
+            cuts = {x for g1, g2 in itertools.combinations(gens, 2)
+                    for x in crossings(t.arc(g1).f3, t.arc(g2).f3,
+                                       fc.r_lo, fc.r_hi)
+                    if fc.r_lo < x < fc.r_hi}
+            bounds = [fc.r_lo] + sorted(cuts) + [fc.r_hi]
+            got = [(s.r_lo, s.r_hi) for s in trace.segments
+                   if s.interval_index == fc.interval_index]
+            assert got == list(zip(bounds, bounds[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
+           tier=st.booleans())
+    def test_slabs_match_per_interval_crossings(self, seed, ring, tier):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        w = Window.constant(10, 200) if tier else wide_window(sc.family)
+        trace = track_class({"l1": 1}, log, w)
+        assert trace.segments
+        self.assert_slabs_cut_at_interval_crossings(log, w, trace)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_cascade_slabs_match_per_interval_crossings(self, n):
+        t, fc0, events = build_cascade(n)
+        log = evolve(fc0, events, t)
+        trace = track_class({"c1": 1}, log, wide_window(t))
+        assert len(trace.segments) > n
+        self.assert_slabs_cut_at_interval_crossings(log, wide_window(t), trace)
+
+    def test_three_lane_slabs_match_per_interval_crossings(self):
+        _, log = three_lane_log()
+        trace = track_class({"c1": 1}, log, WIDE)
+        assert any(s.r_lo == F(3, 4) for s in trace.segments)
+        self.assert_slabs_cut_at_interval_crossings(log, WIDE, trace)
 
     def test_invalid_window_outcome(self):
         t, log = three_lane_log()
