@@ -321,8 +321,6 @@ def _build_parser():
     ap.add_argument("--phi", metavar="BOUND",
                     help="growth bound, e.g. 'linear(c=2)'")
     ap.add_argument("--out", metavar="DIR", help="write reports into DIR")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="reserved for randomized property-test drivers")
     ap.add_argument("--n", type=int, help="cascade: number of stages")
     ap.add_argument("--base", default="1", help="cascade: starting action")
     ap.add_argument("--ratio", default="2", help="cascade: growth per stage")

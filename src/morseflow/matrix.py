@@ -9,7 +9,7 @@ composition "first F then G" is Mat(F) . Mat(G).
 Matrices are immutable values; every operation returns a fresh one.
 """
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable
 
 from .errors import DimensionMismatch
 from .rings import Ring
@@ -38,10 +38,6 @@ class SparseMatrix:
     # construction helpers
 
     @staticmethod
-    def zero(ring, rows, cols=None):
-        return SparseMatrix(ring, rows, rows if cols is None else cols, {})
-
-    @staticmethod
     def identity(ring, ids):
         ids = tuple(ids)
         return SparseMatrix(ring, ids, ids, {(i, i): ring.one for i in ids})
@@ -65,12 +61,6 @@ class SparseMatrix:
     def items(self):
         """Nonzero entries in a deterministic order."""
         return sorted(self.entries.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-
-    def row(self, r):
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
-    def col(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def is_zero(self):
         return not self.entries
@@ -149,14 +139,6 @@ class SparseMatrix:
         ent = {k: v for k, v in self.entries.items() if k[0] in rs and k[1] in cs}
         return SparseMatrix(self.ring, rows, cols, ent)
 
-    def embed(self, rows, cols=None):
-        """Pad with zero rows/cols up to the larger index sets."""
-        rows = tuple(rows)
-        cols = rows if cols is None else tuple(cols)
-        if not self._row_set <= set(rows) or not self._col_set <= set(cols):
-            raise DimensionMismatch("embedding must extend the index sets")
-        return SparseMatrix(self.ring, rows, cols, dict(self.entries))
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -176,18 +158,6 @@ class SparseMatrix:
 
 def vec_clean(ring, x):
     return {g: ring.coerce(v) for g, v in x.items() if ring.coerce(v) != ring.zero}
-
-
-def vec_add(ring, x, y):
-    out = dict(x)
-    for g, v in y.items():
-        out[g] = ring.add(out.get(g, ring.zero), v)
-    return vec_clean(ring, out)
-
-
-def vec_scale(ring, k, x):
-    k = ring.coerce(k)
-    return vec_clean(ring, {g: ring.mul(k, v) for g, v in x.items()})
 
 
 def vec_apply(ring, x, m: SparseMatrix):

@@ -18,14 +18,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (_field_rank, homology, is_chain_homotopy, is_chain_map,
-                      left_kernel_basis, ordered_echelon, reduce_against)
-from .bifurcation import Birth, HandleSlide, _unipotent_inverse
+from .algebra import (_field_rank, homology, is_chain_map, left_kernel_basis,
+                      ordered_echelon, reduce_against)
+from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import Piecewise, common_knots, crossings, frac
-from .rings import Q, Z2
+from .rings import Q
 
 NEG_INF = float("-inf")
 
@@ -114,90 +114,9 @@ def filtered_homology(t, fc, r, w):
 # ---------------------------------------------------------------------------
 # comparison maps across events
 
-@dataclass(frozen=True)
-class ChainMapBundle:
-    """Verified maps relating the complexes on either side of an event.
-
-    forward transports representatives left-to-right in the parameter
-    (rows: before-generators, cols: after-generators); backward is the
-    section going the other way.  For a slide both are inverse
-    isomorphisms and homotopy is None; for a birth or death the homotopy
-    certifies that backward-then-forward is homotopic to the identity on
-    the larger side.
-    """
-
-    kind: str
-    forward: SparseMatrix
-    backward: SparseMatrix
-    homotopy: object = None
-
-
 def continuation_map(ev, log):
-    """Build and verify the comparison maps for one event of the log."""
-    step = log.step_at(ev.r)
-    gm, gp = step.before.gamma, step.after.gamma
-    ring = gm.ring
-    payload = ev.payload
-
-    if isinstance(payload, HandleSlide):
-        ids = gm.rows
-        entries = {}
-        for c1, c2, val in payload.delta:
-            v = ring.coerce(val)
-            if v != ring.zero:
-                entries[(c1, c2)] = v
-        delta = SparseMatrix(ring, ids, ids, entries)
-        unip = SparseMatrix.identity(ring, ids).add(delta)
-        forward = _unipotent_inverse(delta)
-        if not is_chain_map(forward, gm, gp):
-            raise VerificationFailed("slide transport is not a chain map")
-        if not is_chain_map(unip, gp, gm):
-            raise VerificationFailed("slide section is not a chain map")
-        return ChainMapBundle("slide", forward, unip)
-
-    v = log.family.vertex(payload.vertex)
-    plus, minus = v.plus_arc, v.minus_arc
-    if isinstance(payload, Birth):
-        d_small, d_big = gm, gp      # before is the small side
-    else:
-        d_small, d_big = gp, gm
-    small_ids = sorted(d_small.rows, key=str)
-    big_ids = sorted(d_big.rows, key=str)
-    e_inv = ring.invert(d_big.entry(plus, minus))
-
-    # small -> big: send each generator past the pair, correcting along
-    # its count against the lower branch
-    incl = {(c, c): ring.one for c in small_ids}
-    for c in small_ids:
-        x = d_big.entry(c, minus)
-        if x != ring.zero:
-            incl[(c, plus)] = ring.neg(ring.mul(x, e_inv))
-    incl = SparseMatrix(ring, small_ids, big_ids, incl)
-
-    # big -> small: kill the pair; the lower branch maps to the upper
-    # branch's residual flows (zero under the standing constraints)
-    proj = {(c, c): ring.one for c in small_ids}
-    for c in small_ids:
-        x = d_big.entry(plus, c)
-        if x != ring.zero:
-            proj[(minus, c)] = ring.neg(ring.mul(e_inv, x))
-    proj = SparseMatrix(ring, big_ids, small_ids, proj)
-
-    homot = SparseMatrix(ring, big_ids, big_ids, {(minus, plus): e_inv})
-
-    if not is_chain_map(incl, d_small, d_big):
-        raise VerificationFailed("pair-crossing inclusion is not a chain map")
-    if not is_chain_map(proj, d_big, d_small):
-        raise VerificationFailed("pair-crossing projection is not a chain map")
-    if incl.mul(proj) != SparseMatrix.identity(ring, small_ids):
-        raise VerificationFailed("projection does not retract the inclusion")
-    lhs = SparseMatrix.identity(ring, big_ids).sub(proj.mul(incl))
-    if not is_chain_homotopy(d_big, homot, lhs):
-        raise VerificationFailed("pair-crossing homotopy identity fails")
-
-    if isinstance(payload, Birth):
-        return ChainMapBundle("birth", incl, proj, homot)
-    return ChainMapBundle("death", proj, incl, homot)
+    """The comparison maps of one event of the log, verified by evolve."""
+    return log.step_at(ev.r).maps
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +125,7 @@ def continuation_map(ev, log):
 @dataclass(frozen=True)
 class SpectralValue:
     value: object            # Fraction, or -inf for the zero class
-    certified: bool          # exhaustive search vs greedy reduction
+    certified: bool          # proven minimal: coefficients in a field
     support: tuple = ()
     top: object = None
 
@@ -220,10 +139,13 @@ def _coset_minimize(ring, d, rep, order):
 
     order lists the generators from highest action down; minimizing the
     top action means pushing the first nonzero coordinate as far down
-    the list as possible.  Exhaustive over the whole image subspace for
-    mod-2 coefficients on small windows, greedy echelon reduction
-    otherwise (greedy is provably tight here: echelon pivots sit in
-    distinct positions, so clearing top-down is forced).
+    the list as possible.  Greedy reduction against an echelon basis of
+    the image does it.  Over a field it is proven tight, so the result is
+    certified: the pivots sit in distinct positions, the reduced vector
+    leads at a non-pivot position l, and adding any nonzero element of
+    the span, which leads at some pivot p, gives a vector leading at
+    min(p, l) <= l.  Over the integers a pivot may fail to divide, and
+    the result stays uncertified.
     """
     pos = {g: i for i, g in enumerate(order)}
     n = len(order)
@@ -234,30 +156,8 @@ def _coset_minimize(ring, d, rep, order):
     for (g, c), x in d.entries.items():
         rows.setdefault(g, [ring.zero] * n)[pos[c]] = x
     img = [rows[g] for g in order if g in rows]
-
-    def leading(u):
-        for i, x in enumerate(u):
-            if x != ring.zero:
-                return i
-        return n
-
-    if ring is Z2 and n <= 20:
-        basis = list(ordered_echelon(ring, img).values())
-        best = vec
-        best_lead = leading(vec)
-        for picks in itertools.product((0, 1), repeat=len(basis)):
-            cand = list(vec)
-            for take, bv in zip(picks, basis):
-                if take:
-                    cand = [(x + y) % 2 for x, y in zip(cand, bv)]
-            ld = leading(cand)
-            if ld > best_lead:
-                best, best_lead = cand, ld
-        return best, order, True
-
-    pivots = ordered_echelon(ring, img)
-    reduced, _ = reduce_against(ring, vec, pivots)
-    return reduced, order, False
+    reduced, _ = reduce_against(ring, vec, ordered_echelon(ring, img))
+    return reduced, order, ring.is_field()
 
 
 def spectral_value(h, r, log, w, forbidden=()):
@@ -586,11 +486,9 @@ def track_class(h0, log, w, label="h"):
             fc.interval_index, label, rep_record,
             segments[first_seg].rho_lo, segments[-1].rho_hi))
 
-        step = next((s for s in log.steps if s.before is fc), None)
-        if step is None:
+        if fc.interval_index == len(log.steps):
             continue
-        bundle = continuation_map(step.record, log)
-        rep = vec_apply(ring, rep, bundle.forward)
+        rep = vec_apply(ring, rep, log.steps[fc.interval_index].maps.forward)
         nxt = log.intervals[fc.interval_index + 1]
         gens_next = set(_window_gens_on_interval(t, w, nxt))
         midn = nxt.midpoint()

@@ -116,6 +116,34 @@ def z2_spectral_bruteforce(rep_bits, rowmasks, n, heights):
     return best
 
 
+def z2_spectral_span(rep_bits, rowmasks, heights):
+    """z2_spectral_bruteforce over the image span instead of all chains.
+
+    A basis of the image comes from its own xor elimination; the coset is
+    enumerated as rep plus each of the 2^rank sums of basis vectors, so
+    windows of 20 and more generators stay cheap while the rank is small.
+    """
+    basis = []               # distinct top bits, kept in decreasing order
+    for row in rowmasks:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis = sorted(basis + [row], reverse=True)
+    assert len(basis) <= 12, "image rank %d is too large to enumerate" % len(basis)
+    best = None
+    for picks in range(1 << len(basis)):
+        v = rep_bits
+        for i, b in enumerate(basis):
+            if (picks >> i) & 1:
+                v ^= b
+        if v == 0:
+            return float("-inf")
+        top = max(h for i, h in enumerate(heights) if (v >> i) & 1)
+        if best is None or top < best:
+            best = top
+    return best
+
+
 def is_unimodular(dense):
     return abs(det_bareiss(dense)) == 1
 

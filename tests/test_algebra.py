@@ -58,12 +58,10 @@ class TestSparseMatrix:
         with pytest.raises(DimensionMismatch):
             m.mul(other)
 
-    def test_restrict_and_embed(self):
+    def test_restrict(self):
         m = mat(Z, ["a", "b", "c"], {("a", "b"): 1, ("a", "c"): 2})
         r = m.restrict(["a", "b"])
         assert r.entries == {("a", "b"): 1}
-        back = r.embed(["a", "b", "c"])
-        assert back.entry("a", "c") == 0
 
     def test_vec_apply_row_convention(self):
         # operator c1 -> c3, c2 -> c3: the chain c1+c2 maps to 2*c3
@@ -207,7 +205,7 @@ class TestChainMaps:
 
     def test_zero_homotopy(self):
         d = self.d_plus(Z2)
-        zero = SparseMatrix.zero(Z2, d.rows)
+        zero = SparseMatrix(Z2, d.rows, d.rows)
         assert is_chain_homotopy(d, zero, zero)
 
     def test_birth_triple_homotopy(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_birth, apply_death,
                                    apply_handle_slide, evolve, validate_axioms)
-from morseflow.cerf import (Arc, BirthVertex, BoundaryAt1, CerfTuple,
-                            Component, Vertex)
+from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
+                            CerfTuple, Component, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, EvolutionError,
                               NonTriangularDelta, NonUnitPivot)
@@ -33,14 +33,17 @@ def slide(r, *delta):
 class TestHandleSlide:
     def test_zero_delta_is_identity(self):
         fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1})
-        out = apply_handle_slide(fc, slide(F(1, 2)))
+        out, maps = apply_handle_slide(fc, slide(F(1, 2)))
         assert out == fc.gamma
+        ident = SparseMatrix.identity(Z2, fc.gamma.rows)
+        assert maps.kind == "slide" and maps.homotopy is None
+        assert maps.forward == ident and maps.backward == ident
 
     def test_three_lane_gains_composite(self):
         # one flow c2 -> c3; sliding c1 over c2 creates the composite c1 -> c3
         t = three_lane_tuple()
         fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1}, 0, F(3, 8))
-        out = apply_handle_slide(fc, slide(F(3, 8), ("c1", "c2", 1)), t)
+        out, _ = apply_handle_slide(fc, slide(F(3, 8), ("c1", "c2", 1)), t)
         assert out.entries == {("c2", "c3"): 1, ("c1", "c3"): 1}
 
     def test_action_order_enforced(self):
@@ -84,7 +87,7 @@ class TestHandleSlide:
                     delta.append((a, b, v))
         fc = counter(Z, order, gamma_entries)
         assert fc.gamma.mul(fc.gamma).is_zero()
-        out = apply_handle_slide(fc, slide(F(1, 2), *delta))
+        out, _ = apply_handle_slide(fc, slide(F(1, 2), *delta))
         assert out.mul(out).is_zero()
         # the inverse slide restores the original exactly
         ident = SparseMatrix.identity(Z, order)
@@ -99,7 +102,7 @@ class TestHandleSlide:
             inv = inv.add(term)
         back_delta = [(a, b, v) for (a, b), v in inv.sub(ident).entries.items()]
         fc2 = counter(Z, order, out.entries)
-        restored = apply_handle_slide(fc2, slide(F(1, 2), *back_delta))
+        restored, _ = apply_handle_slide(fc2, slide(F(1, 2), *back_delta))
         assert restored == fc.gamma
 
 
@@ -107,7 +110,7 @@ class TestBirth:
     def test_split_summand(self):
         t = birth_tuple()
         fc = counter(Z2, ("c1",), {}, 0, F(1, 2))
-        out = apply_birth(fc, EventRecord(F(1, 2), Birth("vb", 1)), t)
+        out, _ = apply_birth(fc, EventRecord(F(1, 2), Birth("vb", 1)), t)
         assert out.entries == {("up", "down"): 1}
         assert set(out.rows) == {"c1", "up", "down"}
 
@@ -115,7 +118,7 @@ class TestBirth:
         t = birth_tuple()
         fc = counter(Z2, ("c1",), {}, 0, F(1, 2))
         ev = EventRecord(F(1, 2), Birth("vb", 1, (("c1", 1),)))
-        out = apply_birth(fc, ev, t)
+        out, _ = apply_birth(fc, ev, t)
         assert out.entries == {("up", "down"): 1, ("c1", "down"): 1}
 
     def test_non_unit_pivot(self):
@@ -156,7 +159,7 @@ class TestDeath:
         t = eyeball_with_bystander()
         fc = counter(Z2, ("c1", "up", "down"), {("up", "down"): 1},
                      F(1, 4), F(3, 4))
-        out = apply_death(fc, EventRecord(F(3, 4), Death("vd")), t)
+        out, _ = apply_death(fc, EventRecord(F(3, 4), Death("vd")), t)
         assert set(out.rows) == {"c1"} and out.is_zero()
 
     def test_non_unit_pivot(self):
@@ -179,7 +182,7 @@ class TestDeath:
         t = eyeball_with_bystander()
         fc = counter(Z2, ("c1", "up", "down"),
                      {("up", "down"): 1, ("c1", "down"): 1}, F(1, 4), F(3, 4))
-        out = apply_death(fc, EventRecord(F(3, 4), Death("vd")), t)
+        out, _ = apply_death(fc, EventRecord(F(3, 4), Death("vd")), t)
         assert set(out.rows) == {"c1"} and out.is_zero()
 
 
@@ -233,6 +236,12 @@ class TestEvolve:
         with pytest.raises(EvolutionError):
             evolve(fc, [], t)
 
+    def test_unsquared_matrix_before_a_death_rejected(self):
+        # the interval is checked before its closing event builds maps
+        t, fc, events = unsquared_before_death()
+        with pytest.raises(EvolutionError, match="square-zero"):
+            evolve(fc, events, t)
+
     def test_duplicate_parameters(self):
         t = three_lane_tuple()
         fc = counter(Z2, ("c1", "c2", "c3"), {})
@@ -241,7 +250,32 @@ class TestEvolve:
             evolve(fc, evs, t)
 
 
+def unsquared_before_death():
+    """c -> a -> dn squares to c -> dn before the pair (up, dn) dies.
+
+    The death's own checks pass, but its inclusion is no chain map.
+    """
+    c = chord("c", [(0, 20), (1, 20)])
+    a = chord("a", [(0, 10), (1, 10)])
+    up = Arc("up", Piecewise([(0, 6), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    dn = Arc("dn", Piecewise([(0, 1), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    vd = Vertex("vd", "death", F(3, 4), 3, "up", "dn")
+    comps = [Component("chord", ("c",)), Component("chord", ("a",)),
+             Component("chord", ("up", "dn"))]
+    t = CerfTuple((c, a, up, dn), comps, (vd,))
+    fc = counter(Z2, ("c", "a", "up", "dn"),
+                 {("c", "a"): 1, ("a", "dn"): 1, ("up", "dn"): 1}, 0, F(3, 4))
+    return t, fc, [EventRecord(F(3, 4), Death("vd"))]
+
+
 class TestValidateAxioms:
+    def test_unsquared_matrix_before_a_death_reported(self):
+        t, fc, events = unsquared_before_death()
+        report = validate_axioms(fc, events, t)
+        assert [f.code for f in report.errors()] == ["gamma2"]
+
     def test_trivial_passes(self):
         t = three_lane_tuple()
         fc = counter(Z2, ("c1", "c2", "c3"), {})

@@ -76,13 +76,33 @@ class TestEtaBound:
                 eta_bound(model(), 1, r)
 
     def test_overflowing_exponent_rejected(self):
-        # exp(1000) is beyond the float range; 64 * 1000 RK4 steps never run
+        # exp(1000) is beyond the float range
         with pytest.raises(OutOfRange):
             eta_bound(HomotopyModel(h_sup=1000, tame_constant=1), 1, 1)
         with pytest.raises(OutOfRange):
             eta_bound(model(h=10**6), 0, F(1, 2))
         assert eta_bound(model(h=1000), 1, F(1, 2)) == pytest.approx(
             math.exp(500), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [703, 706, 709])
+    def test_exponent_near_the_float_limit(self, h):
+        # the closed form is finite here; the cross-check must not overflow
+        got = eta_bound(HomotopyModel(h_sup=h, tame_constant=1), 1, 1)
+        assert got == pytest.approx(math.exp(h), rel=1e-12)
+
+    def test_start_beyond_the_float_range_rejected(self):
+        with pytest.raises(OutOfRange):
+            eta_bound(model(h=1), 10**400, 1)
+
+    def test_infinite_product_rejected(self):
+        # exp(20) and 1e300 are finite, their product is not
+        with pytest.raises(OutOfRange):
+            eta_bound(model(h=20), 10**300, 1)
+
+    def test_nonzero_start_never_bounded_by_zero(self):
+        # 1/10**400 rounds to 0.0; a zero bound on a nonzero quantity is wrong
+        with pytest.raises(OutOfRange):
+            eta_bound(model(h=1), F(1, 10**400), 1)
 
     @pytest.mark.parametrize("h", [0, 1, 5])
     def test_closed_form_matches_independent_integration(self, h):

@@ -11,9 +11,10 @@ import oracles
 import randgen
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
                       three_lane_tuple)
-from morseflow.bifurcation import (Birth, Death, EventRecord, EventStep,
-                                   EvolutionLog, FlowCounter, HandleSlide,
-                                   evolve)
+from morseflow import bifurcation, tracker
+from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
+                                   HandleSlide, apply_handle_slide, evolve,
+                                   verify_maps)
 from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, Component,
                             DeathVertex, Vertex)
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
@@ -261,30 +262,28 @@ class TestContinuationMap:
         assert bun.backward.items() == [(("c1", "c1"), 1), (("c1", "up"), 1)]
 
     def test_tampered_log_fails_verification(self):
-        t = three_lane_tuple()
+        # the slide's maps against an after-matrix that is not its conjugate
         ids = ("c1", "c2", "c3")
-        g0 = SparseMatrix(Z2, ids, ids, {})
-        bad = SparseMatrix(Z2, ids, ids, {("c2", "c3"): 1})
+        fc0 = FlowCounter(0, F(0), F(1, 2), SparseMatrix(Z2, ids, ids, {}))
         ev = EventRecord(F(1, 2), HandleSlide((("c1", "c2", 1),)))
-        fc0 = FlowCounter(0, F(0), F(1, 2), g0)
-        fc1 = FlowCounter(1, F(1, 2), F(1), bad)
-        log = EvolutionLog(t, (fc0, fc1), (EventStep(ev, fc0, fc1),))
+        _, maps = apply_handle_slide(fc0, ev)
+        bad = SparseMatrix(Z2, ids, ids, {("c2", "c3"): 1})
         with pytest.raises(VerificationFailed):
-            continuation_map(ev, log)
+            verify_maps(maps, fc0.gamma, bad)
 
     def test_tampered_birth_fails_verification(self):
         t = birth_tuple()
         g0 = counter(Z2, ["c1"], {})
         log = evolve(g0, [EventRecord(F(1, 2), Birth("vb", 1, (("c1", 1),)))], t)
-        good = log.intervals[1]
-        bad = FlowCounter(1, good.r_lo, good.r_hi,
-                          SparseMatrix(Z2, good.gamma.rows, good.gamma.cols,
-                                       dict(good.gamma.entries) | {("c1", "up"): 1}))
-        tampered = EvolutionLog(t, (log.intervals[0], bad),
-                                (EventStep(log.steps[0].record,
-                                           log.intervals[0], bad),))
+        good = log.intervals[1].gamma
+        bad = SparseMatrix(Z2, good.rows, good.cols,
+                           dict(good.entries) | {("c1", "up"): 1})
         with pytest.raises(VerificationFailed):
-            continuation_map(log.steps[0].record, tampered)
+            verify_maps(log.steps[0].maps, log.intervals[0].gamma, bad)
+
+    def test_bundle_is_the_one_evolve_stored(self):
+        t, log = three_lane_log()
+        assert continuation_map(log.steps[0].record, log) is log.steps[0].maps
 
 
 class TestSpectralValue:
@@ -327,24 +326,47 @@ class TestSpectralValue:
         with pytest.raises(DegenerateParameter):
             spectral_value({"c1": 1}, F(3, 8), log, WIDE)
 
-    def test_large_window_flagged_as_lower_bound(self):
-        ids = ["c%02d" % k for k in range(21)]
-        arcs = tuple(chord(i, [(0, 10 * (k + 1)), (1, 10 * (k + 1))])
-                     for k, i in enumerate(ids))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_large_window_matches_span_oracle(self, data):
+        # 21 to 24 generators: greedy reduction stays certified and
+        # agrees with enumerating the image span
+        n = data.draw(st.integers(21, 24), label="generators")
+        ids = ["c%02d" % k for k in range(n)]
+        heights = [10 * (n - k) for k in range(n)]
+        arcs = tuple(chord(i, [(0, h), (1, h)]) for i, h in zip(ids, heights))
         t = CerfTuple(arcs, tuple(Component("chord", (i,)) for i in ids))
-        log = evolve(counter(Z2, ids, {}), [], t)
-        sv = spectral_value({"c00": 1}, F(1, 2), log, wide_window(t))
-        assert sv.value == 10 and not sv.certified
+        split = data.draw(st.integers(1, n - 1), label="split")
+        entries = {(ids[0], ids[split]): 1}
+        for i in range(split):
+            for j in range(split, n):
+                if data.draw(st.booleans(), label="g%d,%d" % (i, j)):
+                    entries[(ids[i], ids[j])] = 1
+        log = evolve(counter(Z2, ids, entries), [], t)
+        rep = {ids[j]: 1 for j in range(split, n)
+               if data.draw(st.booleans(), label="rep%d" % j)}
+        sv = spectral_value(rep, F(1, 3), log, wide_window(t))
+        assert sv.certified
+        dense = [[entries.get((r, c), 0) for c in ids] for r in ids]
+        rep_bits = sum(1 << ids.index(g) for g in rep)
+        want = oracles.z2_spectral_span(
+            rep_bits, oracles.z2_matrix_to_rowmasks(dense), heights)
+        assert sv.value == want
 
     def test_integer_coefficients_flagged_as_lower_bound(self):
         t, log = three_lane_log(ring=Z)
         sv = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
         assert sv.value == 4 and not sv.certified
 
+    def test_rational_coefficients_certified(self):
+        t, log = three_lane_log(ring=Q)
+        sv = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
+        assert sv.value == 4 and sv.certified
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_exhaustive_agrees_with_bruteforce(self, data):
-        n = data.draw(st.integers(2, 6), label="generators")
+    def test_greedy_agrees_with_bruteforce(self, data):
+        n = data.draw(st.integers(2, 12), label="generators")
         ids = ["c%d" % k for k in range(n)]
         heights = [10 * (n - k) for k in range(n)]
         arcs = tuple(chord(i, [(0, h), (1, h)]) for i, h in zip(ids, heights))
@@ -514,6 +536,29 @@ class TestTrackClass:
         trace = track_class({"c1": 1}, log, wide_window(t))
         assert len(trace.segments) > n
         self.assert_slabs_cut_at_interval_crossings(log, wide_window(t), trace)
+
+    def test_tracking_builds_no_comparison_map(self, monkeypatch):
+        # evolve built and verified every event's maps; tracking only reads them
+        runs = []
+        t, fc0, events = build_cascade(6)
+        runs.append((evolve(fc0, events, t), wide_window(t)))
+        t = eyeball_with_bystander()
+        log = evolve(counter(Z2, ["c1"], {}),
+                     [EventRecord(F(1, 4), Birth("vb", 1, (("c1", 1),))),
+                      EventRecord(F(3, 4), Death("vd"))], t)
+        runs.append((log, wide_window(t)))
+        want = [track_class({"c1": 1}, log, w) for log, w in runs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a comparison map was built or verified again")
+        for module, name in [(bifurcation, "verify_maps"),
+                             (bifurcation, "_pair_maps"),
+                             (bifurcation, "_unipotent_inverse"),
+                             (bifurcation, "is_chain_map"),
+                             (bifurcation, "is_chain_homotopy"),
+                             (tracker, "is_chain_map")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert [track_class({"c1": 1}, log, w) for log, w in runs] == want
 
     def test_three_lane_slabs_match_per_interval_crossings(self):
         _, log = three_lane_log()
