@@ -26,7 +26,7 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      CycleConditionViolated, EvolutionError,
                      NonTriangularDelta, NonUnitPivot, VerificationFailed)
 from .matrix import SparseMatrix
-from .piecewise import common_knots, frac
+from .piecewise import differences, frac
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,7 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     for (c1, c2), _ in gamma.items():
         f = t.arc(c1).f3
         g = t.arc(c2).f3
-        knots = common_knots(f, g, r_lo, r_hi)
-        diffs = [f.value(k) - g.value(k) for k in knots]
+        _, diffs = differences(f, g, r_lo, r_hi)
         ok = (all(d >= 0 for d in diffs)
               and all(d > 0 for d in diffs[1:-1])
               and any(d > 0 for d in diffs))

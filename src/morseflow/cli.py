@@ -107,14 +107,31 @@ def _torsion_text(h):
 # ---------------------------------------------------------------------------
 # commands; each returns (reports, exit_code)
 
-def _cmd_validate(arg, flags):
-    sc = _load(arg, flags)
+def _cerf_lines(sc):
+    """(ok, report lines) of validate_cerf on the scenario's family."""
     slides = tuple(e.r for e in sc.events if isinstance(e.payload, HandleSlide))
     rep = validate_cerf(sc.family, event_params=slides)
     lines = [HEADER, "scenario: %s" % os.path.basename(sc.path)]
-    lines += _findings_block("cerf", rep.findings, rep.ok)
-    code = 0 if rep.ok else 2
-    if rep.ok:
+    return rep.ok, lines + _findings_block("cerf", rep.findings, rep.ok)
+
+
+def _valid_family(cmd):
+    """cmd(sc, flags) run on the loaded scenario once its family passes
+    validate_cerf; otherwise the [cerf] findings, with exit code 2."""
+    def checked(arg, flags):
+        sc = _load(arg, flags)
+        ok, lines = _cerf_lines(sc)
+        if not ok:
+            return [("validation.txt", "\n".join(lines) + "\n")], 2
+        return cmd(sc, flags)
+    return checked
+
+
+def _cmd_validate(arg, flags):
+    sc = _load(arg, flags)
+    ok, lines = _cerf_lines(sc)
+    code = 0 if ok else 2
+    if ok:
         ax = validate_axioms(sc.gamma0, sc.events, sc.family)
         lines += _findings_block("axioms", ax.findings, ax.ok)
         if not ax.ok:
@@ -124,8 +141,7 @@ def _cmd_validate(arg, flags):
     return [("validation.txt", "\n".join(lines) + "\n")], code
 
 
-def _cmd_evolve(arg, flags):
-    sc = _load(arg, flags)
+def _cmd_evolve(sc, flags):
     log = evolve(sc.gamma0, sc.events, sc.family)
     lines = [HEADER, "ring: %s" % log.ring.name]
     for fc in log.intervals:
@@ -141,8 +157,7 @@ def _cmd_evolve(arg, flags):
     return [("evolution.txt", "\n".join(lines) + "\n")], 0
 
 
-def _cmd_homology(arg, flags):
-    sc = _load(arg, flags)
+def _cmd_homology(sc, flags):
     log = evolve(sc.gamma0, sc.events, sc.family)
     w = _window_for(sc, flags)
     lines = [HEADER, "ring: %s" % log.ring.name, "",
@@ -177,16 +192,14 @@ def _trace(sc, flags):
     return track_class(rep, log, w, label=sc.label)
 
 
-def _cmd_track(arg, flags):
-    sc = _load(arg, flags)
+def _cmd_track(sc, flags):
     trace = _trace(sc, flags)
     text = "\n".join([HEADER, trace.table(),
                       "final: %s" % trace.final_value()]) + "\n"
     return [("trace.txt", text)], 0
 
 
-def _cmd_escape(arg, flags):
-    sc = _load(arg, flags)
+def _cmd_escape(sc, flags):
     phi = _phi_for(sc, flags)
     if phi is None:
         raise ScenarioSemanticError(
@@ -267,8 +280,7 @@ def _cmd_rabinowitz(arg, flags):
     return [("rabinowitz.txt", "\n".join(lines) + "\n")], 0
 
 
-def _cmd_plot(arg, flags):
-    sc = _load(arg, flags)
+def _cmd_plot(sc, flags):
     out = [("cerf.svg", family_svg(sc.family, sc.events))]
     if sc.rep is not None or getattr(flags, "cls", None):
         out.append(("trace.svg", trace_svg(_trace(sc, flags))))
@@ -277,13 +289,13 @@ def _cmd_plot(arg, flags):
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "evolve": _cmd_evolve,
-    "homology": _cmd_homology,
-    "track": _cmd_track,
-    "escape": _cmd_escape,
+    "evolve": _valid_family(_cmd_evolve),
+    "homology": _valid_family(_cmd_homology),
+    "track": _valid_family(_cmd_track),
+    "escape": _valid_family(_cmd_escape),
     "cascade": _cmd_cascade,
     "rabinowitz": _cmd_rabinowitz,
-    "plot": _cmd_plot,
+    "plot": _valid_family(_cmd_plot),
 }
 
 

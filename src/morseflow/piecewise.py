@@ -2,7 +2,9 @@
 
 Arc action profiles and window boundaries are both stored this way.  All
 evaluation and crossing computations stay in Fraction arithmetic, so sign
-tests and crossing parameters are exact.
+tests and crossing parameters are exact.  Comparing two profiles reads
+their difference at the common knots, found by one merged walk over both
+point lists (differences).
 """
 
 from bisect import bisect_left
@@ -53,12 +55,7 @@ class Piecewise:
         pts = self.points
         if not pts[0][0] <= r <= pts[-1][0]:
             raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
-        i = bisect_left(pts, r, key=_PARAM)
-        r1, v1 = pts[i]
-        if r == r1:
-            return v1
-        r0, v0 = pts[i - 1]
-        return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+        return _at(pts, bisect_left(pts, r, key=_PARAM), r)
 
     def pieces(self):
         """Yield (r0, r1, v0, v1) linear pieces."""
@@ -98,26 +95,59 @@ def common_knots(f, g, lo, hi):
     return sorted(k for k in ks if lo <= k <= hi)
 
 
+def differences(f, g, lo, hi):
+    """The common knots of f and g in [lo, hi], and f - g at each.
+
+    One merged walk over both point lists evaluates the two profiles:
+    the knots are sorted, so each profile's pointer only moves forward,
+    and the domain is checked once rather than per knot.
+    """
+    ks = common_knots(f, g, lo, hi)
+    for pw in (f, g):
+        for k in ks[:1] + ks[-1:]:
+            if not pw.r_lo <= k <= pw.r_hi:
+                raise ValueError("parameter %s outside domain [%s, %s]"
+                                 % (k, pw.r_lo, pw.r_hi))
+    fp, gp = f.points, g.points
+    i = j = 0
+    out = []
+    for k in ks:
+        while fp[i][0] < k:
+            i += 1
+        while gp[j][0] < k:
+            j += 1
+        out.append(_at(fp, i, k) - _at(gp, j, k))
+    return ks, out
+
+
+def _at(pts, i, r):
+    """Value at r, where pts[i] is the first point with parameter >= r."""
+    r1, v1 = pts[i]
+    if r == r1:
+        return v1
+    r0, v0 = pts[i - 1]
+    return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+
+
 def crossings(f, g, lo=None, hi=None):
     """Exact parameters in [lo, hi] where f = g.
 
-    Returns a sorted list of Fractions.  An interval of coincidence is
-    reported by its endpoints (degenerate overlap; callers that forbid it
-    should compare values at knots instead).
+    Returns a sorted list of Fractions; lo == hi gives [lo] when f and g
+    meet there.  An interval of coincidence is reported by its endpoints
+    (degenerate overlap; callers that forbid it should compare values at
+    knots instead).
     """
     lo = max(f.r_lo, g.r_lo) if lo is None else frac(lo)
     hi = min(f.r_hi, g.r_hi) if hi is None else frac(hi)
     if lo > hi:
         return []
-    out = set()
-    ks = common_knots(f, g, lo, hi)
-    for k0, k1 in zip(ks, ks[1:]):
-        d0 = f.value(k0) - g.value(k0)
-        d1 = f.value(k1) - g.value(k1)
+    ks, ds = differences(f, g, lo, hi)
+    out = []
+    for k0, d0, k1, d1 in zip(ks, ds, ks[1:], ds[1:]):
         if d0 == 0:
-            out.add(k0)
-        if d1 == 0:
-            out.add(k1)
+            out.append(k0)
         if (d0 > 0 > d1) or (d0 < 0 < d1):
-            out.add(k0 + (k1 - k0) * d0 / (d0 - d1))
-    return sorted(out)
+            out.append(k0 + (k1 - k0) * d0 / (d0 - d1))
+    if ds[-1] == 0:
+        out.append(ks[-1])
+    return out

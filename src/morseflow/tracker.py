@@ -10,7 +10,11 @@ action, so nothing leaks back in across the floor).
 Class tracking pushes a representative through the comparison maps of
 the event log and recomputes its spectral value on every slab between
 action crossings; the spectral value of a class is the smallest top
-action over all representatives in its coset.
+action over all representatives in its coset.  Slabs are found by one
+sweep per interval: each pair of in-window arcs gets its crossings from
+one merged walk over the two profiles, each arc's side of the window is
+decided once, and the action order is sorted on the first slab and then
+carried across each cut, re-sorting only the arcs that meet there.
 """
 
 import functools
@@ -24,7 +28,7 @@ from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
-from .piecewise import Piecewise, common_knots, crossings, frac
+from .piecewise import Piecewise, crossings, differences, frac
 from .rings import Q
 
 NEG_INF = float("-inf")
@@ -64,13 +68,12 @@ def window_violation(w, t):
     """
     if w.a.r_lo != 0 or w.a.r_hi != 1 or w.b.r_lo != 0 or w.b.r_hi != 1:
         return "cutoffs must be defined on all of [0, 1]"
-    for k in common_knots(w.a, w.b, 0, 1):
-        if not w.a.value(k) < w.b.value(k):
+    for k, d in zip(*differences(w.a, w.b, 0, 1)):
+        if not d < 0:
             return "floor meets ceiling at r=%s" % k
     for arc in t.arcs:
         for cutoff, name in ((w.a, "floor"), (w.b, "ceiling")):
-            ks = common_knots(arc.f3, cutoff, arc.r_lo, arc.r_hi)
-            diffs = [arc.f3.value(k) - cutoff.value(k) for k in ks]
+            _, diffs = differences(arc.f3, cutoff, arc.r_lo, arc.r_hi)
             if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
                 return "arc %r touches or crosses the %s" % (arc.id, name)
     return None
@@ -80,6 +83,29 @@ def validate_window(w, t):
     why = window_violation(w, t)
     if why is not None:
         raise InvalidWindow(why)
+
+
+BELOW, INSIDE, ABOVE = -1, 0, 1
+
+
+def _window_sides(w, t):
+    """Side of the window (BELOW, INSIDE or ABOVE) of each arc, by id.
+
+    Only for a window that passed window_violation: it clears every arc
+    strictly on one side for the arc's whole life, so the arc's first
+    point decides.  The first arc with an id wins, as in CerfTuple.arc.
+    """
+    sides = {}
+    for arc in reversed(t.arcs):
+        r, v = arc.f3.points[0]
+        sides[arc.id] = (BELOW if v < w.a.value(r) else
+                         INSIDE if v < w.b.value(r) else ABOVE)
+    return sides
+
+
+def _inside_at(t, sides, r):
+    """Ids of the arcs alive at r that lie inside the window."""
+    return [a.id for a in t.arcs_alive(r) if sides[a.id] == INSIDE]
 
 
 def _check_parameter(t, r, forbidden=()):
@@ -102,7 +128,7 @@ def chain_group(t, r, w, forbidden=()):
 def filtered_homology(t, fc, r, w):
     """Homology of the count matrix restricted to the window at r."""
     validate_window(w, t)
-    gens = chain_group(t, r, w)
+    gens = _inside_at(t, _window_sides(w, t), _check_parameter(t, r))
     d = fc.gamma.restrict(gens)
     if not d.mul(d).is_zero():
         raise InvalidWindow(
@@ -130,8 +156,9 @@ class SpectralValue:
     top: object = None
 
 
-def _descending_order(t, gens, r):
-    return sorted(gens, key=lambda g: (-t.arc(g).value(r), str(g)))
+def _order_key(t, r):
+    """Sort key putting generators in descending action at r, ties by id."""
+    return lambda g: (-t.arc(g).value(r), str(g))
 
 
 def _coset_minimize(ring, d, rep, order):
@@ -190,7 +217,7 @@ def spectral_value(h, r, log, w, forbidden=()):
         raise NotACycle("representative is not a cycle in the window at r=%s" % r)
     if not rep:
         return SpectralValue(NEG_INF, True)
-    order = _descending_order(t, gens, r)
+    order = sorted(gens, key=_order_key(t, r))
     best, order, certified = _coset_minimize(ring, d, rep, order)
     support = tuple(g for g, x in zip(order, best) if x != ring.zero)
     if not support:
@@ -225,7 +252,7 @@ class StabilizationReport:
 
 def _pointwise_leq(f, g):
     """f(r) <= g(r) for all r, exactly (both piecewise-linear on [0,1])."""
-    return all(f.value(k) <= g.value(k) for k in common_knots(f, g, 0, 1))
+    return all(d <= 0 for d in differences(f, g, 0, 1)[1])
 
 
 def _rationalize(m):
@@ -398,9 +425,12 @@ class SpectralTrace:
         return "\n".join(lines)
 
 
-def _window_gens_on_interval(t, w, fc):
-    mid = fc.midpoint()
-    return [a.id for a in t.arcs_alive(mid) if w.contains_value(mid, a.value(mid))]
+def _resort_runs(order, movers, key):
+    """order with each contiguous run of movers re-sorted by key."""
+    out = []
+    for moving, run in itertools.groupby(order, key=movers.__contains__):
+        out.extend(sorted(run, key=key) if moving else run)
+    return out
 
 
 def track_class(h0, log, w, label="h"):
@@ -410,17 +440,25 @@ def track_class(h0, log, w, label="h"):
     minimizing representative's support and its top generator; a
     transfer is a parameter where that top generator changes.  The
     spectral value is verified continuous across handle-slides.
+
+    Each interval is swept once.  Every arc's side of the window is
+    read once per call; each pair of in-window arcs gets its crossings
+    once per call, from one merged walk over the two profiles, and the
+    crossings strictly inside an interval cut it into slabs.  Only the
+    first slab is sorted by action: at each later cut the arcs meeting
+    there form contiguous runs of the previous order, and only those
+    runs are re-sorted.
     """
     t = log.family
     why = window_violation(w, t)
     if why is not None:
         return SpectralTrace((), (), "WindowInvalid: %s" % why, ())
+    sides = _window_sides(w, t)
 
     ring = log.ring
     rep = {}
     first = log.intervals[0]
-    gens0 = _window_gens_on_interval(t, w, first)
-    mid0 = first.midpoint()
+    gens0 = _inside_at(t, sides, first.midpoint())
     for g, v in h0.items():
         v = ring.coerce(v)
         if v == ring.zero:
@@ -430,7 +468,7 @@ def track_class(h0, log, w, label="h"):
             continue
         if g not in first.gamma.rows:
             raise NotACycle("starting chain touches %r, not alive at the start" % g)
-        if t.arc(g).value(mid0) >= w.b.value(mid0):
+        if sides[g] == ABOVE:
             raise NotACycle("starting chain touches %r above the window" % g)
     d0 = first.gamma.restrict(gens0)
     if vec_apply(ring, rep, d0):
@@ -446,7 +484,7 @@ def track_class(h0, log, w, label="h"):
     pair_crossings = {}
 
     for fc in log.intervals:
-        gens = _window_gens_on_interval(t, w, fc)
+        gens = _inside_at(t, sides, fc.midpoint())
         d = fc.gamma.restrict(gens)
         rep_record = tuple(sorted(rep.items(), key=lambda kv: str(kv[0])))
         if not rep:
@@ -455,18 +493,22 @@ def track_class(h0, log, w, label="h"):
             outcome = "LeftWindow(below)"
             break
 
-        cuts = set()
+        meets = {}           # cut -> ids of the arcs that meet there
         for pair in itertools.combinations(gens, 2):
             xs = pair_crossings.get(pair)
             if xs is None:
                 xs = pair_crossings[pair] = crossings(
                     t.arc(pair[0]).f3, t.arc(pair[1]).f3)
-            cuts.update(x for x in xs if fc.r_lo < x < fc.r_hi)
-        bounds = [fc.r_lo] + sorted(cuts) + [fc.r_hi]
+            for x in xs:
+                if fc.r_lo < x < fc.r_hi:
+                    meets.setdefault(x, set()).update(pair)
+        bounds = [fc.r_lo] + sorted(meets) + [fc.r_hi]
         first_seg = len(segments)
+        order = gens
         for lo, hi in zip(bounds, bounds[1:]):
-            mid = (lo + hi) / 2
-            order = _descending_order(t, gens, mid)
+            key = _order_key(t, (lo + hi) / 2)
+            order = (sorted(order, key=key) if lo == fc.r_lo
+                     else _resort_runs(order, meets[lo], key))
             best, order, certified = _coset_minimize(ring, d, rep, order)
             support = tuple(g for g, x in zip(order, best) if x != ring.zero)
             if not support:
@@ -490,13 +532,12 @@ def track_class(h0, log, w, label="h"):
             continue
         rep = vec_apply(ring, rep, log.steps[fc.interval_index].maps.forward)
         nxt = log.intervals[fc.interval_index + 1]
-        gens_next = set(_window_gens_on_interval(t, w, nxt))
-        midn = nxt.midpoint()
+        gens_next = set(_inside_at(t, sides, nxt.midpoint()))
         clipped = {}
         for g, v in rep.items():
             if g in gens_next:
                 clipped[g] = v
-            elif t.arc(g).value(midn) >= w.b.value(midn):
+            elif sides[g] == ABOVE:
                 outcome = "LeftWindow(above)"
                 break
         else:

@@ -144,6 +144,46 @@ def z2_spectral_span(rep_bits, rowmasks, heights):
     return best
 
 
+def profile_value(points, r):
+    """Value of the polyline through points at r, by a linear scan."""
+    for (r0, v0), (r1, v1) in zip(points, points[1:]):
+        if r0 <= r <= r1:
+            if r == r0:
+                return v0
+            if r == r1:
+                return v1
+            return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+    raise ValueError("parameter %s outside the domain" % r)
+
+
+def crossings(f, g, lo=None, hi=None):
+    """Parameters in [lo, hi] where profiles f and g agree, knot by knot.
+
+    Each profile is evaluated on its own at every knot of either one;
+    a zero difference at a knot is a crossing, and so is the root of a
+    strict sign change between consecutive knots.  Coincident stretches
+    show up as their zero knots.
+    """
+    lo = max(f.r_lo, g.r_lo) if lo is None else Fraction(lo)
+    hi = min(f.r_hi, g.r_hi) if hi is None else Fraction(hi)
+    if lo > hi:
+        return []
+    ks = sorted({lo, hi} | {r for pw in (f, g) for r, _ in pw.points
+                            if lo < r < hi})
+    ds = [profile_value(f.points, k) - profile_value(g.points, k) for k in ks]
+    out = {k for k, d in zip(ks, ds) if d == 0}
+    for k0, d0, k1, d1 in zip(ks, ds, ks[1:], ds[1:]):
+        if d0 * d1 < 0:
+            out.add(k0 + (k1 - k0) * d0 / (d0 - d1))
+    return sorted(out)
+
+
+def descending_order(t, gens, r):
+    """Generators sorted afresh by descending action at r, ties by id."""
+    return sorted(gens, key=lambda g: (-profile_value(t.arc(g).f3.points, r),
+                                       str(g)))
+
+
 def is_unimodular(dense):
     return abs(det_bareiss(dense)) == 1
 

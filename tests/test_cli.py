@@ -57,6 +57,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "C1-compactness" in out
 
+    @pytest.mark.parametrize("cmd", ["evolve", "homology", "track", "escape", "plot"])
+    def test_structural_failure_in_every_command_reading_the_family(self, cmd, capsys):
+        assert main(["validate", "escaping"]) == 2
+        cerf = capsys.readouterr().out.split("[axioms]")[0]
+        assert main([cmd, "escaping"]) == 2
+        assert capsys.readouterr().out == cerf
+
+    def test_rabinowitz_reads_only_the_model(self, capsys):
+        assert main(["rabinowitz", "escaping"]) == 1
+        assert "[rabinowitz]" in capsys.readouterr().err
+
     def test_parse_failure(self, capsys):
         assert main(["validate", "duplicate_event"]) == 1
         err = capsys.readouterr().err

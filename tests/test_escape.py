@@ -9,7 +9,7 @@ import oracles
 from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
-from morseflow.cerf import CerfTuple, Component
+from morseflow.cerf import CerfTuple, Component, validate_cerf
 from morseflow.errors import (EmptyTrace, InvalidParameters,
                               NonMonotoneTail, UnsupportedFamily)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
@@ -422,6 +422,14 @@ class TestCascade:
         assert window_violation(wide_window(t), t) is None
         assert trace.survived and len(trace.transfers) == 30
         assert trace.final_value() == 2 ** 30
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_forty_and_sixty_stages_stay_valid_and_survive(self, n):
+        t, trace = cascade_trace(n)
+        assert validate_cerf(t).ok
+        assert window_violation(wide_window(t), t) is None
+        assert trace.survived and len(trace.transfers) == n
+        assert trace.final_value() == 2 ** n
 
     def test_homology_rank_never_moves(self):
         t, fc0, events = build_cascade(3)

@@ -1,4 +1,4 @@
-"""Piecewise-linear profiles: evaluation agrees with a linear scan."""
+"""Piecewise-linear profiles: evaluation and crossings agree with references."""
 
 from fractions import Fraction as F
 
@@ -6,21 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseflow.piecewise import Piecewise
+import oracles
+from morseflow.piecewise import Piecewise, common_knots, crossings, differences
 
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 6))
-
-
-def scan_value(points, r):
-    """Reference: the first piece whose closed span holds r, interpolated."""
-    for (r0, v0), (r1, v1) in zip(points, points[1:]):
-        if r0 <= r <= r1:
-            if r == r0:
-                return v0
-            if r == r1:
-                return v1
-            return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
-    raise ValueError("outside the domain")
+scan_value = oracles.profile_value
 
 
 @st.composite
@@ -52,3 +42,70 @@ class TestValue:
         pw = Piecewise(((0, 3), (F(1, 2), 3), (1, 7)))
         assert pw.value(0) == 3 and pw.value(F(1, 4)) == 3
         assert pw.value(F(3, 4)) == 5 and pw.value(1) == 7
+
+
+# knots on a coarse grid and values from a short list, so that profiles
+# share knots, coincide on whole segments and meet at knots often
+GRID = [F(i, 8) for i in range(9)]
+
+
+@st.composite
+def grid_profiles(draw):
+    rs = sorted(draw(st.sets(st.sampled_from(GRID), min_size=2, max_size=6)))
+    vs = draw(st.lists(st.integers(-2, 2), min_size=len(rs), max_size=len(rs)))
+    return Piecewise(tuple(zip(rs, vs)))
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two grid profiles and a range: None, part of the common domain, or
+    one point of it (a knot, or halfway between two)."""
+    f, g = draw(grid_profiles()), draw(grid_profiles())
+    lo, hi = max(f.r_lo, g.r_lo), min(f.r_hi, g.r_hi)
+    if lo > hi or draw(st.booleans()):
+        return f, g, None, None
+    inner = [r for r in GRID if lo <= r <= hi]
+    inner += [r + F(1, 16) for r in inner if r < hi]
+    a, b = sorted(draw(st.lists(st.sampled_from(inner), min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        b = a
+    return f, g, a, b
+
+
+class TestCrossings:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=profile_pairs())
+    def test_agrees_with_the_per_knot_reference(self, pair):
+        f, g, lo, hi = pair
+        assert crossings(f, g, lo, hi) == oracles.crossings(f, g, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=profile_pairs())
+    def test_differences_are_the_values_at_the_common_knots(self, pair):
+        f, g, lo, hi = pair
+        lo = max(f.r_lo, g.r_lo) if lo is None else lo
+        hi = min(f.r_hi, g.r_hi) if hi is None else hi
+        ks, ds = differences(f, g, lo, hi)
+        assert ks == common_knots(f, g, lo, hi)
+        assert ds == [f.value(k) - g.value(k) for k in ks]
+
+    def test_differences_outside_a_domain_is_an_error(self):
+        f = Piecewise(((0, 1), (F(1, 2), 2)))
+        g = Piecewise.constant(0)
+        with pytest.raises(ValueError):
+            differences(f, g, 0, 1)
+        with pytest.raises(ValueError):
+            differences(g, f, -1, F(1, 4))
+
+    def test_one_point_range(self):
+        f = Piecewise(((0, 0), (1, 2)))
+        g = Piecewise.constant(1)
+        assert crossings(f, g, F(1, 2), F(1, 2)) == [F(1, 2)]
+        assert crossings(f, g, F(1, 4), F(1, 4)) == []
+        assert crossings(f, g, 1, 1) == []
+
+    def test_coincident_segment_reported_by_its_ends(self):
+        f = Piecewise(((0, 0), (F(1, 4), 1), (F(3, 4), 1), (1, 0)))
+        g = Piecewise.constant(1)
+        assert crossings(f, g) == [F(1, 4), F(3, 4)]
+        assert crossings(f, g, F(1, 2), F(1, 2)) == [F(1, 2)]

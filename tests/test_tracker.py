@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import find, given, settings
@@ -20,9 +21,11 @@ from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, Component,
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
                               NonNestedLadder, NotACycle, VerificationFailed)
 from morseflow.matrix import SparseMatrix
-from morseflow.escape import build_cascade
-from morseflow.piecewise import Piecewise, crossings
+from morseflow.cli import data_path, main
+from morseflow.escape import build_cascade, linear
+from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
+from morseflow.scenario import Scenario, load_scenario, serialize_scenario
 from morseflow.tracker import (NEG_INF, Window, chain_group, continuation_map,
                                filtered_homology, full_homology,
                                spectral_value, track_class, validate_window,
@@ -51,6 +54,54 @@ def u_death_tuple():
              BoundaryAt0(), DeathVertex("vd"))
     vd = Vertex("vd", "death", F(3, 4), 3, "up", "dn")
     return CerfTuple((up, dn), (Component("chord", ("up", "dn")),), (vd,))
+
+
+def reference_slabs(log, w, reached):
+    """(interval, r_lo, r_hi, order) of every slab of the reached intervals,
+    from midpoint membership, per-interval reference crossings and a fresh
+    sort at each slab's midpoint."""
+    t = log.family
+    out = []
+    for fc in log.intervals:
+        if fc.interval_index not in reached:
+            continue
+        mid = fc.midpoint()
+        gens = [a.id for a in t.arcs_alive(mid)
+                if w.contains_value(mid, a.value(mid))]
+        cuts = {x for g1, g2 in itertools.combinations(gens, 2)
+                for x in oracles.crossings(t.arc(g1).f3, t.arc(g2).f3,
+                                           fc.r_lo, fc.r_hi)
+                if fc.r_lo < x < fc.r_hi}
+        bounds = [fc.r_lo] + sorted(cuts) + [fc.r_hi]
+        for lo, hi in zip(bounds, bounds[1:]):
+            out.append((fc.interval_index, lo, hi,
+                        oracles.descending_order(t, gens, (lo + hi) / 2)))
+    return out
+
+
+def assert_sweep_matches_reference(h0, log, w):
+    """track_class's slab bounds and per-slab orders equal reference_slabs,
+    and its trace equals the one from per-slab sorting and reference
+    crossings; returns the trace."""
+    orders = []
+    minimize = tracker._coset_minimize
+
+    def spy(ring, d, rep, order):
+        orders.append(list(order))
+        return minimize(ring, d, rep, order)
+    with mock.patch.object(tracker, "_coset_minimize", spy):
+        trace = track_class(h0, log, w)
+    got = [(s.interval_index, s.r_lo, s.r_hi, order)
+           for s, order in zip(trace.segments, orders)]
+    assert len(orders) == len(trace.segments)
+    assert got == reference_slabs(log, w, {s.interval_index for s in trace.segments})
+
+    def sort_every_slab(order, movers, key):
+        return sorted(order, key=key)
+    with mock.patch.object(tracker, "crossings", oracles.crossings), \
+            mock.patch.object(tracker, "_resort_runs", sort_every_slab):
+        assert track_class(h0, log, w) == trace
+    return trace
 
 
 class TestWindow:
@@ -153,11 +204,122 @@ class TestWindowInvariance:
         w2 = Window(affine_profile(w.a, 1, s), affine_profile(w.b, 1, s))
         assert window_violation(w2, affine_family(t, 1, s)) == window_violation(w, t)
 
+    @settings(max_examples=150, deadline=None)
+    @given(fw=family_and_window())
+    def test_sides_match_pointwise_membership(self, fw):
+        t, w = fw
+        if window_violation(w, t) is not None:
+            return
+        sides = tracker._window_sides(w, t)
+        for a in t.arcs:
+            rs = [r for r, _ in a.f3.points]
+            for r in rs + [(r0 + r1) / 2 for r0, r1 in zip(rs, rs[1:])]:
+                v = a.value(r)
+                assert (sides[a.id] == tracker.INSIDE) == w.contains_value(r, v)
+                assert (sides[a.id] == tracker.ABOVE) == (v >= w.b.value(r))
+
+    def test_side_of_an_arc_born_late_is_read_over_its_own_life(self):
+        # the ceiling starts at 1, below the late arc, but rises to 10
+        # before the arc is born at 1/2
+        late = Arc("late", Piecewise([(F(1, 2), 5), (1, 5)]),
+                   BoundaryAt0(), BoundaryAt0())
+        t = CerfTuple((chord("early", [(0, 20), (1, 20)]), late),
+                      (Component("chord", ("early",)), Component("chord", ("late",))))
+        w = Window(Piecewise.constant(0), Piecewise([(0, 1), (F(1, 2), 10), (1, 10)]))
+        assert window_violation(w, t) is None
+        assert tracker._window_sides(w, t) == {"early": tracker.ABOVE,
+                                               "late": tracker.INSIDE}
+        assert chain_group(t, F(3, 4), w) == ["late"]
+
     def test_generated_windows_reach_both_verdicts(self):
         for valid in (True, False):
             find(family_and_window(),
                  lambda fw: (window_violation(fw[1], fw[0]) is None) == valid,
                  settings=settings(database=None, derandomize=True))
+
+
+def affine_value(v, c, s):
+    return v if v == NEG_INF else c * v + s
+
+
+class TestTraceScaleInvariance:
+    """Replacing every action v (arcs, vertices, window) by c*v + s with
+    c > 0 maps each slab's spectral values the same way and leaves the
+    slabs, supports, tops, certification, transfers and outcome alone."""
+
+    @staticmethod
+    def assert_affine_trace(trace, moved, c, s):
+        assert moved.outcome == trace.outcome
+        assert moved.transfers == trace.transfers
+        assert len(moved.segments) == len(trace.segments)
+        for a, b in zip(trace.segments, moved.segments):
+            assert (b.interval_index, b.r_lo, b.r_hi, b.support, b.top,
+                    b.certified) == (a.interval_index, a.r_lo, a.r_hi,
+                                     a.support, a.top, a.certified)
+            assert b.rho_lo == affine_value(a.rho_lo, c, s)
+            assert b.rho_hi == affine_value(a.rho_hi, c, s)
+        for a, b in zip(trace.classes, moved.classes):
+            assert b.representative == a.representative
+            assert b.rho_start == affine_value(a.rho_start, c, s)
+            assert b.rho_end == affine_value(a.rho_end, c, s)
+
+    def check(self, t, gamma0, events, w, h0, c, s):
+        trace = track_class(h0, evolve(gamma0, events, t), w)
+        moved_w = Window(affine_profile(w.a, c, s), affine_profile(w.b, c, s))
+        moved_t = affine_family(t, c, s)
+        moved = track_class(h0, evolve(gamma0, events, moved_t), moved_w)
+        self.assert_affine_trace(trace, moved, c, s)
+        return trace
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
+           tier=st.booleans(), c=TestWindowInvariance.scales,
+           s=TestWindowInvariance.shifts)
+    def test_random_families(self, seed, ring, tier, c, s):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        w = Window.constant(10, 200) if tier else wide_window(sc.family)
+        for cc, ss in ((c, 0), (1, s)):
+            trace = self.check(sc.family, sc.gamma0, sc.events, w, {"l1": 1}, cc, ss)
+            assert trace.segments
+
+    @pytest.mark.parametrize("n, ring", [(3, Z2), (5, Z), (8, Z2)])
+    @pytest.mark.parametrize("c, s", [(F(1, 10**9), 0), (F(10**9, 7), 0),
+                                      (1, -10**12), (1, F(5, 7))])
+    def test_cascades(self, n, ring, c, s):
+        t, fc0, events = build_cascade(n, ring=ring)
+        trace = self.check(t, fc0, events, wide_window(t), {"c1": ring.one}, c, s)
+        assert len(trace.transfers) == n and trace.survived
+
+    @pytest.mark.parametrize("c, s", [(F(1, 1000), 0), (F(10**9, 7), 0),
+                                      (1, -10**9), (1, F(5, 7))])
+    def test_cli_exit_codes(self, tmp_path, capsys, c, s):
+        """Every report command exits the same on the bundled scenarios,
+        a cascade file and an invalid window, moved or not."""
+        t, fc0, events = build_cascade(4)
+        cascade = Scenario(Z2, t, fc0, tuple(events), window=wide_window(t),
+                           rep={"c1": 1}, phi=linear(F(1), gap=(-2, 2)))
+        scenarios = [load_scenario(data_path(name)) for name in
+                     ("slide", "twoslides", "birth", "eyeball", "escaping")]
+        scenarios += [cascade,
+                      dataclasses.replace(cascade, window=Window.constant(0, 5))]
+        for i, sc in enumerate(scenarios):
+            w = sc.window
+            moved = dataclasses.replace(
+                sc, family=affine_family(sc.family, c, s),
+                window=None if w is None else Window(affine_profile(w.a, c, s),
+                                                     affine_profile(w.b, c, s)),
+                ladder=tuple(Window(affine_profile(r.a, c, s),
+                                    affine_profile(r.b, c, s)) for r in sc.ladder))
+            paths = []
+            for tag, x in (("base", sc), ("moved", moved)):
+                p = tmp_path / ("%s%d.scn" % (tag, i))
+                p.write_text(serialize_scenario(x), encoding="utf-8")
+                paths.append(str(p))
+            for cmd in ("validate", "evolve", "homology", "track", "escape", "plot"):
+                codes = [main([cmd, p, "--out", str(tmp_path / "out")])
+                         for p in paths]
+                assert codes[0] == codes[1], (cmd, i, codes)
+            capsys.readouterr()
 
 
 class TestChainGroup:
@@ -497,27 +659,6 @@ class TestTrackClass:
         assert tr.final_value() == NEG_INF
         assert tr.classes[-1].representative == ()
 
-    @staticmethod
-    def assert_slabs_cut_at_interval_crossings(log, w, trace):
-        """Each interval's slabs are cut exactly where two in-window arcs
-        cross strictly inside it, crossings computed interval by interval."""
-        t = log.family
-        reached = {s.interval_index for s in trace.segments}
-        for fc in log.intervals:
-            if fc.interval_index not in reached:
-                continue
-            mid = fc.midpoint()
-            gens = [a.id for a in t.arcs_alive(mid)
-                    if w.contains_value(mid, a.value(mid))]
-            cuts = {x for g1, g2 in itertools.combinations(gens, 2)
-                    for x in crossings(t.arc(g1).f3, t.arc(g2).f3,
-                                       fc.r_lo, fc.r_hi)
-                    if fc.r_lo < x < fc.r_hi}
-            bounds = [fc.r_lo] + sorted(cuts) + [fc.r_hi]
-            got = [(s.r_lo, s.r_hi) for s in trace.segments
-                   if s.interval_index == fc.interval_index]
-            assert got == list(zip(bounds, bounds[1:]))
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
            tier=st.booleans())
@@ -525,17 +666,15 @@ class TestTrackClass:
         sc = randgen.random_scenario(random.Random(seed), ring)
         log = evolve(sc.gamma0, sc.events, sc.family)
         w = Window.constant(10, 200) if tier else wide_window(sc.family)
-        trace = track_class({"l1": 1}, log, w)
+        trace = assert_sweep_matches_reference({"l1": 1}, log, w)
         assert trace.segments
-        self.assert_slabs_cut_at_interval_crossings(log, w, trace)
 
     @pytest.mark.parametrize("n", [0, 1, 4, 7])
     def test_cascade_slabs_match_per_interval_crossings(self, n):
         t, fc0, events = build_cascade(n)
         log = evolve(fc0, events, t)
-        trace = track_class({"c1": 1}, log, wide_window(t))
+        trace = assert_sweep_matches_reference({"c1": 1}, log, wide_window(t))
         assert len(trace.segments) > n
-        self.assert_slabs_cut_at_interval_crossings(log, wide_window(t), trace)
 
     def test_tracking_builds_no_comparison_map(self, monkeypatch):
         # evolve built and verified every event's maps; tracking only reads them
@@ -562,9 +701,43 @@ class TestTrackClass:
 
     def test_three_lane_slabs_match_per_interval_crossings(self):
         _, log = three_lane_log()
-        trace = track_class({"c1": 1}, log, WIDE)
+        trace = assert_sweep_matches_reference({"c1": 1}, log, WIDE)
         assert any(s.r_lo == F(3, 4) for s in trace.segments)
-        self.assert_slabs_cut_at_interval_crossings(log, WIDE, trace)
+
+    @staticmethod
+    def lanes_over_a_top(lanes, events=()):
+        """Chords named by lanes, under a top arc t at 9 whose boundary is
+        the sum of the two first lanes, so the tracked class c1 may move
+        onto c2; c0 at -9 sits below everything."""
+        arcs = [chord(aid, pts) for aid, pts in lanes]
+        arcs += [chord("t", [(0, 9), (1, 9)]), chord("c0", [(0, -9), (1, -9)])]
+        t = CerfTuple(tuple(arcs), tuple(Component("chord", (a.id,)) for a in arcs))
+        ids = [a.id for a in arcs]
+        return evolve(counter(Z2, ids, {("t", "c1"): 1, ("t", "c2"): 1}), events, t)
+
+    @pytest.mark.parametrize("lanes, events", [
+        # three arcs through (1/2, 3)
+        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
+          ("c3", [(0, 3), (1, 3)])], ()),
+        # c2 touches c1 at 1/2 without crossing it
+        ([("c1", [(0, 3), (1, 3)]), ("c2", [(0, 1), (F(1, 2), 3), (1, 1)])], ()),
+        # c1 coincides with c2 on [1/4, 3/4], then separates above it
+        ([("c1", [(0, 2), (F(1, 4), 3), (F(3, 4), 3), (1, 4)]),
+          ("c2", [(0, 3), (1, 3)]), ("c3", [(0, 3), (F(1, 2), 3), (1, 5)])], ()),
+        # c1 and c2 cross exactly at a slide
+        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)])],
+         (EventRecord(F(1, 2), HandleSlide((("c1", "c0", 1),))),)),
+        # the same crossing with every lane meeting there as well
+        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
+          ("c3", [(0, 3), (F(1, 4), 3), (F(3, 4), 4), (1, 4)]),
+          ("c4", [(0, 2), (F(1, 2), 3), (1, 2)])],
+         (EventRecord(F(1, 4), HandleSlide((("c3", "c0", 1),))),)),
+    ])
+    def test_degenerate_meetings_match_the_reference(self, lanes, events):
+        log = self.lanes_over_a_top(lanes, events)
+        for h0 in ({"c1": 1}, {"c1": 1, "c0": 1}, {"c2": 1, "t": 0}):
+            trace = assert_sweep_matches_reference(h0, log, Window.constant(-10, 10))
+            assert trace.outcome == "Survived"
 
     def test_invalid_window_outcome(self):
         t, log = three_lane_log()
