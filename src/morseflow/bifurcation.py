@@ -26,7 +26,7 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      CycleConditionViolated, EvolutionError,
                      NonTriangularDelta, NonUnitPivot, VerificationFailed)
 from .matrix import SparseMatrix
-from .piecewise import differences, frac
+from .piecewise import _walk, frac
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +409,14 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
 
     Piecewise-linear profiles make this exact: positivity on the open
     interval means nonnegative gaps at every knot, strict at interior
-    knots, and not identically zero.
+    knots, and not identically zero.  The gaps' signs are the kernel's
+    integer numerators.
     """
     bad = []
     for (c1, c2), _ in gamma.items():
         f = t.arc(c1).f3
         g = t.arc(c2).f3
-        _, diffs = differences(f, g, r_lo, r_hi)
+        diffs = _walk(f, g, r_lo, r_hi)[1]
         ok = (all(d >= 0 for d in diffs)
               and all(d > 0 for d in diffs[1:-1])
               and any(d > 0 for d in diffs))

@@ -21,17 +21,18 @@ from .algebra import homology
 from .bifurcation import HandleSlide, evolve, validate_axioms
 from .cerf import validate_cerf
 from .diagrams import family_svg, trace_svg
-from .errors import (ActionConstraintViolated, ConstraintViolated,
-                     CycleConditionViolated, EvolutionError, InvalidTuple,
-                     InvalidWindow, MorseflowError, NonIsolatedCusp,
-                     NonNestedLadder, NonTriangularDelta, NonUnitPivot,
-                     NotADifferential, ScenarioError, ScenarioSemanticError,
-                     VerticalTangency)
+from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
+                     ConstraintViolated, CycleConditionViolated,
+                     EvolutionError, InvalidTuple, InvalidWindow,
+                     MorseflowError, NonIsolatedCusp, NonNestedLadder,
+                     NonTriangularDelta, NonUnitPivot, NotADifferential,
+                     ScenarioError, ScenarioSemanticError,
+                     ScenarioSyntaxError, VerticalTangency)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear, parse_phi
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
 from .rings import Q, Z, Z2
-from .scenario import (Scenario, _phi_text, load_scenario, parse_chain,
-                       parse_window_spec, serialize_scenario)
+from .scenario import (Scenario, _phi_text, _rational, load_scenario,
+                       parse_chain, parse_window_spec, serialize_scenario)
 from .tracker import (filtered_homology, full_homology, track_class,
                       validate_window, wide_window)
 
@@ -236,15 +237,33 @@ def _cmd_escape(sc, flags):
     return [("escape.txt", "\n".join(lines) + "\n")], 0
 
 
+# the most stages `cascade --n` builds; its heights base * ratio^k must
+# also fit in a numeric literal, so that the file it writes re-parses
+MAX_CASCADE_STAGES = 300
+
+
+def _flag_rational(flags, name):
+    """The exact number given by --name, read as a scenario literal."""
+    try:
+        return _rational(getattr(flags, name), None)
+    except ScenarioSyntaxError as e:
+        raise ScenarioSyntaxError("--%s: %s" % (name, e))
+
+
 def _cmd_cascade(arg, flags):
     if flags.n is None:
         raise ScenarioError("cascade needs --n")
+    if flags.n > MAX_CASCADE_STAGES:
+        raise ScenarioError("cascade --n is at most %d" % MAX_CASCADE_STAGES)
     ring = _COEFFS[flags.coeff] if flags.coeff else Z2
-    base = Fraction(flags.base)
-    ratio = Fraction(flags.ratio)
+    base, ratio, delta = (_flag_rational(flags, name)
+                          for name in ("base", "ratio", "delta"))
+    top = base * ratio ** flags.n if ratio > 1 and flags.n > 0 else base
+    if max(abs(top.numerator), top.denominator) >= 10 ** MAX_LITERAL_DIGITS:
+        raise ScenarioError("cascade height base * ratio^n longer than %d "
+                            "digits" % MAX_LITERAL_DIGITS)
     t, gamma0, events = build_cascade(flags.n, base=base, ratio=ratio,
-                                      delta_value=Fraction(flags.delta),
-                                      ring=ring)
+                                      delta_value=delta, ring=ring)
     sc = Scenario(ring, t, gamma0, tuple(events), window=wide_window(t),
                   rep={"c1": ring.one}, label="h",
                   phi=linear(Fraction(1), gap=(-ratio, ratio)))

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Grouped by the area that raises them; everything derives from
-MorseflowError so callers can catch coarsely.
+MorseflowError so callers can catch coarsely.  The input size limit that
+scenario, flag and growth-bound parsing share sits at the end, with the
+scenario errors it raises.
 """
 
 
@@ -131,3 +133,26 @@ class ScenarioSyntaxError(ScenarioError):
 
 class ScenarioSemanticError(ScenarioError):
     """Well-formed text with inconsistent content."""
+
+
+# bounded input: every numeric literal is checked against this limit
+# before Fraction reads it, so no input can make the parser, or the
+# exact arithmetic after it, work on numbers of unbounded size
+
+MAX_LITERAL_DIGITS = 100
+
+
+def check_literal(text, line=None):
+    """Raise ScenarioSyntaxError when text writes more than
+    MAX_LITERAL_DIGITS digits, counting the value k of a decimal exponent
+    e<k> as k more digits (1e90 spells a 91-digit integer)."""
+    digits = sum(ch.isdigit() for ch in text)
+    _, e, exponent = text.lower().partition("e")
+    if e and digits <= MAX_LITERAL_DIGITS:
+        try:
+            digits += abs(int(exponent))
+        except ValueError:
+            pass                 # not a number: Fraction rejects it
+    if digits > MAX_LITERAL_DIGITS:
+        raise ScenarioSyntaxError("numeric literal longer than %d digits"
+                                  % MAX_LITERAL_DIGITS, line)

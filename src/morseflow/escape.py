@@ -21,7 +21,7 @@ from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
                    Finding)
 from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
-                     UnsupportedFamily)
+                     UnsupportedFamily, check_literal)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
@@ -194,6 +194,14 @@ def polylog(c, p, logs=(), gap=None):
 _PHI_RE = re.compile(r"^\s*(linear|square|iterlog|polylog)\s*\((.*)\)\s*$")
 
 
+def _phi_number(text):
+    check_literal(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameters("bad number %r in growth bound" % text)
+
+
 def parse_phi(text):
     """Textual growth-bound syntax used by scenario files.
 
@@ -210,12 +218,9 @@ def parse_phi(text):
         val = val.strip()
         if val.startswith("("):
             items = [v.strip() for v in val[1:-1].split(",") if v.strip()]
-            kwargs[key] = tuple(Fraction(v) for v in items)
+            kwargs[key] = tuple(_phi_number(v) for v in items)
         else:
-            try:
-                kwargs[key] = Fraction(val)
-            except ValueError:
-                raise InvalidParameters("bad number %r in growth bound" % val)
+            kwargs[key] = _phi_number(val)
     try:
         if name == "linear":
             return linear(kwargs.pop("c"), **kwargs)

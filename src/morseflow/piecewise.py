@@ -1,19 +1,21 @@
 """Piecewise-linear functions of the deformation parameter, exact rationals.
 
-Arc action profiles and window boundaries are both stored this way.  All
-evaluation and crossing computations stay in Fraction arithmetic, so sign
-tests and crossing parameters are exact.  Comparing two profiles reads
-their difference at the common knots, found by one merged walk over both
-point lists (differences).
+Arc action profiles and window boundaries are both stored this way, with
+Fraction breakpoints.  Comparing two profiles runs on integers: one
+private kernel (_walk) reads their points as (numerator, denominator)
+pairs, emits their common knots in one merged walk and returns the
+difference at each as an integer numerator over a positive denominator;
+every comparison is a cross product.  contains and value read the same
+integer pairs.  Nothing integer is stored on a Piecewise; each call
+converts what it reads.  A Fraction is built only where a value leaves
+the kernel: a crossing parameter, a value of differences, and
+Piecewise.value.  knots, extremes and common_knots stay in Fraction
+arithmetic; common_knots is the tests' reference for the kernel's knots.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Tuple
-
-_PARAM = itemgetter(0)
 
 
 def frac(x):
@@ -48,20 +50,18 @@ class Piecewise:
         return self.points[-1][0]
 
     def contains(self, r):
-        return self.r_lo <= frac(r) <= self.r_hi
+        """r_lo <= r <= r_hi, by integer cross products."""
+        rn, rd = frac(r).as_integer_ratio()
+        an, ad = self.points[0][0].as_integer_ratio()
+        bn, bd = self.points[-1][0].as_integer_ratio()
+        return an * rd <= rn * ad and rn * bd <= bn * rd
 
     def value(self, r):
+        """Value at r: a Fraction built from the kernel's integer pair."""
         r = frac(r)
-        pts = self.points
-        if not pts[0][0] <= r <= pts[-1][0]:
+        if not self.contains(r):
             raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
-        return _at(pts, bisect_left(pts, r, key=_PARAM), r)
-
-    def pieces(self):
-        """Yield (r0, r1, v0, v1) linear pieces."""
-        pts = self.points
-        for (r0, v0), (r1, v1) in zip(pts, pts[1:]):
-            yield r0, r1, v0, v1
+        return Fraction(*_ratio_at(self, *r.as_integer_ratio()))
 
     def knots(self, lo=None, hi=None):
         """Breakpoint parameters clipped to [lo, hi], endpoints included."""
@@ -82,10 +82,6 @@ class Piecewise:
         vals = [self.value(r) for r in self.knots(lo, hi)]
         return min(vals), max(vals)
 
-    def shifted(self, dv):
-        dv = frac(dv)
-        return Piecewise(tuple((r, v + dv) for r, v in self.points))
-
 
 def common_knots(f, g, lo, hi):
     lo, hi = frac(lo), frac(hi)
@@ -98,35 +94,104 @@ def common_knots(f, g, lo, hi):
 def differences(f, g, lo, hi):
     """The common knots of f and g in [lo, hi], and f - g at each.
 
-    One merged walk over both point lists evaluates the two profiles:
-    the knots are sorted, so each profile's pointer only moves forward,
-    and the domain is checked once rather than per knot.
+    The knots are those of common_knots, and the values are Fractions
+    built from _walk's integer differences.  A range with lo > hi gives
+    two empty lists.
     """
-    ks = common_knots(f, g, lo, hi)
-    for pw in (f, g):
-        for k in ks[:1] + ks[-1:]:
-            if not pw.r_lo <= k <= pw.r_hi:
+    ks, nums, dens = _walk(f, g, lo, hi)
+    return ks, [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def _ints(pts):
+    """Each (r, v) point as the integers (r_num, r_den, v_num, v_den)."""
+    return [r.as_integer_ratio() + v.as_integer_ratio() for r, v in pts]
+
+
+def _eval(pts, i, kn, kd):
+    """Value at kn/kd as (numerator, denominator > 0), from the integer
+    points pts of _ints, where pts[i] is the first with parameter >= kn/kd.
+
+    Between points (a0/b0, v0) and (a1/b1, v1) the value is the weighted
+    mean (v0 * x1 + v1 * x0) / (x0 + x1), with positive weights x0 and x1
+    proportional to k - r0 and r1 - k.
+    """
+    a1, b1, p1, q1 = pts[i]
+    x1 = a1 * kd - kn * b1
+    if not x1:
+        return p1, q1
+    a0, b0, p0, q0 = pts[i - 1]
+    x1 *= b0
+    x0 = (kn * b0 - a0 * kd) * b1
+    return p0 * q1 * x1 + p1 * q0 * x0, q0 * q1 * (x0 + x1)
+
+
+def _ratio_at(f, kn, kd):
+    """f at kn/kd, inside its domain, as (numerator, denominator > 0)."""
+    pts = _ints(f.points)
+    i = 0
+    while pts[i][0] * kd < kn * pts[i][1]:
+        i += 1
+    return _eval(pts, i, kn, kd)
+
+
+def _walk(f, g, lo, hi):
+    """The kernel: common knots of f and g in [lo, hi], f - g at each.
+
+    Returns (knots, nums, dens).  knots are lo, hi and every breakpoint
+    of either profile strictly between them, increasing, as the Fraction
+    objects given; f - g at knots[m] is nums[m] / dens[m], dens[m] > 0.
+    lo or hi None stands for the start or end of the common domain.  One
+    merged walk over both point lists, read as integers, emits the knots
+    and evaluates both profiles; each pointer only moves forward, and
+    every comparison is a cross product.  lo > hi gives empty lists; a
+    range outside either domain raises ValueError.
+    """
+    fp, gp = f.points, g.points
+    fi, gi = _ints(fp), _ints(gp)
+    if lo is None:
+        lo = fp[0][0] if fi[0][0] * gi[0][1] >= gi[0][0] * fi[0][1] else gp[0][0]
+    if hi is None:
+        hi = fp[-1][0] if fi[-1][0] * gi[-1][1] <= gi[-1][0] * fi[-1][1] else gp[-1][0]
+    lo, hi = frac(lo), frac(hi)
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    if ln * hd > hn * ld:
+        return [], [], []
+    for pw, pts in ((f, fi), (g, gi)):
+        for k, kn, kd in ((lo, ln, ld), (hi, hn, hd)):
+            if pts[0][0] * kd > kn * pts[0][1] or kn * pts[-1][1] > pts[-1][0] * kd:
                 raise ValueError("parameter %s outside domain [%s, %s]"
                                  % (k, pw.r_lo, pw.r_hi))
-    fp, gp = f.points, g.points
     i = j = 0
-    out = []
-    for k in ks:
-        while fp[i][0] < k:
+    while fi[i][0] * ld < ln * fi[i][1]:
+        i += 1
+    while gi[j][0] * ld < ln * gi[j][1]:
+        j += 1
+    ks, nums, dens = [], [], []
+    k, kn, kd = lo, ln, ld
+    while True:
+        p, q = _eval(fi, i, kn, kd)
+        s, u = _eval(gi, j, kn, kd)
+        ks.append(k)
+        nums.append(p * u - s * q)
+        dens.append(q * u)
+        if kn * hd == hn * kd:
+            return ks, nums, dens
+        # step each pointer past k, then take the nearer next knot, or hi
+        if fi[i][0] * kd == kn * fi[i][1]:
             i += 1
-        while gp[j][0] < k:
+        if gi[j][0] * kd == kn * gi[j][1]:
             j += 1
-        out.append(_at(fp, i, k) - _at(gp, j, k))
-    return ks, out
-
-
-def _at(pts, i, r):
-    """Value at r, where pts[i] is the first point with parameter >= r."""
-    r1, v1 = pts[i]
-    if r == r1:
-        return v1
-    r0, v0 = pts[i - 1]
-    return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+        a, b = fi[i][0], fi[i][1]
+        c, e = gi[j][0], gi[j][1]
+        if c * b < a * e:
+            k, a, b = gp[j][0], c, e
+        else:
+            k = fp[i][0]
+        if a * hd < hn * b:
+            kn, kd = a, b
+        else:
+            k, kn, kd = hi, hn, hd
 
 
 def crossings(f, g, lo=None, hi=None):
@@ -135,19 +200,24 @@ def crossings(f, g, lo=None, hi=None):
     Returns a sorted list of Fractions; lo == hi gives [lo] when f and g
     meet there.  An interval of coincidence is reported by its endpoints
     (degenerate overlap; callers that forbid it should compare values at
-    knots instead).
+    knots instead).  Signs come from _walk's integers; a Fraction is
+    built only for a root strictly between two knots.
     """
-    lo = max(f.r_lo, g.r_lo) if lo is None else frac(lo)
-    hi = min(f.r_hi, g.r_hi) if hi is None else frac(hi)
-    if lo > hi:
-        return []
-    ks, ds = differences(f, g, lo, hi)
+    ks, nums, dens = _walk(f, g, lo, hi)
     out = []
-    for k0, d0, k1, d1 in zip(ks, ds, ks[1:], ds[1:]):
-        if d0 == 0:
-            out.append(k0)
-        if (d0 > 0 > d1) or (d0 < 0 < d1):
-            out.append(k0 + (k1 - k0) * d0 / (d0 - d1))
-    if ds[-1] == 0:
+    for m in range(len(ks) - 1):
+        d0, d1 = nums[m], nums[m + 1]
+        if not d0:
+            out.append(ks[m])
+        elif d0 < 0 < d1 or d1 < 0 < d0:
+            # the root of the linear difference: k0 + (k1 - k0) * t with
+            # t = D0 / (D0 - D1), D the differences over one denominator
+            a0, b0 = ks[m].as_integer_ratio()
+            a1, b1 = ks[m + 1].as_integer_ratio()
+            t0 = d0 * dens[m + 1]
+            t1 = t0 - d1 * dens[m]
+            out.append(Fraction(a0 * b1 * t1 + (a1 * b0 - a0 * b1) * t0,
+                                b0 * b1 * t1))
+    if ks and not nums[-1]:
         out.append(ks[-1])
     return out

@@ -41,7 +41,7 @@ from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    Component, DeathVertex, Vertex)
-from .errors import ScenarioSemanticError, ScenarioSyntaxError
+from .errors import ScenarioSemanticError, ScenarioSyntaxError, check_literal
 from .escape import parse_phi
 from .matrix import SparseMatrix
 from .piecewise import Piecewise
@@ -75,6 +75,8 @@ class Scenario:
 
 
 def _rational(text, line):
+    """An exact number, its size checked before Fraction reads it."""
+    check_literal(text, line)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -119,7 +121,7 @@ def parse_chain(text, ring, line=None):
             raise ScenarioSyntaxError(
                 "bad chain syntax near %r" % text[pos:pos + 12], line)
         sign, coeff, aid = m.groups()
-        val = Fraction(coeff) if coeff else Fraction(1)
+        val = _rational(coeff, line) if coeff else Fraction(1)
         if sign == "-":
             val = -val
         v = ring.coerce(val)

@@ -15,6 +15,12 @@ sweep per interval: each pair of in-window arcs gets its crossings from
 one merged walk over the two profiles, each arc's side of the window is
 decided once, and the action order is sorted on the first slab and then
 carried across each cut, re-sorting only the arcs that meet there.
+
+The sweep's sign tests are integer ones, through the piecewise kernel:
+window clearance, ladder nesting, an arc's side of the window and the
+slab order compare (numerator, denominator) pairs by cross products.
+Fractions are built for what a trace returns and prints: the slab
+bounds (crossing parameters) and the spectral values.
 """
 
 import functools
@@ -28,7 +34,7 @@ from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
-from .piecewise import Piecewise, crossings, differences, frac
+from .piecewise import Piecewise, _ratio_at, _walk, crossings, frac
 from .rings import Q
 
 NEG_INF = float("-inf")
@@ -64,17 +70,19 @@ def window_violation(w, t):
     The cutoffs must clear every arc strictly, on the same side for the
     arc's whole lifetime.  Both are piecewise-linear, so strict signs at
     their common knots decide it exactly, whatever the scale or offset
-    of the actions.  Verdicts are cached by the value of (w, t).
+    of the actions; the signs are the kernel's integer numerators.
+    Verdicts are cached by the value of (w, t).
     """
     if w.a.r_lo != 0 or w.a.r_hi != 1 or w.b.r_lo != 0 or w.b.r_hi != 1:
         return "cutoffs must be defined on all of [0, 1]"
-    for k, d in zip(*differences(w.a, w.b, 0, 1)):
+    ks, nums, _ = _walk(w.a, w.b, 0, 1)
+    for k, d in zip(ks, nums):
         if not d < 0:
             return "floor meets ceiling at r=%s" % k
     for arc in t.arcs:
         for cutoff, name in ((w.a, "floor"), (w.b, "ceiling")):
-            _, diffs = differences(arc.f3, cutoff, arc.r_lo, arc.r_hi)
-            if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+            nums = _walk(arc.f3, cutoff, arc.r_lo, arc.r_hi)[1]
+            if not (all(d > 0 for d in nums) or all(d < 0 for d in nums)):
                 return "arc %r touches or crosses the %s" % (arc.id, name)
     return None
 
@@ -93,13 +101,18 @@ def _window_sides(w, t):
 
     Only for a window that passed window_violation: it clears every arc
     strictly on one side for the arc's whole life, so the arc's first
-    point decides.  The first arc with an id wins, as in CerfTuple.arc.
+    point decides, compared with each cutoff there by a cross product.
+    The first arc with an id wins, as in CerfTuple.arc.
     """
     sides = {}
     for arc in reversed(t.arcs):
         r, v = arc.f3.points[0]
-        sides[arc.id] = (BELOW if v < w.a.value(r) else
-                         INSIDE if v < w.b.value(r) else ABOVE)
+        rn, rd = r.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        an, ad = _ratio_at(w.a, rn, rd)
+        bn, bd = _ratio_at(w.b, rn, rd)
+        sides[arc.id] = (BELOW if vn * ad < an * vd else
+                         INSIDE if vn * bd < bn * vd else ABOVE)
     return sides
 
 
@@ -156,9 +169,26 @@ class SpectralValue:
     top: object = None
 
 
-def _order_key(t, r):
-    """Sort key putting generators in descending action at r, ties by id."""
-    return lambda g: (-t.arc(g).value(r), str(g))
+class _Descending:
+    """Sort key of a generator: higher action first, ties by str(id).
+
+    The action is an integer pair (num, den > 0) from the piecewise
+    kernel; two keys compare by one cross product.
+    """
+
+    __slots__ = ("num", "den", "name")
+
+    def __init__(self, num, den, name):
+        self.num, self.den, self.name = num, den, name
+
+    def __lt__(self, other):
+        x = self.num * other.den - other.num * self.den
+        return x > 0 or (x == 0 and self.name < other.name)
+
+
+def _order_key(t, rn, rd):
+    """Sort key putting generators in descending action at rn/rd, ties by id."""
+    return lambda g: _Descending(*_ratio_at(t.arc(g).f3, rn, rd), str(g))
 
 
 def _coset_minimize(ring, d, rep, order):
@@ -217,7 +247,7 @@ def spectral_value(h, r, log, w, forbidden=()):
         raise NotACycle("representative is not a cycle in the window at r=%s" % r)
     if not rep:
         return SpectralValue(NEG_INF, True)
-    order = sorted(gens, key=_order_key(t, r))
+    order = sorted(gens, key=_order_key(t, *r.as_integer_ratio()))
     best, order, certified = _coset_minimize(ring, d, rep, order)
     support = tuple(g for g, x in zip(order, best) if x != ring.zero)
     if not support:
@@ -252,7 +282,7 @@ class StabilizationReport:
 
 def _pointwise_leq(f, g):
     """f(r) <= g(r) for all r, exactly (both piecewise-linear on [0,1])."""
-    return all(d <= 0 for d in differences(f, g, 0, 1)[1])
+    return all(d <= 0 for d in _walk(f, g, 0, 1)[1])
 
 
 def _rationalize(m):
@@ -479,8 +509,9 @@ def track_class(h0, log, w, label="h"):
     classes = []
     prev_top = None
     outcome = "Survived"
-    # each pair's crossings over its whole common domain, computed once;
-    # an interval keeps those strictly inside it
+    # each pair's crossings over its whole common domain, computed once
+    # and kept with their integer pairs; an interval keeps those strictly
+    # inside it, found by cross products
     pair_crossings = {}
 
     for fc in log.intervals:
@@ -494,19 +525,24 @@ def track_class(h0, log, w, label="h"):
             break
 
         meets = {}           # cut -> ids of the arcs that meet there
+        ln, ld = fc.r_lo.as_integer_ratio()
+        hn, hd = fc.r_hi.as_integer_ratio()
         for pair in itertools.combinations(gens, 2):
             xs = pair_crossings.get(pair)
             if xs is None:
-                xs = pair_crossings[pair] = crossings(
-                    t.arc(pair[0]).f3, t.arc(pair[1]).f3)
-            for x in xs:
-                if fc.r_lo < x < fc.r_hi:
+                xs = pair_crossings[pair] = [
+                    (x,) + x.as_integer_ratio() for x in crossings(
+                        t.arc(pair[0]).f3, t.arc(pair[1]).f3)]
+            for x, xn, xd in xs:
+                if ln * xd < xn * ld and xn * hd < hn * xd:
                     meets.setdefault(x, set()).update(pair)
         bounds = [fc.r_lo] + sorted(meets) + [fc.r_hi]
         first_seg = len(segments)
         order = gens
         for lo, hi in zip(bounds, bounds[1:]):
-            key = _order_key(t, (lo + hi) / 2)
+            a, b = lo.as_integer_ratio()
+            c, e = hi.as_integer_ratio()
+            key = _order_key(t, a * e + c * b, 2 * b * e)     # the midpoint
             order = (sorted(order, key=key) if lo == fc.r_lo
                      else _resort_runs(order, meets[lo], key))
             best, order, certified = _coset_minimize(ring, d, rep, order)

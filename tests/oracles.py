@@ -178,6 +178,27 @@ def crossings(f, g, lo=None, hi=None):
     return sorted(out)
 
 
+def window_clear(w, t):
+    """The window rule checked pointwise: both cutoffs span [0, 1], the
+    floor is below the ceiling at every knot of either, and each arc
+    minus each cutoff has one strict sign at every knot of either inside
+    the arc's footprint."""
+    a, b = w.a.points, w.b.points
+    if not (a[0][0] == b[0][0] == 0 and a[-1][0] == b[-1][0] == 1):
+        return False
+    if any(profile_value(a, k) >= profile_value(b, k) for k, _ in a + b):
+        return False
+    for arc in t.arcs:
+        pts = arc.f3.points
+        lo, hi = pts[0][0], pts[-1][0]
+        for cut in (a, b):
+            ks = [k for k, _ in pts] + [k for k, _ in cut if lo < k < hi]
+            ds = [profile_value(pts, k) - profile_value(cut, k) for k in ks]
+            if not (all(d > 0 for d in ds) or all(d < 0 for d in ds)):
+                return False
+    return True
+
+
 def descending_order(t, gens, r):
     """Generators sorted afresh by descending action at r, ties by id."""
     return sorted(gens, key=lambda g: (-profile_value(t.arc(g).f3.points, r),

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from morseflow.cli import data_path, main
+from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
+from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
 
 DESCENDING = """
@@ -223,3 +224,77 @@ class TestArtifacts:
 
     def test_cascade_needs_n(self, capsys):
         assert main(["cascade"]) == 1
+
+
+class TestInputLimits:
+    """Malformed or oversized numbers end in one error line and exit 1,
+    before any work starts."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, *words):
+        io = capsys.readouterr()
+        assert io.out == ""
+        lines = io.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert all(w in lines[0] for w in words)
+
+    @pytest.mark.parametrize("flag", ["--base", "--ratio", "--delta"])
+    @pytest.mark.parametrize("value", ["abc", "1/0", "1e", "2/"])
+    def test_malformed_cascade_flag(self, flag, value, tmp_path, capsys):
+        argv = ["cascade", "--n", "3", flag, value, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, flag, "not an exact number")
+        assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("flag", ["--base", "--ratio", "--delta"])
+    def test_oversized_cascade_flag(self, flag, tmp_path, capsys):
+        for value in ("2" * (MAX_LITERAL_DIGITS + 1), "2e%d" % MAX_LITERAL_DIGITS):
+            argv = ["cascade", "--n", "3", flag, value, "--out", str(tmp_path)]
+            assert main(argv) == 1
+            self.assert_one_error_line(capsys, flag, "digits")
+
+    def test_cascade_flags_at_the_digit_limit(self, tmp_path, capsys):
+        big = "3" * MAX_LITERAL_DIGITS
+        out = str(tmp_path)
+        assert main(["cascade", "--n", "0", "--base", big, "--out", out]) == 0
+        path = capsys.readouterr().out.strip()
+        sc = load_scenario(path)
+        assert sc.family.arc("c1").f3.value(0) == int(big)
+        assert main(["cascade", "--n", "1", "--ratio", big, "--delta", big,
+                     "--coeff", "z", "--out", out]) == 0
+        sc = load_scenario(capsys.readouterr().out.strip())
+        assert sc.family.arc("c2").f3.value(1) == int(big)
+
+    def test_cascade_stage_limit(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["cascade", "--n", str(MAX_CASCADE_STAGES), "--out", out]) == 0
+        path = capsys.readouterr().out.strip()
+        assert path.endswith("cascade%d.scn" % MAX_CASCADE_STAGES)
+        text = open(path, encoding="utf-8").read()
+        assert str(2 ** MAX_CASCADE_STAGES) in text
+        assert main(["cascade", "--n", str(MAX_CASCADE_STAGES + 1), "--out", out]) == 1
+        self.assert_one_error_line(capsys, "--n", str(MAX_CASCADE_STAGES))
+
+    def test_cascade_heights_must_fit_a_literal(self, tmp_path, capsys):
+        # 10^(k n) has k n + 1 digits
+        n = 4
+        ok = "1" + "0" * ((MAX_LITERAL_DIGITS - 1) // n)
+        assert main(["cascade", "--n", str(n), "--ratio", ok, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        over = ok + "0"
+        assert main(["cascade", "--n", str(n), "--ratio", over, "--out", str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys, "digits")
+
+    def test_window_phi_and_class_flags(self, capsys):
+        big = "9" * MAX_LITERAL_DIGITS
+        assert main(["track", "slide", "--window", "a=-%s,b=%s" % (big, big)]) == 0
+        assert "# outcome: Survived" in capsys.readouterr().out
+        assert main(["escape", "slide", "--phi", "linear(c=%s)" % big]) == 0
+        assert "verdict: WithinBudget" in capsys.readouterr().out
+        over = big + "9"
+        for argv in (["track", "slide", "--window", "a=0,b=%s" % over],
+                     ["track", "slide", "--window", "a=1e%d,b=2" % MAX_LITERAL_DIGITS],
+                     ["escape", "slide", "--phi", "linear(c=%s)" % over],
+                     ["track", "slide", "--class", "%s*c1" % over]):
+            assert main(argv) == 1
+            self.assert_one_error_line(capsys, "digits")

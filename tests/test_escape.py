@@ -10,8 +10,9 @@ from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
 from morseflow.cerf import CerfTuple, Component, validate_cerf
-from morseflow.errors import (EmptyTrace, InvalidParameters,
-                              NonMonotoneTail, UnsupportedFamily)
+from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
+                              InvalidParameters, NonMonotoneTail,
+                              ScenarioError, UnsupportedFamily)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
@@ -178,6 +179,20 @@ class TestParsePhi:
     def test_rejected_syntax(self, text):
         with pytest.raises(InvalidParameters):
             parse_phi(text)
+
+    @pytest.mark.parametrize("text", ["linear(c=1/0)", "linear(c=1, gap=(a, 1))",
+                                      "linear(c=1, gap=(-1, 1/0))"])
+    def test_bad_numbers_are_reported_not_raised_raw(self, text):
+        with pytest.raises(InvalidParameters, match="bad number"):
+            parse_phi(text)
+
+    def test_literal_digit_limit(self):
+        big = "7" * MAX_LITERAL_DIGITS
+        assert parse_phi("linear(c=%s, gap=(-%s, 1))" % (big, big)).coefficient == int(big)
+        for text in ("linear(c=7%s)" % big, "linear(c=1, gap=(-7%s, 1))" % big,
+                     "square(c=1e%d)" % (MAX_LITERAL_DIGITS - 2)):
+            with pytest.raises(ScenarioError, match="digits"):
+                parse_phi(text)
 
 
 class TestCheckH1:

@@ -109,3 +109,79 @@ class TestCrossings:
         g = Piecewise.constant(1)
         assert crossings(f, g) == [F(1, 4), F(3, 4)]
         assert crossings(f, g, F(1, 2), F(1, 2)) == [F(1, 2)]
+
+
+# exact numbers far from 1 and with coprime denominators, where integer
+# cross products grow widest: the kernel must agree with plain Fraction
+# arithmetic on every one
+SCALES = [F(1, 10**30), F(1), F(10**30)]
+DENOMINATORS = [1, 2, 3, 5, 7, 11, 13, 10**30 + 57]
+
+
+def scaled(scale):
+    return st.builds(lambda n, d: scale * F(n, d), st.integers(-40, 40),
+                     st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """Two profiles whose knots come from one shared pool at one scale and
+    whose values come from another shared pool at another scale, so that
+    knots coincide and values tie often; and a range as in profile_pairs."""
+    knots = draw(st.lists(scaled(draw(st.sampled_from(SCALES))),
+                          min_size=2, max_size=9, unique=True))
+    values = draw(st.lists(scaled(draw(st.sampled_from(SCALES))),
+                           min_size=1, max_size=4))
+
+    def profile():
+        rs = sorted(draw(st.sets(st.sampled_from(knots), min_size=2, max_size=6)))
+        vs = draw(st.lists(st.sampled_from(values), min_size=len(rs),
+                           max_size=len(rs)))
+        return Piecewise(tuple(zip(rs, vs)))
+    f, g = profile(), profile()
+    lo, hi = max(f.r_lo, g.r_lo), min(f.r_hi, g.r_hi)
+    if lo > hi or draw(st.booleans()):
+        return f, g, None, None
+    inner = sorted(k for k in knots if lo <= k <= hi)
+    inner += [(k0 + k1) / 2 for k0, k1 in zip(inner, inner[1:])]
+    a, b = sorted(draw(st.lists(st.sampled_from(inner), min_size=2, max_size=2)))
+    return f, g, a, (a if draw(st.booleans()) else b)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=scaled_pairs())
+    def test_crossings_agree_with_fraction_reference(self, pair):
+        f, g, lo, hi = pair
+        assert crossings(f, g, lo, hi) == oracles.crossings(f, g, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=scaled_pairs())
+    def test_differences_are_fraction_values_at_common_knots(self, pair):
+        f, g, lo, hi = pair
+        lo = max(f.r_lo, g.r_lo) if lo is None else lo
+        hi = min(f.r_hi, g.r_hi) if hi is None else hi
+        ks, ds = differences(f, g, lo, hi)
+        assert ks == common_knots(f, g, lo, hi)
+        assert all(isinstance(d, F) for d in ds)
+        assert ds == [scan_value(f.points, k) - scan_value(g.points, k) for k in ks]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=scaled_pairs(), t=st.fractions(0, 1))
+    def test_value_agrees_with_fraction_reference(self, pair, t):
+        f = pair[0]
+        pts = f.points
+        for (r0, _), (r1, _) in zip(pts, pts[1:]):
+            for r in (r0, r1, r0 + (r1 - r0) * t):
+                v = f.value(r)
+                assert isinstance(v, F) and v == scan_value(pts, r)
+                assert f.contains(r)
+        assert not f.contains(f.r_lo - F(1, 10**30 + 57))
+        assert not f.contains(f.r_hi + F(1, 10**30 + 57))
+
+    def test_empty_and_reversed_ranges(self):
+        f = Piecewise(((0, 0), (1, 2)))
+        g = Piecewise(((F(1, 2), 5), (2, 5)))
+        assert differences(f, g, F(3, 4), F(1, 2)) == ([], [])
+        assert crossings(f, g, F(3, 4), F(1, 2)) == []
+        assert crossings(f, Piecewise(((2, 0), (3, 0)))) == []

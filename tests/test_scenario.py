@@ -7,8 +7,8 @@ import pytest
 from morseflow.bifurcation import Birth, Death, HandleSlide
 from morseflow.cerf import BirthVertex, BoundaryAt0, BoundaryAt1, DeathVertex
 from morseflow.cli import data_path
-from morseflow.errors import (ScenarioError, ScenarioSemanticError,
-                              ScenarioSyntaxError)
+from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
+                              ScenarioSemanticError, ScenarioSyntaxError)
 from morseflow.rings import Q, Z, Z2
 from morseflow.scenario import (load_scenario, parse_chain, parse_scenario,
                                 parse_window_spec, serialize_scenario)
@@ -180,6 +180,36 @@ class TestErrors:
     def test_bad_rational(self):
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("[arcs]\nc1 : (0, one) (1, 1)\n")
+
+    def test_literal_at_the_digit_limit_is_read(self):
+        big = "9" * MAX_LITERAL_DIGITS
+        sc = parse_scenario("[arcs]\nc1 : (0, %s) (1, -%s)\n[window]\n"
+                            "a = -1%s\nb = 1%s\n" % (big, big, big[1:], big[1:]))
+        assert sc.family.arc("c1").f3.points[0][1] == int(big)
+        assert parse_chain("%s*c1" % big, Q) == {"c1": int(big)}
+        w = parse_window_spec("a=1/%s,b=1e%d" % (big[1:], MAX_LITERAL_DIGITS - 3))
+        assert w.b.value(0) == 10 ** (MAX_LITERAL_DIGITS - 3)
+
+    @pytest.mark.parametrize("text, line", [
+        ("[arcs]\nc1 : (0, 4) (1, %s)\n", 2),
+        ("[arcs]\nc1 : (0, 4) (1/%s, 4)\n", 2),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n\n[gamma]\n(c1, c1) = %s\n", 5),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[window]\na = 0\nb = %s\n", 5),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[phi]\nkappa = %s\n", 4),
+    ])
+    def test_literal_past_the_digit_limit_is_refused_with_its_line(self, text, line):
+        for over in ("1" * (MAX_LITERAL_DIGITS + 1),
+                     "1e%d" % (MAX_LITERAL_DIGITS - 2),
+                     "2.5e-%d" % (MAX_LITERAL_DIGITS - 3)):
+            with pytest.raises(ScenarioSyntaxError, match="digits") as e:
+                parse_scenario(text % over)
+            assert e.value.line == line
+
+    def test_chain_coefficient_past_the_digit_limit(self):
+        with pytest.raises(ScenarioSyntaxError, match="digits") as e:
+            parse_scenario("[arcs]\nc1 : (0, 4) (1, 4)\n[track]\nclass = 1/%s*c1\n"
+                           % ("3" * MAX_LITERAL_DIGITS))
+        assert e.value.line == 4
 
     def test_gamma_unknown_arc(self):
         text = MINIMAL + "[gamma]\n(c1, zz) = 1\n"

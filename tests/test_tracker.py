@@ -322,6 +322,85 @@ class TestTraceScaleInvariance:
             capsys.readouterr()
 
 
+# actions far from 1 with coprime denominators, where the integer cross
+# products of the piecewise kernel grow widest
+SCALES = [F(1, 10**30), F(1), F(10**30)]
+DENOMINATORS = [1, 2, 3, 5, 7, 11, 13, 10**30 + 57]
+coprime_shifts = st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(DENOMINATORS))
+
+
+class TestIntegerKernelAtScale:
+    """Window verdicts, window sides and slab orders read integer signs;
+    they must equal plain Fraction checks at every scale."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(fw=family_and_window(), c=st.sampled_from(SCALES), s=coprime_shifts)
+    def test_window_verdicts_and_sides_match_pointwise_checks(self, fw, c, s):
+        t, w = fw
+        t = affine_family(t, c, s)
+        w = Window(affine_profile(w.a, c, s), affine_profile(w.b, c, s))
+        valid = oracles.window_clear(w, t)
+        assert (window_violation(w, t) is None) == valid
+        if not valid:
+            return
+        sides = tracker._window_sides(w, t)
+        for a in t.arcs:
+            r, v = a.f3.points[0]
+            lo = oracles.profile_value(w.a.points, r)
+            hi = oracles.profile_value(w.b.points, r)
+            want = (tracker.BELOW if v < lo else
+                    tracker.INSIDE if v < hi else tracker.ABOVE)
+            assert sides[a.id] == want
+
+    @st.composite
+    def chords_and_parameter(draw):
+        """Chords over [0, 1] with knots from one pool of coprime
+        denominators and values from one pool at one scale, so that
+        actions tie often; and a parameter: a knot, a midpoint of two,
+        or another coprime fraction."""
+        scale = draw(st.sampled_from(SCALES))
+        knots = sorted(draw(st.sets(st.builds(F, st.integers(1, 10),
+                                              st.sampled_from(DENOMINATORS[5:])),
+                                    min_size=1, max_size=4)))
+        values = draw(st.lists(st.builds(lambda n, d: scale * F(n, d),
+                                         st.integers(-9, 9),
+                                         st.sampled_from(DENOMINATORS)),
+                               min_size=1, max_size=4))
+        arcs = []
+        for i in range(draw(st.integers(1, 7))):
+            rs = [F(0)] + sorted(draw(st.sets(st.sampled_from(knots), max_size=3))) + [F(1)]
+            vs = draw(st.lists(st.sampled_from(values), min_size=len(rs),
+                               max_size=len(rs)))
+            arcs.append(chord("a%d" % i, list(zip(rs, vs))))
+        t = CerfTuple(tuple(arcs), tuple(Component("chord", (a.id,)) for a in arcs))
+        points = [F(0), F(1)] + knots
+        points += [(x + y) / 2 for x, y in zip(points, points[1:])]
+        r = draw(st.sampled_from(points) | st.builds(
+            F, st.integers(0, 10**30 + 57), st.just(10**30 + 57)))
+        return t, r
+
+    @settings(max_examples=300, deadline=None)
+    @given(tr=chords_and_parameter())
+    def test_slab_order_matches_descending_order(self, tr):
+        t, r = tr
+        ids = [a.id for a in t.arcs]
+        for gens in (ids, ids[::-1]):
+            key = tracker._order_key(t, *r.as_integer_ratio())
+            assert sorted(gens, key=key) == oracles.descending_order(t, gens, r)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
+           tier=st.booleans(), c=st.sampled_from(SCALES[::2]), s=coprime_shifts)
+    def test_scaled_sweeps_match_reference(self, seed, ring, tier, c, s):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        t = affine_family(sc.family, c, s)
+        w = (Window.constant(10 * c + s, 200 * c + s) if tier
+             else wide_window(t))
+        trace = assert_sweep_matches_reference(
+            {"l1": 1}, evolve(sc.gamma0, sc.events, t), w)
+        assert trace.segments
+
+
 class TestChainGroup:
     def test_wide_window_sees_all_lanes(self):
         assert chain_group(three_lane_tuple(), F(1, 4), WIDE) == ["c1", "c2", "c3"]
