@@ -9,12 +9,11 @@ Everything is exact; no floating point enters this module.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatch, NotADifferential
 from .matrix import SparseMatrix
-from .rings import Q, Z, Z2, Ring
+from .rings import Z, Ring
 
 
 def _ident(n):

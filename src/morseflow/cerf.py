@@ -11,7 +11,7 @@ finds rather than raising on the first one, so scenario authors see all
 problems at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvalidTuple, NonIsolatedCusp, VerticalTangency)
@@ -393,81 +393,6 @@ def validate_cerf(t, event_params=()):
          "arcs are alive and their action values are bounded")
 
     return ValidationReport(tuple(out))
-
-
-def births_deaths(t):
-    """Split the vertex set; verifies validity first.
-
-    Returns (births, deaths) as Vertex lists ordered by parameter.  The
-    plus arc of a birth is the branch with larger action just after the
-    vertex; the orientation was already checked by validate_cerf.
-    """
-    report = validate_cerf(t)
-    if not report.ok:
-        raise InvalidTuple("invalid family:\n%s" % "\n".join(
-            str(f) for f in report.errors()))
-    births = sorted((v for v in t.vertices if v.kind == "birth"), key=lambda v: v.r)
-    deaths = sorted((v for v in t.vertices if v.kind == "death"), key=lambda v: v.r)
-    return births, deaths
-
-
-# ---------------------------------------------------------------------------
-# front projection
-
-@dataclass(frozen=True)
-class FrontDiagram:
-    """Plot-ready view of a family in the (parameter, action) strip.
-
-    Carries enough structure (cusp records and component membership) to
-    reconstruct the family exactly; see tuple_from_front.
-    """
-
-    polylines: tuple     # (arc id, ((r, v), ...)) per arc
-    cusps: tuple         # (vertex id, kind, r, f3, plus arc, minus arc)
-    component_shapes: tuple = ()   # (kind, (arc ids...)) per component
-
-
-def front_projection(t):
-    report = validate_cerf(t)
-    if not report.ok:
-        raise InvalidTuple("invalid family:\n%s" % "\n".join(
-            str(f) for f in report.errors()))
-    polylines = tuple((a.id, a.f3.points) for a in t.arcs)
-    cusps = tuple((v.id, v.kind, v.r, v.f3, v.plus_arc, v.minus_arc)
-                  for v in t.vertices)
-    shapes = tuple((c.kind, tuple(c.arcs)) for c in t.components)
-    return FrontDiagram(polylines, cusps, shapes)
-
-
-def tuple_from_front(front):
-    """Inverse of front_projection: rebuild the family from its diagram."""
-    vertices = tuple(Vertex(vid, kind, r, v, plus, minus)
-                     for vid, kind, r, v, plus, minus in front.cusps)
-    at_lo = {}
-    at_hi = {}
-    for vid, kind, r, v, plus, minus in front.cusps:
-        side = at_lo if kind == "birth" else at_hi
-        side[plus] = vid
-        side[minus] = vid
-    arcs = []
-    for aid, points in front.polylines:
-        f3 = Piecewise(points)
-        if aid in at_lo:
-            lo = BirthVertex(at_lo[aid])
-        elif f3.r_lo == 0:
-            lo = BoundaryAt0()
-        else:
-            lo = BoundaryAt1()   # rejected later; cannot occur for valid input
-        if aid in at_hi:
-            hi = DeathVertex(at_hi[aid])
-        elif f3.r_hi == 1:
-            hi = BoundaryAt1()
-        else:
-            hi = BoundaryAt0()
-        arcs.append(Arc(aid, f3, lo, hi))
-    components = tuple(Component(kind, arc_ids)
-                       for kind, arc_ids in front.component_shapes)
-    return CerfTuple(tuple(arcs), components, vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,12 @@ from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
                      ScenarioSyntaxError, VerticalTangency)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear, parse_phi
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
-from .rings import Q, Z, Z2
+from .rings import RINGS, Z2
 from .scenario import (Scenario, _phi_text, _rational, load_scenario,
                        parse_chain, parse_window_spec, serialize_scenario)
-from .tracker import (filtered_homology, full_homology, track_class,
-                      validate_window, wide_window)
+from .tracker import filtered_homology, full_homology, track_class, wide_window
 
 HEADER = "# morseflow 0.1.0"
-
-_COEFFS = {"z2": Z2, "z": Z, "q": Q}
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ def _load(arg, flags):
     if arg is None:
         raise ScenarioError("this command needs a scenario argument")
     path = arg if os.path.isfile(arg) else data_path(arg)
-    ring = _COEFFS[flags.coeff] if getattr(flags, "coeff", None) else None
+    ring = RINGS[flags.coeff] if getattr(flags, "coeff", None) else None
     return load_scenario(path, ring=ring)
 
 
@@ -188,9 +185,7 @@ def _trace(sc, flags):
         raise ScenarioSemanticError(
             "tracking needs a class: give --class or a [track] section")
     log = evolve(sc.gamma0, sc.events, sc.family)
-    w = _window_for(sc, flags)
-    validate_window(w, sc.family)
-    return track_class(rep, log, w, label=sc.label)
+    return track_class(rep, log, _window_for(sc, flags), label=sc.label)
 
 
 def _cmd_track(sc, flags):
@@ -255,7 +250,7 @@ def _cmd_cascade(arg, flags):
         raise ScenarioError("cascade needs --n")
     if flags.n > MAX_CASCADE_STAGES:
         raise ScenarioError("cascade --n is at most %d" % MAX_CASCADE_STAGES)
-    ring = _COEFFS[flags.coeff] if flags.coeff else Z2
+    ring = RINGS[flags.coeff] if flags.coeff else Z2
     base, ratio, delta = (_flag_rational(flags, name)
                           for name in ("base", "ratio", "delta"))
     top = base * ratio ** flags.n if ratio > 1 and flags.n > 0 else base
@@ -343,7 +338,7 @@ def _build_parser():
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("scenario", nargs="?",
                     help="scenario file path or bundled scenario name")
-    ap.add_argument("--coeff", choices=sorted(_COEFFS),
+    ap.add_argument("--coeff", choices=sorted(RINGS),
                     help="override the coefficient ring")
     ap.add_argument("--window", metavar="a=LO,b=HI",
                     help="override the action window")

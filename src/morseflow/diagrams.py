@@ -15,27 +15,31 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 _NEG_INF = float("-inf")
 
+# canvas sizes in pixels: (width, height)
+_FAMILY_SIZE = (720, 440)
+_TRACE_SIZE = (720, 320)
+
 
 def _fmt(x):
     s = "%.2f" % float(x)
     return "0.00" if s == "-0.00" else s
 
 
-def _svg(width, height, body):
+def _svg(fr, body):
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d" font-family="monospace" font-size="11">'
-            % (width, height, width, height))
+            % (fr.w, fr.h, fr.w, fr.h))
     return "\n".join([head, VERSION_COMMENT,
                       '<rect width="%d" height="%d" fill="#ffffff"/>'
-                      % (width, height)] + body + ["</svg>", ""])
+                      % (fr.w, fr.h)] + body + ["</svg>", ""])
 
 
 class _Frame:
     """Affine map from (parameter, value) to canvas pixels, value axis up."""
 
-    def __init__(self, width, height, vlo, vhi):
+    def __init__(self, size, vlo, vhi):
         self.ml, self.mr, self.mt, self.mb = 56, 16, 28, 30
-        self.w, self.h = width, height
+        self.w, self.h = size
         if vhi <= vlo:
             vhi = vlo + 1
         pad = (vhi - vlo) / 12
@@ -63,12 +67,12 @@ class _Frame:
         return out
 
 
-def family_svg(t, events=(), width=720, height=440):
+def family_svg(t, events=()):
     """Action profiles of every arc, vertex dots, event parameter marks."""
     lo, hi = t.f3_range()
     if lo is None:
         lo, hi = 0, 1
-    fr = _Frame(width, height, lo, hi)
+    fr = _Frame(_FAMILY_SIZE, lo, hi)
     body = fr.axes(lo, hi)
     for i, a in enumerate(t.arcs):
         color = _PALETTE[i % len(_PALETTE)]
@@ -89,14 +93,14 @@ def family_svg(t, events=(), width=720, height=440):
         body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#999999" '
                     'stroke-dasharray="4 3"/>'
                     % (_fmt(fr.x(ev.r)), _fmt(fr.mt),
-                       _fmt(fr.x(ev.r)), _fmt(height - fr.mb)))
+                       _fmt(fr.x(ev.r)), _fmt(fr.h - fr.mb)))
         body.append('<text x="%s" y="%s" text-anchor="middle" '
                     'fill="#666666">%s</text>'
                     % (_fmt(fr.x(ev.r)), _fmt(fr.mt - 8), mark))
-    return _svg(width, height, body)
+    return _svg(fr, body)
 
 
-def trace_svg(trace, width=720, height=320):
+def trace_svg(trace):
     """Staircase of the tracked value with transfer marks.
 
     Intervals where the class is zero (value -inf) are drawn dashed
@@ -106,9 +110,9 @@ def trace_svg(trace, width=720, height=320):
               if v != _NEG_INF]
     lo = min(finite) if finite else 0
     hi = max(finite) if finite else 1
-    fr = _Frame(width, height, lo, hi)
+    fr = _Frame(_TRACE_SIZE, lo, hi)
     body = fr.axes(lo, hi)
-    floor = height - fr.mb - 4
+    floor = fr.h - fr.mb - 4
     for seg in trace.segments:
         x1, x2 = fr.x(seg.r_lo), fr.x(seg.r_hi)
         if seg.rho_lo == _NEG_INF or seg.rho_hi == _NEG_INF:
@@ -133,4 +137,4 @@ def trace_svg(trace, width=720, height=320):
                     % (_fmt(fr.x(r) + 6), _fmt(y - 6), old_top, new_top))
     body.append('<text x="%s" y="%s">%s</text>'
                 % (_fmt(fr.ml), _fmt(fr.mt - 8), trace.outcome))
-    return _svg(width, height, body)
+    return _svg(fr, body)

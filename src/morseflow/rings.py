@@ -31,14 +31,6 @@ class Ring:
     def invert(self, x):
         raise NotImplementedError
 
-    def divides(self, a, b):
-        """True if a divides b (a, b already coerced)."""
-        raise NotImplementedError
-
-    def exact_div(self, b, a):
-        """b / a, assuming a divides b."""
-        raise NotImplementedError
-
     @property
     def zero(self):
         return self._zero
@@ -81,18 +73,6 @@ class IntMod2(Ring):
             raise NonUnitError("0 is not invertible mod 2")
         return 1
 
-    def divides(self, a, b):
-        a, b = self.coerce(a), self.coerce(b)
-        return a == 1 or b == 0
-
-    def exact_div(self, b, a):
-        a, b = self.coerce(a), self.coerce(b)
-        if a == 0:
-            if b == 0:
-                return 0
-            raise NonUnitError("division by 0 mod 2")
-        return b
-
     def is_field(self):
         return True
 
@@ -119,21 +99,6 @@ class Integer(Ring):
             raise NonUnitError("%r is not a unit in the integers" % (x,))
         return x
 
-    def divides(self, a, b):
-        if a == 0:
-            return b == 0
-        return b % a == 0
-
-    def exact_div(self, b, a):
-        if a == 0:
-            if b == 0:
-                return 0
-            raise NonUnitError("division by zero")
-        q, r = divmod(b, a)
-        if r != 0:
-            raise NonUnitError("%r does not divide %r" % (a, b))
-        return q
-
 
 class Rational(Ring):
     __slots__ = ()
@@ -150,17 +115,6 @@ class Rational(Ring):
             raise NonUnitError("0 is not invertible")
         return 1 / x
 
-    def divides(self, a, b):
-        return Fraction(a) != 0 or Fraction(b) == 0
-
-    def exact_div(self, b, a):
-        a, b = Fraction(a), Fraction(b)
-        if a == 0:
-            if b == 0:
-                return Fraction(0)
-            raise NonUnitError("division by zero")
-        return b / a
-
     def is_field(self):
         return True
 
@@ -169,11 +123,5 @@ Z2 = IntMod2("Z2")
 Z = Integer("Z")
 Q = Rational("Q")
 
-_BY_NAME = {"z2": Z2, "z/2": Z2, "f2": Z2, "z": Z, "q": Q}
-
-
-def ring_by_name(name):
-    try:
-        return _BY_NAME[name.strip().lower()]
-    except KeyError:
-        raise KeyError("unknown coefficient ring %r (expected Z2, Z, or Q)" % (name,))
+# the coefficient rings by the name scenario files and --coeff give
+RINGS = {"z2": Z2, "z": Z, "q": Q}

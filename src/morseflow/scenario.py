@@ -47,10 +47,9 @@ from .matrix import SparseMatrix
 from .piecewise import Piecewise
 from .rabinowitz import (HomotopyModel, HypersurfaceHomotopy, LogTame,
                          SquareTame, SymplecticFormHomotopy, Tame)
-from .rings import Q, Z, Z2
+from .rings import RINGS, Z2
 from .tracker import Window
 
-_RINGS = {"z2": Z2, "z": Z, "q": Q}
 _SECTIONS = ("coefficients", "arcs", "vertices", "gamma", "events",
              "window", "ladder", "track", "phi", "rabinowitz")
 
@@ -446,9 +445,9 @@ def parse_scenario(text, path="", ring=None):
             raise ScenarioSyntaxError("[coefficients] needs ring = z2|z|q",
                                       sections["coefficients"][0][0])
         lineno, name = kv["ring"]
-        if name.lower() not in _RINGS:
+        if name.lower() not in RINGS:
             raise ScenarioSyntaxError("unknown ring %r" % name, lineno)
-        ring = _RINGS[name.lower()]
+        ring = RINGS[name.lower()]
     if override is not None:
         ring = override
 
@@ -537,9 +536,6 @@ def load_scenario(path, ring=None):
 # ---------------------------------------------------------------------------
 # serialization (canonical form; round-trips through parse_scenario)
 
-_RING_NAMES = {id(Z2): "z2", id(Z): "z", id(Q): "q"}
-
-
 def _fmt_points(pw):
     return " ".join("(%s, %s)" % (r, v) for r, v in pw.points)
 
@@ -553,7 +549,7 @@ def _fmt_tag(tag):
 
 
 def serialize_scenario(sc):
-    out = ["[coefficients]", "ring = %s" % _RING_NAMES[id(sc.ring)], ""]
+    out = ["[coefficients]", "ring = %s" % sc.ring.name.lower(), ""]
     out.append("[arcs]")
     for a in sc.family.arcs:
         line = "%s : %s" % (a.id, _fmt_points(a.f3))

@@ -56,11 +56,10 @@ class Window:
         return self.a.value(r) < v < self.b.value(r)
 
 
-def wide_window(t, pad=1):
-    """Constant window clearing every action value of the family by pad."""
+def wide_window(t):
+    """Constant window clearing every action value of the family by 1."""
     lo, hi = t.f3_range()
-    pad = frac(pad)
-    return Window.constant(lo - pad, hi + pad)
+    return Window.constant(lo - 1, hi + 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -87,23 +86,21 @@ def window_violation(w, t):
     return None
 
 
-def validate_window(w, t):
-    why = window_violation(w, t)
-    if why is not None:
-        raise InvalidWindow(why)
-
-
 BELOW, INSIDE, ABOVE = -1, 0, 1
 
 
-def _window_sides(w, t):
+def validate_window(w, t):
     """Side of the window (BELOW, INSIDE or ABOVE) of each arc, by id.
 
-    Only for a window that passed window_violation: it clears every arc
-    strictly on one side for the arc's whole life, so the arc's first
-    point decides, compared with each cutoff there by a cross product.
-    The first arc with an id wins, as in CerfTuple.arc.
+    Raises InvalidWindow if the window is unusable for t.  A usable
+    window clears every arc strictly on one side for the arc's whole
+    life, so the arc's first point decides, compared with each cutoff
+    there by a cross product.  The first arc with an id wins, as in
+    CerfTuple.arc.
     """
+    why = window_violation(w, t)
+    if why is not None:
+        raise InvalidWindow(why)
     sides = {}
     for arc in reversed(t.arcs):
         r, v = arc.f3.points[0]
@@ -140,8 +137,7 @@ def chain_group(t, r, w, forbidden=()):
 
 def filtered_homology(t, fc, r, w):
     """Homology of the count matrix restricted to the window at r."""
-    validate_window(w, t)
-    gens = _inside_at(t, _window_sides(w, t), _check_parameter(t, r))
+    gens = _inside_at(t, validate_window(w, t), _check_parameter(t, r))
     d = fc.gamma.restrict(gens)
     if not d.mul(d).is_zero():
         raise InvalidWindow(
@@ -217,18 +213,15 @@ def _coset_minimize(ring, d, rep, order):
     return reduced, order, ring.is_field()
 
 
-def spectral_value(h, r, log, w, forbidden=()):
-    """Least achievable top action of the class of h at parameter r.
+def _window_rep(h, gamma, sides, gens, where):
+    """h restricted to the window: its chain of in-window generators and
+    the window's differential.
 
-    h is a representative chain over the arcs alive at r (entries below
-    the window floor are quotiented away).  The zero class reports -inf.
+    Zero entries and entries below the floor are dropped (the floor is
+    quotiented away); an entry not alive or above the ceiling, or a
+    restriction that is not a cycle, raises NotACycle.
     """
-    t = log.family
-    r = frac(r)
-    gens = chain_group(t, r, w, tuple(forbidden) + _log_params(log))
-    fc = log.counter_at(r)
-    d = fc.gamma.restrict(gens)
-    ring = d.ring
+    ring = gamma.ring
     rep = {}
     for g, v in h.items():
         v = ring.coerce(v)
@@ -236,15 +229,30 @@ def spectral_value(h, r, log, w, forbidden=()):
             continue
         if g in gens:
             rep[g] = v
-        elif g in fc.gamma.rows:
-            if t.arc(g).value(r) >= w.b.value(r):
-                raise NotACycle(
-                    "representative touches %r above the window ceiling" % g)
-            # below the floor: quotiented away
-        else:
-            raise NotACycle("representative touches %r, not alive at r=%s" % (g, r))
+        elif g not in gamma.rows:
+            raise NotACycle("representative touches %r, not alive %s" % (g, where))
+        elif sides[g] == ABOVE:
+            raise NotACycle(
+                "representative touches %r above the window ceiling" % g)
+    d = gamma.restrict(gens)
     if vec_apply(ring, rep, d):
-        raise NotACycle("representative is not a cycle in the window at r=%s" % r)
+        raise NotACycle("representative is not a cycle in the window %s" % where)
+    return rep, d
+
+
+def spectral_value(h, r, log, w):
+    """Least achievable top action of the class of h at parameter r.
+
+    h is a representative chain over the arcs alive at r (entries below
+    the window floor are quotiented away).  The zero class reports -inf.
+    An unusable window raises InvalidWindow.
+    """
+    t = log.family
+    sides = validate_window(w, t)
+    r = _check_parameter(t, r, _log_params(log))
+    gens = _inside_at(t, sides, r)
+    rep, d = _window_rep(h, log.counter_at(r).gamma, sides, gens, "at r=%s" % r)
+    ring = d.ring
     if not rep:
         return SpectralValue(NEG_INF, True)
     order = sorted(gens, key=_order_key(t, *r.as_integer_ratio()))
@@ -306,17 +314,17 @@ def _induced_rank(d_from, d_to, fmat, order_from, order_to):
     """
     d_from = _rationalize(d_from)
     d_to = _rationalize(d_to)
-    fmat = _rationalize(fmat)
     ring = d_from.ring
+    col = {c: j for j, c in enumerate(order_to)}
+    rows = {}
+    for (g, c), x in _rationalize(fmat).entries.items():
+        rows.setdefault(g, []).append((col[c], x))
     pushed = []
     for z in left_kernel_basis(d_from, order_from):
         out = [ring.zero] * len(order_to)
         for g, v in zip(order_from, z):
-            if v == ring.zero:
-                continue
-            for j, c in enumerate(order_to):
-                x = fmat.entry(g, c)
-                if x != ring.zero:
+            if v != ring.zero:
+                for j, x in rows.get(g, ()):
                     out[j] = ring.add(out[j], ring.mul(v, x))
         pushed.append(out)
     bd = d_to.to_dense(order_to, order_to)
@@ -325,7 +333,7 @@ def _induced_rank(d_from, d_to, fmat, order_from, order_to):
     return total - b_rank
 
 
-def full_homology(t, log, r, ladder, forbidden=()):
+def full_homology(t, log, r, ladder):
     """Homology along a nested ladder of windows, with stabilization.
 
     The ladder must be nested: floors nonincreasing, ceilings
@@ -338,30 +346,24 @@ def full_homology(t, log, r, ladder, forbidden=()):
     ladder = list(ladder)
     if not ladder:
         raise NonNestedLadder("empty ladder")
-    for w in ladder:
-        validate_window(w, t)
+    sides = [validate_window(w, t) for w in ladder]
     for w1, w2 in zip(ladder, ladder[1:]):
         if not (_pointwise_leq(w2.a, w1.a) and _pointwise_leq(w1.b, w2.b)):
             raise NonNestedLadder(
                 "ladder windows must nest: floors nonincreasing, ceilings "
                 "nondecreasing")
-    forbidden = tuple(forbidden) + _log_params(log)
-    r = _check_parameter(t, r, forbidden)
+    r = _check_parameter(t, r, _log_params(log))
     fc = log.counter_at(r)
 
-    results = []
-    gen_sets = []
-    for w in ladder:
-        gens = chain_group(t, r, w, forbidden)
-        gen_sets.append(gens)
-        results.append(homology(fc.gamma.restrict(gens)))
+    gen_sets = [_inside_at(t, s, r) for s in sides]
+    results = [homology(fc.gamma.restrict(gens)) for gens in gen_sets]
 
     legs = []
     for i in range(len(ladder) - 1):
-        narrow, wide = ladder[i], ladder[i + 1]
-        mid = Window(wide.a, narrow.b)
-        gens_mid = chain_group(t, r, mid, forbidden)
+        # the intermediate window (new floor, old ceiling) holds the arcs
+        # inside the wider window and not above the narrower one
         gens_narrow, gens_wide = gen_sets[i], gen_sets[i + 1]
+        gens_mid = [g for g in gens_wide if sides[i][g] != ABOVE]
         d_mid = fc.gamma.restrict(gens_mid)
         d_narrow = fc.gamma.restrict(gens_narrow)
         d_wide = fc.gamma.restrict(gens_wide)
@@ -427,6 +429,12 @@ class TrackedClass:
 
 @dataclass(frozen=True)
 class SpectralTrace:
+    """The slabs, transfers and classes of one tracked class.
+
+    outcome is "Survived", "LeftWindow(below)" or "LeftWindow(above)";
+    track_class raises InvalidWindow for an unusable window instead.
+    """
+
     segments: tuple
     transfers: tuple         # (r, generator before, generator after)
     outcome: str
@@ -469,7 +477,8 @@ def track_class(h0, log, w, label="h"):
     The trace records, slab by slab between action crossings, the
     minimizing representative's support and its top generator; a
     transfer is a parameter where that top generator changes.  The
-    spectral value is verified continuous across handle-slides.
+    spectral value is verified continuous across handle-slides.  An
+    unusable window raises InvalidWindow.
 
     Each interval is swept once.  Every arc's side of the window is
     read once per call; each pair of in-window arcs gets its crossings
@@ -480,29 +489,11 @@ def track_class(h0, log, w, label="h"):
     runs are re-sorted.
     """
     t = log.family
-    why = window_violation(w, t)
-    if why is not None:
-        return SpectralTrace((), (), "WindowInvalid: %s" % why, ())
-    sides = _window_sides(w, t)
-
+    sides = validate_window(w, t)
     ring = log.ring
-    rep = {}
     first = log.intervals[0]
-    gens0 = _inside_at(t, sides, first.midpoint())
-    for g, v in h0.items():
-        v = ring.coerce(v)
-        if v == ring.zero:
-            continue
-        if g in gens0:
-            rep[g] = v
-            continue
-        if g not in first.gamma.rows:
-            raise NotACycle("starting chain touches %r, not alive at the start" % g)
-        if sides[g] == ABOVE:
-            raise NotACycle("starting chain touches %r above the window" % g)
-    d0 = first.gamma.restrict(gens0)
-    if vec_apply(ring, rep, d0):
-        raise NotACycle("starting chain is not a cycle inside the window")
+    rep, _ = _window_rep(h0, first.gamma, sides,
+                         _inside_at(t, sides, first.midpoint()), "at the start")
 
     segments = []
     transfers = []
@@ -524,6 +515,8 @@ def track_class(h0, log, w, label="h"):
             outcome = "LeftWindow(below)"
             break
 
+        after_slide = fc.interval_index and isinstance(
+            log.steps[fc.interval_index - 1].record.payload, HandleSlide)
         meets = {}           # cut -> ids of the arcs that meet there
         ln, ld = fc.r_lo.as_integer_ratio()
         hn, hd = fc.r_hi.as_integer_ratio()
@@ -556,6 +549,12 @@ def track_class(h0, log, w, label="h"):
             f3 = t.arc(top).f3
             seg = TraceSegment(fc.interval_index, lo, hi, support, top,
                                f3.value(lo), f3.value(hi), certified)
+            # continuity across a slide: the first slab after it starts at
+            # the value the last slab before it ended on
+            if (after_slide and lo == fc.r_lo and segments[-1].top is not None
+                    and segments[-1].rho_hi != seg.rho_lo):
+                raise VerificationFailed(
+                    "spectral value jumped across the slide at r=%s" % lo)
             if prev_top is not None and prev_top != top:
                 transfers.append((lo, prev_top, top))
             segments.append(seg)
@@ -583,19 +582,5 @@ def track_class(h0, log, w, label="h"):
 
     if outcome == "Survived" and not rep:
         outcome = "LeftWindow(below)"
-
-    # continuity across slides: the first slab after a slide starts at
-    # the same value the last slab before it ended on
-    for st in log.steps:
-        if not isinstance(st.record.payload, HandleSlide):
-            continue
-        r_ev = st.record.r
-        left = [s for s in segments if s.r_hi == r_ev and s.top is not None]
-        right = [s for s in segments if s.r_lo == r_ev and s.top is not None]
-        if left and right:
-            if left[-1].rho_hi != right[0].rho_lo:
-                raise VerificationFailed(
-                    "spectral value jumped across the slide at r=%s" % r_ev)
-
     return SpectralTrace(tuple(segments), tuple(transfers), outcome,
                          tuple(classes))

@@ -1,18 +1,16 @@
-"""Family data model: validation, vertex bookkeeping, fronts, lifting."""
+"""Family data model: validation, crossings of the front, lifting."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
-                            CerfTuple, Component, DeathVertex, Vertex,
-                            births_deaths, front_projection, legendrian_lift,
-                            tuple_from_front, validate_cerf)
-from morseflow.errors import InvalidTuple, NonIsolatedCusp, VerticalTangency
+from morseflow.cerf import (Arc, BirthVertex, CerfTuple, Component,
+                            DeathVertex, Vertex, legendrian_lift, validate_cerf)
+from morseflow.errors import NonIsolatedCusp, VerticalTangency
 from morseflow.piecewise import Piecewise
 
 from fixtures import (birth_tuple, chord, escaping_tuple, eyeball_tuple,
-                      eyeball_with_bystander, three_lane_tuple)
+                      three_lane_tuple)
 
 
 class TestValidate:
@@ -79,52 +77,13 @@ class TestValidate:
         assert any(f.code == "vertex-orientation" for f in report.errors())
 
 
-class TestBirthsDeaths:
-    def test_no_vertices(self):
-        assert births_deaths(three_lane_tuple()) == ([], [])
-
-    def test_birth_scenario(self):
-        births, deaths = births_deaths(birth_tuple())
-        assert [v.id for v in births] == ["vb"] and deaths == []
-        assert births[0].plus_arc == "up"
-
-    def test_eyeball(self):
-        births, deaths = births_deaths(eyeball_tuple())
-        assert [v.id for v in births] == ["vb"]
-        assert [v.id for v in deaths] == ["vd"]
-
-    def test_invalid_raises(self):
-        with pytest.raises(InvalidTuple):
-            births_deaths(escaping_tuple())
-
-
 class TestFront:
-    def test_single_chord(self):
-        t = CerfTuple((chord("c", [(0, 5), (1, 5)]),),
-                      (Component("chord", ("c",)),))
-        fd = front_projection(t)
-        assert fd.polylines == (("c", ((F(0), F(5)), (F(1), F(5)))),)
-        assert fd.cusps == ()
-
     def test_three_lanes_crossings(self):
-        fd = front_projection(three_lane_tuple())
-        assert len(fd.polylines) == 3
         # c2 crosses c1 exactly once: 2 + 8(r - 1/2) = 4 at r = 3/4
         from morseflow.piecewise import crossings
         t = three_lane_tuple()
         xs = crossings(t.arc("c1").f3, t.arc("c2").f3, 0, 1)
         assert xs == [F(3, 4)]
-
-    def test_eyeball_two_cusps(self):
-        fd = front_projection(eyeball_tuple())
-        assert len(fd.cusps) == 2
-        kinds = sorted(c[1] for c in fd.cusps)
-        assert kinds == ["birth", "death"]
-
-    def test_round_trip(self):
-        for t in (three_lane_tuple(), eyeball_tuple(), birth_tuple(),
-                  eyeball_with_bystander()):
-            assert tuple_from_front(front_projection(t)) == t
 
 
 class TestLift:

@@ -210,7 +210,7 @@ class TestWindowInvariance:
         t, w = fw
         if window_violation(w, t) is not None:
             return
-        sides = tracker._window_sides(w, t)
+        sides = validate_window(w, t)
         for a in t.arcs:
             rs = [r for r, _ in a.f3.points]
             for r in rs + [(r0 + r1) / 2 for r0, r1 in zip(rs, rs[1:])]:
@@ -227,7 +227,7 @@ class TestWindowInvariance:
                       (Component("chord", ("early",)), Component("chord", ("late",))))
         w = Window(Piecewise.constant(0), Piecewise([(0, 1), (F(1, 2), 10), (1, 10)]))
         assert window_violation(w, t) is None
-        assert tracker._window_sides(w, t) == {"early": tracker.ABOVE,
+        assert validate_window(w, t) == {"early": tracker.ABOVE,
                                                "late": tracker.INSIDE}
         assert chain_group(t, F(3, 4), w) == ["late"]
 
@@ -343,7 +343,7 @@ class TestIntegerKernelAtScale:
         assert (window_violation(w, t) is None) == valid
         if not valid:
             return
-        sides = tracker._window_sides(w, t)
+        sides = validate_window(w, t)
         for a in t.arcs:
             r, v = a.f3.points[0]
             lo = oracles.profile_value(w.a.points, r)
@@ -819,10 +819,35 @@ class TestTrackClass:
             assert trace.outcome == "Survived"
 
     def test_invalid_window_outcome(self):
+        # c2 climbs from 2 to 6, through both cutoffs of (3, 5): every
+        # reader of the window rejects it alike
         t, log = three_lane_log()
-        tr = track_class({"c1": 1}, log, Window.constant(0, 3))
-        assert tr.outcome.startswith("WindowInvalid")
-        assert tr.segments == ()
+        w = Window.constant(3, 5)
+        with pytest.raises(InvalidWindow):
+            track_class({"c1": 1}, log, w)
+        with pytest.raises(InvalidWindow):
+            spectral_value({"c1": 1}, F(1, 4), log, w)
+        with pytest.raises(InvalidWindow):
+            filtered_homology(t, log.counter_at(F(1, 4)), F(1, 4), w)
+        with pytest.raises(InvalidWindow):
+            full_homology(t, log, F(1, 4), [w])
+
+    def test_jump_across_a_slide_detected(self):
+        # tamper the first slide's stored forward map so that it sends c1
+        # to c2 alone: the value would jump from 1 down to 1/8
+        t, gamma0, events = build_cascade(3)
+        log = evolve(gamma0, events, t)
+        step = log.steps[0]
+        ring = step.maps.forward.ring
+        fwd = SparseMatrix(ring, step.maps.forward.rows, step.maps.forward.cols,
+                           {(g, "c2" if g == "c1" else g): ring.one
+                            for g in step.maps.forward.rows})
+        bad = dataclasses.replace(
+            step, maps=dataclasses.replace(step.maps, forward=fwd))
+        log = dataclasses.replace(log, steps=(bad,) + log.steps[1:])
+        with pytest.raises(VerificationFailed,
+                           match="spectral value jumped across the slide at r=1/9"):
+            track_class({"c1": 1}, log, wide_window(t))
 
     def test_not_a_cycle_rejected(self):
         t, log = three_lane_log()
