@@ -302,8 +302,10 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
     whose coefficient cannot be cleared by the span (for the integers this
     certifies that no lattice element clears it, because pivots are unique
     per position and the triangular solve over the top block is forced).
+    The entries of vec must already be elements of ring, as ring.coerce
+    and the ring's operations return them; they are not coerced again.
     """
-    v = [ring.coerce(x) for x in vec]
+    v = list(vec)
     while True:
         top = next((i for i, x in enumerate(v) if x != ring.zero), None)
         if top is None:

@@ -12,6 +12,7 @@ fractions, sorted iteration, fixed geometry, no timestamps.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -330,7 +331,10 @@ def run(command, scenario, flags):
     return RunArtifacts(tuple(reports), tuple(files), code)
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every main() call shares it."""
     ap = argparse.ArgumentParser(
         prog="morseflow",
         description="Evolve, track and bound flow-line counts over "

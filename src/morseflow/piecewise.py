@@ -7,10 +7,12 @@ pairs, emits their common knots in one merged walk and returns the
 difference at each as an integer numerator over a positive denominator;
 every comparison is a cross product.  contains and value read the same
 integer pairs.  Nothing integer is stored on a Piecewise; each call
-converts what it reads.  A Fraction is built only where a value leaves
-the kernel: a crossing parameter, a value of differences, and
-Piecewise.value.  knots, extremes and common_knots stay in Fraction
-arithmetic; common_knots is the tests' reference for the kernel's knots.
+converts what it reads, and a caller that reads one profile many times
+converts it once (_ints) and evaluates the integer points (_ratio_at).
+A Fraction is built only where a value leaves the kernel: a crossing
+parameter, a value of differences, and Piecewise.value.  knots, extremes
+and common_knots stay in Fraction arithmetic; common_knots is the tests'
+reference for the kernel's knots.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,8 @@ from typing import Tuple
 
 
 def frac(x):
+    if type(x) is Fraction:
+        return x
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -61,7 +65,7 @@ class Piecewise:
         r = frac(r)
         if not self.contains(r):
             raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
-        return Fraction(*_ratio_at(self, *r.as_integer_ratio()))
+        return Fraction(*_ratio_at(_ints(self.points), *r.as_integer_ratio()))
 
     def knots(self, lo=None, hi=None):
         """Breakpoint parameters clipped to [lo, hi], endpoints included."""
@@ -125,9 +129,9 @@ def _eval(pts, i, kn, kd):
     return p0 * q1 * x1 + p1 * q0 * x0, q0 * q1 * (x0 + x1)
 
 
-def _ratio_at(f, kn, kd):
-    """f at kn/kd, inside its domain, as (numerator, denominator > 0)."""
-    pts = _ints(f.points)
+def _ratio_at(pts, kn, kd):
+    """The profile with integer points pts (of _ints) at kn/kd, inside its
+    domain, as (numerator, denominator > 0)."""
     i = 0
     while pts[i][0] * kd < kn * pts[i][1]:
         i += 1

@@ -59,6 +59,8 @@ class IntMod2(Ring):
     __slots__ = ()
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % 2
         if isinstance(x, Fraction):
             if x.denominator % 2 == 0:
                 raise NonUnitError("cannot reduce %s mod 2" % (x,))
@@ -81,6 +83,8 @@ class Integer(Ring):
     __slots__ = ()
 
     def coerce(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise NonUnitError("%s is not an integer" % (x,))

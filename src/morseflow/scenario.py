@@ -346,7 +346,8 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
                     "birth entries are `(arc) = value`", lineno)
             column.append((ids[0], ring.coerce(val)))
         events.append(EventRecord(
-            r, Birth(kv["vertex"], ring.coerce(kv.get("pivot", 1)),
+            r, Birth(kv["vertex"],
+                     ring.coerce(_rational(kv.get("pivot", "1"), lineno)),
                      tuple(column))))
     return events
 

@@ -10,11 +10,19 @@ action, so nothing leaks back in across the floor).
 Class tracking pushes a representative through the comparison maps of
 the event log and recomputes its spectral value on every slab between
 action crossings; the spectral value of a class is the smallest top
-action over all representatives in its coset.  Slabs are found by one
-sweep per interval: each pair of in-window arcs gets its crossings from
-one merged walk over the two profiles, each arc's side of the window is
-decided once, and the action order is sorted on the first slab and then
-carried across each cut, re-sorting only the arcs that meet there.
+action over all representatives in its coset.
+
+The geometry those calls read is prepared once per family, in one
+arrangement: each arc's profile as integer points, each pair's
+crossings, and each window's verdict, sides and the crossings of its
+in-window pairs sorted by parameter.  validate_window, and through it
+filtered_homology, full_homology, spectral_value and track_class, read
+the arrangement of the family they are given.  One slot holds the
+arrangement of the last family read, keyed by its identity.  A trace
+walks the window's sorted crossings with one pointer across the
+intervals, so each interval reads only the crossings inside it; the
+action order is sorted on an interval's first slab and then carried
+across each cut, re-sorting only the arcs that meet there.
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
@@ -23,7 +31,6 @@ Fractions are built for what a trace returns and prints: the slab
 bounds (crossing parameters) and the spectral values.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +41,7 @@ from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
-from .piecewise import Piecewise, _ratio_at, _walk, crossings, frac
+from .piecewise import Piecewise, _ints, _ratio_at, _walk, crossings, frac
 from .rings import Q
 
 NEG_INF = float("-inf")
@@ -62,7 +69,6 @@ def wide_window(t):
     return Window.constant(lo - 1, hi + 1)
 
 
-@functools.lru_cache(maxsize=32)
 def window_violation(w, t):
     """Reason the window is unusable for t, or None if it is fine.
 
@@ -70,7 +76,6 @@ def window_violation(w, t):
     arc's whole lifetime.  Both are piecewise-linear, so strict signs at
     their common knots decide it exactly, whatever the scale or offset
     of the actions; the signs are the kernel's integer numerators.
-    Verdicts are cached by the value of (w, t).
     """
     if w.a.r_lo != 0 or w.a.r_hi != 1 or w.b.r_lo != 0 or w.b.r_hi != 1:
         return "cutoffs must be defined on all of [0, 1]"
@@ -89,6 +94,44 @@ def window_violation(w, t):
 BELOW, INSIDE, ABOVE = -1, 0, 1
 
 
+class _Arrangement:
+    """The geometry of one family that every tracker call reads.
+
+    points maps each arc id to its profile's integer points (_ints; the
+    first arc with an id wins, as in CerfTuple.arc).  pairs maps a pair
+    of ids to their crossings, each as (x, numerator, denominator),
+    computed the first time a window needs them.  windows maps a window,
+    by value, to (verdict, sides); cuts maps a usable window to the
+    crossings of its in-window pairs, sorted by parameter.
+    """
+
+    __slots__ = ("family", "points", "pairs", "windows", "cuts")
+
+    def __init__(self, t):
+        self.family = t
+        self.points = {a.id: _ints(a.f3.points) for a in reversed(t.arcs)}
+        self.pairs = {}
+        self.windows = {}
+        self.cuts = {}
+
+
+_prepared = None         # the arrangement of the family read last
+
+
+def _arrangement(t):
+    """The arrangement of t: the one in the slot if it is t's, else a new
+    one that replaces it.
+
+    The slot is keyed by the family's identity and holds a strong
+    reference to it, so no other family can take over its id while it is
+    there; only the last family read is kept alive.
+    """
+    global _prepared
+    if _prepared is None or _prepared.family is not t:
+        _prepared = _Arrangement(t)
+    return _prepared
+
+
 def validate_window(w, t):
     """Side of the window (BELOW, INSIDE or ABOVE) of each arc, by id.
 
@@ -96,21 +139,60 @@ def validate_window(w, t):
     window clears every arc strictly on one side for the arc's whole
     life, so the arc's first point decides, compared with each cutoff
     there by a cross product.  The first arc with an id wins, as in
-    CerfTuple.arc.
+    CerfTuple.arc.  The verdict and the sides are computed once per
+    family and window, and the sides returned are the arrangement's own:
+    callers read them and do not change them.
     """
-    why = window_violation(w, t)
+    arr = _arrangement(t)
+    entry = arr.windows.get(w)
+    if entry is None:
+        entry = arr.windows[w] = _judge_window(arr, w)
+    why, sides = entry
     if why is not None:
         raise InvalidWindow(why)
-    sides = {}
-    for arc in reversed(t.arcs):
-        r, v = arc.f3.points[0]
-        rn, rd = r.as_integer_ratio()
-        vn, vd = v.as_integer_ratio()
-        an, ad = _ratio_at(w.a, rn, rd)
-        bn, bd = _ratio_at(w.b, rn, rd)
-        sides[arc.id] = (BELOW if vn * ad < an * vd else
-                         INSIDE if vn * bd < bn * vd else ABOVE)
     return sides
+
+
+def _judge_window(arr, w):
+    """(verdict, sides) of the window w for the family of arr; sides is
+    None when the verdict is a reason to reject it."""
+    why = window_violation(w, arr.family)
+    if why is not None:
+        return why, None
+    a, b = _ints(w.a.points), _ints(w.b.points)
+    sides = {}
+    for g, pts in arr.points.items():
+        rn, rd, vn, vd = pts[0]
+        an, ad = _ratio_at(a, rn, rd)
+        bn, bd = _ratio_at(b, rn, rd)
+        sides[g] = (BELOW if vn * ad < an * vd else
+                    INSIDE if vn * bd < bn * vd else ABOVE)
+    return None, sides
+
+
+def _window_cuts(arr, w, sides):
+    """The crossings of every pair of in-window arcs whose lives meet, as
+    (x, numerator, denominator, id, id), sorted by x; computed once per
+    family and window, each pair's crossings once per family."""
+    cuts = arr.cuts.get(w)
+    if cuts is None:
+        pts = arr.points
+        inside = [g for g in pts if sides[g] == INSIDE]
+        cuts = []
+        for g1, g2 in itertools.combinations(inside, 2):
+            p, q = pts[g1], pts[g2]
+            if (p[0][0] * q[-1][1] > q[-1][0] * p[0][1]
+                    or q[0][0] * p[-1][1] > p[-1][0] * q[0][1]):
+                continue             # the two lives do not meet
+            xs = arr.pairs.get((g1, g2))
+            if xs is None:
+                xs = arr.pairs[g1, g2] = [
+                    (x,) + x.as_integer_ratio() for x in crossings(
+                        arr.family.arc(g1).f3, arr.family.arc(g2).f3)]
+            cuts.extend(c + (g1, g2) for c in xs)
+        cuts.sort(key=lambda c: c[0])
+        arr.cuts[w] = cuts
+    return cuts
 
 
 def _inside_at(t, sides, r):
@@ -183,8 +265,10 @@ class _Descending:
 
 
 def _order_key(t, rn, rd):
-    """Sort key putting generators in descending action at rn/rd, ties by id."""
-    return lambda g: _Descending(*_ratio_at(t.arc(g).f3, rn, rd), str(g))
+    """Sort key putting generators in descending action at rn/rd, ties by
+    id, read from the integer points of t's arrangement."""
+    pts = _arrangement(t).points
+    return lambda g: _Descending(*_ratio_at(pts[g], rn, rd), str(g))
 
 
 def _coset_minimize(ring, d, rep, order):
@@ -480,17 +564,22 @@ def track_class(h0, log, w, label="h"):
     spectral value is verified continuous across handle-slides.  An
     unusable window raises InvalidWindow.
 
-    Each interval is swept once.  Every arc's side of the window is
-    read once per call; each pair of in-window arcs gets its crossings
-    once per call, from one merged walk over the two profiles, and the
-    crossings strictly inside an interval cut it into slabs.  Only the
-    first slab is sorted by action: at each later cut the arcs meeting
-    there form contiguous runs of the previous order, and only those
-    runs are re-sorted.
+    Each interval is swept once.  The window's sides, the crossings of
+    its in-window pairs sorted by parameter and the arcs' integer points
+    come from the family's arrangement, prepared once per family and
+    window.  One pointer advances through the sorted crossings across the
+    intervals; the crossings strictly inside an interval, of two arcs
+    both alive there, cut it into slabs.  Only the first slab is sorted
+    by action: at each later cut the arcs meeting there form contiguous
+    runs of the previous order, and only those runs are re-sorted.
     """
     t = log.family
     sides = validate_window(w, t)
+    arr = _arrangement(t)
+    pts = arr.points
+    cuts = _window_cuts(arr, w, sides)
     ring = log.ring
+    zero = ring.zero
     first = log.intervals[0]
     rep, _ = _window_rep(h0, first.gamma, sides,
                          _inside_at(t, sides, first.midpoint()), "at the start")
@@ -500,10 +589,7 @@ def track_class(h0, log, w, label="h"):
     classes = []
     prev_top = None
     outcome = "Survived"
-    # each pair's crossings over its whole common domain, computed once
-    # and kept with their integer pairs; an interval keeps those strictly
-    # inside it, found by cross products
-    pair_crossings = {}
+    p = 0                    # the first crossing not yet passed
 
     for fc in log.intervals:
         gens = _inside_at(t, sides, fc.midpoint())
@@ -517,19 +603,18 @@ def track_class(h0, log, w, label="h"):
 
         after_slide = fc.interval_index and isinstance(
             log.steps[fc.interval_index - 1].record.payload, HandleSlide)
-        meets = {}           # cut -> ids of the arcs that meet there
         ln, ld = fc.r_lo.as_integer_ratio()
         hn, hd = fc.r_hi.as_integer_ratio()
-        for pair in itertools.combinations(gens, 2):
-            xs = pair_crossings.get(pair)
-            if xs is None:
-                xs = pair_crossings[pair] = [
-                    (x,) + x.as_integer_ratio() for x in crossings(
-                        t.arc(pair[0]).f3, t.arc(pair[1]).f3)]
-            for x, xn, xd in xs:
-                if ln * xd < xn * ld and xn * hd < hn * xd:
-                    meets.setdefault(x, set()).update(pair)
-        bounds = [fc.r_lo] + sorted(meets) + [fc.r_hi]
+        while p < len(cuts) and cuts[p][1] * ld <= ln * cuts[p][2]:
+            p += 1
+        alive = set(gens)
+        meets = {}           # cut -> ids of the arcs that meet there
+        while p < len(cuts) and cuts[p][1] * hd < hn * cuts[p][2]:
+            x, _, _, g1, g2 = cuts[p]
+            if g1 in alive and g2 in alive:
+                meets.setdefault(x, set()).update((g1, g2))
+            p += 1
+        bounds = [fc.r_lo] + list(meets) + [fc.r_hi]
         first_seg = len(segments)
         order = gens
         for lo, hi in zip(bounds, bounds[1:]):
@@ -539,16 +624,16 @@ def track_class(h0, log, w, label="h"):
             order = (sorted(order, key=key) if lo == fc.r_lo
                      else _resort_runs(order, meets[lo], key))
             best, order, certified = _coset_minimize(ring, d, rep, order)
-            support = tuple(g for g, x in zip(order, best) if x != ring.zero)
+            support = tuple(g for g, x in zip(order, best) if x != zero)
             if not support:
                 segments.append(TraceSegment(fc.interval_index, lo, hi, (),
                                              None, NEG_INF, NEG_INF, certified))
                 prev_top = None
                 continue
             top = support[0]
-            f3 = t.arc(top).f3
             seg = TraceSegment(fc.interval_index, lo, hi, support, top,
-                               f3.value(lo), f3.value(hi), certified)
+                               Fraction(*_ratio_at(pts[top], a, b)),
+                               Fraction(*_ratio_at(pts[top], c, e)), certified)
             # continuity across a slide: the first slab after it starts at
             # the value the last slab before it ended on
             if (after_slide and lo == fc.r_lo and segments[-1].top is not None

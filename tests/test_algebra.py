@@ -25,6 +25,19 @@ def mat(ring, ids, entries):
 class TestRings:
     def test_z2_reduces(self):
         assert Z2.coerce(7) == 1 and Z2.coerce(-4) == 0
+        assert Z2.coerce(-3) == 1 and Z2.coerce(-1) == 1
+        assert Z2.coerce(True) == 1 and type(Z2.coerce(True)) is int
+        assert Z2.coerce(Fraction(-5, 3)) == 1
+        with pytest.raises(NonUnitError):
+            Z2.coerce(Fraction(1, 2))
+
+    def test_integer_coerce(self):
+        assert Z.coerce(-7) == -7 and Z.coerce(Fraction(-6, 2)) == -3
+        assert Z.coerce(True) == 1 and type(Z.coerce(True)) is int
+        with pytest.raises(NonUnitError):
+            Z.coerce(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            Z.coerce("1")
 
     def test_z2_inverse(self):
         assert Z2.invert(1) == 1

@@ -1,9 +1,11 @@
 """Command dispatch: exit codes, report content, determinism."""
 
+import json
 import os
 
 import pytest
 
+import golden
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
 from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
@@ -298,3 +300,43 @@ class TestInputLimits:
                      ["track", "slide", "--class", "%s*c1" % over]):
             assert main(argv) == 1
             self.assert_one_error_line(capsys, "digits")
+
+
+class TestBirthPivot:
+    """A birth's pivot= is read as an exact literal, like every entry."""
+
+    @staticmethod
+    def birth_with(tmp_path, old, new):
+        text = open(data_path("birth"), encoding="utf-8").read()
+        assert old in text
+        return write(tmp_path, "b.scn", text.replace(old, new))
+
+    @pytest.mark.parametrize("cmd", ["validate", "track", "homology"])
+    @pytest.mark.parametrize("name", ["birth", "eyeball"])
+    def test_integer_coefficients(self, cmd, name, capsys):
+        assert main([cmd, name, "--coeff", "z"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("pivot", ["abc", "1" * (MAX_LITERAL_DIGITS + 1)])
+    def test_malformed_or_oversized_pivot(self, pivot, tmp_path, capsys):
+        path = self.birth_with(tmp_path, "pivot=1", "pivot=" + pivot)
+        assert main(["validate", path]) == 1
+        TestInputLimits.assert_one_error_line(capsys, "line 16")
+
+    def test_fractional_pivot_over_the_integers(self, tmp_path, capsys):
+        for old, new in (("pivot=1", "pivot=1/2"), ("(c1) = 1", "(c1) = 1/2")):
+            path = self.birth_with(tmp_path, old, new)
+            assert main(["validate", path, "--coeff", "z"]) == 4
+            TestInputLimits.assert_one_error_line(capsys, "1/2 is not an integer")
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    with open(golden.GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)["track slide"]
+    # tracking c3, a boundary, gives a different trace
+    for flags in (["--window", "a=0,b=10"], ["--class", "c3"]):
+        assert main(["track", "slide"] + flags) == 0
+        flagged = capsys.readouterr().out
+        assert main(["track", "slide"]) == want["exit"]
+        assert capsys.readouterr().out == want["stdout"]
+    assert flagged != want["stdout"]

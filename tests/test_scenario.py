@@ -1,17 +1,25 @@
 """Scenario text format: parsing, serialization, error locations."""
 
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import randgen
 from morseflow.bifurcation import Birth, Death, HandleSlide
 from morseflow.cerf import BirthVertex, BoundaryAt0, BoundaryAt1, DeathVertex
 from morseflow.cli import data_path
 from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
                               ScenarioSemanticError, ScenarioSyntaxError)
+from morseflow.escape import build_cascade, linear
 from morseflow.rings import Q, Z, Z2
-from morseflow.scenario import (load_scenario, parse_chain, parse_scenario,
-                                parse_window_spec, serialize_scenario)
+from morseflow.scenario import (Scenario, load_scenario, parse_chain,
+                                parse_scenario, parse_window_spec,
+                                serialize_scenario)
+from morseflow.tracker import wide_window
 
 MINIMAL = """
 [arcs]
@@ -330,3 +338,36 @@ class TestRoundTrip:
         sc2 = parse_scenario(serialize_scenario(sc))
         assert sc2.rep == sc.rep
         assert serialize_scenario(sc2) == serialize_scenario(sc)
+
+
+def assert_text_fixed_point(sc):
+    """serialize -> parse -> serialize gives the first text back.  Texts
+    are compared, not families: the parser infers components in its own
+    order."""
+    text = serialize_scenario(sc)
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+class TestRoundTripFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
+           tracked=st.booleans())
+    def test_random_families(self, seed, ring, tracked):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        if tracked:
+            sc = dataclasses.replace(sc, window=wide_window(sc.family),
+                                     rep={"l1": ring.one}, label="h")
+        assert_text_fixed_point(sc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 12), ring=st.sampled_from([Z2, Z]),
+           base=st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)),
+           ratio=st.builds(F, st.integers(2, 10**3), st.just(1)) | st.just(F(3, 2)),
+           delta=st.sampled_from([1, -1, 3]))
+    def test_cascades(self, n, ring, base, ratio, delta):
+        t, fc0, events = build_cascade(n, base=base, ratio=ratio,
+                                       delta_value=ring.coerce(delta), ring=ring)
+        assert_text_fixed_point(Scenario(
+            ring, t, fc0, tuple(events), window=wide_window(t),
+            rep={"c1": ring.one}, label="h",
+            phi=linear(F(1), gap=(-ratio, ratio))))

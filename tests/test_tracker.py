@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 from unittest import mock
 
@@ -98,7 +100,9 @@ def assert_sweep_matches_reference(h0, log, w):
 
     def sort_every_slab(order, movers, key):
         return sorted(order, key=key)
+    # an empty slot, so the family's crossings are found again, by the oracle
     with mock.patch.object(tracker, "crossings", oracles.crossings), \
+            mock.patch.object(tracker, "_prepared", None), \
             mock.patch.object(tracker, "_resort_runs", sort_every_slab):
         assert track_class(h0, log, w) == trace
     return trace
@@ -144,9 +148,41 @@ class TestWindow:
         for lo, hi in ((0, 10), (0, 3), (1, 10), (F(1, 2), 7), (5, 5)):
             w1, w2 = Window.constant(lo, hi), Window.constant(F(lo), F(hi))
             assert w1 is not w2 and w1 == w2
-            want = window_violation.__wrapped__(w1, t1)
-            assert window_violation(w1, t1) == want
-            assert window_violation(w2, t2) == want
+            got = []
+            # alternating families makes each call replace the prepared one
+            for w, t in ((w1, t1), (w2, t2), (w2, t1), (w1, t2)):
+                why = window_violation(w, t)
+                try:
+                    sides = validate_window(w, t)
+                except InvalidWindow as e:
+                    assert str(e) == why
+                    sides = None
+                got.append((why, sides))
+            assert all(x == got[0] for x in got)
+            assert (got[0][0] is None) == (got[0][1] is not None)
+
+    def test_only_the_last_family_read_stays_alive(self):
+        t1 = three_lane_tuple()
+        validate_window(WIDE, t1)
+        first = weakref.ref(t1)
+        del t1
+        validate_window(WIDE, three_lane_tuple())
+        gc.collect()
+        assert first() is None
+
+    def test_a_changed_copy_is_not_served_a_stale_arrangement(self, monkeypatch):
+        t, log = three_lane_log()
+        # c2 now climbs to 8, so it crosses c1 at r = 2/3 instead of 3/4
+        moved = dataclasses.replace(t.arcs[1], f3=Piecewise(
+            [(0, 2), (F(1, 2), 2), (1, 8)]))
+        t2 = dataclasses.replace(t, arcs=(t.arcs[0], moved, t.arcs[2]))
+        log2 = evolve(log.intervals[0], [s.record for s in log.steps], t2)
+        before = track_class({"c1": 1}, log, WIDE)
+        after = track_class({"c1": 1}, log2, WIDE)
+        monkeypatch.setattr(tracker, "_prepared", None)
+        assert track_class({"c1": 1}, log2, WIDE) == after
+        assert after != before
+        assert F(2, 3) in {s.r_lo for s in after.segments}
 
 
 def affine_profile(pw, c, s):
