@@ -3,7 +3,10 @@
 Contents: Smith normal form over the integers with unimodular transforms,
 ungraded homology of a square differential (kernel modulo image, computed in
 the row-vector convention of matrix.py), chain map and chain homotopy
-verification, and an order-respecting echelon form used for spectral values.
+verification, and one elimination routine: ordered_echelon, an
+order-respecting echelon form built by reduce_against.  Over a field every
+rank, cycle basis (left_kernel_basis) and least coset representative comes
+from it; the Smith form is kept for torsion over the integers.
 
 Everything is exact; no floating point enters this module.
 """
@@ -159,32 +162,6 @@ class HomologyResult:
         return "0" if not parts else " + ".join(parts)
 
 
-def _field_rank(ring, dense):
-    """Rank by Gaussian elimination; dense is consumed."""
-    rows = len(dense)
-    cols = len(dense[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if dense[i][c] != ring.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        dense[r], dense[piv] = dense[piv], dense[r]
-        inv = ring.invert(dense[r][c])
-        dense[r] = [ring.mul(inv, x) for x in dense[r]]
-        for i in range(rows):
-            if i != r and dense[i][c] != ring.zero:
-                f = dense[i][c]
-                dense[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(dense[i], dense[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def homology(boundary: SparseMatrix) -> HomologyResult:
     """Kernel modulo image of a differential on a single generator set.
 
@@ -205,7 +182,7 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     # column convention for the computation: T x = 0 is the cycle condition
     t_dense = boundary.transpose().to_dense(order, order)
     if ring.is_field():
-        r = _field_rank(ring, [list(row) for row in t_dense])
+        r = len(ordered_echelon(ring, t_dense))
         return HomologyResult(ring.name, n - 2 * r, ())
     if ring is not Z:
         raise DimensionMismatch("unsupported coefficient ring %r" % (ring,))
@@ -261,36 +238,26 @@ def ordered_echelon(ring: Ring, vectors: List[List]) -> Dict[int, List]:
 
     Returns {pivot position: vector} where each vector's topmost nonzero
     entry sits at its pivot position and all pivot positions are distinct.
-    Over the integers the span is preserved as a lattice (gcd combinations,
-    unimodular 2x2 steps), so membership tests against the result are exact.
+    Each vector is reduced by reduce_against and kept at the position
+    where it stops.  Over the integers a pivot that does not divide is
+    replaced by a gcd combination (a unimodular 2x2 step), so the span is
+    preserved as a lattice and membership tests against the result are
+    exact.  As for reduce_against, entries must already be ring elements.
     """
     pivots: Dict[int, List] = {}
-    n = None
     for vec in vectors:
-        v = [ring.coerce(x) for x in vec]
-        n = len(v) if n is None else n
-        while True:
-            top = next((i for i, x in enumerate(v) if x != ring.zero), None)
-            if top is None:
-                break
-            if top not in pivots:
-                pivots[top] = v
-                break
+        v, top = reduce_against(ring, vec, pivots)
+        while top in pivots:
+            # over the integers: the pivot at top does not divide v there
             b = pivots[top]
-            if ring.is_field():
-                f = ring.mul(v[top], ring.invert(b[top]))
-                v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, b)]
-            else:
-                bt, vt = b[top], v[top]
-                if vt % bt == 0:
-                    q = vt // bt
-                    v = [x - q * y for x, y in zip(v, b)]
-                else:
-                    g, s, t = _xgcd(bt, vt)
-                    newb = [s * x + t * y for x, y in zip(b, v)]
-                    newv = [-(vt // g) * x + (bt // g) * y for x, y in zip(b, v)]
-                    pivots[top] = newb
-                    v = newv
+            bt, vt = b[top], v[top]
+            g, s, t = _xgcd(bt, vt)
+            pivots[top] = [s * x + t * y for x, y in zip(b, v)]
+            v, top = reduce_against(
+                ring, [(bt // g) * y - (vt // g) * x for x, y in zip(b, v)],
+                pivots)
+        if top is not None:
+            pivots[top] = v
     return pivots
 
 
@@ -305,9 +272,9 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
     The entries of vec must already be elements of ring, as ring.coerce
     and the ring's operations return them; they are not coerced again.
     """
-    v = list(vec)
+    v, zero = list(vec), ring.zero
     while True:
-        top = next((i for i, x in enumerate(v) if x != ring.zero), None)
+        top = next((i for i, x in enumerate(v) if x != zero), None)
         if top is None:
             return v, None
         b = pivots.get(top)
@@ -323,65 +290,16 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
             v = [x - q * y for x, y in zip(v, b)]
 
 
-def column_kernel(ring: Ring, dense: List[List]) -> List[List]:
-    """Basis of {x : A x = 0} over a field, via column reduction of A.
-
-    Column operations on A are mirrored on an identity; columns whose A part
-    reduces to zero yield the kernel basis.
-    """
-    if not ring.is_field():
-        raise DimensionMismatch("column kernel requires a field")
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    if m == 0 or n == 0:
-        return [[ring.one if i == j else ring.zero for i in range(n)] for j in range(n)]
-    a = [[ring.coerce(x) for x in row] for row in dense]
-    t = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def col_scale(j, f):
-        for row in a:
-            row[j] = ring.mul(f, row[j])
-        for row in t:
-            row[j] = ring.mul(f, row[j])
-
-    def col_axpy(j, src, f):
-        # col_j -= f * col_src
-        for row in a:
-            row[j] = ring.sub(row[j], ring.mul(f, row[src]))
-        for row in t:
-            row[j] = ring.sub(row[j], ring.mul(f, row[src]))
-
-    lead = 0
-    for i in range(m):
-        piv = None
-        for j in range(lead, n):
-            if a[i][j] != ring.zero:
-                piv = j
-                break
-        if piv is None:
-            continue
-        if piv != lead:
-            col_swap(piv, lead)
-        col_scale(lead, ring.invert(a[i][lead]))
-        for j in range(n):
-            if j != lead and a[i][j] != ring.zero:
-                col_axpy(j, lead, a[i][j])
-        lead += 1
-        if lead == n:
-            break
-    return [[t[i][j] for i in range(n)] for j in range(lead, n)]
-
-
 def left_kernel_basis(mat: SparseMatrix, order: List) -> List[List]:
-    """Basis of the cycle space {x : x . mat = 0} over a field.
+    """Basis of the cycle space {x : x . mat = 0}.
 
-    Vectors are dense lists aligned with the given generator order.
+    The rows of [mat | I] are echelonized; those whose pivot lies in the
+    identity block have a zero mat part, and cut to that block they are
+    the basis.  Vectors are dense lists aligned with the given order.
     """
-    dense_t = mat.transpose().to_dense(order, order)
-    return column_kernel(mat.ring, dense_t)
+    ring, n = mat.ring, len(order)
+    rows = mat.to_dense(order, order)
+    for i, row in enumerate(rows):
+        row.extend(ring.one if j == i else ring.zero for j in range(n))
+    return [v[n:] for p, v in sorted(ordered_echelon(ring, rows).items())
+            if p >= n]

@@ -235,18 +235,12 @@ def apply_handle_slide(gamma_minus, ev, t=None):
 def _gt_just_after(f, g, r):
     """Exact sign of f - g on an immediate right-neighborhood of r.
 
-    Both profiles are linear between knots, so the value at r decides,
-    with a tie broken at the first knot after r: a tie there too means
-    the difference vanishes on a right-neighborhood.
+    Both profiles are linear between knots, so the kernel's difference
+    at r decides, with a tie broken at the next common knot: a tie there
+    too means the difference vanishes on a right-neighborhood.
     """
-    fv, gv = f.value(r), g.value(r)
-    if fv != gv:
-        return fv > gv
-    nxt = [k for k in f.knots() + g.knots() if k > r]
-    if not nxt:
-        return False
-    k = min(nxt)
-    return f.value(k) > g.value(k)
+    diffs = _walk(f, g, r, None)[1]
+    return next((d for d in diffs[:2] if d), 0) > 0
 
 
 def _pair_maps(d_small, d_big, plus, minus):
@@ -269,14 +263,12 @@ def _pair_maps(d_small, d_big, plus, minus):
             incl[(c, plus)] = ring.neg(ring.mul(x, e_inv))
     incl = SparseMatrix(ring, small_ids, big_ids, incl)
 
-    # big -> small: kill the pair; the lower branch maps to the upper
-    # branch's residual flows (zero under the standing constraints)
-    proj = {(c, c): ring.one for c in small_ids}
-    for c in small_ids:
-        x = d_big.entry(plus, c)
-        if x != ring.zero:
-            proj[(minus, c)] = ring.neg(ring.mul(e_inv, x))
-    proj = SparseMatrix(ring, big_ids, small_ids, proj)
+    # big -> small: the coordinate projection killing the pair.  The
+    # lower branch would map to -e_inv times the upper branch's flows to
+    # the survivors, and those vanish: a birth puts nothing in the upper
+    # branch's row besides its partner, and a death is refused otherwise.
+    proj = SparseMatrix(ring, big_ids, small_ids,
+                        {(c, c): ring.one for c in small_ids})
 
     homot = SparseMatrix(ring, big_ids, big_ids, {(minus, plus): e_inv})
     return incl, proj, homot
@@ -351,10 +343,10 @@ def apply_death(gamma_minus, ev, t):
     """Cancel a dying pair of branches out of the count matrix.
 
     Requires the pivot joining the branches to be a unit and the other
-    entries touching the pair to vanish; survivors keep their entries up
-    to the Gaussian correction term (zero under those constraints, but
-    computed anyway: it subsumes the constrained case).  The projection
-    onto the survivors is the forward map.
+    entries touching the pair to vanish.  The survivors then keep their
+    entries: the Gaussian correction gm(c1, minus) inv gm(plus, c2) is
+    zero, because the upper branch flows to nothing but its partner.
+    The projection onto the survivors is the forward map.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
@@ -382,17 +374,8 @@ def apply_death(gamma_minus, ev, t):
             raise ConstraintViolated(
                 "upper branch of %r flows to %r besides its partner" % (v.id, c))
 
-    inv = ring.invert(pivot)
-    survivors = sorted((c for c in gm.rows if c not in (plus, minus)), key=str)
-    entries = {}
-    for c1 in survivors:
-        for c2 in survivors:
-            val = ring.sub(gm.entry(c1, c2),
-                           ring.mul(gm.entry(c1, minus),
-                                    ring.mul(inv, gm.entry(plus, c2))))
-            if val != ring.zero:
-                entries[(c1, c2)] = val
-    gp = SparseMatrix(ring, survivors, survivors, entries)
+    gp = gm.restrict(sorted((c for c in gm.rows if c not in (plus, minus)),
+                            key=str))
     if not gp.mul(gp).is_zero():
         raise EvolutionError("death update broke the square-zero identity")
     incl, proj, homot = _pair_maps(gp, gm, plus, minus)

@@ -84,10 +84,6 @@ class Arc:
     def r_hi(self):
         return self.f3.r_hi
 
-    @property
-    def r_interval(self):
-        return (self.f3.r_lo, self.f3.r_hi)
-
     def alive_at(self, r):
         return self.f3.contains(r)
 

@@ -86,11 +86,16 @@ def _rational(text, line):
 _PAIR = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
 
 
-def _points(text, line):
+def _piecewise(text, line):
+    """The profile through the (r, value) pairs of text."""
     pts = _PAIR.findall(text)
     if not pts:
         raise ScenarioSyntaxError("expected (r, value) pairs", line)
-    return tuple((_rational(a, line), _rational(b, line)) for a, b in pts)
+    try:
+        return Piecewise(tuple((_rational(a, line), _rational(b, line))
+                               for a, b in pts))
+    except ValueError as e:
+        raise ScenarioSyntaxError(str(e), line)
 
 
 def _kwargs(text, line):
@@ -199,7 +204,7 @@ def _end_tag(token, which, footprint_end, line):
 
 
 def _parse_arcs(lines):
-    arcs = []
+    arcs = {}
     for lineno, text in lines:
         if ":" not in text:
             raise ScenarioSyntaxError("arc lines are `id : points ...`",
@@ -212,8 +217,9 @@ def _parse_arcs(lines):
             if m:
                 opts[key] = m.group(1)
                 rest = rest[:m.start()] + rest[m.end():]
-        pts = _points(rest, lineno)
-        pw = Piecewise(pts)
+        if aid in arcs:
+            raise ScenarioSemanticError("arc %r declared twice" % aid, lineno)
+        pw = _piecewise(rest, lineno)
         if "ends" in opts:
             toks = opts["ends"].split(",")
             if len(toks) != 2:
@@ -224,10 +230,10 @@ def _parse_arcs(lines):
             lo = BoundaryAt0() if pw.r_lo == 0 else BoundaryAt1()
             hi = BoundaryAt1() if pw.r_hi == 1 else BoundaryAt0()
         open_req = opts.get("open", "")
-        arcs.append(Arc(aid, pw, lo, hi,
+        arcs[aid] = Arc(aid, pw, lo, hi,
                         lo_open=open_req in ("lo", "both"),
-                        hi_open=open_req in ("hi", "both")))
-    return arcs
+                        hi_open=open_req in ("hi", "both"))
+    return list(arcs.values())
 
 
 def _parse_vertices(lines):
@@ -362,7 +368,7 @@ def _parse_window_section(lines, section):
     for key in ("a", "b"):
         lineno, text = kv[key]
         if "(" in text:
-            sides.append(Piecewise(_points(text, lineno)))
+            sides.append(_piecewise(text, lineno))
         else:
             sides.append(Piecewise.constant(_rational(text, lineno)))
     return Window(sides[0], sides[1])
@@ -435,8 +441,8 @@ def parse_scenario(text, path="", ring=None):
     [coefficients] section.
     """
     sections = _split_sections(text)
-    if "arcs" not in sections:
-        raise ScenarioSyntaxError("missing [arcs] section")
+    if not sections.get("arcs"):
+        raise ScenarioSyntaxError("missing or empty [arcs] section")
 
     override = ring
     ring = Z2
@@ -485,7 +491,7 @@ def parse_scenario(text, path="", ring=None):
 
     ladder = []
     for lineno, text_line in sections.get("ladder", ()):
-        if not text_line.startswith("window"):
+        if not text_line.startswith("window") or ":" not in text_line:
             raise ScenarioSyntaxError("[ladder] lines are `window : a=.. b=..`",
                                       lineno)
         kv = _kwargs(text_line.split(":", 1)[1], lineno)

@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (_field_rank, homology, is_chain_map, left_kernel_basis,
+from .algebra import (homology, is_chain_map, left_kernel_basis,
                       ordered_echelon, reduce_against)
 from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
@@ -384,37 +384,21 @@ def _rationalize(m):
                         {k: Fraction(v) for k, v in m.entries.items()})
 
 
-def _row_space_rank(ring, rows):
-    if not rows:
-        return 0
-    return _field_rank(ring, [list(r) for r in rows])
-
-
-def _induced_rank(d_from, d_to, fmat, order_from, order_to):
-    """Rank of the map induced on homology by the chain map fmat.
+def _induced_rank(d_from, d_to, order_from, order_to):
+    """Rank of the map induced on homology by a coordinate chain map:
+    each generator of order_from that is in order_to maps to itself, and
+    the others to zero (the ladder's projections and inclusions).
 
     Everything is computed over the fraction field, so over the integers
     this is the rank on the free part.
     """
-    d_from = _rationalize(d_from)
-    d_to = _rationalize(d_to)
-    ring = d_from.ring
-    col = {c: j for j, c in enumerate(order_to)}
-    rows = {}
-    for (g, c), x in _rationalize(fmat).entries.items():
-        rows.setdefault(g, []).append((col[c], x))
-    pushed = []
-    for z in left_kernel_basis(d_from, order_from):
-        out = [ring.zero] * len(order_to)
-        for g, v in zip(order_from, z):
-            if v != ring.zero:
-                for j, x in rows.get(g, ()):
-                    out[j] = ring.add(out[j], ring.mul(v, x))
-        pushed.append(out)
+    d_from, d_to = _rationalize(d_from), _rationalize(d_to)
+    ring, at = d_to.ring, {g: i for i, g in enumerate(order_from)}
+    pushed = [[z[at[g]] if g in at else ring.zero for g in order_to]
+              for z in left_kernel_basis(d_from, order_from)]
     bd = d_to.to_dense(order_to, order_to)
-    b_rank = _row_space_rank(ring, [list(r) for r in bd])
-    total = _row_space_rank(ring, [list(r) for r in bd] + pushed)
-    return total - b_rank
+    return (len(ordered_echelon(ring, bd + pushed))
+            - len(ordered_echelon(ring, bd)))
 
 
 def full_homology(t, log, r, ladder):
@@ -461,8 +445,8 @@ def full_homology(t, log, r, ladder):
         if not is_chain_map(incl, d_mid, d_wide):
             raise VerificationFailed("ladder inclusion is not a chain map")
         h_mid = homology(d_mid)
-        pr = _induced_rank(d_mid, d_narrow, proj, gens_mid, gens_narrow)
-        ir = _induced_rank(d_mid, d_wide, incl, gens_mid, gens_wide)
+        pr = _induced_rank(d_mid, d_narrow, gens_mid, gens_narrow)
+        ir = _induced_rank(d_mid, d_wide, gens_mid, gens_wide)
         legs.append(LadderLeg(
             pr, ir,
             pr == h_mid.free_rank == results[i].free_rank

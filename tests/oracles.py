@@ -100,6 +100,21 @@ def z2_homology_rank(dense):
     return rank
 
 
+def z2_induced_rank(d_from, d_to, f):
+    """Rank over Z2 of the map a chain map f induces on homology.
+
+    f(Z) and B are subspaces, Z the cycles of d_from and B the boundaries
+    of d_to, so 2^rank = |f(Z) + B| / |B| = |f(Z)| / |f(Z) & B|; all are
+    enumerated.  Dense 0/1 matrices in the row convention: f[i] is the
+    image of generator i of the source.
+    """
+    fm = z2_matrix_to_rowmasks(f)
+    images = {z2_apply(z, fm)
+              for z in z2_cycles(z2_matrix_to_rowmasks(d_from), len(d_from))}
+    bounds = set(z2_boundaries(z2_matrix_to_rowmasks(d_to), len(d_to)))
+    return (len(images) // len(images & bounds)).bit_length() - 1
+
+
 def z2_spectral_bruteforce(rep_bits, rowmasks, n, heights):
     """Minimum over the coset rep + image of the max height in the support.
 

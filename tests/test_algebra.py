@@ -1,5 +1,6 @@
 """Exact linear algebra: rings, sparse matrices, Smith form, homology."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseflow.algebra import (HomologyResult, homology, is_chain_homotopy,
-                               is_chain_map, ordered_echelon, reduce_against,
+                               is_chain_map, left_kernel_basis,
+                               ordered_echelon, reduce_against,
                                smith_normal_form)
 from morseflow.errors import (DimensionMismatch, NonUnitError,
                               NotADifferential)
 from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.rings import RINGS, Q, Z, Z2
 
-from oracles import (det_bareiss, determinantal_divisors, z2_homology_rank,
-                     z2_matrix_to_rowmasks)
+from oracles import (det_bareiss, determinantal_divisors, z2_apply,
+                     z2_cycles, z2_homology_rank, z2_matrix_to_rowmasks)
 
 
 def mat(ring, ids, entries):
@@ -264,3 +266,51 @@ class TestOrderedEchelon:
         for v in vecs:
             _, blocked = reduce_against(Z, v, piv)
             assert blocked is None
+
+
+class TestLeftKernelBasis:
+    """The cycle basis: cycles, independent, n - rank of them; ranks come
+    from enumeration over Z2 and from minors over Q."""
+
+    @staticmethod
+    def z2_span(vectors):
+        span = {0}
+        for v in vectors:
+            bits = sum(int(x) << i for i, x in enumerate(v))
+            span |= {s ^ bits for s in span}
+        return span
+
+    @staticmethod
+    def rank_q(rows):
+        """Rank over Q: the nonzero invariant factors of the rows scaled
+        to integers."""
+        return len(determinantal_divisors(
+            [[int(x * d) for x in row] for row in rows
+             for d in [math.lcm(*(Fraction(x).denominator for x in row))]]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_z2(self, data):
+        n = data.draw(st.integers(0, 7))
+        ids = ["g%d" % i for i in range(n)]
+        dense = [[data.draw(st.integers(0, 1)) for _ in ids] for _ in ids]
+        basis = left_kernel_basis(SparseMatrix.from_rows(Z2, ids, ids, dense), ids)
+        rowmasks = z2_matrix_to_rowmasks(dense)
+        span = self.z2_span(basis)
+        # independent, and spanning exactly the enumerated cycles
+        assert len(span) == 2 ** len(basis)
+        assert span == set(z2_cycles(rowmasks, n))
+        assert all(z2_apply(x, rowmasks) == 0 for x in span)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rationals(self, data):
+        n = data.draw(st.integers(0, 5))
+        ids = ["g%d" % i for i in range(n)]
+        dense = [[data.draw(st.integers(-2, 2)) for _ in ids] for _ in ids]
+        m = SparseMatrix.from_rows(Q, ids, ids, dense)
+        basis = left_kernel_basis(m, ids)
+        assert len(basis) == n - self.rank_q(dense)
+        assert self.rank_q(basis) == len(basis)
+        for z in basis:
+            assert vec_apply(Q, dict(zip(ids, z)), m) == {}

@@ -1,9 +1,15 @@
 """Command dispatch: exit codes, report content, determinism."""
 
+import contextlib
+import glob
+import io
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
@@ -340,3 +346,91 @@ def test_flags_do_not_leak_between_calls(capsys):
         assert main(["track", "slide"]) == want["exit"]
         assert capsys.readouterr().out == want["stdout"]
     assert flagged != want["stdout"]
+
+
+class TestMalformedScenarioText:
+    """Malformed scenario text ends in one error line and exit 1; a
+    repeated vertex id still reaches the structural check."""
+
+    @pytest.mark.parametrize("text, words", [
+        ("[arcs]\nc1 : (0, 4) (0, 5)\n", ("line 2", "increasing")),
+        ("[arcs]\nc1 : (0, 4)\n", ("line 2", "two breakpoints")),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[window]\na = (0, 1)\nb = 9\n",
+         ("line 4", "two breakpoints")),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[window]\na = 0\nb = (0, 9) (0, 9)\n",
+         ("line 5", "increasing")),
+    ])
+    def test_bad_breakpoints(self, text, words, tmp_path, capsys):
+        assert main(["validate", write(tmp_path, "bp.scn", text)]) == 1
+        TestInputLimits.assert_one_error_line(capsys, *words)
+
+    def test_ladder_line_without_colon(self, tmp_path, capsys):
+        p = write(tmp_path, "lad.scn",
+                  "[arcs]\nc1 : (0, 4) (1, 4)\n[ladder]\nwindow a=0 b=10\n")
+        assert main(["validate", p]) == 1
+        TestInputLimits.assert_one_error_line(
+            capsys, "line 4", "[ladder] lines are `window : a=.. b=..`")
+
+    @pytest.mark.parametrize("cmd", ["validate", "homology"])
+    def test_repeated_arc_id(self, cmd, tmp_path, capsys):
+        p = write(tmp_path, "dup.scn",
+                  "[arcs]\nc1 : (0, 4) (1, 4)\nc1 : (0, 5) (1, 5)\n")
+        assert main([cmd, p]) == 1
+        TestInputLimits.assert_one_error_line(capsys, "line 3", "'c1'")
+
+    def test_repeated_vertex_id_is_a_cerf_finding(self, tmp_path, capsys):
+        vertex = "vb : birth r=1/2 f3=2 plus=up minus=down\n"
+        p = write(tmp_path, "dupv.scn",
+                  "[arcs]\nc1 : (0, 5) (1, 5)\n"
+                  "up : (1/2, 2) (1, 12) ends=birth(vb),boundary\n"
+                  "down : (1/2, 2) (1, 0) ends=birth(vb),boundary\n"
+                  "[vertices]\n" + vertex + vertex +
+                  "[events]\nbirth r=1/2 vertex=vb pivot=1\n")
+        assert main(["validate", p]) == 2
+        assert "error duplicate-id: vertex id 'vb'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["validate", "homology"])
+    def test_empty_arcs_section(self, cmd, tmp_path, capsys):
+        p = write(tmp_path, "empty.scn", "[arcs]\n[window]\na = 0\nb = 9\n")
+        assert main([cmd, p]) == 1
+        TestInputLimits.assert_one_error_line(capsys, "[arcs]")
+
+
+_TOKEN = re.compile(r"\s+|\w+|\S")
+_BUNDLED_TEXTS = [open(p, encoding="utf-8").read() for p in
+                  sorted(glob.glob(os.path.join(os.path.dirname(
+                      data_path("slide")), "*.scn")))]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario with one to three of its tokens deleted,
+    inserted (a copy of any of its tokens) or duplicated in place."""
+    toks = _TOKEN.findall(draw(st.sampled_from(_BUNDLED_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if op == "delete":
+            del toks[i]
+        else:
+            toks.insert(i, toks[i] if op == "duplicate"
+                        else draw(st.sampled_from(toks)))
+    return "".join(toks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=mutated_scenarios())
+def test_mutated_scenarios_end_in_an_exit_code(text, tmp_path_factory):
+    """No traceback from any command on mutated text: an exit code in
+    {0, 1, 2, 3, 4}, and stderr empty or one error: line."""
+    path = str(tmp_path_factory.getbasetemp() / "mutant.scn")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for cmd in ("validate", "evolve", "homology", "track", "escape", "plot"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cmd, path])
+        assert code in (0, 1, 2, 3, 4), (cmd, text)
+        lines = err.getvalue().splitlines()
+        assert not lines or (len(lines) == 1 and lines[0].startswith("error: ")), \
+            (cmd, text)

@@ -711,6 +711,49 @@ class TestFullHomology:
         with pytest.raises(DegenerateParameter):
             full_homology(t, log, F(3, 8), [WIDE, WIDE, WIDE])
 
+    # randgen's lanes and bubbles clear each of these levels
+    LEVELS = [-20, -5, 10, F(55, 2), F(65, 2), F(75, 2), 50, 75, 85, 95, 110]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_legs_match_z2_enumeration(self, seed):
+        """Every result and leg of random nested ladders over randgen
+        families, against cycle and boundary enumeration over Z2."""
+        rng = random.Random(seed)
+        for _ in range(10):
+            sc = randgen.random_scenario(rng, Z2)
+            t = sc.family
+            log = evolve(sc.gamma0, sc.events, t)
+            r = rng.choice(log.intervals).midpoint()
+            gamma = log.counter_at(r).gamma
+            split = rng.randrange(1, len(self.LEVELS))
+            k = rng.randint(2, 4)
+            floors = sorted(rng.choices(self.LEVELS[:split], k=k), reverse=True)
+            ceilings = sorted(rng.choices(self.LEVELS[split:], k=k))
+            rep = full_homology(t, log, r, [Window.constant(a, b)
+                                            for a, b in zip(floors, ceilings)])
+
+            def inside(a, b):
+                return [x.id for x in t.arcs_alive(r) if a < x.value(r) < b]
+
+            def dense(gens):
+                return gamma.restrict(gens).to_dense(gens, gens)
+
+            def coordinates(rows, cols):
+                return [[int(g == c) for c in cols] for g in rows]
+
+            gens = [inside(a, b) for a, b in zip(floors, ceilings)]
+            assert [h.free_rank for h in rep.results] == [
+                oracles.z2_homology_rank(dense(g)) for g in gens]
+            for i, leg in enumerate(rep.legs):
+                mid = inside(floors[i + 1], ceilings[i])
+                narrow, wide = gens[i], gens[i + 1]
+                assert leg.proj_rank == oracles.z2_induced_rank(
+                    dense(mid), dense(narrow),
+                    coordinates(mid, narrow))
+                assert leg.incl_rank == oracles.z2_induced_rank(
+                    dense(mid), dense(wide),
+                    coordinates(mid, wide))
+
 
 class TestTrackClass:
     def test_no_events_constant_trace(self):
