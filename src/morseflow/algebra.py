@@ -1,12 +1,14 @@
 """Exact linear algebra over the coefficient rings.
 
-Contents: Smith normal form over the integers with unimodular transforms,
-ungraded homology of a square differential (kernel modulo image, computed in
-the row-vector convention of matrix.py), chain map and chain homotopy
-verification, and one elimination routine: ordered_echelon, an
-order-respecting echelon form built by reduce_against.  Over a field every
+Contents: ungraded homology of a square differential (kernel modulo image,
+computed in the row-vector convention of matrix.py), chain map and chain
+homotopy verification, and two elimination routines.  ordered_echelon is an
+order-respecting echelon form built by reduce_against; over a field every
 rank, cycle basis (left_kernel_basis) and least coset representative comes
-from it; the Smith form is kept for torsion over the integers.
+from it.  invariant_factors is the diagonal of the Smith form, and over the
+integers it alone gives homology: the cycle lattice of a differential is
+saturated, so the torsion of cycles modulo boundaries is the torsion of
+Z^n modulo boundaries, read off the invariant factors (see homology).
 
 Everything is exact; no floating point enters this module.
 """
@@ -19,68 +21,25 @@ from .matrix import SparseMatrix
 from .rings import Z, Ring
 
 
-def _ident(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def invariant_factors(rows: List[List[int]]) -> List[int]:
+    """Invariant factors of an integer matrix given as a list of int rows.
 
-
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
-
-
-def _snf_dense(a):
-    """Diagonalize an integer matrix in place.
-
-    Returns (U, V, Vinv) with U . a_original . V equal to the final a, the
-    diagonal entries nonnegative and forming a divisibility chain.  Pivoting
-    always picks the smallest nonzero magnitude in the trailing submatrix.
+    Returns the nonzero diagonal of its Smith normal form as absolute
+    values, a divisibility chain d1 | d2 | ... .  The rows are reduced in
+    place by row and column steps on the matrix alone; no transform is
+    kept.  Pivoting always picks the smallest nonzero magnitude in the
+    trailing submatrix.
     """
+    a = rows
     m = len(a)
     n = len(a[0]) if m else 0
-    U, V, Vi = _ident(m), _ident(n), _ident(n)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_add(i, j, q):
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            ai[k] += q * aj[k]
-        ui, uj = U[i], U[j]
-        for k in range(m):
-            ui[k] += q * uj[k]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
-    def col_add(i, j, q):
-        # col_i += q * col_j; the inverse transform acts on Vi rows
-        for r in a:
-            r[i] += q * r[j]
-        for r in V:
-            r[i] += q * r[j]
-        vij, vii = Vi[j], Vi[i]
-        for k in range(n):
-            vij[k] -= q * vii[k]
+    def row_add(i, j, q):
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
 
     t = 0
     dim = min(m, n)
@@ -93,8 +52,7 @@ def _snf_dense(a):
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            row_swap(best[0], t)
+        a[best[0]], a[t] = a[t], a[best[0]]
         if best[1] != t:
             col_swap(best[1], t)
         dirty = True
@@ -104,46 +62,25 @@ def _snf_dense(a):
                 if a[i][t]:
                     row_add(i, t, -(a[i][t] // a[t][t]))
                     if a[i][t]:
-                        row_swap(i, t)
+                        a[i], a[t] = a[t], a[i]
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j]:
-                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    q = -(a[t][j] // a[t][t])
+                    for r in a:
+                        r[j] += q * r[t]
                     if a[t][j]:
                         col_swap(j, t)
                         dirty = True
         p = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            if any(a[i][j] % p for j in range(t + 1, n)):
-                offender = i
-                break
+        offender = next((i for i in range(t + 1, m)
+                         if any(a[i][j] % p for j in range(t + 1, n))), None)
         if offender is not None:
             # fold the offending row in so the pivot shrinks to a gcd
             row_add(t, offender, 1)
             continue
         t += 1
-    for k in range(dim):
-        if a[k][k] < 0:
-            row_neg(k)
-    return U, V, Vi
-
-
-def smith_normal_form(m: SparseMatrix):
-    """Smith normal form over the integers.
-
-    Returns (u, s, v) with u . m . v = s, u and v unimodular, s diagonal with
-    nonnegative entries d1 | d2 | ... .
-    """
-    if m.ring is not Z:
-        raise DimensionMismatch("Smith normal form requires integer coefficients")
-    rows, cols = m.rows, m.cols
-    dense = [[int(x) for x in row] for row in m.to_dense(rows, cols)]
-    U, V, _ = _snf_dense(dense)
-    u = SparseMatrix.from_rows(Z, rows, rows, U)
-    v = SparseMatrix.from_rows(Z, cols, cols, V)
-    s = SparseMatrix.from_rows(Z, rows, cols, dense)
-    return u, s, v
+    return [abs(a[k][k]) for k in range(t)]
 
 
 @dataclass(frozen=True)
@@ -166,9 +103,17 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     """Kernel modulo image of a differential on a single generator set.
 
     The operator sends x to x . boundary (row convention), so the cycle space
-    is the left kernel and the boundary space is the row space.  Over the
-    integers the torsion comes from the Smith form of the image expressed in
-    a basis of the (saturated) kernel.
+    is the left kernel and the boundary space is the row space.  Over a field
+    of rank r on n generators the homology has dimension n - 2r.
+
+    Over the integers one elimination pass suffices.  Let d1 | ... | dr be
+    the invariant factors of the matrix (its transpose has the same ones).
+    Z^n / cycles is isomorphic to the boundary lattice, a subgroup of Z^n,
+    so it is torsion free: the cycle lattice is saturated, and a chain of
+    which a nonzero multiple is a cycle is itself a cycle.  So every torsion
+    class of Z^n / boundaries is a cycle class, the torsion of cycles /
+    boundaries is that of Z^n / boundaries, the cyclic groups of order
+    di > 1, and the free rank is (n - r) - r.
     """
     if not boundary.is_square():
         raise DimensionMismatch("differential must be square on one generator set")
@@ -177,28 +122,16 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     ring = boundary.ring
     order = sorted(boundary.rows, key=str)
     n = len(order)
-    if n == 0:
-        return HomologyResult(ring.name, 0, ())
-    # column convention for the computation: T x = 0 is the cycle condition
+    # the transposed matrix: T x = 0 is the cycle condition
     t_dense = boundary.transpose().to_dense(order, order)
     if ring.is_field():
         r = len(ordered_echelon(ring, t_dense))
         return HomologyResult(ring.name, n - 2 * r, ())
     if ring is not Z:
         raise DimensionMismatch("unsupported coefficient ring %r" % (ring,))
-    work = [[int(x) for x in row] for row in t_dense]
-    _, _, Vi = _snf_dense(work)
-    zero_positions = [j for j in range(n) if work[j][j] == 0]
-    t_orig = [[int(x) for x in row] for row in t_dense]
-    coords = _matmul(Vi, t_orig)
-    x = [coords[j] for j in zero_positions]
-    if not x:
-        return HomologyResult(ring.name, 0, ())
-    _snf_dense(x)
-    diag = [x[i][i] for i in range(min(len(x), len(x[0])))]
-    nonzero = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nonzero if d != 1)
-    return HomologyResult(ring.name, len(zero_positions) - len(nonzero), torsion)
+    inv = invariant_factors(t_dense)
+    return HomologyResult(ring.name, n - 2 * len(inv),
+                          tuple(d for d in inv if d > 1))
 
 
 def is_chain_map(a: SparseMatrix, d_from: SparseMatrix, d_to: SparseMatrix) -> bool:

@@ -24,10 +24,10 @@ from .cerf import validate_cerf
 from .diagrams import family_svg, trace_svg
 from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
                      ConstraintViolated, CycleConditionViolated,
-                     EvolutionError, InvalidTuple, InvalidWindow,
-                     MorseflowError, NonIsolatedCusp, NonNestedLadder,
-                     NonTriangularDelta, NonUnitPivot, NotADifferential,
-                     ScenarioError, ScenarioSemanticError,
+                     EvolutionError, InvalidParameters, InvalidTuple,
+                     InvalidWindow, MorseflowError, NonIsolatedCusp,
+                     NonNestedLadder, NonTriangularDelta, NonUnitPivot,
+                     NotADifferential, ScenarioError, ScenarioSemanticError,
                      ScenarioSyntaxError, VerticalTangency)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear, parse_phi
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
@@ -74,7 +74,7 @@ def _findings_block(title, findings, ok):
 
 def _window_for(sc, flags):
     if getattr(flags, "window", None):
-        return parse_window_spec(flags.window)
+        return _flag(flags, "window", parse_window_spec)
     if sc.window is not None:
         return sc.window
     return wide_window(sc.family)
@@ -95,7 +95,7 @@ def _rep_for(sc, flags):
 
 def _phi_for(sc, flags):
     if getattr(flags, "phi", None):
-        return parse_phi(flags.phi)
+        return _flag(flags, "phi", parse_phi)
     return sc.phi
 
 
@@ -238,12 +238,17 @@ def _cmd_escape(sc, flags):
 MAX_CASCADE_STAGES = 300
 
 
+def _flag(flags, name, read):
+    """read applied to the text of --name; its errors name the flag."""
+    try:
+        return read(getattr(flags, name))
+    except (ScenarioSyntaxError, InvalidParameters) as e:
+        raise ScenarioSyntaxError("--%s: %s" % (name, e)) from None
+
+
 def _flag_rational(flags, name):
     """The exact number given by --name, read as a scenario literal."""
-    try:
-        return _rational(getattr(flags, name), None)
-    except ScenarioSyntaxError as e:
-        raise ScenarioSyntaxError("--%s: %s" % (name, e))
+    return _flag(flags, name, lambda text: _rational(text, None))
 
 
 def _cmd_cascade(arg, flags):

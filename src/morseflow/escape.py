@@ -227,7 +227,10 @@ def parse_phi(text):
         if name == "square":
             return square(kwargs.pop("c"), **kwargs)
         if name == "iterlog":
-            return iterlog(kwargs.pop("c"), int(kwargs.pop("depth")), **kwargs)
+            depth = kwargs.pop("depth")
+            if not isinstance(depth, Fraction) or depth.denominator != 1:
+                raise InvalidParameters("iterlog depth must be a whole number")
+            return iterlog(kwargs.pop("c"), int(depth), **kwargs)
         return polylog(kwargs.pop("c"), kwargs.pop("p"),
                        kwargs.pop("logs", ()), **kwargs)
     except KeyError as e:

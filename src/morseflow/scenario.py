@@ -41,7 +41,8 @@ from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    Component, DeathVertex, Vertex)
-from .errors import ScenarioSemanticError, ScenarioSyntaxError, check_literal
+from .errors import (InvalidParameters, ScenarioSemanticError,
+                     ScenarioSyntaxError, check_literal)
 from .escape import parse_phi
 from .matrix import SparseMatrix
 from .piecewise import Piecewise
@@ -98,14 +99,29 @@ def _piecewise(text, line):
         raise ScenarioSyntaxError(str(e), line)
 
 
-def _kwargs(text, line):
+def _kwargs(tokens, line):
+    """{key: value} from key=value tokens; a repeated key is an error."""
     out = {}
-    for tok in text.split():
+    for tok in tokens:
         if "=" not in tok:
             raise ScenarioSyntaxError("expected key=value, got %r" % tok, line)
         k, v = tok.split("=", 1)
+        if k in out:
+            raise ScenarioSyntaxError("key %r given twice" % k, line)
         out[k] = v
     return out
+
+
+def _at_line(line, make, *args):
+    """make(*args), an out-of-range value reported as an error at line."""
+    try:
+        return make(*args)
+    except InvalidParameters as e:
+        raise ScenarioSemanticError(str(e), line) from None
+    except ScenarioSyntaxError as e:
+        if e.line is not None:
+            raise
+        raise ScenarioSyntaxError(str(e), line) from None
 
 
 _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_]\w*)")
@@ -142,8 +158,7 @@ def parse_chain(text, ring, line=None):
 
 def parse_window_spec(text, line=None):
     """`a=0,b=10` with rational endpoints, as used by the --window flag."""
-    kv = dict(p.split("=", 1) for p in text.replace(" ", "").split(",")
-              if "=" in p)
+    kv = _kwargs(text.replace(" ", "").split(","), line)
     if set(kv) != {"a", "b"}:
         raise ScenarioSyntaxError("window spec needs a=<lo>,b=<hi>", line)
     return Window.constant(_rational(kv["a"], line), _rational(kv["b"], line))
@@ -248,7 +263,7 @@ def _parse_vertices(lines):
         if not toks or toks[0] not in ("birth", "death"):
             raise ScenarioSyntaxError("vertex kind must be birth or death",
                                       lineno)
-        kv = _kwargs(" ".join(toks[1:]), lineno)
+        kv = _kwargs(toks[1:], lineno)
         missing = {"r", "f3", "plus", "minus"} - set(kv)
         if missing:
             raise ScenarioSyntaxError(
@@ -290,7 +305,7 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
         if kind not in ("slide", "birth", "death"):
             raise ScenarioSyntaxError(
                 "event kind must be slide, birth, or death", lineno)
-        kv = _kwargs(" ".join(toks[1:]), lineno)
+        kv = _kwargs(toks[1:], lineno)
         if "r" not in kv:
             raise ScenarioSyntaxError("event missing r=", lineno)
         r = _rational(kv["r"], lineno)
@@ -375,8 +390,15 @@ def _parse_window_section(lines, section):
 
 
 def _infer_components(arcs, vertices):
-    """Group arcs sharing a vertex; all-vertex ends make a loop."""
+    """Group arcs sharing a vertex; all-vertex ends make a loop.
+
+    Each component lists its arcs as a chain along shared vertices: a
+    chord from its first arc (in file order) with a boundary end, a loop
+    from its first arc, each step to the earliest unvisited neighbour.
+    Arcs the walk does not reach follow in file order.
+    """
     parent = {a.id: a.id for a in arcs}
+    nbrs = {a.id: [] for a in arcs}
 
     def find(x):
         while parent[x] != x:
@@ -387,19 +409,29 @@ def _infer_components(arcs, vertices):
     for v in vertices:
         if v.plus_arc in parent and v.minus_arc in parent:
             parent[find(v.plus_arc)] = find(v.minus_arc)
+            nbrs[v.plus_arc].append(v.minus_arc)
+            nbrs[v.minus_arc].append(v.plus_arc)
     groups = {}
     for a in arcs:
         groups.setdefault(find(a.id), []).append(a)
     comps = []
     for members in groups.values():
-        kind = "loop"
-        for a in members:
-            for tag in (a.lo_tag, a.hi_tag):
-                if isinstance(tag, (BoundaryAt0, BoundaryAt1)):
-                    kind = "chord"
-        comps.append(Component(kind, tuple(a.id for a in members)))
-    comps.sort(key=lambda c: c.arcs[0])
-    return tuple(comps)
+        rank = {a.id: i for i, a in enumerate(members)}
+        chord = [a.id for a in members if any(
+            isinstance(tag, (BoundaryAt0, BoundaryAt1))
+            for tag in (a.lo_tag, a.hi_tag))]
+        walk = [chord[0] if chord else members[0].id]
+        seen = set(walk)
+        while True:
+            step = [b for b in nbrs[walk[-1]] if b not in seen]
+            if not step:
+                break
+            walk.append(min(step, key=rank.get))
+            seen.add(walk[-1])
+        walk += [a.id for a in members if a.id not in seen]
+        comps.append((members[0].id,
+                      Component("chord" if chord else "loop", tuple(walk))))
+    return tuple(c for _, c in sorted(comps))
 
 
 def _parse_rabinowitz(lines):
@@ -416,18 +448,24 @@ def _parse_rabinowitz(lines):
         cls = Tame()
     elif cls_name == "logtame":
         depth = take("depth", Fraction(1))
+        if depth.denominator != 1:
+            raise ScenarioSemanticError("log-tame depth must be a whole "
+                                        "number", kv["depth"][0])
         cls = LogTame(int(depth))
     elif cls_name == "squaretame":
         cls = SquareTame()
     else:
         raise ScenarioSyntaxError("unknown tameness class %r" % cls_name,
                                   kv["class"][0])
+    # a value out of its range is reported at the section's first line
+    line = lines[0][0] if lines else None
     if "theta" in kv:
-        variant = SymplecticFormHomotopy(take("theta"), take("eta_rate"))
+        variant = _at_line(line, SymplecticFormHomotopy, take("theta"),
+                           take("eta_rate"))
     else:
         variant = HypersurfaceHomotopy()
-    model = HomotopyModel(take("h_sup", Fraction(0)),
-                          take("c", Fraction(1)), cls, variant)
+    model = _at_line(line, HomotopyModel, take("h_sup", Fraction(0)),
+                     take("c", Fraction(1)), cls, variant)
     return model, take("rho0"), take("kappa")
 
 
@@ -491,10 +529,11 @@ def parse_scenario(text, path="", ring=None):
 
     ladder = []
     for lineno, text_line in sections.get("ladder", ()):
-        if not text_line.startswith("window") or ":" not in text_line:
+        head, colon, rest = text_line.partition(":")
+        if head.strip() != "window" or not colon:
             raise ScenarioSyntaxError("[ladder] lines are `window : a=.. b=..`",
                                       lineno)
-        kv = _kwargs(text_line.split(":", 1)[1], lineno)
+        kv = _kwargs(rest.split(), lineno)
         if set(kv) != {"a", "b"}:
             raise ScenarioSyntaxError("ladder window needs a= and b=", lineno)
         ladder.append(Window.constant(_rational(kv["a"], lineno),
@@ -519,7 +558,7 @@ def parse_scenario(text, path="", ring=None):
     if "phi" in sections:
         kv = _keyvals(sections["phi"], "phi")
         if "bound" in kv:
-            phi = parse_phi(kv["bound"][1])
+            phi = _at_line(kv["bound"][0], parse_phi, kv["bound"][1])
         if "kappa" in kv:
             kappa = _rational(kv["kappa"][1], kv["kappa"][0])
         if "rho0" in kv:

@@ -39,7 +39,7 @@ from .algebra import (homology, is_chain_map, left_kernel_basis,
                       ordered_echelon, reduce_against)
 from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
-                     NotACycle, VerificationFailed)
+                     NotACycle, NotADifferential, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import Piecewise, _ints, _ratio_at, _walk, crossings, frac
 from .rings import Q
@@ -220,12 +220,12 @@ def chain_group(t, r, w, forbidden=()):
 def filtered_homology(t, fc, r, w):
     """Homology of the count matrix restricted to the window at r."""
     gens = _inside_at(t, validate_window(w, t), _check_parameter(t, r))
-    d = fc.gamma.restrict(gens)
-    if not d.mul(d).is_zero():
+    try:
+        return homology(fc.gamma.restrict(gens))
+    except NotADifferential:
         raise InvalidWindow(
             "restriction to the window does not square to zero; the window "
-            "boundaries must be crossing the diagram")
-    return homology(d)
+            "boundaries must be crossing the diagram") from None
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,15 @@ class TestInputLimits:
             assert main(argv) == 1
             self.assert_one_error_line(capsys, "digits")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--phi", "garbage"), ("--phi", "linear(c=0)"),
+        ("--phi", "iterlog(c=1, depth=3/2)"), ("--window", "garbage"),
+        ("--window", "a=0,b=10,junk"), ("--window", "a=0,a=1,b=10")])
+    def test_malformed_window_and_phi_flags(self, flag, value, capsys):
+        cmd = "escape" if flag == "--phi" else "track"
+        assert main([cmd, "slide", flag, value]) == 1
+        self.assert_one_error_line(capsys, flag + ":")
+
 
 class TestBirthPivot:
     """A birth's pivot= is read as an exact literal, like every entry."""

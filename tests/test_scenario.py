@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import randgen
 from morseflow.bifurcation import Birth, Death, HandleSlide
 from morseflow.cerf import BirthVertex, BoundaryAt0, BoundaryAt1, DeathVertex
+from morseflow.cerf import validate_cerf
 from morseflow.cli import data_path
 from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
                               ScenarioSemanticError, ScenarioSyntaxError)
@@ -113,6 +114,21 @@ class TestComponentInference:
         assert by_first["c1"] == "chord"
         assert by_first.get("up", by_first.get("down")) == "chord"
 
+    ZIGZAG = {"A": "A : (0, 5) (1/2, 3) ends=boundary,death(v1)",
+              "B": "B : (1/4, 2) (1/2, 3) ends=birth(v2),death(v1)",
+              "C": "C : (1/4, 2) (1, 0) ends=birth(v2),boundary"}
+
+    @pytest.mark.parametrize("order", ["ABC", "ACB", "BAC", "BCA", "CAB", "CBA"])
+    def test_chord_arcs_follow_the_chain_in_any_file_order(self, order):
+        text = ("[arcs]\n" + "\n".join(self.ZIGZAG[x] for x in order)
+                + "\n[vertices]\nv1 : death r=1/2 f3=3 plus=A minus=B\n"
+                "v2 : birth r=1/4 f3=2 plus=B minus=C\n")
+        sc = parse_scenario(text)
+        (comp,) = sc.family.components
+        assert comp.kind == "chord"
+        assert "".join(comp.arcs) in ("ABC", "CBA")
+        assert validate_cerf(sc.family).ok
+
     def test_singleton_chords(self):
         sc = load_scenario(data_path("slide"))
         assert all(c.kind == "chord" and len(c.arcs) == 1
@@ -146,8 +162,9 @@ class TestParseChain:
     def test_window_spec(self):
         w = parse_window_spec("a=0,b=10")
         assert w.a.value(F(1, 2)) == 0 and w.b.value(F(1, 2)) == 10
-        with pytest.raises(ScenarioSyntaxError):
-            parse_window_spec("a=0")
+        for bad in ("a=0", "a=0,b=10,junk", "a=0,a=1,b=10", "a=0,,b=10"):
+            with pytest.raises(ScenarioSyntaxError):
+                parse_window_spec(bad)
 
 
 class TestErrors:
@@ -204,6 +221,7 @@ class TestErrors:
         ("[arcs]\nc1 : (0, 4) (1, 4)\n\n[gamma]\n(c1, c1) = %s\n", 5),
         ("[arcs]\nc1 : (0, 4) (1, 4)\n[window]\na = 0\nb = %s\n", 5),
         ("[arcs]\nc1 : (0, 4) (1, 4)\n[phi]\nkappa = %s\n", 4),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[phi]\nbound = linear(c=%s)\n", 4),
     ])
     def test_literal_past_the_digit_limit_is_refused_with_its_line(self, text, line):
         for over in ("1" * (MAX_LITERAL_DIGITS + 1),
@@ -285,9 +303,35 @@ class TestErrors:
             parse_scenario(MINIMAL + "[track]\nclass = zz\n")
 
     def test_unknown_phi_family(self):
-        from morseflow.errors import InvalidParameters
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(ScenarioSemanticError, match="cubic") as e:
             parse_scenario(MINIMAL + "[phi]\nbound = cubic(c=1)\n")
+        assert e.value.line == 5
+
+    @pytest.mark.parametrize("section, line, words", [
+        ("[phi]\nbound = garbage\n", 5, "unrecognized"),
+        ("[phi]\nbound = linear(c=0)\n", 5, "positive"),
+        ("[phi]\nkappa = 1\nbound = iterlog(c=1, depth=3/2)\n", 6, "whole"),
+        ("[rabinowitz]\nh_sup = -1\n", 5, "nonnegative"),
+        ("[rabinowitz]\nclass = logtame\ndepth = 3/2\n", 6, "whole"),
+        ("[rabinowitz]\ntheta = -1\n", 5, "theta"),
+    ])
+    def test_growth_and_model_values_carry_their_line(self, section, line, words):
+        with pytest.raises(ScenarioSemanticError, match=words) as e:
+            parse_scenario(MINIMAL + section)
+        assert e.value.line == line
+
+    @pytest.mark.parametrize("section", [
+        "[ladder]\nwindowpane : a=0 b=10\n",
+        "[ladder]\nwindowsill : a=0 b=10\n",
+        "[ladder]\nwindows : a=0 b=10\n",
+        "[ladder]\nwindow : a=0 a=1 b=10\n",
+        "[vertices]\nv : birth r=1/2 r=1/3 f3=1 plus=c1 minus=c1\n",
+        "[events]\nslide r=1/4 r=1/2 : (c1, c1) = 1\n",
+    ])
+    def test_stray_rung_keyword_and_repeated_keys(self, section):
+        with pytest.raises(ScenarioSyntaxError) as e:
+            parse_scenario(MINIMAL + section)
+        assert e.value.line == 5
 
     def test_gamma_dead_arc_on_first_interval(self):
         text = ("[arcs]\nc1 : (0, 4) (1, 4)\n"
