@@ -12,13 +12,17 @@ Between events the matrix is constant.  Three kinds of event transform it:
   Gaussian cancellation against the unit pivot joining them.
 
 Each event is computed once, by one function per kind, which returns
-the new matrix together with the comparison maps relating the complexes
-on either side.  Those maps are verified once, where they are built, and
-the evolution log stores them: tracking and the validator only read them.
+the new matrix together with a recipe for the comparison maps relating
+the complexes on either side.  Only class tracking reads those maps, so
+the evolution log stores the recipe and each step builds its maps when
+they are first read, verifies them there, and keeps them: validation,
+evolution and homology never build a map.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .algebra import is_chain_homotopy, is_chain_map
 from .cerf import Finding
@@ -87,16 +91,22 @@ class FlowCounter:
         return sorted(self.gamma.rows, key=str)
 
     def midpoint(self):
+        """(r_lo + r_hi) / 2, computed on the first call and kept."""
+        return self._midpoint
+
+    @cached_property
+    def _midpoint(self):
         return (self.r_lo + self.r_hi) / 2
 
 
 @dataclass(frozen=True)
 class ChainMapBundle:
-    """Verified maps relating the complexes on either side of an event.
+    """Maps relating the complexes on either side of an event.
 
-    forward transports representatives left-to-right in the parameter
-    (rows: before-generators, cols: after-generators); backward is the
-    section going the other way.  For a slide both are inverse
+    A bundle is verified where it is first read, by EventStep.maps, not
+    where it is built.  forward transports representatives left-to-right
+    in the parameter (rows: before-generators, cols: after-generators);
+    backward is the section going the other way.  For a slide both are inverse
     isomorphisms and homotopy is None; for a birth or death the homotopy
     certifies that backward-then-forward is homotopic to the identity on
     the larger side.
@@ -110,10 +120,24 @@ class ChainMapBundle:
 
 @dataclass(frozen=True)
 class EventStep:
+    """One event of a log: the counters on either side, and its maps.
+
+    build_maps is the event update's recipe for the comparison maps.  It
+    runs the first time maps is read, and verify_maps checks its bundle
+    there; every later read returns that same bundle.
+    """
+
     record: EventRecord
     before: FlowCounter          # left approximation at the event parameter
     after: FlowCounter           # right approximation
-    maps: ChainMapBundle         # comparison maps, verified by evolve
+    build_maps: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def maps(self):
+        """The verified ChainMapBundle of the event."""
+        maps = self.build_maps()
+        verify_maps(maps, self.before.gamma, self.after.gamma)
+        return maps
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,8 @@ class EvolutionLog:
 
 
 # ---------------------------------------------------------------------------
-# single-event updates: each returns (new matrix, verified ChainMapBundle)
+# single-event updates: each returns (new matrix, recipe), where the recipe
+# builds the event's ChainMapBundle when called; EventStep.maps verifies it
 
 def verify_maps(maps, before, after):
     """Raise VerificationFailed unless maps relate the two complexes.
@@ -197,8 +222,9 @@ def apply_handle_slide(gamma_minus, ev, t=None):
 
     The closed form (I+D) G (I+D)^-1 is the unique solution of the
     implicit two-sided update.  Its maps are (I+D)^-1 forward and the
-    section I + D backward.  When the family t is supplied, each jump
-    entry is checked against the action order at the event parameter.
+    section I + D backward, both built for the update itself.  When the
+    family t is supplied, each jump entry is checked against the action
+    order at the event parameter.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
@@ -227,9 +253,7 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     section = SparseMatrix.identity(ring, ids).add(delta)
     transport = _unipotent_inverse(delta)
     gp = section.mul(gm).mul(transport)
-    maps = ChainMapBundle("slide", transport, section)
-    verify_maps(maps, gm, gp)
-    return gp, maps
+    return gp, lambda: ChainMapBundle("slide", transport, section)
 
 
 def _gt_just_after(f, g, r):
@@ -333,10 +357,7 @@ def apply_birth(gamma_minus, ev, t):
     gp = SparseMatrix(ring, ids, ids, entries)
     if not gp.mul(gp).is_zero():
         raise EvolutionError("birth update broke the square-zero identity")
-    incl, proj, homot = _pair_maps(gm, gp, plus, minus)
-    maps = ChainMapBundle("birth", incl, proj, homot)
-    verify_maps(maps, gm, gp)
-    return gp, maps
+    return gp, lambda: ChainMapBundle("birth", *_pair_maps(gm, gp, plus, minus))
 
 
 def apply_death(gamma_minus, ev, t):
@@ -378,10 +399,11 @@ def apply_death(gamma_minus, ev, t):
                             key=str))
     if not gp.mul(gp).is_zero():
         raise EvolutionError("death update broke the square-zero identity")
-    incl, proj, homot = _pair_maps(gp, gm, plus, minus)
-    maps = ChainMapBundle("death", proj, incl, homot)
-    verify_maps(maps, gm, gp)
-    return gp, maps
+
+    def build():
+        incl, proj, homot = _pair_maps(gp, gm, plus, minus)
+        return ChainMapBundle("death", proj, incl, homot)
+    return gp, build
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +454,8 @@ def evolve(gamma0, events, t, enforce_axioms=True):
     family must be matched by exactly one birth or death record; event
     parameters must be pairwise distinct and interior to (0, 1).  With
     enforce_axioms, each interval is checked before the event closing it
-    is applied, so comparison maps are only built between complexes.
+    is applied, so the maps a step builds when read relate two complexes
+    and pass verify_maps.
     """
     evs = sorted(events, key=lambda e: e.r)
     params = [e.r for e in evs]
@@ -478,13 +501,13 @@ def evolve(gamma0, events, t, enforce_axioms=True):
         if enforce_axioms:
             _check_interval(current, t)
         if isinstance(ev.payload, HandleSlide):
-            gp, maps = apply_handle_slide(current, ev, t)
+            gp, build = apply_handle_slide(current, ev, t)
         elif isinstance(ev.payload, Birth):
-            gp, maps = apply_birth(current, ev, t)
+            gp, build = apply_birth(current, ev, t)
         else:
-            gp, maps = apply_death(current, ev, t)
+            gp, build = apply_death(current, ev, t)
         nxt = FlowCounter(k + 1, ev.r, boundaries[k + 2], gp)
-        steps.append(EventStep(ev, current, nxt, maps))
+        steps.append(EventStep(ev, current, nxt, build))
         intervals.append(nxt)
         current = nxt
     alive = _alive_ids(t, current.midpoint())
@@ -521,9 +544,6 @@ _ERROR_AXIOM = {
     CycleConditionViolated: "gamma4",
     NonUnitPivot: "gamma4",
     ConstraintViolated: "gamma5",
-    # an event's comparison maps fail only next to a matrix that does not
-    # square to zero
-    VerificationFailed: "gamma2",
 }
 
 
@@ -533,8 +553,12 @@ def validate_axioms(gamma0, events, t):
     Total: engine exceptions become findings.  The events' own identities
     (gamma3 to gamma5) are checked once, by the event updates inside
     evolve; what remains here is the per-interval action order and
-    square-zero.  Checking downstream of a failed event is impossible
-    (there is no matrix to check), which the report states explicitly.
+    square-zero.  No comparison map is built: an event's maps fail only
+    next to a matrix that does not square to zero, which the square-zero
+    finding of that interval reports, so a report without errors means
+    every step's maps pass verify_maps when read.  Checking downstream of
+    a failed event is impossible (there is no matrix to check), which the
+    report states explicitly.
     """
     out = []
     err = lambda code, msg: out.append(Finding(code, "error", msg))

@@ -147,12 +147,11 @@ class CerfTuple:
         return [a for a in self.arcs if a.alive_at(r)]
 
     def f3_range(self):
-        lo = hi = None
-        for a in self.arcs:
-            alo, ahi = a.f3.extremes()
-            lo = alo if lo is None else min(lo, alo)
-            hi = ahi if hi is None else max(hi, ahi)
-        return lo, hi
+        """(least, greatest) action over every arc, (None, None) with no
+        arcs.  Linear pieces reach their extremes at their breakpoints,
+        so the point values decide."""
+        vals = [v for a in self.arcs for _, v in a.f3.points]
+        return (min(vals), max(vals)) if vals else (None, None)
 
     def vertex_params(self):
         return sorted(v.r for v in self.vertices)

@@ -101,6 +101,11 @@ class UnsupportedFamily(MorseflowError):
     """No closed-form antiderivative is registered for this growth bound."""
 
 
+class PrecisionExhausted(MorseflowError):
+    """Exact bounds on a transcendental number did not separate it from a
+    rational within the precision cap set by the input's size."""
+
+
 class InvalidParameters(MorseflowError):
     """Growth bound or cascade parameters out of their legal range."""
 

@@ -21,7 +21,7 @@ from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
                    Finding)
 from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
-                     UnsupportedFamily, check_literal)
+                     PrecisionExhausted, UnsupportedFamily, check_literal)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
@@ -365,12 +365,78 @@ class EscapeBudget:
             self.total, len(self.step_costs), self.verdict)
 
 
+def _exp_bounds(c, bits):
+    """Integers (lo, hi) with lo < e^c * 2^bits < hi, for rational c > 0.
+
+    e^c = (e^x)^(2^m) with x = c / 2^m <= 1/2.  The Taylor terms of e^x
+    are carried in fixed point with `bits` fractional bits, rounded down
+    for lo and up for hi; the sum stops at the first upper term of at
+    most 1 (2^-bits), whose tail is at most twice that term because
+    x <= 1/2.  Each of the m squarings rounds outward again.
+    """
+    m = (c.numerator // c.denominator).bit_length() + 1
+    one = 1 << bits
+    x_lo = (c.numerator << bits) // (c.denominator << m)
+    x_hi = -((-c.numerator << bits) // (c.denominator << m))
+    lo = hi = t_lo = t_hi = one
+    k = 1
+    while True:
+        t_lo = t_lo * x_lo // (k << bits)
+        t_hi = -((-t_hi * x_hi) // (k << bits))
+        if t_hi <= 1:
+            hi += 2 * t_hi
+            break
+        lo += t_lo
+        hi += t_hi
+        k += 1
+    for _ in range(m):
+        lo = lo * lo >> bits
+        hi = -((-hi * hi) >> bits)
+    return lo, hi
+
+
+# precision cap of _exceeds_exp: 64 bits plus this many per bit of input
+CAP_BITS_PER_INPUT_BIT = 8
+
+
+def _exceeds_exp(q, c):
+    """Whether the rational q exceeds e^c, for rational c > 0, exactly.
+
+    e^c is irrational (Lindemann), so the two never tie: bounds on e^c
+    are refined, doubling their precision, until q falls outside them.
+    Past a cap of 64 bits plus CAP_BITS_PER_INPUT_BIT per bit of q's and
+    c's numerators and denominators, PrecisionExhausted is raised rather
+    than a guess.  q <= 1 < e^c, and ln 2 < 7/10 settles every c too
+    large for q, at once.
+    """
+    a, b = q.numerator, q.denominator
+    span = a.bit_length() - b.bit_length() + 1      # q < 2^span
+    if a <= b or 10 * c >= 7 * span:                # q <= 1, or q < 2^span <= e^c
+        return False
+    cap = 64 + CAP_BITS_PER_INPUT_BIT * sum(
+        n.bit_length() for n in (a, b, c.numerator, c.denominator))
+    bits = 64
+    while bits <= cap:
+        lo, hi = _exp_bounds(c, bits)
+        if a << bits < lo * b:
+            return False
+        if a << bits > hi * b:
+            return True
+        bits *= 2
+    raise PrecisionExhausted(
+        "cannot decide whether %s exceeds e^%s within %d bits"
+        % (q, c, cap))
+
+
 def budget_for_heights(heights, phi):
     """Cumulative cost of a monotone height climb, clipped below at b.
 
     Telescoping makes the total exactly the single integral from the
     first clipped height to the last, so the result is invariant under
-    refinement of the partition.
+    refinement of the partition.  Under Phi = c|s| that integral is
+    ln(last / first) / c, so the verdict is the exact comparison of
+    last / first with e^c (_exceeds_exp); the printed total and step
+    costs stay floats.
     """
     b = phi.gap[1]
     clipped = []
@@ -388,7 +454,12 @@ def budget_for_heights(heights, phi):
     total = Fraction(0)
     for c in costs:
         total = total + c
-    verdict = "InfeasibleWithinUnitTime" if total > 1 else "WithinBudget"
+    if (phi.power == 1 and not phi.log_powers and clipped
+            and clipped[0] > 0):
+        over = _exceeds_exp(clipped[-1] / clipped[0], phi.coefficient)
+    else:
+        over = total > 1
+    verdict = "InfeasibleWithinUnitTime" if over else "WithinBudget"
     return EscapeBudget(tuple(clipped), costs, total, verdict,
                         phi.diverges_at_infinity())
 

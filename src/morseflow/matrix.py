@@ -6,7 +6,15 @@ g(c1, c2) sends the generator c1 to sum_{c2} g(c1, c2) * c2.  Applying an
 operator is therefore right multiplication, x -> x . M, and the matrix of a
 composition "first F then G" is Mat(F) . Mat(G).
 
-Matrices are immutable values; every operation returns a fresh one.
+Matrices are immutable values; every operation returns a fresh one.  The
+public constructor validates what it is given: index sets without
+duplicates, entries inside them, each value coerced into the ring and
+zeros dropped.  The results of the operations (products, sums,
+differences, scalings, transposes, restrictions, identities) are built
+by one private constructor without those checks: their entries are
+already nonzero ring elements inside index sets the operands fixed.
+Restriction and the identity still reject duplicate identifiers, and a
+sum or difference drops the entries that cancel.
 """
 
 from typing import Dict, Iterable
@@ -35,12 +43,32 @@ class SparseMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
+    @classmethod
+    def _result(cls, ring, rows, cols, row_set, col_set, entries):
+        """A matrix built without checks, for results of the operations
+        below: rows and cols are tuples with the frozensets row_set and
+        col_set, and entries holds nonzero elements of ring inside them."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols = ring, rows, cols
+        m._row_set, m._col_set, m.entries = row_set, col_set, entries
+        return m
+
+    @staticmethod
+    def _index(ids):
+        ids = tuple(ids)
+        ids_set = frozenset(ids)
+        if len(ids_set) != len(ids):
+            raise DimensionMismatch("duplicate generator identifiers in index set")
+        return ids, ids_set
+
     # construction helpers
 
     @staticmethod
     def identity(ring, ids):
-        ids = tuple(ids)
-        return SparseMatrix(ring, ids, ids, {(i, i): ring.one for i in ids})
+        ids, ids_set = SparseMatrix._index(ids)
+        one = ring.one
+        return SparseMatrix._result(ring, ids, ids, ids_set, ids_set,
+                                    {(i, i): one for i in ids})
 
     @staticmethod
     def from_rows(ring, row_ids, col_ids, dense):
@@ -82,22 +110,40 @@ class SparseMatrix:
         if self._row_set != other._row_set or self._col_set != other._col_set:
             raise DimensionMismatch("matrices indexed by different generator sets")
 
-    def add(self, other):
+    def _like(self, entries):
+        return SparseMatrix._result(self.ring, self.rows, self.cols,
+                                    self._row_set, self._col_set, entries)
+
+    def _combine(self, other, op):
+        """Entrywise op of two matrices of one shape, cancelled entries dropped."""
         self._check_same_shape(other)
         ent = dict(self.entries)
         rg = self.ring
+        zero = rg.zero
         for k, v in other.entries.items():
-            ent[k] = rg.add(ent.get(k, rg.zero), v)
-        return SparseMatrix(rg, self.rows, self.cols, ent)
+            x = op(ent.get(k, zero), v)
+            if x != zero:
+                ent[k] = x
+            else:
+                ent.pop(k, None)
+        return self._like(ent)
+
+    def add(self, other):
+        return self._combine(other, self.ring.add)
 
     def sub(self, other):
-        return self.add(other.scale(self.ring.coerce(-1)))
+        return self._combine(other, self.ring.sub)
 
     def scale(self, k):
         rg = self.ring
         k = rg.coerce(k)
-        return SparseMatrix(rg, self.rows, self.cols,
-                            {key: rg.mul(k, v) for key, v in self.entries.items()})
+        zero = rg.zero
+        ent = {}
+        for key, v in self.entries.items():
+            x = rg.mul(k, v)
+            if x != zero:
+                ent[key] = x
+        return self._like(ent)
 
     def neg(self):
         return self.scale(-1)
@@ -115,29 +161,31 @@ class SparseMatrix:
         other_rows = {}
         for (r, c), v in other.entries.items():
             other_rows.setdefault(r, []).append((c, v))
+        zero, add, times = rg.zero, rg.add, rg.mul
         ent = {}
         for r, terms in by_row.items():
             acc = {}
             for mid, v in terms:
                 for c, w in other_rows.get(mid, ()):
-                    acc[c] = rg.add(acc.get(c, rg.zero), rg.mul(v, w))
+                    acc[c] = add(acc.get(c, zero), times(v, w))
             for c, total in acc.items():
-                if total != rg.zero:
+                if total != zero:
                     ent[(r, c)] = total
-        return SparseMatrix(rg, self.rows, other.cols, ent)
+        return SparseMatrix._result(rg, self.rows, other.cols,
+                                    self._row_set, other._col_set, ent)
 
     def transpose(self):
-        return SparseMatrix(self.ring, self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseMatrix._result(
+            self.ring, self.cols, self.rows, self._col_set, self._row_set,
+            {(c, r): v for (r, c), v in self.entries.items()})
 
     def restrict(self, rows, cols=None):
-        rows = tuple(rows)
-        cols = rows if cols is None else tuple(cols)
-        rs, cs = set(rows), set(cols)
+        rows, rs = self._index(rows)
+        cols, cs = (rows, rs) if cols is None else self._index(cols)
         if not rs <= self._row_set or not cs <= self._col_set:
             raise DimensionMismatch("restriction outside the index sets")
         ent = {k: v for k, v in self.entries.items() if k[0] in rs and k[1] in cs}
-        return SparseMatrix(self.ring, rows, cols, ent)
+        return SparseMatrix._result(self.ring, rows, cols, rs, cs, ent)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -10,8 +10,8 @@ integer pairs.  Nothing integer is stored on a Piecewise; each call
 converts what it reads, and a caller that reads one profile many times
 converts it once (_ints) and evaluates the integer points (_ratio_at).
 A Fraction is built only where a value leaves the kernel: a crossing
-parameter, a value of differences, and Piecewise.value.  knots, extremes
-and common_knots stay in Fraction arithmetic; common_knots is the tests'
+parameter, a value of differences, and Piecewise.value.  knots and
+common_knots stay in Fraction arithmetic; common_knots is the tests'
 reference for the kernel's knots.
 """
 
@@ -80,11 +80,6 @@ class Piecewise:
         if hi > lo:
             ks.append(hi)
         return ks
-
-    def extremes(self, lo=None, hi=None):
-        """(min, max) over [lo, hi]; linear pieces attain extremes at knots."""
-        vals = [self.value(r) for r in self.knots(lo, hi)]
-        return min(vals), max(vals)
 
 
 def common_knots(f, g, lo, hi):

@@ -10,7 +10,11 @@ action, so nothing leaks back in across the floor).
 Class tracking pushes a representative through the comparison maps of
 the event log and recomputes its spectral value on every slab between
 action crossings; the spectral value of a class is the smallest top
-action over all representatives in its coset.
+action over all representatives in its coset.  Tracking is the one
+reader of those maps: a step builds and verifies them on the first
+read.  The greedy coset reduction that finds the smallest top action
+is proven tight over every coefficient ring (_coset_minimize), so every
+spectral value and slab is certified.
 
 The geometry those calls read is prepared once per family, in one
 arrangement: each arc's profile as integer points, each pair's
@@ -22,7 +26,9 @@ arrangement of the last family read, keyed by its identity.  A trace
 walks the window's sorted crossings with one pointer across the
 intervals, so each interval reads only the crossings inside it; the
 action order is sorted on an interval's first slab and then carried
-across each cut, re-sorting only the arcs that meet there.
+across each cut, re-sorting only the arcs that meet there.  An
+interval's in-window generators are read off its count matrix, whose
+rows are the arcs alive there, so a trace never scans the family.
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
@@ -200,6 +206,18 @@ def _inside_at(t, sides, r):
     return [a.id for a in t.arcs_alive(r) if sides[a.id] == INSIDE]
 
 
+def _interval_gens(inside, fc):
+    """The in-window generators of the interval of fc, read off its matrix.
+
+    inside lists the ids of the in-window arcs in declaration order.  The
+    matrix's rows are exactly the arcs alive at the interval's midpoint
+    (evolve checks it), so this is _inside_at at the midpoint, without
+    scanning the family.
+    """
+    rows = set(fc.gamma.rows)
+    return [g for g in inside if g in rows]
+
+
 def _check_parameter(t, r, forbidden=()):
     r = frac(r)
     if r in set(t.vertex_params()) | {frac(x) for x in forbidden}:
@@ -232,7 +250,8 @@ def filtered_homology(t, fc, r, w):
 # comparison maps across events
 
 def continuation_map(ev, log):
-    """The comparison maps of one event of the log, verified by evolve."""
+    """The comparison maps of one event of the log, verified when the
+    step's maps are first read."""
     return log.step_at(ev.r).maps
 
 
@@ -242,7 +261,7 @@ def continuation_map(ev, log):
 @dataclass(frozen=True)
 class SpectralValue:
     value: object            # Fraction, or -inf for the zero class
-    certified: bool          # proven minimal: coefficients in a field
+    certified: bool          # proven minimal (see _coset_minimize): always True
     support: tuple = ()
     top: object = None
 
@@ -277,12 +296,18 @@ def _coset_minimize(ring, d, rep, order):
     order lists the generators from highest action down; minimizing the
     top action means pushing the first nonzero coordinate as far down
     the list as possible.  Greedy reduction against an echelon basis of
-    the image does it.  Over a field it is proven tight, so the result is
-    certified: the pivots sit in distinct positions, the reduced vector
-    leads at a non-pivot position l, and adding any nonzero element of
-    the span, which leads at some pivot p, gives a vector leading at
-    min(p, l) <= l.  Over the integers a pivot may fail to divide, and
-    the result stays uncertified.
+    the image does it, and the result is certified on every ring.
+
+    ordered_echelon returns a basis {b_p} of the image (over the
+    integers, of the image lattice: its gcd steps are unimodular) with
+    one vector leading at each pivot position p.  A nonzero element
+    u = sum c_p b_p of the span leads at p0, the least p with c_p != 0,
+    where it reads c_p0 b_p0[p0] != 0.  reduce_against stops with the
+    vector v leading at a position l that either has no pivot or is
+    blocked: its pivot's entry does not divide v[l].  Then v + u leads
+    at p0 if p0 < l, at l if p0 > l, and also at l if p0 = l, since
+    v[l] + c_l b_l[l] != 0 when b_l[l] does not divide v[l].  So no
+    element of the coset leads below l, and greedy is tight.
     """
     pos = {g: i for i, g in enumerate(order)}
     n = len(order)
@@ -294,7 +319,7 @@ def _coset_minimize(ring, d, rep, order):
         rows.setdefault(g, [ring.zero] * n)[pos[c]] = x
     img = [rows[g] for g in order if g in rows]
     reduced, _ = reduce_against(ring, vec, ordered_echelon(ring, img))
-    return reduced, order, ring.is_field()
+    return reduced, order, True
 
 
 def _window_rep(h, gamma, sides, gens, where):
@@ -551,22 +576,27 @@ def track_class(h0, log, w, label="h"):
     Each interval is swept once.  The window's sides, the crossings of
     its in-window pairs sorted by parameter and the arcs' integer points
     come from the family's arrangement, prepared once per family and
-    window.  One pointer advances through the sorted crossings across the
-    intervals; the crossings strictly inside an interval, of two arcs
-    both alive there, cut it into slabs.  Only the first slab is sorted
-    by action: at each later cut the arcs meeting there form contiguous
-    runs of the previous order, and only those runs are re-sorted.
+    window; an interval's in-window generators are the in-window arcs
+    among its matrix's rows, in declaration order.  One pointer advances
+    through the sorted crossings across the intervals; the crossings
+    strictly inside an interval, of two arcs both alive there, cut it
+    into slabs.  Only the first slab is sorted by action: at each later
+    cut the arcs meeting there form contiguous runs of the previous
+    order, and only those runs are re-sorted.  The first read of a
+    step's maps builds and verifies them.
     """
     t = log.family
     sides = validate_window(w, t)
     arr = _arrangement(t)
     pts = arr.points
     cuts = _window_cuts(arr, w, sides)
+    inside = [g for g in dict.fromkeys(a.id for a in t.arcs)
+              if sides[g] == INSIDE]
     ring = log.ring
     zero = ring.zero
     first = log.intervals[0]
     rep, _ = _window_rep(h0, first.gamma, sides,
-                         _inside_at(t, sides, first.midpoint()), "at the start")
+                         _interval_gens(inside, first), "at the start")
 
     segments = []
     transfers = []
@@ -576,7 +606,7 @@ def track_class(h0, log, w, label="h"):
     p = 0                    # the first crossing not yet passed
 
     for fc in log.intervals:
-        gens = _inside_at(t, sides, fc.midpoint())
+        gens = _interval_gens(inside, fc)
         d = fc.gamma.restrict(gens)
         rep_record = tuple(sorted(rep.items(), key=lambda kv: str(kv[0])))
         if not rep:
@@ -636,7 +666,7 @@ def track_class(h0, log, w, label="h"):
             continue
         rep = vec_apply(ring, rep, log.steps[fc.interval_index].maps.forward)
         nxt = log.intervals[fc.interval_index + 1]
-        gens_next = set(_inside_at(t, sides, nxt.midpoint()))
+        gens_next = set(_interval_gens(inside, nxt))
         clipped = {}
         for g, v in rep.items():
             if g in gens_next:

@@ -248,3 +248,106 @@ def rk4_exponential(rate, y0, r, steps=512):
         k4 = rate * (y + h * k3)
         y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def smith_column_transform(a):
+    """(diagonal, V) for an integer matrix a given as a list of rows.
+
+    U a V = D for some unimodular U (not kept) and the unimodular V
+    returned; diagonal lists D's nonzero diagonal entries in order.  A
+    plain Smith elimination: smallest pivot, row and column steps, a row
+    folded in while the pivot fails to divide the rest.
+    """
+    a = [list(map(int, row)) for row in a]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_op(j, t, q):             # column j += q * column t
+        for row in a + v:
+            row[j] += q * row[t]
+
+    def col_swap(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if a[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        a[t], a[i] = a[i], a[t]
+        col_swap(t, j)
+        done = False
+        while not done:
+            done = True
+            for i in range(t + 1, m):
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t]:
+                    a[i], a[t] = a[t], a[i]
+                    done = False
+            for j in range(t + 1, n):
+                col_op(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    col_swap(j, t)
+                    done = False
+            if done:
+                bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                            if a[i][j] % a[t][t]), None)
+                if bad is not None:
+                    a[t] = [x + y for x, y in zip(a[t], a[bad])]
+                    done = False
+        t += 1
+    return [a[k][k] for k in range(t)], v
+
+
+def in_integer_row_lattice(w, rows):
+    """Whether the integer vector w is an integer combination of rows.
+
+    With U B V = D, the lattice of B is that of D V^-1, so w lies in it
+    iff w V has entries divisible by D's diagonal and zeros past it.
+    """
+    if not rows:
+        return not any(w)
+    diag, v = smith_column_transform(rows)
+    wv = [sum(x * v[i][j] for i, x in enumerate(w)) for j in range(len(w))]
+    return (all(wv[k] % d == 0 for k, d in enumerate(diag))
+            and not any(wv[len(diag):]))
+
+
+def z_least_lead(vec, rows):
+    """The lowest lead of vec + (an integer combination of rows): the
+    largest j such that some lattice element clears positions 0..j-1 of
+    vec, decided by integer solvability; len(vec) means vec is in the
+    lattice."""
+    j = 0
+    while j < len(vec) and in_integer_row_lattice(
+            [-x for x in vec[:j + 1]], [r[:j + 1] for r in rows]):
+        j += 1
+    return j
+
+
+def exp_exceeds(q, c, start_terms=8):
+    """Whether the rational q exceeds e^c for rational c > 0.
+
+    Plain Taylor partial sums of e^c as Fractions, S_N <= e^c <= S_N +
+    R_N with the remainder bounded by the next term over 1 - c / (N + 2),
+    with N doubled until q falls outside; e^c is irrational, so they
+    separate.
+    """
+    q, c = Fraction(q), Fraction(c)
+    n = max(start_terms, 2 * int(c) + 2)
+    while True:
+        term, total = Fraction(1), Fraction(1)
+        for k in range(1, n + 1):
+            term = term * c / k
+            total += term
+        rest = term * c / (n + 1) / (1 - c / (n + 2))
+        if q < total:
+            return False
+        if q > total + rest:
+            return True
+        n *= 2

@@ -82,6 +82,77 @@ class TestSparseMatrix:
         m = mat(Z, ["c1", "c2", "c3"], {("c1", "c3"): 1, ("c2", "c3"): 1})
         assert vec_apply(Z, {"c1": 1, "c2": 1}, m) == {"c3": 2}
 
+    def test_duplicate_ids_rejected_by_restrict_and_identity(self):
+        m = mat(Z, ["a", "b"], {("a", "b"): 1})
+        with pytest.raises(DimensionMismatch):
+            m.restrict(["a", "a"])
+        with pytest.raises(DimensionMismatch):
+            m.restrict(["a"], ["b", "b"])
+        with pytest.raises(DimensionMismatch):
+            SparseMatrix.identity(Z, ["a", "b", "a"])
+
+    def test_cancelling_sum_stores_no_zero(self):
+        m = mat(Z, ["a", "b"], {("a", "b"): 3, ("b", "a"): 1})
+        assert m.add(m.neg()).entries == {}
+        assert m.sub(m).entries == {}
+        assert mat(Z2, ["a", "b"], {("a", "b"): 1}).scale(2).entries == {}
+
+
+def _revalidated(m):
+    """m rebuilt through the validating constructor."""
+    return SparseMatrix(m.ring, m.rows, m.cols, m.entries)
+
+
+def _same_as_revalidated(m):
+    """m equals its rebuild entry by entry, in value and in type, indexes
+    the same tuples and sets, and stores no zero."""
+    v = _revalidated(m)
+    assert m == v and m.rows == v.rows and m.cols == v.cols
+    assert m._row_set == frozenset(m.rows) and m._col_set == frozenset(m.cols)
+    assert {k: type(x) for k, x in m.entries.items()} == \
+        {k: type(x) for k, x in v.entries.items()}
+    assert all(x != m.ring.zero for x in m.entries.values())
+
+
+_RING_VALUES = {
+    "Z2": st.integers(0, 3),
+    "Z": st.integers(-3, 3),
+    "Q": st.fractions(min_value=-2, max_value=2, max_denominator=4),
+}
+
+
+@st.composite
+def _matrix(draw, ring, rows, cols):
+    cells = [(r, c) for r in rows for c in cols]
+    picked = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return SparseMatrix(ring, rows, cols,
+                        {k: draw(_RING_VALUES[ring.name]) for k in picked})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([Z2, Z, Q]),
+       n=st.integers(0, 4), k=st.integers(0, 4))
+def test_operation_results_equal_their_validated_rebuild(data, ring, n, k):
+    """Results built without re-checking hold what the validating
+    constructor would: every entry a nonzero ring element inside the
+    index sets, cancellations included (a is drawn against a - b and
+    a + (-a) so sums cancel often)."""
+    rows = ["r%d" % i for i in range(n)]
+    cols = ["c%d" % j for j in range(k)]
+    a = data.draw(_matrix(ring, rows, cols), label="a")
+    b = data.draw(_matrix(ring, rows, cols), label="b")
+    c = data.draw(_matrix(ring, cols, rows), label="c")
+    scalar = data.draw(_RING_VALUES[ring.name], label="scalar")
+    keep = data.draw(st.lists(st.sampled_from(rows), unique=True)) if rows else []
+    results = [a.add(b), a.sub(b), a.add(a.neg()), a.sub(a), a.add(b).sub(b),
+               a.scale(scalar), a.neg(), a.transpose(), a.mul(c), c.mul(a),
+               a.mul(c).mul(a), a.restrict(keep, cols), c.restrict(cols, keep),
+               SparseMatrix.identity(ring, rows)]
+    for m in results:
+        _same_as_revalidated(m)
+    assert a.add(b).sub(b) == a and a.sub(a).is_zero()
+    assert a.transpose().transpose() == a
+
 
 class TestSmithNormalForm:
     """invariant_factors: the nonzero diagonal of the Smith form."""

@@ -1,22 +1,28 @@
 """Event engine: slides, births, deaths, evolution, axiom reports."""
 
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
-                                   HandleSlide, apply_birth, apply_death,
-                                   apply_handle_slide, evolve, validate_axioms)
+import randgen
+from morseflow import bifurcation
+from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
+                                   FlowCounter, HandleSlide, apply_birth,
+                                   apply_death, apply_handle_slide, evolve,
+                                   validate_axioms)
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, Component, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, EvolutionError,
-                              NonTriangularDelta, NonUnitPivot)
+                              NonTriangularDelta, NonUnitPivot,
+                              VerificationFailed)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
-from morseflow.rings import Z, Z2
+from morseflow.rings import Q, Z, Z2
 
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
                       three_lane_tuple)
@@ -33,7 +39,8 @@ def slide(r, *delta):
 class TestHandleSlide:
     def test_zero_delta_is_identity(self):
         fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1})
-        out, maps = apply_handle_slide(fc, slide(F(1, 2)))
+        out, build = apply_handle_slide(fc, slide(F(1, 2)))
+        maps = build()
         assert out == fc.gamma
         ident = SparseMatrix.identity(Z2, fc.gamma.rows)
         assert maps.kind == "slide" and maps.homotopy is None
@@ -272,9 +279,40 @@ def unsquared_before_death():
 
 class TestValidateAxioms:
     def test_unsquared_matrix_before_a_death_reported(self):
+        # no map is built: the interval's own square-zero check reports
+        # it, and checking goes on past the death
         t, fc, events = unsquared_before_death()
         report = validate_axioms(fc, events, t)
         assert [f.code for f in report.errors()] == ["gamma2"]
+        assert [str(f) for f in report.findings] == [
+            "[error] gamma2: square-zero fails on (0, 3/4)"]
+        log = evolve(fc, events, t, enforce_axioms=False)
+        with pytest.raises(VerificationFailed, match="not a chain map"):
+            log.steps[0].maps
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
+           flips=st.integers(0, 2))
+    def test_passing_report_means_every_step_maps_verify(self, seed, ring,
+                                                         flips):
+        """Whenever the report is ok, reading each step's maps raises
+        nothing; the initial matrix gets up to two random extra entries,
+        so some reports fail."""
+        rng = random.Random(seed)
+        sc = randgen.random_scenario(rng, ring)
+        gamma = sc.gamma0.gamma
+        entries = dict(gamma.entries)
+        for _ in range(flips):
+            entries[(rng.choice(gamma.rows), rng.choice(gamma.rows))] = 1
+        fc = FlowCounter(0, sc.gamma0.r_lo, sc.gamma0.r_hi,
+                         SparseMatrix(ring, gamma.rows, gamma.cols, entries))
+        if not validate_axioms(fc, sc.events, sc.family).ok:
+            return
+        log = evolve(fc, sc.events, sc.family, enforce_axioms=False)
+        for step in log.steps:
+            assert step.maps.kind == step.record.kind.replace("handleslide",
+                                                              "slide")
+
 
     def test_trivial_passes(self):
         t = three_lane_tuple()
@@ -309,6 +347,39 @@ class TestValidateAxioms:
         # whose birth pivot exists but whose death pivot was zeroed
         report = validate_axioms(fc, events, t)
         assert report.ok   # the honest data passes
+
+
+class TestLazyMaps:
+    def test_built_and_verified_once_on_first_read(self, monkeypatch):
+        t = eyeball_with_bystander()
+        fc = counter(Z2, ("c1",), {})
+        events = [EventRecord(F(1, 4), Birth("vb", 1, (("c1", 1),))),
+                  EventRecord(F(3, 4), Death("vd"))]
+        calls = []
+        real = bifurcation.verify_maps
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(bifurcation, "verify_maps", counted)
+        log = evolve(fc, events, t)
+        assert calls == []
+        first = [step.maps for step in log.steps]
+        assert len(calls) == 2
+        assert [step.maps for step in log.steps] == first
+        assert all(a is step.maps for a, step in zip(first, log.steps))
+        assert len(calls) == 2
+        assert [m.kind for m in first] == ["birth", "death"]
+
+    def test_tampered_recipe_fails_on_read(self):
+        t = three_lane_tuple()
+        fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1}, 0, F(3, 8))
+        log = evolve(fc, [slide(F(3, 8), ("c1", "c2", 1))], t)
+        ident = SparseMatrix.identity(Z2, fc.gamma.rows)
+        bad = dataclasses.replace(
+            log.steps[0], build_maps=lambda: ChainMapBundle("slide", ident, ident))
+        with pytest.raises(VerificationFailed):
+            bad.maps
 
 
 @settings(max_examples=60, deadline=None)

@@ -220,6 +220,38 @@ class TestArtifacts:
         assert "verdict: InfeasibleWithinUnitTime" in text
         assert "escape to infinity costs +inf: True" in text
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_only_tracking_builds_event_maps(self, n, tmp_path, capsys,
+                                             monkeypatch):
+        from morseflow import bifurcation
+        main(["cascade", "--n", str(n), "--out", str(tmp_path)])
+        path = capsys.readouterr().out.strip()
+        calls = []
+        real = bifurcation.verify_maps
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(bifurcation, "verify_maps", counted)
+        for cmd in ("validate", "evolve", "homology"):
+            assert main([cmd, path]) == 0
+        assert calls == []
+        assert main(["track", path]) == 0
+        # a cascade of n stages has n slides
+        assert 0 < len(calls) <= n
+        capsys.readouterr()
+
+    def test_escape_verdict_at_a_convergent_of_e(self, tmp_path, capsys):
+        # one doubling-style stage of ratio just above e: the float total
+        # prints 1.0, the exact verdict is infeasible
+        main(["cascade", "--n", "2", "--ratio", "438351041/161260336",
+              "--out", str(tmp_path)])
+        path = capsys.readouterr().out.strip()
+        main(["escape", path])
+        text = capsys.readouterr().out
+        assert "total: 1.0\n" in text
+        assert "verdict: InfeasibleWithinUnitTime" in text
+
     def test_cascade_thirty_passes_its_own_window_check(self, tmp_path, capsys):
         main(["cascade", "--n", "30", "--out", str(tmp_path)])
         path = capsys.readouterr().out.strip()

@@ -10,9 +10,11 @@ from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
 from morseflow.cerf import CerfTuple, Component, validate_cerf
+from morseflow import escape
 from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
                               InvalidParameters, NonMonotoneTail,
-                              ScenarioError, UnsupportedFamily)
+                              PrecisionExhausted, ScenarioError,
+                              UnsupportedFamily)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
@@ -348,6 +350,64 @@ class TestBudget:
         down = escape_budget(trace, square(1), direction=-1)
         assert down.total == F(1, 2) - F(1, 10)
         assert down.verdict == "WithinBudget"
+
+    # continued-fraction convergents of e just above it: the float total
+    # rounds to 1.0, the exact cost ln(h) exceeds 1
+    @pytest.mark.parametrize("height", [F(438351041, 161260336),
+                                        F(22526049624551, 8286870547680)])
+    def test_linear_verdict_just_above_e_is_exact(self, height):
+        assert oracles.exp_exceeds(height, 1)
+        b = budget_for_heights([1, height], linear(1))
+        assert b.total == 1.0 and str(b.total) == "1.0"
+        assert b.verdict == "InfeasibleWithinUnitTime"
+        # the same climb from a higher start, and split into two steps
+        b = budget_for_heights([3, 3 * height / 2, 3 * height], linear(1))
+        assert b.verdict == "InfeasibleWithinUnitTime"
+
+    @pytest.mark.parametrize("height", [F(410105312, 150869313),
+                                        F(848456353, 312129649)])
+    def test_linear_verdict_just_below_e_is_exact(self, height):
+        assert not oracles.exp_exceeds(height, 1)
+        assert budget_for_heights([1, height], linear(1)).verdict == "WithinBudget"
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(1, 40), den=st.integers(1, 12),
+           offset=st.integers(-9, 9), start=st.integers(1, 50))
+    def test_linear_verdict_matches_oracle_near_the_boundary(self, num, den,
+                                                             offset, start):
+        """Heights placed within 10^-30 (relative) of the boundary
+        last / first = e^c, against plain Taylor sums in oracles."""
+        c = F(num, den)
+        near = F(1)
+        term = F(1)
+        for k in range(1, 200):
+            term = term * c / k
+            near += term
+        q = F(round(near * 10 ** 40) + offset * 10 ** 10, 10 ** 40)
+        want = oracles.exp_exceeds(q, c)
+        b = budget_for_heights([start, start * q], linear(c))
+        assert b.verdict == ("InfeasibleWithinUnitTime" if want
+                             else "WithinBudget")
+
+    @settings(max_examples=100, deadline=None)
+    @given(num=st.integers(1, 60), den=st.integers(1, 9),
+           bits=st.integers(2, 80))
+    def test_exp_bounds_bracket_e_to_the_c(self, num, den, bits):
+        c = F(num, den)
+        lo, hi = escape._exp_bounds(c, bits)
+        assert not oracles.exp_exceeds(F(lo, 2 ** bits), c)
+        assert oracles.exp_exceeds(F(hi, 2 ** bits), c)
+
+    def test_linear_verdict_past_the_precision_cap_raises(self, monkeypatch):
+        near = sum(F(1, math.factorial(k)) for k in range(60))
+        q = F(round(near * 2 ** 120), 2 ** 120)         # within 2^-119 of e
+        monkeypatch.setattr(escape, "CAP_BITS_PER_INPUT_BIT", 0)
+        with pytest.raises(PrecisionExhausted):
+            budget_for_heights([1, q], linear(1))
+        monkeypatch.undo()
+        assert (budget_for_heights([1, q], linear(1)).verdict
+                == ("InfeasibleWithinUnitTime" if oracles.exp_exceeds(q, 1)
+                    else "WithinBudget"))
 
     def test_str_summary(self):
         b = budget_for_heights([2, 4], square(1))

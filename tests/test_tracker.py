@@ -34,6 +34,7 @@ from morseflow.tracker import (NEG_INF, Window, chain_group, continuation_map,
                                wide_window, window_violation)
 
 WIDE = Window.constant(0, 10)
+WIDE_Z = Window.constant(-100, 200)     # clears every randgen family
 
 
 def counter(ring, ids, entries):
@@ -543,7 +544,8 @@ class TestContinuationMap:
         ids = ("c1", "c2", "c3")
         fc0 = FlowCounter(0, F(0), F(1, 2), SparseMatrix(Z2, ids, ids, {}))
         ev = EventRecord(F(1, 2), HandleSlide((("c1", "c2", 1),)))
-        _, maps = apply_handle_slide(fc0, ev)
+        _, build = apply_handle_slide(fc0, ev)
+        maps = build()
         bad = SparseMatrix(Z2, ids, ids, {("c2", "c3"): 1})
         with pytest.raises(VerificationFailed):
             verify_maps(maps, fc0.gamma, bad)
@@ -630,10 +632,49 @@ class TestSpectralValue:
             rep_bits, oracles.z2_matrix_to_rowmasks(dense), heights)
         assert sv.value == want
 
-    def test_integer_coefficients_flagged_as_lower_bound(self):
+    def test_integer_coefficients_certified(self):
         t, log = three_lane_log(ring=Z)
         sv = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
-        assert sv.value == 4 and not sv.certified
+        assert sv.value == 4 and sv.certified
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_integer_greedy_agrees_with_solvability_oracle(self, data):
+        """Over Z, no element of rep + im(d) leads below the greedy lead,
+        decided by integer solvability (oracles.z_least_lead)."""
+        n = data.draw(st.integers(1, 6), label="generators")
+        order = ["g%d" % k for k in range(n)]
+        entries = {(g, c): data.draw(st.integers(-4, 4), label="d")
+                   for g in data.draw(st.lists(st.sampled_from(order),
+                                               unique=True, max_size=4))
+                   for c in order}
+        d = SparseMatrix(Z, order, order, entries)
+        rep = {g: data.draw(st.integers(-6, 6), label="rep") for g in order}
+        best, _, certified = tracker._coset_minimize(Z, d, rep, order)
+        lead = next((i for i, x in enumerate(best) if x), n)
+        rows = [[d.entry(g, c) for c in order] for g in order]
+        assert certified
+        assert lead == oracles.z_least_lead([rep[g] for g in order], rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_integer_families_certified_and_tight(self, seed):
+        sc = randgen.random_scenario(random.Random(seed), Z)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        t = sc.family
+        for fc in log.intervals:
+            r = fc.midpoint()
+            gens = tracker._inside_at(t, validate_window(WIDE_Z, t), r)
+            order = oracles.descending_order(t, gens, r)
+            d = fc.gamma.restrict(gens)
+            rows = [[d.entry(g, c) for c in order] for g in order]
+            for g in order:
+                if any(rows[order.index(g)]):
+                    continue             # not a cycle
+                sv = spectral_value({g: 1}, r, log, WIDE_Z)
+                lead = oracles.z_least_lead([int(x == g) for x in order], rows)
+                assert sv.certified
+                assert sv.top == (order[lead] if lead < len(order) else None)
 
     def test_rational_coefficients_certified(self):
         t, log = three_lane_log(ring=Q)
@@ -835,7 +876,8 @@ class TestTrackClass:
         assert len(trace.segments) > n
 
     def test_tracking_builds_no_comparison_map(self, monkeypatch):
-        # evolve built and verified every event's maps; tracking only reads them
+        # the first track built and verified every event's maps; a second
+        # only reads them
         runs = []
         t, fc0, events = build_cascade(6)
         runs.append((evolve(fc0, events, t), wide_window(t)))
@@ -921,8 +963,8 @@ class TestTrackClass:
         fwd = SparseMatrix(ring, step.maps.forward.rows, step.maps.forward.cols,
                            {(g, "c2" if g == "c1" else g): ring.one
                             for g in step.maps.forward.rows})
-        bad = dataclasses.replace(
-            step, maps=dataclasses.replace(step.maps, forward=fwd))
+        tampered = dataclasses.replace(step.maps, forward=fwd)
+        bad = dataclasses.replace(step, build_maps=lambda: tampered)
         log = dataclasses.replace(log, steps=(bad,) + log.steps[1:])
         with pytest.raises(VerificationFailed,
                            match="spectral value jumped across the slide at r=1/9"):
@@ -961,6 +1003,39 @@ class TestTrackClass:
         assert tr.segments[0].r_lo == 0 and tr.segments[-1].r_hi == 1
         for a, b in zip(tr.segments, tr.segments[1:]):
             assert a.r_hi == b.r_lo
+
+
+class TestIntervalGenerators:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z]),
+           tier=st.booleans())
+    def test_read_off_the_matrix_equals_the_midpoint_scan(self, seed, ring, tier):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        t = sc.family
+        log = evolve(sc.gamma0, sc.events, t)
+        w = Window.constant(10, 200) if tier else wide_window(t)
+        sides = validate_window(w, t)
+        inside = [g for g in dict.fromkeys(a.id for a in t.arcs)
+                  if sides[g] == tracker.INSIDE]
+        for fc in log.intervals:
+            assert tracker._interval_gens(inside, fc) == \
+                tracker._inside_at(t, sides, fc.midpoint())
+
+    def test_midpoint_computed_once(self):
+        fc = counter(Z2, ["c1"], {})
+        assert "_midpoint" not in vars(fc)
+        assert fc.midpoint() == F(1, 2) and fc.midpoint() is fc.midpoint()
+
+    def test_tracking_scans_no_arc_list(self, monkeypatch):
+        t, fc0, events = build_cascade(5)
+        log = evolve(fc0, events, t)
+        w = wide_window(t)
+        want = track_class({"c1": 1}, log, w)
+
+        def refuse(*args):
+            raise AssertionError("track_class scanned the alive arcs")
+        monkeypatch.setattr(type(t), "arcs_alive", refuse)
+        assert track_class({"c1": 1}, log, w) == want
 
 
 class TestEventInvariance:
