@@ -28,12 +28,13 @@ from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
                      InvalidWindow, MorseflowError, NonIsolatedCusp,
                      NonNestedLadder, NonTriangularDelta, NonUnitPivot,
                      NotADifferential, ScenarioError, ScenarioSemanticError,
-                     ScenarioSyntaxError, VerticalTangency)
-from .escape import build_cascade, check_H1, check_H2, escape_budget, linear, parse_phi
+                     VerticalTangency)
+from .escape import (build_cascade, check_H1, check_H2, escape_budget, linear,
+                     parse_phi, phi_text)
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
 from .rings import RINGS, Z2
-from .scenario import (Scenario, _phi_text, _rational, load_scenario,
-                       parse_chain, parse_window_spec, serialize_scenario)
+from .scenario import (Scenario, _rational, load_scenario, parse_window_spec,
+                       read_class, serialize_scenario)
 from .tracker import filtered_homology, full_homology, track_class, wide_window
 
 HEADER = "# morseflow 0.1.0"
@@ -81,15 +82,10 @@ def _window_for(sc, flags):
 
 
 def _rep_for(sc, flags):
-    if getattr(flags, "cls", None):
-        rep = parse_chain(flags.cls, sc.ring)
-        for aid in rep:
-            try:
-                sc.family.arc(aid)
-            except KeyError:
-                raise ScenarioSemanticError(
-                    "tracked class references unknown arc %r" % aid)
-        return rep
+    if getattr(flags, "class", None):
+        arc_ids = {a.id for a in sc.family.arcs}
+        return _flag(flags, "class",
+                     lambda text: read_class(text, None, sc.ring, arc_ids))
     return sc.rep
 
 
@@ -201,7 +197,7 @@ def _cmd_escape(sc, flags):
     if phi is None:
         raise ScenarioSemanticError(
             "escape analysis needs a growth bound: give --phi or a [phi] section")
-    lines = [HEADER, "bound: %s" % _phi_text(phi)]
+    lines = [HEADER, "bound: %s" % phi_text(phi)]
     h1 = check_H1(phi, sc.family)
     lines += _findings_block("H1", h1.findings, h1.ok)
     if sc.kappa is not None and sc.rho0 is not None:
@@ -214,7 +210,7 @@ def _cmd_escape(sc, flags):
                   "required: %s" % h2.required,
                   "margin: %s" % h2.margin,
                   "result: %s" % ("ok" if h2.ok else "insufficient")]
-    if sc.rep is not None or getattr(flags, "cls", None):
+    if sc.rep is not None or getattr(flags, "class", None):
         trace = _trace(sc, flags)
         budget = escape_budget(trace, phi)
         lines.append("[budget]")
@@ -242,13 +238,8 @@ def _flag(flags, name, read):
     """read applied to the text of --name; its errors name the flag."""
     try:
         return read(getattr(flags, name))
-    except (ScenarioSyntaxError, InvalidParameters) as e:
-        raise ScenarioSyntaxError("--%s: %s" % (name, e)) from None
-
-
-def _flag_rational(flags, name):
-    """The exact number given by --name, read as a scenario literal."""
-    return _flag(flags, name, lambda text: _rational(text, None))
+    except (ScenarioError, InvalidParameters) as e:
+        raise ScenarioError("--%s: %s" % (name, e)) from None
 
 
 def _cmd_cascade(arg, flags):
@@ -257,7 +248,7 @@ def _cmd_cascade(arg, flags):
     if flags.n > MAX_CASCADE_STAGES:
         raise ScenarioError("cascade --n is at most %d" % MAX_CASCADE_STAGES)
     ring = RINGS[flags.coeff] if flags.coeff else Z2
-    base, ratio, delta = (_flag_rational(flags, name)
+    base, ratio, delta = (_flag(flags, name, lambda text: _rational(text, None))
                           for name in ("base", "ratio", "delta"))
     top = base * ratio ** flags.n if ratio > 1 and flags.n > 0 else base
     if max(abs(top.numerator), top.denominator) >= 10 ** MAX_LITERAL_DIGITS:
@@ -288,7 +279,7 @@ def _cmd_rabinowitz(arg, flags):
     if phi is None and m.eta_growth_rate != 0:
         phi = phi_for_class(m)
     if phi is not None:
-        lines.append("growth bound: %s" % _phi_text(phi))
+        lines.append("growth bound: %s" % phi_text(phi))
     if isinstance(verdict, ClassSurvives):
         lines.append("verdict: class survives (margin %s)" % verdict.report.margin)
     elif isinstance(verdict, Inconclusive):
@@ -302,7 +293,7 @@ def _cmd_rabinowitz(arg, flags):
 
 def _cmd_plot(sc, flags):
     out = [("cerf.svg", family_svg(sc.family, sc.events))]
-    if sc.rep is not None or getattr(flags, "cls", None):
+    if sc.rep is not None or getattr(flags, "class", None):
         out.append(("trace.svg", trace_svg(_trace(sc, flags))))
     return out, 0
 
@@ -351,7 +342,7 @@ def _build_parser():
                     help="override the coefficient ring")
     ap.add_argument("--window", metavar="a=LO,b=HI",
                     help="override the action window")
-    ap.add_argument("--class", dest="cls", metavar="CHAIN",
+    ap.add_argument("--class", metavar="CHAIN",
                     help="cycle to track, e.g. 'c1 + 2*c2'")
     ap.add_argument("--phi", metavar="BOUND",
                     help="growth bound, e.g. 'linear(c=2)'")

@@ -151,7 +151,7 @@ def check_literal(text, line=None):
     """Raise ScenarioSyntaxError when text writes more than
     MAX_LITERAL_DIGITS digits, counting the value k of a decimal exponent
     e<k> as k more digits (1e90 spells a 91-digit integer)."""
-    digits = sum(ch.isdigit() for ch in text)
+    digits = sum(map(str.isdigit, text))
     _, e, exponent = text.lower().partition("e")
     if e and digits <= MAX_LITERAL_DIGITS:
         try:

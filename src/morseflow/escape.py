@@ -240,6 +240,21 @@ def parse_phi(text):
         raise InvalidParameters("growth bound %s: %s" % (name, e))
 
 
+def phi_text(phi):
+    """The text parse_phi reads back as phi."""
+    gap = "gap=(%s, %s)" % phi.gap
+    if phi.label == "linear":
+        return "linear(c=%s, %s)" % (phi.coefficient, gap)
+    if phi.label == "square":
+        return "square(c=%s, %s)" % (phi.coefficient, gap)
+    if phi.label == "iterlog":
+        return "iterlog(c=%s, depth=%d, %s)" % (phi.coefficient,
+                                                len(phi.log_powers), gap)
+    logs = ",".join(str(q) for q in phi.log_powers)
+    return "polylog(c=%s, p=%s, logs=(%s), %s)" % (phi.coefficient,
+                                                   phi.power, logs, gap)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis (H1): slope bound plus two-sided divergence
 

@@ -28,9 +28,16 @@ literals, so coefficient arithmetic never sees floating point.  Example:
 
 Components are inferred: arcs sharing a vertex belong to one component,
 and a component whose free ends are all vertices is a loop.  `#` starts
-a comment; blank lines separate nothing.  Parse errors carry the line
-number.  The [phi] and [rabinowitz] sections configure the growth-bound
-commands; see docs/format.md for the complete grammar.
+a comment; blank lines separate nothing.  The [phi] and [rabinowitz]
+sections configure the growth-bound commands; see docs/format.md for
+the complete grammar.
+
+One reader (_read) takes every record of keyed fields, and one table
+(_FIELDS) declares each record kind's keys, literal readers and
+defaults.  A token without `=`, an unknown or repeated key and a
+missing required key are errors there.  Points are pairs and nothing
+else, and a matrix position appears at most once.  Parse errors carry
+the line number.
 """
 
 import re
@@ -43,7 +50,7 @@ from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    Component, DeathVertex, Vertex)
 from .errors import (InvalidParameters, ScenarioSemanticError,
                      ScenarioSyntaxError, check_literal)
-from .escape import parse_phi
+from .escape import parse_phi, phi_text
 from .matrix import SparseMatrix
 from .piecewise import Piecewise
 from .rabinowitz import (HomotopyModel, HypersurfaceHomotopy, LogTame,
@@ -87,29 +94,22 @@ def _rational(text, line):
 _PAIR = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
 
 
-def _piecewise(text, line):
-    """The profile through the (r, value) pairs of text."""
-    pts = _PAIR.findall(text)
-    if not pts:
+def _points(text, line):
+    """The profile through the (r, value) pairs that open text, and the
+    text after the last pair.  Text before or between pairs is an error."""
+    parts = _PAIR.split(text)
+    if len(parts) == 1:
         raise ScenarioSyntaxError("expected (r, value) pairs", line)
+    for gap in parts[:-1:3]:
+        if gap.strip():
+            raise ScenarioSyntaxError("not a (r, value) pair: %r"
+                                      % gap.strip(), line)
     try:
         return Piecewise(tuple((_rational(a, line), _rational(b, line))
-                               for a, b in pts))
+                               for a, b in zip(parts[1::3], parts[2::3]))
+                         ), parts[-1]
     except ValueError as e:
         raise ScenarioSyntaxError(str(e), line)
-
-
-def _kwargs(tokens, line):
-    """{key: value} from key=value tokens; a repeated key is an error."""
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioSyntaxError("expected key=value, got %r" % tok, line)
-        k, v = tok.split("=", 1)
-        if k in out:
-            raise ScenarioSyntaxError("key %r given twice" % k, line)
-        out[k] = v
-    return out
 
 
 def _at_line(line, make, *args):
@@ -124,7 +124,8 @@ def _at_line(line, make, *args):
         raise ScenarioSyntaxError(str(e), line) from None
 
 
-_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_]\w*)")
+_TERM = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_]\w*)\s*")
 
 
 def parse_chain(text, ring, line=None):
@@ -134,47 +135,176 @@ def parse_chain(text, ring, line=None):
         raise ScenarioSyntaxError("empty chain", line)
     rep = {}
     pos = 0
-    first = True
     while pos < len(text):
         m = _TERM.match(text, pos)
-        if not m or (not first and not m.group(1)):
+        if not m or (pos and not m.group(1)):
             raise ScenarioSyntaxError(
                 "bad chain syntax near %r" % text[pos:pos + 12], line)
         sign, coeff, aid = m.groups()
         val = _rational(coeff, line) if coeff else Fraction(1)
-        if sign == "-":
-            val = -val
-        v = ring.coerce(val)
+        v = ring.coerce(-val if sign == "-" else val)
         rep[aid] = ring.add(rep.get(aid, ring.zero), v)
         pos = m.end()
-        first = False
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
-        raise ScenarioSyntaxError("unparsed chain text: %r" % text[pos:],
-                                  line)
     return {k: v for k, v in rep.items() if v != ring.zero}
+
+
+def read_class(text, line, ring, arc_ids):
+    """The tracked chain of text (parse_chain); each of its arcs must be
+    one of arc_ids.  [track] and the --class flag read it."""
+    rep = parse_chain(text, ring, line)
+    for aid in rep:
+        if aid not in arc_ids:
+            raise ScenarioSemanticError(
+                "tracked class references unknown arc %r" % aid, line)
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# declared fields: one table states what each record may hold
+
+def _name(text, line, *ctx):
+    return text
+
+
+def _cutoff(text, line):
+    """A window cutoff: a constant, or a profile through (r, value) pairs."""
+    if "(" not in text:
+        return Piecewise.constant(_rational(text, line))
+    pw, rest = _points(text, line)
+    if rest.strip():
+        raise ScenarioSyntaxError("not a (r, value) pair: %r" % rest.strip(),
+                                  line)
+    return pw
+
+
+def _bound(text, line):
+    return _at_line(line, parse_phi, text)
+
+
+def _depth(text, line):
+    depth = _rational(text, line)
+    if depth.denominator != 1:
+        raise ScenarioSemanticError("log-tame depth must be a whole number",
+                                    line)
+    return int(depth)
+
+
+_END_TAG = re.compile(r"^(boundary|birth\((\w+)\)|death\((\w+)\))$")
+
+
+def _ends(text, line):
+    """`lo,hi` end tags: a vertex tag, or None for `boundary`."""
+    tokens = text.split(",")
+    if len(tokens) != 2:
+        raise ScenarioSyntaxError("ends= needs two tags", line)
+    tags = []
+    for token in tokens:
+        m = _END_TAG.match(token.strip())
+        if not m:
+            raise ScenarioSyntaxError("bad end tag %r" % token.strip(), line)
+        tags.append(BirthVertex(m.group(2)) if m.group(2) else
+                    DeathVertex(m.group(3)) if m.group(3) else None)
+    return tags
+
+
+def _choice(options, what):
+    """The reader of a case-insensitive name among options."""
+    def read(text, line):
+        try:
+            return options[text.lower()]
+        except KeyError:
+            raise ScenarioSyntaxError("unknown %s %r" % (what, text),
+                                      line) from None
+    return read
+
+
+# record kind -> {key: (reader, default)}.  A reader takes the value text,
+# its line and the record's context; a field without a default is
+# required.  docs/format.md gives the same keys in its grammar.
+_FIELDS = {
+    "[coefficients]": {"ring": (_choice(RINGS, "ring"),)},
+    "[window]": {"a": (_cutoff,), "b": (_cutoff,)},
+    "[track]": {"class": (read_class, None), "label": (_name, "h")},
+    "[phi]": {"bound": (_bound, None), "kappa": (_rational, None),
+              "rho0": (_rational, None)},
+    "[rabinowitz]": {
+        "h_sup": (_rational, Fraction(0)), "c": (_rational, Fraction(1)),
+        "class": (_choice({"tame": Tame, "logtame": LogTame,
+                           "squaretame": SquareTame}, "tameness class"),
+                  Tame),
+        "depth": (_depth, 1), "theta": (_rational, None),
+        "eta_rate": (_rational, None), "rho0": (_rational, None),
+        "kappa": (_rational, None)},
+    "arc": {"ends": (_ends, None),
+            "open": (_choice({"lo": (True, False), "hi": (False, True),
+                              "both": (True, True)}, "open side"),
+                     (False, False))},
+    "vertex": {"r": (_rational,), "f3": (_rational,), "plus": (_name,),
+               "minus": (_name,)},
+    "slide": {"r": (_rational,)},
+    "birth": {"r": (_rational,), "vertex": (_name,),
+              "pivot": (_rational, Fraction(1))},
+    "death": {"r": (_rational,), "vertex": (_name,)},
+    "window": {"a": (_rational,), "b": (_rational,)},   # rungs, --window
+}
+
+
+def _read(kind, items, line, *ctx):
+    """The values of kind's declared fields, in table order.
+
+    items are (line, `key=value` text) pairs, keys case-insensitive.  A
+    text without `=`, an unknown or repeated key, and a missing required
+    key (reported at line) raise ScenarioSyntaxError.
+    """
+    fields = _FIELDS[kind]
+    given = {}
+    for at, item in items:
+        key, eq, text = item.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise ScenarioSyntaxError("%s: expected key=value, got %r"
+                                      % (kind, item), at)
+        if key not in fields:
+            raise ScenarioSyntaxError("%s: unknown key %r" % (kind, key), at)
+        if key in given:
+            raise ScenarioSyntaxError("%s: key %r given twice" % (kind, key),
+                                      at)
+        given[key] = at, text.strip()
+    out = []
+    for key, (read, *default) in fields.items():
+        if key in given:
+            at, text = given[key]
+            out.append(read(text, at, *ctx))
+        elif default:
+            out.append(default[0])
+        else:
+            need = [k for k, field in fields.items() if len(field) == 1]
+            raise ScenarioSyntaxError("%s needs %s; %s is missing"
+                                      % (kind, " and ".join(need), key), line)
+    return out
+
+
+def _section(sections, name, *ctx):
+    """_read on the key = value lines of a section, absent or not."""
+    lines = sections.get(name, ())
+    return _read("[%s]" % name, lines, lines[0][0] if lines else None, *ctx)
 
 
 def parse_window_spec(text, line=None):
     """`a=0,b=10` with rational endpoints, as used by the --window flag."""
-    kv = _kwargs(text.replace(" ", "").split(","), line)
-    if set(kv) != {"a", "b"}:
-        raise ScenarioSyntaxError("window spec needs a=<lo>,b=<hi>", line)
-    return Window.constant(_rational(kv["a"], line), _rational(kv["b"], line))
+    return Window.constant(*_read(
+        "window", [(line, t) for t in text.replace(" ", "").split(",")],
+        line))
 
-
-# ---------------------------------------------------------------------------
-# section readers
 
 def _split_sections(text):
     current = None
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        m = re.match(r"^\[(\w+)\]\s*$", stripped.strip())
+        m = re.match(r"^\[(\w+)\]$", stripped)
         if m:
             name = m.group(1).lower()
             if name not in _SECTIONS:
@@ -188,102 +318,66 @@ def _split_sections(text):
         if current is None:
             raise ScenarioSyntaxError(
                 "content before the first [section] header", lineno)
-        current.append((lineno, stripped.strip()))
+        current.append((lineno, stripped))
     return out
 
 
-def _keyvals(lines, section):
-    out = {}
-    for lineno, text in lines:
-        if "=" not in text:
-            raise ScenarioSyntaxError(
-                "[%s] lines are key = value" % section, lineno)
-        k, v = text.split("=", 1)
-        out[k.strip().lower()] = (lineno, v.strip())
-    return out
-
-
-_END_TAG = re.compile(r"^(boundary|birth\((\w+)\)|death\((\w+)\))$")
-
-
-def _end_tag(token, which, footprint_end, line):
-    token = token.strip()
-    m = _END_TAG.match(token)
-    if not m:
-        raise ScenarioSyntaxError("bad end tag %r" % token, line)
-    if m.group(2):
-        return BirthVertex(m.group(2))
-    if m.group(3):
-        return DeathVertex(m.group(3))
-    return BoundaryAt0() if footprint_end == 0 else BoundaryAt1()
+def _boundary(end):
+    return BoundaryAt0() if end == 0 else BoundaryAt1()
 
 
 def _parse_arcs(lines):
     arcs = {}
     for lineno, text in lines:
-        if ":" not in text:
+        aid, colon, rest = text.partition(":")
+        if not colon:
             raise ScenarioSyntaxError("arc lines are `id : points ...`",
                                       lineno)
-        aid, rest = text.split(":", 1)
         aid = aid.strip()
-        opts = {}
-        for key in ("ends", "open"):
-            m = re.search(r"\b%s\s*=\s*(\S+)" % key, rest)
-            if m:
-                opts[key] = m.group(1)
-                rest = rest[:m.start()] + rest[m.end():]
         if aid in arcs:
             raise ScenarioSemanticError("arc %r declared twice" % aid, lineno)
-        pw = _piecewise(rest, lineno)
-        if "ends" in opts:
-            toks = opts["ends"].split(",")
-            if len(toks) != 2:
-                raise ScenarioSyntaxError("ends= needs two tags", lineno)
-            lo = _end_tag(toks[0], "lo", pw.r_lo, lineno)
-            hi = _end_tag(toks[1], "hi", pw.r_hi, lineno)
-        else:
-            lo = BoundaryAt0() if pw.r_lo == 0 else BoundaryAt1()
+        pw, rest = _points(rest, lineno)
+        ends, (lo_open, hi_open) = _read(
+            "arc", [(lineno, t) for t in rest.split()], lineno)
+        if ends is None:
+            lo = _boundary(pw.r_lo)
             hi = BoundaryAt1() if pw.r_hi == 1 else BoundaryAt0()
-        open_req = opts.get("open", "")
-        arcs[aid] = Arc(aid, pw, lo, hi,
-                        lo_open=open_req in ("lo", "both"),
-                        hi_open=open_req in ("hi", "both"))
+        else:
+            lo = ends[0] or _boundary(pw.r_lo)
+            hi = ends[1] or _boundary(pw.r_hi)
+        arcs[aid] = Arc(aid, pw, lo, hi, lo_open=lo_open, hi_open=hi_open)
     return list(arcs.values())
 
 
-def _parse_vertices(lines):
+def _parse_vertices(lines, arc_ids):
     verts = []
     for lineno, text in lines:
-        if ":" not in text:
+        vid, colon, rest = text.partition(":")
+        if not colon:
             raise ScenarioSyntaxError(
                 "vertex lines are `id : kind r=.. f3=.. plus=.. minus=..`",
                 lineno)
-        vid, rest = text.split(":", 1)
-        toks = rest.split()
-        if not toks or toks[0] not in ("birth", "death"):
+        kind, *toks = rest.split() or [""]
+        if kind not in ("birth", "death"):
             raise ScenarioSyntaxError("vertex kind must be birth or death",
                                       lineno)
-        kv = _kwargs(toks[1:], lineno)
-        missing = {"r", "f3", "plus", "minus"} - set(kv)
-        if missing:
-            raise ScenarioSyntaxError(
-                "vertex missing %s" % ", ".join(sorted(missing)), lineno)
-        verts.append(Vertex(vid.strip(), toks[0],
-                            _rational(kv["r"], lineno),
-                            _rational(kv["f3"], lineno),
-                            kv["plus"], kv["minus"]))
+        v = Vertex(vid.strip(), kind, *_read(
+            "vertex", [(lineno, t) for t in toks], lineno))
+        for aid in (v.plus_arc, v.minus_arc):
+            if aid not in arc_ids:
+                raise ScenarioSemanticError(
+                    "vertex %r references unknown arc %r" % (v.id, aid),
+                    lineno)
+        verts.append(v)
     return verts
 
 
 def _parse_gamma(lines, arc_ids, ring):
     entries = {}
     for lineno, text in lines:
-        if "=" not in text:
-            raise ScenarioSyntaxError("gamma lines are `(c1, c2) = value`",
-                                      lineno)
-        lhs, rhs = text.split("=", 1)
-        m = _PAIR.match(lhs.strip())
-        if not m or not lhs.strip() == m.group(0):
+        lhs, eq, rhs = text.partition("=")
+        m = _PAIR.fullmatch(lhs.strip())
+        if not eq or not m:
             raise ScenarioSyntaxError("gamma lines are `(c1, c2) = value`",
                                       lineno)
         c1, c2 = m.group(1).strip(), m.group(2).strip()
@@ -291,24 +385,48 @@ def _parse_gamma(lines, arc_ids, ring):
             if c not in arc_ids:
                 raise ScenarioSemanticError("unknown arc %r in gamma" % c,
                                             lineno)
+        if (c1, c2) in entries:
+            raise ScenarioSyntaxError("gamma entry (%s, %s) given twice"
+                                      % (c1, c2), lineno)
         entries[(c1, c2)] = ring.coerce(_rational(rhs, lineno))
     return entries
 
 
+def _event_entries(text, arc_ids, line):
+    """{(arc ids): exact value} of `(ids) = value; ...`; a repeated
+    position is an error."""
+    out = {}
+    for part in text.split(";"):
+        if not part.strip():
+            continue
+        lhs, eq, rhs = part.partition("=")
+        if not eq:
+            raise ScenarioSyntaxError("event entries are `(..) = value`",
+                                      line)
+        ids = tuple(x.strip() for x in
+                    lhs.strip().lstrip("(").rstrip(")").split(",")
+                    if x.strip())
+        for x in ids:
+            if x not in arc_ids:
+                raise ScenarioSemanticError(
+                    "event references unknown arc %r" % x, line)
+        if ids in out:
+            raise ScenarioSyntaxError("event entry (%s) given twice"
+                                      % ", ".join(ids), line)
+        out[ids] = _rational(rhs, line)
+    return out
+
+
 def _parse_events(lines, arc_ids, vertex_ids, ring):
     events = []
-    seen = {}
+    seen = set()
     for lineno, text in lines:
         head, _, tail = text.partition(":")
-        toks = head.split()
-        kind = toks[0] if toks else ""
+        kind, *toks = head.split() or [""]
         if kind not in ("slide", "birth", "death"):
             raise ScenarioSyntaxError(
                 "event kind must be slide, birth, or death", lineno)
-        kv = _kwargs(toks[1:], lineno)
-        if "r" not in kv:
-            raise ScenarioSyntaxError("event missing r=", lineno)
-        r = _rational(kv["r"], lineno)
+        r, *fields = _read(kind, [(lineno, t) for t in toks], lineno)
         if not 0 < r < 1:
             raise ScenarioSemanticError(
                 "event parameter r=%s must lie strictly inside (0, 1)" % r,
@@ -318,75 +436,36 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
                 "events at r=%s and r=%s share a parameter; degenerate "
                 "instants must be disjoint (pairwise distinct parameters)"
                 % (r, r), lineno)
-        seen[r] = lineno
-
-        pairs = []
-        if tail.strip():
-            for part in tail.split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                if "=" not in part:
-                    raise ScenarioSyntaxError(
-                        "event entries are `(..) = value`", lineno)
-                lhs, rhs = part.split("=", 1)
-                ids = [x.strip() for x in
-                       lhs.strip().lstrip("(").rstrip(")").split(",")
-                       if x.strip()]
-                for x in ids:
-                    if x not in arc_ids:
-                        raise ScenarioSemanticError(
-                            "event references unknown arc %r" % x, lineno)
-                pairs.append((ids, _rational(rhs, lineno)))
+        seen.add(r)
+        entries = _event_entries(tail, arc_ids, lineno)
 
         if kind == "slide":
-            delta = []
-            for ids, val in pairs:
-                if len(ids) != 2:
-                    raise ScenarioSyntaxError(
-                        "slide entries are `(upper, lower) = value`", lineno)
-                delta.append((ids[0], ids[1], ring.coerce(val)))
-            if not delta:
+            if any(len(ids) != 2 for ids in entries):
+                raise ScenarioSyntaxError(
+                    "slide entries are `(upper, lower) = value`", lineno)
+            if not entries:
                 raise ScenarioSyntaxError("slide needs at least one entry",
                                           lineno)
-            events.append(EventRecord(r, HandleSlide(tuple(delta))))
+            events.append(EventRecord(r, HandleSlide(tuple(
+                (up, low, ring.coerce(val))
+                for (up, low), val in entries.items()))))
             continue
 
-        if "vertex" not in kv:
-            raise ScenarioSyntaxError("%s missing vertex=" % kind, lineno)
-        if kv["vertex"] not in vertex_ids:
+        vertex = fields[0]
+        if vertex not in vertex_ids:
             raise ScenarioSemanticError(
-                "event references unknown vertex %r" % kv["vertex"], lineno)
+                "event references unknown vertex %r" % vertex, lineno)
         if kind == "death":
-            events.append(EventRecord(r, Death(kv["vertex"])))
+            events.append(EventRecord(r, Death(vertex)))
             continue
-        column = []
-        for ids, val in pairs:
-            if len(ids) != 1:
-                raise ScenarioSyntaxError(
-                    "birth entries are `(arc) = value`", lineno)
-            column.append((ids[0], ring.coerce(val)))
-        events.append(EventRecord(
-            r, Birth(kv["vertex"],
-                     ring.coerce(_rational(kv.get("pivot", "1"), lineno)),
-                     tuple(column))))
+        if any(len(ids) != 1 for ids in entries):
+            raise ScenarioSyntaxError(
+                "birth entries are `(arc) = value`", lineno)
+        column = tuple((aid, ring.coerce(val))
+                       for (aid,), val in entries.items())
+        events.append(EventRecord(r, Birth(vertex, ring.coerce(fields[1]),
+                                           column)))
     return events
-
-
-def _parse_window_section(lines, section):
-    kv = _keyvals(lines, section)
-    if set(kv) != {"a", "b"}:
-        raise ScenarioSyntaxError(
-            "[%s] needs exactly the keys a and b" % section,
-            lines[0][0] if lines else None)
-    sides = []
-    for key in ("a", "b"):
-        lineno, text = kv[key]
-        if "(" in text:
-            sides.append(_piecewise(text, lineno))
-        else:
-            sides.append(Piecewise.constant(_rational(text, lineno)))
-    return Window(sides[0], sides[1])
 
 
 def _infer_components(arcs, vertices):
@@ -434,41 +513,6 @@ def _infer_components(arcs, vertices):
     return tuple(c for _, c in sorted(comps))
 
 
-def _parse_rabinowitz(lines):
-    kv = _keyvals(lines, "rabinowitz")
-
-    def take(key, default=None):
-        if key not in kv:
-            return None if default is None else default
-        lineno, text = kv[key]
-        return _rational(text, lineno)
-
-    cls_name = kv.get("class", (None, "tame"))[1].lower()
-    if cls_name == "tame":
-        cls = Tame()
-    elif cls_name == "logtame":
-        depth = take("depth", Fraction(1))
-        if depth.denominator != 1:
-            raise ScenarioSemanticError("log-tame depth must be a whole "
-                                        "number", kv["depth"][0])
-        cls = LogTame(int(depth))
-    elif cls_name == "squaretame":
-        cls = SquareTame()
-    else:
-        raise ScenarioSyntaxError("unknown tameness class %r" % cls_name,
-                                  kv["class"][0])
-    # a value out of its range is reported at the section's first line
-    line = lines[0][0] if lines else None
-    if "theta" in kv:
-        variant = _at_line(line, SymplecticFormHomotopy, take("theta"),
-                           take("eta_rate"))
-    else:
-        variant = HypersurfaceHomotopy()
-    model = _at_line(line, HomotopyModel, take("h_sup", Fraction(0)),
-                     take("c", Fraction(1)), cls, variant)
-    return model, take("rho0"), take("kappa")
-
-
 def parse_scenario(text, path="", ring=None):
     """Parse scenario text into assembled engine objects.
 
@@ -482,28 +526,13 @@ def parse_scenario(text, path="", ring=None):
     if not sections.get("arcs"):
         raise ScenarioSyntaxError("missing or empty [arcs] section")
 
-    override = ring
-    ring = Z2
-    if "coefficients" in sections:
-        kv = _keyvals(sections["coefficients"], "coefficients")
-        if "ring" not in kv:
-            raise ScenarioSyntaxError("[coefficients] needs ring = z2|z|q",
-                                      sections["coefficients"][0][0])
-        lineno, name = kv["ring"]
-        if name.lower() not in RINGS:
-            raise ScenarioSyntaxError("unknown ring %r" % name, lineno)
-        ring = RINGS[name.lower()]
-    if override is not None:
-        ring = override
+    file_ring = (_section(sections, "coefficients")[0]
+                 if "coefficients" in sections else Z2)
+    ring = file_ring if ring is None else ring
 
     arcs = _parse_arcs(sections["arcs"])
     arc_ids = {a.id for a in arcs}
-    vertices = _parse_vertices(sections.get("vertices", ()))
-    for v in vertices:
-        for aid in (v.plus_arc, v.minus_arc):
-            if aid not in arc_ids:
-                raise ScenarioSemanticError(
-                    "vertex %r references unknown arc %r" % (v.id, aid))
+    vertices = _parse_vertices(sections.get("vertices", ()), arc_ids)
     family = CerfTuple(tuple(arcs), _infer_components(arcs, vertices),
                        tuple(vertices))
 
@@ -525,7 +554,7 @@ def parse_scenario(text, path="", ring=None):
 
     window = None
     if "window" in sections:
-        window = _parse_window_section(sections["window"], "window")
+        window = Window(*_section(sections, "window"))
 
     ladder = []
     for lineno, text_line in sections.get("ladder", ()):
@@ -533,41 +562,23 @@ def parse_scenario(text, path="", ring=None):
         if head.strip() != "window" or not colon:
             raise ScenarioSyntaxError("[ladder] lines are `window : a=.. b=..`",
                                       lineno)
-        kv = _kwargs(rest.split(), lineno)
-        if set(kv) != {"a", "b"}:
-            raise ScenarioSyntaxError("ladder window needs a= and b=", lineno)
-        ladder.append(Window.constant(_rational(kv["a"], lineno),
-                                      _rational(kv["b"], lineno)))
+        ladder.append(Window.constant(*_read(
+            "window", [(lineno, t) for t in rest.split()], lineno)))
 
-    rep = None
-    label = "h"
-    if "track" in sections:
-        kv = _keyvals(sections["track"], "track")
-        if "class" in kv:
-            lineno, text_line = kv["class"]
-            rep = parse_chain(text_line, ring, lineno)
-            for aid in rep:
-                if aid not in arc_ids:
-                    raise ScenarioSemanticError(
-                        "tracked class references unknown arc %r" % aid,
-                        lineno)
-        if "label" in kv:
-            label = kv["label"][1]
-
-    phi = kappa = rho0 = None
-    if "phi" in sections:
-        kv = _keyvals(sections["phi"], "phi")
-        if "bound" in kv:
-            phi = _at_line(kv["bound"][0], parse_phi, kv["bound"][1])
-        if "kappa" in kv:
-            kappa = _rational(kv["kappa"][1], kv["kappa"][0])
-        if "rho0" in kv:
-            rho0 = _rational(kv["rho0"][1], kv["rho0"][0])
+    rep, label = _section(sections, "track", ring, arc_ids)
+    phi, kappa, rho0 = _section(sections, "phi")
 
     model = model_rho0 = model_kappa = None
     if "rabinowitz" in sections:
-        model, model_rho0, model_kappa = _parse_rabinowitz(
-            sections["rabinowitz"])
+        (h_sup, c, tame, depth, theta, eta_rate, model_rho0,
+         model_kappa) = _section(sections, "rabinowitz")
+        # a value out of its range is reported at the section's first line
+        lines = sections["rabinowitz"]
+        line = lines[0][0] if lines else None
+        variant = (HypersurfaceHomotopy() if theta is None else
+                   _at_line(line, SymplecticFormHomotopy, theta, eta_rate))
+        model = _at_line(line, HomotopyModel, h_sup, c,
+                         tame(depth) if tame is LogTame else tame(), variant)
 
     return Scenario(ring, family, gamma0, tuple(events), window,
                     tuple(ladder), rep, label, phi, kappa, rho0,
@@ -594,8 +605,16 @@ def _fmt_tag(tag):
     return "boundary"
 
 
+def _fmt_section(name, *values):
+    """A [name] section: `key = value` for each declared field, in table
+    order, whose value is not None; nothing when every value is None."""
+    lines = ["%s = %s" % kv for kv in zip(_FIELDS["[%s]" % name], values)
+             if kv[1] is not None]
+    return ["[%s]" % name] + lines + [""] if lines else []
+
+
 def serialize_scenario(sc):
-    out = ["[coefficients]", "ring = %s" % sc.ring.name.lower(), ""]
+    out = _fmt_section("coefficients", sc.ring.name.lower())
     out.append("[arcs]")
     for a in sc.family.arcs:
         line = "%s : %s" % (a.id, _fmt_points(a.f3))
@@ -637,14 +656,9 @@ def serialize_scenario(sc):
                 out.append("death r=%s vertex=%s" % (ev.r, p.vertex))
         out.append("")
     if sc.window is not None:
-        out.append("[window]")
-        for key, side in (("a", sc.window.a), ("b", sc.window.b)):
-            vals = {v for _, v in side.points}
-            if len(vals) == 1:
-                out.append("%s = %s" % (key, side.points[0][1]))
-            else:
-                out.append("%s = %s" % (key, _fmt_points(side)))
-        out.append("")
+        out += _fmt_section("window", *(
+            side.points[0][1] if len({v for _, v in side.points}) == 1
+            else _fmt_points(side) for side in (sc.window.a, sc.window.b)))
     if sc.ladder:
         out.append("[ladder]")
         for w in sc.ladder:
@@ -652,7 +666,6 @@ def serialize_scenario(sc):
                                                w.b.points[0][1]))
         out.append("")
     if sc.rep is not None:
-        out.append("[track]")
         terms = []
         for aid in sorted(sc.rep, key=str):
             text = str(sc.rep[aid])
@@ -663,49 +676,19 @@ def serialize_scenario(sc):
                 terms.append(("-" if neg else "") + term)
             else:
                 terms.append(("- " if neg else "+ ") + term)
-        out.append("class = %s" % " ".join(terms))
-        if sc.label != "h":
-            out.append("label = %s" % sc.label)
-        out.append("")
-    if sc.phi is not None or sc.kappa is not None or sc.rho0 is not None:
-        out.append("[phi]")
-        if sc.phi is not None:
-            out.append("bound = %s" % _phi_text(sc.phi))
-        if sc.kappa is not None:
-            out.append("kappa = %s" % sc.kappa)
-        if sc.rho0 is not None:
-            out.append("rho0 = %s" % sc.rho0)
-        out.append("")
-    if sc.model is not None:
-        out.append("[rabinowitz]")
-        m = sc.model
-        out.append("h_sup = %s" % m.h_sup)
-        out.append("c = %s" % m.tame_constant)
-        cls = type(m.tame_class).__name__.lower()
-        out.append("class = %s" % cls)
-        if cls == "logtame":
-            out.append("depth = %d" % m.tame_class.depth)
-        if isinstance(m.variant, SymplecticFormHomotopy):
-            out.append("theta = %s" % m.variant.theta)
-            if m.variant.eta_rate is not None:
-                out.append("eta_rate = %s" % m.variant.eta_rate)
-        if sc.model_rho0 is not None:
-            out.append("rho0 = %s" % sc.model_rho0)
-        if sc.model_kappa is not None:
-            out.append("kappa = %s" % sc.model_kappa)
-        out.append("")
+        out += _fmt_section("track", " ".join(terms),
+                            None if sc.label == "h" else sc.label)
+    out += _fmt_section("phi", None if sc.phi is None else phi_text(sc.phi),
+                        sc.kappa, sc.rho0)
+    m = sc.model
+    if m is not None:
+        form = isinstance(m.variant, SymplecticFormHomotopy)
+        out += _fmt_section(
+            "rabinowitz", m.h_sup, m.tame_constant,
+            type(m.tame_class).__name__.lower(),
+            m.tame_class.depth if isinstance(m.tame_class, LogTame) else None,
+            m.variant.theta if form else None,
+            m.variant.eta_rate if form else None, sc.model_rho0,
+            sc.model_kappa)
     return "\n".join(out).rstrip() + "\n"
 
-
-def _phi_text(phi):
-    gap = "gap=(%s, %s)" % phi.gap
-    if phi.label == "linear":
-        return "linear(c=%s, %s)" % (phi.coefficient, gap)
-    if phi.label == "square":
-        return "square(c=%s, %s)" % (phi.coefficient, gap)
-    if phi.label == "iterlog":
-        return "iterlog(c=%s, depth=%d, %s)" % (phi.coefficient,
-                                                len(phi.log_powers), gap)
-    logs = ",".join(str(q) for q in phi.log_powers)
-    return "polylog(c=%s, p=%s, logs=(%s), %s)" % (phi.coefficient,
-                                                   phi.power, logs, gap)

@@ -290,6 +290,29 @@ class TestValidateAxioms:
         with pytest.raises(VerificationFailed, match="not a chain map"):
             log.steps[0].maps
 
+    def test_unsquared_matrix_before_a_birth_reported(self):
+        # the birth keeps the old block, so only the first interval's
+        # square-zero finding reports it, and checking goes on past it
+        c = chord("c", [(0, 20), (1, 20)])
+        a = chord("a", [(0, 10), (1, 10)])
+        b = chord("b", [(0, 5), (1, 5)])
+        up = Arc("up", Piecewise([(F(1, 2), 1), (1, 3)]), BirthVertex("vb"),
+                 BoundaryAt1())
+        dn = Arc("dn", Piecewise([(F(1, 2), 1), (1, 0)]), BirthVertex("vb"),
+                 BoundaryAt1())
+        comps = [Component("chord", (x,)) for x in "cab"]
+        t = CerfTuple((c, a, b, up, dn),
+                      comps + [Component("chord", ("up", "dn"))],
+                      (Vertex("vb", "birth", F(1, 2), 1, "up", "dn"),))
+        fc = counter(Z2, ("c", "a", "b"), {("c", "a"): 1, ("a", "b"): 1},
+                     0, F(1, 2))
+        events = [EventRecord(F(1, 2), Birth("vb", 1))]
+        report = validate_axioms(fc, events, t)
+        assert [str(f) for f in report.findings] == [
+            "[error] gamma2: square-zero fails on (0, 1/2)"]
+        with pytest.raises(EvolutionError, match="square-zero"):
+            evolve(fc, events, t)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
            flips=st.integers(0, 2))

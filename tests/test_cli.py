@@ -342,7 +342,8 @@ class TestInputLimits:
     @pytest.mark.parametrize("flag, value", [
         ("--phi", "garbage"), ("--phi", "linear(c=0)"),
         ("--phi", "iterlog(c=1, depth=3/2)"), ("--window", "garbage"),
-        ("--window", "a=0,b=10,junk"), ("--window", "a=0,a=1,b=10")])
+        ("--window", "a=0,b=10,junk"), ("--window", "a=0,a=1,b=10"),
+        ("--class", "c1 ++ c2"), ("--class", "zz")])
     def test_malformed_window_and_phi_flags(self, flag, value, capsys):
         cmd = "escape" if flag == "--phi" else "track"
         assert main([cmd, "slide", flag, value]) == 1
@@ -387,6 +388,39 @@ def test_flags_do_not_leak_between_calls(capsys):
         assert main(["track", "slide"]) == want["exit"]
         assert capsys.readouterr().out == want["stdout"]
     assert flagged != want["stdout"]
+
+
+class TestDeclaredFields:
+    """Keyed fields, points and matrix positions the grammar does not
+    allow end in one `error: line N:` line naming the key or text, and
+    exit 1, where they once parsed into another family."""
+
+    @pytest.mark.parametrize("name, old, new, cmd, words", [
+        ("birth", "pivot=1", "pivto=3", "validate", ("line 16:", "'pivto'")),
+        ("eyeball", "kappa = 1", "kappa = 1\nthata = 2", "rabinowitz",
+         ("line 35:", "'thata'")),
+        ("slide", "ring = z2", "ring = z2\nring = z", "validate",
+         ("line 6:", "'ring'", "twice")),
+        ("slide", "b = 10", "b = 10\na = 1", "track",
+         ("line 21:", "'a'", "twice")),
+        ("slide", "class = c1", "class = c1\nclass = c2", "track",
+         ("line 24:", "'class'", "twice")),
+        ("slide", "(1/2, 2) (1, 6)", "(1/2, 2 (1, 6) junk", "track",
+         ("line 9:", "'(1/2, 2'")),
+        ("slide", "(c2, c3) = 1", "(c2, c3) = 1\n(c2, c3) = 0", "validate",
+         ("line 14:", "(c2, c3)", "twice")),
+        ("slide", "(c1, c2) = 1", "(c1, c2) = 1; (c1, c2) = 0", "validate",
+         ("line 16:", "(c1, c2)", "twice")),
+        ("birth", "(c1) = 1", "(c1) = 1; (c1) = 1", "validate",
+         ("line 16:", "(c1)", "twice")),
+    ])
+    def test_refused_with_its_line(self, name, old, new, cmd, words,
+                                   tmp_path, capsys):
+        text = open(data_path(name), encoding="utf-8").read()
+        assert old in text
+        path = write(tmp_path, name + ".scn", text.replace(old, new))
+        assert main([cmd, path]) == 1
+        TestInputLimits.assert_one_error_line(capsys, *words)
 
 
 class TestMalformedScenarioText:
@@ -475,3 +509,59 @@ def test_mutated_scenarios_end_in_an_exit_code(text, tmp_path_factory):
         lines = err.getvalue().splitlines()
         assert not lines or (len(lines) == 1 and lines[0].startswith("error: ")), \
             (cmd, text)
+
+
+_NUMBERS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "7", "10", "1e3",
+                            "2.5", "1/0", "abc", "", "9" * 101])
+_CHAINS = st.lists(st.tuples(st.sampled_from(["", "+ ", "- ", "2*", "1/2*",
+                                              "++", "*"]),
+                             st.sampled_from(["c1", "c2", "c3", "up", "down",
+                                              "runaway", "zz", "1"])),
+                   min_size=1, max_size=3).map(
+    lambda terms: " ".join(s + a for s, a in terms))
+_BOUNDS = st.tuples(st.sampled_from([
+    "linear(c=%s)", "square(c=%s)", "iterlog(c=%s, depth=2)",
+    "polylog(c=%s, p=-1, gap=(-1, 1))", "linear(c=%s, gap=(0, 1))",
+    "cubic(c=%s)", "linear(%s)"]), _NUMBERS).map(lambda fb: fb[0] % fb[1])
+_WINDOWS = st.tuples(_NUMBERS, _NUMBERS, st.sampled_from(
+    ["a=%s,b=%s", "a=%s", "a=%s,a=%s", "a=%s,b=%s,c=1", "b=%s a=%s"])).map(
+    lambda t: t[2] % t[:t[2].count("%s")])
+
+
+@st.composite
+def flag_runs(draw):
+    """One morseflow command line with random flag values, each given as
+    --flag=value so that a leading minus stays a value: a bundled
+    scenario under every command, or a small cascade."""
+    cmd = draw(st.sampled_from(["validate", "evolve", "homology", "track",
+                                "escape", "plot", "rabinowitz", "cascade"]))
+    argv = [cmd]
+    if cmd == "cascade":
+        argv += ["--n", str(draw(st.integers(0, 6)))]
+        for flag in ("--base", "--ratio", "--delta"):
+            if draw(st.booleans()):
+                argv.append("%s=%s" % (flag, draw(_NUMBERS)))
+    else:
+        argv.append(draw(st.sampled_from(["slide", "twoslides", "birth",
+                                          "eyeball", "escaping"])))
+        for flag, values in (("--window", _WINDOWS), ("--phi", _BOUNDS),
+                             ("--class", _CHAINS)):
+            if draw(st.booleans()):
+                argv.append("%s=%s" % (flag, draw(values)))
+    coeff = draw(st.sampled_from([None, "z2", "z", "q"]))
+    return argv + (["--coeff", coeff] if coeff else [])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(argv=flag_runs())
+def test_random_flags_end_in_an_exit_code(argv):
+    """No traceback from random --window, --phi, --class, --coeff and
+    cascade values: an exit code in {0, 1, 2, 3, 4}, and stderr empty
+    or one error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    lines = err.getvalue().splitlines()
+    assert not lines or (len(lines) == 1 and lines[0].startswith("error: ")), \
+        (argv, lines)

@@ -1,7 +1,9 @@
 """Scenario text format: parsing, serialization, error locations."""
 
 import dataclasses
+import os
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,9 +19,9 @@ from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
                               ScenarioSemanticError, ScenarioSyntaxError)
 from morseflow.escape import build_cascade, linear
 from morseflow.rings import Q, Z, Z2
-from morseflow.scenario import (Scenario, load_scenario, parse_chain,
-                                parse_scenario, parse_window_spec,
-                                serialize_scenario)
+from morseflow.scenario import (_FIELDS, Scenario, load_scenario,
+                                parse_chain, parse_scenario,
+                                parse_window_spec, serialize_scenario)
 from morseflow.tracker import wide_window
 
 MINIMAL = """
@@ -333,6 +335,46 @@ class TestErrors:
             parse_scenario(MINIMAL + section)
         assert e.value.line == 5
 
+    @pytest.mark.parametrize("text, line, words", [
+        ("[coefficients]\nring = z\nRing = q\n", 6, "'ring' given twice"),
+        ("[track]\nclas = c1\n", 5, "unknown key 'clas'"),
+        ("[phi]\nbound\n", 5, "expected key=value"),
+        ("[window]\na = 0\nb = 1\nc = 2\n", 7, "unknown key 'c'"),
+        ("[rabinowitz]\nthata = 2\n", 5, "unknown key 'thata'"),
+        ("[vertices]\nv : birth r=1/2 f3=1 plus=c1 minus=c1 pivot=1\n", 5,
+         "unknown key 'pivot'"),
+        ("[events]\ndeath r=1/2 vertex=v pivot=1\n", 5,
+         "unknown key 'pivot'"),
+        ("[ladder]\nwindow : a=0 b=1 c=2\n", 5, "unknown key 'c'"),
+        ("[window]\na = (0, 1) (1, 1) junk\nb = 2\n", 5, "'junk'"),
+        ("[window]\na = (0, 1) (1 1) (1, 1)\nb = 2\n", 5, "'(1 1)'"),
+        ("[arcs]\n", 4, "repeated"),
+    ])
+    def test_unknown_keys_and_stray_text(self, text, line, words):
+        with pytest.raises(ScenarioSyntaxError, match=re.escape(words)) as e:
+            parse_scenario(MINIMAL + text)
+        assert e.value.line == line
+
+    @pytest.mark.parametrize("arc", [
+        "c1 : junk (0, 4) (1, 4)",
+        "c1 : (0, 4), (1, 4)",
+        "c1 : (0, 4) (1, 4) ends=boundary,boundary ends=boundary,boundary",
+        "c1 : (0, 4) (1, 4) open=up",
+        "c1 : (0, 4) (1, 4) close=hi",
+    ])
+    def test_arc_line_is_pairs_then_options(self, arc):
+        with pytest.raises(ScenarioSyntaxError) as e:
+            parse_scenario("[arcs]\n%s\n" % arc)
+        assert e.value.line == 2
+
+    def test_keys_are_case_insensitive(self):
+        text = ("[Coefficients]\nRING = Z\n[arcs]\nc1 : (0, 4) (1, 4)\n"
+                "[events]\nSLIDE R=1/2 : (c1, c1) = 1\n")
+        with pytest.raises(ScenarioSyntaxError, match="event kind"):
+            parse_scenario(text)
+        sc = parse_scenario(text.replace("SLIDE", "slide"))
+        assert sc.ring is Z and sc.events[0].r == F(1, 2)
+
     def test_gamma_dead_arc_on_first_interval(self):
         text = ("[arcs]\nc1 : (0, 4) (1, 4)\n"
                 "up : (1/2, 2) (1, 3) ends=birth(vb),boundary\n"
@@ -415,3 +457,27 @@ class TestRoundTripFuzz:
             ring, t, fc0, tuple(events), window=wide_window(t),
             rep={"c1": ring.one}, label="h",
             phi=linear(F(1), gap=(-ratio, ratio))))
+
+
+def test_format_doc_lists_the_declared_keys():
+    """docs/format.md's grammar blocks and the reader's table declare the
+    same keys for every record kind."""
+    doc_path = os.path.join(os.path.dirname(__file__), "..", "docs",
+                            "format.md")
+    with open(doc_path, encoding="utf-8") as fh:
+        doc = fh.read()
+    documented = {}
+    for heading, block in re.findall(r"^## ([^\n]+)\n+```\n(.*?)```", doc,
+                                     re.M | re.S):
+        lines = re.findall(r"^(\w+)\s*=", block, re.M)
+        if lines:                  # a section of key = value lines
+            documented[heading] = set(lines)
+        for rule, body in re.findall(r"^([\w-]+)\s*::=(.*(?:\n\s+.*)*)",
+                                     block, re.M):
+            keys = set(re.findall(r'"(\w+)="', body))
+            if keys:               # a record of key=value tokens
+                documented[rule] = keys
+    assert documented.pop("rung") == set(_FIELDS["window"])
+    flag = re.search(r"`--window ([^`]*)`", doc).group(1)
+    documented["window"] = set(re.findall(r"(\w+)=", flag))
+    assert documented == {kind: set(fields) for kind, fields in _FIELDS.items()}
