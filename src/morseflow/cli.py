@@ -26,15 +26,15 @@ from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
                      ConstraintViolated, CycleConditionViolated,
                      EvolutionError, InvalidParameters, InvalidTuple,
                      InvalidWindow, MorseflowError, NonIsolatedCusp,
-                     NonNestedLadder, NonTriangularDelta, NonUnitPivot,
-                     NotADifferential, ScenarioError, ScenarioSemanticError,
-                     VerticalTangency)
-from .escape import (build_cascade, check_H1, check_H2, escape_budget, linear,
-                     parse_phi, phi_text)
+                     NonNestedLadder, NonTriangularDelta, NonUnitError,
+                     NonUnitPivot, NotADifferential, ScenarioError,
+                     ScenarioSemanticError, VerticalTangency)
+from .escape import build_cascade, check_H1, check_H2, escape_budget, linear
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
 from .rings import RINGS, Z2
-from .scenario import (Scenario, _rational, load_scenario, parse_window_spec,
-                       read_class, serialize_scenario)
+from .scenario import (Scenario, _rational, load_scenario, parse_phi,
+                       parse_window_spec, phi_text, read_class,
+                       serialize_scenario)
 from .tracker import filtered_homology, full_homology, track_class, wide_window
 
 HEADER = "# morseflow 0.1.0"
@@ -254,8 +254,11 @@ def _cmd_cascade(arg, flags):
     if max(abs(top.numerator), top.denominator) >= 10 ** MAX_LITERAL_DIGITS:
         raise ScenarioError("cascade height base * ratio^n longer than %d "
                             "digits" % MAX_LITERAL_DIGITS)
-    t, gamma0, events = build_cascade(flags.n, base=base, ratio=ratio,
-                                      delta_value=delta, ring=ring)
+    try:
+        t, gamma0, events = build_cascade(flags.n, base=base, ratio=ratio,
+                                          delta_value=delta, ring=ring)
+    except (InvalidParameters, NonUnitError) as e:
+        raise ScenarioError("cascade: %s" % e) from None
     sc = Scenario(ring, t, gamma0, tuple(events), window=wide_window(t),
                   rep={"c1": ring.one}, label="h",
                   phi=linear(Fraction(1), gap=(-ratio, ratio)))

@@ -13,7 +13,6 @@ certify divergence.
 """
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
                    Finding)
 from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
-                     PrecisionExhausted, UnsupportedFamily, check_literal)
+                     PrecisionExhausted, UnsupportedFamily)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
@@ -54,7 +53,11 @@ class GrowthBound:
         depth = len(self.log_powers)
         if depth > 4:
             raise InvalidParameters("at most four iterated log factors")
-        a, b = self.gap
+        try:
+            a, b = self.gap
+        except (TypeError, ValueError):
+            raise InvalidParameters("the exclusion interval is a pair (a, b), "
+                                    "not %r" % (self.gap,)) from None
         a, b = frac(a), frac(b)
         object.__setattr__(self, "gap", (a, b))
         if not a <= 0 <= b:
@@ -165,12 +168,13 @@ class GrowthBound:
             "no closed-form tail registered for %r" % (self,))
 
 
-def linear(c, gap=(-1, 1)):
-    return GrowthBound(c, 1, (), gap, "linear")
+# in each constructor below, gap=None gives the family's default interval
+def linear(c, gap=None):
+    return GrowthBound(c, 1, (), (-1, 1) if gap is None else gap, "linear")
 
 
-def square(c, gap=(0, 0)):
-    return GrowthBound(c, 2, (), gap, "square")
+def square(c, gap=None):
+    return GrowthBound(c, 2, (), (0, 0) if gap is None else gap, "square")
 
 
 def iterlog(c, depth, gap=None):
@@ -186,73 +190,9 @@ def iterlog(c, depth, gap=None):
 
 def polylog(c, p, logs=(), gap=None):
     if gap is None:
-        thr = max(_LOG_THRESHOLD[len(tuple(logs))], 1 if p != 0 else 0)
+        thr = max(_LOG_THRESHOLD.get(len(tuple(logs)), 0), 1 if p != 0 else 0)
         gap = (-thr, thr)
     return GrowthBound(c, p, tuple(logs), gap, "polylog")
-
-
-_PHI_RE = re.compile(r"^\s*(linear|square|iterlog|polylog)\s*\((.*)\)\s*$")
-
-
-def _phi_number(text):
-    check_literal(text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidParameters("bad number %r in growth bound" % text)
-
-
-def parse_phi(text):
-    """Textual growth-bound syntax used by scenario files.
-
-    Examples: linear(c=2), square(c=1/2), iterlog(c=1, depth=2),
-    polylog(c=1, p=-1, gap=(-1, 1)).  Numbers are exact rationals.
-    """
-    m = _PHI_RE.match(text)
-    if not m:
-        raise InvalidParameters("unrecognized growth bound %r" % text)
-    name, body = m.group(1), m.group(2)
-    kwargs = {}
-    for part in re.findall(r"(\w+)\s*=\s*(\([^)]*\)|[^,()]+)", body):
-        key, val = part
-        val = val.strip()
-        if val.startswith("("):
-            items = [v.strip() for v in val[1:-1].split(",") if v.strip()]
-            kwargs[key] = tuple(_phi_number(v) for v in items)
-        else:
-            kwargs[key] = _phi_number(val)
-    try:
-        if name == "linear":
-            return linear(kwargs.pop("c"), **kwargs)
-        if name == "square":
-            return square(kwargs.pop("c"), **kwargs)
-        if name == "iterlog":
-            depth = kwargs.pop("depth")
-            if not isinstance(depth, Fraction) or depth.denominator != 1:
-                raise InvalidParameters("iterlog depth must be a whole number")
-            return iterlog(kwargs.pop("c"), int(depth), **kwargs)
-        return polylog(kwargs.pop("c"), kwargs.pop("p"),
-                       kwargs.pop("logs", ()), **kwargs)
-    except KeyError as e:
-        raise InvalidParameters("growth bound %s missing argument %s"
-                                % (name, e))
-    except TypeError as e:
-        raise InvalidParameters("growth bound %s: %s" % (name, e))
-
-
-def phi_text(phi):
-    """The text parse_phi reads back as phi."""
-    gap = "gap=(%s, %s)" % phi.gap
-    if phi.label == "linear":
-        return "linear(c=%s, %s)" % (phi.coefficient, gap)
-    if phi.label == "square":
-        return "square(c=%s, %s)" % (phi.coefficient, gap)
-    if phi.label == "iterlog":
-        return "iterlog(c=%s, depth=%d, %s)" % (phi.coefficient,
-                                                len(phi.log_powers), gap)
-    logs = ",".join(str(q) for q in phi.log_powers)
-    return "polylog(c=%s, p=%s, logs=(%s), %s)" % (phi.coefficient,
-                                                   phi.power, logs, gap)
 
 
 # ---------------------------------------------------------------------------

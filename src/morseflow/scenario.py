@@ -32,12 +32,13 @@ a comment; blank lines separate nothing.  The [phi] and [rabinowitz]
 sections configure the growth-bound commands; see docs/format.md for
 the complete grammar.
 
-One reader (_read) takes every record of keyed fields, and one table
-(_FIELDS) declares each record kind's keys, literal readers and
-defaults.  A token without `=`, an unknown or repeated key and a
-missing required key are errors there.  Points are pairs and nothing
-else, and a matrix position appears at most once.  Parse errors carry
-the line number.
+One reader (_read) takes every record of keyed fields, growth bounds
+included, and one table (_FIELDS) declares each record kind's keys,
+literal readers and defaults.  A token without `=`, an unknown or
+repeated key and a missing required key are errors there.  Points are
+pairs and nothing else.  One entry reader (_entries) takes every matrix
+position, `(id, ..) = value`, and a position appears at most once.
+Parse errors carry the line number.
 """
 
 import re
@@ -50,7 +51,7 @@ from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    Component, DeathVertex, Vertex)
 from .errors import (InvalidParameters, ScenarioSemanticError,
                      ScenarioSyntaxError, check_literal)
-from .escape import parse_phi, phi_text
+from .escape import iterlog, linear, polylog, square
 from .matrix import SparseMatrix
 from .piecewise import Piecewise
 from .rabinowitz import (HomotopyModel, HypersurfaceHomotopy, LogTame,
@@ -177,16 +178,30 @@ def _cutoff(text, line):
     return pw
 
 
-def _bound(text, line):
-    return _at_line(line, parse_phi, text)
-
-
 def _depth(text, line):
     depth = _rational(text, line)
     if depth.denominator != 1:
-        raise ScenarioSemanticError("log-tame depth must be a whole number",
-                                    line)
+        raise ScenarioSemanticError("depth must be a whole number", line)
     return int(depth)
+
+
+def _numbers(text, line):
+    """A parenthesized list of exact numbers; `()` is the empty list."""
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ScenarioSyntaxError("expected a list (q1, ...), got %r" % text,
+                                  line)
+    inner = text[1:-1]
+    if not inner.strip():
+        return ()
+    return tuple(_rational(t, line) for t in inner.split(","))
+
+
+def _pair(text, line):
+    m = _PAIR.fullmatch(text)
+    if not m:
+        raise ScenarioSyntaxError("expected a pair (a, b), got %r" % text,
+                                  line)
+    return _rational(m.group(1), line), _rational(m.group(2), line)
 
 
 _END_TAG = re.compile(r"^(boundary|birth\((\w+)\)|death\((\w+)\))$")
@@ -207,6 +222,26 @@ def _ends(text, line):
     return tags
 
 
+_GROWTH = {"linear": linear, "square": square, "iterlog": iterlog,
+           "polylog": polylog}
+_BOUND = re.compile(r"\s*(\w+)\s*\((.*)\)\s*")
+_ITEM = re.compile(r",(?![^()]*\))")          # a comma outside parentheses
+
+
+def parse_phi(text, line=None):
+    """A growth bound `family(key=value, ...)`: the family's declared
+    fields, given to its constructor in escape.  Examples: linear(c=2),
+    iterlog(c=1, depth=2), polylog(c=1, p=-1, logs=(), gap=(-1, 1))."""
+    m = _BOUND.fullmatch(text)
+    if not m or m.group(1) not in _GROWTH:
+        raise ScenarioSemanticError("unrecognized growth bound %r" % text,
+                                    line)
+    name, body = m.groups()
+    parts = _ITEM.split(body) if body.strip() else []
+    return _at_line(line, _GROWTH[name], *_read(
+        name, [(line, t.strip()) for t in parts], line))
+
+
 def _choice(options, what):
     """The reader of a case-insensitive name among options."""
     def read(text, line):
@@ -225,7 +260,7 @@ _FIELDS = {
     "[coefficients]": {"ring": (_choice(RINGS, "ring"),)},
     "[window]": {"a": (_cutoff,), "b": (_cutoff,)},
     "[track]": {"class": (read_class, None), "label": (_name, "h")},
-    "[phi]": {"bound": (_bound, None), "kappa": (_rational, None),
+    "[phi]": {"bound": (parse_phi, None), "kappa": (_rational, None),
               "rho0": (_rational, None)},
     "[rabinowitz]": {
         "h_sup": (_rational, Fraction(0)), "c": (_rational, Fraction(1)),
@@ -246,6 +281,13 @@ _FIELDS = {
               "pivot": (_rational, Fraction(1))},
     "death": {"r": (_rational,), "vertex": (_name,)},
     "window": {"a": (_rational,), "b": (_rational,)},   # rungs, --window
+    # growth bounds, in the order of their escape constructor's arguments;
+    # gap=None gives the family's default interval
+    "linear": {"c": (_rational,), "gap": (_pair, None)},
+    "square": {"c": (_rational,), "gap": (_pair, None)},
+    "iterlog": {"c": (_rational,), "depth": (_depth,), "gap": (_pair, None)},
+    "polylog": {"c": (_rational,), "p": (_rational,), "logs": (_numbers, ()),
+                "gap": (_pair, None)},
 }
 
 
@@ -322,10 +364,6 @@ def _split_sections(text):
     return out
 
 
-def _boundary(end):
-    return BoundaryAt0() if end == 0 else BoundaryAt1()
-
-
 def _parse_arcs(lines):
     arcs = {}
     for lineno, text in lines:
@@ -339,12 +377,11 @@ def _parse_arcs(lines):
         pw, rest = _points(rest, lineno)
         ends, (lo_open, hi_open) = _read(
             "arc", [(lineno, t) for t in rest.split()], lineno)
-        if ends is None:
-            lo = _boundary(pw.r_lo)
-            hi = BoundaryAt1() if pw.r_hi == 1 else BoundaryAt0()
-        else:
-            lo = ends[0] or _boundary(pw.r_lo)
-            hi = ends[1] or _boundary(pw.r_hi)
+        # `boundary`, written or not: the boundary at the end's own side
+        # when the footprint reaches it, else the other one
+        lo, hi = ends or (None, None)
+        lo = lo or (BoundaryAt0() if pw.r_lo == 0 else BoundaryAt1())
+        hi = hi or (BoundaryAt1() if pw.r_hi == 1 else BoundaryAt0())
         arcs[aid] = Arc(aid, pw, lo, hi, lo_open=lo_open, hi_open=hi_open)
     return list(arcs.values())
 
@@ -372,48 +409,29 @@ def _parse_vertices(lines, arc_ids):
     return verts
 
 
-def _parse_gamma(lines, arc_ids, ring):
-    entries = {}
-    for lineno, text in lines:
-        lhs, eq, rhs = text.partition("=")
-        m = _PAIR.fullmatch(lhs.strip())
-        if not eq or not m:
-            raise ScenarioSyntaxError("gamma lines are `(c1, c2) = value`",
-                                      lineno)
-        c1, c2 = m.group(1).strip(), m.group(2).strip()
-        for c in (c1, c2):
-            if c not in arc_ids:
-                raise ScenarioSemanticError("unknown arc %r in gamma" % c,
-                                            lineno)
-        if (c1, c2) in entries:
-            raise ScenarioSyntaxError("gamma entry (%s, %s) given twice"
-                                      % (c1, c2), lineno)
-        entries[(c1, c2)] = ring.coerce(_rational(rhs, lineno))
-    return entries
+_ENTRY = re.compile(r"\(([^()]*)\)\s*=(.*)")
 
 
-def _event_entries(text, arc_ids, line):
-    """{(arc ids): exact value} of `(ids) = value; ...`; a repeated
+def _entries(items, arity, arc_ids, what):
+    """{arc ids: exact value} of `(id, ..) = value` entries, each naming
+    arity declared arcs; items are (line, text) pairs.  A repeated
     position is an error."""
     out = {}
-    for part in text.split(";"):
-        if not part.strip():
-            continue
-        lhs, eq, rhs = part.partition("=")
-        if not eq:
-            raise ScenarioSyntaxError("event entries are `(..) = value`",
+    for line, text in items:
+        m = _ENTRY.fullmatch(text.strip())
+        ids = tuple(x.strip() for x in m.group(1).split(",")) if m else ()
+        if len(ids) != arity or not all(ids):
+            raise ScenarioSyntaxError("%s entries are `(%s) = value`"
+                                      % (what, ", ".join(["arc"] * arity)),
                                       line)
-        ids = tuple(x.strip() for x in
-                    lhs.strip().lstrip("(").rstrip(")").split(",")
-                    if x.strip())
         for x in ids:
             if x not in arc_ids:
                 raise ScenarioSemanticError(
-                    "event references unknown arc %r" % x, line)
+                    "%s references unknown arc %r" % (what, x), line)
         if ids in out:
-            raise ScenarioSyntaxError("event entry (%s) given twice"
-                                      % ", ".join(ids), line)
-        out[ids] = _rational(rhs, line)
+            raise ScenarioSyntaxError("%s entry (%s) given twice"
+                                      % (what, ", ".join(ids)), line)
+        out[ids] = _rational(m.group(2), line)
     return out
 
 
@@ -437,12 +455,13 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
                 "instants must be disjoint (pairwise distinct parameters)"
                 % (r, r), lineno)
         seen.add(r)
-        entries = _event_entries(tail, arc_ids, lineno)
+        if kind == "death" and tail.strip():
+            raise ScenarioSyntaxError("a death takes no entries", lineno)
+        entries = _entries([(lineno, part) for part in tail.split(";")
+                            if part.strip()],
+                           2 if kind == "slide" else 1, arc_ids, kind)
 
         if kind == "slide":
-            if any(len(ids) != 2 for ids in entries):
-                raise ScenarioSyntaxError(
-                    "slide entries are `(upper, lower) = value`", lineno)
             if not entries:
                 raise ScenarioSyntaxError("slide needs at least one entry",
                                           lineno)
@@ -458,9 +477,6 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
         if kind == "death":
             events.append(EventRecord(r, Death(vertex)))
             continue
-        if any(len(ids) != 1 for ids in entries):
-            raise ScenarioSyntaxError(
-                "birth entries are `(arc) = value`", lineno)
         column = tuple((aid, ring.coerce(val))
                        for (aid,), val in entries.items())
         events.append(EventRecord(r, Birth(vertex, ring.coerce(fields[1]),
@@ -536,7 +552,8 @@ def parse_scenario(text, path="", ring=None):
     family = CerfTuple(tuple(arcs), _infer_components(arcs, vertices),
                        tuple(vertices))
 
-    entries = _parse_gamma(sections.get("gamma", ()), arc_ids, ring)
+    entries = {ids: ring.coerce(value) for ids, value in _entries(
+        sections.get("gamma", ()), 2, arc_ids, "gamma").items()}
     events = _parse_events(sections.get("events", ()), arc_ids,
                            {v.id for v in vertices}, ring)
     events.sort(key=lambda ev: ev.r)
@@ -603,6 +620,16 @@ def _fmt_tag(tag):
     if isinstance(tag, DeathVertex):
         return "death(%s)" % tag.vertex
     return "boundary"
+
+
+def phi_text(phi):
+    """The text parse_phi reads back as phi: every field of its family."""
+    values = {"c": phi.coefficient, "p": phi.power,
+              "depth": len(phi.log_powers),
+              "logs": "(%s)" % ",".join(map(str, phi.log_powers)),
+              "gap": "(%s, %s)" % phi.gap}
+    return "%s(%s)" % (phi.label, ", ".join(
+        "%s=%s" % (key, values[key]) for key in _FIELDS[phi.label]))
 
 
 def _fmt_section(name, *values):

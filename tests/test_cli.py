@@ -350,6 +350,32 @@ class TestInputLimits:
         self.assert_one_error_line(capsys, flag + ":")
 
 
+    @pytest.mark.parametrize("bound", [
+        "linear(c=1, c=5)", "linear(c=1, garbage)",
+        "linear(c=1, gap=(-1, 1, 7))", "square(c=1, gap=(-2))",
+        "linear(c=1,)"])
+    def test_malformed_bound_in_flag_and_file(self, bound, tmp_path, capsys):
+        assert main(["escape", "slide", "--phi", bound]) == 1
+        self.assert_one_error_line(capsys, "--phi:")
+        path = write(tmp_path, "phi.scn", DESCENDING.replace(
+            "linear(c=1)", bound))
+        assert main(["escape", path]) == 1
+        self.assert_one_error_line(capsys, "line 9:")
+
+    @pytest.mark.parametrize("argv, words", [
+        (["--n", "-1"], "nonnegative"),
+        (["--n", "3", "--ratio", "1"], "exceed 1"),
+        (["--n", "3", "--base", "0"], "positive"),
+        (["--n", "3", "--delta", "0"], "nonzero"),
+        (["--n", "3", "--delta", "2"], "nonzero"),
+        (["--n", "3", "--delta", "1/2", "--coeff", "z"], "not an integer"),
+    ])
+    def test_cascade_value_out_of_range(self, argv, words, tmp_path, capsys):
+        assert main(["cascade"] + argv + ["--out", str(tmp_path)]) == 1
+        self.assert_one_error_line(capsys, "cascade:", words)
+        assert os.listdir(str(tmp_path)) == []
+
+
 class TestBirthPivot:
     """A birth's pivot= is read as an exact literal, like every entry."""
 
@@ -413,6 +439,10 @@ class TestDeclaredFields:
          ("line 16:", "(c1, c2)", "twice")),
         ("birth", "(c1) = 1", "(c1) = 1; (c1) = 1", "validate",
          ("line 16:", "(c1)", "twice")),
+        ("slide", "slide r=3/8 : (c1, c2) = 1", "slide r=1/2 : c1, c2) = 1",
+         "validate", ("line 16:", "slide entries")),
+        ("eyeball", "death r=3/4 vertex=vd", "death r=3/4 vertex=vd : (c1) = 5",
+         "validate", ("line 18:", "death takes no entries")),
     ])
     def test_refused_with_its_line(self, name, old, new, cmd, words,
                                    tmp_path, capsys):
@@ -522,7 +552,10 @@ _CHAINS = st.lists(st.tuples(st.sampled_from(["", "+ ", "- ", "2*", "1/2*",
 _BOUNDS = st.tuples(st.sampled_from([
     "linear(c=%s)", "square(c=%s)", "iterlog(c=%s, depth=2)",
     "polylog(c=%s, p=-1, gap=(-1, 1))", "linear(c=%s, gap=(0, 1))",
-    "cubic(c=%s)", "linear(%s)"]), _NUMBERS).map(lambda fb: fb[0] % fb[1])
+    "cubic(c=%s)", "linear(%s)", "linear(c=%s, gap=(-2))",
+    "linear(c=%s, gap=(-1, 1, 7))", "linear(c=1, c=%s)",
+    "linear(c=%s, garbage)", "linear(c=%s,)"]), _NUMBERS).map(
+    lambda fb: fb[0] % fb[1])
 _WINDOWS = st.tuples(_NUMBERS, _NUMBERS, st.sampled_from(
     ["a=%s,b=%s", "a=%s", "a=%s,a=%s", "a=%s,b=%s,c=1", "b=%s a=%s"])).map(
     lambda t: t[2] % t[:t[2].count("%s")])

@@ -18,9 +18,10 @@ from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
-                              parse_phi, polylog, square)
+                              polylog, square)
 from morseflow.matrix import SparseMatrix
 from morseflow.rings import Z, Z2
+from morseflow.scenario import parse_phi
 from morseflow.tracker import (SpectralTrace, Window, track_class,
                                wide_window, window_violation)
 
@@ -92,6 +93,14 @@ class TestGrowthBound:
     def test_rejected_parameters(self, build):
         with pytest.raises(InvalidParameters):
             build()
+
+    @pytest.mark.parametrize("gap", [(1, 2, 3), (-1,), (), None, 0])
+    def test_gap_that_is_not_a_pair(self, gap):
+        with pytest.raises(InvalidParameters, match="pair"):
+            GrowthBound(1, 1, (), gap)
+        if gap is not None:
+            with pytest.raises(InvalidParameters, match="pair"):
+                linear(1, gap=gap)
 
     def test_iterlog_default_gaps_clear_the_thresholds(self):
         assert iterlog(1, 1).gap == (F(-2), F(2))
@@ -179,13 +188,13 @@ class TestParsePhi:
         "linear",
     ])
     def test_rejected_syntax(self, text):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(ScenarioError):
             parse_phi(text)
 
     @pytest.mark.parametrize("text", ["linear(c=1/0)", "linear(c=1, gap=(a, 1))",
                                       "linear(c=1, gap=(-1, 1/0))"])
     def test_bad_numbers_are_reported_not_raised_raw(self, text):
-        with pytest.raises(InvalidParameters, match="bad number"):
+        with pytest.raises(ScenarioError, match="not an exact number"):
             parse_phi(text)
 
     def test_literal_digit_limit(self):

@@ -17,11 +17,13 @@ from morseflow.cerf import validate_cerf
 from morseflow.cli import data_path
 from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
                               ScenarioSemanticError, ScenarioSyntaxError)
-from morseflow.escape import build_cascade, linear
+from morseflow import escape
+from morseflow.escape import build_cascade, iterlog, linear, polylog, square
 from morseflow.rings import Q, Z, Z2
 from morseflow.scenario import (_FIELDS, Scenario, load_scenario,
-                                parse_chain, parse_scenario,
-                                parse_window_spec, serialize_scenario)
+                                parse_chain, parse_phi, parse_scenario,
+                                parse_window_spec, phi_text,
+                                serialize_scenario)
 from morseflow.tracker import wide_window
 
 MINIMAL = """
@@ -385,6 +387,52 @@ class TestErrors:
         with pytest.raises(ScenarioSemanticError, match="first interval"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("bound, words", [
+        ("linear(c=1, gap=(-2))", "pair"),
+        ("square(c=1, gap=(-2))", "pair"),
+        ("linear(c=1, gap=(-1, 1, 7))", "pair"),
+        ("linear(c=1, gap=())", "pair"),
+        ("linear(c=1, c=5)", "'c' given twice"),
+        ("linear(c=1, garbage)", "'garbage'"),
+        ("linear(c=1,)", "expected key=value"),
+        ("linear(c=1,, gap=(-1,1) junk)", "expected key=value"),
+        ("linear(c=1) junk)", "not an exact number"),
+        ("linear(c=1, gap=(-1, 1)", "expected key=value"),
+        ("linear()", "c is missing"),
+        ("polylog(c=1, p=1, logs=1)", "list"),
+        ("polylog(c=1, p=1, logs=(1,))", "not an exact number"),
+        ("polylog(c=1, p=1, logs=(1, 1, 1, 1, 1))", "four"),
+        ("iterlog(c=1, depth=2, logs=(1))", "unknown key 'logs'"),
+        ("LINEAR(c=1)", "unrecognized"),
+    ])
+    def test_malformed_bound_carries_its_line(self, bound, words):
+        with pytest.raises(ScenarioError, match=re.escape(words)) as e:
+            parse_scenario(MINIMAL + "[phi]\nkappa = 1\nbound = %s\n" % bound)
+        assert e.value.line == 6
+
+    def test_keys_inside_a_bound_are_case_insensitive(self):
+        sc = parse_scenario(MINIMAL + "[phi]\nbound = linear(C=2, GAP=(-3, 3))\n")
+        assert sc.phi == linear(2, gap=(-3, 3))
+
+    @pytest.mark.parametrize("section, line, words", [
+        ("[events]\nslide r=1/2 : c1, c2) = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : (c1, c2 = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : ((c1, c2)) = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : (c1,, c2) = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : (c1, c2, c2) = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : (c1) = 1\n", 6, "slide entries"),
+        ("[events]\nslide r=1/2 : (c2, c1) 1\n", 6, "slide entries"),
+        ("[events]\nbirth r=1/2 vertex=vb : c1 = 1\n", 6, "birth entries"),
+        ("[events]\ndeath r=3/4 vertex=vd : (c1) = 5\n", 6,
+         "death takes no entries"),
+        ("[gamma]\n(c2, c1) = 1\n(c2, c1, c1) = 1\n", 7, "gamma entries"),
+        ("[gamma]\nc2, c1) = 1\n", 6, "gamma entries"),
+    ])
+    def test_entry_positions_are_read_strictly(self, section, line, words):
+        with pytest.raises(ScenarioSyntaxError, match=words) as e:
+            parse_scenario(MINIMAL + "c2 : (0, 1) (1, 1)\n" + section)
+        assert e.value.line == line
+
     def test_error_message_carries_line_prefix(self):
         with pytest.raises(ScenarioError, match=r"^line 2:"):
             parse_scenario("[arcs]\nbroken\n")
@@ -425,6 +473,60 @@ class TestRoundTrip:
         assert sc2.rep == sc.rep
         assert serialize_scenario(sc2) == serialize_scenario(sc)
 
+    @pytest.mark.parametrize("points, lo, hi", [
+        ("(0, 4) (1/2, 4)", BoundaryAt0(), BoundaryAt0()),
+        ("(1/4, 4) (1, 4)", BoundaryAt1(), BoundaryAt1()),
+        ("(0, 4) (1, 4)", BoundaryAt0(), BoundaryAt1()),
+    ])
+    @pytest.mark.parametrize("ends", ["", " ends=boundary,boundary"])
+    def test_boundary_end_tags_round_trip(self, points, lo, hi, ends):
+        """`boundary` resolves by one rule, written or omitted."""
+        sc = parse_scenario("[arcs]\nc1 : %s%s\n" % (points, ends))
+        arc = sc.family.arc("c1")
+        assert (arc.lo_tag, arc.hi_tag) == (lo, hi)
+        assert parse_scenario(serialize_scenario(sc)).family == sc.family
+
+
+_POSITIVE = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3))
+_NONNEGATIVE = st.builds(F, st.integers(0, 10**6), st.integers(1, 10**3))
+
+
+@st.composite
+def growth_bounds(draw):
+    """A bound from one of the four constructors, with its default gap or
+    a drawn one that clears the log threshold."""
+    family = draw(st.sampled_from(["linear", "square", "iterlog", "polylog"]))
+    c = draw(_POSITIVE)
+    depth = draw(st.integers(1, 4)) if family == "iterlog" else 0
+    logs = ()
+    if family == "polylog":
+        logs = tuple(draw(st.lists(_NONNEGATIVE, max_size=4)))
+    thr = escape._LOG_THRESHOLD[max(depth, len(logs))]
+    gap = draw(st.none() | st.tuples(_NONNEGATIVE, _NONNEGATIVE).map(
+        lambda ab: (-thr - ab[0], thr + ab[1])))
+    if family == "linear":
+        return linear(c, gap)
+    if family == "square":
+        return square(c, gap)
+    if family == "iterlog":
+        return iterlog(c, depth, gap)
+    return polylog(c, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 9))),
+                   logs, gap)
+
+
+class TestGrowthBoundText:
+    @settings(max_examples=200, deadline=None)
+    @given(phi=growth_bounds())
+    def test_phi_text_reads_back(self, phi):
+        text = phi_text(phi)
+        assert parse_phi(text) == phi
+        assert phi_text(parse_phi(text)) == text
+
+    def test_empty_logs_round_trip(self):
+        text = phi_text(polylog(1, -1))
+        assert text == "polylog(c=1, p=-1, logs=(), gap=(-1, 1))"
+        assert parse_phi(text) == polylog(1, -1)
+
 
 def assert_text_fixed_point(sc):
     """serialize -> parse -> serialize gives the first text back.  Texts
@@ -461,7 +563,8 @@ class TestRoundTripFuzz:
 
 def test_format_doc_lists_the_declared_keys():
     """docs/format.md's grammar blocks and the reader's table declare the
-    same keys for every record kind."""
+    same keys for every record kind, the four growth-bound families
+    included."""
     doc_path = os.path.join(os.path.dirname(__file__), "..", "docs",
                             "format.md")
     with open(doc_path, encoding="utf-8") as fh:
@@ -480,4 +583,5 @@ def test_format_doc_lists_the_declared_keys():
     assert documented.pop("rung") == set(_FIELDS["window"])
     flag = re.search(r"`--window ([^`]*)`", doc).group(1)
     documented["window"] = set(re.findall(r"(\w+)=", flag))
+    assert {"linear", "square", "iterlog", "polylog"} <= documented.keys()
     assert documented == {kind: set(fields) for kind, fields in _FIELDS.items()}
