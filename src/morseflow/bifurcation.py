@@ -35,8 +35,9 @@ from typing import Callable
 from .algebra import is_chain_homotopy, is_chain_map
 from .cerf import Finding
 from .errors import (ActionConstraintViolated, ConstraintViolated,
-                     CycleConditionViolated, EvolutionError,
-                     NonTriangularDelta, NonUnitPivot, VerificationFailed)
+                     CycleConditionViolated, DegenerateParameter,
+                     EvolutionError, NonTriangularDelta, NonUnitPivot,
+                     VerificationFailed)
 from .matrix import SparseMatrix
 from .piecewise import _walk, frac
 
@@ -97,6 +98,12 @@ class FlowCounter:
     @property
     def generators(self):
         return sorted(self.gamma.rows, key=str)
+
+    def holds(self, r):
+        """r lies in the interval: strictly inside it, or at 0 or 1 when
+        the interval reaches that end of the family."""
+        return (self.r_lo < r < self.r_hi or r == self.r_lo == 0
+                or r == self.r_hi == 1)
 
     def midpoint(self):
         """(r_lo + r_hi) / 2, computed on the first call and kept."""
@@ -159,12 +166,16 @@ class EvolutionLog:
         return self.intervals[0].gamma.ring
 
     def counter_at(self, r):
-        """FlowCounter of the interval containing r; r must avoid events."""
+        """FlowCounter of the interval that holds r (FlowCounter.holds);
+        an event parameter, or r outside [0, 1], raises
+        DegenerateParameter."""
         r = frac(r)
         for fc in self.intervals:
-            if fc.r_lo < r < fc.r_hi or (fc.r_lo == 0 == r) or (fc.r_hi == 1 == r):
+            if fc.holds(r):
                 return fc
-        raise EvolutionError("r=%s lies on an event parameter" % r)
+        raise DegenerateParameter("r=%s is an event parameter" % r
+                                  if 0 < r < 1 else
+                                  "r=%s lies outside [0, 1]" % r)
 
     def step_at(self, r):
         r = frac(r)
@@ -434,18 +445,26 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     return bad
 
 
-def _check_interval(fc, t):
-    """Raises EvolutionError if the counter violates the standing axioms.
-    Square-zero is checked on the first interval; the events keep it."""
-    bad = _triangularity_violations(fc.gamma, t, fc.r_lo, fc.r_hi)
-    if bad:
-        raise EvolutionError(
-            "count entries %s violate the action order on interval (%s, %s)" %
-            (bad, fc.r_lo, fc.r_hi))
+def _interval_findings(fc, t):
+    """(axiom, message) of each standing axiom the counter violates: the
+    action order of each entry (gamma1), and square-zero (gamma2) on the
+    first interval only, since the events keep it."""
+    out = [("gamma1", "entry (%s, %s) violates the action order on (%s, %s)"
+            % (c1, c2, fc.r_lo, fc.r_hi))
+           for c1, c2 in _triangularity_violations(fc.gamma, t, fc.r_lo,
+                                                   fc.r_hi)]
     if fc.interval_index == 0 and not fc.gamma.mul(fc.gamma).is_zero():
-        raise EvolutionError(
-            "count matrix fails square-zero on interval (%s, %s)" %
-            (fc.r_lo, fc.r_hi))
+        out.append(("gamma2", "square-zero fails on (%s, %s)"
+                    % (fc.r_lo, fc.r_hi)))
+    return out
+
+
+def _check_interval(fc, t):
+    """Raises EvolutionError naming every standing axiom the counter
+    violates (_interval_findings)."""
+    bad = _interval_findings(fc, t)
+    if bad:
+        raise EvolutionError("; ".join(msg for _, msg in bad))
 
 
 def _alive_ids(t, r):
@@ -584,12 +603,8 @@ def validate_axioms(gamma0, events, t):
         return AxiomReport(tuple(out))
 
     for fc in log.intervals:
-        for c1, c2 in _triangularity_violations(fc.gamma, t, fc.r_lo, fc.r_hi):
-            err("gamma1",
-                "entry (%s, %s) violates the action order on (%s, %s)" %
-                (c1, c2, fc.r_lo, fc.r_hi))
-        if fc.interval_index == 0 and not fc.gamma.mul(fc.gamma).is_zero():
-            err("gamma2", "square-zero fails on (%s, %s)" % (fc.r_lo, fc.r_hi))
+        for code, msg in _interval_findings(fc, t):
+            err(code, msg)
 
     if not out:
         info("summary", "all axioms pass on %d intervals, %d events" %

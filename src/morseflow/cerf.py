@@ -153,9 +153,6 @@ class CerfTuple:
         vals = [v for a in self.arcs for _, v in a.f3.points]
         return (min(vals), max(vals)) if vals else (None, None)
 
-    def vertex_params(self):
-        return sorted(v.r for v in self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # validation

@@ -73,26 +73,16 @@ def _findings_block(title, findings, ok):
     return lines
 
 
-def _window_for(sc, flags):
-    if getattr(flags, "window", None):
-        return _flag(flags, "window", parse_window_spec)
-    if sc.window is not None:
-        return sc.window
-    return wide_window(sc.family)
-
-
-def _rep_for(sc, flags):
-    if getattr(flags, "class", None):
-        arc_ids = {a.id for a in sc.family.arcs}
-        return _flag(flags, "class",
-                     lambda text: read_class(text, None, sc.ring, arc_ids))
-    return sc.rep
-
-
-def _phi_for(sc, flags):
-    if getattr(flags, "phi", None):
-        return _flag(flags, "phi", parse_phi)
-    return sc.phi
+def _flag(flags, name, read, default=None):
+    """read applied to the text of --name, or default when the flag is
+    not given; read's errors name the flag."""
+    text = getattr(flags, name, None)
+    if text is None:
+        return default
+    try:
+        return read(text)
+    except (ScenarioError, InvalidParameters) as e:
+        raise ScenarioError("--%s: %s" % (name, e)) from None
 
 
 def _torsion_text(h):
@@ -154,7 +144,8 @@ def _cmd_evolve(sc, flags):
 
 def _cmd_homology(sc, flags):
     log = evolve(sc.gamma0, sc.events, sc.family)
-    w = _window_for(sc, flags)
+    w = _flag(flags, "window", parse_window_spec,
+              sc.window or wide_window(sc.family))
     lines = [HEADER, "ring: %s" % log.ring.name, "",
              "interval\tspan\trank\ttorsion\twindowed"]
     for fc in log.intervals:
@@ -177,23 +168,31 @@ def _cmd_homology(sc, flags):
 
 
 def _trace(sc, flags):
-    rep = _rep_for(sc, flags)
+    """The trace of the tracked class, --class or else the file's
+    [track] class, or None when neither gives one."""
+    arc_ids = {a.id for a in sc.family.arcs}
+    rep = _flag(flags, "class",
+                lambda text: read_class(text, None, sc.ring, arc_ids), sc.rep)
     if rep is None:
-        raise ScenarioSemanticError(
-            "tracking needs a class: give --class or a [track] section")
+        return None
     log = evolve(sc.gamma0, sc.events, sc.family)
-    return track_class(rep, log, _window_for(sc, flags), label=sc.label)
+    w = _flag(flags, "window", parse_window_spec,
+              sc.window or wide_window(sc.family))
+    return track_class(rep, log, w, label=sc.label)
 
 
 def _cmd_track(sc, flags):
     trace = _trace(sc, flags)
+    if trace is None:
+        raise ScenarioSemanticError(
+            "tracking needs a class: give --class or a [track] section")
     text = "\n".join([HEADER, trace.table(),
                       "final: %s" % trace.final_value()]) + "\n"
     return [("trace.txt", text)], 0
 
 
 def _cmd_escape(sc, flags):
-    phi = _phi_for(sc, flags)
+    phi = _flag(flags, "phi", parse_phi, sc.phi)
     if phi is None:
         raise ScenarioSemanticError(
             "escape analysis needs a growth bound: give --phi or a [phi] section")
@@ -210,8 +209,8 @@ def _cmd_escape(sc, flags):
                   "required: %s" % h2.required,
                   "margin: %s" % h2.margin,
                   "result: %s" % ("ok" if h2.ok else "insufficient")]
-    if sc.rep is not None or getattr(flags, "class", None):
-        trace = _trace(sc, flags)
+    trace = _trace(sc, flags)
+    if trace is not None:
         budget = escape_budget(trace, phi)
         lines.append("[budget]")
         heights = budget.heights
@@ -232,14 +231,6 @@ def _cmd_escape(sc, flags):
 # the most stages `cascade --n` builds; its heights base * ratio^k must
 # also fit in a numeric literal, so that the file it writes re-parses
 MAX_CASCADE_STAGES = 300
-
-
-def _flag(flags, name, read):
-    """read applied to the text of --name; its errors name the flag."""
-    try:
-        return read(getattr(flags, name))
-    except (ScenarioError, InvalidParameters) as e:
-        raise ScenarioError("--%s: %s" % (name, e)) from None
 
 
 def _cmd_cascade(arg, flags):
@@ -296,8 +287,9 @@ def _cmd_rabinowitz(arg, flags):
 
 def _cmd_plot(sc, flags):
     out = [("cerf.svg", family_svg(sc.family, sc.events))]
-    if sc.rep is not None or getattr(flags, "class", None):
-        out.append(("trace.svg", trace_svg(_trace(sc, flags))))
+    trace = _trace(sc, flags)
+    if trace is not None:
+        out.append(("trace.svg", trace_svg(trace)))
     return out, 0
 
 

@@ -49,7 +49,7 @@ from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    Component, DeathVertex, Vertex)
-from .errors import (InvalidParameters, ScenarioSemanticError,
+from .errors import (InvalidParameters, NonUnitError, ScenarioSemanticError,
                      ScenarioSyntaxError, check_literal)
 from .escape import iterlog, linear, polylog, square
 from .matrix import SparseMatrix
@@ -114,10 +114,15 @@ def _points(text, line):
 
 
 def _at_line(line, make, *args):
-    """make(*args), an out-of-range value reported as an error at line."""
+    """make(*args), an out-of-range value reported as an error at line.
+
+    Every value a scenario gives the coefficient ring is read through it
+    as _at_line(line, ring.coerce, value), so a value the ring does not
+    hold, like 1/2 over z or z2, is an error at its line too.
+    """
     try:
         return make(*args)
-    except InvalidParameters as e:
+    except (InvalidParameters, NonUnitError) as e:
         raise ScenarioSemanticError(str(e), line) from None
     except ScenarioSyntaxError as e:
         if e.line is not None:
@@ -143,7 +148,7 @@ def parse_chain(text, ring, line=None):
                 "bad chain syntax near %r" % text[pos:pos + 12], line)
         sign, coeff, aid = m.groups()
         val = _rational(coeff, line) if coeff else Fraction(1)
-        v = ring.coerce(-val if sign == "-" else val)
+        v = _at_line(line, ring.coerce, -val if sign == "-" else val)
         rep[aid] = ring.add(rep.get(aid, ring.zero), v)
         pos = m.end()
     return {k: v for k, v in rep.items() if v != ring.zero}
@@ -412,10 +417,10 @@ def _parse_vertices(lines, arc_ids):
 _ENTRY = re.compile(r"\(([^()]*)\)\s*=(.*)")
 
 
-def _entries(items, arity, arc_ids, what):
-    """{arc ids: exact value} of `(id, ..) = value` entries, each naming
-    arity declared arcs; items are (line, text) pairs.  A repeated
-    position is an error."""
+def _entries(items, arity, arc_ids, what, ring):
+    """{arc ids: element of ring} of `(id, ..) = value` entries, each
+    naming arity declared arcs; items are (line, text) pairs.  A
+    repeated position is an error."""
     out = {}
     for line, text in items:
         m = _ENTRY.fullmatch(text.strip())
@@ -431,7 +436,7 @@ def _entries(items, arity, arc_ids, what):
         if ids in out:
             raise ScenarioSyntaxError("%s entry (%s) given twice"
                                       % (what, ", ".join(ids)), line)
-        out[ids] = _rational(m.group(2), line)
+        out[ids] = _at_line(line, ring.coerce, _rational(m.group(2), line))
     return out
 
 
@@ -439,7 +444,7 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
     events = []
     seen = set()
     for lineno, text in lines:
-        head, _, tail = text.partition(":")
+        head, colon, tail = text.partition(":")
         kind, *toks = head.split() or [""]
         if kind not in ("slide", "birth", "death"):
             raise ScenarioSyntaxError(
@@ -455,19 +460,19 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
                 "instants must be disjoint (pairwise distinct parameters)"
                 % (r, r), lineno)
         seen.add(r)
-        if kind == "death" and tail.strip():
+        if kind == "death" and colon:
             raise ScenarioSyntaxError("a death takes no entries", lineno)
-        entries = _entries([(lineno, part) for part in tail.split(";")
-                            if part.strip()],
-                           2 if kind == "slide" else 1, arc_ids, kind)
+        # after a `:` every `;` part is an entry, so an empty one is an error
+        entries = _entries([(lineno, part) for part in tail.split(";")]
+                           if colon else (),
+                           2 if kind == "slide" else 1, arc_ids, kind, ring)
 
         if kind == "slide":
             if not entries:
                 raise ScenarioSyntaxError("slide needs at least one entry",
                                           lineno)
             events.append(EventRecord(r, HandleSlide(tuple(
-                (up, low, ring.coerce(val))
-                for (up, low), val in entries.items()))))
+                (up, low, val) for (up, low), val in entries.items()))))
             continue
 
         vertex = fields[0]
@@ -477,10 +482,9 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
         if kind == "death":
             events.append(EventRecord(r, Death(vertex)))
             continue
-        column = tuple((aid, ring.coerce(val))
-                       for (aid,), val in entries.items())
-        events.append(EventRecord(r, Birth(vertex, ring.coerce(fields[1]),
-                                           column)))
+        column = tuple((aid, val) for (aid,), val in entries.items())
+        pivot = _at_line(lineno, ring.coerce, fields[1])
+        events.append(EventRecord(r, Birth(vertex, pivot, column)))
     return events
 
 
@@ -552,8 +556,7 @@ def parse_scenario(text, path="", ring=None):
     family = CerfTuple(tuple(arcs), _infer_components(arcs, vertices),
                        tuple(vertices))
 
-    entries = {ids: ring.coerce(value) for ids, value in _entries(
-        sections.get("gamma", ()), 2, arc_ids, "gamma").items()}
+    entries = _entries(sections.get("gamma", ()), 2, arc_ids, "gamma", ring)
     events = _parse_events(sections.get("events", ()), arc_ids,
                            {v.id for v in vertices}, ring)
     events.sort(key=lambda ev: ev.r)

@@ -18,17 +18,23 @@ spectral value and slab is certified.
 
 The geometry those calls read is prepared once per family, in one
 arrangement: each arc's profile as integer points, each pair's
-crossings, and each window's verdict, sides and the crossings of its
-in-window pairs sorted by parameter.  validate_window, and through it
-filtered_homology, full_homology, spectral_value and track_class, read
+crossings, and each window's verdict, sides, in-window ids and the
+crossings of its in-window pairs sorted by parameter.  validate_window,
+filtered_homology, full_homology, spectral_value and track_class read
 the arrangement of the family they are given.  One slot holds the
-arrangement of the last family read, keyed by its identity.  A trace
-walks the window's sorted crossings with one pointer across the
+arrangement of the last family read, keyed by its identity.
+
+An interval's in-window generators have one reader, _interval_gens:
+the window's in-window ids among the rows of the interval's count
+matrix.  The rows are the arcs alive on the interval (evolve checks it),
+so no reader scans the family's arcs.  Each entry point finds its
+interval one way: filtered_homology is given it and checks that r lies
+in it, and spectral_value and full_homology take it from
+EvolutionLog.counter_at; an event parameter raises DegenerateParameter.
+A trace walks the window's sorted crossings with one pointer across the
 intervals, so each interval reads only the crossings inside it; the
 action order is sorted on an interval's first slab and then carried
-across each cut, re-sorting only the arcs that meet there.  An
-interval's in-window generators are read off its count matrix, whose
-rows are the arcs alive there, so a trace never scans the family.
+across each cut, re-sorting only the arcs that meet there.
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
@@ -103,19 +109,22 @@ BELOW, INSIDE, ABOVE = -1, 0, 1
 class _Arrangement:
     """The geometry of one family that every tracker call reads.
 
-    points maps each arc id to its profile's integer points (_ints; the
-    first arc with an id wins, as in CerfTuple.arc).  pairs maps a pair
-    of ids to their crossings, each as (x, numerator, denominator),
-    computed the first time a window needs them.  windows maps a window,
-    by value, to (verdict, sides); cuts maps a usable window to the
-    crossings of its in-window pairs, sorted by parameter.
+    points maps each arc id, in declaration order, to its profile's
+    integer points (_ints; the first arc with an id wins, as in
+    CerfTuple.arc).  pairs maps a pair of ids to their crossings, each
+    as (x, numerator, denominator), computed the first time a window
+    needs them.  windows maps a window, by value, to (verdict, sides,
+    in-window ids); cuts maps a usable window to the crossings of its
+    in-window pairs, sorted by parameter.
     """
 
     __slots__ = ("family", "points", "pairs", "windows", "cuts")
 
     def __init__(self, t):
         self.family = t
-        self.points = {a.id: _ints(a.f3.points) for a in reversed(t.arcs)}
+        self.points = {}
+        for a in t.arcs:
+            self.points.setdefault(a.id, _ints(a.f3.points))
         self.pairs = {}
         self.windows = {}
         self.cuts = {}
@@ -145,26 +154,32 @@ def validate_window(w, t):
     window clears every arc strictly on one side for the arc's whole
     life, so the arc's first point decides, compared with each cutoff
     there by a cross product.  The first arc with an id wins, as in
-    CerfTuple.arc.  The verdict and the sides are computed once per
-    family and window, and the sides returned are the arrangement's own:
+    CerfTuple.arc.  The sides returned are the arrangement's own:
     callers read them and do not change them.
     """
+    return _window(w, t)[0]
+
+
+def _window(w, t):
+    """(sides, inside) of the window w for t: each arc's side, by id, and
+    the in-window ids in declaration order.  Both are computed once per
+    family and window; an unusable window raises InvalidWindow."""
     arr = _arrangement(t)
     entry = arr.windows.get(w)
     if entry is None:
         entry = arr.windows[w] = _judge_window(arr, w)
-    why, sides = entry
+    why, sides, inside = entry
     if why is not None:
         raise InvalidWindow(why)
-    return sides
+    return sides, inside
 
 
 def _judge_window(arr, w):
-    """(verdict, sides) of the window w for the family of arr; sides is
-    None when the verdict is a reason to reject it."""
+    """(verdict, sides, inside) of the window w for the family of arr;
+    sides and inside are None when the verdict is a reason to reject it."""
     why = window_violation(w, arr.family)
     if why is not None:
-        return why, None
+        return why, None, None
     a, b = _ints(w.a.points), _ints(w.b.points)
     sides = {}
     for g, pts in arr.points.items():
@@ -173,17 +188,16 @@ def _judge_window(arr, w):
         bn, bd = _ratio_at(b, rn, rd)
         sides[g] = (BELOW if vn * ad < an * vd else
                     INSIDE if vn * bd < bn * vd else ABOVE)
-    return None, sides
+    return None, sides, [g for g, side in sides.items() if side == INSIDE]
 
 
-def _window_cuts(arr, w, sides):
+def _window_cuts(arr, w, inside):
     """The crossings of every pair of in-window arcs whose lives meet, as
     (x, numerator, denominator, id, id), sorted by x; computed once per
     family and window, each pair's crossings once per family."""
     cuts = arr.cuts.get(w)
     if cuts is None:
         pts = arr.points
-        inside = [g for g in pts if sides[g] == INSIDE]
         cuts = []
         for g1, g2 in itertools.combinations(inside, 2):
             p, q = pts[g1], pts[g2]
@@ -201,45 +215,24 @@ def _window_cuts(arr, w, sides):
     return cuts
 
 
-def _inside_at(t, sides, r):
-    """Ids of the arcs alive at r that lie inside the window."""
-    return [a.id for a in t.arcs_alive(r) if sides[a.id] == INSIDE]
-
-
 def _interval_gens(inside, fc):
-    """The in-window generators of the interval of fc, read off its matrix.
-
-    inside lists the ids of the in-window arcs in declaration order.  The
-    matrix's rows are exactly the arcs alive at the interval's midpoint
-    (evolve checks it), so this is _inside_at at the midpoint, without
-    scanning the family.
-    """
+    """The in-window generators of the interval of fc: the ids of inside
+    (the window's in-window ids, in declaration order) among its
+    matrix's rows.  The rows are exactly the arcs alive on the interval
+    (evolve checks it at the midpoint), so no arc list is scanned."""
     rows = set(fc.gamma.rows)
     return [g for g in inside if g in rows]
 
 
-def _check_parameter(t, r, forbidden=()):
-    r = frac(r)
-    if r in set(t.vertex_params()) | {frac(x) for x in forbidden}:
-        raise DegenerateParameter("r=%s is an event parameter" % r)
-    return r
-
-
-def _log_params(log):
-    return tuple(s.record.r for s in log.steps)
-
-
-def chain_group(t, r, w, forbidden=()):
-    """Ids of arcs alive at r whose action lies strictly inside the window."""
-    r = _check_parameter(t, r, forbidden)
-    return [a.id for a in t.arcs_alive(r) if w.contains_value(r, a.value(r))]
-
-
 def filtered_homology(t, fc, r, w):
-    """Homology of the count matrix restricted to the window at r."""
-    gens = _inside_at(t, validate_window(w, t), _check_parameter(t, r))
+    """Homology of the count matrix restricted to the window at r, which
+    must lie in the interval of fc (FlowCounter.holds)."""
+    _, inside = _window(w, t)
+    if not fc.holds(r):
+        raise DegenerateParameter("r=%s is not inside the interval (%s, %s)"
+                                  % (r, fc.r_lo, fc.r_hi))
     try:
-        return homology(fc.gamma.restrict(gens))
+        return homology(fc.gamma.restrict(_interval_gens(inside, fc)))
     except NotADifferential:
         raise InvalidWindow(
             "restriction to the window does not square to zero; the window "
@@ -291,7 +284,8 @@ def _order_key(t, rn, rd):
 
 
 def _coset_minimize(ring, d, rep, order):
-    """Representative of rep + im(d) minimizing the leading position.
+    """Support, in order, of the representative of rep + im(d) minimizing
+    the leading position.
 
     order lists the generators from highest action down; minimizing the
     top action means pushing the first nonzero coordinate as far down
@@ -311,15 +305,16 @@ def _coset_minimize(ring, d, rep, order):
     """
     pos = {g: i for i, g in enumerate(order)}
     n = len(order)
-    vec = [ring.zero] * n
+    zero = ring.zero
+    vec = [zero] * n
     for g, v in rep.items():
         vec[pos[g]] = v
     rows = {}
     for (g, c), x in d.entries.items():
-        rows.setdefault(g, [ring.zero] * n)[pos[c]] = x
+        rows.setdefault(g, [zero] * n)[pos[c]] = x
     img = [rows[g] for g in order if g in rows]
     reduced, _ = reduce_against(ring, vec, ordered_echelon(ring, img))
-    return reduced, order, True
+    return tuple(g for g, x in zip(order, reduced) if x != zero)
 
 
 def _window_rep(h, gamma, sides, gens, where):
@@ -357,20 +352,17 @@ def spectral_value(h, r, log, w):
     An unusable window raises InvalidWindow.
     """
     t = log.family
-    sides = validate_window(w, t)
-    r = _check_parameter(t, r, _log_params(log))
-    gens = _inside_at(t, sides, r)
-    rep, d = _window_rep(h, log.counter_at(r).gamma, sides, gens, "at r=%s" % r)
-    ring = d.ring
-    if not rep:
-        return SpectralValue(NEG_INF, True)
+    sides, inside = _window(w, t)
+    r = frac(r)
+    fc = log.counter_at(r)
+    gens = _interval_gens(inside, fc)
+    rep, d = _window_rep(h, fc.gamma, sides, gens, "at r=%s" % r)
     order = sorted(gens, key=_order_key(t, *r.as_integer_ratio()))
-    best, order, certified = _coset_minimize(ring, d, rep, order)
-    support = tuple(g for g, x in zip(order, best) if x != ring.zero)
+    support = _coset_minimize(d.ring, d, rep, order)
     if not support:
-        return SpectralValue(NEG_INF, certified)
+        return SpectralValue(NEG_INF, True)
     top = support[0]
-    return SpectralValue(t.arc(top).value(r), certified, support, top)
+    return SpectralValue(t.arc(top).value(r), True, support, top)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +431,14 @@ def full_homology(t, log, r, ladder):
     ladder = list(ladder)
     if not ladder:
         raise NonNestedLadder("empty ladder")
-    sides = [validate_window(w, t) for w in ladder]
+    sides, insides = zip(*(_window(w, t) for w in ladder))
     for w1, w2 in zip(ladder, ladder[1:]):
         if not (_pointwise_leq(w2.a, w1.a) and _pointwise_leq(w1.b, w2.b)):
             raise NonNestedLadder(
                 "ladder windows must nest: floors nonincreasing, ceilings "
                 "nondecreasing")
-    r = _check_parameter(t, r, _log_params(log))
     fc = log.counter_at(r)
-
-    gen_sets = [_inside_at(t, s, r) for s in sides]
+    gen_sets = [_interval_gens(inside, fc) for inside in insides]
     results = [homology(fc.gamma.restrict(gens)) for gens in gen_sets]
 
     legs = []
@@ -573,11 +563,11 @@ def track_class(h0, log, w, label="h"):
     spectral value is verified continuous across handle-slides.  An
     unusable window raises InvalidWindow.
 
-    Each interval is swept once.  The window's sides, the crossings of
-    its in-window pairs sorted by parameter and the arcs' integer points
-    come from the family's arrangement, prepared once per family and
-    window; an interval's in-window generators are the in-window arcs
-    among its matrix's rows, in declaration order.  One pointer advances
+    Each interval is swept once.  The window's sides and in-window ids,
+    the crossings of its in-window pairs sorted by parameter and the
+    arcs' integer points come from the family's arrangement, prepared
+    once per family and window; _interval_gens reads each interval's
+    in-window generators off its matrix's rows.  One pointer advances
     through the sorted crossings across the intervals; the crossings
     strictly inside an interval, of two arcs both alive there, cut it
     into slabs.  Only the first slab is sorted by action: at each later
@@ -586,14 +576,11 @@ def track_class(h0, log, w, label="h"):
     step's maps builds and verifies them.
     """
     t = log.family
-    sides = validate_window(w, t)
+    sides, inside = _window(w, t)
     arr = _arrangement(t)
     pts = arr.points
-    cuts = _window_cuts(arr, w, sides)
-    inside = [g for g in dict.fromkeys(a.id for a in t.arcs)
-              if sides[g] == INSIDE]
+    cuts = _window_cuts(arr, w, inside)
     ring = log.ring
-    zero = ring.zero
     first = log.intervals[0]
     rep, _ = _window_rep(h0, first.gamma, sides,
                          _interval_gens(inside, first), "at the start")
@@ -637,17 +624,16 @@ def track_class(h0, log, w, label="h"):
             key = _order_key(t, a * e + c * b, 2 * b * e)     # the midpoint
             order = (sorted(order, key=key) if lo == fc.r_lo
                      else _resort_runs(order, meets[lo], key))
-            best, order, certified = _coset_minimize(ring, d, rep, order)
-            support = tuple(g for g, x in zip(order, best) if x != zero)
+            support = _coset_minimize(ring, d, rep, order)
             if not support:
                 segments.append(TraceSegment(fc.interval_index, lo, hi, (),
-                                             None, NEG_INF, NEG_INF, certified))
+                                             None, NEG_INF, NEG_INF, True))
                 prev_top = None
                 continue
             top = support[0]
             seg = TraceSegment(fc.interval_index, lo, hi, support, top,
                                Fraction(*_ratio_at(pts[top], a, b)),
-                               Fraction(*_ratio_at(pts[top], c, e)), certified)
+                               Fraction(*_ratio_at(pts[top], c, e)), True)
             # continuity across a slide: the first slab after it starts at
             # the value the last slab before it ended on
             if (after_slide and lo == fc.r_lo and segments[-1].top is not None

@@ -214,6 +214,16 @@ def window_clear(w, t):
     return True
 
 
+def in_window_at(t, w, r):
+    """Ids of the arcs alive at r whose action there lies strictly between
+    the window's cutoffs, in declaration order: the midpoint reference
+    for an interval's in-window generators."""
+    return [a.id for a in t.arcs
+            if a.f3.points[0][0] <= r <= a.f3.points[-1][0]
+            and profile_value(w.a.points, r) < profile_value(a.f3.points, r)
+            < profile_value(w.b.points, r)]
+
+
 def descending_order(t, gens, r):
     """Generators sorted afresh by descending action at r, ties by id."""
     return sorted(gens, key=lambda g: (-profile_value(t.arc(g).f3.points, r),

@@ -17,8 +17,8 @@ from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, Component, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
-                              CycleConditionViolated, EvolutionError,
-                              NonTriangularDelta, NonUnitPivot,
+                              CycleConditionViolated, DegenerateParameter,
+                              EvolutionError, NonTriangularDelta, NonUnitPivot,
                               VerificationFailed)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
@@ -208,6 +208,12 @@ class TestEvolve:
         assert len(log.intervals) == 2
         assert log.intervals[1].gamma.entries == {("c2", "c3"): 1,
                                                   ("c1", "c3"): 1}
+        assert log.counter_at(0) is log.intervals[0]
+        assert log.counter_at(1) is log.intervals[1]
+        for r, words in ((F(3, 8), "event parameter"), (F(-1), "outside"),
+                         (F(2), "outside")):
+            with pytest.raises(DegenerateParameter, match=words):
+                log.counter_at(r)
         st_ = log.step_at(F(3, 8))
         assert st_.before.gamma.entries == {("c2", "c3"): 1}
 
@@ -312,6 +318,21 @@ class TestValidateAxioms:
             "[error] gamma2: square-zero fails on (0, 1/2)"]
         with pytest.raises(EvolutionError, match="square-zero"):
             evolve(fc, events, t)
+
+    def test_evolve_raises_the_findings_of_the_report(self):
+        # c2 overtakes c1 at r=3/4, against the count c1 -> c2, and
+        # c1 -> c2 -> c3 fails square-zero: evolve names both, in the
+        # words of the report's findings
+        t = three_lane_tuple()
+        fc = counter(Z2, ("c1", "c2", "c3"),
+                     {("c1", "c2"): 1, ("c2", "c3"): 1})
+        report = validate_axioms(fc, [], t)
+        assert [f.code for f in report.errors()] == ["gamma1", "gamma2"]
+        with pytest.raises(EvolutionError) as e:
+            evolve(fc, [], t)
+        assert str(e.value) == "; ".join(f.message for f in report.errors())
+        assert str(e.value) == ("entry (c1, c2) violates the action order "
+                                "on (0, 1); square-zero fails on (0, 1)")
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),

@@ -343,7 +343,9 @@ class TestInputLimits:
         ("--phi", "garbage"), ("--phi", "linear(c=0)"),
         ("--phi", "iterlog(c=1, depth=3/2)"), ("--window", "garbage"),
         ("--window", "a=0,b=10,junk"), ("--window", "a=0,a=1,b=10"),
-        ("--class", "c1 ++ c2"), ("--class", "zz")])
+        ("--class", "c1 ++ c2"), ("--class", "zz"),
+        # a flag given empty is read, not taken for one left out
+        ("--window", ""), ("--phi", ""), ("--class", "")])
     def test_malformed_window_and_phi_flags(self, flag, value, capsys):
         cmd = "escape" if flag == "--phi" else "track"
         assert main([cmd, "slide", flag, value]) == 1
@@ -400,8 +402,36 @@ class TestBirthPivot:
     def test_fractional_pivot_over_the_integers(self, tmp_path, capsys):
         for old, new in (("pivot=1", "pivot=1/2"), ("(c1) = 1", "(c1) = 1/2")):
             path = self.birth_with(tmp_path, old, new)
-            assert main(["validate", path, "--coeff", "z"]) == 4
-            TestInputLimits.assert_one_error_line(capsys, "1/2 is not an integer")
+            assert main(["validate", path, "--coeff", "z"]) == 1
+            TestInputLimits.assert_one_error_line(capsys, "line 16:",
+                                                  "1/2 is not an integer")
+
+
+class TestValuesOutsideTheRing:
+    """A matrix value, pivot or chain coefficient the ring does not hold
+    is a parse error at its line, or naming its flag, with exit 1."""
+
+    @pytest.mark.parametrize("name, old, new, cmd, line", [
+        ("slide", "(c2, c3) = 1", "(c2, c3) = 1/2", "validate", 13),
+        ("slide", "(c1, c2) = 1", "(c1, c2) = 1/2", "validate", 16),
+        ("slide", "class = c1", "class = 1/2*c1", "track", 23),
+        ("birth", "pivot=1", "pivot=3/2", "validate", 16),
+        ("birth", "(c1) = 1", "(c1) = 1/2", "validate", 16),
+    ])
+    def test_in_a_file(self, name, old, new, cmd, line, tmp_path, capsys):
+        text = open(data_path(name), encoding="utf-8").read()
+        assert old in text
+        path = write(tmp_path, name + ".scn", text.replace(old, new))
+        assert main([cmd, path]) == 1
+        TestInputLimits.assert_one_error_line(
+            capsys, "line %d:" % line, "cannot reduce", "mod 2")
+
+    @pytest.mark.parametrize("coeff, words", [
+        ("z2", "cannot reduce 1/2 mod 2"), ("z", "1/2 is not an integer")])
+    def test_in_the_class_flag(self, coeff, words, capsys):
+        assert main(["track", "slide", "--class", "1/2*c1", "--coeff",
+                     coeff]) == 1
+        TestInputLimits.assert_one_error_line(capsys, "--class:", words)
 
 
 def test_flags_do_not_leak_between_calls(capsys):
@@ -443,6 +473,17 @@ class TestDeclaredFields:
          "validate", ("line 16:", "slide entries")),
         ("eyeball", "death r=3/4 vertex=vd", "death r=3/4 vertex=vd : (c1) = 5",
          "validate", ("line 18:", "death takes no entries")),
+        # after a `:`, at least one entry and no empty `;` part
+        ("eyeball", "death r=3/4 vertex=vd", "death r=3/4 vertex=vd :",
+         "validate", ("line 18:", "death takes no entries")),
+        ("birth", "pivot=1 : (c1) = 1", "pivot=1 :", "validate",
+         ("line 16:", "birth entries")),
+        ("slide", "r=3/8 : (c1, c2) = 1", "r=3/8 :", "validate",
+         ("line 16:", "slide entries")),
+        ("slide", "(c1, c2) = 1", "(c1, c2) = 1;;", "validate",
+         ("line 16:", "slide entries")),
+        ("birth", "(c1) = 1", "(c1) = 1;", "validate",
+         ("line 16:", "birth entries")),
     ])
     def test_refused_with_its_line(self, name, old, new, cmd, words,
                                    tmp_path, capsys):

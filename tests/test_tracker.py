@@ -28,7 +28,7 @@ from morseflow.escape import build_cascade, linear
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
 from morseflow.scenario import Scenario, load_scenario, serialize_scenario
-from morseflow.tracker import (NEG_INF, Window, chain_group, continuation_map,
+from morseflow.tracker import (NEG_INF, Window, continuation_map,
                                filtered_homology, full_homology,
                                spectral_value, track_class, validate_window,
                                wide_window, window_violation)
@@ -68,9 +68,7 @@ def reference_slabs(log, w, reached):
     for fc in log.intervals:
         if fc.interval_index not in reached:
             continue
-        mid = fc.midpoint()
-        gens = [a.id for a in t.arcs_alive(mid)
-                if w.contains_value(mid, a.value(mid))]
+        gens = oracles.in_window_at(t, w, fc.midpoint())
         cuts = {x for g1, g2 in itertools.combinations(gens, 2)
                 for x in oracles.crossings(t.arc(g1).f3, t.arc(g2).f3,
                                            fc.r_lo, fc.r_hi)
@@ -266,7 +264,9 @@ class TestWindowInvariance:
         assert window_violation(w, t) is None
         assert validate_window(w, t) == {"early": tracker.ABOVE,
                                                "late": tracker.INSIDE}
-        assert chain_group(t, F(3, 4), w) == ["late"]
+        ids = ["early", "late"]
+        fc = FlowCounter(1, F(1, 2), F(1), SparseMatrix(Z2, ids, ids, {}))
+        assert window_gens(t, w, fc) == ["late"]
 
     def test_generated_windows_reach_both_verdicts(self):
         for valid in (True, False):
@@ -438,31 +438,72 @@ class TestIntegerKernelAtScale:
         assert trace.segments
 
 
+def window_gens(t, w, fc):
+    """The in-window generators of the interval of fc, by the one reader."""
+    return tracker._interval_gens(tracker._window(w, t)[1], fc)
+
+
+def eyeball_log():
+    """eyeball_with_bystander evolved: c1 alone, then the loop born at
+    r=1/4 beside it, dying at r=3/4."""
+    t = eyeball_with_bystander()
+    log = evolve(counter(Z2, ["c1"], {}), [
+        EventRecord(F(1, 4), Birth("vb", 1, ())),
+        EventRecord(F(3, 4), Death("vd"))], t)
+    return t, log
+
+
 class TestChainGroup:
+    """The windowed chain group of an interval, by the one reader, and
+    the parameters its entry points refuse."""
+
     def test_wide_window_sees_all_lanes(self):
-        assert chain_group(three_lane_tuple(), F(1, 4), WIDE) == ["c1", "c2", "c3"]
+        t, log = three_lane_log()
+        assert window_gens(t, WIDE, log.intervals[0]) == ["c1", "c2", "c3"]
 
     def test_window_excluding_all_arcs_is_empty(self):
-        assert chain_group(three_lane_tuple(), F(1, 4),
-                           Window.constant(100, 200)) == []
+        t, log = three_lane_log()
+        assert window_gens(t, Window.constant(100, 200), log.intervals[0]) == []
 
     def test_ceiling_between_the_upper_lanes(self):
-        got = chain_group(three_lane_tuple(), F(1, 4), Window.constant(0, 3))
-        assert got == ["c2", "c3"]
+        # c2 climbs through 3 to overtake c1, so a ceiling there is
+        # refused, not read at one parameter; cutoffs at 3/2 clear the
+        # bottom lane c3 from the upper two
+        t, log = three_lane_log()
+        fc = log.intervals[0]
+        with pytest.raises(InvalidWindow):
+            window_gens(t, Window.constant(0, 3), fc)
+        assert window_gens(t, Window.constant(F(3, 2), 10), fc) == ["c1", "c2"]
+        assert window_gens(t, Window.constant(0, F(3, 2)), fc) == ["c3"]
 
     def test_vertex_parameter_rejected(self):
-        t = eyeball_with_bystander()
-        with pytest.raises(DegenerateParameter):
-            chain_group(t, F(1, 4), WIDE)
+        t, log = eyeball_log()
+        for r in (F(1, 4), F(3, 4)):
+            for fc in log.intervals:
+                with pytest.raises(DegenerateParameter):
+                    filtered_homology(t, fc, r, WIDE)
+            with pytest.raises(DegenerateParameter):
+                spectral_value({"c1": 1}, r, log, WIDE)
 
     def test_forbidden_parameter_rejected(self):
-        with pytest.raises(DegenerateParameter):
-            chain_group(three_lane_tuple(), F(3, 8), WIDE, forbidden=(F(3, 8),))
+        # a slide's parameter ends both intervals beside it
+        t, log = three_lane_log()
+        for fc in log.intervals:
+            with pytest.raises(DegenerateParameter):
+                filtered_homology(t, fc, F(3, 8), WIDE)
+
+    def test_parameter_of_another_interval_rejected(self):
+        t, log = three_lane_log()
+        with pytest.raises(DegenerateParameter, match="not inside"):
+            filtered_homology(t, log.intervals[0], F(1, 2), WIDE)
+        with pytest.raises(DegenerateParameter, match="outside"):
+            spectral_value({"c1": 1}, F(3, 2), log, WIDE)
 
     def test_dead_arcs_excluded(self):
-        t = eyeball_with_bystander()
-        assert chain_group(t, F(1, 8), Window.constant(0, 9)) == ["c1"]
-        assert chain_group(t, F(1, 2), Window.constant(0, 9)) == ["up", "down", "c1"]
+        t, log = eyeball_log()
+        w = Window.constant(0, 9)
+        assert window_gens(t, w, log.counter_at(F(1, 8))) == ["c1"]
+        assert window_gens(t, w, log.counter_at(F(1, 2))) == ["up", "down", "c1"]
 
 
 class TestFilteredHomology:
@@ -650,10 +691,9 @@ class TestSpectralValue:
                    for c in order}
         d = SparseMatrix(Z, order, order, entries)
         rep = {g: data.draw(st.integers(-6, 6), label="rep") for g in order}
-        best, _, certified = tracker._coset_minimize(Z, d, rep, order)
-        lead = next((i for i, x in enumerate(best) if x), n)
+        support = tracker._coset_minimize(Z, d, rep, order)
+        lead = order.index(support[0]) if support else n
         rows = [[d.entry(g, c) for c in order] for g in order]
-        assert certified
         assert lead == oracles.z_least_lead([rep[g] for g in order], rows)
 
     @settings(max_examples=30, deadline=None)
@@ -664,7 +704,7 @@ class TestSpectralValue:
         t = sc.family
         for fc in log.intervals:
             r = fc.midpoint()
-            gens = tracker._inside_at(t, validate_window(WIDE_Z, t), r)
+            gens = oracles.in_window_at(t, WIDE_Z, r)
             order = oracles.descending_order(t, gens, r)
             d = fc.gamma.restrict(gens)
             rows = [[d.entry(g, c) for c in order] for g in order]
@@ -774,7 +814,7 @@ class TestFullHomology:
                                             for a, b in zip(floors, ceilings)])
 
             def inside(a, b):
-                return [x.id for x in t.arcs_alive(r) if a < x.value(r) < b]
+                return oracles.in_window_at(t, Window.constant(a, b), r)
 
             def dense(gens):
                 return gamma.restrict(gens).to_dense(gens, gens)
@@ -1014,12 +1054,9 @@ class TestIntervalGenerators:
         t = sc.family
         log = evolve(sc.gamma0, sc.events, t)
         w = Window.constant(10, 200) if tier else wide_window(t)
-        sides = validate_window(w, t)
-        inside = [g for g in dict.fromkeys(a.id for a in t.arcs)
-                  if sides[g] == tracker.INSIDE]
         for fc in log.intervals:
-            assert tracker._interval_gens(inside, fc) == \
-                tracker._inside_at(t, sides, fc.midpoint())
+            assert window_gens(t, w, fc) == \
+                oracles.in_window_at(t, w, fc.midpoint())
 
     def test_midpoint_computed_once(self):
         fc = counter(Z2, ["c1"], {})
@@ -1036,6 +1073,23 @@ class TestIntervalGenerators:
             raise AssertionError("track_class scanned the alive arcs")
         monkeypatch.setattr(type(t), "arcs_alive", refuse)
         assert track_class({"c1": 1}, log, w) == want
+
+    def test_window_readers_scan_no_arc_list(self, monkeypatch):
+        t, log = eyeball_log()
+        w = Window.constant(0, 9)
+        ladder = [Window.constant(F(1, 2), 8), w, WIDE]
+
+        def read():
+            return ([filtered_homology(t, fc, fc.midpoint(), w)
+                     for fc in log.intervals],
+                    spectral_value({"c1": 1}, F(1, 2), log, w),
+                    full_homology(t, log, F(1, 2), ladder))
+        want = read()
+
+        def refuse(*args):
+            raise AssertionError("a window reader scanned the alive arcs")
+        monkeypatch.setattr(type(t), "arcs_alive", refuse)
+        assert read() == want
 
 
 class TestEventInvariance:
