@@ -2,13 +2,12 @@
 
 Contents: ungraded homology of a square differential (kernel modulo image,
 computed in the row-vector convention of matrix.py), chain map and chain
-homotopy verification, and two elimination routines.  ordered_echelon is an
-order-respecting echelon form built by reduce_against; over a field every
-rank, cycle basis (left_kernel_basis) and least coset representative comes
-from it.  invariant_factors is the diagonal of the Smith form, and over the
-integers it alone gives homology: the cycle lattice of a differential is
-saturated, so the torsion of cycles modulo boundaries is the torsion of
-Z^n modulo boundaries, read off the invariant factors (see homology).
+homotopy verification, and one elimination for every ring: ordered_echelon,
+an order-respecting echelon form built by reduce_against (over the
+integers, a basis of the row lattice).  Ranks, cycle bases
+(left_kernel_basis), least coset representatives and the invariant factors
+of the Smith form all come from it; integer homology reads its torsion off
+the boundary echelon's invariant factors (see homology).
 
 Everything is exact; no floating point enters this module.
 """
@@ -25,62 +24,31 @@ def invariant_factors(rows: List[List[int]]) -> List[int]:
     """Invariant factors of an integer matrix given as a list of int rows.
 
     Returns the nonzero diagonal of its Smith normal form as absolute
-    values, a divisibility chain d1 | d2 | ... .  The rows are reduced in
-    place by row and column steps on the matrix alone; no transform is
-    kept.  Pivoting always picks the smallest nonzero magnitude in the
-    trailing submatrix.
+    values, a divisibility chain d1 | d2 | ... .  Echelon forms of the
+    matrix and its transpose alternate (Kannan & Bachem, SIAM J. Comput.
+    8(4), 1979), each pass taking ordered_echelon's rows sorted by pivot
+    position, until every row has one nonzero entry; pairwise gcd and lcm
+    then make that diagonal a chain.  Every step is unimodular (gcd
+    combinations and exact subtractions on rows, and through the
+    transpose on columns; diag(a, b) ~ diag(gcd, lcm)), so the Smith form
+    is kept.  The loop ends: a pass leaves the gcd of the leading column
+    as leading pivot, and the sort makes the leading row the next leading
+    column, so the pivot strictly decreases until it divides its row; the
+    next pass then clears its row and column, which split off untouched,
+    and the same holds for the rest.  Unsorted, passes can cycle.
     """
-    a = rows
-    m = len(a)
-    n = len(a[0]) if m else 0
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(i, j, q):
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-
-    t = 0
-    dim = min(m, n)
-    while t < dim:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    while True:
+        pivots = ordered_echelon(Z, rows)
+        rows = [pivots[p] for p in sorted(pivots)]
+        if all(sum(1 for x in v if x) == 1 for v in rows):
             break
-        a[best[0]], a[t] = a[t], a[best[0]]
-        if best[1] != t:
-            col_swap(best[1], t)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_add(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        a[i], a[t] = a[t], a[i]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = -(a[t][j] // a[t][t])
-                    for r in a:
-                        r[j] += q * r[t]
-                    if a[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-        p = a[t][t]
-        offender = next((i for i in range(t + 1, m)
-                         if any(a[i][j] % p for j in range(t + 1, n))), None)
-        if offender is not None:
-            # fold the offending row in so the pivot shrinks to a gcd
-            row_add(t, offender, 1)
-            continue
-        t += 1
-    return [abs(a[k][k]) for k in range(t)]
+        rows = [list(col) for col in zip(*rows)]
+    d = [abs(next(x for x in v if x)) for v in rows]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = _xgcd(d[i], d[j])[0]
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 @dataclass(frozen=True)
@@ -106,8 +74,9 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     is the left kernel and the boundary space is the row space.  Over a field
     of rank r on n generators the homology has dimension n - 2r.
 
-    Over the integers one elimination pass suffices.  Let d1 | ... | dr be
-    the invariant factors of the matrix (its transpose has the same ones).
+    One ordered_echelon pass over the transposed matrix gives r on every
+    ring.  Over the integers its r rows are a basis of the boundary
+    lattice, so their invariant factors d1 | ... | dr are the matrix's.
     Z^n / cycles is isomorphic to the boundary lattice, a subgroup of Z^n,
     so it is torsion free: the cycle lattice is saturated, and a chain of
     which a nonzero multiple is a cycle is itself a cycle.  So every torsion
@@ -121,17 +90,12 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
         raise NotADifferential("operator does not square to zero")
     ring = boundary.ring
     order = sorted(boundary.rows, key=str)
-    n = len(order)
     # the transposed matrix: T x = 0 is the cycle condition
-    t_dense = boundary.transpose().to_dense(order, order)
-    if ring.is_field():
-        r = len(ordered_echelon(ring, t_dense))
-        return HomologyResult(ring.name, n - 2 * r, ())
-    if ring is not Z:
-        raise DimensionMismatch("unsupported coefficient ring %r" % (ring,))
-    inv = invariant_factors(t_dense)
-    return HomologyResult(ring.name, n - 2 * len(inv),
-                          tuple(d for d in inv if d > 1))
+    basis = list(ordered_echelon(
+        ring, boundary.transpose().to_dense(order, order)).values())
+    torsion = () if ring.is_field() else tuple(
+        d for d in invariant_factors(basis) if d > 1)
+    return HomologyResult(ring.name, len(order) - 2 * len(basis), torsion)
 
 
 def is_chain_map(a: SparseMatrix, d_from: SparseMatrix, d_to: SparseMatrix) -> bool:

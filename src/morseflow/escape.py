@@ -195,6 +195,29 @@ def polylog(c, p, logs=(), gap=None):
     return GrowthBound(c, p, tuple(logs), gap, "polylog")
 
 
+# bit cap on the integers that _power_sign builds; an exponent such as
+# 1/1000 on inputs of a few hundred bits stays well inside it
+POWER_CAP_BITS = 1 << 21
+
+
+def _power_sign(x, u, e):
+    """Sign of x - u^e for positive rationals x, u and rational e = p/q:
+    that of x^q - u^p, compared as integers.  Past POWER_CAP_BITS bits
+    PrecisionExhausted is raised rather than a guess."""
+    p, q = e.numerator, e.denominator
+    need = (q * (x.numerator.bit_length() + x.denominator.bit_length())
+            + abs(p) * (u.numerator.bit_length() + u.denominator.bit_length()))
+    if need > POWER_CAP_BITS:
+        raise PrecisionExhausted(
+            "comparing %s with %s^%s needs %d-bit integers, past the cap of "
+            "%d" % (x, u, e, need, POWER_CAP_BITS))
+    if p < 0:
+        u, p = 1 / u, -p
+    lhs = x.numerator ** q * u.denominator ** p
+    rhs = u.numerator ** p * x.denominator ** q
+    return (lhs > rhs) - (lhs < rhs)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis (H1): slope bound plus two-sided divergence
 
@@ -242,8 +265,12 @@ def check_H1(phi, t):
                 bound = phi.value(s)
                 if isinstance(bound, Fraction):
                     bad = slope > bound
-                else:
+                elif phi.log_powers or s == 0:
                     bad = float(slope) > bound
+                else:
+                    # c |s|^p with p fractional: printed as the float
+                    bad = _power_sign(slope / phi.coefficient, abs(s),
+                                      phi.power) > 0
                 if bad:
                     slope_ok = False
                     findings.append(Finding(
@@ -281,6 +308,16 @@ class H2Report:
     margin: object
 
 
+def _reaches(phi, tail, m, need):
+    """Whether tail = phi.tail_integral(m) >= need, exactly.  A float tail
+    is 1 / (c e m^e), e = p - 1 fractional: it reaches need iff
+    1 / (c e need) >= m^e."""
+    if isinstance(tail, Fraction) or tail == INF:
+        return tail >= need
+    e = phi.power - 1
+    return _power_sign(1 / (phi.coefficient * e * need), m, e) >= 0
+
+
 def check_H2(phi, kappa, rho0):
     """Both tail integrals of 1/Phi must reach 1 + kappa.
 
@@ -298,7 +335,8 @@ def check_H2(phi, kappa, rho0):
     upper = phi.tail_integral(big)
     lower = phi.tail_integral(abs(small))
     required = 1 + kappa
-    ok = upper >= required and lower >= required
+    ok = (_reaches(phi, upper, big, required)
+          and _reaches(phi, lower, abs(small), required))
     worst = min(upper, lower)
     margin = INF if worst == INF else worst - required
     return H2Report(ok, big, small, upper, lower, required, margin)

@@ -204,17 +204,16 @@ class SparseMatrix:
 
 # chains as plain dicts {generator: coefficient}; helpers keep them normalized
 
-def vec_clean(ring, x):
-    return {g: ring.coerce(v) for g, v in x.items() if ring.coerce(v) != ring.zero}
-
-
 def vec_apply(ring, x, m: SparseMatrix):
-    """Row vector times matrix: the image of the chain x under the operator m."""
-    out = {}
-    for g, v in x.items():
+    """Row vector times matrix: the image of the chain x under the operator
+    m, in one walk over m's entries, each sum coerced into the ring once."""
+    for g in x:
         if g not in m._row_set:
             raise DimensionMismatch("chain mentions %r outside the operator domain" % (g,))
-        for (r, c), w in m.entries.items():
-            if r == g:
-                out[c] = ring.add(out.get(c, ring.zero), ring.mul(v, w))
-    return vec_clean(ring, out)
+    sums = {}
+    for (r, c), w in m.entries.items():
+        v = x.get(r)
+        if v is not None:
+            sums[c] = sums.get(c, 0) + v * w
+    out = {c: ring.coerce(v) for c, v in sums.items()}
+    return {c: v for c, v in out.items() if v != ring.zero}

@@ -54,7 +54,6 @@ from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import Piecewise, _ints, _ratio_at, _walk, crossings, frac
-from .rings import Q
 
 NEG_INF = float("-inf")
 
@@ -394,22 +393,15 @@ def _pointwise_leq(f, g):
     return all(d <= 0 for d in _walk(f, g, 0, 1)[1])
 
 
-def _rationalize(m):
-    if m.ring.is_field():
-        return m
-    return SparseMatrix(Q, m.rows, m.cols,
-                        {k: Fraction(v) for k, v in m.entries.items()})
-
-
 def _induced_rank(d_from, d_to, order_from, order_to):
     """Rank of the map induced on homology by a coordinate chain map:
     each generator of order_from that is in order_to maps to itself, and
     the others to zero (the ladder's projections and inclusions).
 
-    Everything is computed over the fraction field, so over the integers
-    this is the rank on the free part.
+    Over the integers this is the rank on the free part: an echelon basis
+    of a lattice is as long as its rank over Q, and the integer cycle
+    basis spans the rational cycles.
     """
-    d_from, d_to = _rationalize(d_from), _rationalize(d_to)
     ring, at = d_to.ring, {g: i for i, g in enumerate(order_from)}
     pushed = [[z[at[g]] if g in at else ring.zero for g in order_to]
               for z in left_kernel_basis(d_from, order_from)]

@@ -1,9 +1,11 @@
-"""Hand-built families shared across test modules.
+"""Hand-built families and a wall-time guard shared across test modules.
 
 All numeric values here were computed by hand from the piecewise-linear
 profiles; tests freeze them as expected values.
 """
 
+import contextlib
+import signal
 from fractions import Fraction as F
 
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
@@ -72,3 +74,25 @@ def escaping_tuple():
     a = Arc("runaway", Piecewise([(0, 3), (F(1, 2), 3)]),
             BoundaryAt0(), BoundaryAt1(), hi_open=True)
     return CerfTuple((a,), (Component("chord", ("runaway",)),))
+
+
+class Overtime(Exception):
+    """A block guarded by within() ran past its wall-time bound.
+
+    Not an OSError, so cli.main's file-error handler cannot swallow it.
+    """
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block with Overtime once it has run `seconds` of wall
+    time: a real-time timer interrupts it, so a hang fails too."""
+    def expire(signum, frame):
+        raise Overtime("ran past %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,12 +1,14 @@
 """Exact linear algebra: rings, sparse matrices, Smith form, homology."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseflow import algebra
 from morseflow.algebra import (HomologyResult, homology, is_chain_homotopy,
                                invariant_factors, is_chain_map,
                                left_kernel_basis, ordered_echelon,
@@ -16,6 +18,7 @@ from morseflow.errors import (DimensionMismatch, NonUnitError,
 from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.rings import RINGS, Q, Z, Z2
 
+from fixtures import within
 from oracles import (determinantal_divisors, z2_apply, z2_cycles,
                      z2_homology_rank, z2_matrix_to_rowmasks)
 
@@ -170,14 +173,94 @@ class TestSmithNormalForm:
         assert invariant_factors([[1, 0, 0], [0, -1, 0], [0, 0, 1]]) == [1, 1, 1]
 
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @given(st.integers(0, 6), st.integers(1, 6), st.data())
     def test_random_matrices(self, rows, cols, data):
         dense = [[data.draw(st.integers(-6, 6)) for _ in range(cols)]
                  for _ in range(rows)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            dense.insert(data.draw(st.integers(0, len(dense))), [0] * cols)
         chain = invariant_factors([list(row) for row in dense])
         assert all(d > 0 for d in chain)
         assert all(chain[i + 1] % chain[i] == 0 for i in range(len(chain) - 1))
         assert chain == determinantal_divisors(dense)
+
+    @pytest.mark.parametrize("dense", [
+        [], [[0, 0, 0]], [[2, 4, 6]], [[2], [4], [6]], [[6, 10, 15]],
+        [[0, 0], [4, 6], [0, 0]], [[0, 0, 0, 0], [2, 0, 4, 0]],
+        [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]], [[0, 3], [0, 6], [0, 0]]])
+    def test_non_square_and_zero_rows(self, dense):
+        assert invariant_factors(dense) == determinantal_divisors(dense)
+
+    def test_input_rows_untouched(self):
+        dense = [[0, 4], [3, 4]]
+        invariant_factors(dense)
+        assert dense == [[0, 4], [3, 4]]
+
+    def test_sorted_passes_end(self, monkeypatch):
+        # echelonizing [[0, 4], [3, 4]] and its transpose with the rows in
+        # the echelon dict's insertion order cycles forever; with the rows
+        # sorted by pivot position three passes reach the diagonal
+        passes = []
+
+        def counted(ring, rows):
+            passes.append(len(rows))
+            assert len(passes) <= 3, "echelon passes do not end"
+            return ordered_echelon(ring, rows)
+
+        monkeypatch.setattr(algebra, "ordered_echelon", counted)
+        assert invariant_factors([[0, 4], [3, 4]]) == [1, 12]
+
+    @pytest.mark.parametrize("dense", [
+        # a smallest-pivot Smith loop with an offender fold ran past 2 s
+        # on each of these
+        [[-1, -5, -2, -6, 6, 5], [-4, 0, -5, -2, -6, 4],
+         [-5, 6, -2, -5, 3, -3], [-5, -2, -5, 1, -6, -1],
+         [2, 0, -2, 3, -4, -6], [2, 5, -3, -5, -4, -2],
+         [-6, -4, -3, -2, 4, -2]],
+        [[-4, -4, -6, -6, 2, -4, 4], [6, 0, -5, 3, 3, -1, 5],
+         [2, -4, -4, -1, -2, -4, 2], [-4, -5, -5, 0, 1, 6, 6],
+         [6, 6, -3, -2, -4, -6, 1], [-1, -6, 3, 4, 0, -5, 5],
+         [3, 5, -4, 4, 6, -3, 3]]])
+    def test_dense_seven_row_matrices_end(self, dense):
+        with within(1):
+            chain = invariant_factors(dense)
+        assert chain == determinantal_divisors(dense)
+
+
+def unimodular(rng, k):
+    """A random k x k integer matrix of determinant 1: 2k row additions."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(2 * k):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def conjugated_differential(n, chain, rng):
+    """[[0, U D V], [0, 0]] on n = 2h generators, D = diag(chain) padded
+    with zeros to h x h and U, V random unimodular, then conjugated by n
+    unipotent steps: add c times row j to row i (i < j) and subtract c
+    times column i from column j.  Its homology over the integers is
+    free of rank n - 2 len(chain) plus a cyclic group per entry of chain
+    above 1."""
+    h = n // 2
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+                for row in x]
+
+    diag = [[chain[i] if i == j and i < len(chain) else 0 for j in range(h)]
+            for i in range(h)]
+    b = mul(mul(unimodular(rng, h), diag), unimodular(rng, h))
+    d = [[0] * h + row for row in b] + [[0] * n for _ in range(h)]
+    for _ in range(n):
+        i, j = sorted(rng.sample(range(n), 2))
+        c = rng.choice([-1, 1])
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        for row in d:
+            row[j] -= c * row[i]
+    return d
 
 
 def boundary_fixture(ring):
@@ -262,6 +345,19 @@ class TestHomology:
         inv = determinantal_divisors(b)
         assert res.torsion == tuple(x for x in inv if x > 1)
         assert res.free_rank == n - 2 * len(inv)
+
+    @pytest.mark.parametrize("n, chain", [
+        (18, (1, 2, 2, 6, 12)), (22, (1, 1, 3, 3, 6, 30)),
+        (40, (1, 2, 2, 4, 4, 8, 24, 48, 96))])
+    def test_large_conjugated_differentials(self, n, chain):
+        for seed in range(3):
+            d = conjugated_differential(n, chain, random.Random(seed))
+            ids = ["g%02d" % i for i in range(n)]
+            m = SparseMatrix.from_rows(Z, ids, ids, d)
+            with within(1):
+                res = homology(m)
+            assert res.torsion == tuple(x for x in chain if x > 1)
+            assert res.free_rank == n - 2 * len(chain)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())

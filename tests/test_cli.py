@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from fixtures import within
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
 from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
@@ -172,6 +173,36 @@ class TestReports:
 
     def test_rabinowitz_needs_section(self, capsys):
         assert main(["rabinowitz", "slide"]) == 1
+
+
+    ROOT_TIE = """
+[arcs]
+c1 : (0, 290521/250000) (1, 560021/250000)
+
+[phi]
+bound = polylog(c=1, p=%s)
+kappa = 499/501
+rho0 = 251001/250000
+"""
+
+    def test_fractional_power_ties_are_exact(self, tmp_path, capsys):
+        # the slope 539/500 equals (290521/250000)^(1/2), and the upper
+        # tail under |s|^(3/2) from rho0 = (501/500)^2 equals 1 + kappa
+        assert main(["escape", write(tmp_path, "half.scn",
+                                     self.ROOT_TIE % "1/2")]) == 0
+        out = capsys.readouterr().out
+        assert "[H1]\ninfo  summary: slope bound and both divergences " \
+               "hold\nresult: ok\n" in out
+        assert main(["escape", write(tmp_path, "three_halves.scn",
+                                     self.ROOT_TIE % "3/2")]) == 0
+        out = capsys.readouterr().out
+        assert "required: 1000/501\nmargin: 0.0\nresult: ok\n" in out
+
+    def test_root_past_the_power_cap_exits_4(self, tmp_path, capsys):
+        path = write(tmp_path, "tiny.scn", self.ROOT_TIE % "1/10000000")
+        assert main(["escape", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "past the cap" in err
 
 
 class TestArtifacts:
@@ -592,7 +623,8 @@ _CHAINS = st.lists(st.tuples(st.sampled_from(["", "+ ", "- ", "2*", "1/2*",
     lambda terms: " ".join(s + a for s, a in terms))
 _BOUNDS = st.tuples(st.sampled_from([
     "linear(c=%s)", "square(c=%s)", "iterlog(c=%s, depth=2)",
-    "polylog(c=%s, p=-1, gap=(-1, 1))", "linear(c=%s, gap=(0, 1))",
+    "polylog(c=%s, p=-1, gap=(-1, 1))", "polylog(c=%s, p=1/2)",
+    "polylog(c=%s, p=3/2)", "linear(c=%s, gap=(0, 1))",
     "cubic(c=%s)", "linear(%s)", "linear(c=%s, gap=(-2))",
     "linear(c=%s, gap=(-1, 1, 7))", "linear(c=1, c=%s)",
     "linear(c=%s, garbage)", "linear(c=%s,)"]), _NUMBERS).map(
@@ -630,10 +662,11 @@ def flag_runs(draw):
 @given(argv=flag_runs())
 def test_random_flags_end_in_an_exit_code(argv):
     """No traceback from random --window, --phi, --class, --coeff and
-    cascade values: an exit code in {0, 1, 2, 3, 4}, and stderr empty
-    or one error: line."""
+    cascade values: an exit code in {0, 1, 2, 3, 4}, stderr empty or one
+    error: line, and at most 10 s of wall time per run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            within(10):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
     lines = err.getvalue().splitlines()

@@ -248,6 +248,50 @@ class TestCheckH1:
         for phi in (linear(F(1, 1000)), square(F(1, 1000)), iterlog(1, 2)):
             assert check_H1(phi, t).slope_ok
 
+    def test_fractional_power_boundary_is_exact(self):
+        # |slope| = 539/500 = Phi(290521/250000) under c |s|^(1/2), while
+        # the float square root is 1.0779999999999998
+        phi = polylog(1, F(1, 2))
+        t = tuple_of(chord("c1", [(0, F(290521, 250000)),
+                                  (1, F(560021, 250000))]))
+        assert check_H1(phi, t).slope_ok
+        steeper = tuple_of(chord("c1", [(0, F(290521, 250000)),
+                                        (1, F(560022, 250000))]))
+        rep = check_H1(phi, steeper)
+        assert not rep.slope_ok
+        assert "growth bound 1.0779999999999998 at action" in "".join(
+            f.message for f in rep.findings)
+        # a decreasing bound binds at the top: |slope| 2/3 = (9/4)^(-1/2)
+        phi = polylog(1, F(-1, 2))
+        for top, ok in ((F(9, 4), True), (F(9, 4) + F(1, 10 ** 30), False)):
+            t = tuple_of(chord("c1", [(0, F(19, 12)), (1, top)]))
+            assert check_H1(phi, t).slope_ok is ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5, 7]), p=st.integers(1, 20),
+           y=st.fractions(min_value=F(11, 10), max_value=9,
+                          max_denominator=50),
+           c=st.fractions(min_value=F(1, 50), max_value=5,
+                          max_denominator=50))
+    def test_fractional_power_ties_hold(self, q, p, y, c):
+        # Phi(y^q) = c y^p exactly, and Phi grows with |s| for p > 0, so
+        # an arc climbing from y^q with that slope meets the bound there
+        phi = polylog(c, F(p, q))
+        slope = c * y ** p
+        for extra, ok in ((0, True), (F(1, 10 ** 30), False)):
+            t = tuple_of(chord("a", [(0, y ** q), (1, y ** q + slope + extra)]))
+            assert check_H1(phi, t).slope_ok is ok
+
+    def test_moderate_root_is_decided(self):
+        t = tuple_of(chord("a", [(0, F(5, 2)), (1, F(7, 2))]))
+        assert check_H1(polylog(1, F(1, 1000)), t).slope_ok
+        assert not check_H1(polylog(F(99, 100), F(1, 1000)), t).slope_ok
+
+    def test_root_past_the_power_cap_raises(self):
+        t = tuple_of(chord("a", [(0, F(5, 2)), (1, F(7, 2))]))
+        with pytest.raises(PrecisionExhausted):
+            check_H1(polylog(1, F(1, 10 ** 7)), t)
+
 
 class TestCheckH2:
     def test_inverse_square_holds_for_every_kappa(self):
@@ -289,6 +333,27 @@ class TestCheckH2:
         assert rep.upper_integral == INF
         assert rep.lower_integral == 1 + kappa
         assert rep.lower_threshold == rho0
+
+    def test_fractional_power_tail_boundary_is_exact(self):
+        # the upper tail under |s|^(3/2) from (501/500)^2 is exactly
+        # 1000/501 = 1 + kappa; the float tail lies just below it
+        phi, kappa = polylog(1, F(3, 2)), F(499, 501)
+        rep = check_H2(phi, kappa, F(251001, 250000))
+        assert rep.ok and rep.margin == 0.0
+        assert rep.upper_integral < rep.required
+        assert not check_H2(phi, kappa, F(251002, 250000)).ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5]), p=st.integers(1, 30),
+           y=st.fractions(min_value=F(11, 10), max_value=9,
+                          max_denominator=50))
+    def test_fractional_power_tail_ties_hold(self, q, p, y):
+        # with e = p/q, Phi = c |s|^(1 + e) and m = y^q the upper tail
+        # 1 / (c e m^e) is exactly 2 when c = 1 / (2 e y^p)
+        e = F(p, q)
+        phi = polylog(1 / (2 * e * y ** p), 1 + e)
+        assert check_H2(phi, 1, y ** q).ok
+        assert not check_H2(phi, 1 + F(1, 10 ** 30), y ** q).ok
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(InvalidParameters):

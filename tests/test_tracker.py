@@ -27,7 +27,8 @@ from morseflow.cli import data_path, main
 from morseflow.escape import build_cascade, linear
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
-from morseflow.scenario import Scenario, load_scenario, serialize_scenario
+from morseflow.scenario import (Scenario, load_scenario, parse_scenario,
+                                serialize_scenario)
 from morseflow.tracker import (NEG_INF, Window, continuation_map,
                                filtered_homology, full_homology,
                                spectral_value, track_class, validate_window,
@@ -834,6 +835,30 @@ class TestFullHomology:
                 assert leg.incl_rank == oracles.z2_induced_rank(
                     dense(mid), dense(wide),
                     coordinates(mid, wide))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_legs_match_rational_legs(self, seed):
+        """Over Z the legs' ranks are ranks on the free part, so random
+        nested ladders over randgen Z families give the same leg ranks
+        and free ranks as the same families read over Q."""
+        rng = random.Random(seed)
+        for _ in range(10):
+            sc = randgen.random_scenario(rng, Z)
+            sq = parse_scenario(serialize_scenario(sc), ring=Q)
+            log_z = evolve(sc.gamma0, sc.events, sc.family)
+            log_q = evolve(sq.gamma0, sq.events, sq.family)
+            r = rng.choice(log_z.intervals).midpoint()
+            split = rng.randrange(1, len(self.LEVELS))
+            k = rng.randint(2, 4)
+            floors = sorted(rng.choices(self.LEVELS[:split], k=k), reverse=True)
+            ceilings = sorted(rng.choices(self.LEVELS[split:], k=k))
+            ladder = [Window.constant(a, b) for a, b in zip(floors, ceilings)]
+            rep_z = full_homology(sc.family, log_z, r, ladder)
+            rep_q = full_homology(sq.family, log_q, r, ladder)
+            assert [h.free_rank for h in rep_z.results] == [
+                h.free_rank for h in rep_q.results]
+            assert [(l.proj_rank, l.incl_rank) for l in rep_z.legs] == [
+                (l.proj_rank, l.incl_rank) for l in rep_q.legs]
 
 
 class TestTrackClass:
