@@ -10,9 +10,8 @@ integer pairs.  Nothing integer is stored on a Piecewise; each call
 converts what it reads, and a caller that reads one profile many times
 converts it once (_ints) and evaluates the integer points (_ratio_at).
 A Fraction is built only where a value leaves the kernel: a crossing
-parameter, a value of differences, and Piecewise.value.  knots and
-common_knots stay in Fraction arithmetic; common_knots is the tests'
-reference for the kernel's knots.
+parameter and Piecewise.value.  knots and common_knots stay in Fraction
+arithmetic; common_knots is the tests' reference for the kernel's knots.
 """
 
 from dataclasses import dataclass
@@ -88,17 +87,6 @@ def common_knots(f, g, lo, hi):
     ks.add(lo)
     ks.add(hi)
     return sorted(k for k in ks if lo <= k <= hi)
-
-
-def differences(f, g, lo, hi):
-    """The common knots of f and g in [lo, hi], and f - g at each.
-
-    The knots are those of common_knots, and the values are Fractions
-    built from _walk's integer differences.  A range with lo > hi gives
-    two empty lists.
-    """
-    ks, nums, dens = _walk(f, g, lo, hi)
-    return ks, [Fraction(n, d) for n, d in zip(nums, dens)]
 
 
 def _ints(pts):

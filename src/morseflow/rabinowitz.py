@@ -113,11 +113,6 @@ class HomotopyModel:
 # ---------------------------------------------------------------------------
 # the eta estimate
 
-@dataclass(frozen=True)
-class EtaTrajectory:
-    samples: tuple               # ((r, bound), ...) nondecreasing in r
-
-
 def _rk4_log_growth(rate, r):
     """Log growth factor of RK4 integration of eta' = rate * eta over [0, r].
 
@@ -163,16 +158,6 @@ def eta_bound(model, eta0, r):
             "comparison integration disagrees with the closed form "
             "exp(%r)" % exponent)
     return closed
-
-
-def eta_trajectory(model, eta0, n=11):
-    if n < 2:
-        raise InvalidParameters("a trajectory needs at least two samples")
-    samples = []
-    for i in range(n):
-        r = Fraction(i, n - 1)
-        samples.append((r, eta_bound(model, eta0, r)))
-    return EtaTrajectory(tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +240,3 @@ def classify_invariance(model, rho0=None, kappa=None):
         return Inconclusive(phi, phi.tail_integral(phi.gap[1]),
                             "escape integral converges")
     return Invariant(phi)
-
-
-@dataclass(frozen=True)
-class ContactConstant:
-    value: Fraction
-    justification: str
-
-
-def restricted_contact_constant():
-    """Default tame constant for restricted contact type hypersurfaces."""
-    return ContactConstant(
-        Fraction(1),
-        "for a hypersurface of restricted contact type the primitive "
-        "realizing the contact structure gives the tameness estimate "
-        "with constant 1")

@@ -21,7 +21,7 @@ import tempfile
 from morseflow.cli import main
 
 BUNDLED = ("slide", "twoslides", "birth", "eyeball", "escaping",
-           "duplicate_event")
+           "duplicate_event", "ladder")
 CASCADES = (6, 12)
 COMMANDS = ("validate", "evolve", "homology", "track", "escape",
             "rabinowitz", "plot")

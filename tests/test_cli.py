@@ -46,7 +46,8 @@ def write(tmp_path, name, text):
 
 class TestDataPath:
     @pytest.mark.parametrize("name", ["slide", "twoslides", "birth",
-                                      "eyeball", "escaping", "duplicate_event"])
+                                      "eyeball", "escaping", "duplicate_event",
+                                      "ladder"])
     def test_bundled_names_resolve(self, name):
         p = data_path(name)
         assert os.path.isfile(p) and p.endswith(name + ".scn")

@@ -1,0 +1,32 @@
+"""tests/differential.py tells two trees apart by their command outputs.
+
+Only its bundled-scenario probes run here, to keep the check short.
+"""
+
+import shutil
+
+import differential
+
+
+def test_a_tree_against_itself_shows_no_difference():
+    lines, cases, differ = differential.compare(
+        differential.SRC, differential.SRC, ["bundled"])
+    assert cases > 0 and differ == 0
+    assert lines == ["bundled: %d cases, 0 differ" % cases]
+
+
+def test_a_planted_character_in_the_report_header_shows(tmp_path):
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "morseflow" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('HEADER = "# morseflow ') == 1
+    cli.write_text(text.replace('HEADER = "# morseflow ',
+                                'HEADER = "# morseflow! '), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["bundled"])
+    assert 0 < differ < cases
+    assert lines[0] == "bundled: %d cases, %d differ" % (cases, differ)
+    assert lines[2].startswith("    - ") and "morseflow! 0.1.0" in lines[2]
+    assert lines[3].startswith("    + ") and "morseflow 0.1.0" in lines[3]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from morseflow.piecewise import Piecewise, common_knots, crossings, differences
+from morseflow.piecewise import Piecewise, _walk, common_knots, crossings
 
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 6))
 scan_value = oracles.profile_value
@@ -85,17 +85,18 @@ class TestCrossings:
         f, g, lo, hi = pair
         lo = max(f.r_lo, g.r_lo) if lo is None else lo
         hi = min(f.r_hi, g.r_hi) if hi is None else hi
-        ks, ds = differences(f, g, lo, hi)
+        ks, nums, dens = _walk(f, g, lo, hi)
         assert ks == common_knots(f, g, lo, hi)
-        assert ds == [f.value(k) - g.value(k) for k in ks]
+        assert [F(n, d) for n, d in zip(nums, dens)] == [
+            f.value(k) - g.value(k) for k in ks]
 
     def test_differences_outside_a_domain_is_an_error(self):
         f = Piecewise(((0, 1), (F(1, 2), 2)))
         g = Piecewise.constant(0)
         with pytest.raises(ValueError):
-            differences(f, g, 0, 1)
+            _walk(f, g, 0, 1)
         with pytest.raises(ValueError):
-            differences(g, f, -1, F(1, 4))
+            _walk(g, f, -1, F(1, 4))
 
     def test_one_point_range(self):
         f = Piecewise(((0, 0), (1, 2)))
@@ -161,10 +162,11 @@ class TestIntegerKernel:
         f, g, lo, hi = pair
         lo = max(f.r_lo, g.r_lo) if lo is None else lo
         hi = min(f.r_hi, g.r_hi) if hi is None else hi
-        ks, ds = differences(f, g, lo, hi)
+        ks, nums, dens = _walk(f, g, lo, hi)
         assert ks == common_knots(f, g, lo, hi)
-        assert all(isinstance(d, F) for d in ds)
-        assert ds == [scan_value(f.points, k) - scan_value(g.points, k) for k in ks]
+        assert all(d > 0 for d in dens)
+        assert [F(n, d) for n, d in zip(nums, dens)] == [
+            scan_value(f.points, k) - scan_value(g.points, k) for k in ks]
 
     @settings(max_examples=200, deadline=None)
     @given(pair=scaled_pairs(), t=st.fractions(0, 1))
@@ -182,6 +184,6 @@ class TestIntegerKernel:
     def test_empty_and_reversed_ranges(self):
         f = Piecewise(((0, 0), (1, 2)))
         g = Piecewise(((F(1, 2), 5), (2, 5)))
-        assert differences(f, g, F(3, 4), F(1, 2)) == ([], [])
+        assert _walk(f, g, F(3, 4), F(1, 2)) == ([], [], [])
         assert crossings(f, g, F(3, 4), F(1, 2)) == []
         assert crossings(f, Piecewise(((2, 0), (3, 0)))) == []

@@ -16,8 +16,7 @@ from morseflow.rabinowitz import (ClassSurvives, HomotopyModel,
                                   Invariant, LogTame, SquareTame,
                                   SymplecticFormHomotopy, Tame,
                                   classify_invariance, eta_bound,
-                                  eta_trajectory, phi_for_class,
-                                  restricted_contact_constant)
+                                  phi_for_class)
 
 
 def model(h=1, c=1, cls=Tame(), variant=HypersurfaceHomotopy()):
@@ -120,16 +119,6 @@ class TestEtaBound:
         got = eta_bound(model(h=h), eta0, r)
         want = oracles.rk4_exponential(h, abs(float(eta0)), r)
         assert abs(got - want) <= 1e-6 * max(want, 1e-12)
-
-    def test_trajectory_is_nondecreasing(self):
-        traj = eta_trajectory(model(h=2), 1, n=9)
-        assert len(traj.samples) == 9
-        assert traj.samples[0] == (0, 1.0)
-        rs = [r for r, _ in traj.samples]
-        vals = [v for _, v in traj.samples]
-        assert rs == sorted(rs) and vals == sorted(vals)
-        with pytest.raises(InvalidParameters):
-            eta_trajectory(model(), 1, n=1)
 
 
 class TestPhiForClass:
@@ -235,18 +224,3 @@ class TestClassify:
             assert isinstance(v, ClassSurvives)
         else:
             assert isinstance(v, Inconclusive)
-
-
-class TestContactConstant:
-    def test_value_and_justification(self):
-        rc = restricted_contact_constant()
-        assert rc.value == 1
-        assert "contact" in rc.justification
-
-    def test_composition_with_tame_class(self):
-        rc = restricted_contact_constant()
-        h = F(7, 2)
-        phi = phi_for_class(model(h=h, c=rc.value))
-        assert phi.label == "linear" and phi.coefficient == h
-        assert isinstance(classify_invariance(model(h=h, c=rc.value)),
-                          Invariant)

@@ -14,7 +14,7 @@ import oracles
 import randgen
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
                       three_lane_tuple)
-from morseflow import bifurcation, tracker
+from morseflow import algebra, bifurcation, tracker
 from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_handle_slide, evolve,
                                    verify_maps)
@@ -860,6 +860,48 @@ class TestFullHomology:
             assert [(l.proj_rank, l.incl_rank) for l in rep_z.legs] == [
                 (l.proj_rank, l.incl_rank) for l in rep_q.legs]
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_each_window_is_derived_once(self, k, monkeypatch):
+        """A k-window ladder restricts each window and each intermediate
+        window once (2k - 1), echelonizes once per homology, once per
+        intermediate cycle basis and once per leg rank (5k - 4 over Z2),
+        and multiplies out no chain map: gamma1 makes the legs chain
+        maps."""
+        sc = randgen.random_scenario(random.Random(0), Z2)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        r = log.intervals[0].midpoint()
+        ladder = [Window.constant(self.LEVELS[4 - j], self.LEVELS[5 + j])
+                  for j in range(k)]
+        calls = {"restrict": 0, "ordered_echelon": 0, "is_chain_map": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+        monkeypatch.setattr(SparseMatrix, "restrict",
+                            counted("restrict", SparseMatrix.restrict))
+        for name, modules in (("ordered_echelon", (algebra, tracker)),
+                              ("is_chain_map", (algebra, bifurcation))):
+            spy = counted(name, getattr(algebra, name))
+            for module in modules:
+                monkeypatch.setattr(module, name, spy)
+        rep = full_homology(sc.family, log, r, ladder)
+        assert len(rep.results) == k and len(rep.legs) == k - 1
+        assert calls == {"restrict": 2 * k - 1,
+                         "ordered_echelon": 5 * k - 4, "is_chain_map": 0}
+
+    def test_action_order_is_checked_once_per_ladder(self):
+        """A log built without the axioms, whose count (c3, c2) raises
+        action, is refused: its ladder legs need not be chain maps."""
+        with open(data_path("ladder"), encoding="utf-8") as fh:
+            text = fh.read().replace("(c2, c3) = 2", "(c3, c2) = 1")
+        sc = parse_scenario(text)
+        log = evolve(sc.gamma0, sc.events, sc.family, enforce_axioms=False)
+        with pytest.raises(VerificationFailed, match=r"entry \(c3, c2\)"):
+            full_homology(sc.family, log, F(1, 2),
+                          [Window.constant(3, 5), Window.constant(1, 5)])
+
 
 class TestTrackClass:
     def test_no_events_constant_trace(self):
@@ -960,7 +1002,7 @@ class TestTrackClass:
                              (bifurcation, "_unipotent_inverse"),
                              (bifurcation, "is_chain_map"),
                              (bifurcation, "is_chain_homotopy"),
-                             (tracker, "is_chain_map")]:
+                             (algebra, "is_chain_map")]:
             monkeypatch.setattr(module, name, refuse)
         assert [track_class({"c1": 1}, log, w) for log, w in runs] == want
 
