@@ -43,13 +43,14 @@ class _Frame:
         if vhi <= vlo:
             vhi = vlo + 1
         pad = (vhi - vlo) / 12
-        self.vlo, self.vhi = vlo - pad, vhi + pad
+        vlo, vhi = vlo - pad, vhi + pad
+        self.top, self.span = float(vhi), float(vhi - vlo)   # for y()
 
     def x(self, r):
         return self.ml + float(r) * (self.w - self.ml - self.mr)
 
     def y(self, v):
-        t = (float(self.vhi) - float(v)) / float(self.vhi - self.vlo)
+        t = (self.top - float(v)) / self.span
         return self.mt + t * (self.h - self.mt - self.mb)
 
     def axes(self, vlo_label, vhi_label):
@@ -125,8 +126,10 @@ def trace_svg(trace):
                     'stroke-width="2"/>'
                     % (_fmt(x1), _fmt(fr.y(seg.rho_lo)),
                        _fmt(x2), _fmt(fr.y(seg.rho_hi))))
+    # reversed, so each r_lo maps to its first segment
+    starts = {s.r_lo: s for s in reversed(trace.segments)}
     for r, old_top, new_top in trace.transfers:
-        seg = next((s for s in trace.segments if s.r_lo == r), None)
+        seg = starts.get(r)
         if seg is None:
             continue
         y = floor if seg.rho_lo == _NEG_INF else fr.y(seg.rho_lo)

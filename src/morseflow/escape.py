@@ -443,7 +443,9 @@ def budget_for_heights(heights, phi):
             raise NonMonotoneTail(
                 "heights decrease from %s to %s beyond the exclusion "
                 "interval" % (x, y))
-    costs = tuple(phi.cost(x, y) for x, y in zip(clipped, clipped[1:]))
+    # only a rising step is priced; a flat one costs 0, as cost(x, x) does
+    costs = tuple(phi.cost(x, y) if x < y else Fraction(0)
+                  for x, y in zip(clipped, clipped[1:]))
     total = Fraction(0)
     for c in costs:
         total = total + c

@@ -6,16 +6,19 @@ private kernel (_walk) reads their points as (numerator, denominator)
 pairs, emits their common knots in one merged walk and returns the
 difference at each as an integer numerator over a positive denominator;
 every comparison is a cross product.  contains and value read the same
-integer pairs.  Nothing integer is stored on a Piecewise; each call
-converts what it reads, and a caller that reads one profile many times
-converts it once (_ints) and evaluates the integer points (_ratio_at).
-A Fraction is built only where a value leaves the kernel: a crossing
-parameter and Piecewise.value.  knots and common_knots stay in Fraction
-arithmetic; common_knots is the tests' reference for the kernel's knots.
+integer pairs.  Each Piecewise converts its points once, on the first
+read of Piecewise.ints, and keeps them; ints is the one integer reader
+of a profile, for this module and for every caller that evaluates the
+integer points itself (_ratio_at).  It is not a field, so ==, hash and
+repr read the Fraction points only.  A Fraction is built only where a
+value leaves the kernel: a crossing parameter and Piecewise.value.
+knots and common_knots stay in Fraction arithmetic; common_knots is the
+tests' reference for the kernel's knots.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 
@@ -52,19 +55,26 @@ class Piecewise:
     def r_hi(self):
         return self.points[-1][0]
 
+    @cached_property
+    def ints(self):
+        """Each point as the integers (r_num, r_den, v_num, v_den),
+        converted on the first read and kept."""
+        return tuple(r.as_integer_ratio() + v.as_integer_ratio()
+                     for r, v in self.points)
+
     def contains(self, r):
         """r_lo <= r <= r_hi, by integer cross products."""
         rn, rd = frac(r).as_integer_ratio()
-        an, ad = self.points[0][0].as_integer_ratio()
-        bn, bd = self.points[-1][0].as_integer_ratio()
-        return an * rd <= rn * ad and rn * bd <= bn * rd
+        pts = self.ints
+        return (pts[0][0] * rd <= rn * pts[0][1]
+                and rn * pts[-1][1] <= pts[-1][0] * rd)
 
     def value(self, r):
         """Value at r: a Fraction built from the kernel's integer pair."""
         r = frac(r)
         if not self.contains(r):
             raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
-        return Fraction(*_ratio_at(_ints(self.points), *r.as_integer_ratio()))
+        return Fraction(*_ratio_at(self.ints, *r.as_integer_ratio()))
 
     def knots(self, lo=None, hi=None):
         """Breakpoint parameters clipped to [lo, hi], endpoints included."""
@@ -89,14 +99,10 @@ def common_knots(f, g, lo, hi):
     return sorted(k for k in ks if lo <= k <= hi)
 
 
-def _ints(pts):
-    """Each (r, v) point as the integers (r_num, r_den, v_num, v_den)."""
-    return [r.as_integer_ratio() + v.as_integer_ratio() for r, v in pts]
-
-
 def _eval(pts, i, kn, kd):
     """Value at kn/kd as (numerator, denominator > 0), from the integer
-    points pts of _ints, where pts[i] is the first with parameter >= kn/kd.
+    points pts (Piecewise.ints), where pts[i] is the first with parameter
+    >= kn/kd.
 
     Between points (a0/b0, v0) and (a1/b1, v1) the value is the weighted
     mean (v0 * x1 + v1 * x0) / (x0 + x1), with positive weights x0 and x1
@@ -113,8 +119,8 @@ def _eval(pts, i, kn, kd):
 
 
 def _ratio_at(pts, kn, kd):
-    """The profile with integer points pts (of _ints) at kn/kd, inside its
-    domain, as (numerator, denominator > 0)."""
+    """The profile with integer points pts (Piecewise.ints) at kn/kd,
+    inside its domain, as (numerator, denominator > 0)."""
     i = 0
     while pts[i][0] * kd < kn * pts[i][1]:
         i += 1
@@ -134,7 +140,7 @@ def _walk(f, g, lo, hi):
     range outside either domain raises ValueError.
     """
     fp, gp = f.points, g.points
-    fi, gi = _ints(fp), _ints(gp)
+    fi, gi = f.ints, g.ints
     if lo is None:
         lo = fp[0][0] if fi[0][0] * gi[0][1] >= gi[0][0] * fi[0][1] else gp[0][0]
     if hi is None:

@@ -17,12 +17,14 @@ is proven tight over every coefficient ring (_coset_minimize), so every
 spectral value and slab is certified.
 
 The geometry those calls read is prepared once per family, in one
-arrangement: each arc's profile as integer points, each pair's
-crossings, and each window's verdict, sides, in-window ids and the
-crossings of its in-window pairs sorted by parameter.  validate_window,
-filtered_homology, full_homology, spectral_value and track_class read
-the arrangement of the family they are given.  One slot holds the
-arrangement of the last family read, keyed by its identity.
+arrangement: each pair's crossings, and each window's verdict, sides,
+in-window ids and the crossings of its in-window pairs sorted by
+parameter.  validate_window, filtered_homology, full_homology,
+spectral_value and track_class read the arrangement of the family they
+are given.  One slot holds the arrangement of the last family read,
+keyed by its identity.  A profile's integer points are its own
+(Piecewise.ints); spectral_value, track_class and _window_cuts look
+each in-window arc's profile up once per call.
 
 An interval's in-window generators have one reader, _interval_gens:
 the window's in-window ids among the rows of the interval's count
@@ -61,7 +63,7 @@ from .bifurcation import HandleSlide, _triangularity_violations
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import vec_apply
-from .piecewise import Piecewise, _ints, _ratio_at, _walk, crossings, frac
+from .piecewise import Piecewise, _ratio_at, _walk, crossings, frac
 
 NEG_INF = float("-inf")
 
@@ -116,22 +118,17 @@ BELOW, INSIDE, ABOVE = -1, 0, 1
 class _Arrangement:
     """The geometry of one family that every tracker call reads.
 
-    points maps each arc id, in declaration order, to its profile's
-    integer points (_ints; the first arc with an id wins, as in
-    CerfTuple.arc).  pairs maps a pair of ids to their crossings, each
-    as (x, numerator, denominator), computed the first time a window
-    needs them.  windows maps a window, by value, to (verdict, sides,
-    in-window ids); cuts maps a usable window to the crossings of its
-    in-window pairs, sorted by parameter.
+    pairs maps a pair of ids to their crossings, each as (x, numerator,
+    denominator), computed the first time a window needs them.  windows
+    maps a window, by value, to (verdict, sides, in-window ids); cuts
+    maps a usable window to the crossings of its in-window pairs, sorted
+    by parameter.
     """
 
-    __slots__ = ("family", "points", "pairs", "windows", "cuts")
+    __slots__ = ("family", "pairs", "windows", "cuts")
 
     def __init__(self, t):
         self.family = t
-        self.points = {}
-        for a in t.arcs:
-            self.points.setdefault(a.id, _ints(a.f3.points))
         self.pairs = {}
         self.windows = {}
         self.cuts = {}
@@ -187,14 +184,16 @@ def _judge_window(arr, w):
     why = window_violation(w, arr.family)
     if why is not None:
         return why, None, None
-    a, b = _ints(w.a.points), _ints(w.b.points)
+    a, b = w.a.ints, w.b.ints
     sides = {}
-    for g, pts in arr.points.items():
-        rn, rd, vn, vd = pts[0]
+    for arc in arr.family.arcs:
+        if arc.id in sides:
+            continue             # the first arc with an id wins
+        rn, rd, vn, vd = arc.f3.ints[0]
         an, ad = _ratio_at(a, rn, rd)
         bn, bd = _ratio_at(b, rn, rd)
-        sides[g] = (BELOW if vn * ad < an * vd else
-                    INSIDE if vn * bd < bn * vd else ABOVE)
+        sides[arc.id] = (BELOW if vn * ad < an * vd else
+                         INSIDE if vn * bd < bn * vd else ABOVE)
     return None, sides, [g for g, side in sides.items() if side == INSIDE]
 
 
@@ -204,18 +203,18 @@ def _window_cuts(arr, w, inside):
     family and window, each pair's crossings once per family."""
     cuts = arr.cuts.get(w)
     if cuts is None:
-        pts = arr.points
+        prof = {g: arr.family.arc(g).f3 for g in inside}
         cuts = []
         for g1, g2 in itertools.combinations(inside, 2):
-            p, q = pts[g1], pts[g2]
+            f1, f2 = prof[g1], prof[g2]
+            p, q = f1.ints, f2.ints
             if (p[0][0] * q[-1][1] > q[-1][0] * p[0][1]
                     or q[0][0] * p[-1][1] > p[-1][0] * q[0][1]):
                 continue             # the two lives do not meet
             xs = arr.pairs.get((g1, g2))
             if xs is None:
                 xs = arr.pairs[g1, g2] = [
-                    (x,) + x.as_integer_ratio() for x in crossings(
-                        arr.family.arc(g1).f3, arr.family.arc(g2).f3)]
+                    (x,) + x.as_integer_ratio() for x in crossings(f1, f2)]
             cuts.extend(c + (g1, g2) for c in xs)
         cuts.sort(key=lambda c: c[0])
         arr.cuts[w] = cuts
@@ -283,11 +282,11 @@ class _Descending:
         return x > 0 or (x == 0 and self.name < other.name)
 
 
-def _order_key(t, rn, rd):
+def _order_key(prof, rn, rd):
     """Sort key putting generators in descending action at rn/rd, ties by
-    id, read from the integer points of t's arrangement."""
-    pts = _arrangement(t).points
-    return lambda g: _Descending(*_ratio_at(pts[g], rn, rd), str(g))
+    id, read from the integer points of prof, each generator's profile by
+    id."""
+    return lambda g: _Descending(*_ratio_at(prof[g].ints, rn, rd), str(g))
 
 
 def _coset_minimize(ring, d, rep, order):
@@ -364,12 +363,13 @@ def spectral_value(h, r, log, w):
     fc = log.counter_at(r)
     gens = _interval_gens(inside, fc)
     rep, d = _window_rep(h, fc.gamma, sides, gens, "at r=%s" % r)
-    order = sorted(gens, key=_order_key(t, *r.as_integer_ratio()))
+    prof = {g: t.arc(g).f3 for g in gens}
+    order = sorted(gens, key=_order_key(prof, *r.as_integer_ratio()))
     support = _coset_minimize(d.ring, d, rep, order)
     if not support:
         return SpectralValue(NEG_INF, True)
     top = support[0]
-    return SpectralValue(t.arc(top).value(r), True, support, top)
+    return SpectralValue(prof[top].value(r), True, support, top)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +571,11 @@ def track_class(h0, log, w, label="h"):
     spectral value is verified continuous across handle-slides.  An
     unusable window raises InvalidWindow.
 
-    Each interval is swept once.  The window's sides and in-window ids,
-    the crossings of its in-window pairs sorted by parameter and the
-    arcs' integer points come from the family's arrangement, prepared
-    once per family and window; _interval_gens reads each interval's
+    Each interval is swept once.  The window's sides and in-window ids
+    and the crossings of its in-window pairs sorted by parameter come
+    from the family's arrangement, prepared once per family and window;
+    the in-window arcs' profiles are looked up once per call, so no slab
+    reads an arc by id.  _interval_gens reads each interval's
     in-window generators off its matrix's rows.  One pointer advances
     through the sorted crossings across the intervals; the crossings
     strictly inside an interval, of two arcs both alive there, cut it
@@ -586,8 +587,8 @@ def track_class(h0, log, w, label="h"):
     t = log.family
     sides, inside = _window(w, t)
     arr = _arrangement(t)
-    pts = arr.points
     cuts = _window_cuts(arr, w, inside)
+    prof = {g: t.arc(g).f3 for g in inside}
     ring = log.ring
     first = log.intervals[0]
     rep, _ = _window_rep(h0, first.gamma, sides,
@@ -629,7 +630,7 @@ def track_class(h0, log, w, label="h"):
         for lo, hi in zip(bounds, bounds[1:]):
             a, b = lo.as_integer_ratio()
             c, e = hi.as_integer_ratio()
-            key = _order_key(t, a * e + c * b, 2 * b * e)     # the midpoint
+            key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
             order = (sorted(order, key=key) if lo == fc.r_lo
                      else _resort_runs(order, meets[lo], key))
             support = _coset_minimize(ring, d, rep, order)
@@ -639,9 +640,10 @@ def track_class(h0, log, w, label="h"):
                 prev_top = None
                 continue
             top = support[0]
+            pts = prof[top].ints
             seg = TraceSegment(fc.interval_index, lo, hi, support, top,
-                               Fraction(*_ratio_at(pts[top], a, b)),
-                               Fraction(*_ratio_at(pts[top], c, e)), True)
+                               Fraction(*_ratio_at(pts, a, b)),
+                               Fraction(*_ratio_at(pts, c, e)), True)
             # continuity across a slide: the first slab after it starts at
             # the value the last slab before it ended on
             if (after_slide and lo == fc.r_lo and segments[-1].top is not None

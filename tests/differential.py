@@ -1,6 +1,6 @@
 """Differential check of the working tree against a git revision.
 
-    python tests/differential.py REV [--kinds bundled,cascade,ladder]
+    python tests/differential.py REV [--kinds bundled,cascade,ladder,...]
 
 unpacks ``git archive REV src`` into a temporary directory and runs one
 fixed, seeded corpus through that tree and through the working tree's
@@ -14,8 +14,22 @@ Probe kinds:
   golden.COMMANDS on them under the same rings.
 * ladder: full_homology on randgen families, 150 per ring over Z2, Z
   and Q: at every interval midpoint, one drawn ladder of five nested
-  windows and each of its leading 1-5 windows; the repr of the
-  StabilizationReport, or the error raised.
+  windows and each of its leading 1-5 windows.
+* geometry: on randgen families, 150 per ring over Z2, Z and Q, the
+  crossings of every arc pair; each arc's contains and value at every
+  knot of the family and every knot midpoint; window_violation and
+  validate_window for wide_window and three drawn constant windows; and
+  in each usable one, track_class(...).table() of l1 (and of l1 + l2
+  when l2 exists) and spectral_value's value, support and top at every
+  interval midpoint.
+* escape: under the bounds linear, square, polylog p=1/2 and iterlog
+  depth 1, check_H1 on randgen families, 50 per ring, and on cascades 6
+  and 12; budget_for_heights and check_H2 (kappa 1/2 and 2, from the
+  first height) on the heights of each one's trace in the wide window,
+  in both directions, and on the tie [64/9, 361/36].
+
+A library probe (ladder, geometry, escape) records the repr of each
+result, or the class name and message of the error raised.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -26,6 +40,7 @@ collect this file; tests/test_differential.py checks the script itself.
 
 import argparse
 import io
+import itertools
 import json
 import os
 import random
@@ -42,6 +57,7 @@ DATA = os.path.join(SRC, "morseflow", "data")
 COEFFS = ("z2", "z", "q")
 CASCADES = (6, 12, 30)
 SHOWN = 5                    # differing cases printed per kind
+NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +98,19 @@ def probe_cascade(work):
 LEVELS = [-20, -5, 10, F(55, 2), F(65, 2), F(75, 2), 50, 75, 85, 95, 110]
 
 
+def _attempt(fn):
+    """repr of fn(), or the class name and message of the error it
+    raises."""
+    from morseflow.errors import MorseflowError
+    try:
+        return repr(fn())
+    except (MorseflowError, ValueError) as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
 def probe_ladder(work):
     import randgen
     from morseflow.bifurcation import evolve
-    from morseflow.errors import MorseflowError
     from morseflow.rings import Q, Z, Z2
     from morseflow.tracker import Window, full_homology
 
@@ -103,17 +128,132 @@ def probe_ladder(work):
                           for a, b in zip(floors, ceilings)]
                 r = fc.midpoint()
                 for k in range(1, 6):
-                    try:
-                        got = repr(full_homology(sc.family, log, r, ladder[:k]))
-                    except MorseflowError as e:
-                        got = "%s: %s" % (type(e).__name__, e)
                     cases["ladder %s seed %d r=%s k=%d"
-                          % (ring.name, seed, r, k)] = got
+                          % (ring.name, seed, r, k)] = _attempt(
+                        lambda: full_homology(sc.family, log, r, ladder[:k]))
+    return cases
+
+
+# drawn with LEVELS for the geometry probe's windows: each meets a lane or
+# a bubble of some randgen families
+HITS = [-8, 0, 40, 99]
+
+
+def probe_geometry(work):
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.piecewise import crossings
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import (Window, spectral_value, track_class,
+                                   validate_window, wide_window,
+                                   window_violation)
+
+    def spectral(h, r, log, w):
+        sv = spectral_value(h, r, log, w)
+        return sv.value, sv.support, sv.top
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        for seed in range(150):
+            rng = random.Random("geometry %s/%d" % (ring.name, seed))
+            sc = randgen.random_scenario(rng, ring)
+            t = sc.family
+            log = evolve(sc.gamma0, sc.events, t)
+            name = "geometry %s seed %d" % (ring.name, seed)
+            for f, g in itertools.combinations(t.arcs, 2):
+                cases["%s crossings %s %s" % (name, f.id, g.id)] = _attempt(
+                    lambda: crossings(f.f3, g.f3))
+            knots = sorted({r for a in t.arcs for r, _ in a.f3.points})
+            rs = knots + [(x + y) / 2 for x, y in zip(knots, knots[1:])]
+            for a in t.arcs:
+                cases["%s profile %s" % (name, a.id)] = [
+                    [str(r), a.f3.contains(r),
+                     _attempt(lambda: a.f3.value(r))] for r in rs]
+            windows = [("wide", wide_window(t))]
+            for k in range(3):
+                lo, hi = sorted(rng.sample(LEVELS + HITS, 2))
+                windows.append(("[%s, %s] #%d" % (lo, hi, k),
+                                Window.constant(lo, hi)))
+            hs = [("l1", {"l1": 1})]
+            if any(a.id == "l2" for a in t.arcs):
+                hs.append(("l1+l2", {"l1": 1, "l2": 1}))
+            for label, w in windows:
+                key = "%s window %s" % (name, label)
+                why = window_violation(w, t)
+                cases[key + " violation"] = why
+                cases[key + " sides"] = _attempt(
+                    lambda: sorted(validate_window(w, t).items()))
+                if why is not None:
+                    continue
+                for hl, h in hs:
+                    cases["%s track %s" % (key, hl)] = _attempt(
+                        lambda: track_class(h, log, w).table())
+                    for fc in log.intervals:
+                        r = fc.midpoint()
+                        cases["%s spectral %s r=%s" % (key, hl, r)] = _attempt(
+                            lambda: spectral(h, r, log, w))
+    return cases
+
+
+def _heights(trace, direction):
+    """The heights escape_budget reads off a trace's slabs."""
+    return [v if v == NEG_INF else direction * v
+            for seg in trace.segments for v in (seg.rho_lo, seg.rho_hi)]
+
+
+def probe_escape(work):
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.errors import MorseflowError
+    from morseflow.escape import (budget_for_heights, build_cascade,
+                                  check_H1, check_H2, iterlog, linear,
+                                  polylog, square)
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import track_class, wide_window
+
+    bounds = [("linear", linear(1)), ("square", square(1)),
+              ("polylog p=1/2", polylog(1, F(1, 2))),
+              ("iterlog 1", iterlog(1, 1))]
+    logs = []
+    for n in (6, 12):
+        t, g0, events = build_cascade(n)
+        logs.append(("cascade %d" % n, evolve(g0, events, t), {"c1": 1}))
+    for ring in (Z2, Z, Q):
+        for seed in range(50):
+            sc = randgen.random_scenario(
+                random.Random("escape %s/%d" % (ring.name, seed)), ring)
+            logs.append(("randgen %s seed %d" % (ring.name, seed),
+                         evolve(sc.gamma0, sc.events, sc.family), {"l1": 1}))
+
+    cases = {}
+    climbs = [("tie", [F(64, 9), F(361, 36)])]
+    for label, log, h in logs:
+        t = log.family
+        for bl, phi in bounds:
+            cases["escape %s %s H1" % (label, bl)] = _attempt(
+                lambda: check_H1(phi, t))
+        try:
+            trace = track_class(h, log, wide_window(t))
+        except MorseflowError as e:
+            cases["escape %s trace" % label] = "%s: %s" % (type(e).__name__, e)
+            continue
+        climbs += [("%s %s" % (label, d), _heights(trace, sign))
+                   for d, sign in (("+", 1), ("-", -1))]
+    for label, heights in climbs:
+        rho0 = heights[0] if heights[0] != NEG_INF else 0
+        for bl, phi in bounds:
+            key = "escape %s %s" % (label, bl)
+            cases[key + " budget"] = _attempt(
+                lambda: budget_for_heights(heights, phi))
+            for kappa in (F(1, 2), 2):
+                cases["%s H2 kappa=%s" % (key, kappa)] = _attempt(
+                    lambda: check_H2(phi, kappa, rho0))
     return cases
 
 
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
-          "ladder": probe_ladder}
+          "ladder": probe_ladder, "geometry": probe_geometry,
+          "escape": probe_escape}
 
 
 def _worker(src, kinds, path):

@@ -1,5 +1,7 @@
 """Piecewise-linear profiles: evaluation and crossings agree with references."""
 
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import randgen
 from morseflow.piecewise import Piecewise, _walk, common_knots, crossings
+from morseflow.rings import Z
+from morseflow.tracker import Window, wide_window
 
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 6))
 scan_value = oracles.profile_value
@@ -187,3 +192,41 @@ class TestIntegerKernel:
         assert _walk(f, g, F(3, 4), F(1, 2)) == ([], [], [])
         assert crossings(f, g, F(3, 4), F(1, 2)) == []
         assert crossings(f, Piecewise(((2, 0), (3, 0)))) == []
+
+
+def integer_pairs(pw):
+    return tuple(r.as_integer_ratio() + v.as_integer_ratio()
+                 for r, v in pw.points)
+
+
+class TestIntegerPoints:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ints_are_the_points_integer_ratios(self, seed):
+        t = randgen.random_scenario(random.Random(seed), Z).family
+        cutoffs = [c for w in (wide_window(t), Window.constant(F(-7, 3), 200))
+                   for c in (w.a, w.b)]
+        for pw in [a.f3 for a in t.arcs] + cutoffs:
+            assert pw.ints == integer_pairs(pw)
+            assert pw.ints is pw.ints
+
+    def test_ints_are_no_field(self):
+        """A profile built from integers equals one built from Fractions,
+        with the same hash and repr, whether or not ints was read."""
+        f = Piecewise(((0, 3), (F(1, 2), -1), (1, F(7, 2))))
+        g = Piecewise(((F(0), F(3)), (F(1, 2), F(-1)), (F(1), F(7, 2))))
+
+        def looks():
+            return f == g, hash(f) == hash(g), repr(f) == repr(g), repr(f)
+        before = looks()
+        assert before[:3] == (True, True, True)
+        assert f.ints == g.ints == ((0, 1, 3, 1), (1, 2, -1, 1), (1, 1, 7, 2))
+        assert looks() == before
+        assert "ints" not in {fl.name for fl in dataclasses.fields(f)}
+
+    def test_replace_reads_the_new_points(self):
+        f = Piecewise(((0, 1), (1, 2)))
+        assert f.ints == ((0, 1, 1, 1), (1, 1, 2, 1))
+        g = dataclasses.replace(f, points=((0, F(1, 3)), (F(1, 2), 5)))
+        assert g.ints == ((0, 1, 1, 3), (1, 2, 5, 1))
+        assert g.value(F(1, 4)) == F(8, 3) and not g.contains(1)
+        assert f.ints == ((0, 1, 1, 1), (1, 1, 2, 1))

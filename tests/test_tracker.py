@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import random
@@ -423,7 +424,8 @@ class TestIntegerKernelAtScale:
         t, r = tr
         ids = [a.id for a in t.arcs]
         for gens in (ids, ids[::-1]):
-            key = tracker._order_key(t, *r.as_integer_ratio())
+            key = tracker._order_key({a.id: a.f3 for a in t.arcs},
+                                     *r.as_integer_ratio())
             assert sorted(gens, key=key) == oracles.descending_order(t, gens, r)
 
     @settings(max_examples=15, deadline=None)
@@ -1157,6 +1159,38 @@ class TestIntervalGenerators:
             raise AssertionError("a window reader scanned the alive arcs")
         monkeypatch.setattr(type(t), "arcs_alive", refuse)
         assert read() == want
+
+
+class TestIntegerPoints:
+    @pytest.mark.parametrize("tier", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_profile_converts_once(self, seed, tier, monkeypatch):
+        """Over validate_axioms, evolve, filtered_homology and track_class,
+        only the family's arcs and the window's cutoffs are converted to
+        integer points, each at most once."""
+        done = []
+        convert = Piecewise.__dict__["ints"].func
+
+        def spy(pw):
+            done.append(pw)
+            return convert(pw)
+        counted = functools.cached_property(spy)
+        counted.__set_name__(Piecewise, "ints")
+        monkeypatch.setattr(Piecewise, "ints", counted)
+
+        sc = randgen.random_scenario(random.Random(seed), Z)
+        t = sc.family
+        w = Window.constant(10, 200) if tier else wide_window(t)
+        bifurcation.validate_axioms(sc.gamma0, sc.events, t)
+        log = evolve(sc.gamma0, sc.events, t)
+        for fc in log.intervals:
+            filtered_homology(t, fc, fc.midpoint(), w)
+        track_class({"l1": 1}, log, w)
+        track_class({"l1": 1}, log, w)
+        owners = {id(a.f3) for a in t.arcs} | {id(w.a), id(w.b)}
+        assert {id(pw) for pw in done} <= owners
+        assert len({id(pw) for pw in done}) == len(done)
+        assert len(done) >= len(t.arcs)
 
 
 class TestEventInvariance:
