@@ -6,6 +6,8 @@ declaration order.  Re-running a command therefore reproduces the
 output byte for byte.
 """
 
+import bisect
+
 from .bifurcation import Birth, Death
 
 VERSION_COMMENT = "<!-- morseflow 0.1.0 -->"
@@ -18,6 +20,12 @@ _NEG_INF = float("-inf")
 # canvas sizes in pixels: (width, height)
 _FAMILY_SIZE = (720, 440)
 _TRACE_SIZE = (720, 320)
+
+
+def _is_neg_inf(v):
+    """Whether v is the -inf of a zero class; a value is told from it by
+    its type, so no Fraction is compared with a float."""
+    return type(v) is float and v == _NEG_INF
 
 
 def _fmt(x):
@@ -107,8 +115,14 @@ def trace_svg(trace):
     Intervals where the class is zero (value -inf) are drawn dashed
     along the canvas floor.
     """
-    finite = [v for seg in trace.segments for v in (seg.rho_lo, seg.rho_hi)
-              if v != _NEG_INF]
+    # a slab whose top carried over starts at the very value the last one
+    # ended on, so each value object is compared once
+    finite, last = [], None
+    for seg in trace.segments:
+        for v in (seg.rho_lo, seg.rho_hi):
+            if v is not last and not _is_neg_inf(v):
+                finite.append(v)
+            last = v
     lo = min(finite) if finite else 0
     hi = max(finite) if finite else 1
     fr = _Frame(_TRACE_SIZE, lo, hi)
@@ -116,7 +130,7 @@ def trace_svg(trace):
     floor = fr.h - fr.mb - 4
     for seg in trace.segments:
         x1, x2 = fr.x(seg.r_lo), fr.x(seg.r_hi)
-        if seg.rho_lo == _NEG_INF or seg.rho_hi == _NEG_INF:
+        if _is_neg_inf(seg.rho_lo) or _is_neg_inf(seg.rho_hi):
             body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                         'stroke="#aaaaaa" stroke-dasharray="2 3" '
                         'stroke-width="2"/>'
@@ -126,13 +140,14 @@ def trace_svg(trace):
                     'stroke-width="2"/>'
                     % (_fmt(x1), _fmt(fr.y(seg.rho_lo)),
                        _fmt(x2), _fmt(fr.y(seg.rho_hi))))
-    # reversed, so each r_lo maps to its first segment
-    starts = {s.r_lo: s for s in reversed(trace.segments)}
+    segs = trace.segments
     for r, old_top, new_top in trace.transfers:
-        seg = starts.get(r)
-        if seg is None:
+        # the slabs are contiguous, so r_lo increases: the first at r
+        i = bisect.bisect_left(segs, r, key=lambda s: s.r_lo)
+        if i == len(segs) or segs[i].r_lo != r:
             continue
-        y = floor if seg.rho_lo == _NEG_INF else fr.y(seg.rho_lo)
+        seg = segs[i]
+        y = floor if _is_neg_inf(seg.rho_lo) else fr.y(seg.rho_lo)
         body.append('<circle cx="%s" cy="%s" r="4" fill="none" '
                     'stroke="#d62728" stroke-width="2"/>'
                     % (_fmt(fr.x(r)), _fmt(y)))

@@ -97,6 +97,11 @@ class EmptyTrace(MorseflowError):
     """Trace has no segments, so it realizes no height climb to price."""
 
 
+class ZeroClass(MorseflowError):
+    """Tracked class is zero in the window: no slab has a top, so it
+    realizes no height climb to price."""
+
+
 class UnsupportedFamily(MorseflowError):
     """No closed-form antiderivative is registered for this growth bound."""
 

@@ -20,13 +20,14 @@ from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
                    Finding)
 from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
-                     PrecisionExhausted, UnsupportedFamily)
+                     PrecisionExhausted, UnsupportedFamily, ZeroClass)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
 
 NEG_INF = float("-inf")
 INF = float("inf")
+_FLAT = Fraction(0)          # the cost of every flat step
 
 # smallest integer safely above the point where the innermost log factor
 # turns positive: 1, e, e^e, e^(e^e)
@@ -429,51 +430,62 @@ def budget_for_heights(heights, phi):
     refinement of the partition.  Under Phi = c|s| that integral is
     ln(last / first) / c, so the verdict is the exact comparison of
     last / first with e^c (_exceeds_exp); the printed total and step
-    costs stay floats.
+    costs stay floats.  The -inf of a zero class is told from a height
+    by its type, so no height is compared with a float.
     """
     b = phi.gap[1]
-    clipped = []
-    for s in heights:
-        if s == NEG_INF:
-            clipped.append(b)
-        else:
-            clipped.append(max(frac(s), b))
+    clipped = [b if type(s) is float and s == NEG_INF else max(frac(s), b)
+               for s in heights]
+    # a slab whose top carried over starts at the very value the last one
+    # ended on: such a pair is flat without a comparison
     for x, y in zip(clipped, clipped[1:]):
-        if y < x:
+        if y is not x and y < x:
             raise NonMonotoneTail(
                 "heights decrease from %s to %s beyond the exclusion "
                 "interval" % (x, y))
-    # only a rising step is priced; a flat one costs 0, as cost(x, x) does
-    costs = tuple(phi.cost(x, y) if x < y else Fraction(0)
-                  for x, y in zip(clipped, clipped[1:]))
+    # only a rising step is priced; a flat one costs 0, as cost(x, x)
+    # does, and adding 0 leaves the total as it is
+    costs = []
     total = Fraction(0)
-    for c in costs:
-        total = total + c
+    for x, y in zip(clipped, clipped[1:]):
+        if y is not x and x < y:
+            c = phi.cost(x, y)
+            costs.append(c)
+            total = total + c
+        else:
+            costs.append(_FLAT)
     if (phi.power == 1 and not phi.log_powers and clipped
             and clipped[0] > 0):
         over = _exceeds_exp(clipped[-1] / clipped[0], phi.coefficient)
     else:
         over = total > 1
     verdict = "InfeasibleWithinUnitTime" if over else "WithinBudget"
-    return EscapeBudget(tuple(clipped), costs, total, verdict,
+    return EscapeBudget(tuple(clipped), tuple(costs), total, verdict,
                         phi.diverges_at_infinity())
 
 
 def escape_budget(trace, phi, direction=1):
     """Parameter cost lower bound for the height climb a trace realizes.
 
-    direction -1 reflects the heights to bound a dive toward -infinity
-    (the mirrored computation of the negative direction).  An empty
-    trace realizes no climb, so it has no budget and raises EmptyTrace.
+    The heights are each slab's rho_lo and rho_hi, -inf where the class
+    is zero.  direction -1 reflects them to bound a dive toward
+    -infinity (the mirrored computation of the negative direction).  An
+    empty trace realizes no climb, so it has no budget and raises
+    EmptyTrace; nor does a class that is zero in the window, whose every
+    slab reads -inf with no top (ZeroClass).  Only tops and values are
+    read, so a values-only trace (track_class) serves.
     """
     if not trace.segments:
         raise EmptyTrace("the trace has no segments, so there is no climb "
                          "to price (outcome %s)" % trace.outcome)
+    if all(seg.top is None for seg in trace.segments):
+        raise ZeroClass("the class is zero in the window, so there is no "
+                        "climb to price")
     heights = []
     for seg in trace.segments:
         for v in (seg.rho_lo, seg.rho_hi):
-            if v == NEG_INF:
-                heights.append(NEG_INF)
+            if type(v) is float and v == NEG_INF:
+                heights.append(v)
             else:
                 heights.append(frac(v) if direction > 0 else -frac(v))
     return budget_for_heights(heights, phi)

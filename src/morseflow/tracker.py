@@ -34,9 +34,14 @@ interval one way: filtered_homology is given it and checks that r lies
 in it, and spectral_value and full_homology take it from
 EvolutionLog.counter_at; an event parameter raises DegenerateParameter.
 A trace walks the window's sorted crossings with one pointer across the
-intervals, so each interval reads only the crossings inside it; the
-action order is sorted on an interval's first slab and then carried
-across each cut, re-sorting only the arcs that meet there.
+intervals, so each interval reads only the crossings inside it, and
+both sweeps share that slab path.  The full sweep minimizes on every
+slab: the action order is sorted on an interval's first slab and then
+carried across each cut, re-sorting only the arcs that meet there.  The
+values-only sweep, for readers of tops and values alone, minimizes on
+an interval's first slab and then only at a cut the current top meets,
+and carries the top across every other cut (track_class gives the
+proof).
 
 A ladder of nested windows (full_homology) is compared through the
 projection and inclusion legs between consecutive windows.  They are
@@ -48,11 +53,15 @@ is restricted once and read by its homology and by both legs it meets.
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
-slab order compare (numerator, denominator) pairs by cross products.
-Fractions are built for what a trace returns and prints: the slab
-bounds (crossing parameters) and the spectral values.
+slab order compare (numerator, denominator) pairs by cross products,
+and so do the sort of the window's crossings and the grouping of a
+slab's bounds.  Fractions are built for what a trace returns and
+prints: the crossing parameters, once per family, and one spectral
+value per slab end, a slab whose top carries over starting at the
+value the last one ended on.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,6 +206,10 @@ def _judge_window(arr, w):
     return None, sides, [g for g, side in sides.items() if side == INSIDE]
 
 
+# a stable sort of cuts by parameter, compared by one cross product
+_BY_PARAMETER = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
+
+
 def _window_cuts(arr, w, inside):
     """The crossings of every pair of in-window arcs whose lives meet, as
     (x, numerator, denominator, id, id), sorted by x; computed once per
@@ -216,7 +229,7 @@ def _window_cuts(arr, w, inside):
                 xs = arr.pairs[g1, g2] = [
                     (x,) + x.as_integer_ratio() for x in crossings(f1, f2)]
             cuts.extend(c + (g1, g2) for c in xs)
-        cuts.sort(key=lambda c: c[0])
+        cuts.sort(key=_BY_PARAMETER)
         arr.cuts[w] = cuts
     return cuts
 
@@ -309,9 +322,11 @@ def _coset_minimize(ring, d, rep, order):
     v[l] + c_l b_l[l] != 0 when b_l[l] does not divide v[l].  So no
     element of the coset leads below l, and greedy is tight.
     """
+    zero = ring.zero
+    if not d.entries:        # im(d) = 0: rep is its coset's only element
+        return tuple(g for g in order if rep.get(g, zero) != zero)
     pos = {g: i for i, g in enumerate(order)}
     n = len(order)
-    zero = ring.zero
     vec = [zero] * n
     for g, v in rep.items():
         vec[pos[g]] = v
@@ -500,7 +515,7 @@ class TraceSegment:
     interval_index: int
     r_lo: Fraction
     r_hi: Fraction
-    support: tuple
+    support: tuple           # None in a values-only trace
     top: object
     rho_lo: object
     rho_hi: object
@@ -539,10 +554,13 @@ class SpectralTrace:
         return self.segments[-1].rho_hi if self.segments else NEG_INF
 
     def table(self):
-        """Tabular text form: one line per slab plus transfer markers."""
+        """Tabular text form: one line per slab plus transfer markers.
+        A values-only trace has no supports to print: ValueError."""
         lines = ["r_lo\tr_hi\trho_lo\trho_hi\ttop\tsupport"]
         marks = {r: (a, b) for r, a, b in self.transfers}
         for s in self.segments:
+            if s.support is None:
+                raise ValueError("a values-only trace has no supports")
             if s.r_lo in marks:
                 a, b = marks[s.r_lo]
                 lines.append("# transfer at r=%s: %s -> %s" % (s.r_lo, a, b))
@@ -562,27 +580,49 @@ def _resort_runs(order, movers, key):
     return out
 
 
-def track_class(h0, log, w, label="h"):
+def track_class(h0, log, w, label="h", values_only=False):
     """Follow the class of h0 from r=0 through every event of the log.
 
     The trace records, slab by slab between action crossings, the
     minimizing representative's support and its top generator; a
     transfer is a parameter where that top generator changes.  The
     spectral value is verified continuous across handle-slides.  An
-    unusable window raises InvalidWindow.
+    unusable window raises InvalidWindow.  A class that is zero in the
+    window has no top: it reads -inf on every slab, and its outcome is
+    Survived while the representative stays in the window.
 
     Each interval is swept once.  The window's sides and in-window ids
     and the crossings of its in-window pairs sorted by parameter come
     from the family's arrangement, prepared once per family and window;
     the in-window arcs' profiles are looked up once per call, so no slab
-    reads an arc by id.  _interval_gens reads each interval's
-    in-window generators off its matrix's rows.  One pointer advances
-    through the sorted crossings across the intervals; the crossings
-    strictly inside an interval, of two arcs both alive there, cut it
-    into slabs.  Only the first slab is sorted by action: at each later
-    cut the arcs meeting there form contiguous runs of the previous
-    order, and only those runs are re-sorted.  The first read of a
-    step's maps builds and verifies them.
+    reads an arc by id.  _interval_gens reads each interval's in-window
+    generators off its matrix's rows.  One pointer advances through the
+    sorted crossings across the intervals; the crossings strictly inside
+    an interval, of two arcs both alive there, cut it into slabs.  The
+    crossings at one parameter make one slab bound, and the arcs of
+    their pairs are the bound's movers.  The first read of a step's maps
+    builds and verifies them.
+
+    The full sweep minimizes on every slab.  Only an interval's first
+    slab is sorted by action: at each later bound the movers form
+    contiguous runs of the previous order, and only those runs are
+    re-sorted.
+
+    values_only=True computes what a price or a picture reads: tops,
+    values, transfers, outcome and classes, each equal to the full
+    sweep's, with support None on every slab.  It minimizes on each
+    interval's first slab, and after that only at a bound where the
+    current top is a mover, sorting afresh there; elsewhere the top
+    carries over.  This is exact.  On one interval the differential,
+    and so the coset, is fixed; a zero class therefore stays zero.  rho
+    is the least, over the coset's finitely many supports, of their top
+    action, each continuous, so rho is continuous and a top can only
+    hand over to an arc it meets.  Exactly: the greedy top g is the
+    generator such that some coset element lies on g and the generators
+    after it in the order, and none on those after it alone.  An arc
+    changes its place relative to g across a bound only if the two meet
+    there (they cross, or a coincidence starts or ends), so a top that
+    is no mover keeps the generators after it, and stays the top.
     """
     t = log.family
     sides, inside = _window(w, t)
@@ -618,35 +658,47 @@ def track_class(h0, log, w, label="h"):
         while p < len(cuts) and cuts[p][1] * ld <= ln * cuts[p][2]:
             p += 1
         alive = set(gens)
-        meets = {}           # cut -> ids of the arcs that meet there
+        # slab bounds as (x, numerator, denominator), and the movers of
+        # each bound after the first
+        bounds, movers = [(fc.r_lo, ln, ld)], [None]
         while p < len(cuts) and cuts[p][1] * hd < hn * cuts[p][2]:
-            x, _, _, g1, g2 = cuts[p]
-            if g1 in alive and g2 in alive:
-                meets.setdefault(x, set()).update((g1, g2))
+            x, n, e, g1, g2 = cuts[p]
             p += 1
-        bounds = [fc.r_lo] + list(meets) + [fc.r_hi]
+            if g1 in alive and g2 in alive:
+                if n * bounds[-1][2] != bounds[-1][1] * e:
+                    bounds.append((x, n, e))
+                    movers.append({g1, g2})
+                else:
+                    movers[-1].update((g1, g2))
+        bounds.append((fc.r_hi, hn, hd))
         first_seg = len(segments)
-        order = gens
-        for lo, hi in zip(bounds, bounds[1:]):
-            a, b = lo.as_integer_ratio()
-            c, e = hi.as_integer_ratio()
-            key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
-            order = (sorted(order, key=key) if lo == fc.r_lo
-                     else _resort_runs(order, meets[lo], key))
-            support = _coset_minimize(ring, d, rep, order)
-            if not support:
-                segments.append(TraceSegment(fc.interval_index, lo, hi, (),
-                                             None, NEG_INF, NEG_INF, True))
+        order, top = gens, None
+        for i in range(len(bounds) - 1):
+            lo, a, b = bounds[i]
+            hi, c, e = bounds[i + 1]
+            if not values_only or i == 0 or top in movers[i]:
+                key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
+                order = (_resort_runs(order, movers[i], key)
+                         if i and not values_only else sorted(gens, key=key))
+                support = _coset_minimize(ring, d, rep, order)
+                top = support[0] if support else None
+                if values_only:
+                    support = None
+            if top is None:
+                segments.append(TraceSegment(fc.interval_index, lo, hi,
+                                             support, None, NEG_INF, NEG_INF,
+                                             True))
                 prev_top = None
                 continue
-            top = support[0]
             pts = prof[top].ints
+            # a top carried over a bound starts where the last slab ended
+            rho_lo = (segments[-1].rho_hi if i and top == prev_top
+                      else Fraction(*_ratio_at(pts, a, b)))
             seg = TraceSegment(fc.interval_index, lo, hi, support, top,
-                               Fraction(*_ratio_at(pts, a, b)),
-                               Fraction(*_ratio_at(pts, c, e)), True)
+                               rho_lo, Fraction(*_ratio_at(pts, c, e)), True)
             # continuity across a slide: the first slab after it starts at
             # the value the last slab before it ended on
-            if (after_slide and lo == fc.r_lo and segments[-1].top is not None
+            if (after_slide and i == 0 and segments[-1].top is not None
                     and segments[-1].rho_hi != seg.rho_lo):
                 raise VerificationFailed(
                     "spectral value jumped across the slide at r=%s" % lo)

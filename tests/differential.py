@@ -27,9 +27,15 @@ Probe kinds:
   and 12; budget_for_heights and check_H2 (kappa 1/2 and 2, from the
   first height) on the heights of each one's trace in the wide window,
   in both directions, and on the tie [64/9, 361/36].
+* values: the values-only trace (track_class(..., values_only=True), or
+  the full sweep in a tree without that parameter) of cascades 6, 12,
+  30 and 60, and of l1 (and of l1 + l2 when l2 exists) on randgen
+  families, 150 per ring over Z2, Z and Q, in wide_window and in the
+  window (10, 200): each slab's interval, bounds, top and values, and
+  the transfers, outcome and classes.
 
-A library probe (ladder, geometry, escape) records the repr of each
-result, or the class name and message of the error raised.
+A library probe (ladder, geometry, escape, values) records the repr of
+each result, or the class name and message of the error raised.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -251,9 +257,56 @@ def probe_escape(work):
     return cases
 
 
+def _values(trace):
+    """What a values-only trace holds: each slab's interval, bounds, top
+    and values, and the transfers, outcome and classes."""
+    return ([(s.interval_index, s.r_lo, s.r_hi, s.top, s.rho_lo, s.rho_hi)
+             for s in trace.segments],
+            trace.transfers, trace.outcome, trace.classes)
+
+
+def probe_values(work):
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.escape import build_cascade
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import Window, track_class, wide_window
+
+    def values_only(h, log, w):
+        try:
+            return track_class(h, log, w, values_only=True)
+        except TypeError:        # a tree with the full sweep only
+            return track_class(h, log, w)
+
+    runs = []
+    for n in (6, 12, 30, 60):
+        t, g0, events = build_cascade(n)
+        runs.append(("cascade %d" % n, evolve(g0, events, t),
+                     [("c1", {"c1": 1})], [("wide", wide_window(t))]))
+    for ring in (Z2, Z, Q):
+        for seed in range(150):
+            sc = randgen.random_scenario(
+                random.Random("values %s/%d" % (ring.name, seed)), ring)
+            t = sc.family
+            hs = [("l1", {"l1": 1})]
+            if any(a.id == "l2" for a in t.arcs):
+                hs.append(("l1+l2", {"l1": 1, "l2": 1}))
+            runs.append(("randgen %s seed %d" % (ring.name, seed),
+                          evolve(sc.gamma0, sc.events, t), hs,
+                          [("wide", wide_window(t)),
+                           ("(10, 200)", Window.constant(10, 200))]))
+    cases = {}
+    for label, log, hs, windows in runs:
+        for wl, w in windows:
+            for hl, h in hs:
+                cases["values %s window %s %s" % (label, wl, hl)] = _attempt(
+                    lambda: _values(values_only(h, log, w)))
+    return cases
+
+
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
-          "escape": probe_escape}
+          "escape": probe_escape, "values": probe_values}
 
 
 def _worker(src, kinds, path):

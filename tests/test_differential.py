@@ -1,6 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario probes run here, to keep the check short.
+Only its bundled-scenario and values probes run here, to keep the check
+short.
 """
 
 import shutil
@@ -30,3 +31,23 @@ def test_a_planted_character_in_the_report_header_shows(tmp_path):
     assert lines[0] == "bundled: %d cases, %d differ" % (cases, differ)
     assert lines[2].startswith("    - ") and "morseflow! 0.1.0" in lines[2]
     assert lines[3].startswith("    + ") and "morseflow 0.1.0" in lines[3]
+
+
+def test_a_planted_stale_top_shows_in_the_values_probe(tmp_path):
+    # a values-only sweep that never minimizes past an interval's first
+    # slab carries its top over cuts where the top hands over
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracker = tmp_path / "src" / "morseflow" / "tracker.py"
+    text = tracker.read_text(encoding="utf-8")
+    fresh = "if not values_only or i == 0 or top in movers[i]:"
+    assert text.count(fresh) == 1
+    tracker.write_text(text.replace(fresh, "if not values_only or i == 0:"),
+                       encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["values"])
+    assert 0 < differ < cases
+    assert lines[0] == "values: %d cases, %d differ" % (cases, differ)
+    assert any(line.strip().startswith("values cascade 6 ")
+               for line in lines[1:])

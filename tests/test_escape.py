@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,22 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import randgen
 from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
 from morseflow.cerf import CerfTuple, Component, validate_cerf
 from morseflow import escape
+from morseflow.cli import main
 from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
-                              InvalidParameters, NonMonotoneTail,
-                              PrecisionExhausted, ScenarioError,
-                              UnsupportedFamily)
+                              InvalidParameters, MorseflowError,
+                              NonMonotoneTail, PrecisionExhausted,
+                              ScenarioError, UnsupportedFamily, ZeroClass)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
                               polylog, square)
 from morseflow.matrix import SparseMatrix
-from morseflow.rings import Z, Z2
-from morseflow.scenario import parse_phi
+from morseflow.rings import Q, Z, Z2
+from morseflow.scenario import parse_phi, parse_scenario
 from morseflow.tracker import (SpectralTrace, Window, track_class,
                                wide_window, window_violation)
 
@@ -506,6 +509,90 @@ class TestBudget:
         left = budget_for_heights(heights[:k + 1], phi).total
         right = budget_for_heights(heights[k:], phi).total
         assert left + right == total
+
+
+# y is the boundary of x, so the tracked class is zero in the window
+ZERO_SCN = """[coefficients]
+ring = z2
+[arcs]
+x : (0, 5) (1, 5)
+y : (0, 2) (1, 3)
+[gamma]
+(x, y) = 1
+[window]
+a = -1
+b = 20
+[track]
+class = y
+[phi]
+bound = linear(c=1)
+"""
+ZERO_ERROR = "the class is zero in the window, so there is no climb to price"
+
+
+def outcome(fn):
+    """fn()'s result, or the class and message of the error it raises."""
+    try:
+        return fn()
+    except MorseflowError as e:
+        return type(e), str(e)
+
+
+class TestZeroClass:
+    def test_a_zero_class_has_no_budget(self):
+        sc = parse_scenario(ZERO_SCN)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        for values_only in (False, True):
+            trace = track_class(sc.rep, log, sc.window,
+                                values_only=values_only)
+            assert trace.survived and trace.segments
+            assert all(s.top is None and s.rho_lo == s.rho_hi == NEG_INF
+                       for s in trace.segments)
+            with pytest.raises(ZeroClass, match=ZERO_ERROR):
+                escape_budget(trace, sc.phi)
+
+    def test_escape_exits_4_on_a_zero_class(self, tmp_path, capsys):
+        path = tmp_path / "zero.scn"
+        path.write_text(ZERO_SCN, encoding="utf-8")
+        assert main(["escape", str(path)]) == 4
+        assert capsys.readouterr() == ("", "error: %s\n" % ZERO_ERROR)
+        # c3 is the boundary of c2 in the bundled slide
+        assert main(["escape", "slide", "--class", "c3",
+                     "--phi", "linear(c=1)"]) == 4
+        assert capsys.readouterr() == ("", "error: %s\n" % ZERO_ERROR)
+        # the same class still tracks and plots
+        assert main(["track", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("final: -inf\n")
+        assert main(["plot", str(path), "--out", str(tmp_path / "svg")]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
+           tier=st.booleans())
+    def test_random_traces(self, seed, ring, tier):
+        """escape_budget raises ZeroClass on every trace with segments and
+        no top, and prices every other one from its heights."""
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        t = sc.family
+        log = evolve(sc.gamma0, sc.events, t)
+        w = Window.constant(10, 200) if tier else wide_window(t)
+        phi = linear(1)
+        hs = [{"l1": 1}]
+        if any(a.id == "l2" for a in t.arcs):
+            hs.append({"l1": 1, "l2": 1})
+        for h in hs:
+            trace = track_class(h, log, w, values_only=True)
+            for direction in (1, -1):
+                got = outcome(lambda: escape_budget(trace, phi, direction))
+                if not trace.segments:
+                    assert got[0] is EmptyTrace
+                elif all(s.top is None for s in trace.segments):
+                    assert got == (ZeroClass, ZERO_ERROR)
+                else:
+                    heights = [v if v == NEG_INF else direction * v
+                               for s in trace.segments
+                               for v in (s.rho_lo, s.rho_hi)]
+                    assert got == outcome(
+                        lambda: budget_for_heights(heights, phi))
 
 
 class TestCascade:

@@ -20,7 +20,7 @@ from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_handle_slide, evolve,
                                    verify_maps)
 from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, Component,
-                            DeathVertex, Vertex)
+                            DeathVertex, Vertex, validate_cerf)
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
                               NonNestedLadder, NotACycle, VerificationFailed)
 from morseflow.matrix import SparseMatrix
@@ -1112,6 +1112,178 @@ class TestTrackClass:
         assert tr.segments[0].r_lo == 0 and tr.segments[-1].r_hi == 1
         for a, b in zip(tr.segments, tr.segments[1:]):
             assert a.r_hi == b.r_lo
+
+
+def values_of(trace):
+    """Every field of a trace but the slabs' supports."""
+    return ([dataclasses.replace(s, support=None) for s in trace.segments],
+            trace.transfers, trace.outcome, trace.classes)
+
+
+def minimizations(h0, log, w, **kwargs):
+    """track_class(h0, log, w, **kwargs) and its number of
+    _coset_minimize calls."""
+    calls = []
+    minimize = tracker._coset_minimize
+
+    def spy(ring, d, rep, order):
+        calls.append(order)
+        return minimize(ring, d, rep, order)
+    with mock.patch.object(tracker, "_coset_minimize", spy):
+        trace = track_class(h0, log, w, **kwargs)
+    return trace, len(calls)
+
+
+def top_meetings(full, log, w):
+    """The intervals a full trace reaches, plus its later slab bounds at
+    which the slab before has a top that meets another in-window arc
+    there, by reference crossings."""
+    t = log.family
+
+    @functools.lru_cache(maxsize=None)
+    def meets(g, i):
+        """Where g meets another arc in the window on interval i."""
+        gens = oracles.in_window_at(t, w, log.intervals[i].midpoint())
+        return {x for h in gens if h != g
+                for x in oracles.crossings(t.arc(g).f3, t.arc(h).f3)}
+    count, prev = 0, None
+    for s in full.segments:
+        if prev is None or prev.interval_index != s.interval_index:
+            count += 1
+        elif prev.top is not None:
+            count += s.r_lo in meets(prev.top, s.interval_index)
+        prev = s
+    return count
+
+
+def assert_values_only_matches_full(h0, log, w):
+    """The values-only trace equals the full sweep's but for its
+    supports, all None, and minimizes at most once per interval and once
+    per bound its top meets; returns both traces and that count."""
+    full = track_class(h0, log, w)
+    values, calls = minimizations(h0, log, w, values_only=True)
+    assert values_of(values) == values_of(full)
+    assert all(s.support is None for s in values.segments)
+    assert calls <= top_meetings(full, log, w)
+    return full, values, calls
+
+
+class TestValuesOnly:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
+           tier=st.booleans())
+    def test_random_families_match_the_full_sweep(self, seed, ring, tier):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        w = Window.constant(10, 200) if tier else wide_window(sc.family)
+        hs = [{"l1": 1}]
+        if any(a.id == "l2" for a in sc.family.arcs):
+            hs.append({"l1": 1, "l2": 1})
+        for h0 in hs:
+            assert_values_only_matches_full(h0, log, w)
+
+    @pytest.mark.parametrize("n", [6, 12, 30, 60])
+    def test_cascades_match_the_full_sweep(self, n):
+        # the top hands over at one cut per slide, and every other cut
+        # misses it
+        t, fc0, events = build_cascade(n)
+        log = evolve(fc0, events, t)
+        full, values, calls = assert_values_only_matches_full(
+            {"c1": 1}, log, wide_window(t))
+        assert len(full.transfers) == n
+        assert calls <= 2 * n + 1 < len(values.segments)
+
+    def test_a_zero_class_is_minimized_once_per_interval(self):
+        t, log = three_lane_log()
+        full, values, calls = assert_values_only_matches_full(
+            {"c3": 1}, log, WIDE)
+        assert calls == len(log.intervals)
+        assert all(s.top is None and s.rho_lo == NEG_INF
+                   for s in values.segments)
+
+    def test_a_values_only_table_raises(self):
+        t, log = three_lane_log()
+        trace = track_class({"c1": 1}, log, WIDE, values_only=True)
+        with pytest.raises(ValueError, match="no supports"):
+            trace.table()
+
+    def test_an_image_free_coset_is_the_representative(self):
+        # with no entries in d, rep + im(d) is rep alone; its zero
+        # entries are no part of the support
+        order = ["g0", "g1", "g2"]
+        d = SparseMatrix(Z, order, order, {})
+        rep = {"g2": 3, "g0": 0, "g1": -1}
+        assert tracker._coset_minimize(Z, d, rep, order) == ("g1", "g2")
+        assert tracker._coset_minimize(Z, d, {"g0": 0}, order) == ()
+
+
+def tie_log():
+    """Z2 lanes a, b and c through (1/2, 3), and d coinciding with c on
+    [1/4, 3/4], so d meets a and b there too; t1 bounds c + d and t2
+    bounds a + b, so the class of c is that of d, and a's is b's."""
+    arcs = (chord("t1", [(0, 9), (1, 9)]), chord("t2", [(0, 8), (1, 8)]),
+            chord("a", [(0, 1), (1, 5)]), chord("b", [(0, 5), (1, 1)]),
+            chord("c", [(0, 3), (1, 3)]),
+            chord("d", [(0, 2), (F(1, 4), 3), (F(3, 4), 3), (1, 4)]))
+    t = CerfTuple(arcs, tuple(Component("chord", (a.id,)) for a in arcs))
+    ids = [a.id for a in arcs]
+    gamma = {("t1", "c"): 1, ("t1", "d"): 1, ("t2", "a"): 1, ("t2", "b"): 1}
+    return evolve(counter(Z2, ids, gamma), [], t)
+
+
+class TestTies:
+    W = Window.constant(-10, 10)
+
+    def bruteforce(self, log, h0, r):
+        """The spectral value of h0 at r, from z2_spectral_bruteforce on
+        the arcs in the window at r."""
+        t = log.family
+        gens = oracles.in_window_at(t, self.W, r)
+        gamma = log.intervals[0].gamma      # the family has no events
+        dense = [[gamma.entry(g, c) for c in gens] for g in gens]
+        heights = [oracles.profile_value(t.arc(g).f3.points, r) for g in gens]
+        rep_bits = sum(1 << i for i, g in enumerate(gens) if h0.get(g))
+        return oracles.z2_spectral_bruteforce(
+            rep_bits, oracles.z2_matrix_to_rowmasks(dense), len(gens), heights)
+
+    @pytest.mark.parametrize("h0", [{"c": 1}, {"d": 1}, {"a": 1},
+                                    {"a": 1, "c": 1}, {"c": 1, "d": 1}])
+    def test_both_sweeps_match_the_reference_and_bruteforce(self, h0):
+        log = tie_log()
+        assert validate_cerf(log.family).ok
+        full = assert_sweep_matches_reference(h0, log, self.W)
+        values = track_class(h0, log, self.W, values_only=True)
+        assert values_of(values) == values_of(full)
+        want = [(i, lo, hi) for i, lo, hi, _ in
+                reference_slabs(log, self.W, {0})]
+        assert [(s.interval_index, s.r_lo, s.r_hi)
+                for s in values.segments] == want
+        for s in values.segments:
+            mid = (s.r_lo + s.r_hi) / 2
+            at_mid = (NEG_INF if s.top is None else
+                      oracles.profile_value(log.family.arc(s.top).f3.points, mid))
+            for r, v in ((s.r_lo, s.rho_lo), (s.r_hi, s.rho_hi), (mid, at_mid)):
+                assert v == self.bruteforce(log, h0, r)
+
+    def test_three_pairs_share_one_bound(self):
+        log = tie_log()
+        cuts = tracker._window_cuts(tracker._arrangement(log.family), self.W,
+                                    tracker._window(self.W, log.family)[1])
+        met = [(g1, g2) for x, _, _, g1, g2 in cuts if x == F(1, 2)]
+        assert len(met) >= 3
+        trace = track_class({"a": 1}, log, self.W, values_only=True)
+        assert [s.r_lo for s in trace.segments].count(F(1, 2)) == 1
+        assert trace.transfers == ((F(1, 2), "a", "b"),)
+
+    def test_a_tie_goes_to_the_greater_id(self):
+        # c and d tie on [1/4, 3/4]: the order puts c first, so the
+        # greedy pushes the class of c down onto d until d rises past c
+        log = tie_log()
+        for values_only in (False, True):
+            trace = track_class({"c": 1}, log, self.W, values_only=values_only)
+            assert trace.transfers == ((F(3, 4), "d", "c"),)
+            assert all(s.rho_hi == 3 for s in trace.segments
+                       if F(1, 4) <= s.r_lo < F(3, 4))
 
 
 class TestIntervalGenerators:
