@@ -39,7 +39,7 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      EvolutionError, NonTriangularDelta, NonUnitPivot,
                      VerificationFailed)
 from .matrix import SparseMatrix
-from .piecewise import _walk, frac
+from .piecewise import _side, _walk, frac
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     implicit two-sided update.  Its maps are (I+D)^-1 forward and the
     section I + D backward, both built for the update itself.  When the
     family t is supplied, each jump entry is checked against the action
-    order at the event parameter.
+    order at the event parameter, by the sign of the kernel's gap there.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
@@ -262,28 +262,16 @@ def apply_handle_slide(gamma_minus, ev, t=None):
             entries[(c1, c2)] = v
     if t is not None:
         for (c1, c2) in entries:
-            f1 = t.arc(c1).value(ev.r)
-            f2 = t.arc(c2).value(ev.r)
-            if not f1 > f2:
+            f1, f2 = t.arc(c1).f3, t.arc(c2).f3
+            if not _walk(f1, f2, ev.r, ev.r)[1][0] > 0:
                 raise NonTriangularDelta(
                     "jump entry (%s, %s) violates the action order at r=%s: "
-                    "%s <= %s" % (c1, c2, ev.r, f1, f2))
+                    "%s <= %s" % (c1, c2, ev.r, f1.value(ev.r), f2.value(ev.r)))
     delta = SparseMatrix(ring, ids, ids, entries)
     section = SparseMatrix.identity(ring, ids).add(delta)
     transport = _unipotent_inverse(delta)
     gp = section.mul(gm).mul(transport)
     return gp, lambda: ChainMapBundle("slide", transport, section)
-
-
-def _gt_just_after(f, g, r):
-    """Exact sign of f - g on an immediate right-neighborhood of r.
-
-    Both profiles are linear between knots, so the kernel's difference
-    at r decides, with a tie broken at the next common knot: a tie there
-    too means the difference vanishes on a right-neighborhood.
-    """
-    diffs = _walk(f, g, r, None)[1]
-    return next((d for d in diffs[:2] if d), 0) > 0
 
 
 def _pair_maps(d_small, d_big, plus, minus):
@@ -360,10 +348,14 @@ def apply_birth(gamma_minus, ev, t):
                 "old matrix does not kill the new column: row %r gives %r" %
                 (c, total))
 
-    # action order just after the vertex
+    # action order just after the vertex, read by the kernel (_side)
     f_minus = t.arc(minus).f3
     for aid in sorted(w, key=str):
-        if not _gt_just_after(t.arc(aid).f3, f_minus, ev.r):
+        try:
+            above = _side(t.arc(aid).f3, f_minus, ev.r) > 0
+        except ValueError:      # the two are not both alive just after r
+            above = False
+        if not above:
             raise ActionConstraintViolated(
                 "new column entry at %r sits at or below the lower branch "
                 "just after r=%s" % (aid, ev.r))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvalidTuple, NonIsolatedCusp, VerticalTangency)
-from .piecewise import Piecewise, frac
+from .piecewise import Piecewise, _side, frac
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +188,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _just_after(arc_a, arc_b, r):
-    """Exact comparison point inside both arcs strictly after r."""
-    knots = [k for k in arc_a.f3.knots() if k > r]
-    knots += [k for k in arc_b.f3.knots() if k > r]
-    return (r + min(knots)) / 2
-
-
-def _just_before(arc_a, arc_b, r):
-    knots = [k for k in arc_a.f3.knots() if k < r]
-    knots += [k for k in arc_b.f3.knots() if k < r]
-    return (r + max(knots)) / 2
-
-
 def validate_cerf(t, event_params=()):
     """Check the structural axioms of a family; returns a ValidationReport.
 
@@ -297,23 +284,21 @@ def validate_cerf(t, event_params=()):
             if aid not in arcs:
                 err("dangling-arc", "vertex %r references unknown arc %r" % (v.id, aid))
 
-    # orientation: the plus branch has strictly larger action near the vertex
+    # orientation: the plus branch has strictly larger action beside the
+    # vertex, after a birth and before a death
     for v in t.vertices:
         if v.plus_arc not in arcs or v.minus_arc not in arcs:
             continue
-        plus, minus = arcs[v.plus_arc], arcs[v.minus_arc]
         try:
-            probe = (_just_after if v.kind == "birth" else _just_before)(plus, minus, v.r)
+            above = _side(arcs[v.plus_arc].f3, arcs[v.minus_arc].f3, v.r,
+                          v.kind == "birth") > 0
         except ValueError:
             continue   # endpoint mismatch, reported above
-        if not (plus.alive_at(probe) and minus.alive_at(probe)):
-            continue
-        vp, vm = plus.value(probe), minus.value(probe)
-        if vp <= vm:
+        if not above:
             err("vertex-orientation",
                 "vertex %r: plus arc %r must have strictly larger action than "
-                "minus arc %r adjacent to the vertex (got %s vs %s)" %
-                (v.id, v.plus_arc, v.minus_arc, vp, vm))
+                "minus arc %r adjacent to the vertex" %
+                (v.id, v.plus_arc, v.minus_arc))
 
     # parameters of distinct events are pairwise distinct
     params = [(v.r, "vertex %s" % v.id) for v in t.vertices]

@@ -15,17 +15,9 @@ VERSION_COMMENT = "<!-- morseflow 0.1.0 -->"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")
 
-_NEG_INF = float("-inf")
-
 # canvas sizes in pixels: (width, height)
 _FAMILY_SIZE = (720, 440)
 _TRACE_SIZE = (720, 320)
-
-
-def _is_neg_inf(v):
-    """Whether v is the -inf of a zero class; a value is told from it by
-    its type, so no Fraction is compared with a float."""
-    return type(v) is float and v == _NEG_INF
 
 
 def _fmt(x):
@@ -112,15 +104,17 @@ def family_svg(t, events=()):
 def trace_svg(trace):
     """Staircase of the tracked value with transfer marks.
 
-    Intervals where the class is zero (value -inf) are drawn dashed
+    Slabs where the class is zero (no top, value -inf) are drawn dashed
     along the canvas floor.
     """
     # a slab whose top carried over starts at the very value the last one
     # ended on, so each value object is compared once
     finite, last = [], None
     for seg in trace.segments:
+        if seg.top is None:
+            continue
         for v in (seg.rho_lo, seg.rho_hi):
-            if v is not last and not _is_neg_inf(v):
+            if v is not last:
                 finite.append(v)
             last = v
     lo = min(finite) if finite else 0
@@ -130,7 +124,7 @@ def trace_svg(trace):
     floor = fr.h - fr.mb - 4
     for seg in trace.segments:
         x1, x2 = fr.x(seg.r_lo), fr.x(seg.r_hi)
-        if _is_neg_inf(seg.rho_lo) or _is_neg_inf(seg.rho_hi):
+        if seg.top is None:
             body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                         'stroke="#aaaaaa" stroke-dasharray="2 3" '
                         'stroke-width="2"/>'
@@ -147,7 +141,7 @@ def trace_svg(trace):
         if i == len(segs) or segs[i].r_lo != r:
             continue
         seg = segs[i]
-        y = floor if _is_neg_inf(seg.rho_lo) else fr.y(seg.rho_lo)
+        y = floor if seg.top is None else fr.y(seg.rho_lo)
         body.append('<circle cx="%s" cy="%s" r="4" fill="none" '
                     'stroke="#d62728" stroke-width="2"/>'
                     % (_fmt(fr.x(r)), _fmt(y)))

@@ -12,8 +12,10 @@ of a profile, for this module and for every caller that evaluates the
 integer points itself (_ratio_at).  It is not a field, so ==, hash and
 repr read the Fraction points only.  A Fraction is built only where a
 value leaves the kernel: a crossing parameter and Piecewise.value.
-knots and common_knots stay in Fraction arithmetic; common_knots is the
-tests' reference for the kernel's knots.
+_side is the one reader of local order, the sign of f - g beside a
+parameter, for the family validator and the event engine alike.
+common_knots stays in Fraction arithmetic, as the tests' reference for
+the kernel's knots.
 """
 
 from dataclasses import dataclass
@@ -76,27 +78,14 @@ class Piecewise:
             raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
         return Fraction(*_ratio_at(self.ints, *r.as_integer_ratio()))
 
-    def knots(self, lo=None, hi=None):
-        """Breakpoint parameters clipped to [lo, hi], endpoints included."""
-        lo = self.r_lo if lo is None else max(frac(lo), self.r_lo)
-        hi = self.r_hi if hi is None else min(frac(hi), self.r_hi)
-        if lo > hi:
-            return []
-        ks = [lo]
-        for r, _ in self.points:
-            if lo < r < hi:
-                ks.append(r)
-        if hi > lo:
-            ks.append(hi)
-        return ks
-
 
 def common_knots(f, g, lo, hi):
+    """lo, hi and every breakpoint of f or g strictly between them,
+    sorted; [] when lo > hi."""
     lo, hi = frac(lo), frac(hi)
-    ks = set(f.knots(lo, hi)) | set(g.knots(lo, hi))
-    ks.add(lo)
-    ks.add(hi)
-    return sorted(k for k in ks if lo <= k <= hi)
+    if lo > hi:
+        return []
+    return sorted({lo, hi} | {r for r, _ in f.points + g.points if lo < r < hi})
 
 
 def _eval(pts, i, kn, kd):
@@ -214,3 +203,21 @@ def crossings(f, g, lo=None, hi=None):
     if ks and not nums[-1]:
         out.append(ks[-1])
     return out
+
+
+def _side(f, g, r, after=True):
+    """Sign (-1, 0 or 1) of f - g on the immediate right (after) or left
+    neighbourhood of r.
+
+    Both profiles are linear between common knots, so _walk's difference
+    at r decides, with a tie broken at the nearest common knot on that
+    side: a tie there too means the profiles coincide beside r.  r
+    outside either domain, or with no common knot beyond it on that
+    side, raises ValueError.
+    """
+    diffs = _walk(f, g, r, None)[1] if after else _walk(f, g, None, r)[1][::-1]
+    if len(diffs) < 2:
+        raise ValueError("profiles share no knot %s r=%s"
+                         % ("after" if after else "before", r))
+    d = diffs[0] or diffs[1]
+    return (d > 0) - (d < 0)

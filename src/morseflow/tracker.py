@@ -727,7 +727,5 @@ def track_class(h0, log, w, label="h", values_only=False):
             continue
         break
 
-    if outcome == "Survived" and not rep:
-        outcome = "LeftWindow(below)"
     return SpectralTrace(tuple(segments), tuple(transfers), outcome,
                          tuple(classes))

@@ -33,6 +33,12 @@ Probe kinds:
   families, 150 per ring over Z2, Z and Q, in wide_window and in the
   window (10, 200): each slab's interval, bounds, top and values, and
   the transfers, outcome and classes.
+* cerf: on randgen families, 150 per ring over Z2, Z and Q, and on the
+  variants with one vertex's branches swapped or its declared f3
+  shifted by +1/3 or by -1/2, validate_cerf's error codes and messages
+  (a vertex-orientation finding by its code only); and evolve's outcome,
+  ok or the error class, with each birth's column set to each arc alive
+  at the birth other than its branches.
 
 A library probe (ladder, geometry, escape, values) records the repr of
 each result, or the class name and message of the error raised.
@@ -304,9 +310,62 @@ def probe_values(work):
     return cases
 
 
+def probe_cerf(work):
+    import dataclasses
+
+    import randgen
+    from morseflow.bifurcation import Birth, EventRecord, evolve
+    from morseflow.cerf import CerfTuple, validate_cerf
+    from morseflow.errors import MorseflowError
+    from morseflow.rings import Q, Z, Z2
+
+    def findings(t):
+        return [(f.code, None if f.code == "vertex-orientation" else f.message)
+                for f in validate_cerf(t).errors()]
+
+    def outcome(gamma0, events, t):
+        try:
+            evolve(gamma0, events, t)
+        except (MorseflowError, ValueError) as e:
+            return type(e).__name__
+        return "ok"
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        for seed in range(150):
+            sc = randgen.random_scenario(
+                random.Random("cerf %s/%d" % (ring.name, seed)), ring)
+            t = sc.family
+            name = "cerf %s seed %d" % (ring.name, seed)
+            cases[name] = findings(t)
+            for i, v in enumerate(t.vertices):
+                variants = [("swapped", dataclasses.replace(
+                    v, plus_arc=v.minus_arc, minus_arc=v.plus_arc))]
+                variants += [("f3%+d/%d" % (d.numerator, d.denominator),
+                              dataclasses.replace(v, f3=v.f3 + d))
+                             for d in (F(1, 3), F(-1, 2))]
+                for label, w in variants:
+                    vs = t.vertices[:i] + (w,) + t.vertices[i + 1:]
+                    cases["%s %s %s" % (name, v.id, label)] = findings(
+                        CerfTuple(t.arcs, t.components, vs))
+            for e in sc.events:
+                if not isinstance(e.payload, Birth):
+                    continue
+                v = t.vertex(e.payload.vertex)
+                for a in t.arcs_alive(e.r):
+                    if a.id in (v.plus_arc, v.minus_arc):
+                        continue
+                    ev = EventRecord(e.r, dataclasses.replace(
+                        e.payload, new_column=((a.id, 1),)))
+                    events = [ev if x is e else x for x in sc.events]
+                    cases["%s evolve %s column %s" % (name, v.id, a.id)] = (
+                        outcome(sc.gamma0, events, t))
+    return cases
+
+
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
-          "escape": probe_escape, "values": probe_values}
+          "escape": probe_escape, "values": probe_values, "cerf": probe_cerf}
 
 
 def _worker(src, kinds, path):

@@ -160,6 +160,21 @@ class TestBirth:
         with pytest.raises(ActionConstraintViolated):
             apply_birth(fc, ev, t)
 
+    @pytest.mark.parametrize("end", [F(1, 2), F(3, 8)])
+    def test_column_on_an_arc_gone_after_the_birth(self, end):
+        # the entry's arc ends at or before the vertex, so it is not above
+        # the lower branch just after it: a gamma1 finding, not a crash
+        t = self._two_lane_birth(F(1, 2))
+        a = Arc("a", Piecewise([(0, 4), (end, 4)]), BoundaryAt0(),
+                BoundaryAt1())
+        t = CerfTuple((a,) + t.arcs[1:], t.components, t.vertices)
+        fc = counter(Z2, ("a", "b"), {}, 0, F(1, 2))
+        ev = EventRecord(F(1, 2), Birth("vb", 1, (("a", 1),)))
+        with pytest.raises(ActionConstraintViolated):
+            apply_birth(fc, ev, t)
+        report = validate_axioms(fc, [ev], t)
+        assert [f.code for f in report.errors()] == ["gamma1"]
+
 
 class TestDeath:
     def test_pivot_block_dies(self):

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from morseflow.cerf import (Arc, BirthVertex, CerfTuple, Component,
-                            DeathVertex, Vertex, legendrian_lift, validate_cerf)
+from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
+                            CerfTuple, Component, DeathVertex, Vertex,
+                            legendrian_lift, validate_cerf)
 from morseflow.errors import NonIsolatedCusp, VerticalTangency
 from morseflow.piecewise import Piecewise
 
@@ -75,6 +76,29 @@ class TestValidate:
         bad = CerfTuple(t.arcs, t.components, (vb, t.vertices[1]))
         report = validate_cerf(bad)
         assert any(f.code == "vertex-orientation" for f in report.errors())
+
+    def test_birth_at_the_high_end_of_its_minus_arc(self):
+        # the branches share no parameter after the vertex, so their
+        # order there is not judged: only the misplaced birth is reported
+        up = Arc("up", Piecewise([(F(1, 4), 3), (1, 5)]),
+                 BirthVertex("vb"), BoundaryAt1())
+        down = Arc("down", Piecewise([(0, 1), (F(1, 4), 3)]),
+                   BoundaryAt0(), BirthVertex("vb"))
+        vb = Vertex("vb", "birth", F(1, 4), 3, "up", "down")
+        t = CerfTuple((up, down), (Component("chord", ("down", "up")),), (vb,))
+        assert [f.code for f in validate_cerf(t).errors()] == ["vertex-end"]
+
+    def test_plus_arc_missing_the_vertex_below_is_misoriented(self):
+        # the plus arc starts half a unit under the vertex, so it lies
+        # below the minus arc just after it, though above it further on
+        t = eyeball_tuple()
+        up = t.arc("up")
+        low = Piecewise(tuple((r, v - F(1, 2)) for r, v in up.f3.points))
+        arcs = tuple(Arc(a.id, low, a.lo_tag, a.hi_tag) if a is up else a
+                     for a in t.arcs)
+        codes = [f.code for f in
+                 validate_cerf(CerfTuple(arcs, t.components, t.vertices)).errors()]
+        assert "vertex-action" in codes and "vertex-orientation" in codes
 
 
 class TestFront:

@@ -1,7 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario and values probes run here, to keep the check
-short.
+Only its bundled-scenario, values and cerf probes run here, to keep the
+check short.
 """
 
 import shutil
@@ -51,3 +51,21 @@ def test_a_planted_stale_top_shows_in_the_values_probe(tmp_path):
     assert lines[0] == "values: %d cases, %d differ" % (cases, differ)
     assert any(line.strip().startswith("values cascade 6 ")
                for line in lines[1:])
+
+
+def test_a_planted_side_without_tie_break_shows_in_the_cerf_probe(tmp_path):
+    # a local-order reader that takes the difference at r alone finds
+    # every vertex misoriented, since both branches meet there
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    piecewise = tmp_path / "src" / "morseflow" / "piecewise.py"
+    text = piecewise.read_text(encoding="utf-8")
+    tie = "d = diffs[0] or diffs[1]"
+    assert text.count(tie) == 1
+    piecewise.write_text(text.replace(tie, "d = diffs[0]"), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["cerf"])
+    assert 0 < differ < cases
+    assert lines[0] == "cerf: %d cases, %d differ" % (cases, differ)
+    assert any("vertex-orientation" in line for line in lines[1:])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 import randgen
-from morseflow.piecewise import Piecewise, _walk, common_knots, crossings
+from morseflow.piecewise import (Piecewise, _side, _walk, common_knots,
+                                 crossings)
 from morseflow.rings import Z
 from morseflow.tracker import Window, wide_window
 
@@ -115,6 +116,55 @@ class TestCrossings:
         g = Piecewise.constant(1)
         assert crossings(f, g) == [F(1, 4), F(3, 4)]
         assert crossings(f, g, F(1, 2), F(1, 2)) == [F(1, 2)]
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestSide:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=profile_pairs())
+    def test_agrees_with_a_midpoint_probe(self, pair):
+        """At each common knot, on each side with a common neighbour,
+        the sign of f - g halfway to the nearest knot of either profile
+        or crossing of the two; at a shared end, an error."""
+        f, g, _, _ = pair
+        lo, hi = max(f.r_lo, g.r_lo), min(f.r_hi, g.r_hi)
+        ks = common_knots(f, g, lo, hi)
+        stops = sorted(set(ks) | set(oracles.crossings(f, g, lo, hi)))
+        for i, k in enumerate(ks):
+            at = stops.index(k)
+            for after, j in ((True, i + 1), (False, i - 1)):
+                if 0 <= j < len(ks):
+                    m = (k + stops[at + 1 if after else at - 1]) / 2
+                    assert _side(f, g, k, after) == sign(f.value(m) - g.value(m))
+                else:
+                    with pytest.raises(ValueError):
+                        _side(f, g, k, after)
+
+    def test_tie_at_r_broken_beside_it(self):
+        f = Piecewise(((0, 0), (1, 2)))
+        g = Piecewise.constant(1)
+        assert _side(f, g, F(1, 2)) == 1
+        assert _side(f, g, F(1, 2), after=False) == -1
+        assert _side(g, f, F(1, 2)) == -1
+
+    def test_coincident_segments_give_zero(self):
+        f = Piecewise(((0, 0), (F(1, 4), 1), (F(3, 4), 1), (1, 0)))
+        g = Piecewise.constant(1)
+        assert _side(f, g, F(1, 4)) == 0 and _side(f, g, F(3, 4), False) == 0
+        assert _side(f, g, F(1, 2)) == 0 and _side(f, g, F(1, 2), False) == 0
+        assert _side(f, g, F(1, 4), False) == -1 and _side(f, g, F(3, 4)) == -1
+
+    def test_outside_a_domain_or_at_a_shared_end_is_an_error(self):
+        f = Piecewise(((F(1, 4), 1), (F(1, 2), 2)))
+        g = Piecewise.constant(0)
+        for r, after in ((0, True), (F(3, 4), False), (F(1, 8), False),
+                         (F(1, 2), True), (F(1, 4), False), (1, True)):
+            with pytest.raises(ValueError):
+                _side(f, g, r, after)
+        assert _side(f, g, F(1, 4)) == 1 and _side(f, g, F(1, 2), False) == 1
 
 
 # exact numbers far from 1 and with coprime denominators, where integer
