@@ -242,19 +242,24 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     The closed form (I+D) G (I+D)^-1 is the unique solution of the
     implicit two-sided update.  Its maps are (I+D)^-1 forward and the
     section I + D backward, both built for the update itself.  When the
-    family t is supplied, each jump entry is checked against the action
-    order at the event parameter, by the sign of the kernel's gap there.
+    family t is supplied, both arcs of each jump entry must be alive at
+    the event parameter, and the entry is checked against the action
+    order there, by the sign of the kernel's gap.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
     ring = gm.ring
     ids = gm.rows
     entries = {}
+
+    def dead(c1, c2):
+        return EvolutionError(
+            "jump entry (%s, %s) references an arc not alive at r=%s" %
+            (c1, c2, ev.r))
+
     for c1, c2, val in payload.delta:
         if c1 not in ids or c2 not in ids:
-            raise EvolutionError(
-                "jump entry (%s, %s) references an arc not alive at r=%s" %
-                (c1, c2, ev.r))
+            raise dead(c1, c2)
         if c1 == c2:
             raise NonTriangularDelta("jump entry on the diagonal: (%s, %s)" % (c1, c2))
         v = ring.coerce(val)
@@ -263,6 +268,8 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     if t is not None:
         for (c1, c2) in entries:
             f1, f2 = t.arc(c1).f3, t.arc(c2).f3
+            if not (f1.contains(ev.r) and f2.contains(ev.r)):
+                raise dead(c1, c2)
             if not _walk(f1, f2, ev.r, ev.r)[1][0] > 0:
                 raise NonTriangularDelta(
                     "jump entry (%s, %s) violates the action order at r=%s: "

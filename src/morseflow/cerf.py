@@ -2,9 +2,10 @@
 
 A family is described by its diagram in the (parameter, action) strip
 [0, 1] x R: each critical point traces an arc carrying a piecewise-linear
-action profile, arcs meet in pairs at birth and death vertices, and the
-arcs assemble into loop or chord components.  Everything is exact: the
-parameter and the action values are rationals.
+action profile, and arcs meet in pairs at birth and death vertices.  The
+loop and chord components are not declared: they follow from the arcs
+and vertices (CerfTuple.components).  Everything is exact: the parameter
+and the action values are rationals.
 
 The validator is total.  It returns a report listing every violation it
 finds rather than raising on the first one, so scenario authors see all
@@ -112,25 +113,69 @@ class Component:
     kind: str            # "loop" | "chord"
     arcs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        if self.kind not in ("loop", "chord"):
-            raise InvalidTuple("component kind must be loop or chord: %r" % (self.kind,))
+
+def _components(arcs, vertices):
+    """Group arcs sharing a vertex; all-vertex ends make a loop.
+
+    Each component lists its arcs as a chain along shared vertices: a
+    chord from its first arc (in file order) with a boundary end, a loop
+    from its first arc, each step to the earliest unvisited neighbour.
+    Arcs the walk does not reach follow in file order.
+    """
+    parent = {a.id: a.id for a in arcs}
+    nbrs = {a.id: [] for a in arcs}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in vertices:
+        if v.plus_arc in parent and v.minus_arc in parent:
+            parent[find(v.plus_arc)] = find(v.minus_arc)
+            nbrs[v.plus_arc].append(v.minus_arc)
+            nbrs[v.minus_arc].append(v.plus_arc)
+    groups = {}
+    for a in arcs:
+        groups.setdefault(find(a.id), []).append(a)
+    comps = []
+    for members in groups.values():
+        rank = {a.id: i for i, a in enumerate(members)}
+        chord = [a.id for a in members if any(
+            isinstance(tag, (BoundaryAt0, BoundaryAt1))
+            for tag in (a.lo_tag, a.hi_tag))]
+        walk = [chord[0] if chord else members[0].id]
+        seen = set(walk)
+        while True:
+            step = [b for b in nbrs[walk[-1]] if b not in seen]
+            if not step:
+                break
+            walk.append(min(step, key=rank.get))
+            seen.add(walk[-1])
+        walk += [a.id for a in members if a.id not in seen]
+        comps.append((members[0].id,
+                      Component("chord" if chord else "loop", tuple(walk))))
+    return tuple(c for _, c in sorted(comps))
 
 
 @dataclass(frozen=True)
 class CerfTuple:
     arcs: tuple
-    components: tuple
     vertices: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "vertices", tuple(self.vertices))
         # reversed, so the first arc with a repeated id wins
         object.__setattr__(self, "_arc_by_id",
                            {a.id: a for a in reversed(self.arcs)})
+
+    @property
+    def components(self):
+        """The loops and chords the arcs form, joined at the vertices
+        (_components); derived, never declared."""
+        return _components(self.arcs, self.vertices)
 
     def arc(self, arc_id):
         """The first arc with this id."""
@@ -184,15 +229,20 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.findings)
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def validate_cerf(t, event_params=()):
     """Check the structural axioms of a family; returns a ValidationReport.
 
     event_params: parameter values of declared non-vertex events, folded
     into the disjointness check when they are known to the caller.
+
+    No check reads the components; a report without errors proves they
+    are loops and chords (CerfTuple.components).  Every arc has two
+    ends.  The end-tag checks make each end either a boundary at its
+    footprint's end or a known vertex, and vertex-arcs makes each vertex
+    join exactly its two distinct arcs, at one end of each.  So each arc
+    is joined to at most two others, one per vertex end, and the arcs
+    joined at vertices form paths whose two free ends are boundaries
+    (chords) or cycles with no free end (loops).
     """
     out = []
     err = lambda code, msg: out.append(Finding(code, "error", msg))
@@ -311,58 +361,6 @@ def validate_cerf(t, event_params=()):
                 "distinct parameters" % (seen[r], who, r))
         else:
             seen[r] = who
-
-    # component structure
-    claimed = {}
-    for ci, comp in enumerate(t.components):
-        name = "component #%d" % ci
-        known = []
-        for aid in comp.arcs:
-            if aid not in arcs:
-                err("dangling-arc", "%s references unknown arc %r" % (name, aid))
-            else:
-                known.append(aid)
-                claimed.setdefault(aid, []).append(ci)
-        if not known:
-            err("empty-component", "%s lists no arcs" % name)
-            continue
-        chain = [arcs[aid] for aid in known if aid in arcs]
-        if comp.kind == "chord":
-            # free end of an end arc: the one not glued to its neighbor
-            for a, nb, side in ((chain[0], chain[min(1, len(chain) - 1)], "first"),
-                                (chain[-1], chain[max(-2, -len(chain))], "last")):
-                tags = [a.lo_tag, a.hi_tag]
-                if a is not nb:
-                    shared = ({_tag_vertex(a.lo_tag), _tag_vertex(a.hi_tag)} &
-                              {_tag_vertex(nb.lo_tag), _tag_vertex(nb.hi_tag)}) - {None}
-                    tags = [tg for tg in tags if _tag_vertex(tg) not in shared]
-                for tag in tags:
-                    if not isinstance(tag, (BoundaryAt0, BoundaryAt1)):
-                        err("chord-ends",
-                            "%s: free end of %s arc %r must lie on the strip "
-                            "boundary, got %s" % (name, side, a.id, tag))
-            pairs = zip(chain, chain[1:])
-        else:
-            for a in chain:
-                for tag in (a.lo_tag, a.hi_tag):
-                    if not isinstance(tag, (BirthVertex, DeathVertex)):
-                        err("loop-ends",
-                            "%s: loop arc %r has non-vertex end %s" % (name, a.id, tag))
-            pairs = zip(chain, chain[1:] + chain[:1])
-        for a, b in pairs:
-            shared = ({_tag_vertex(a.lo_tag), _tag_vertex(a.hi_tag)} &
-                      {_tag_vertex(b.lo_tag), _tag_vertex(b.hi_tag)}) - {None}
-            if not shared and a.id != b.id:
-                err("gluing",
-                    "%s: consecutive arcs %r and %r share no vertex" %
-                    (name, a.id, b.id))
-    for aid, owners in sorted(claimed.items()):
-        if len(owners) > 1:
-            err("component-overlap",
-                "arc %r belongs to components %r" % (aid, owners))
-    for a in t.arcs:
-        if a.id not in claimed:
-            err("orphan-arc", "arc %r belongs to no component" % a.id)
 
     # properness over compact windows is automatic for a finite family
     info("properness",

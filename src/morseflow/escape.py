@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bifurcation import EventRecord, FlowCounter, HandleSlide
-from .cerf import (Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Component,
-                   Finding)
+from .cerf import Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Finding
 from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
                      PrecisionExhausted, UnsupportedFamily, ZeroClass)
 from .matrix import SparseMatrix
@@ -535,8 +534,7 @@ def build_cascade(n, base=1, ratio=2, delta_value=1, ring=Z2):
         events.append(EventRecord(
             slide_r, HandleSlide(((ids[k - 1], ids[k], delta_value),))))
 
-    t = CerfTuple(tuple(arcs),
-                  tuple(Component("chord", (i,)) for i in ids))
+    t = CerfTuple(tuple(arcs))
     gamma0 = FlowCounter(0, Fraction(0), events[0].r if events else Fraction(1),
                          SparseMatrix(ring, ids, ids, {}))
     return t, gamma0, tuple(events)

@@ -26,8 +26,9 @@ literals, so coefficient arithmetic never sees floating point.  Example:
     [track]
     class = c1 + c2
 
-Components are inferred: arcs sharing a vertex belong to one component,
-and a component whose free ends are all vertices is a loop.  `#` starts
+Components are not written: arcs sharing a vertex belong to one
+component, and a component whose free ends are all vertices is a loop
+(CerfTuple.components derives them).  `#` starts
 a comment; blank lines separate nothing.  The [phi] and [rabinowitz]
 sections configure the growth-bound commands; see docs/format.md for
 the complete grammar.
@@ -48,7 +49,7 @@ from fractions import Fraction
 from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
-                   Component, DeathVertex, Vertex)
+                   DeathVertex, Vertex)
 from .errors import (InvalidParameters, NonUnitError, ScenarioSemanticError,
                      ScenarioSyntaxError, check_literal)
 from .escape import iterlog, linear, polylog, square
@@ -488,51 +489,6 @@ def _parse_events(lines, arc_ids, vertex_ids, ring):
     return events
 
 
-def _infer_components(arcs, vertices):
-    """Group arcs sharing a vertex; all-vertex ends make a loop.
-
-    Each component lists its arcs as a chain along shared vertices: a
-    chord from its first arc (in file order) with a boundary end, a loop
-    from its first arc, each step to the earliest unvisited neighbour.
-    Arcs the walk does not reach follow in file order.
-    """
-    parent = {a.id: a.id for a in arcs}
-    nbrs = {a.id: [] for a in arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in vertices:
-        if v.plus_arc in parent and v.minus_arc in parent:
-            parent[find(v.plus_arc)] = find(v.minus_arc)
-            nbrs[v.plus_arc].append(v.minus_arc)
-            nbrs[v.minus_arc].append(v.plus_arc)
-    groups = {}
-    for a in arcs:
-        groups.setdefault(find(a.id), []).append(a)
-    comps = []
-    for members in groups.values():
-        rank = {a.id: i for i, a in enumerate(members)}
-        chord = [a.id for a in members if any(
-            isinstance(tag, (BoundaryAt0, BoundaryAt1))
-            for tag in (a.lo_tag, a.hi_tag))]
-        walk = [chord[0] if chord else members[0].id]
-        seen = set(walk)
-        while True:
-            step = [b for b in nbrs[walk[-1]] if b not in seen]
-            if not step:
-                break
-            walk.append(min(step, key=rank.get))
-            seen.add(walk[-1])
-        walk += [a.id for a in members if a.id not in seen]
-        comps.append((members[0].id,
-                      Component("chord" if chord else "loop", tuple(walk))))
-    return tuple(c for _, c in sorted(comps))
-
-
 def parse_scenario(text, path="", ring=None):
     """Parse scenario text into assembled engine objects.
 
@@ -553,8 +509,7 @@ def parse_scenario(text, path="", ring=None):
     arcs = _parse_arcs(sections["arcs"])
     arc_ids = {a.id for a in arcs}
     vertices = _parse_vertices(sections.get("vertices", ()), arc_ids)
-    family = CerfTuple(tuple(arcs), _infer_components(arcs, vertices),
-                       tuple(vertices))
+    family = CerfTuple(tuple(arcs), tuple(vertices))
 
     entries = _entries(sections.get("gamma", ()), 2, arc_ids, "gamma", ring)
     events = _parse_events(sections.get("events", ()), arc_ids,

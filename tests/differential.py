@@ -33,15 +33,20 @@ Probe kinds:
   families, 150 per ring over Z2, Z and Q, in wide_window and in the
   window (10, 200): each slab's interval, bounds, top and values, and
   the transfers, outcome and classes.
-* cerf: on randgen families, 150 per ring over Z2, Z and Q, and on the
+* cerf: on randgen families, 150 per ring over Z2, Z and Q, on the
   variants with one vertex's branches swapped or its declared f3
-  shifted by +1/3 or by -1/2, validate_cerf's error codes and messages
-  (a vertex-orientation finding by its code only); and evolve's outcome,
-  ok or the error class, with each birth's column set to each arc alive
-  at the birth other than its branches.
+  shifted by +1/3 or by -1/2, and on one drawn randgen.mutate variant
+  of each of randgen.MUTATIONS: validate_cerf's verdict and its error
+  codes and messages (a vertex-orientation finding by its code only),
+  leaving out the findings on a declared component list (COMPONENT_LIST)
+  that a tree from before the components were derived reports; and
+  evolve's outcome, ok or the error class, with each birth's column set
+  to each arc alive at the birth other than its branches.
 
 A library probe (ladder, geometry, escape, values) records the repr of
-each result, or the class name and message of the error raised.
+each result, or the class name and message of the error raised.  In a
+tree whose CerfTuple still declares its components, randgen builds each
+family with the components that tree's parser infers.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -310,18 +315,28 @@ def probe_values(work):
     return cases
 
 
+# what validate_cerf found in a declared component list before the
+# components were derived; the dangling-arc findings among them name a
+# "component #"
+COMPONENT_LIST = {"empty-component", "chord-ends", "loop-ends", "gluing",
+                  "component-overlap", "orphan-arc"}
+
+
 def probe_cerf(work):
     import dataclasses
 
     import randgen
     from morseflow.bifurcation import Birth, EventRecord, evolve
-    from morseflow.cerf import CerfTuple, validate_cerf
+    from morseflow.cerf import validate_cerf
     from morseflow.errors import MorseflowError
     from morseflow.rings import Q, Z, Z2
 
     def findings(t):
-        return [(f.code, None if f.code == "vertex-orientation" else f.message)
-                for f in validate_cerf(t).errors()]
+        report = validate_cerf(t)
+        return report.ok, [
+            (f.code, None if f.code == "vertex-orientation" else f.message)
+            for f in report.errors() if f.code not in COMPONENT_LIST
+            and not f.message.startswith("component #")]
 
     def outcome(gamma0, events, t):
         try:
@@ -338,6 +353,11 @@ def probe_cerf(work):
             t = sc.family
             name = "cerf %s seed %d" % (ring.name, seed)
             cases[name] = findings(t)
+            rng = random.Random("cerf mutants %s/%d" % (ring.name, seed))
+            for kind in randgen.MUTATIONS:
+                bad = randgen.mutate(rng, t, kind)
+                if bad is not None:
+                    cases["%s %s" % (name, kind)] = findings(bad)
             for i, v in enumerate(t.vertices):
                 variants = [("swapped", dataclasses.replace(
                     v, plus_arc=v.minus_arc, minus_arc=v.plus_arc))]
@@ -347,7 +367,7 @@ def probe_cerf(work):
                 for label, w in variants:
                     vs = t.vertices[:i] + (w,) + t.vertices[i + 1:]
                     cases["%s %s %s" % (name, v.id, label)] = findings(
-                        CerfTuple(t.arcs, t.components, vs))
+                        dataclasses.replace(t, vertices=vs))
             for e in sc.events:
                 if not isinstance(e.payload, Birth):
                     continue
@@ -375,6 +395,16 @@ def _worker(src, kinds, path):
     where = os.path.dirname(os.path.abspath(morseflow.__file__))
     if os.path.dirname(where) != os.path.abspath(src):
         raise SystemExit("imported morseflow from %s, not from %s" % (where, src))
+    import dataclasses
+
+    from morseflow.cerf import CerfTuple
+    if "components" in {f.name for f in dataclasses.fields(CerfTuple)}:
+        # a tree that declares each family's components: randgen passes
+        # the ones that tree's parser infers
+        import randgen
+        from morseflow.scenario import _infer_components
+        randgen.CerfTuple = lambda arcs, vertices=(): CerfTuple(
+            arcs, _infer_components(arcs, vertices), vertices)
     got = {}
     with tempfile.TemporaryDirectory() as work:
         for kind in kinds:

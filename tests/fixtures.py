@@ -9,7 +9,7 @@ import signal
 from fractions import Fraction as F
 
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
-                            CerfTuple, Component, DeathVertex, Vertex)
+                            CerfTuple, DeathVertex, Vertex)
 from morseflow.piecewise import Piecewise
 
 
@@ -30,9 +30,7 @@ def three_lane_tuple():
     c1 = chord("c1", [(0, 4), (1, 4)])
     c2 = chord("c2", [(0, 2), (F(1, 2), 2), (1, 6)])
     c3 = chord("c3", [(0, 1), (1, 1)])
-    comps = [Component("chord", ("c1",)), Component("chord", ("c2",)),
-             Component("chord", ("c3",))]
-    return CerfTuple((c1, c2, c3), comps)
+    return CerfTuple((c1, c2, c3))
 
 
 def eyeball_tuple():
@@ -43,14 +41,13 @@ def eyeball_tuple():
                BirthVertex("vb"), DeathVertex("vd"))
     vb = Vertex("vb", "birth", F(1, 4), 3, "up", "down")
     vd = Vertex("vd", "death", F(3, 4), 3, "up", "down")
-    return CerfTuple((up, down), (Component("loop", ("up", "down")),), (vb, vd))
+    return CerfTuple((up, down), (vb, vd))
 
 
 def eyeball_with_bystander():
     t = eyeball_tuple()
     c1 = chord("c1", [(0, 7), (1, 7)])
-    comps = t.components + (Component("chord", ("c1",)),)
-    return CerfTuple(t.arcs + (c1,), comps, t.vertices)
+    return CerfTuple(t.arcs + (c1,), t.vertices)
 
 
 def birth_tuple():
@@ -65,15 +62,14 @@ def birth_tuple():
     down = Arc("down", Piecewise([(F(1, 2), 2), (1, 0)]),
                BirthVertex("vb"), BoundaryAt1())
     vb = Vertex("vb", "birth", F(1, 2), 2, "up", "down")
-    comps = [Component("chord", ("c1",)), Component("chord", ("up", "down"))]
-    return CerfTuple((c1, up, down), comps, (vb,))
+    return CerfTuple((c1, up, down), (vb,))
 
 
 def escaping_tuple():
     """Arc whose footprint stops short of r=1 with an open end requested."""
     a = Arc("runaway", Piecewise([(0, 3), (F(1, 2), 3)]),
             BoundaryAt0(), BoundaryAt1(), hi_open=True)
-    return CerfTuple((a,), (Component("chord", ("runaway",)),))
+    return CerfTuple((a,))
 
 
 class Overtime(Exception):

@@ -14,11 +14,13 @@ rejection sampling:
   entry of its plus row and empty minus row / plus column.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 from morseflow.bifurcation import Birth, Death, EventRecord, FlowCounter, HandleSlide
-from morseflow.cerf import Arc, BirthVertex, BoundaryAt1, CerfTuple, Component, DeathVertex, Vertex
+from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
+                            DeathVertex, Vertex)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
 from morseflow.scenario import Scenario
@@ -90,7 +92,6 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
     slide_slots = free
 
     arcs = []
-    comps = []
     vertices = []
     uppers = []
     lowers = []
@@ -100,13 +101,11 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
         arcs.append(_lane(rng, aid, 100 - 10 * i, 2))
         uppers.append(aid)
         order.append(aid)
-        comps.append(Component("chord", (aid,)))
     for i in range(n_lower):
         aid = "l%d" % (i + 1)
         arcs.append(_lane(rng, aid, 40 - 5 * i, 1))
         lowers.append(aid)
         order.append(aid)
-        comps.append(Component("chord", (aid,)))
 
     events = []
     for k, (band, r_b, r_d) in enumerate(bubbles, start=1):
@@ -120,7 +119,6 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
                             BirthVertex(vb), BoundaryAt1()))
             arcs.append(Arc(mid, Piecewise([(r_b, band), (1, band - 4)]),
                             BirthVertex(vb), BoundaryAt1()))
-            comps.append(Component("chord", (pid, mid)))
             vertices.append(Vertex(vb, "birth", r_b, band, pid, mid))
         else:
             vd = "vd%d" % k
@@ -129,7 +127,6 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
                             BirthVertex(vb), DeathVertex(vd)))
             arcs.append(Arc(mid, Piecewise([(r_b, band), (top, band - 4), (r_d, band)]),
                             BirthVertex(vb), DeathVertex(vd)))
-            comps.append(Component("loop", (pid, mid)))
             vertices.append(Vertex(vb, "birth", r_b, band, pid, mid))
             vertices.append(Vertex(vd, "death", r_d, band, pid, mid))
             events.append(EventRecord(r_d, Death(vd)))
@@ -145,7 +142,7 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
                 delta.append((order[i2], order[j2], _value(rng, ring)))
         events.append(EventRecord(r, HandleSlide(tuple(delta))))
 
-    t = CerfTuple(tuple(arcs), tuple(comps), tuple(vertices))
+    t = CerfTuple(tuple(arcs), tuple(vertices))
 
     entries = {}
     for u in uppers:
@@ -156,3 +153,34 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
     first = min((e.r for e in events), default=F(1))
     gamma0 = FlowCounter(0, F(0), first, SparseMatrix(ring, ids, ids, entries))
     return Scenario(ring, t, gamma0, tuple(sorted(events, key=lambda e: e.r)))
+
+
+MUTATIONS = ("retag", "repoint", "drop", "duplicate")
+
+
+def mutate(rng, t, kind):
+    """The family t with one drawn defect of a kind in MUTATIONS: an arc
+    end retagged, a vertex's plus or minus arc repointed to another arc,
+    a vertex dropped, or an arc given another arc's id.  None when t has
+    no vertex (repoint, drop) or fewer than two arcs (duplicate)."""
+    arcs, verts = list(t.arcs), list(t.vertices)
+    if kind == "retag":
+        i = rng.randrange(len(arcs))
+        end = rng.choice(("lo_tag", "hi_tag"))
+        tags = [BoundaryAt0(), BoundaryAt1()]
+        tags += [tag(v.id) for v in verts for tag in (BirthVertex, DeathVertex)]
+        tags.remove(getattr(arcs[i], end))
+        arcs[i] = dataclasses.replace(arcs[i], **{end: rng.choice(tags)})
+    elif kind == "repoint" and verts:
+        i = rng.randrange(len(verts))
+        side = rng.choice(("plus_arc", "minus_arc"))
+        ids = [a.id for a in arcs if a.id != getattr(verts[i], side)]
+        verts[i] = dataclasses.replace(verts[i], **{side: rng.choice(ids)})
+    elif kind == "drop" and verts:
+        del verts[rng.randrange(len(verts))]
+    elif kind == "duplicate" and len(arcs) > 1:
+        i, j = rng.sample(range(len(arcs)), 2)
+        arcs[i] = dataclasses.replace(arcs[i], id=arcs[j].id)
+    else:
+        return None
+    return dataclasses.replace(t, arcs=tuple(arcs), vertices=tuple(verts))

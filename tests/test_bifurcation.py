@@ -15,7 +15,7 @@ from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
                                    apply_death, apply_handle_slide, evolve,
                                    validate_axioms)
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
-                            CerfTuple, Component, DeathVertex, Vertex)
+                            CerfTuple, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, DegenerateParameter,
                               EvolutionError, NonTriangularDelta, NonUnitPivot,
@@ -142,9 +142,7 @@ class TestBirth:
         down = Arc("down", Piecewise([(F(1, 2), level), (1, level - 4)]),
                    BirthVertex("vb"), BoundaryAt1())
         vb = Vertex("vb", "birth", F(1, 2), level, "up", "down")
-        comps = [Component("chord", ("a",)), Component("chord", ("b",)),
-                 Component("chord", ("up", "down"))]
-        return CerfTuple((a, b, up, down), comps, (vb,))
+        return CerfTuple((a, b, up, down), (vb,))
 
     def test_cycle_condition(self):
         t = self._two_lane_birth(F(1, 2))
@@ -167,7 +165,7 @@ class TestBirth:
         t = self._two_lane_birth(F(1, 2))
         a = Arc("a", Piecewise([(0, 4), (end, 4)]), BoundaryAt0(),
                 BoundaryAt1())
-        t = CerfTuple((a,) + t.arcs[1:], t.components, t.vertices)
+        t = CerfTuple((a,) + t.arcs[1:], t.vertices)
         fc = counter(Z2, ("a", "b"), {}, 0, F(1, 2))
         ev = EventRecord(F(1, 2), Birth("vb", 1, (("a", 1),)))
         with pytest.raises(ActionConstraintViolated):
@@ -290,15 +288,27 @@ def unsquared_before_death():
     dn = Arc("dn", Piecewise([(0, 1), (F(3, 4), 3)]), BoundaryAt0(),
              DeathVertex("vd"))
     vd = Vertex("vd", "death", F(3, 4), 3, "up", "dn")
-    comps = [Component("chord", ("c",)), Component("chord", ("a",)),
-             Component("chord", ("up", "dn"))]
-    t = CerfTuple((c, a, up, dn), comps, (vd,))
+    t = CerfTuple((c, a, up, dn), (vd,))
     fc = counter(Z2, ("c", "a", "up", "dn"),
                  {("c", "a"): 1, ("a", "dn"): 1, ("up", "dn"): 1}, 0, F(3, 4))
     return t, fc, [EventRecord(F(3, 4), Death("vd"))]
 
 
 class TestValidateAxioms:
+    def test_slide_entry_on_an_arc_gone_before_the_slide(self):
+        # c ends at 3/8, before the slide at 1/2: one structure finding,
+        # where the action-order test would read c outside its domain
+        t = CerfTuple((chord("c", [(0, 5), (F(3, 8), 5)]),
+                       chord("d", [(0, 1), (1, 1)])))
+        fc = counter(Z2, ("c", "d"), {}, 0, F(1, 2))
+        events = [slide(F(1, 2), ("c", "d", 1))]
+        why = "jump entry (c, d) references an arc not alive at r=1/2"
+        report = validate_axioms(fc, events, t)
+        assert [(f.code, f.message) for f in report.errors()] == [
+            ("structure", why)]
+        with pytest.raises(EvolutionError, match="not alive at r=1/2"):
+            evolve(fc, events, t)
+
     def test_unsquared_matrix_before_a_death_reported(self):
         # no map is built: the interval's own square-zero check reports
         # it, and checking goes on past the death
@@ -321,9 +331,7 @@ class TestValidateAxioms:
                  BoundaryAt1())
         dn = Arc("dn", Piecewise([(F(1, 2), 1), (1, 0)]), BirthVertex("vb"),
                  BoundaryAt1())
-        comps = [Component("chord", (x,)) for x in "cab"]
         t = CerfTuple((c, a, b, up, dn),
-                      comps + [Component("chord", ("up", "dn"))],
                       (Vertex("vb", "birth", F(1, 2), 1, "up", "dn"),))
         fc = counter(Z2, ("c", "a", "b"), {("c", "a"): 1, ("a", "b"): 1},
                      0, F(1, 2))

@@ -1,23 +1,29 @@
-"""Family data model: validation, crossings of the front, lifting."""
+"""Family data model: validation, derived components, crossings of the
+front, lifting."""
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
-                            CerfTuple, Component, DeathVertex, Vertex,
+                            CerfTuple, DeathVertex, Vertex,
                             legendrian_lift, validate_cerf)
 from morseflow.errors import NonIsolatedCusp, VerticalTangency
 from morseflow.piecewise import Piecewise
+from morseflow.rings import Z2
 
+import randgen
 from fixtures import (birth_tuple, chord, escaping_tuple, eyeball_tuple,
                       three_lane_tuple)
 
 
 class TestValidate:
     def test_single_chord_valid(self):
-        t = CerfTuple((chord("c", [(0, 5), (1, 5)]),),
-                      (Component("chord", ("c",)),))
+        t = CerfTuple((chord("c", [(0, 5), (1, 5)]),))
         report = validate_cerf(t)
         assert report.ok
         # properness over compact windows is reported informationally
@@ -45,7 +51,7 @@ class TestValidate:
                  BirthVertex("v1"), BirthVertex("v2"))
         v1 = Vertex("v1", "birth", F(1, 4), 3, "a1", "a2")
         v2 = Vertex("v2", "birth", F(3, 4), 5, "a1", "a2")
-        t = CerfTuple((a1, a2), (Component("loop", ("a1", "a2")),), (v1, v2))
+        t = CerfTuple((a1, a2), (v1, v2))
         report = validate_cerf(t)
         assert not report.ok
         assert any(f.code == "vertex-end" for f in report.errors())
@@ -62,18 +68,14 @@ class TestValidate:
                    BirthVertex("vb"), DeathVertex("vd"))
         vb = Vertex("vb", "birth", F(1, 4), 3, "up", "down")
         vd = Vertex("vd", "death", F(3, 4), 5, "up", "down")
-        t = CerfTuple((up, down), (Component("loop", ("up", "down")),), (vb, vd))
+        t = CerfTuple((up, down), (vb, vd))
         report = validate_cerf(t)
         assert any(f.code == "vertex-action" for f in report.errors())
-
-    def test_orphan_arc(self):
-        t = CerfTuple((chord("c", [(0, 5), (1, 5)]),), ())
-        assert any(f.code == "orphan-arc" for f in validate_cerf(t).errors())
 
     def test_orientation_swap_rejected(self):
         t = eyeball_tuple()
         vb = Vertex("vb", "birth", F(1, 4), 3, "down", "up")  # swapped
-        bad = CerfTuple(t.arcs, t.components, (vb, t.vertices[1]))
+        bad = CerfTuple(t.arcs, (vb, t.vertices[1]))
         report = validate_cerf(bad)
         assert any(f.code == "vertex-orientation" for f in report.errors())
 
@@ -85,7 +87,7 @@ class TestValidate:
         down = Arc("down", Piecewise([(0, 1), (F(1, 4), 3)]),
                    BoundaryAt0(), BirthVertex("vb"))
         vb = Vertex("vb", "birth", F(1, 4), 3, "up", "down")
-        t = CerfTuple((up, down), (Component("chord", ("down", "up")),), (vb,))
+        t = CerfTuple((up, down), (vb,))
         assert [f.code for f in validate_cerf(t).errors()] == ["vertex-end"]
 
     def test_plus_arc_missing_the_vertex_below_is_misoriented(self):
@@ -97,8 +99,53 @@ class TestValidate:
         arcs = tuple(Arc(a.id, low, a.lo_tag, a.hi_tag) if a is up else a
                      for a in t.arcs)
         codes = [f.code for f in
-                 validate_cerf(CerfTuple(arcs, t.components, t.vertices)).errors()]
+                 validate_cerf(CerfTuple(arcs, t.vertices)).errors()]
         assert "vertex-action" in codes and "vertex-orientation" in codes
+
+
+def free_ends(chain, loop):
+    """The end tags of chain's arcs left once each consecutive pair, and
+    for a loop the last and first arc, is joined at a vertex both tag;
+    fails where a pair shares none."""
+    ends = [[a.lo_tag, a.hi_tag] for a in chain]
+    links = list(zip(range(len(chain) - 1), range(1, len(chain))))
+    if loop:
+        links.append((len(chain) - 1, 0))
+    for i, j in links:
+        shared = [tag for tag in ends[i] if tag in ends[j]
+                  and isinstance(tag, (BirthVertex, DeathVertex))]
+        assert shared, "%s and %s share no vertex" % (chain[i].id, chain[j].id)
+        ends[i].remove(shared[0])
+        ends[j].remove(shared[0])
+    return [tag for tags in ends for tag in tags]
+
+
+class TestDerivedComponents:
+    """What validate_cerf's docstring proves of an accepted family: its
+    components are loops and chords."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from((None,) + randgen.MUTATIONS))
+    def test_an_accepted_family_has_loops_and_chords(self, seed, kind):
+        rng = random.Random(seed)
+        t = randgen.random_scenario(rng, Z2).family
+        if kind is not None:
+            t = randgen.mutate(rng, t, kind) or t
+        if not validate_cerf(t).ok:
+            return
+        comps = t.components
+        assert Counter(x for c in comps for x in c.arcs) == Counter(
+            a.id for a in t.arcs)
+        for c in comps:
+            loop = c.kind == "loop"
+            assert len(c.arcs) > 1 or not loop
+            ends = free_ends([t.arc(x) for x in c.arcs], loop)
+            if loop:
+                assert ends == []
+            else:
+                assert len(ends) == 2 and all(
+                    isinstance(tag, (BoundaryAt0, BoundaryAt1)) for tag in ends)
 
 
 class TestFront:

@@ -69,3 +69,24 @@ def test_a_planted_side_without_tie_break_shows_in_the_cerf_probe(tmp_path):
     assert 0 < differ < cases
     assert lines[0] == "cerf: %d cases, %d differ" % (cases, differ)
     assert any("vertex-orientation" in line for line in lines[1:])
+
+
+def test_a_planted_validator_without_vertex_arcs_shows_in_the_cerf_probe(
+        tmp_path):
+    # without the vertex-arcs check a vertex repointed at a third arc
+    # passes, and the components it joins are no loops or chords
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cerf = tmp_path / "src" / "morseflow" / "cerf.py"
+    text = cerf.read_text(encoding="utf-8")
+    check = 'err("vertex-arcs",'
+    assert text.count(check) == 2
+    cerf.write_text(text.replace(check, "(lambda *_: None)("),
+                    encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["cerf"])
+    assert 0 < differ < cases
+    assert lines[0] == "cerf: %d cases, %d differ" % (cases, differ)
+    assert any(line.strip().endswith((" retag", " repoint"))
+               for line in lines[1:])

@@ -11,7 +11,7 @@ import randgen
 from fixtures import chord, three_lane_tuple
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
-from morseflow.cerf import CerfTuple, Component, validate_cerf
+from morseflow.cerf import CerfTuple, validate_cerf
 from morseflow import escape
 from morseflow.cli import main
 from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
@@ -37,8 +37,7 @@ def reciprocal(c=1):
 
 
 def tuple_of(*arcs):
-    return CerfTuple(tuple(arcs),
-                     tuple(Component("chord", (a.id,)) for a in arcs))
+    return CerfTuple(tuple(arcs))
 
 
 def cascade_trace(n, ring=Z2, **kw):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fixtures import chord
-from morseflow.cerf import CerfTuple, Component
+from morseflow.cerf import CerfTuple
 from morseflow.errors import (InvalidParameters, MissingClassData,
                               OutOfRange)
 from morseflow.escape import check_H1
@@ -25,7 +25,7 @@ def model(h=1, c=1, cls=Tame(), variant=HypersurfaceHomotopy()):
 
 def flat_tuple():
     arcs = (chord("a1", [(0, 5), (1, 5)]), chord("a2", [(0, -3), (1, -3)]))
-    return CerfTuple(arcs, tuple(Component("chord", (a.id,)) for a in arcs))
+    return CerfTuple(arcs)
 
 
 class TestModel:

@@ -19,8 +19,8 @@ from morseflow import algebra, bifurcation, tracker
 from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_handle_slide, evolve,
                                    verify_maps)
-from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, Component,
-                            DeathVertex, Vertex, validate_cerf)
+from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, DeathVertex,
+                            Vertex, validate_cerf)
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
                               NonNestedLadder, NotACycle, VerificationFailed)
 from morseflow.matrix import SparseMatrix
@@ -58,7 +58,7 @@ def u_death_tuple():
     dn = Arc("dn", Piecewise([(0, 1), (F(3, 4), 3)]),
              BoundaryAt0(), DeathVertex("vd"))
     vd = Vertex("vd", "death", F(3, 4), 3, "up", "dn")
-    return CerfTuple((up, dn), (Component("chord", ("up", "dn")),), (vd,))
+    return CerfTuple((up, dn), (vd,))
 
 
 def reference_slabs(log, w, reached):
@@ -133,8 +133,7 @@ class TestWindow:
         assert "[0, 1]" in window_violation(w, three_lane_tuple())
 
     def test_zero_range_family_needs_strict_clearance(self):
-        t = CerfTuple((chord("c", [(0, 4), (1, 4)]),),
-                      (Component("chord", ("c",)),))
+        t = CerfTuple((chord("c", [(0, 4), (1, 4)]),))
         assert window_violation(Window.constant(4, 9), t) is not None
         assert window_violation(Window.constant(3, 9), t) is None
 
@@ -195,7 +194,7 @@ def affine_family(t, c, s):
     arcs = tuple(dataclasses.replace(a, f3=affine_profile(a.f3, c, s))
                  for a in t.arcs)
     verts = tuple(dataclasses.replace(v, f3=c * v.f3 + s) for v in t.vertices)
-    return CerfTuple(arcs, t.components, verts)
+    return CerfTuple(arcs, verts)
 
 
 @st.composite
@@ -260,8 +259,7 @@ class TestWindowInvariance:
         # before the arc is born at 1/2
         late = Arc("late", Piecewise([(F(1, 2), 5), (1, 5)]),
                    BoundaryAt0(), BoundaryAt0())
-        t = CerfTuple((chord("early", [(0, 20), (1, 20)]), late),
-                      (Component("chord", ("early",)), Component("chord", ("late",))))
+        t = CerfTuple((chord("early", [(0, 20), (1, 20)]), late))
         w = Window(Piecewise.constant(0), Piecewise([(0, 1), (F(1, 2), 10), (1, 10)]))
         assert window_violation(w, t) is None
         assert validate_window(w, t) == {"early": tracker.ABOVE,
@@ -411,7 +409,7 @@ class TestIntegerKernelAtScale:
             vs = draw(st.lists(st.sampled_from(values), min_size=len(rs),
                                max_size=len(rs)))
             arcs.append(chord("a%d" % i, list(zip(rs, vs))))
-        t = CerfTuple(tuple(arcs), tuple(Component("chord", (a.id,)) for a in arcs))
+        t = CerfTuple(tuple(arcs))
         points = [F(0), F(1)] + knots
         points += [(x + y) / 2 for x, y in zip(points, points[1:])]
         r = draw(st.sampled_from(points) | st.builds(
@@ -658,7 +656,7 @@ class TestSpectralValue:
         ids = ["c%02d" % k for k in range(n)]
         heights = [10 * (n - k) for k in range(n)]
         arcs = tuple(chord(i, [(0, h), (1, h)]) for i, h in zip(ids, heights))
-        t = CerfTuple(arcs, tuple(Component("chord", (i,)) for i in ids))
+        t = CerfTuple(arcs)
         split = data.draw(st.integers(1, n - 1), label="split")
         entries = {(ids[0], ids[split]): 1}
         for i in range(split):
@@ -731,7 +729,7 @@ class TestSpectralValue:
         ids = ["c%d" % k for k in range(n)]
         heights = [10 * (n - k) for k in range(n)]
         arcs = tuple(chord(i, [(0, h), (1, h)]) for i, h in zip(ids, heights))
-        t = CerfTuple(arcs, tuple(Component("chord", (i,)) for i in ids))
+        t = CerfTuple(arcs)
         split = data.draw(st.integers(1, n - 1), label="split")
         entries = {}
         for i in range(split):
@@ -1020,7 +1018,7 @@ class TestTrackClass:
         onto c2; c0 at -9 sits below everything."""
         arcs = [chord(aid, pts) for aid, pts in lanes]
         arcs += [chord("t", [(0, 9), (1, 9)]), chord("c0", [(0, -9), (1, -9)])]
-        t = CerfTuple(tuple(arcs), tuple(Component("chord", (a.id,)) for a in arcs))
+        t = CerfTuple(tuple(arcs))
         ids = [a.id for a in arcs]
         return evolve(counter(Z2, ids, {("t", "c1"): 1, ("t", "c2"): 1}), events, t)
 
@@ -1225,7 +1223,7 @@ def tie_log():
             chord("a", [(0, 1), (1, 5)]), chord("b", [(0, 5), (1, 1)]),
             chord("c", [(0, 3), (1, 3)]),
             chord("d", [(0, 2), (F(1, 4), 3), (F(3, 4), 3), (1, 4)]))
-    t = CerfTuple(arcs, tuple(Component("chord", (a.id,)) for a in arcs))
+    t = CerfTuple(arcs)
     ids = [a.id for a in arcs]
     gamma = {("t1", "c"): 1, ("t1", "d"): 1, ("t2", "a"): 1, ("t2", "b"): 1}
     return evolve(counter(Z2, ids, gamma), [], t)
@@ -1374,7 +1372,7 @@ class TestEventInvariance:
         ids = ["c%d" % k for k in range(n)]
         heights = [10 * (n - k) for k in range(n)]
         arcs = tuple(chord(i, [(0, h), (1, h)]) for i, h in zip(ids, heights))
-        t = CerfTuple(arcs, tuple(Component("chord", (i,)) for i in ids))
+        t = CerfTuple(arcs)
         split = data.draw(st.integers(1, n - 1), label="split")
         entries = {}
         for i in range(split):
