@@ -74,9 +74,12 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     is the left kernel and the boundary space is the row space.  Over a field
     of rank r on n generators the homology has dimension n - 2r.
 
-    One ordered_echelon pass over the transposed matrix gives r on every
-    ring.  Over the integers its r rows are a basis of the boundary
-    lattice, so their invariant factors d1 | ... | dr are the matrix's.
+    One ordered_echelon pass over the nonzero rows of the transposed
+    matrix gives r on every ring.  A zero row reduces to zero and never
+    pivots, so leaving the zero rows out leaves the pivots, and so the
+    rank and the torsion, as they are.  Over the integers the r pivot
+    rows are a basis of the boundary lattice, so their invariant factors
+    d1 | ... | dr are the matrix's.
     Z^n / cycles is isomorphic to the boundary lattice, a subgroup of Z^n,
     so it is torsion free: the cycle lattice is saturated, and a chain of
     which a nonzero multiple is a cycle is itself a cycle.  So every torsion
@@ -90,9 +93,11 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
         raise NotADifferential("operator does not square to zero")
     ring = boundary.ring
     order = sorted(boundary.rows, key=str)
-    # the transposed matrix: T x = 0 is the cycle condition
-    basis = list(ordered_echelon(
-        ring, boundary.transpose().to_dense(order, order)).values())
+    # the nonzero rows of the transposed matrix: T x = 0 is the cycle
+    # condition
+    hit = {c for _, c in boundary.entries}
+    basis = list(ordered_echelon(ring, boundary.transpose().to_dense(
+        [c for c in order if c in hit], order)).values())
     torsion = () if ring.is_field() else tuple(
         d for d in invariant_factors(basis) if d > 1)
     return HomologyResult(ring.name, len(order) - 2 * len(basis), torsion)

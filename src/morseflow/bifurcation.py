@@ -4,7 +4,9 @@ Between events the matrix is constant.  Three kinds of event transform it:
 
 * handle-slide: conjugation by a unipotent matrix I + D built from the
   declared jump entries; D is strictly triangular in the action order, so
-  the inverse is the finite alternating power series.
+  the inverse is I + N with N = -D + D^2 - ..., a finite series.  The
+  new matrix is A + A N with A = G + D G, and neither I + D nor I + N
+  is formed for it: only the maps recipe builds them.
 * birth: the generator set grows by the vertex's two branches; the new
   column against the lower branch is event data, constrained so that the
   square of the new matrix is still zero.
@@ -218,19 +220,21 @@ def verify_maps(maps, before, after):
         raise VerificationFailed("%s homotopy identity fails" % maps.kind)
 
 
-def _unipotent_inverse(delta):
-    """(I + D)^-1 as the alternating series; D must be nilpotent."""
-    ring = delta.ring
-    ids = delta.rows
-    ident = SparseMatrix.identity(ring, ids)
-    inv = ident
-    term = ident
+def _nilpotent_series(delta):
+    """N = -D + D^2 - ..., the nilpotent part of (I + D)^-1 = I + N.
+
+    D must be nilpotent: its powers are formed until one vanishes, and a
+    jump matrix whose power past the generator count is still nonzero is
+    refused (an n x n matrix is nilpotent exactly when its n-th power
+    vanishes).
+    """
     minus_delta = delta.neg()
-    for _ in range(len(ids)):
+    series = term = minus_delta
+    for _ in range(len(delta.rows)):
         term = term.mul(minus_delta)
         if term.is_zero():
-            return inv
-        inv = inv.add(term)
+            return series
+        series = series.add(term)
     raise NonTriangularDelta(
         "jump matrix is not nilpotent; its entries cannot all point down "
         "the action order")
@@ -240,11 +244,14 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     """Conjugate the count matrix by I + D at a handle-slide.
 
     The closed form (I+D) G (I+D)^-1 is the unique solution of the
-    implicit two-sided update.  Its maps are (I+D)^-1 forward and the
-    section I + D backward, both built for the update itself.  When the
-    family t is supplied, both arcs of each jump entry must be alive at
-    the event parameter, and the entry is checked against the action
-    order there, by the sign of the kernel's gap.
+    implicit two-sided update.  With A = G + D G and (I+D)^-1 = I + N,
+    where N = -D + D^2 - ... (_nilpotent_series), it is A + A N: the
+    series' powers and two products, none with an identity factor.  The
+    maps, I + N forward and the section I + D backward, are built only
+    by the recipe, when class tracking first reads them, and verified
+    there.  When the family t is supplied, both arcs of each jump entry
+    must be alive at the event parameter, and the entry is checked
+    against the action order there, by the sign of the kernel's gap.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
@@ -275,10 +282,14 @@ def apply_handle_slide(gamma_minus, ev, t=None):
                     "jump entry (%s, %s) violates the action order at r=%s: "
                     "%s <= %s" % (c1, c2, ev.r, f1.value(ev.r), f2.value(ev.r)))
     delta = SparseMatrix(ring, ids, ids, entries)
-    section = SparseMatrix.identity(ring, ids).add(delta)
-    transport = _unipotent_inverse(delta)
-    gp = section.mul(gm).mul(transport)
-    return gp, lambda: ChainMapBundle("slide", transport, section)
+    series = _nilpotent_series(delta)
+    a = gm.add(delta.mul(gm))
+    gp = a.add(a.mul(series))
+
+    def build():
+        ident = SparseMatrix.identity(ring, ids)
+        return ChainMapBundle("slide", ident.add(series), ident.add(delta))
+    return gp, build
 
 
 def _pair_maps(d_small, d_big, plus, minus):
@@ -466,8 +477,16 @@ def _check_interval(fc, t):
         raise EvolutionError("; ".join(msg for _, msg in bad))
 
 
-def _alive_ids(t, r):
-    return {a.id for a in t.arcs_alive(r)}
+def _alive_ids(lives, fc):
+    """Ids of the arcs alive at the midpoint of fc's interval, as
+    CerfTuple.arcs_alive finds them, by integer cross products.  lives
+    holds each arc's id and the integer ends of its life,
+    (id, lo_num, lo_den, hi_num, hi_den)."""
+    a, b = fc.r_lo.as_integer_ratio()
+    c, d = fc.r_hi.as_integer_ratio()
+    mn, md = a * d + c * b, 2 * b * d
+    return {aid for aid, ln, ld, hn, hd in lives
+            if ln * md <= mn * ld and mn * hd <= hn * md}
 
 
 def evolve(gamma0, events, t, enforce_axioms=True):
@@ -511,12 +530,13 @@ def evolve(gamma0, events, t, enforce_axioms=True):
         raise EvolutionError(
             "event records reference unknown vertices: %s" % sorted(by_vertex))
 
+    lives = [(a.id,) + a.f3.ints[0][:2] + a.f3.ints[-1][:2] for a in t.arcs]
     boundaries = [Fraction(0)] + params + [Fraction(1)]
     current = FlowCounter(0, boundaries[0], boundaries[1], gamma0.gamma)
     intervals = [current]
     steps = []
     for k, ev in enumerate(evs):
-        alive = _alive_ids(t, current.midpoint())
+        alive = _alive_ids(lives, current)
         if set(current.gamma.rows) != alive:
             raise EvolutionError(
                 "counter on interval %d indexes %s but the alive arcs are %s" %
@@ -533,7 +553,7 @@ def evolve(gamma0, events, t, enforce_axioms=True):
         steps.append(EventStep(ev, current, nxt, build))
         intervals.append(nxt)
         current = nxt
-    alive = _alive_ids(t, current.midpoint())
+    alive = _alive_ids(lives, current)
     if set(current.gamma.rows) != alive:
         raise EvolutionError(
             "final counter indexes %s but the alive arcs are %s" %

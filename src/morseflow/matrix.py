@@ -155,6 +155,9 @@ class SparseMatrix:
         if self._col_set != other._row_set:
             raise DimensionMismatch("inner index sets differ")
         rg = self.ring
+        if not self.entries or not other.entries:
+            return SparseMatrix._result(rg, self.rows, other.cols,
+                                        self._row_set, other._col_set, {})
         by_row = {}
         for (r, c), v in self.entries.items():
             by_row.setdefault(r, []).append((c, v))

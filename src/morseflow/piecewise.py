@@ -6,10 +6,11 @@ private kernel (_walk) reads their points as (numerator, denominator)
 pairs, emits their common knots in one merged walk and returns the
 difference at each as an integer numerator over a positive denominator;
 every comparison is a cross product.  contains and value read the same
-integer pairs.  Each Piecewise converts its points once, on the first
-read of Piecewise.ints, and keeps them; ints is the one integer reader
-of a profile, for this module and for every caller that evaluates the
-integer points itself (_ratio_at).  It is not a field, so ==, hash and
+integer pairs.  Each Piecewise converts its points once, when it is
+made, checks on those integers that the parameters increase, and keeps
+them as Piecewise.ints; ints is the one integer reader of a profile,
+for this module and for every caller that evaluates the integer points
+itself (_ratio_at).  It is not a field, so ==, hash and
 repr read the Fraction points only.  A Fraction is built only where a
 value leaves the kernel: a crossing parameter and Piecewise.value.
 _side is the one reader of local order, the sign of f - g beside a
@@ -20,7 +21,6 @@ the kernel's knots.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Tuple
 
 
@@ -40,10 +40,14 @@ class Piecewise:
         pts = tuple((frac(r), frac(v)) for r, v in self.points)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        for (r0, _), (r1, _) in zip(pts, pts[1:]):
-            if not r0 < r1:
+        ints = tuple(r.as_integer_ratio() + v.as_integer_ratio()
+                     for r, v in pts)
+        for p, q in zip(ints, ints[1:]):
+            if not p[0] * q[1] < q[0] * p[1]:
                 raise ValueError("breakpoints must be strictly increasing in r")
         object.__setattr__(self, "points", pts)
+        # each point as the integers (r_num, r_den, v_num, v_den)
+        object.__setattr__(self, "ints", ints)
 
     @staticmethod
     def constant(value, lo=0, hi=1):
@@ -56,13 +60,6 @@ class Piecewise:
     @property
     def r_hi(self):
         return self.points[-1][0]
-
-    @cached_property
-    def ints(self):
-        """Each point as the integers (r_num, r_den, v_num, v_den),
-        converted on the first read and kept."""
-        return tuple(r.as_integer_ratio() + v.as_integer_ratio()
-                     for r, v in self.points)
 
     def contains(self, r):
         """r_lo <= r <= r_hi, by integer cross products."""

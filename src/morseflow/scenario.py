@@ -50,8 +50,9 @@ from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    DeathVertex, Vertex)
-from .errors import (InvalidParameters, NonUnitError, ScenarioSemanticError,
-                     ScenarioSyntaxError, check_literal)
+from .errors import (MAX_LITERAL_DIGITS, InvalidParameters, NonUnitError,
+                     ScenarioSemanticError, ScenarioSyntaxError,
+                     check_literal)
 from .escape import iterlog, linear, polylog, square
 from .matrix import SparseMatrix
 from .piecewise import Piecewise
@@ -83,14 +84,35 @@ class Scenario:
     path: str = ""
 
 
+# the form serialize_scenario writes: an optional minus, ASCII digits and
+# an optional denominator
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(text, line):
-    """An exact number, its size checked before Fraction reads it."""
+    """An exact number, its size checked before Fraction reads it.
+
+    A literal of the form `[-]digits[/digits]` of at most
+    MAX_LITERAL_DIGITS characters and with a nonzero denominator is read
+    as Fraction(int, int): it holds no more digits than the bound, and
+    the two integers make the value Fraction(text) makes.  Every other
+    form (decimals, exponents, `+`, underscores, non-ASCII digits,
+    inner spaces, a zero denominator, a longer literal) goes through
+    check_literal and Fraction(text), with their errors and messages.
+    """
+    text = text.strip()
+    m = _PLAIN.fullmatch(text)
+    if m is not None and len(text) <= MAX_LITERAL_DIGITS:
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        if den.strip("0"):
+            return Fraction(int(num), int(den))
     check_literal(text, line)
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioSyntaxError("not an exact number: %r" % text.strip(),
-                                  line)
+        raise ScenarioSyntaxError("not an exact number: %r" % text, line)
 
 
 _PAIR = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
@@ -319,12 +341,12 @@ def _read(kind, items, line, *ctx):
                                       at)
         given[key] = at, text.strip()
     out = []
-    for key, (read, *default) in fields.items():
+    for key, field in fields.items():
         if key in given:
             at, text = given[key]
-            out.append(read(text, at, *ctx))
-        elif default:
-            out.append(default[0])
+            out.append(field[0](text, at, *ctx))
+        elif len(field) > 1:
+            out.append(field[1])
         else:
             need = [k for k, field in fields.items() if len(field) == 1]
             raise ScenarioSyntaxError("%s needs %s; %s is missing"
@@ -345,6 +367,9 @@ def parse_window_spec(text, line=None):
         line))
 
 
+_HEADER = re.compile(r"\[(\w+)\]")
+
+
 def _split_sections(text):
     current = None
     out = {}
@@ -352,7 +377,7 @@ def _split_sections(text):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        m = re.match(r"^\[(\w+)\]$", stripped)
+        m = _HEADER.fullmatch(stripped)
         if m:
             name = m.group(1).lower()
             if name not in _SECTIONS:

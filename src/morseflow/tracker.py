@@ -41,7 +41,10 @@ carried across each cut, re-sorting only the arcs that meet there.  The
 values-only sweep, for readers of tops and values alone, minimizes on
 an interval's first slab and then only at a cut the current top meets,
 and carries the top across every other cut (track_class gives the
-proof).
+proof); with no windowed differential it reads the top off the
+representative and sorts nothing.  A trace that once had a top and then
+finds none raises VerificationFailed: a class nonzero in the window
+stays so.
 
 A ladder of nested windows (full_homology) is compared through the
 projection and inclusion legs between consecutive windows.  They are
@@ -431,7 +434,9 @@ def _induced_rank(cycles, order_from, d_to, order_to, h_to):
     ring, at = d_to.ring, {g: i for i, g in enumerate(order_from)}
     pushed = [[z[at[g]] if g in at else ring.zero for g in order_to]
               for z in cycles]
-    bd = d_to.to_dense(order_to, order_to)
+    # the boundary rows; a zero row never pivots
+    hit = {g for g, _ in d_to.entries}
+    bd = d_to.to_dense([g for g in order_to if g in hit], order_to)
     return (len(ordered_echelon(ring, bd + pushed))
             - (len(order_to) - h_to.free_rank) // 2)
 
@@ -591,6 +596,16 @@ def track_class(h0, log, w, label="h", values_only=False):
     window has no top: it reads -inf on every slab, and its outcome is
     Survived while the representative stays in the window.
 
+    A class that is nonzero in the window stays nonzero while it stays
+    in it, so a slab without a top after one with a top raises
+    VerificationFailed.  On an interval the coset is fixed.  Across an
+    event, a born or dying pair meets at its vertex, so the window's
+    clearance keeps both its arcs on one side of the window, and the
+    event's maps cut to the window relate the two windowed complexes.
+    The section maps a boundary to a boundary, and the section after the
+    transport is homotopic to the identity (is the identity, at a
+    slide), so a class whose transport is a boundary was one already.
+
     Each interval is swept once.  The window's sides and in-window ids
     and the crossings of its in-window pairs sorted by parameter come
     from the family's arrangement, prepared once per family and window;
@@ -622,7 +637,12 @@ def track_class(h0, log, w, label="h", values_only=False):
     after it in the order, and none on those after it alone.  An arc
     changes its place relative to g across a bound only if the two meet
     there (they cross, or a coincidence starts or ends), so a top that
-    is no mover keeps the generators after it, and stays the top.
+    is no mover keeps the generators after it, and stays the top.  When
+    the windowed differential has no entries the coset is rep alone, and
+    its top is rep's highest generator at the slab's midpoint, ties by
+    id as _Descending orders them; nothing is sorted.  Past a bound the
+    generators of rep that are no movers stay after the top, so only
+    the movers among them are compared.
     """
     t = log.family
     sides, inside = _window(w, t)
@@ -637,7 +657,7 @@ def track_class(h0, log, w, label="h", values_only=False):
     segments = []
     transfers = []
     classes = []
-    prev_top = None
+    prev_top = None          # the last slab's top, None before any top
     outcome = "Survived"
     p = 0                    # the first crossing not yet passed
 
@@ -678,17 +698,28 @@ def track_class(h0, log, w, label="h", values_only=False):
             hi, c, e = bounds[i + 1]
             if not values_only or i == 0 or top in movers[i]:
                 key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
-                order = (_resort_runs(order, movers[i], key)
-                         if i and not values_only else sorted(gens, key=key))
-                support = _coset_minimize(ring, d, rep, order)
-                top = support[0] if support else None
-                if values_only:
+                if values_only and not d.entries:
+                    # im(d) = 0: rep is its coset's one element, so its
+                    # highest generator is the top, and nothing is sorted;
+                    # past a bound only a mover can rise above the top
+                    top = min(movers[i].intersection(rep) if i else rep,
+                              key=key)
                     support = None
+                else:
+                    order = (_resort_runs(order, movers[i], key)
+                             if i and not values_only
+                             else sorted(gens, key=key))
+                    support = _coset_minimize(ring, d, rep, order)
+                    top = support[0] if support else None
+                    if values_only:
+                        support = None
             if top is None:
+                if prev_top is not None:
+                    raise VerificationFailed(
+                        "the class turned zero in the window at r=%s" % lo)
                 segments.append(TraceSegment(fc.interval_index, lo, hi,
                                              support, None, NEG_INF, NEG_INF,
                                              True))
-                prev_top = None
                 continue
             pts = prof[top].ints
             # a top carried over a bound starts where the last slab ended

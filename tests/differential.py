@@ -33,6 +33,15 @@ Probe kinds:
   families, 150 per ring over Z2, Z and Q, in wide_window and in the
   window (10, 200): each slab's interval, bounds, top and values, and
   the transfers, outcome and classes.
+* homology: on randgen families, 100 per ring over Z2, Z and Q,
+  homology of every interval's count matrix, and filtered_homology at
+  the interval's midpoint in wide_window and in the window (10, 200).
+* parse: _rational on a fixed list of literals, in the form
+  serialize_scenario writes and in every other form (decimals,
+  exponents, signs, leading zeros, spaces, underscores, non-ASCII
+  digits, zero denominators, past the digit bound); and parse_scenario
+  then serialize_scenario of randgen files, 60 per ring over Z2, Z and
+  Q, and of copies with every literal rewritten by each of LITERAL_FORMS.
 * cerf: on randgen families, 150 per ring over Z2, Z and Q, on the
   variants with one vertex's branches swapped or its declared f3
   shifted by +1/3 or by -1/2, and on one drawn randgen.mutate variant
@@ -43,7 +52,8 @@ Probe kinds:
   evolve's outcome, ok or the error class, with each birth's column set
   to each arc alive at the birth other than its branches.
 
-A library probe (ladder, geometry, escape, values) records the repr of
+A library probe (ladder, geometry, escape, values, homology, parse)
+records the repr of
 each result, or the class name and message of the error raised.  In a
 tree whose CerfTuple still declares its components, randgen builds each
 family with the components that tree's parser infers.
@@ -61,6 +71,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -315,6 +326,106 @@ def probe_values(work):
     return cases
 
 
+def probe_homology(work):
+    import randgen
+    from morseflow.algebra import homology
+    from morseflow.bifurcation import evolve
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import Window, filtered_homology, wide_window
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        for seed in range(100):
+            sc = randgen.random_scenario(
+                random.Random("homology %s/%d" % (ring.name, seed)), ring)
+            t = sc.family
+            windows = [("wide", wide_window(t)),
+                       ("(10, 200)", Window.constant(10, 200))]
+            for fc in evolve(sc.gamma0, sc.events, t).intervals:
+                key = "homology %s seed %d interval %d" % (
+                    ring.name, seed, fc.interval_index)
+                cases[key] = _attempt(lambda: homology(fc.gamma))
+                for wl, w in windows:
+                    cases["%s window %s" % (key, wl)] = _attempt(
+                        lambda: filtered_homology(t, fc, fc.midpoint(), w))
+    return cases
+
+
+# a numeric literal of a scenario file: not part of an id, a decimal or
+# another fraction
+_LITERAL = re.compile(r"(?<![\w./])(-?)([0-9]+)(?:/([0-9]+))?(?![\w./])")
+
+
+def _decimal(sign, num, den):
+    """The literal as a decimal, where its denominator divides a power of
+    ten; as it is otherwise."""
+    den = int(den or 1)
+    scale = next((k for k in range(40) if 10 ** k % den == 0), None)
+    if scale is None:
+        return "%s%s/%d" % (sign, num, den)
+    digits = str(int(num) * 10 ** scale // den).rjust(scale + 1, "0")
+    return "%s%s.%s" % (sign, digits[:len(digits) - scale] or "0",
+                        digits[len(digits) - scale:] or "0")
+
+
+# literal rewrites: each takes the sign, numerator and denominator text
+# of a literal and writes the same value in another form, which the
+# reader may accept or refuse (spaces split a key=value field); decimal
+# and exponent leave a fraction they cannot write as it is
+LITERAL_FORMS = {
+    "decimal": _decimal,
+    "exponent": lambda s, n, d: s + n + ("/" + d if d else "e0"),
+    "sign": lambda s, n, d: (s or "+") + n + ("/" + d if d else ""),
+    "zeros": lambda s, n, d: "%s00%s%s" % (s, n, "/0" + d if d else ""),
+    "spaces": lambda s, n, d: " %s%s%s " % (s, n, "/" + d if d else ""),
+    "underscores": lambda s, n, d: "%s%s%s" % (
+        s, n[0] + "_" + n[1:] if len(n) > 1 else n, "/" + d if d else ""),
+}
+
+LITERALS = ["0", "-0", "7", "-7", "007", "-0012", "3/4", "-3/4", "6/8",
+            "-10/4", "03/04", "1/0", "0/0", "-1/00", "1/-2", "--1", "+-1",
+            "1/2/3", "", " ", "+3", "+3/4", " 5/7 ", "\t-2\n", "1 / 2",
+            "1/ 2", "2.5", "-0.125", ".5", "5.", "1e3", "1E-3", "2.5e-2",
+            "1_000", "1__0", "_1", "1_/2", "\u0663", "1/\u0662", "x",
+            "1/2x", "9" * 100, "-" + "9" * 100, "9" * 101, "1/" + "9" * 99,
+            "1/" + "9" * 100, "1e99", "1e100", "0" * 101 + "1"]
+
+
+def probe_parse(work):
+    import randgen
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.scenario import (_rational, parse_scenario,
+                                    serialize_scenario)
+
+    cases = {}
+    for i, text in enumerate(LITERALS):
+        cases["parse literal %d %r" % (i, text)] = _attempt(
+            lambda: _rational(text, 1))
+    rng = random.Random("parse literals")
+    for i in range(300):
+        sign = rng.choice(["", "-"])
+        num = str(rng.randrange(10 ** rng.randrange(1, 12)))
+        den = rng.choice([None, str(rng.randrange(1, 10 ** rng.randrange(
+            1, 8)))])
+        for form, write in [("plain", lambda s, n, d: s + n + (
+                "/" + d if d else ""))] + sorted(LITERAL_FORMS.items()):
+            text = write(sign, num, den)
+            cases["parse drawn %d %s %r" % (i, form, text)] = _attempt(
+                lambda: _rational(text, 1))
+    for ring in (Z2, Z, Q):
+        for seed in range(60):
+            text = serialize_scenario(randgen.random_scenario(
+                random.Random("parse %s/%d" % (ring.name, seed)), ring))
+            name = "parse %s seed %d" % (ring.name, seed)
+            for form, write in [("as written", None)] + sorted(
+                    LITERAL_FORMS.items()):
+                copy = text if write is None else _LITERAL.sub(
+                    lambda m: write(*m.groups()), text)
+                cases["%s %s" % (name, form)] = _attempt(
+                    lambda: serialize_scenario(parse_scenario(copy)))
+    return cases
+
+
 # what validate_cerf found in a declared component list before the
 # components were derived; the dangling-arc findings among them name a
 # "component #"
@@ -385,7 +496,8 @@ def probe_cerf(work):
 
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
-          "escape": probe_escape, "values": probe_values, "cerf": probe_cerf}
+          "escape": probe_escape, "values": probe_values, "cerf": probe_cerf,
+          "homology": probe_homology, "parse": probe_parse}
 
 
 def _worker(src, kinds, path):

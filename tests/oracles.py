@@ -361,3 +361,82 @@ def exp_exceeds(q, c, start_terms=8):
         if q > total + rest:
             return True
         n *= 2
+
+
+def matmul(a, b):
+    """Product of two dense matrices given as lists of rows."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row))
+             for j in range(len(b[0]))] for row in a]
+
+
+def gauss_jordan_inverse(a):
+    """Inverse of an invertible square matrix of rationals, by Gauss-Jordan
+    elimination on [a | I] with Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def conjugate_by_products(g, d):
+    """(I + D) G (I + D)^-1 of dense square matrices, formed as two
+    products with the inverse from gauss_jordan_inverse."""
+    n = len(g)
+    s = [[int(i == j) + d[i][j] for j in range(n)] for i in range(n)]
+    return matmul(matmul(s, g), gauss_jordan_inverse(s))
+
+
+def rank_by_elimination(dense, p=None):
+    """Rank of a dense matrix, eliminating every row: over Q, or over the
+    integers mod the prime p when p is given."""
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in dense]
+    else:
+        rows = [[int(x) % p for x in row] for row in dense]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = 1 / top[c] if p is None else pow(top[c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+                if p is not None:
+                    rows[i] = [x % p for x in rows[i]]
+        rank += 1
+    return rank
+
+
+def homology_by_elimination(dense, ring_name):
+    """(free rank, torsion) of the homology of a square-zero differential
+    given dense, eliminating every row, zero rows included: over Z2 and Q
+    the rank r by rank_by_elimination, over Z the nonzero diagonal of
+    smith_column_transform, whose entries above 1 are the torsion.  The
+    free rank is n - 2r on n generators."""
+    n = len(dense)
+    if ring_name == "Z":
+        diag = [abs(x) for x in smith_column_transform(dense)[0]]
+        return n - 2 * len(diag), tuple(x for x in diag if x > 1)
+    rank = rank_by_elimination(dense, 2 if ring_name == "Z2" else None)
+    return n - 2 * rank, ()
+
+
+def read_literal(text):
+    """What a reader of exact numbers makes of a literal within the digit
+    bound: Fraction(text), or, where Fraction refuses it, the message
+    `not an exact number: ` and the stripped text's repr."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return "not an exact number: %r" % text.strip()

@@ -8,19 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randgen
 from morseflow import algebra
 from morseflow.algebra import (HomologyResult, homology, is_chain_homotopy,
                                invariant_factors, is_chain_map,
                                left_kernel_basis, ordered_echelon,
                                reduce_against)
+from morseflow.bifurcation import evolve
 from morseflow.errors import (DimensionMismatch, NonUnitError,
                               NotADifferential)
 from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.rings import RINGS, Q, Z, Z2
+from morseflow.tracker import (INSIDE, Window, filtered_homology,
+                               validate_window, wide_window)
 
 from fixtures import within
-from oracles import (determinantal_divisors, z2_apply, z2_cycles,
-                     z2_homology_rank, z2_matrix_to_rowmasks)
+from oracles import (determinantal_divisors, homology_by_elimination,
+                     z2_apply, z2_cycles, z2_homology_rank,
+                     z2_matrix_to_rowmasks)
 
 
 def mat(ring, ids, entries):
@@ -387,6 +392,49 @@ class TestHomology:
                     ent[("u%d" % i, "l%d" % j)] = 1
         m = mat(Z2, ids, ent)
         assert homology(m).free_rank == z2_homology_rank(m.to_dense(ids, ids))
+
+
+class TestHomologyByEveryRow:
+    """homology eliminates the nonzero rows of the transposed differential
+    only; oracles.homology_by_elimination eliminates every row."""
+
+    @staticmethod
+    def assert_every_row_agrees(d):
+        ids = sorted(d.rows, key=str)
+        res = homology(d)
+        assert (res.free_rank, res.torsion) == homology_by_elimination(
+            d.to_dense(ids, ids), d.ring.name)
+        return res
+
+    @pytest.mark.parametrize("ring", [Z2, Z, Q])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randgen_intervals_in_and_out_of_windows(self, seed, ring):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        t = sc.family
+        log = evolve(sc.gamma0, sc.events, t)
+        windows = [wide_window(t), Window.constant(10, 200)]
+        for fc in log.intervals:
+            self.assert_every_row_agrees(fc.gamma)
+            for w in windows:
+                sides = validate_window(w, t)
+                d = fc.gamma.restrict([g for g in fc.gamma.rows
+                                       if sides[g] == INSIDE])
+                assert (self.assert_every_row_agrees(d)
+                        == filtered_homology(t, fc, fc.midpoint(), w))
+
+    @pytest.mark.parametrize("n, chain", [(8, (1, 2)), (10, (2, 6)),
+                                          (12, (1, 1, 3))])
+    def test_conjugated_differentials_with_zero_rows(self, n, chain):
+        # isolated generators add zero rows and columns to a differential
+        # with torsion; the zero rows never pivot
+        for seed in range(3):
+            d = conjugated_differential(n, chain, random.Random(seed))
+            d = [row + [0, 0] for row in d] + [[0] * (n + 2)] * 2
+            ids = ["g%02d" % i for i in range(n + 2)]
+            res = self.assert_every_row_agrees(
+                SparseMatrix.from_rows(Z, ids, ids, d))
+            assert res.torsion == tuple(x for x in chain if x > 1)
+            assert res.free_rank == n + 2 - 2 * len(chain)
 
 
 class TestChainMaps:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import randgen
 from morseflow import bifurcation
 from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
@@ -111,6 +112,60 @@ class TestHandleSlide:
         fc2 = counter(Z, order, out.entries)
         restored, _ = apply_handle_slide(fc2, slide(F(1, 2), *back_delta))
         assert restored == fc.gamma
+
+
+class TestSlideByProducts:
+    """apply_handle_slide against (I + D) G (I + D)^-1 formed by two
+    products, the inverse by Gauss-Jordan (oracles.conjugate_by_products),
+    and its maps against I + D and that inverse."""
+
+    @staticmethod
+    def assert_products(gamma, ev):
+        ring, ids = gamma.ring, list(gamma.rows)
+        d = SparseMatrix(ring, ids, ids, {(a, b): v for a, b, v
+                                          in ev.payload.delta})
+        section = [[int(i == j) + x for j, x in enumerate(row)]
+                   for i, row in enumerate(d.to_dense(ids, ids))]
+        want = oracles.conjugate_by_products(gamma.to_dense(ids, ids),
+                                             d.to_dense(ids, ids))
+        out, build = apply_handle_slide(FlowCounter(0, 0, 1, gamma), ev)
+        maps = build()
+
+        def reduced(dense):
+            return [[ring.coerce(x) for x in row] for row in dense]
+        assert out.to_dense(ids, ids) == reduced(want)
+        assert maps.backward.to_dense(ids, ids) == reduced(section)
+        assert maps.forward.to_dense(ids, ids) == reduced(
+            oracles.gauss_jordan_inverse(section))
+
+    @pytest.mark.parametrize("ring", [Z2, Z, Q])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randgen_slides(self, seed, ring):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        for st_ in log.steps:
+            if isinstance(st_.record.payload, HandleSlide):
+                self.assert_products(st_.before.gamma, st_.record)
+
+    @pytest.mark.parametrize("ring, values", [
+        (Z, (2, -1, 3, 1)), (Z, (1, 1, 1, -2)),
+        (Q, (F(1, 2), -3, F(2, 3), 5)), (Q, (-1, F(7, 4), 1, F(-1, 3)))])
+    def test_jumps_whose_square_is_nonzero(self, ring, values):
+        # a > b > c > d: the chain a -> b -> c -> d makes D^2 and D^3
+        # nonzero, so the series has three terms
+        ids = ["a", "b", "c", "d"]
+        x, y, z, w = values
+        ev = slide(F(1, 2), ("a", "b", x), ("b", "c", y), ("c", "d", z),
+                   ("a", "c", w))
+        d = SparseMatrix(ring, ids, ids, {(a, b): v for a, b, v
+                                          in ev.payload.delta})
+        assert not d.mul(d).is_zero() and not d.mul(d).mul(d).is_zero()
+        rng = random.Random(repr(values))
+        for _ in range(6):
+            gamma = SparseMatrix(ring, ids, ids, {
+                (p, q): rng.choice([0, 1, -2, F(3, 2) if ring is Q else 3])
+                for p in ids for q in ids})
+            self.assert_products(gamma, ev)
 
 
 class TestBirth:

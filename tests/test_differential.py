@@ -1,7 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario, values and cerf probes run here, to keep the
-check short.
+Only its bundled-scenario, values, cerf, homology and parse probes run
+here, to keep the check short.
 """
 
 import shutil
@@ -90,3 +90,40 @@ def test_a_planted_validator_without_vertex_arcs_shows_in_the_cerf_probe(
     assert lines[0] == "cerf: %d cases, %d differ" % (cases, differ)
     assert any(line.strip().endswith((" retag", " repoint"))
                for line in lines[1:])
+
+
+def test_a_planted_homology_without_its_last_row_shows(tmp_path):
+    # an elimination that leaves out the last nonzero row of the
+    # transposed differential loses a pivot wherever that row has one
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    algebra = tmp_path / "src" / "morseflow" / "algebra.py"
+    text = algebra.read_text(encoding="utf-8")
+    rows = "[c for c in order if c in hit]"
+    assert text.count(rows) == 1
+    algebra.write_text(text.replace(rows, rows + "[:-1]"), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["homology"])
+    assert 0 < differ < cases
+    assert lines[0] == "homology: %d cases, %d differ" % (cases, differ)
+
+
+def test_a_planted_reader_that_loses_a_sign_shows_in_the_parse_probe(
+        tmp_path):
+    # a literal reader that drops the minus of a fraction reads -3/4 as 3/4
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    scenario = tmp_path / "src" / "morseflow" / "scenario.py"
+    text = scenario.read_text(encoding="utf-8")
+    read = "return Fraction(int(num), int(den))"
+    assert text.count(read) == 1
+    scenario.write_text(text.replace(
+        read, "return Fraction(abs(int(num)), int(den))"), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["parse"])
+    assert 0 < differ < cases
+    assert lines[0] == "parse: %d cases, %d differ" % (cases, differ)
+    assert lines[1] == "  parse Q seed 0 as written"
+    assert "= 3/2" in lines[2] and "= -3/2" in lines[3]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import randgen
 from morseflow.bifurcation import Birth, Death, HandleSlide
 from morseflow.cerf import BirthVertex, BoundaryAt0, BoundaryAt1, DeathVertex
@@ -20,7 +21,7 @@ from morseflow.errors import (MAX_LITERAL_DIGITS, ScenarioError,
 from morseflow import escape
 from morseflow.escape import build_cascade, iterlog, linear, polylog, square
 from morseflow.rings import Q, Z, Z2
-from morseflow.scenario import (_FIELDS, Scenario, load_scenario,
+from morseflow.scenario import (_FIELDS, Scenario, _rational, load_scenario,
                                 parse_chain, parse_phi, parse_scenario,
                                 parse_window_spec, phi_text,
                                 serialize_scenario)
@@ -234,6 +235,41 @@ class TestErrors:
             with pytest.raises(ScenarioSyntaxError, match="digits") as e:
                 parse_scenario(text % over)
             assert e.value.line == line
+
+    @staticmethod
+    def assert_reads_as_fraction(text):
+        """_rational(text) is Fraction(text), or the ScenarioSyntaxError
+        of oracles.read_literal's message where Fraction refuses text."""
+        want = oracles.read_literal(text)
+        if isinstance(want, F):
+            got = _rational(text, 7)
+            assert type(got) is F and got == want
+        else:
+            with pytest.raises(ScenarioSyntaxError) as e:
+                _rational(text, 7)
+            assert type(e.value) is ScenarioSyntaxError and e.value.line == 7
+            assert str(e.value) == "line 7: " + want
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "1/-2", "--1", "1/2/3", "", " 3/00 ", "-0/0", "1 / 2", "+-1",
+        "-3/4", "-10/4", "6/8", "-0", "007", "-0012/030", " 1/2 "])
+    def test_literal_reads_as_fraction_reads_it(self, text):
+        self.assert_reads_as_fraction(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(space=st.sampled_from(["", " ", "\t", " \n"]),
+           sign=st.sampled_from(["", "-", "+", "--", "-+"]),
+           num=st.one_of(
+               st.integers(0, 10 ** 12).map(str),
+               st.from_regex(r"[0-9]{1,3}_[0-9]{3}|\u0663\u0662|0{1,3}[0-9]"
+                             r"|[0-9]*\.[0-9]+", fullmatch=True)),
+           tail=st.one_of(
+               st.just(""), st.integers(0, 10 ** 9).map("/{}".format),
+               st.from_regex(r"/0+|/-[0-9]|/[0-9]/[0-9]|[eE]-?[0-9]|/ 3|/1_0",
+                             fullmatch=True)))
+    def test_drawn_literal_reads_as_fraction_reads_it(self, space, sign, num,
+                                                      tail):
+        self.assert_reads_as_fraction(space + sign + num + tail + space)
 
     def test_chain_coefficient_past_the_digit_limit(self):
         with pytest.raises(ScenarioSyntaxError, match="digits") as e:

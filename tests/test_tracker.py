@@ -999,7 +999,7 @@ class TestTrackClass:
             raise AssertionError("a comparison map was built or verified again")
         for module, name in [(bifurcation, "verify_maps"),
                              (bifurcation, "_pair_maps"),
-                             (bifurcation, "_unipotent_inverse"),
+                             (bifurcation, "_nilpotent_series"),
                              (bifurcation, "is_chain_map"),
                              (bifurcation, "is_chain_homotopy"),
                              (algebra, "is_chain_map")]:
@@ -1215,6 +1215,42 @@ class TestValuesOnly:
         assert tracker._coset_minimize(Z, d, {"g0": 0}, order) == ()
 
 
+class TestNonzeroStaysNonzero:
+    @pytest.mark.parametrize("values_only", [False, True])
+    def test_a_class_lost_on_a_later_interval_raises(self, values_only):
+        # a minimization that finds the class zero after the first
+        # interval breaks the invariant, and the trace refuses it
+        t, log = three_lane_log()
+        minimize = tracker._coset_minimize
+        first = []
+
+        def lose(ring, d, rep, order):
+            if not first:
+                first.append(d)
+            if d is not first[0]:
+                return ()
+            return minimize(ring, d, rep, order)
+        assert track_class({"c1": 1}, log, WIDE).segments[-1].top == "c2"
+        with mock.patch.object(tracker, "_coset_minimize", lose):
+            with pytest.raises(VerificationFailed, match="turned zero"):
+                track_class({"c1": 1}, log, WIDE, values_only=values_only)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
+           tier=st.booleans())
+    def test_no_random_trace_turns_zero_or_back(self, seed, ring, tier):
+        sc = randgen.random_scenario(random.Random(seed), ring)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        w = Window.constant(10, 200) if tier else wide_window(sc.family)
+        hs = [{"l1": 1}]
+        if any(a.id == "l2" for a in sc.family.arcs):
+            hs.append({"l1": 1, "l2": 1})
+        for h0 in hs:
+            for values_only in (False, True):
+                trace = track_class(h0, log, w, values_only=values_only)
+                assert len({s.top is None for s in trace.segments}) <= 1
+
+
 def tie_log():
     """Z2 lanes a, b and c through (1/2, 3), and d coinciding with c on
     [1/4, 3/4], so d meets a and b there too; t1 bounds c + d and t2
@@ -1335,32 +1371,31 @@ class TestIntegerPoints:
     @pytest.mark.parametrize("tier", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_profile_converts_once(self, seed, tier, monkeypatch):
-        """Over validate_axioms, evolve, filtered_homology and track_class,
-        only the family's arcs and the window's cutoffs are converted to
-        integer points, each at most once."""
-        done = []
-        convert = Piecewise.__dict__["ints"].func
-
-        def spy(pw):
-            done.append(pw)
-            return convert(pw)
-        counted = functools.cached_property(spy)
-        counted.__set_name__(Piecewise, "ints")
-        monkeypatch.setattr(Piecewise, "ints", counted)
-
+        """A profile converts its points to integers once, when it is made:
+        validate_axioms, evolve, filtered_homology and track_class make no
+        profile, and the family's arcs and the window's cutoffs keep the
+        integer points they were made with."""
         sc = randgen.random_scenario(random.Random(seed), Z)
         t = sc.family
         w = Window.constant(10, 200) if tier else wide_window(t)
+        profiles = [a.f3 for a in t.arcs] + [w.a, w.b]
+        kept = [pw.ints for pw in profiles]
+        made = []
+        init = Piecewise.__post_init__
+
+        def spy(pw):
+            made.append(pw)
+            init(pw)
+        monkeypatch.setattr(Piecewise, "__post_init__", spy)
+
         bifurcation.validate_axioms(sc.gamma0, sc.events, t)
         log = evolve(sc.gamma0, sc.events, t)
         for fc in log.intervals:
             filtered_homology(t, fc, fc.midpoint(), w)
         track_class({"l1": 1}, log, w)
         track_class({"l1": 1}, log, w)
-        owners = {id(a.f3) for a in t.arcs} | {id(w.a), id(w.b)}
-        assert {id(pw) for pw in done} <= owners
-        assert len({id(pw) for pw in done}) == len(done)
-        assert len(done) >= len(t.arcs)
+        assert made == []
+        assert all(pw.ints is ints for pw, ints in zip(profiles, kept))
 
 
 class TestEventInvariance:
