@@ -41,7 +41,7 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      EvolutionError, NonTriangularDelta, NonUnitPivot,
                      VerificationFailed)
 from .matrix import SparseMatrix
-from .piecewise import _side, _walk, frac
+from .piecewise import _apart, _range, _side, _walk, frac
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +441,34 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     interval means nonnegative gaps at every knot, strict at interior
     knots, and not identically zero.  The gaps' signs are the kernel's
     integer numerators.
+
+    A range decides first: a piecewise-linear profile takes its least
+    and greatest values at its knots, so an entry whose upper arc's
+    range lies strictly above its lower arc's has a positive gap
+    wherever both live.  Such an entry needs no walk when both arcs live
+    on all of [r_lo, r_hi]; otherwise the walk decides, and raises
+    ValueError for an arc that does not.  Each arc's range is taken
+    once per call.
     """
+    ln, ld = frac(r_lo).as_integer_ratio()
+    hn, hd = frac(r_hi).as_integer_ratio()
+    ranges = {}
+
+    def clear(c):
+        """The range of arc c's profile, or None when c does not live on
+        all of [r_lo, r_hi]."""
+        if c not in ranges:
+            f = t.arc(c).f3
+            p = f.ints
+            ranges[c] = (_range(f) if p[0][0] * ld <= ln * p[0][1]
+                         and hn * p[-1][1] <= p[-1][0] * hd else None)
+        return ranges[c]
+
     bad = []
     for (c1, c2), _ in gamma.items():
+        r1, r2 = clear(c1), clear(c2)
+        if r1 is not None and r2 is not None and _apart(r1, r2) > 0:
+            continue
         f = t.arc(c1).f3
         g = t.arc(c2).f3
         diffs = _walk(f, g, r_lo, r_hi)[1]

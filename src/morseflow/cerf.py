@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvalidTuple, NonIsolatedCusp, VerticalTangency)
-from .piecewise import Piecewise, _side, frac
+from .piecewise import Piecewise, _range, _side, frac
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,18 @@ class CerfTuple:
     def f3_range(self):
         """(least, greatest) action over every arc, (None, None) with no
         arcs.  Linear pieces reach their extremes at their breakpoints,
-        so the point values decide."""
-        vals = [v for a in self.arcs for _, v in a.f3.points]
-        return (min(vals), max(vals)) if vals else (None, None)
+        so each arc's knot-value range (piecewise._range) decides; the
+        ranges fold by integer cross products."""
+        if not self.arcs:
+            return None, None
+        lo, hi = _range(self.arcs[0].f3)
+        for a in self.arcs[1:]:
+            (n, d), (m, e) = _range(a.f3)
+            if n * lo[1] < lo[0] * d:
+                lo = n, d
+            if m * hi[1] > hi[0] * e:
+                hi = m, e
+        return Fraction(*lo), Fraction(*hi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,21 @@ integer pairs.  Each Piecewise converts its points once, when it is
 made, checks on those integers that the parameters increase, and keeps
 them as Piecewise.ints; ints is the one integer reader of a profile,
 for this module and for every caller that evaluates the integer points
-itself (_ratio_at).  It is not a field, so ==, hash and
-repr read the Fraction points only.  A Fraction is built only where a
+itself (_ratio_at).  It is not a field, so == and repr read the
+Fraction points only; hash reads ints, which agrees with ==, since equal
+Fractions have equal reduced ratios.  A Fraction is built only where a
 value leaves the kernel: a crossing parameter and Piecewise.value.
 _side is the one reader of local order, the sign of f - g beside a
 parameter, for the family validator and the event engine alike.
-common_knots stays in Fraction arithmetic, as the tests' reference for
-the kernel's knots.
+
+_range is the kernel's second reader of a profile: its least and
+greatest knot value, as integer pairs off ints.  A linear piece takes
+its extremes at its ends, so when two ranges are strictly apart
+(_apart) the sign of f - g is fixed wherever both are defined, and no
+walk is needed.  Ranges that overlap or touch decide nothing, and the
+caller walks.  A range is computed where it is read and is not stored
+on the profile.  common_knots stays in Fraction arithmetic, as the
+tests' reference for the kernel's knots.
 """
 
 from dataclasses import dataclass
@@ -48,6 +56,9 @@ class Piecewise:
         object.__setattr__(self, "points", pts)
         # each point as the integers (r_num, r_den, v_num, v_den)
         object.__setattr__(self, "ints", ints)
+
+    def __hash__(self):
+        return hash(self.ints)
 
     @staticmethod
     def constant(value, lo=0, hi=1):
@@ -200,6 +211,33 @@ def crossings(f, g, lo=None, hi=None):
     if ks and not nums[-1]:
         out.append(ks[-1])
     return out
+
+
+def _range(f):
+    """(least, greatest) knot value of f, each as (numerator, denominator
+    > 0), read off f.ints: the least and greatest value of f anywhere."""
+    pts = f.ints
+    lo = hi = pts[0][2:]
+    for p in pts[1:]:
+        n, d = p[2], p[3]
+        if n * lo[1] < lo[0] * d:
+            lo = n, d
+        elif n * hi[1] > hi[0] * d:
+            hi = n, d
+    return lo, hi
+
+
+def _apart(rf, rg):
+    """1 if the range rf lies strictly above the range rg, -1 if strictly
+    below, 0 if they overlap or touch; ranges as _range gives them.  A
+    nonzero result is the sign of f - g at every parameter where both
+    are defined."""
+    (fl, fh), (gl, gh) = rf, rg
+    if fl[0] * gh[1] > gh[0] * fl[1]:
+        return 1
+    if fh[0] * gl[1] < gl[0] * fh[1]:
+        return -1
+    return 0
 
 
 def _side(f, g, r, after=True):

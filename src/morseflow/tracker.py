@@ -19,12 +19,15 @@ spectral value and slab is certified.
 The geometry those calls read is prepared once per family, in one
 arrangement: each pair's crossings, and each window's verdict, sides,
 in-window ids and the crossings of its in-window pairs sorted by
-parameter.  validate_window, filtered_homology, full_homology,
-spectral_value and track_class read the arrangement of the family they
-are given.  One slot holds the arrangement of the last family read,
-keyed by its identity.  A profile's integer points are its own
-(Piecewise.ints); spectral_value, track_class and _window_cuts look
-each in-window arc's profile up once per call.
+parameter.  An arrangement pair can be empty without a walk: a pair
+whose value ranges are strictly apart (the kernel's _range and _apart)
+never meets, so it is stored with no crossings.  validate_window,
+filtered_homology, full_homology, spectral_value and track_class read
+the arrangement of the family they are given.  One slot holds the
+arrangement of the last family read, keyed by its identity.  A
+profile's integer points are its own (Piecewise.ints); spectral_value,
+track_class and _window_cuts look each in-window arc's profile up once
+per call.
 
 An interval's in-window generators have one reader, _interval_gens:
 the window's in-window ids among the rows of the interval's count
@@ -58,10 +61,11 @@ The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
 slab order compare (numerator, denominator) pairs by cross products,
 and so do the sort of the window's crossings and the grouping of a
-slab's bounds.  Fractions are built for what a trace returns and
-prints: the crossing parameters, once per family, and one spectral
-value per slab end, a slab whose top carries over starting at the
-value the last one ended on.
+slab's bounds.  Window clearance reads the value ranges first and
+walks only where they overlap.  Fractions are built for what a trace
+returns and prints: the crossing parameters, once per family, and one
+spectral value per slab end, a slab whose top carries over starting at
+the value the last one ended on.
 """
 
 import functools
@@ -75,7 +79,8 @@ from .bifurcation import HandleSlide, _triangularity_violations
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import vec_apply
-from .piecewise import Piecewise, _ratio_at, _walk, crossings, frac
+from .piecewise import (Piecewise, _apart, _range, _ratio_at, _walk,
+                        crossings, frac)
 
 NEG_INF = float("-inf")
 
@@ -109,16 +114,31 @@ def window_violation(w, t):
     arc's whole lifetime.  Both are piecewise-linear, so strict signs at
     their common knots decide it exactly, whatever the scale or offset
     of the actions; the signs are the kernel's integer numerators.
+
+    A range decides first.  A piecewise-linear function takes its least
+    and greatest values at its knots, so a floor whose range lies below
+    the ceiling's stays below it, and an arc whose range lies strictly
+    above or below a cutoff's clears it for its whole life.  The walk
+    runs only where the ranges overlap or touch, and for an arc whose
+    life leaves [0, 1], which the walk refuses.  Each range is taken
+    once per call.
     """
     if w.a.r_lo != 0 or w.a.r_hi != 1 or w.b.r_lo != 0 or w.b.r_hi != 1:
         return "cutoffs must be defined on all of [0, 1]"
-    ks, nums, _ = _walk(w.a, w.b, 0, 1)
-    for k, d in zip(ks, nums):
-        if not d < 0:
-            return "floor meets ceiling at r=%s" % k
+    ra, rb = _range(w.a), _range(w.b)
+    if _apart(ra, rb) >= 0:
+        ks, nums, _ = _walk(w.a, w.b, 0, 1)
+        for k, d in zip(ks, nums):
+            if not d < 0:
+                return "floor meets ceiling at r=%s" % k
     for arc in t.arcs:
-        for cutoff, name in ((w.a, "floor"), (w.b, "ceiling")):
-            nums = _walk(arc.f3, cutoff, arc.r_lo, arc.r_hi)[1]
+        f = arc.f3
+        p = f.ints
+        rf = _range(f) if p[0][0] >= 0 and p[-1][0] <= p[-1][1] else None
+        for cutoff, rc, name in ((w.a, ra, "floor"), (w.b, rb, "ceiling")):
+            if rf is not None and _apart(rf, rc):
+                continue
+            nums = _walk(f, cutoff, arc.r_lo, arc.r_hi)[1]
             if not (all(d > 0 for d in nums) or all(d < 0 for d in nums)):
                 return "arc %r touches or crosses the %s" % (arc.id, name)
     return None
@@ -131,7 +151,8 @@ class _Arrangement:
     """The geometry of one family that every tracker call reads.
 
     pairs maps a pair of ids to their crossings, each as (x, numerator,
-    denominator), computed the first time a window needs them.  windows
+    denominator), computed the first time a window needs them: an empty
+    list, with no walk, for a pair whose value ranges are apart.  windows
     maps a window, by value, to (verdict, sides, in-window ids); cuts
     maps a usable window to the crossings of its in-window pairs, sorted
     by parameter.
@@ -216,10 +237,13 @@ _BY_PARAMETER = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
 def _window_cuts(arr, w, inside):
     """The crossings of every pair of in-window arcs whose lives meet, as
     (x, numerator, denominator, id, id), sorted by x; computed once per
-    family and window, each pair's crossings once per family."""
+    family and window, each pair's crossings once per family.  A pair
+    whose value ranges are strictly apart never meets, so it gets no
+    crossings without a walk."""
     cuts = arr.cuts.get(w)
     if cuts is None:
         prof = {g: arr.family.arc(g).f3 for g in inside}
+        ranges = {g: _range(f) for g, f in prof.items()}
         cuts = []
         for g1, g2 in itertools.combinations(inside, 2):
             f1, f2 = prof[g1], prof[g2]
@@ -229,7 +253,8 @@ def _window_cuts(arr, w, inside):
                 continue             # the two lives do not meet
             xs = arr.pairs.get((g1, g2))
             if xs is None:
-                xs = arr.pairs[g1, g2] = [
+                xs = arr.pairs[g1, g2] = [] if _apart(
+                    ranges[g1], ranges[g2]) else [
                     (x,) + x.as_integer_ratio() for x in crossings(f1, f2)]
             cuts.extend(c + (g1, g2) for c in xs)
         cuts.sort(key=_BY_PARAMETER)

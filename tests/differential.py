@@ -18,10 +18,14 @@ Probe kinds:
 * geometry: on randgen families, 150 per ring over Z2, Z and Q, the
   crossings of every arc pair; each arc's contains and value at every
   knot of the family and every knot midpoint; window_violation and
-  validate_window for wide_window and three drawn constant windows; and
-  in each usable one, track_class(...).table() of l1 (and of l1 + l2
-  when l2 exists) and spectral_value's value, support and top at every
-  interval midpoint.
+  validate_window for wide_window, three drawn constant windows and
+  three drawn windows whose cutoffs have 2-3 knots at values near the
+  arcs' knot values, so that their ranges overlap the arcs' and the
+  walk decides; in each usable one, track_class(...).table() of l1 (and
+  of l1 + l2 when l2 exists) and spectral_value's value, support and
+  top at every interval midpoint; and validate_axioms's findings on the
+  family and on copies with one entry of the initial count matrix
+  reversed.
 * escape: under the bounds linear, square, polylog p=1/2 and iterlog
   depth 1, check_H1 on randgen families, 50 per ring, and on cascades 6
   and 12; budget_for_heights and check_H2 (kappa 1/2 and 2, from the
@@ -167,10 +171,19 @@ def probe_ladder(work):
 HITS = [-8, 0, 40, 99]
 
 
+# the inner knot and the offsets from the arcs' knot values of the
+# geometry probe's bending cutoffs
+WALK_KNOTS = [F(1, 3), F(1, 2), F(5, 7)]
+NUDGES = [0, F(1, 3), F(-1, 3), 7, -7]
+
+
 def probe_geometry(work):
+    import dataclasses
+
     import randgen
-    from morseflow.bifurcation import evolve
-    from morseflow.piecewise import crossings
+    from morseflow.bifurcation import evolve, validate_axioms
+    from morseflow.matrix import SparseMatrix
+    from morseflow.piecewise import Piecewise, crossings
     from morseflow.rings import Q, Z, Z2
     from morseflow.tracker import (Window, spectral_value, track_class,
                                    validate_window, wide_window,
@@ -202,6 +215,19 @@ def probe_geometry(work):
                 lo, hi = sorted(rng.sample(LEVELS + HITS, 2))
                 windows.append(("[%s, %s] #%d" % (lo, hi, k),
                                 Window.constant(lo, hi)))
+            # cutoffs bending through the arcs' values: drawn with their
+            # own generator, so the cases above draw as they did
+            walk = random.Random("geometry walk %s/%d" % (ring.name, seed))
+            heights = sorted({v for a in t.arcs for _, v in a.f3.points})
+            for k in range(3):
+                rs = [0] + ([walk.choice(WALK_KNOTS)]
+                            if walk.random() < 0.5 else []) + [1]
+                floor, ceiling = zip(*(sorted(
+                    walk.choice(heights) + walk.choice(NUDGES)
+                    for _ in range(2)) for _ in rs))
+                w = Window(Piecewise(tuple(zip(rs, floor))),
+                           Piecewise(tuple(zip(rs, ceiling))))
+                windows.append(("%s %s #%d" % (w.a.points, w.b.points, k), w))
             hs = [("l1", {"l1": 1})]
             if any(a.id == "l2" for a in t.arcs):
                 hs.append(("l1+l2", {"l1": 1, "l2": 1}))
@@ -220,6 +246,17 @@ def probe_geometry(work):
                         r = fc.midpoint()
                         cases["%s spectral %s r=%s" % (key, hl, r)] = _attempt(
                             lambda: spectral(h, r, log, w))
+            g0 = sc.gamma0
+            cases[name + " axioms"] = _attempt(
+                lambda: validate_axioms(g0, sc.events, t).findings)
+            for (c1, c2), v in g0.gamma.items():
+                entries = dict(g0.gamma.entries)
+                del entries[c1, c2]
+                entries[c2, c1] = v
+                rev = dataclasses.replace(g0, gamma=SparseMatrix(
+                    ring, g0.gamma.rows, g0.gamma.cols, entries))
+                cases["%s axioms %s reversed" % (name, (c1, c2))] = _attempt(
+                    lambda: validate_axioms(rev, sc.events, t).findings)
     return cases
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 import randgen
-from morseflow.piecewise import (Piecewise, _side, _walk, common_knots,
-                                 crossings)
+from morseflow.piecewise import (Piecewise, _apart, _range, _side, _walk,
+                                 common_knots, crossings)
 from morseflow.rings import Z
 from morseflow.tracker import Window, wide_window
 
@@ -244,6 +244,63 @@ class TestIntegerKernel:
         assert crossings(f, Piecewise(((2, 0), (3, 0)))) == []
 
 
+def assert_range_sound(f, g):
+    """_range is the least and greatest point value; a nonzero _apart is
+    the strict sign of every difference the walk finds."""
+    for pw in (f, g):
+        vs = [v for _, v in pw.points]
+        assert [F(*x) for x in _range(pw)] == [min(vs), max(vs)]
+    s = _apart(_range(f), _range(g))
+    assert _apart(_range(g), _range(f)) == -s
+    if s and max(f.r_lo, g.r_lo) <= min(f.r_hi, g.r_hi):
+        assert all(sign(d) == s for d in _walk(f, g, None, None)[1])
+
+
+class TestRange:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=profile_pairs())
+    def test_apart_ranges_fix_the_sign_on_grid_profiles(self, pair):
+        assert_range_sound(*pair[:2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=scaled_pairs())
+    def test_apart_ranges_fix_the_sign_at_scale(self, pair):
+        assert_range_sound(*pair[:2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_apart_ranges_fix_the_sign_on_randgen_arcs(self, seed, data):
+        profiles = [a.f3 for a in randgen.random_scenario(
+            random.Random(seed), Z).family.arcs]
+        f = data.draw(st.sampled_from(profiles))
+        g = data.draw(st.sampled_from(profiles))
+        assert_range_sound(f, g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_branches_meeting_at_a_vertex_touch(self, seed):
+        t = randgen.random_scenario(random.Random(seed), Z).family
+        for v in t.vertices:
+            plus, minus = t.arc(v.plus_arc).f3, t.arc(v.minus_arc).f3
+            assert _apart(_range(plus), _range(minus)) == 0
+            assert _apart(_range(minus), _range(plus)) == 0
+
+    def test_touching_ranges_decide_nothing(self):
+        f = Piecewise(((0, 1), (F(1, 2), 3), (1, 2)))
+        g = Piecewise(((0, 1), (1, -1)))          # f.min == g.max, at r = 0
+        h = Piecewise(((F(1, 2), 0), (1, F(1, 2))))
+        assert _range(f) == ((1, 1), (3, 1))
+        assert _range(h) == ((0, 1), (1, 2))
+        assert _apart(_range(f), _range(g)) == 0
+        assert _apart(_range(g), _range(f)) == 0
+        assert crossings(f, g) == [0]
+        assert _apart(_range(f), _range(h)) == 1
+        assert _apart(_range(h), _range(f)) == -1
+        assert _apart(_range(h), _range(g)) == 0        # they overlap
+        # apart over the whole domain, though the lives share one point
+        k = Piecewise(((1, 9), (2, 9)))
+        assert _apart(_range(k), _range(f)) == 1 and crossings(k, f) == []
+
+
 def integer_pairs(pw):
     return tuple(r.as_integer_ratio() + v.as_integer_ratio()
                  for r, v in pw.points)
@@ -280,3 +337,17 @@ class TestIntegerPoints:
         assert g.ints == ((0, 1, 1, 3), (1, 2, 5, 1))
         assert g.value(F(1, 4)) == F(8, 3) and not g.contains(1)
         assert f.ints == ((0, 1, 1, 1), (1, 1, 2, 1))
+
+    def test_equal_profiles_hash_by_their_integer_points(self):
+        """A profile hashes as its integer points, so however a value is
+        written, equal profiles hash equal."""
+        forms = [Piecewise(((0, "1/2"), ("1/3", 0.5), (1, -2))),
+                 Piecewise(((0, 0.5), (F(2, 6), F(2, 4)), (1, "-2"))),
+                 Piecewise(((F(0), F(2, 4)), (F(1, 3), F(1, 2)), (1, -2)))]
+        for pw in forms:
+            assert pw == forms[0] and hash(pw) == hash(forms[0])
+            assert hash(pw) == hash(pw.ints)
+        assert len({*forms}) == 1
+        w1 = Window(forms[0], Piecewise.constant(7))
+        w2 = Window(forms[2], Piecewise.constant(F(14, 2)))
+        assert w1 is not w2 and w1 == w2 and hash(w1) == hash(w2)

@@ -26,7 +26,7 @@ from morseflow.errors import (DegenerateParameter, InvalidWindow,
 from morseflow.matrix import SparseMatrix
 from morseflow.cli import data_path, main
 from morseflow.escape import build_cascade, linear
-from morseflow.piecewise import Piecewise
+from morseflow.piecewise import Piecewise, _apart, _range
 from morseflow.rings import Q, Z, Z2
 from morseflow.scenario import (Scenario, load_scenario, parse_scenario,
                                 serialize_scenario)
@@ -160,6 +160,18 @@ class TestWindow:
                 got.append((why, sides))
             assert all(x == got[0] for x in got)
             assert (got[0][0] is None) == (got[0][1] is not None)
+
+    def test_equal_windows_share_one_arrangement_entry(self, monkeypatch):
+        # the cutoffs are written differently, and hash by their integer
+        # points, so the second window finds the first one's entry
+        t = three_lane_tuple()
+        w1 = Window(Piecewise(((0, "-1/2"), (1, -0.5))), Piecewise.constant(9))
+        w2 = Window.constant(F(-2, 4), F(18, 2))
+        assert w1 is not w2 and hash(w1) == hash(w2)
+        monkeypatch.setattr(tracker, "_prepared", None)
+        sides = validate_window(w1, t)
+        assert validate_window(w2, t) is sides
+        assert list(tracker._arrangement(t).windows) == [w1]
 
     def test_only_the_last_family_read_stays_alive(self):
         t1 = three_lane_tuple()
@@ -1396,6 +1408,117 @@ class TestIntegerPoints:
         track_class({"l1": 1}, log, w)
         assert made == []
         assert all(pw.ints is ints for pw, ints in zip(profiles, kept))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class name and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (InvalidWindow, ValueError) as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def reversed_copies(gamma):
+    """gamma with each of its entries reversed in turn, one at a time."""
+    for (c1, c2), v in gamma.items():
+        entries = dict(gamma.entries)
+        del entries[c1, c2]
+        entries[c2, c1] = v
+        yield SparseMatrix(gamma.ring, gamma.rows, gamma.cols, entries)
+
+
+def range_readers(t, w, counters):
+    """What each reader of a value range decides: window_violation, the
+    window's sides and cuts, and the action-order violations of each
+    (gamma, r_lo, r_hi) in counters, from a fresh arrangement."""
+    with mock.patch.object(tracker, "_prepared", None):
+        why = outcome(window_violation, w, t)
+        got = outcome(tracker._window, w, t)
+        cuts = (got if isinstance(got, str) else tracker._window_cuts(
+            tracker._arrangement(t), w, got[1]))
+        return why, got, cuts, [
+            outcome(bifurcation._triangularity_violations, gamma, t, lo, hi)
+            for gamma, lo, hi in counters]
+
+
+def walk_only(fn, *args):
+    """fn(*args) with every range test deciding nothing, so that every
+    sign test walks."""
+    never = lambda rf, rg: 0
+    with mock.patch.object(tracker, "_apart", never), \
+            mock.patch.object(bifurcation, "_apart", never):
+        return fn(*args)
+
+
+class TestValueRanges:
+    """The range test (piecewise._range, _apart) only skips walks whose
+    verdict it already knows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fw=family_and_window(), seed=st.integers(0, 2**32 - 1))
+    def test_readers_agree_with_the_walk_alone(self, fw, seed):
+        t, w = fw
+        sc = randgen.random_scenario(random.Random(seed), Z)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        for fam, counters in ((t, []), (sc.family, [
+                (gamma, fc.r_lo, fc.r_hi) for fc in log.intervals
+                for gamma in [fc.gamma, *reversed_copies(fc.gamma)]])):
+            got = range_readers(fam, w, counters)
+            assert got == walk_only(range_readers, fam, w, counters)
+
+    def test_readers_agree_with_the_walk_on_lives_the_walk_refuses(self):
+        # c ends at 3/8, inside the interval (0, 1/2), and e leaves [0, 1]:
+        # their ranges are apart from every other, yet the walk decides
+        # and raises as it would without the range test
+        c = chord("c", [(0, 5), (F(3, 8), 5)])
+        d = chord("d", [(0, 1), (1, 1)])
+        e = Arc("e", Piecewise([(0, 20), (F(3, 2), 20)]), BoundaryAt0(),
+                BoundaryAt0())
+        gamma = SparseMatrix(Z2, ("c", "d"), ("c", "d"), {("c", "d"): 1})
+        counters = [(gamma, F(0), F(1, 2)), (gamma, F(0), F(1, 4))]
+        for t in (CerfTuple((c, d)), CerfTuple((c, d, e))):
+            for w in (Window.constant(0, 10), Window.constant(2, 30)):
+                got = range_readers(t, w, counters)
+                assert got == walk_only(range_readers, t, w, counters)
+        assert "outside domain" in got[0] and "outside domain" in got[3][0]
+        assert got[3][1] == []
+
+    @pytest.mark.parametrize("tier", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_separated_ranges_are_never_walked(self, seed, tier):
+        """window_violation walks no arc/cutoff pair, and no floor and
+        ceiling, whose ranges are apart; the window's cuts walk each
+        in-window pair whose lives meet and whose ranges overlap once,
+        and no other."""
+        sc = randgen.random_scenario(random.Random(seed), (Z2, Z)[seed % 2])
+        t = sc.family
+        log = evolve(sc.gamma0, sc.events, t)
+        w = Window.constant(10, 200) if tier else wide_window(t)
+        walked, crossed = [], []
+        walk, cross = tracker._walk, tracker.crossings
+
+        def spy_walk(f, g, lo, hi):
+            walked.append((f, g))
+            return walk(f, g, lo, hi)
+
+        def spy_cross(f, g):
+            crossed.append((id(f), id(g)))
+            return cross(f, g)
+        with mock.patch.object(tracker, "_prepared", None), \
+                mock.patch.object(tracker, "_walk", spy_walk), \
+                mock.patch.object(tracker, "crossings", spy_cross):
+            inside = tracker._window(w, t)[1]
+            for _ in range(2):
+                track_class({"l1": 1}, log, w, values_only=True)
+                track_class({"l1": 1}, log, w)
+        assert all(_apart(_range(f), _range(g)) == 0 for f, g in walked)
+        want = []
+        for g1, g2 in itertools.combinations(inside, 2):
+            f1, f2 = t.arc(g1).f3, t.arc(g2).f3
+            if (f1.r_lo <= f2.r_hi and f2.r_lo <= f1.r_hi
+                    and not _apart(_range(f1), _range(f2))):
+                want.append((id(f1), id(f2)))
+        assert crossed == want
 
 
 class TestEventInvariance:
