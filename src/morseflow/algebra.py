@@ -7,7 +7,9 @@ an order-respecting echelon form built by reduce_against (over the
 integers, a basis of the row lattice).  Ranks, cycle bases
 (left_kernel_basis), least coset representatives and the invariant factors
 of the Smith form all come from it; integer homology reads its torsion off
-the boundary echelon's invariant factors (see homology).
+the boundary echelon's invariant factors, and skips that Smith pass when
+every pivot is a unit, which proves there is no torsion (see homology).
+A matrix keeps its homology: homology computes it once per matrix.
 
 Everything is exact; no floating point enters this module.
 """
@@ -86,7 +88,20 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     class of Z^n / boundaries is a cycle class, the torsion of cycles /
     boundaries is that of Z^n / boundaries, the cyclic groups of order
     di > 1, and the free rank is (n - r) - r.
+
+    When every pivot is 1 or -1 the Smith pass is skipped: there is no
+    torsion.  The pivot rows, cut to their pivot columns and sorted by
+    pivot, form a triangular r x r block whose diagonal is the pivots,
+    so its determinant is a unit.  That block is an r x r minor of the
+    basis, so the r x r minors have gcd 1; the product d1 ... dr of the
+    invariant factors is that gcd, so every di is 1.
+
+    The result is kept on the matrix (matrix.py) and returned by every
+    later call on it; a call that raises keeps nothing.
     """
+    kept = boundary._homology
+    if kept is not None:
+        return kept
     if not boundary.is_square():
         raise DimensionMismatch("differential must be square on one generator set")
     if not boundary.mul(boundary).is_zero():
@@ -96,11 +111,14 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     # the nonzero rows of the transposed matrix: T x = 0 is the cycle
     # condition
     hit = {c for _, c in boundary.entries}
-    basis = list(ordered_echelon(ring, boundary.transpose().to_dense(
-        [c for c in order if c in hit], order)).values())
-    torsion = () if ring.is_field() else tuple(
-        d for d in invariant_factors(basis) if d > 1)
-    return HomologyResult(ring.name, len(order) - 2 * len(basis), torsion)
+    pivots = ordered_echelon(ring, boundary.transpose().to_dense(
+        [c for c in order if c in hit], order))
+    torsion = () if ring.is_field() or all(
+        v[p] in (1, -1) for p, v in pivots.items()) else tuple(
+        d for d in invariant_factors(list(pivots.values())) if d > 1)
+    boundary._homology = res = HomologyResult(
+        ring.name, len(order) - 2 * len(pivots), torsion)
+    return res
 
 
 def is_chain_map(a: SparseMatrix, d_from: SparseMatrix, d_to: SparseMatrix) -> bool:

@@ -15,6 +15,14 @@ by one private constructor without those checks: their entries are
 already nonzero ring elements inside index sets the operands fixed.
 Restriction and the identity still reject duplicate identifiers, and a
 sum or difference drops the entries that cancel.
+
+A matrix keeps its homology.  algebra.homology stores its result in the
+private slot _homology the first time a matrix is asked, and returns
+that object on every later call; a call that raises stores nothing.
+The kept result cannot go stale, since nothing writes a matrix's
+entries after construction, and every matrix starts with none: one
+the public constructor builds, and every result of an operation,
+whatever its operands keep.
 """
 
 from typing import Dict, Iterable
@@ -24,7 +32,8 @@ from .rings import Ring
 
 
 class SparseMatrix:
-    __slots__ = ("ring", "rows", "cols", "entries", "_row_set", "_col_set")
+    __slots__ = ("ring", "rows", "cols", "entries", "_row_set", "_col_set",
+                 "_homology")
 
     def __init__(self, ring: Ring, rows: Iterable, cols: Iterable, entries: Dict = None):
         self.ring = ring
@@ -42,6 +51,7 @@ class SparseMatrix:
             if v != ring.zero:
                 clean[(r, c)] = v
         self.entries = clean
+        self._homology = None
 
     @classmethod
     def _result(cls, ring, rows, cols, row_set, col_set, entries):
@@ -51,6 +61,7 @@ class SparseMatrix:
         m = cls.__new__(cls)
         m.ring, m.rows, m.cols = ring, rows, cols
         m._row_set, m._col_set, m.entries = row_set, col_set, entries
+        m._homology = None
         return m
 
     @staticmethod

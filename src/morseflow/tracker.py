@@ -36,6 +36,12 @@ so no reader scans the family's arcs.  Each entry point finds its
 interval one way: filtered_homology is given it and checks that r lies
 in it, and spectral_value and full_homology take it from
 EvolutionLog.counter_at; an event parameter raises DegenerateParameter.
+The windowed complex has one reader too, _window_complex: the count
+matrix itself when the window holds every row, and its restriction
+otherwise.  A matrix keeps its homology (matrix.py), so in a window
+that holds every arc alive filtered_homology, full_homology and the
+count matrix's own homology share one computation, and the sweep reads
+the count matrix without copying it.
 A trace walks the window's sorted crossings with one pointer across the
 intervals, so each interval reads only the crossings inside it, and
 both sweeps share that slab path.  The full sweep minimizes on every
@@ -271,6 +277,17 @@ def _interval_gens(inside, fc):
     return [g for g in inside if g in rows]
 
 
+def _window_complex(gamma, gens):
+    """The count matrix gamma restricted to gens, a list of its rows
+    without repeats: gamma itself when gens holds every row, so the
+    complex of a window that holds every arc alive keeps its homology
+    (matrix.py) across calls.  gens may list the rows in another order:
+    equal lengths mean equal sets, and no reader of the complex reads
+    the order of its rows (homology sorts them, and the sweep and the
+    ladder take their orders from gens)."""
+    return gamma if len(gens) == len(gamma.rows) else gamma.restrict(gens)
+
+
 def filtered_homology(t, fc, r, w):
     """Homology of the count matrix restricted to the window at r, which
     must lie in the interval of fc (FlowCounter.holds)."""
@@ -279,7 +296,7 @@ def filtered_homology(t, fc, r, w):
         raise DegenerateParameter("r=%s is not inside the interval (%s, %s)"
                                   % (r, fc.r_lo, fc.r_hi))
     try:
-        return homology(fc.gamma.restrict(_interval_gens(inside, fc)))
+        return homology(_window_complex(fc.gamma, _interval_gens(inside, fc)))
     except NotADifferential:
         raise InvalidWindow(
             "restriction to the window does not square to zero; the window "
@@ -387,7 +404,7 @@ def _window_rep(h, gamma, sides, gens, where):
         elif sides[g] == ABOVE:
             raise NotACycle(
                 "representative touches %r above the window ceiling" % g)
-    d = gamma.restrict(gens)
+    d = _window_complex(gamma, gens)
     if vec_apply(ring, rep, d):
         raise NotACycle("representative is not a cycle in the window %s" % where)
     return rep, d
@@ -502,7 +519,7 @@ def full_homology(t, log, r, ladder):
             "ladder's legs need not be chain maps"
             % (bad[0] + (fc.r_lo, fc.r_hi)))
     gen_sets = [_interval_gens(inside, fc) for inside in insides]
-    ds = [fc.gamma.restrict(gens) for gens in gen_sets]
+    ds = [_window_complex(fc.gamma, gens) for gens in gen_sets]
     results = [homology(d) for d in ds]
 
     legs = []
@@ -510,7 +527,7 @@ def full_homology(t, log, r, ladder):
         # the intermediate window (new floor, old ceiling) holds the arcs
         # inside the wider window and not above the narrower one
         gens_mid = [g for g in gen_sets[i + 1] if sides[i][g] != ABOVE]
-        d_mid = fc.gamma.restrict(gens_mid)
+        d_mid = _window_complex(fc.gamma, gens_mid)
         h_mid = homology(d_mid)
         cycles = left_kernel_basis(d_mid, gens_mid)
         pr, ir = (_induced_rank(cycles, gens_mid, ds[j], gen_sets[j],
@@ -688,7 +705,7 @@ def track_class(h0, log, w, label="h", values_only=False):
 
     for fc in log.intervals:
         gens = _interval_gens(inside, fc)
-        d = fc.gamma.restrict(gens)
+        d = _window_complex(fc.gamma, gens)
         rep_record = tuple(sorted(rep.items(), key=lambda kv: str(kv[0])))
         if not rep:
             classes.append(TrackedClass(fc.interval_index, label, rep_record,

@@ -38,8 +38,12 @@ Probe kinds:
   window (10, 200): each slab's interval, bounds, top and values, and
   the transfers, outcome and classes.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
-  homology of every interval's count matrix, and filtered_homology at
-  the interval's midpoint in wide_window and in the window (10, 200).
+  homology of every interval's count matrix, filtered_homology at the
+  interval's midpoint in wide_window and in the window (10, 200), and
+  the count matrix's homology asked again after those, which a kept
+  result that went stale would change; and homology of
+  randgen.conjugated_block's integer differentials at n = 10, 20 and 30,
+  seeds 1-3, each asked twice.
 * parse: _rational on a fixed list of literals, in the form
   serialize_scenario writes and in every other form (decimals,
   exponents, signs, leading zeros, spaces, underscores, non-ASCII
@@ -367,6 +371,7 @@ def probe_homology(work):
     import randgen
     from morseflow.algebra import homology
     from morseflow.bifurcation import evolve
+    from morseflow.matrix import SparseMatrix
     from morseflow.rings import Q, Z, Z2
     from morseflow.tracker import Window, filtered_homology, wide_window
 
@@ -385,6 +390,15 @@ def probe_homology(work):
                 for wl, w in windows:
                     cases["%s window %s" % (key, wl)] = _attempt(
                         lambda: filtered_homology(t, fc, fc.midpoint(), w))
+                cases[key + " again"] = _attempt(lambda: homology(fc.gamma))
+    for n in (10, 20, 30):
+        for seed in (1, 2, 3):
+            d = randgen.conjugated_block(random.Random(seed), n)[1]
+            ids = ["g%02d" % i for i in range(n)]
+            m = SparseMatrix.from_rows(Z, ids, ids, d)
+            key = "homology conjugated block n=%d seed %d" % (n, seed)
+            cases[key] = _attempt(lambda: homology(m))
+            cases[key + " again"] = _attempt(lambda: homology(m))
     return cases
 
 

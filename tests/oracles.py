@@ -56,6 +56,22 @@ def determinantal_divisors(a):
     return out
 
 
+def top_determinantal_divisors(a):
+    """(D_{n-1}, D_n) of a square integer matrix on n >= 1 rows: the gcd
+    of its (n-1) x (n-1) minors and the absolute value of its determinant,
+    each minor by det_bareiss.  Where D_n is nonzero, the invariant
+    factors multiply to D_n and the last is D_n / D_{n-1}.  Unlike
+    determinantal_divisors it takes n^2 + 1 determinants, not every
+    minor of every size."""
+    n = len(a)
+    g = 0
+    for i in range(n):
+        for j in range(n):
+            g = gcd(g, abs(det_bareiss([row[:j] + row[j + 1:]
+                                        for k, row in enumerate(a) if k != i])))
+    return g, abs(det_bareiss(a))
+
+
 def units_mod2(vec_bits, n):
     return [(vec_bits >> i) & 1 for i in range(n)]
 

@@ -155,6 +155,33 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
     return Scenario(ring, t, gamma0, tuple(sorted(events, key=lambda e: e.r)))
 
 
+def conjugate_unipotent(rng, d, steps):
+    """d, a dense square integer matrix, conjugated in place by steps
+    unipotent steps: add c times row j to row i (i < j) and subtract c
+    times column i from column j, c = 1 or -1.  Each step is P d P^-1
+    with P = I + c e_ij, so the homology of a differential is kept."""
+    n = len(d)
+    for _ in range(steps):
+        i, j = sorted(rng.sample(range(n), 2))
+        c = rng.choice([-1, 1])
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        for row in d:
+            row[j] -= c * row[i]
+    return d
+
+
+def conjugated_block(rng, n):
+    """(B, d): B an h x h block of integers in [-3, 3], and d the dense
+    differential [[0, B], [0, 0]] on n = 2h generators conjugated by n
+    unipotent steps, whose elimination grows its entries.  The homology
+    of d is free of rank n - 2 rank B, with a cyclic group per invariant
+    factor of B above 1."""
+    h = n // 2
+    b = [[rng.randint(-3, 3) for _ in range(h)] for _ in range(h)]
+    d = [[0] * h + row for row in b] + [[0] * n for _ in range(h)]
+    return b, conjugate_unipotent(rng, d, n)
+
+
 MUTATIONS = ("retag", "repoint", "drop", "duplicate")
 
 

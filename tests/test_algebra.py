@@ -24,8 +24,8 @@ from morseflow.tracker import (INSIDE, Window, filtered_homology,
 
 from fixtures import within
 from oracles import (determinantal_divisors, homology_by_elimination,
-                     z2_apply, z2_cycles, z2_homology_rank,
-                     z2_matrix_to_rowmasks)
+                     top_determinantal_divisors, z2_apply, z2_cycles,
+                     z2_homology_rank, z2_matrix_to_rowmasks)
 
 
 def mat(ring, ids, entries):
@@ -245,8 +245,8 @@ def unimodular(rng, k):
 def conjugated_differential(n, chain, rng):
     """[[0, U D V], [0, 0]] on n = 2h generators, D = diag(chain) padded
     with zeros to h x h and U, V random unimodular, then conjugated by n
-    unipotent steps: add c times row j to row i (i < j) and subtract c
-    times column i from column j.  Its homology over the integers is
+    unipotent steps (randgen.conjugate_unipotent).  Its homology over the
+    integers is
     free of rank n - 2 len(chain) plus a cyclic group per entry of chain
     above 1."""
     h = n // 2
@@ -259,13 +259,19 @@ def conjugated_differential(n, chain, rng):
             for i in range(h)]
     b = mul(mul(unimodular(rng, h), diag), unimodular(rng, h))
     d = [[0] * h + row for row in b] + [[0] * n for _ in range(h)]
-    for _ in range(n):
-        i, j = sorted(rng.sample(range(n), 2))
-        c = rng.choice([-1, 1])
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        for row in d:
-            row[j] -= c * row[i]
-    return d
+    return randgen.conjugate_unipotent(rng, d, n)
+
+
+def echelon_torsion(m):
+    """(torsion, pivots) of an integer differential as read off the
+    invariant factors of its boundary echelon, the Smith pass that
+    homology skips when every pivot is a unit."""
+    order = sorted(m.rows, key=str)
+    hit = {c for _, c in m.entries}
+    pivots = ordered_echelon(Z, m.transpose().to_dense(
+        [c for c in order if c in hit], order))
+    return (tuple(d for d in invariant_factors(list(pivots.values()))
+                  if d > 1), [v[p] for p, v in pivots.items()])
 
 
 def boundary_fixture(ring):
@@ -345,11 +351,20 @@ class TestHomology:
         assert mul(p, p_inv) == [[int(i == j) for j in range(n)]
                                  for i in range(n)]
         ids = ["g%d" % i for i in range(n)]
-        res = homology(SparseMatrix.from_rows(Z, ids, ids,
-                                              mul(mul(p, d), p_inv)))
+        dense = mul(mul(p, d), p_inv)
+        m = SparseMatrix.from_rows(Z, ids, ids, dense)
+        res = homology(m)
         inv = determinantal_divisors(b)
         assert res.torsion == tuple(x for x in inv if x > 1)
         assert res.free_rank == n - 2 * len(inv)
+        # entries in [-4, 4] give pivots of 2, 3 and 4 as well as units:
+        # with or without the Smith pass, the torsion is the same
+        torsion, pivots = echelon_torsion(m)
+        assert res.torsion == torsion
+        assert (res.free_rank, res.torsion) == homology_by_elimination(
+            dense, "Z")
+        if all(x in (1, -1) for x in pivots):
+            assert res.torsion == ()
 
     @pytest.mark.parametrize("n, chain", [
         (18, (1, 2, 2, 6, 12)), (22, (1, 1, 3, 3, 6, 30)),
@@ -435,6 +450,81 @@ class TestHomologyByEveryRow:
                 SparseMatrix.from_rows(Z, ids, ids, d))
             assert res.torsion == tuple(x for x in chain if x > 1)
             assert res.free_rank == n + 2 - 2 * len(chain)
+
+
+class TestUnitPivots:
+    """Over Z, homology skips the Smith pass when every pivot of the
+    boundary echelon is 1 or -1: the torsion is then empty."""
+
+    @pytest.mark.parametrize("entries, pivot, torsion", [
+        # pivot: the largest pivot of the boundary echelon, up to sign
+        ({("c1", "c2"): 2}, 2, (2,)),
+        # gcd(2, 3) = 1: a pivot of 2 without torsion
+        ({("a", "x"): 2, ("b", "x"): 3}, 2, ()),
+        ({("a", "x"): 1, ("b", "y"): -1}, 1, ()),
+        ({("a", "x"): 2, ("b", "x"): 4, ("b", "y"): 6}, 6, (2, 6))])
+    def test_smith_pass_runs_only_for_a_pivot_that_is_no_unit(
+            self, entries, pivot, torsion, monkeypatch):
+        ids = sorted({g for key in entries for g in key})
+        m = mat(Z, ids, entries)
+        assert max(abs(p) for p in echelon_torsion(m)[1]) == pivot
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return invariant_factors(rows)
+        monkeypatch.setattr(algebra, "invariant_factors", counted)
+        assert homology(m).torsion == torsion
+        assert len(calls) == (pivot != 1)
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_conjugated_blocks(self, n, seed):
+        # a random block conjugated until the echelon's entries grow: the
+        # torsion multiplies to |det B| and ends in det B / D_{h-1}
+        b, d = randgen.conjugated_block(random.Random(seed), n)
+        ids = ["g%02d" % i for i in range(n)]
+        m = SparseMatrix.from_rows(Z, ids, ids, d)
+        with within(1):
+            res = homology(m)
+        assert res.torsion == echelon_torsion(m)[0]
+        rest, det = top_determinantal_divisors(b)
+        assert det and res.free_rank == 0
+        assert math.prod(res.torsion) == det
+        assert (res.torsion[-1:] or (1,))[0] == det // rest
+
+
+class TestKeptHomology:
+    """A matrix keeps its homology: asked again, homology returns the
+    object it returned the first time."""
+
+    def test_asked_twice_the_same_object(self):
+        for ring in (Z2, Z, Q):
+            m = boundary_fixture(ring)
+            assert homology(m) is homology(m)
+
+    def test_a_result_of_an_operation_keeps_none(self):
+        m = mat(Z, ["a", "b", "x", "y"], {("a", "x"): 2, ("b", "y"): 1})
+        h = homology(m)
+        for other in (m.restrict(["a", "b", "x"]), m.restrict(m.rows),
+                      m.mul(m), m.transpose(), m.add(m), m.scale(1),
+                      SparseMatrix(Z, m.rows, m.cols, m.entries)):
+            assert other._homology is None
+        assert homology(m.restrict(m.rows)) == h
+        assert homology(m.restrict(m.rows)) is not h
+        assert homology(m.transpose()) == HomologyResult("Z", 0, (2,))
+
+    def test_a_call_that_raises_keeps_nothing(self):
+        bad = mat(Z2, ["c1", "c2", "c3"], {("c1", "c2"): 1, ("c2", "c3"): 1})
+        for _ in range(2):
+            with pytest.raises(NotADifferential):
+                homology(bad)
+            assert bad._homology is None
+        rect = SparseMatrix(Z, ["a"], ["b"], {})
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                homology(rect)
+            assert rect._homology is None
 
 
 class TestChainMaps:
