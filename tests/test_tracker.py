@@ -546,42 +546,10 @@ class TestFilteredHomology:
         h = filtered_homology(t, fc, F(1, 4), WIDE)
         assert h.free_rank == 1 and h.torsion == (2,)
 
-
-class TestWindowComplex:
-    """A window that holds every arc alive reads the count matrix itself,
-    so its homology is the one the matrix keeps; any other window reads a
-    restriction."""
-
-    # each clears every randgen family: uppers lie in [68, 102], lowers
-    # in [24, 41], born pairs in [-14, 4]
-    WINDOWS = (Window.constant(10, 200), Window.constant(-20, 60),
-               Window.constant(50, 200))
-
-    @pytest.mark.parametrize("ring", [Z2, Z, Q])
-    def test_full_window_shares_the_matrix_homology(self, ring):
-        full = cut = 0
-        for seed in range(30):
-            sc = randgen.random_scenario(random.Random(seed), ring)
-            t = sc.family
-            log = evolve(sc.gamma0, sc.events, t)
-            for w in (wide_window(t),) + self.WINDOWS:
-                sides = validate_window(w, t)
-                for fc in log.intervals:
-                    h = filtered_homology(t, fc, fc.midpoint(), w)
-                    ids = sorted((g for g in fc.gamma.rows
-                                  if sides[g] == tracker.INSIDE), key=str)
-                    if len(ids) == len(fc.gamma.rows):
-                        full += 1
-                        assert h is algebra.homology(fc.gamma)
-                    else:
-                        cut += 1
-                        assert (h.free_rank, h.torsion) == \
-                            oracles.homology_by_elimination(
-                                fc.gamma.to_dense(ids, ids), ring.name)
-        assert full and cut
-
-    def test_rows_in_another_order(self):
-        # the in-window ids come in declaration order, the rows do not
+    def test_full_window_reads_the_matrix_with_rows_in_another_order(self):
+        # a window that holds every arc alive reads the count matrix
+        # itself, and so the homology it keeps; the in-window ids come in
+        # declaration order, the rows do not
         t = three_lane_tuple()
         fc = counter(Z, ["c3", "c1", "c2"], {("c2", "c3"): 2})
         h = filtered_homology(t, fc, F(1, 4), WIDE)
