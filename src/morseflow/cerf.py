@@ -50,12 +50,6 @@ class DeathVertex:
         return "death(%s)" % self.vertex
 
 
-def _tag_vertex(tag):
-    if isinstance(tag, (BirthVertex, DeathVertex)):
-        return tag.vertex
-    return None
-
-
 # ---------------------------------------------------------------------------
 # core types
 
@@ -278,21 +272,19 @@ def validate_cerf(t, event_params=()):
             err("interval-range", "arc %r footprint [%s, %s] leaves [0, 1]" %
                 (a.id, a.r_lo, a.r_hi))
 
-    # end tags vs footprint ends and vertices
+    # end tags vs footprint ends and vertices; each vertex's incident
+    # arcs, in file order, lo end first
+    incident = {}
     for a in t.arcs:
         for end, tag, r_end in (("lo", a.lo_tag, a.r_lo), ("hi", a.hi_tag, a.r_hi)):
-            if isinstance(tag, BoundaryAt0):
-                if r_end != 0:
+            if isinstance(tag, (BoundaryAt0, BoundaryAt1)):
+                if r_end != (1 if isinstance(tag, BoundaryAt1) else 0):
                     err("interval-endpoint",
-                        "arc %r tagged boundary@0 at %s end but that end is at r=%s"
-                        % (a.id, end, r_end))
-            elif isinstance(tag, BoundaryAt1):
-                if r_end != 1:
-                    err("interval-endpoint",
-                        "arc %r tagged boundary@1 at %s end but that end is at r=%s"
-                        % (a.id, end, r_end))
+                        "arc %r tagged %s at %s end but that end is at r=%s"
+                        % (a.id, tag, end, r_end))
             elif isinstance(tag, (BirthVertex, DeathVertex)):
                 vid = tag.vertex
+                incident.setdefault(vid, []).append(a.id)
                 if vid not in verts:
                     err("dangling-vertex",
                         "arc %r references unknown vertex %r" % (a.id, vid))
@@ -326,19 +318,14 @@ def validate_cerf(t, event_params=()):
 
     # each vertex joins exactly its two declared arcs
     for v in t.vertices:
-        incident = []
-        for a in t.arcs:
-            if _tag_vertex(a.lo_tag) == v.id:
-                incident.append(a.id)
-            if _tag_vertex(a.hi_tag) == v.id:
-                incident.append(a.id)
+        arcs_at = incident.get(v.id, [])
         expected = {v.plus_arc, v.minus_arc}
         if v.plus_arc == v.minus_arc:
             err("vertex-arcs", "vertex %r declares the same arc twice" % v.id)
-        elif set(incident) != expected or len(incident) != 2:
+        elif set(arcs_at) != expected or len(arcs_at) != 2:
             err("vertex-arcs",
                 "vertex %r declares arcs %r but is referenced by %r" %
-                (v.id, sorted(expected), sorted(incident)))
+                (v.id, sorted(expected), sorted(arcs_at)))
         for aid in (v.plus_arc, v.minus_arc):
             if aid not in arcs:
                 err("dangling-arc", "vertex %r references unknown arc %r" % (v.id, aid))

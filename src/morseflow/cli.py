@@ -25,12 +25,11 @@ from .diagrams import family_svg, trace_svg
 from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
                      ConstraintViolated, CycleConditionViolated,
                      EvolutionError, InvalidParameters, InvalidTuple,
-                     InvalidWindow, MorseflowError, NonIsolatedCusp,
-                     NonNestedLadder, NonTriangularDelta, NonUnitError,
-                     NonUnitPivot, NotADifferential, ScenarioError,
-                     ScenarioSemanticError, VerticalTangency)
+                     InvalidWindow, MorseflowError, NonNestedLadder,
+                     NonTriangularDelta, NonUnitError, NonUnitPivot,
+                     NotADifferential, ScenarioError, ScenarioSemanticError)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear
-from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance, phi_for_class
+from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance
 from .rings import RINGS, Z2
 from .scenario import (Scenario, _rational, load_scenario, parse_phi,
                        parse_window_spec, phi_text, read_class,
@@ -271,8 +270,6 @@ def _cmd_rabinowitz(arg, flags):
              "eta growth rate: %s" % m.eta_growth_rate]
     verdict = classify_invariance(m, rho0=sc.model_rho0, kappa=sc.model_kappa)
     phi = getattr(verdict, "phi", None)
-    if phi is None and m.eta_growth_rate != 0:
-        phi = phi_for_class(m)
     if phi is not None:
         lines.append("growth bound: %s" % phi_text(phi))
     if isinstance(verdict, ClassSurvives):
@@ -352,8 +349,7 @@ def _build_parser():
 
 _AXIOM_ERRORS = (NotADifferential, NonTriangularDelta, NonUnitPivot,
                  CycleConditionViolated, ActionConstraintViolated,
-                 ConstraintViolated, EvolutionError, VerticalTangency,
-                 NonIsolatedCusp)
+                 ConstraintViolated, EvolutionError)
 
 
 def main(argv=None):

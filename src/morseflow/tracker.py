@@ -44,16 +44,18 @@ count matrix's own homology share one computation, and the sweep reads
 the count matrix without copying it.
 A trace walks the window's sorted crossings with one pointer across the
 intervals, so each interval reads only the crossings inside it, and
-both sweeps share that slab path.  The full sweep minimizes on every
-slab: the action order is sorted on an interval's first slab and then
-carried across each cut, re-sorting only the arcs that meet there.  The
-values-only sweep, for readers of tops and values alone, minimizes on
-an interval's first slab and then only at a cut the current top meets,
-and carries the top across every other cut (track_class gives the
-proof); with no windowed differential it reads the top off the
-representative and sorts nothing.  A trace that once had a top and then
-finds none raises VerificationFailed: a class nonzero in the window
-stays so.
+both sweeps share that slab path.  Every reader of a class's coset,
+spectral_value and both sweeps, orders only the generators that the
+representative or an entry of the windowed differential holds
+(_coset_gens gives the proof): no other generator is nonzero in any
+element of the coset.  The full sweep minimizes on every slab: that
+order is sorted on an interval's first slab and then carried across
+each cut, re-sorting only the arcs that meet there.  The values-only
+sweep, for readers of tops and values alone, minimizes on an interval's
+first slab and then only at a cut the current top meets, and carries
+the top across every other cut (track_class gives the proof).  A trace
+that once had a top and then finds none raises VerificationFailed: a
+class nonzero in the window stays so.
 
 A ladder of nested windows (full_homology) is compared through the
 projection and inclusion legs between consecutive windows.  They are
@@ -383,6 +385,27 @@ def _coset_minimize(ring, d, rep, order):
     return tuple(g for g, x in zip(order, reduced) if x != zero)
 
 
+def _coset_gens(gens, rep, d):
+    """The generators of gens, in gens order, that rep or an entry of d
+    holds: the only ones an element of rep + im(d) can be nonzero on.
+
+    d is the windowed differential on gens and rep a chain on them.  A
+    generator that neither rep nor an entry of d holds is zero in rep
+    and in every image row, so it is zero in every element of the coset
+    and can never be a top or sit in a support.  _coset_minimize on
+    these generators, in an order that keeps the full order's relative
+    order, returns the support it returns on the full order: such a
+    generator is zero in every vector it reduces, so it never pivots and
+    never leads, and the image rows are echelonized in the same
+    sequence.  The movers of a slab bound form contiguous runs of the
+    full order, so they form contiguous runs of any subsequence of it,
+    and _resort_runs carries this order across a bound as it would the
+    full one.
+    """
+    held = set(rep).union(*d.entries)
+    return [g for g in gens if g in held]
+
+
 def _window_rep(h, gamma, sides, gens, where):
     """h restricted to the window: its chain of in-window generators and
     the window's differential.
@@ -423,6 +446,7 @@ def spectral_value(h, r, log, w):
     fc = log.counter_at(r)
     gens = _interval_gens(inside, fc)
     rep, d = _window_rep(h, fc.gamma, sides, gens, "at r=%s" % r)
+    gens = _coset_gens(gens, rep, d)
     prof = {g: t.arc(g).f3 for g in gens}
     order = sorted(gens, key=_order_key(prof, *r.as_integer_ratio()))
     support = _coset_minimize(d.ring, d, rep, order)
@@ -660,10 +684,13 @@ def track_class(h0, log, w, label="h", values_only=False):
     their pairs are the bound's movers.  The first read of a step's maps
     builds and verifies them.
 
-    The full sweep minimizes on every slab.  Only an interval's first
-    slab is sorted by action: at each later bound the movers form
-    contiguous runs of the previous order, and only those runs are
-    re-sorted.
+    Both sweeps order only the interval's generators that rep or an
+    entry of the windowed differential holds (_coset_gens): no other
+    generator is nonzero in any element of the coset, so the supports
+    are those of the full order.  The full sweep minimizes on every
+    slab.  Only an interval's first slab is sorted by action: at each
+    later bound the movers form contiguous runs of the previous order,
+    and only those runs are re-sorted.
 
     values_only=True computes what a price or a picture reads: tops,
     values, transfers, outcome and classes, each equal to the full
@@ -679,12 +706,7 @@ def track_class(h0, log, w, label="h", values_only=False):
     after it in the order, and none on those after it alone.  An arc
     changes its place relative to g across a bound only if the two meet
     there (they cross, or a coincidence starts or ends), so a top that
-    is no mover keeps the generators after it, and stays the top.  When
-    the windowed differential has no entries the coset is rep alone, and
-    its top is rep's highest generator at the slab's midpoint, ties by
-    id as _Descending orders them; nothing is sorted.  Past a bound the
-    generators of rep that are no movers stay after the top, so only
-    the movers among them are compared.
+    is no mover keeps the generators after it, and stays the top.
     """
     t = log.family
     sides, inside = _window(w, t)
@@ -734,27 +756,18 @@ def track_class(h0, log, w, label="h", values_only=False):
                     movers[-1].update((g1, g2))
         bounds.append((fc.r_hi, hn, hd))
         first_seg = len(segments)
-        order, top = gens, None
+        coset, top = _coset_gens(gens, rep, d), None
         for i in range(len(bounds) - 1):
             lo, a, b = bounds[i]
             hi, c, e = bounds[i + 1]
             if not values_only or i == 0 or top in movers[i]:
                 key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
-                if values_only and not d.entries:
-                    # im(d) = 0: rep is its coset's one element, so its
-                    # highest generator is the top, and nothing is sorted;
-                    # past a bound only a mover can rise above the top
-                    top = min(movers[i].intersection(rep) if i else rep,
-                              key=key)
+                order = (_resort_runs(order, movers[i], key)
+                         if i and not values_only else sorted(coset, key=key))
+                support = _coset_minimize(ring, d, rep, order)
+                top = support[0] if support else None
+                if values_only:
                     support = None
-                else:
-                    order = (_resort_runs(order, movers[i], key)
-                             if i and not values_only
-                             else sorted(gens, key=key))
-                    support = _coset_minimize(ring, d, rep, order)
-                    top = support[0] if support else None
-                    if values_only:
-                        support = None
             if top is None:
                 if prev_top is not None:
                     raise VerificationFailed(

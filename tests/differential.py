@@ -31,12 +31,11 @@ Probe kinds:
   and 12; budget_for_heights and check_H2 (kappa 1/2 and 2, from the
   first height) on the heights of each one's trace in the wide window,
   in both directions, and on the tie [64/9, 361/36].
-* values: the values-only trace (track_class(..., values_only=True), or
-  the full sweep in a tree without that parameter) of cascades 6, 12,
-  30 and 60, and of l1 (and of l1 + l2 when l2 exists) on randgen
-  families, 150 per ring over Z2, Z and Q, in wide_window and in the
-  window (10, 200): each slab's interval, bounds, top and values, and
-  the transfers, outcome and classes.
+* values: the values-only trace (track_class(..., values_only=True)) of
+  cascades 6, 12, 30 and 60, and of l1 (and of l1 + l2 when l2 exists)
+  on randgen families, 150 per ring over Z2, Z and Q, in wide_window and
+  in the window (10, 200): each slab's interval, bounds, top and values,
+  and the transfers, outcome and classes.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
   homology of every interval's count matrix, filtered_homology at the
   interval's midpoint in wide_window and in the window (10, 200), and
@@ -54,17 +53,13 @@ Probe kinds:
   variants with one vertex's branches swapped or its declared f3
   shifted by +1/3 or by -1/2, and on one drawn randgen.mutate variant
   of each of randgen.MUTATIONS: validate_cerf's verdict and its error
-  codes and messages (a vertex-orientation finding by its code only),
-  leaving out the findings on a declared component list (COMPONENT_LIST)
-  that a tree from before the components were derived reports; and
-  evolve's outcome, ok or the error class, with each birth's column set
-  to each arc alive at the birth other than its branches.
+  codes and messages (a vertex-orientation finding by its code only);
+  and evolve's outcome, ok or the error class, with each birth's column
+  set to each arc alive at the birth other than its branches.
 
 A library probe (ladder, geometry, escape, values, homology, parse)
-records the repr of
-each result, or the class name and message of the error raised.  In a
-tree whose CerfTuple still declares its components, randgen builds each
-family with the components that tree's parser infers.
+records the repr of each result, or the class name and message of the
+error raised.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -335,12 +330,6 @@ def probe_values(work):
     from morseflow.rings import Q, Z, Z2
     from morseflow.tracker import Window, track_class, wide_window
 
-    def values_only(h, log, w):
-        try:
-            return track_class(h, log, w, values_only=True)
-        except TypeError:        # a tree with the full sweep only
-            return track_class(h, log, w)
-
     runs = []
     for n in (6, 12, 30, 60):
         t, g0, events = build_cascade(n)
@@ -363,7 +352,7 @@ def probe_values(work):
         for wl, w in windows:
             for hl, h in hs:
                 cases["values %s window %s %s" % (label, wl, hl)] = _attempt(
-                    lambda: _values(values_only(h, log, w)))
+                    lambda: _values(track_class(h, log, w, values_only=True)))
     return cases
 
 
@@ -477,13 +466,6 @@ def probe_parse(work):
     return cases
 
 
-# what validate_cerf found in a declared component list before the
-# components were derived; the dangling-arc findings among them name a
-# "component #"
-COMPONENT_LIST = {"empty-component", "chord-ends", "loop-ends", "gluing",
-                  "component-overlap", "orphan-arc"}
-
-
 def probe_cerf(work):
     import dataclasses
 
@@ -497,8 +479,7 @@ def probe_cerf(work):
         report = validate_cerf(t)
         return report.ok, [
             (f.code, None if f.code == "vertex-orientation" else f.message)
-            for f in report.errors() if f.code not in COMPONENT_LIST
-            and not f.message.startswith("component #")]
+            for f in report.errors()]
 
     def outcome(gamma0, events, t):
         try:
@@ -558,16 +539,6 @@ def _worker(src, kinds, path):
     where = os.path.dirname(os.path.abspath(morseflow.__file__))
     if os.path.dirname(where) != os.path.abspath(src):
         raise SystemExit("imported morseflow from %s, not from %s" % (where, src))
-    import dataclasses
-
-    from morseflow.cerf import CerfTuple
-    if "components" in {f.name for f in dataclasses.fields(CerfTuple)}:
-        # a tree that declares each family's components: randgen passes
-        # the ones that tree's parser infers
-        import randgen
-        from morseflow.scenario import _infer_components
-        randgen.CerfTuple = lambda arcs, vertices=(): CerfTuple(
-            arcs, _infer_components(arcs, vertices), vertices)
     got = {}
     with tempfile.TemporaryDirectory() as work:
         for kind in kinds:

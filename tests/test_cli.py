@@ -175,6 +175,16 @@ class TestReports:
     def test_rabinowitz_needs_section(self, capsys):
         assert main(["rabinowitz", "slide"]) == 1
 
+    def test_rabinowitz_on_a_form_homotopy_that_does_not_move(
+            self, tmp_path, capsys):
+        # nothing moves, so the class is invariant with no growth bound
+        p = write(tmp_path, "still.scn",
+                  "[arcs]\nc1 : (0, 1) (1, 1)\n\n[rabinowitz]\nh_sup = 1\n"
+                  "c = 1\ntheta = 0\neta_rate = 1\n")
+        assert main(["rabinowitz", p]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: invariant" in out and "growth bound" not in out
+
 
     ROOT_TIE = """
 [arcs]

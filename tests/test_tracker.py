@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import gc
@@ -82,10 +83,15 @@ def reference_slabs(log, w, reached):
     return out
 
 
-def assert_sweep_matches_reference(h0, log, w):
-    """track_class's slab bounds and per-slab orders equal reference_slabs,
-    and its trace equals the one from per-slab sorting and reference
-    crossings; returns the trace."""
+def assert_sweep_matches_reference(h0, log, w, kinds=None):
+    """track_class's slab bounds equal reference_slabs; on each slab it
+    orders the reference order cut to the generators that the interval's
+    representative (trace.classes) or windowed differential holds, and
+    its support is _coset_minimize's on the whole reference order; and
+    its trace equals the one from per-slab sorting and reference
+    crossings.  Returns the trace.  kinds, a Counter, counts the reached
+    intervals whose windowed differential is empty ("empty") and those
+    with an in-window generator that nothing holds ("untouched")."""
     orders = []
     minimize = tracker._coset_minimize
 
@@ -94,10 +100,21 @@ def assert_sweep_matches_reference(h0, log, w):
         return minimize(ring, d, rep, order)
     with mock.patch.object(tracker, "_coset_minimize", spy):
         trace = track_class(h0, log, w)
-    got = [(s.interval_index, s.r_lo, s.r_hi, order)
-           for s, order in zip(trace.segments, orders)]
     assert len(orders) == len(trace.segments)
-    assert got == reference_slabs(log, w, {s.interval_index for s in trace.segments})
+    ref = reference_slabs(log, w, {s.interval_index for s in trace.segments})
+    assert [(s.interval_index, s.r_lo, s.r_hi) for s in trace.segments] == [
+        slab[:3] for slab in ref]
+    reps = {c.interval_index: dict(c.representative) for c in trace.classes}
+    counted = set()
+    for s, order, (i, _, _, full) in zip(trace.segments, orders, ref):
+        d = log.intervals[i].gamma.restrict(full)
+        held = set(reps[i]).union(*d.entries)
+        assert order == [g for g in full if g in held]
+        assert s.support == minimize(log.ring, d, reps[i], full)
+        if kinds is not None and i not in counted:
+            counted.add(i)
+            kinds["empty"] += not d.entries
+            kinds["untouched"] += len(held) < len(full)
 
     def sort_every_slab(order, movers, key):
         return sorted(order, key=key)
@@ -735,10 +752,22 @@ class TestSpectralValue:
             order = oracles.descending_order(t, gens, r)
             d = fc.gamma.restrict(gens)
             rows = [[d.entry(g, c) for c in order] for g in order]
+            # spectral_value orders only what the class or d holds, and
+            # its support is the one on the whole order
+            held = set().union(*d.entries)
+            minimize = tracker._coset_minimize
             for g in order:
                 if any(rows[order.index(g)]):
                     continue             # not a cycle
-                sv = spectral_value({g: 1}, r, log, WIDE_Z)
+                orders = []
+
+                def spy(ring, d_, rep, order_):
+                    orders.append(list(order_))
+                    return minimize(ring, d_, rep, order_)
+                with mock.patch.object(tracker, "_coset_minimize", spy):
+                    sv = spectral_value({g: 1}, r, log, WIDE_Z)
+                assert orders == [[x for x in order if x == g or x in held]]
+                assert sv.support == minimize(Z, d, {g: 1}, order)
                 lead = oracles.z_least_lead([int(x == g) for x in order], rows)
                 assert sv.certified
                 assert sv.top == (order[lead] if lead < len(order) else None)
@@ -1000,6 +1029,19 @@ class TestTrackClass:
         w = Window.constant(10, 200) if tier else wide_window(sc.family)
         trace = assert_sweep_matches_reference({"l1": 1}, log, w)
         assert trace.segments
+
+    def test_random_families_reach_both_kinds_of_interval(self):
+        # the randgen cases above meet intervals whose windowed
+        # differential is empty and intervals with an in-window generator
+        # that neither the class nor the differential holds
+        kinds = collections.Counter()
+        for seed, ring, tier in itertools.product(range(6), (Z2, Z),
+                                                  (False, True)):
+            sc = randgen.random_scenario(random.Random(seed), ring)
+            log = evolve(sc.gamma0, sc.events, sc.family)
+            w = Window.constant(10, 200) if tier else wide_window(sc.family)
+            assert_sweep_matches_reference({"l1": 1}, log, w, kinds)
+        assert kinds["empty"] > 0 and kinds["untouched"] > 0
 
     @pytest.mark.parametrize("n", [0, 1, 4, 7])
     def test_cascade_slabs_match_per_interval_crossings(self, n):
