@@ -2,14 +2,23 @@
 
 Contents: ungraded homology of a square differential (kernel modulo image,
 computed in the row-vector convention of matrix.py), chain map and chain
-homotopy verification, and one elimination for every ring: ordered_echelon,
-an order-respecting echelon form built by reduce_against (over the
-integers, a basis of the row lattice).  Ranks, cycle bases
+homotopy verification, and one elimination rule for every ring:
+ordered_echelon, an order-respecting echelon form built by reduce_against
+(over the integers, a basis of the row lattice).  Ranks, cycle bases
 (left_kernel_basis), least coset representatives and the invariant factors
 of the Smith form all come from it; integer homology reads its torsion off
 the boundary echelon's invariant factors, and skips that Smith pass when
 every pivot is a unit, which proves there is no torsion (see homology).
 A matrix keeps its homology: homology computes it once per matrix.
+
+Over Z2, homology and the coset reduction (tracker._coset_minimize) run
+that rule on bit rows: each row is an int built from the sparse entries,
+bit i standing for position i of the order, and _bit_echelon eliminates
+by XOR with ordered_echelon's pivot rule, the first nonzero position
+being the lowest set bit.  It keeps the same vectors at the same pivots,
+so ranks and supports are those of ordered_echelon.  Z and Q, and over
+every ring the ladder's cycle bases and leg ranks (left_kernel_basis,
+tracker._induced_rank), run ordered_echelon on dense lists.
 
 Everything is exact; no floating point enters this module.
 """
@@ -19,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatch, NotADifferential
 from .matrix import SparseMatrix
-from .rings import Z, Ring
+from .rings import Z, Z2, Ring
 
 
 def invariant_factors(rows: List[List[int]]) -> List[int]:
@@ -96,6 +105,9 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     basis, so the r x r minors have gcd 1; the product d1 ... dr of the
     invariant factors is that gcd, so every di is 1.
 
+    Over Z2 the rows of the transpose are bit rows (_bit_echelon), each
+    built from the matrix's entries, and the rank is their pivot count.
+
     The result is kept on the matrix (matrix.py) and returned by every
     later call on it; a call that raises keeps nothing.
     """
@@ -111,13 +123,24 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     # the nonzero rows of the transposed matrix: T x = 0 is the cycle
     # condition
     hit = {c for _, c in boundary.entries}
-    pivots = ordered_echelon(ring, boundary.transpose().to_dense(
-        [c for c in order if c in hit], order))
-    torsion = () if ring.is_field() or all(
-        v[p] in (1, -1) for p, v in pivots.items()) else tuple(
-        d for d in invariant_factors(list(pivots.values())) if d > 1)
+    rows = [c for c in order if c in hit]
+    if ring is Z2:
+        # row c of the transpose as a bit row: bit i is order[i]; an
+        # empty matrix has no row to build
+        bit = {g: 1 << i for i, g in enumerate(order)} if hit else {}
+        mask = dict.fromkeys(hit, 0)
+        for r, c in boundary.entries:
+            mask[c] |= bit[r]
+        rank, torsion = len(_bit_echelon([mask[c] for c in rows])[0]), ()
+    else:
+        pivots = ordered_echelon(ring, boundary.transpose().to_dense(
+            rows, order))
+        rank = len(pivots)
+        torsion = () if ring.is_field() or all(
+            v[p] in (1, -1) for p, v in pivots.items()) else tuple(
+            d for d in invariant_factors(list(pivots.values())) if d > 1)
     boundary._homology = res = HomologyResult(
-        ring.name, len(order) - 2 * len(pivots), torsion)
+        ring.name, len(order) - 2 * rank, torsion)
     return res
 
 
@@ -130,7 +153,7 @@ def is_chain_map(a: SparseMatrix, d_from: SparseMatrix, d_to: SparseMatrix) -> b
     """
     if not d_from.is_square() or not d_to.is_square():
         raise DimensionMismatch("differentials must be square")
-    if set(a.rows) != set(d_from.rows) or set(a.cols) != set(d_to.rows):
+    if a._row_set != d_from._row_set or a._col_set != d_to._row_set:
         raise DimensionMismatch("map does not connect the two complexes")
     return d_from.mul(a) == a.mul(d_to)
 
@@ -139,7 +162,8 @@ def is_chain_homotopy(d: SparseMatrix, h: SparseMatrix, lhs: SparseMatrix) -> bo
     """True iff d . h + h . d equals lhs, all on one generator set."""
     if not d.is_square() or not h.is_square():
         raise DimensionMismatch("homotopy data must be square")
-    if set(d.rows) != set(h.rows) or set(lhs.rows) != set(d.rows) or not lhs.is_square():
+    if (d._row_set != h._row_set or lhs._row_set != d._row_set
+            or not lhs.is_square()):
         raise DimensionMismatch("index sets differ")
     return d.mul(h).add(h.mul(d)) == lhs
 
@@ -192,15 +216,18 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
     The entries of vec must already be elements of ring, as ring.coerce
     and the ring's operations return them; they are not coerced again.
     """
-    v, zero = list(vec), ring.zero
+    v, zero, field = list(vec), ring.zero, ring.is_field()
+    top = 0
     while True:
-        top = next((i for i, x in enumerate(v) if x != zero), None)
+        # a pivot row is zero before its pivot, so a step leaves the
+        # entries before top zero: the scan resumes at top
+        top = next((i for i in range(top, len(v)) if v[i] != zero), None)
         if top is None:
             return v, None
         b = pivots.get(top)
         if b is None:
             return v, top
-        if ring.is_field():
+        if field:
             f = ring.mul(v[top], ring.invert(b[top]))
             v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, b)]
         else:
@@ -208,6 +235,35 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
                 return v, top
             q = v[top] // b[top]
             v = [x - q * y for x, y in zip(v, b)]
+
+
+def _bit_echelon(rows, vec=0):
+    """ordered_echelon(Z2, rows) and reduce_against of vec, on bit rows.
+
+    A vector over Z2 is an int whose bit i is its entry at position i of
+    the order, so its first nonzero position is its lowest set bit, and
+    subtracting a multiple of a pivot row is XOR with it.  Each row is
+    reduced while its lowest set bit has a pivot and kept at that bit,
+    as ordered_echelon keeps it: the returned {pivot position: mask}
+    holds the masks of ordered_echelon's vectors at the same positions.
+    vec is then reduced the same way, as reduce_against does.  Returns
+    (pivots, reduced vec).
+    """
+    pivots = {}
+    for v in rows:
+        while v:
+            p = (v & -v).bit_length() - 1
+            b = pivots.get(p)
+            if b is None:
+                pivots[p] = v
+                break
+            v ^= b
+    while vec:
+        b = pivots.get((vec & -vec).bit_length() - 1)
+        if b is None:
+            break
+        vec ^= b
+    return pivots, vec
 
 
 def left_kernel_basis(mat: SparseMatrix, order: List) -> List[List]:

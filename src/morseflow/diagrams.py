@@ -122,18 +122,22 @@ def trace_svg(trace):
     fr = _Frame(_TRACE_SIZE, lo, hi)
     body = fr.axes(lo, hi)
     floor = fr.h - fr.mb - 4
+    # consecutive slabs share a bound, and a carried top its value: each
+    # object is converted to a coordinate once
+    r_hi = rho_hi = x2 = y2 = None
     for seg in trace.segments:
-        x1, x2 = fr.x(seg.r_lo), fr.x(seg.r_hi)
+        x1 = x2 if seg.r_lo is r_hi else _fmt(fr.x(seg.r_lo))
+        r_hi, x2 = seg.r_hi, _fmt(fr.x(seg.r_hi))
         if seg.top is None:
             body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                         'stroke="#aaaaaa" stroke-dasharray="2 3" '
                         'stroke-width="2"/>'
-                        % (_fmt(x1), _fmt(floor), _fmt(x2), _fmt(floor)))
+                        % (x1, _fmt(floor), x2, _fmt(floor)))
             continue
+        y1 = y2 if seg.rho_lo is rho_hi else _fmt(fr.y(seg.rho_lo))
+        rho_hi, y2 = seg.rho_hi, _fmt(fr.y(seg.rho_hi))
         body.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#1f77b4" '
-                    'stroke-width="2"/>'
-                    % (_fmt(x1), _fmt(fr.y(seg.rho_lo)),
-                       _fmt(x2), _fmt(fr.y(seg.rho_hi))))
+                    'stroke-width="2"/>' % (x1, y1, x2, y2))
     segs = trace.segments
     for r, old_top, new_top in trace.transfers:
         # the slabs are contiguous, so r_lo increases: the first at r

@@ -16,6 +16,17 @@ already nonzero ring elements inside index sets the operands fixed.
 Restriction and the identity still reject duplicate identifiers, and a
 sum or difference drops the entries that cancel.
 
+Coercion happens once per result entry.  A product, sum, difference or
+scaling adds up each entry of its result in the plain arithmetic of the
+operands' elements (int over Z2 and Z, Fraction over Q), coerces that
+sum into the ring once and drops it if it is zero, as vec_apply does for
+a chain; the ring's add, sub and mul methods are not called per term.
+Reducing mod 2 commutes with sums and products, and Z and Q are exact,
+so each entry is the one the ring's operations would give.  A product
+walks self's entries once, so its entries may come in another order
+than an operand's.  Nothing reads that order: items() and the scenario
+writer sort, and == and hash() compare the entries as a mapping.
+
 A matrix keeps its homology.  algebra.homology stores its result in the
 private slot _homology the first time a matrix is asked, and returns
 that object on every later call; a call that raises stores nothing.
@@ -25,6 +36,7 @@ the public constructor builds, and every result of an operation,
 whatever its operands keep.
 """
 
+import operator
 from typing import Dict, Iterable
 
 from .errors import DimensionMismatch
@@ -126,13 +138,14 @@ class SparseMatrix:
                                     self._row_set, self._col_set, entries)
 
     def _combine(self, other, op):
-        """Entrywise op of two matrices of one shape, cancelled entries dropped."""
+        """Entrywise op (operator.add or operator.sub) of two matrices of
+        one shape: each entry other touches is summed in plain arithmetic
+        and coerced once, and the entries that cancel are dropped."""
         self._check_same_shape(other)
         ent = dict(self.entries)
-        rg = self.ring
-        zero = rg.zero
+        coerce, zero = self.ring.coerce, self.ring.zero
         for k, v in other.entries.items():
-            x = op(ent.get(k, zero), v)
+            x = coerce(op(ent.get(k, 0), v))
             if x != zero:
                 ent[k] = x
             else:
@@ -140,18 +153,18 @@ class SparseMatrix:
         return self._like(ent)
 
     def add(self, other):
-        return self._combine(other, self.ring.add)
+        return self._combine(other, operator.add)
 
     def sub(self, other):
-        return self._combine(other, self.ring.sub)
+        return self._combine(other, operator.sub)
 
     def scale(self, k):
         rg = self.ring
-        k = rg.coerce(k)
-        zero = rg.zero
+        coerce, zero = rg.coerce, rg.zero
+        k = coerce(k)
         ent = {}
         for key, v in self.entries.items():
-            x = rg.mul(k, v)
+            x = coerce(k * v)
             if x != zero:
                 ent[key] = x
         return self._like(ent)
@@ -160,7 +173,10 @@ class SparseMatrix:
         return self.scale(-1)
 
     def mul(self, other):
-        """Matrix product; self.cols must equal other.rows as a set."""
+        """Matrix product; self.cols must equal other.rows as a set.
+
+        One walk over self's entries: each term adds v * w to the plain
+        sum of its result entry, and each sum is coerced once."""
         if self.ring is not other.ring:
             raise DimensionMismatch("mixed coefficient rings")
         if self._col_set != other._row_set:
@@ -169,22 +185,21 @@ class SparseMatrix:
         if not self.entries or not other.entries:
             return SparseMatrix._result(rg, self.rows, other.cols,
                                         self._row_set, other._col_set, {})
-        by_row = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, []).append((c, v))
         other_rows = {}
         for (r, c), v in other.entries.items():
             other_rows.setdefault(r, []).append((c, v))
-        zero, add, times = rg.zero, rg.add, rg.mul
+        sums = {}
+        get = sums.get
+        for (r, mid), v in self.entries.items():
+            for c, w in other_rows.get(mid, ()):
+                k = (r, c)
+                sums[k] = get(k, 0) + v * w
+        coerce, zero = rg.coerce, rg.zero
         ent = {}
-        for r, terms in by_row.items():
-            acc = {}
-            for mid, v in terms:
-                for c, w in other_rows.get(mid, ()):
-                    acc[c] = add(acc.get(c, zero), times(v, w))
-            for c, total in acc.items():
-                if total != zero:
-                    ent[(r, c)] = total
+        for k, total in sums.items():
+            x = coerce(total)
+            if x != zero:
+                ent[k] = x
         return SparseMatrix._result(rg, self.rows, other.cols,
                                     self._row_set, other._col_set, ent)
 

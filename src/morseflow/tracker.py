@@ -81,14 +81,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (homology, left_kernel_basis, ordered_echelon,
-                      reduce_against)
+from .algebra import (_bit_echelon, homology, left_kernel_basis,
+                      ordered_echelon, reduce_against)
 from .bifurcation import HandleSlide, _triangularity_violations
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import vec_apply
 from .piecewise import (Piecewise, _apart, _range, _ratio_at, _walk,
                         crossings, frac)
+from .rings import Z2
 
 NEG_INF = float("-inf")
 
@@ -368,10 +369,23 @@ def _coset_minimize(ring, d, rep, order):
     at p0 if p0 < l, at l if p0 > l, and also at l if p0 = l, since
     v[l] + c_l b_l[l] != 0 when b_l[l] does not divide v[l].  So no
     element of the coset leads below l, and greedy is tight.
+
+    Over Z2 the same elimination runs on bit rows (algebra._bit_echelon),
+    each built from d's entries with bit i for order[i]: the pivots and
+    the reduced vector are those of the dense lists, so is the support.
     """
     zero = ring.zero
     if not d.entries:        # im(d) = 0: rep is its coset's only element
         return tuple(g for g in order if rep.get(g, zero) != zero)
+    if ring is Z2:
+        bit = {g: 1 << i for i, g in enumerate(order)}
+        rows = {}
+        for g, c in d.entries:
+            rows[g] = rows.get(g, 0) | bit[c]
+        _, reduced = _bit_echelon(
+            [rows[g] for g in order if g in rows],
+            sum(bit[g] for g, v in rep.items() if v))
+        return tuple(g for g in order if reduced & bit[g])
     pos = {g: i for i, g in enumerate(order)}
     n = len(order)
     vec = [zero] * n
@@ -629,16 +643,24 @@ class SpectralTrace:
         A values-only trace has no supports to print: ValueError."""
         lines = ["r_lo\tr_hi\trho_lo\trho_hi\ttop\tsupport"]
         marks = {r: (a, b) for r, a, b in self.transfers}
+        # a slab starts at the bound the last one ended on, and a carried
+        # top at the very value it ended on: each object is written once
+        hi = rho = None
+        hi_text = rho_text = ""
         for s in self.segments:
             if s.support is None:
                 raise ValueError("a values-only trace has no supports")
             if s.r_lo in marks:
                 a, b = marks[s.r_lo]
                 lines.append("# transfer at r=%s: %s -> %s" % (s.r_lo, a, b))
-            lines.append("%s\t%s\t%s\t%s\t%s\t%s" % (
-                s.r_lo, s.r_hi, s.rho_lo, s.rho_hi,
-                s.top if s.top is not None else "-",
-                "+".join(str(g) for g in s.support) or "-"))
+            lo_text = hi_text if s.r_lo is hi else str(s.r_lo)
+            rho_lo_text = rho_text if s.rho_lo is rho else str(s.rho_lo)
+            hi, hi_text = s.r_hi, str(s.r_hi)
+            rho, rho_text = s.rho_hi, str(s.rho_hi)
+            lines.append("\t".join((
+                lo_text, hi_text, rho_lo_text, rho_text,
+                "-" if s.top is None else str(s.top),
+                "+".join(map(str, s.support)) or "-")))
         lines.append("# outcome: %s" % self.outcome)
         return "\n".join(lines)
 

@@ -41,8 +41,9 @@ Probe kinds:
   interval's midpoint in wide_window and in the window (10, 200), and
   the count matrix's homology asked again after those, which a kept
   result that went stale would change; and homology of
-  randgen.conjugated_block's integer differentials at n = 10, 20 and 30,
-  seeds 1-3, each asked twice.
+  randgen.conjugated_block's differentials over Z at n = 10, 20 and 30,
+  and over Z2 at n = 10, 30 and 70 (past 64 generators), seeds 1-3,
+  each asked twice.
 * parse: _rational on a fixed list of literals, in the form
   serialize_scenario writes and in every other form (decimals,
   exponents, signs, leading zeros, spaces, underscores, non-ASCII
@@ -56,8 +57,14 @@ Probe kinds:
   codes and messages (a vertex-orientation finding by its code only);
   and evolve's outcome, ok or the error class, with each birth's column
   set to each arc alive at the birth other than its branches.
+* coset: on randgen families, 100 per ring over Z2, Z and Q, at every
+  interval midpoint in wide_window and in the window (10, 200), the
+  support _coset_minimize returns for the windowed differential, under
+  the descending order and two drawn orders of the in-window
+  generators, and three drawn representatives (any chain on them, not
+  only cycles).
 
-A library probe (ladder, geometry, escape, values, homology, parse)
+A library probe (ladder, geometry, escape, values, homology, parse, coset)
 records the repr of each result, or the class name and message of the
 error raised.
 
@@ -380,14 +387,54 @@ def probe_homology(work):
                     cases["%s window %s" % (key, wl)] = _attempt(
                         lambda: filtered_homology(t, fc, fc.midpoint(), w))
                 cases[key + " again"] = _attempt(lambda: homology(fc.gamma))
-    for n in (10, 20, 30):
-        for seed in (1, 2, 3):
-            d = randgen.conjugated_block(random.Random(seed), n)[1]
-            ids = ["g%02d" % i for i in range(n)]
-            m = SparseMatrix.from_rows(Z, ids, ids, d)
-            key = "homology conjugated block n=%d seed %d" % (n, seed)
-            cases[key] = _attempt(lambda: homology(m))
-            cases[key + " again"] = _attempt(lambda: homology(m))
+    for ring, sizes, name in ((Z, (10, 20, 30), ""), (Z2, (10, 30, 70), "Z2 ")):
+        for n in sizes:
+            for seed in (1, 2, 3):
+                d = randgen.conjugated_block(random.Random(seed), n)[1]
+                ids = ["g%02d" % i for i in range(n)]
+                m = SparseMatrix.from_rows(ring, ids, ids, d)
+                key = "homology %sconjugated block n=%d seed %d" % (
+                    name, n, seed)
+                cases[key] = _attempt(lambda: homology(m))
+                cases[key + " again"] = _attempt(lambda: homology(m))
+    return cases
+
+
+def probe_coset(work):
+    import oracles
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import Window, _coset_minimize, wide_window
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        values = [1] if ring is Z2 else [-3, -2, -1, 1, 2, 3] + (
+            [F(1, 2), F(-2, 3)] if ring is Q else [])
+        for seed in range(100):
+            rng = random.Random("coset %s/%d" % (ring.name, seed))
+            sc = randgen.random_scenario(rng, ring)
+            t = sc.family
+            windows = [("wide", wide_window(t)),
+                       ("(10, 200)", Window.constant(10, 200))]
+            for fc in evolve(sc.gamma0, sc.events, t).intervals:
+                r = fc.midpoint()
+                for wl, w in windows:
+                    gens = oracles.in_window_at(t, w, r)
+                    d = fc.gamma.restrict(gens)
+                    orders = [("descending", oracles.descending_order(
+                        t, gens, r))]
+                    orders += [("drawn %d" % k, rng.sample(gens, len(gens)))
+                               for k in range(2)]
+                    reps = [{g: rng.choice(values) for g in rng.sample(
+                        gens, rng.randint(0, len(gens)))} for _ in range(3)]
+                    for ol, order in orders:
+                        for k, rep in enumerate(reps):
+                            cases["coset %s seed %d interval %d window %s "
+                                  "%s rep %d" % (ring.name, seed,
+                                                 fc.interval_index, wl, ol,
+                                                 k)] = _attempt(
+                                lambda: _coset_minimize(ring, d, rep, order))
     return cases
 
 
@@ -529,7 +576,8 @@ def probe_cerf(work):
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
           "escape": probe_escape, "values": probe_values, "cerf": probe_cerf,
-          "homology": probe_homology, "parse": probe_parse}
+          "homology": probe_homology, "parse": probe_parse,
+          "coset": probe_coset}
 
 
 def _worker(src, kinds, path):

@@ -1,6 +1,8 @@
 """Exact linear algebra: rings, sparse matrices, Smith form, homology."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from morseflow.tracker import (INSIDE, Window, filtered_homology,
 
 from fixtures import within
 from oracles import (determinantal_divisors, homology_by_elimination,
-                     top_determinantal_divisors, z2_apply, z2_cycles,
+                     matmul, top_determinantal_divisors, z2_apply, z2_cycles,
                      z2_homology_rank, z2_matrix_to_rowmasks)
 
 
@@ -160,6 +162,51 @@ def test_operation_results_equal_their_validated_rebuild(data, ring, n, k):
         _same_as_revalidated(m)
     assert a.add(b).sub(b) == a and a.sub(a).is_zero()
     assert a.transpose().transpose() == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([Z2, Z, Q]),
+       n=st.integers(0, 4), m=st.integers(0, 4), k=st.integers(0, 4))
+def test_operations_equal_dense_references(data, ring, n, m, k):
+    """mul, add, sub and scale equal oracles.matmul and the entrywise
+    sums, differences and multiples of the dense operands, coerced into
+    the ring: entries that cancel are dropped, and every entry kept is
+    an int over Z2 and Z and a Fraction over Q.  b repeats a drawn part
+    of a's entries, negated or not, so sums and differences cancel, and
+    so do the terms of an entry of a times b's transpose."""
+    rows = ["r%d" % i for i in range(n)]
+    mids = ["m%d" % i for i in range(m)]
+    cols = ["c%d" % j for j in range(k)]
+    a = data.draw(_matrix(ring, rows, mids), label="a")
+    drawn = data.draw(_matrix(ring, rows, mids), label="b")
+    shared = data.draw(st.lists(st.sampled_from(sorted(a.entries)),
+                                unique=True) if a.entries else st.just([]))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(shared),
+                               max_size=len(shared)))
+    b = SparseMatrix(ring, rows, mids, {**drawn.entries, **{
+        key: sign * a.entries[key] for key, sign in zip(shared, signs)}})
+    c = data.draw(_matrix(ring, mids, cols), label="c")
+    scalar = data.draw(_RING_VALUES[ring.name], label="scalar")
+    da, db, dc = a.to_dense(), b.to_dense(), c.to_dense()
+
+    def product(x, y, width):
+        return matmul(x, y) if x and y and width else [[0] * width for _ in x]
+    s = ring.coerce(scalar)
+    expected = [
+        (a.mul(c), product(da, dc, k)),
+        (a.mul(b.transpose()), product(da, b.transpose().to_dense(), n)),
+        (a.add(b), [[x + y for x, y in zip(u, v)] for u, v in zip(da, db)]),
+        (a.sub(b), [[x - y for x, y in zip(u, v)] for u, v in zip(da, db)]),
+        (a.scale(scalar), [[s * x for x in u] for u in da]),
+        (a.neg(), [[-x for x in u] for u in da]),
+    ]
+    kind = Fraction if ring is Q else int
+    for got, dense in expected:
+        want = {(r, col): ring.coerce(x)
+                for r, row in zip(got.rows, dense)
+                for col, x in zip(got.cols, row) if ring.coerce(x) != 0}
+        assert got.entries == want
+        assert all(type(x) is kind for x in got.entries.values())
 
 
 class TestSmithNormalForm:
@@ -583,6 +630,52 @@ class TestChainMaps:
             is_chain_map(SparseMatrix.identity(Z2, d.rows), d, other)
 
 
+def _scan_from_zero(ring, vec, pivots):
+    """reduce_against as it was first written: every step scans vec for
+    its first nonzero entry from position 0."""
+    v, zero = list(vec), ring.zero
+    while True:
+        top = next((i for i, x in enumerate(v) if x != zero), None)
+        if top is None:
+            return v, None
+        b = pivots.get(top)
+        if b is None:
+            return v, top
+        if ring.is_field():
+            f = ring.mul(v[top], ring.invert(b[top]))
+            v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, b)]
+        else:
+            if v[top] % b[top] != 0:
+                return v, top
+            q = v[top] // b[top]
+            v = [x - q * y for x, y in zip(v, b)]
+
+
+def _bits(v):
+    """A Z2 vector as a bit row: bit i is its entry at position i."""
+    return sum(1 << i for i, x in enumerate(v) if x)
+
+
+@st.composite
+def _z2_rows(draw):
+    """(n, rows, vec): bit rows of n <= 70 columns, so that masks cross
+    64 bits, some of them sums of earlier ones so that rows reduce to
+    zero, and one more vector to reduce."""
+    n = draw(st.integers(0, 70), label="columns")
+    row = st.one_of(
+        st.integers(0, 2 ** n - 1),
+        st.sets(st.integers(0, max(n - 1, 0)), max_size=4).map(
+            lambda ps: sum(1 << p for p in ps) & (2 ** n - 1)))
+    rows = draw(st.lists(row, max_size=10), label="rows")
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            picked = draw(st.lists(st.sampled_from(rows), max_size=3))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        functools.reduce(operator.xor, picked, 0))
+    vec = draw(st.one_of(row, st.sampled_from(rows) if rows else row))
+    return n, rows, vec
+
+
 class TestOrderedEchelon:
     def test_field_reduction(self):
         piv = ordered_echelon(Z2, [[1, 1, 0], [1, 0, 1]])
@@ -607,6 +700,32 @@ class TestOrderedEchelon:
         for v in vecs:
             _, blocked = reduce_against(Z, v, piv)
             assert blocked is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_z2_rows())
+    def test_bit_rows_match_ordered_echelon(self, drawn):
+        """_bit_echelon keeps ordered_echelon(Z2, .)'s vectors at its
+        pivot positions, and reduces a vector as reduce_against does."""
+        n, rows, vec = drawn
+        dense = [[m >> i & 1 for i in range(n)] for m in rows]
+        want = ordered_echelon(Z2, dense)
+        pivots, reduced = algebra._bit_echelon(rows, vec)
+        assert pivots == {p: _bits(v) for p, v in want.items()}
+        v, _ = reduce_against(Z2, [vec >> i & 1 for i in range(n)], want)
+        assert reduced == _bits(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ring=st.sampled_from([Z2, Z, Q]),
+           n=st.integers(0, 8))
+    def test_resumed_scan_matches_scan_from_zero(self, data, ring, n):
+        """reduce_against resumes its scan at the last top; it returns
+        what a scan from position 0 on every step returns."""
+        entry = _RING_VALUES[ring.name].map(ring.coerce)
+        vector = st.lists(entry, min_size=n, max_size=n)
+        pivots = ordered_echelon(ring, data.draw(st.lists(vector, max_size=6)))
+        vec = data.draw(vector)
+        assert reduce_against(ring, vec, pivots) == _scan_from_zero(
+            ring, vec, pivots)
 
 
 class TestLeftKernelBasis:

@@ -1,9 +1,10 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario, values, cerf, homology and parse probes run
-here, to keep the check short.
+Only its bundled-scenario, values, cerf, homology, parse and coset probes
+run here, to keep the check short.
 """
 
+import re
 import shutil
 
 import differential
@@ -107,6 +108,51 @@ def test_a_planted_homology_without_its_last_row_shows(tmp_path):
                                                 ["homology"])
     assert 0 < differ < cases
     assert lines[0] == "homology: %d cases, %d differ" % (cases, differ)
+
+
+def _planted_bit_echelon(tmp_path, good, bad):
+    """A copy of src whose algebra._bit_echelon has good replaced by bad,
+    and the comparison of its coset and homology probes with src's."""
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    algebra = tmp_path / "src" / "morseflow" / "algebra.py"
+    text = algebra.read_text(encoding="utf-8")
+    assert text.count(good) == 1
+    algebra.write_text(text.replace(good, bad), encoding="utf-8")
+    return differential.compare(src, differential.SRC, ["coset", "homology"])
+
+
+def _counts(lines):
+    """{kind: (cases, differing cases)} from compare's report lines."""
+    found = (re.fullmatch(r"(\w+): (\d+) cases, (\d+) differ", line)
+             for line in lines)
+    return {m[1]: (int(m[2]), int(m[3])) for m in found if m}
+
+
+def test_a_planted_bit_reduction_shows_in_the_coset_and_homology_probes(
+        tmp_path):
+    # a bit elimination that clears only a row's lowest bit, instead of
+    # adding the pivot row there, loses or gains pivots: wrong Z2 ranks
+    # and wrong Z2 supports
+    lines = _planted_bit_echelon(tmp_path, "v ^= b", "v ^= v & -v")[0]
+    counts = _counts(lines)
+    assert set(counts) == {"coset", "homology"}
+    assert all(0 < bad < n for n, bad in counts.values())
+    shown = [line.strip() for line in lines if line.startswith("  ")
+             and not line.startswith("    ")]
+    assert any(line.startswith("coset Z2 ") for line in shown)
+    assert any(line.startswith("homology Z2 ") for line in shown)
+
+
+def test_a_planted_highest_bit_pivot_shows_in_the_coset_probe(tmp_path):
+    # pivots at the highest set bit echelonize in the reversed order: the
+    # rank, and so every homology, is kept, but supports lead wrongly
+    lines = _planted_bit_echelon(
+        tmp_path, "p = (v & -v).bit_length() - 1", "p = v.bit_length() - 1")[0]
+    counts = _counts(lines)
+    assert 0 < counts["coset"][1] < counts["coset"][0]
+    assert counts["homology"][1] == 0
 
 
 def test_a_planted_reader_that_loses_a_sign_shows_in_the_parse_probe(

@@ -806,6 +806,55 @@ class TestSpectralValue:
         assert sv.value == want
 
 
+def dense_coset_minimize(ring, d, rep, order):
+    """_coset_minimize's elimination on dense rows, over any ring:
+    reduce_against of rep against ordered_echelon of d's rows, taken in
+    order, as the Z and Q paths run it."""
+    zero = ring.zero
+    rows = [[d.entries.get((g, c), zero) for c in order] for g in order
+            if any((g, c) in d.entries for c in order)]
+    reduced, _ = algebra.reduce_against(
+        ring, [rep.get(g, zero) for g in order],
+        algebra.ordered_echelon(ring, rows))
+    return tuple(g for g, x in zip(order, reduced) if x != zero)
+
+
+class TestBitCoset:
+    """Over Z2 _coset_minimize eliminates on bit rows; its supports are
+    those of the dense elimination."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_intervals_under_drawn_orders(self, seed, data):
+        sc = randgen.random_scenario(random.Random(seed), Z2)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        for fc in log.intervals:
+            for w in (WIDE_Z, Window.constant(10, 200)):
+                gens = oracles.in_window_at(sc.family, w, fc.midpoint())
+                d = fc.gamma.restrict(gens)
+                order = data.draw(st.permutations(gens), label="order")
+                rep = {g: 1 for g in data.draw(
+                    st.lists(st.sampled_from(gens), unique=True)
+                    if gens else st.just([]), label="rep")}
+                assert tracker._coset_minimize(Z2, d, rep, order) == \
+                    dense_coset_minimize(Z2, d, rep, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_past_64_generators(self, data):
+        """Up to 70 generators, so that bit rows cross 64 bits."""
+        n = data.draw(st.integers(1, 70), label="generators")
+        gens = ["g%02d" % k for k in range(n)]
+        pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+        d = SparseMatrix(Z2, gens, gens, dict.fromkeys(
+            data.draw(st.lists(pairs, max_size=3 * n), label="d"), 1))
+        rep = dict.fromkeys(data.draw(
+            st.lists(st.sampled_from(gens), unique=True), label="rep"), 1)
+        order = data.draw(st.permutations(gens), label="order")
+        assert tracker._coset_minimize(Z2, d, rep, order) == \
+            dense_coset_minimize(Z2, d, rep, order)
+
+
 class TestFullHomology:
     def test_ladder_stabilizes(self):
         t, log = three_lane_log()
@@ -921,13 +970,15 @@ class TestFullHomology:
         window once (2k - 1), echelonizes once per homology, once per
         intermediate cycle basis and once per leg rank (5k - 4 over Z2),
         and multiplies out no chain map: gamma1 makes the legs chain
-        maps."""
+        maps.  Each homology (2k - 1) eliminates on bit rows, the cycle
+        bases and leg ranks (3k - 3) through ordered_echelon."""
         sc = randgen.random_scenario(random.Random(0), Z2)
         log = evolve(sc.gamma0, sc.events, sc.family)
         r = log.intervals[0].midpoint()
         ladder = [Window.constant(self.LEVELS[4 - j], self.LEVELS[5 + j])
                   for j in range(k)]
-        calls = {"restrict": 0, "ordered_echelon": 0, "is_chain_map": 0}
+        calls = {"restrict": 0, "ordered_echelon": 0, "_bit_echelon": 0,
+                 "is_chain_map": 0}
 
         def counted(name, fn):
             def spy(*args, **kwargs):
@@ -937,14 +988,16 @@ class TestFullHomology:
         monkeypatch.setattr(SparseMatrix, "restrict",
                             counted("restrict", SparseMatrix.restrict))
         for name, modules in (("ordered_echelon", (algebra, tracker)),
+                              ("_bit_echelon", (algebra, tracker)),
                               ("is_chain_map", (algebra, bifurcation))):
             spy = counted(name, getattr(algebra, name))
             for module in modules:
                 monkeypatch.setattr(module, name, spy)
         rep = full_homology(sc.family, log, r, ladder)
         assert len(rep.results) == k and len(rep.legs) == k - 1
-        assert calls == {"restrict": 2 * k - 1,
-                         "ordered_echelon": 5 * k - 4, "is_chain_map": 0}
+        assert calls == {"restrict": 2 * k - 1, "ordered_echelon": 3 * k - 3,
+                         "_bit_echelon": 2 * k - 1, "is_chain_map": 0}
+        assert calls["ordered_echelon"] + calls["_bit_echelon"] == 5 * k - 4
 
     def test_action_order_is_checked_once_per_ladder(self):
         """A log built without the axioms, whose count (c3, c2) raises
