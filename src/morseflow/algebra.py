@@ -4,21 +4,24 @@ Contents: ungraded homology of a square differential (kernel modulo image,
 computed in the row-vector convention of matrix.py), chain map and chain
 homotopy verification, and one elimination rule for every ring:
 ordered_echelon, an order-respecting echelon form built by reduce_against
-(over the integers, a basis of the row lattice).  Ranks, cycle bases
-(left_kernel_basis), least coset representatives and the invariant factors
-of the Smith form all come from it; integer homology reads its torsion off
-the boundary echelon's invariant factors, and skips that Smith pass when
+(over the integers, a basis of the row lattice).  Ranks, least coset
+representatives, the ladder's leg ranks and the invariant factors of the
+Smith form all come from it; integer homology reads its torsion off the
+boundary echelon's invariant factors, and skips that Smith pass when
 every pivot is a unit, which proves there is no torsion (see homology).
 A matrix keeps its homology: homology computes it once per matrix.
 
-Over Z2, homology and the coset reduction (tracker._coset_minimize) run
-that rule on bit rows: each row is an int built from the sparse entries,
-bit i standing for position i of the order, and _bit_echelon eliminates
-by XOR with ordered_echelon's pivot rule, the first nonzero position
-being the lowest set bit.  It keeps the same vectors at the same pivots,
-so ranks and supports are those of ordered_echelon.  Z and Q, and over
-every ring the ladder's cycle bases and leg ranks (left_kernel_basis,
-tracker._induced_rank), run ordered_echelon on dense lists.
+Every elimination of sparse entries enters through _echelon, the one
+place that picks the row format.  Over Z2 its rows are bit rows: each
+row is an int built from the entries, bit i standing for position i of
+the order, and _bit_echelon eliminates by XOR with ordered_echelon's
+pivot rule, the first nonzero position being the lowest set bit.  It
+keeps the same vectors at the same pivots, so ranks and supports are
+those of ordered_echelon.  Over Z and Q the rows are dense lists, run
+through ordered_echelon and reduce_against.  homology, the coset
+reduction (tracker._coset_minimize) and each ladder leg
+(tracker._induced_rank) are its callers, so over Z2 every elimination
+runs on bit rows.
 
 Everything is exact; no floating point enters this module.
 """
@@ -103,10 +106,8 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
     pivot, form a triangular r x r block whose diagonal is the pivots,
     so its determinant is a unit.  That block is an r x r minor of the
     basis, so the r x r minors have gcd 1; the product d1 ... dr of the
-    invariant factors is that gcd, so every di is 1.
-
-    Over Z2 the rows of the transpose are bit rows (_bit_echelon), each
-    built from the matrix's entries, and the rank is their pivot count.
+    invariant factors is that gcd, so every di is 1.  The elimination
+    is _echelon's, on bit rows over Z2.
 
     The result is kept on the matrix (matrix.py) and returned by every
     later call on it; a call that raises keeps nothing.
@@ -120,25 +121,12 @@ def homology(boundary: SparseMatrix) -> HomologyResult:
         raise NotADifferential("operator does not square to zero")
     ring = boundary.ring
     order = sorted(boundary.rows, key=str)
-    # the nonzero rows of the transposed matrix: T x = 0 is the cycle
-    # condition
-    hit = {c for _, c in boundary.entries}
-    rows = [c for c in order if c in hit]
-    if ring is Z2:
-        # row c of the transpose as a bit row: bit i is order[i]; an
-        # empty matrix has no row to build
-        bit = {g: 1 << i for i, g in enumerate(order)} if hit else {}
-        mask = dict.fromkeys(hit, 0)
-        for r, c in boundary.entries:
-            mask[c] |= bit[r]
-        rank, torsion = len(_bit_echelon([mask[c] for c in rows])[0]), ()
-    else:
-        pivots = ordered_echelon(ring, boundary.transpose().to_dense(
-            rows, order))
-        rank = len(pivots)
-        torsion = () if ring.is_field() or all(
-            v[p] in (1, -1) for p, v in pivots.items()) else tuple(
-            d for d in invariant_factors(list(pivots.values())) if d > 1)
+    # the rows of the transposed matrix: T x = 0 is the cycle condition
+    pivots = _echelon(ring, boundary.transpose().entries, order)[0]
+    rank = len(pivots)
+    torsion = () if ring.is_field() or all(
+        v[p] in (1, -1) for p, v in pivots.items()) else tuple(
+        d for d in invariant_factors(list(pivots.values())) if d > 1)
     boundary._homology = res = HomologyResult(
         ring.name, len(order) - 2 * rank, torsion)
     return res
@@ -214,7 +202,8 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
     certifies that no lattice element clears it, because pivots are unique
     per position and the triangular solve over the top block is forced).
     The entries of vec must already be elements of ring, as ring.coerce
-    and the ring's operations return them; they are not coerced again.
+    returns them; they are not coerced again.  A field step works in
+    plain arithmetic and coerces each new entry once.
     """
     v, zero, field = list(vec), ring.zero, ring.is_field()
     top = 0
@@ -228,8 +217,8 @@ def reduce_against(ring: Ring, vec: List, pivots: Dict[int, List]):
         if b is None:
             return v, top
         if field:
-            f = ring.mul(v[top], ring.invert(b[top]))
-            v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, b)]
+            f, coerce = v[top] * ring.invert(b[top]), ring.coerce
+            v = [coerce(x - f * y) for x, y in zip(v, b)]
         else:
             if v[top] % b[top] != 0:
                 return v, top
@@ -266,16 +255,43 @@ def _bit_echelon(rows, vec=0):
     return pivots, vec
 
 
-def left_kernel_basis(mat: SparseMatrix, order: List) -> List[List]:
-    """Basis of the cycle space {x : x . mat = 0}.
+def _echelon(ring, entries, order, vec=None):
+    """ordered_echelon of the rows of entries, and the support of vec
+    reduced against it: the one entry to elimination, and the one place
+    that picks the row format.
 
-    The rows of [mat | I] are echelonized; those whose pivot lies in the
-    identity block have a zero mat part, and cut to that block they are
-    the basis.  Vectors are dense lists aligned with the given order.
+    entries maps (row, column) to a nonzero element of ring, both in
+    order; row g holds its entry at column c at position order.index(c),
+    and the nonzero rows are taken in order.  vec, a chain {generator:
+    element of ring} on order, is reduced as reduce_against reduces it.
+    Returns (pivots, support): {pivot position: row}, as ordered_echelon
+    returns it, and the generators, in order, on which the reduced vec
+    is nonzero (() without vec).
+
+    Over Z2 the rows are bit rows, bit i for order[i], eliminated by
+    _bit_echelon: the same vectors, as masks, at the same pivots, so the
+    pivot positions and the support are those of the dense lists.  Over
+    Z and Q the rows are dense lists.
     """
-    ring, n = mat.ring, len(order)
-    rows = mat.to_dense(order, order)
-    for i, row in enumerate(rows):
-        row.extend(ring.one if j == i else ring.zero for j in range(n))
-    return [v[n:] for p, v in sorted(ordered_echelon(ring, rows).items())
-            if p >= n]
+    bits, hit = ring is Z2, {}
+    # each row of entries in its format, by row generator
+    if bits:
+        # with no entries and no vec there is nothing to place
+        bit = {g: 1 << i for i, g in enumerate(order)} if (
+            entries or vec) else {}
+        for g, c in entries:
+            hit[g] = hit.get(g, 0) | bit[c]
+    else:
+        zero, pos = ring.zero, {g: i for i, g in enumerate(order)}
+        for (g, c), x in entries.items():
+            hit.setdefault(g, [zero] * len(order))[pos[c]] = x
+    rows = [hit[g] for g in [c for c in order if c in hit]]
+    if bits:
+        pivots, reduced = _bit_echelon(
+            rows, sum(bit[g] for g, x in vec.items() if x) if vec else 0)
+        return pivots, tuple(
+            g for g in order if reduced & bit[g]) if reduced else ()
+    pivots = ordered_echelon(ring, rows)
+    reduced = reduce_against(ring, [vec.get(g, zero) for g in order],
+                             pivots)[0] if vec else ()
+    return pivots, tuple(g for g, x in zip(order, reduced) if x != zero)

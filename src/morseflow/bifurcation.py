@@ -40,7 +40,7 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      CycleConditionViolated, DegenerateParameter,
                      EvolutionError, NonTriangularDelta, NonUnitPivot,
                      VerificationFailed)
-from .matrix import SparseMatrix
+from .matrix import SparseMatrix, vec_apply
 from .piecewise import _apart, _range, _side, _walk, frac
 
 
@@ -309,7 +309,7 @@ def _pair_maps(d_small, d_big, plus, minus):
     for c in small_ids:
         x = d_big.entry(c, minus)
         if x != ring.zero:
-            incl[(c, plus)] = ring.neg(ring.mul(x, e_inv))
+            incl[(c, plus)] = -x * e_inv     # coerced by the constructor
     incl = SparseMatrix(ring, small_ids, big_ids, incl)
 
     # big -> small: the coordinate projection killing the pair.  The
@@ -356,15 +356,14 @@ def apply_birth(gamma_minus, ev, t):
         if x != ring.zero:
             w[aid] = x
 
-    # cycle condition: the old matrix applied to the column vanishes
-    for c in old:
-        total = ring.zero
-        for cp, x in w.items():
-            total = ring.add(total, ring.mul(gm.entry(c, cp), x))
-        if total != ring.zero:
-            raise CycleConditionViolated(
-                "old matrix does not kill the new column: row %r gives %r" %
-                (c, total))
+    # cycle condition: the old matrix applied to the column vanishes; the
+    # first row that does not, in str order, is named
+    image = vec_apply(ring, w, gm.transpose())
+    if image:
+        c = next(c for c in old if c in image)
+        raise CycleConditionViolated(
+            "old matrix does not kill the new column: row %r gives %r" %
+            (c, image[c]))
 
     # action order just after the vertex, read by the kernel (_side)
     f_minus = t.arc(minus).f3

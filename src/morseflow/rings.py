@@ -1,7 +1,8 @@
 """Coefficient rings: integers mod 2, arbitrary-precision integers, rationals.
 
-Elements are plain Python values (int for Z2 and Z, Fraction for Q); a Ring
-object bundles the operations so matrix code stays generic over the ring.
+Elements are plain Python values (int for Z2 and Z, Fraction for Q),
+combined in plain Python arithmetic; a Ring object gives the units, the
+inverses and coerce, which brings each kept result into the ring once.
 All three are principal ideal domains with decidable invertibility, which is
 what the event algebra needs.
 """
@@ -38,18 +39,6 @@ class Ring:
     @property
     def one(self):
         return self._one
-
-    def add(self, a, b):
-        return self.coerce(a + b)
-
-    def sub(self, a, b):
-        return self.coerce(a - b)
-
-    def mul(self, a, b):
-        return self.coerce(a * b)
-
-    def neg(self, a):
-        return self.coerce(-a)
 
     def is_field(self):
         return False

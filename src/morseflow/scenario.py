@@ -172,8 +172,9 @@ def parse_chain(text, ring, line=None):
         sign, coeff, aid = m.groups()
         val = _rational(coeff, line) if coeff else Fraction(1)
         v = _at_line(line, ring.coerce, -val if sign == "-" else val)
-        rep[aid] = ring.add(rep.get(aid, ring.zero), v)
+        rep[aid] = rep.get(aid, 0) + v
         pos = m.end()
+    rep = {k: ring.coerce(v) for k, v in rep.items()}
     return {k: v for k, v in rep.items() if v != ring.zero}
 
 

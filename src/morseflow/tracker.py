@@ -63,7 +63,10 @@ chain maps because every count lowers action (gamma1), so gamma1 is
 full_homology's precondition: evolve checks it on every interval unless
 told not to, and full_homology tests it once per ladder, raising
 VerificationFailed on an entry that breaks it.  Each window's complex
-is restricted once and read by its homology and by both legs it meets.
+is restricted once and read by its homology and by both legs it meets;
+each leg's rank is one elimination (_induced_rank) with no cycle basis.
+Every elimination here enters through algebra._echelon, which alone
+picks bit rows (Z2) or dense lists (Z and Q).
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
@@ -81,15 +84,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (_bit_echelon, homology, left_kernel_basis,
-                      ordered_echelon, reduce_against)
+from .algebra import _echelon, homology
 from .bifurcation import HandleSlide, _triangularity_violations
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import vec_apply
 from .piecewise import (Piecewise, _apart, _range, _ratio_at, _walk,
                         crossings, frac)
-from .rings import Z2
 
 NEG_INF = float("-inf")
 
@@ -359,6 +360,7 @@ def _coset_minimize(ring, d, rep, order):
     the list as possible.  Greedy reduction against an echelon basis of
     the image does it, and the result is certified on every ring.
 
+    algebra._echelon runs that reduction on d's rows, taken in order:
     ordered_echelon returns a basis {b_p} of the image (over the
     integers, of the image lattice: its gcd steps are unimodular) with
     one vector leading at each pivot position p.  A nonzero element
@@ -368,35 +370,13 @@ def _coset_minimize(ring, d, rep, order):
     blocked: its pivot's entry does not divide v[l].  Then v + u leads
     at p0 if p0 < l, at l if p0 > l, and also at l if p0 = l, since
     v[l] + c_l b_l[l] != 0 when b_l[l] does not divide v[l].  So no
-    element of the coset leads below l, and greedy is tight.
-
-    Over Z2 the same elimination runs on bit rows (algebra._bit_echelon),
-    each built from d's entries with bit i for order[i]: the pivots and
-    the reduced vector are those of the dense lists, so is the support.
+    element of the coset leads below l, and greedy is tight.  Over Z2
+    _echelon eliminates on bit rows, with the same pivots and support.
     """
     zero = ring.zero
     if not d.entries:        # im(d) = 0: rep is its coset's only element
         return tuple(g for g in order if rep.get(g, zero) != zero)
-    if ring is Z2:
-        bit = {g: 1 << i for i, g in enumerate(order)}
-        rows = {}
-        for g, c in d.entries:
-            rows[g] = rows.get(g, 0) | bit[c]
-        _, reduced = _bit_echelon(
-            [rows[g] for g in order if g in rows],
-            sum(bit[g] for g, v in rep.items() if v))
-        return tuple(g for g in order if reduced & bit[g])
-    pos = {g: i for i, g in enumerate(order)}
-    n = len(order)
-    vec = [zero] * n
-    for g, v in rep.items():
-        vec[pos[g]] = v
-    rows = {}
-    for (g, c), x in d.entries.items():
-        rows.setdefault(g, [zero] * n)[pos[c]] = x
-    img = [rows[g] for g in order if g in rows]
-    reduced, _ = reduce_against(ring, vec, ordered_echelon(ring, img))
-    return tuple(g for g, x in zip(order, reduced) if x != zero)
+    return _echelon(ring, d.entries, order, rep)[1]
 
 
 def _coset_gens(gens, rep, d):
@@ -499,26 +479,36 @@ def _pointwise_leq(f, g):
     return all(d <= 0 for d in _walk(f, g, 0, 1)[1])
 
 
-def _induced_rank(cycles, order_from, d_to, order_to, h_to):
-    """Rank of the map induced on homology by a coordinate chain map:
-    each generator of order_from that is in order_to maps to itself, and
-    the others to zero (the ladder's projections and inclusions).
+def _induced_rank(d_from, d_to, h_to):
+    """Rank of the map f induced on homology by a coordinate chain map
+    from the complex of d_from to that of d_to (a source generator that
+    is a target generator maps to itself, the others to zero: the
+    ladder's projections and inclusions); h_to is the target's homology.
 
-    cycles is a cycle basis of the source (left_kernel_basis, dense over
-    order_from); d_to is the target's differential and h_to its homology,
-    whose free rank gives the rank of d_to: (n - free rank) / 2 on n
-    generators.  Over the integers this is the rank on the free part: an
-    echelon basis of a lattice is as long as its rank over Q, and the
-    integer cycle basis spans the rational cycles.
+    One echelon (algebra._echelon) of the rows (x . d_from | f(x)) for
+    the source generators x, then (0 | y . d_to) for the target ones y,
+    the source block of positions first.  They span the elements
+    (u . d_from | f(u) + v . d_to); those zero on the source block, u a
+    cycle, form f(Z) + B, Z the source's cycles and B the target's
+    boundaries.  An element of the span leads at the least pivot among
+    the echelon rows it uses (each row is zero before its pivot, and the
+    pivots differ; over the integers the rows are a basis of the row
+    lattice), so it is zero on the source block exactly when it uses only
+    rows pivoting past it: those rows, independent, count the rank of
+    f(Z) + B.  Less the rank of B, (n - free rank) / 2 on the target's n
+    generators, that is the rank of f's image (f(Z) + B) / B.  Over the
+    integers each rank is that over Q, the integer cycles spanning the
+    rational ones: the rank on the free part.
     """
-    ring, at = d_to.ring, {g: i for i, g in enumerate(order_from)}
-    pushed = [[z[at[g]] if g in at else ring.zero for g in order_to]
-              for z in cycles]
-    # the boundary rows; a zero row never pivots
-    hit = {g for g, _ in d_to.entries}
-    bd = d_to.to_dense([g for g in order_to if g in hit], order_to)
-    return (len(ordered_echelon(ring, bd + pushed))
-            - (len(order_to) - h_to.free_rank) // 2)
+    ring, n = d_to.ring, len(d_from.rows)
+    entries = {((0, x), (0, c)): v for (x, c), v in d_from.entries.items()}
+    entries.update((((0, x), (1, x)), ring.one)
+                   for x in d_from.rows if x in d_to._row_set)
+    entries.update((((1, y), (1, c)), v) for (y, c), v in d_to.entries.items())
+    order = [(0, g) for g in d_from.rows] + [(1, g) for g in d_to.rows]
+    pivots, _ = _echelon(ring, entries, order)
+    return (sum(p >= n for p in pivots)
+            - (len(d_to.rows) - h_to.free_rank) // 2)
 
 
 def full_homology(t, log, r, ladder):
@@ -537,8 +527,9 @@ def full_homology(t, log, r, ladder):
     evolve checks gamma1 on every interval unless told not to; here it
     is tested once, on the interval of r, and an entry that breaks it
     raises VerificationFailed.  Each window's and each intermediate
-    window's complex is restricted once, and the intermediate window's
-    cycle basis serves both of its legs.
+    window's complex is restricted once, and each leg's rank is one
+    echelon of the rows of both its complexes (_induced_rank), with no
+    cycle basis.
     """
     ladder = list(ladder)
     if not ladder:
@@ -567,9 +558,7 @@ def full_homology(t, log, r, ladder):
         gens_mid = [g for g in gen_sets[i + 1] if sides[i][g] != ABOVE]
         d_mid = _window_complex(fc.gamma, gens_mid)
         h_mid = homology(d_mid)
-        cycles = left_kernel_basis(d_mid, gens_mid)
-        pr, ir = (_induced_rank(cycles, gens_mid, ds[j], gen_sets[j],
-                                results[j]) for j in (i, i + 1))
+        pr, ir = (_induced_rank(d_mid, ds[j], results[j]) for j in (i, i + 1))
         legs.append(LadderLeg(
             pr, ir,
             pr == h_mid.free_rank == results[i].free_rank

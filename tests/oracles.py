@@ -131,6 +131,56 @@ def z2_induced_rank(d_from, d_to, f):
     return (len(images) // len(images & bounds)).bit_length() - 1
 
 
+def q_row_reduce(rows):
+    """Reduced row echelon form over Q of a list of rows, by Gauss-Jordan
+    on Fractions: (nonzero rows, their pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for j in range(len(m[0]) if m else 0):
+        i = next((i for i in range(len(pivots), len(m)) if m[i][j]), None)
+        if i is None:
+            continue
+        k = len(pivots)
+        m[k], m[i] = m[i], m[k]
+        m[k] = [x / m[k][j] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][j]:
+                m[i] = [x - m[i][j] * y for x, y in zip(m[i], m[k])]
+        pivots.append(j)
+    return m[:len(pivots)], pivots
+
+
+def q_cycle_basis(d):
+    """A basis of the cycles {x : x . d = 0} over Q of a dense square
+    matrix d: the null space of its transpose, one vector per free column
+    of the reduced echelon form."""
+    n = len(d)
+    reduced, pivots = q_row_reduce([list(col) for col in zip(*d)])
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        x = [Fraction(0)] * n
+        x[j] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[j]
+        basis.append(x)
+    return basis
+
+
+def q_induced_rank(d_from, d_to, f):
+    """Rank over Q of the map a chain map f induces on homology.
+
+    The image is (f(Z) + B) / B, Z the cycles of d_from, taken as an
+    explicit basis (q_cycle_basis), and B the boundaries of d_to, the
+    span of its rows.  Dense matrices in the row convention: f[i] is the
+    image of generator i of the source.  Over Z this is the rank on the
+    free part.
+    """
+    images = [[sum(z[i] * f[i][j] for i in range(len(z)))
+               for j in range(len(d_to))] for z in q_cycle_basis(d_from)]
+    return (len(q_row_reduce(images + [list(r) for r in d_to])[1])
+            - len(q_row_reduce(d_to)[1]))
+
+
 def z2_spectral_bruteforce(rep_bits, rowmasks, n, heights):
     """Minimum over the coset rep + image of the max height in the support.
 

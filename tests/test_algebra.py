@@ -14,8 +14,7 @@ import randgen
 from morseflow import algebra
 from morseflow.algebra import (HomologyResult, homology, is_chain_homotopy,
                                invariant_factors, is_chain_map,
-                               left_kernel_basis, ordered_echelon,
-                               reduce_against)
+                               ordered_echelon, reduce_against)
 from morseflow.bifurcation import evolve
 from morseflow.errors import (DimensionMismatch, NonUnitError,
                               NotADifferential)
@@ -26,8 +25,7 @@ from morseflow.tracker import (INSIDE, Window, filtered_homology,
 
 from fixtures import within
 from oracles import (determinantal_divisors, homology_by_elimination,
-                     matmul, top_determinantal_divisors, z2_apply, z2_cycles,
-                     z2_homology_rank, z2_matrix_to_rowmasks)
+                     matmul, top_determinantal_divisors, z2_homology_rank)
 
 
 def mat(ring, ids, entries):
@@ -642,8 +640,8 @@ def _scan_from_zero(ring, vec, pivots):
         if b is None:
             return v, top
         if ring.is_field():
-            f = ring.mul(v[top], ring.invert(b[top]))
-            v = [ring.sub(x, ring.mul(f, y)) for x, y in zip(v, b)]
+            f = v[top] * ring.invert(b[top])
+            v = [ring.coerce(x - f * y) for x, y in zip(v, b)]
         else:
             if v[top] % b[top] != 0:
                 return v, top
@@ -727,50 +725,33 @@ class TestOrderedEchelon:
         assert reduce_against(ring, vec, pivots) == _scan_from_zero(
             ring, vec, pivots)
 
-
-class TestLeftKernelBasis:
-    """The cycle basis: cycles, independent, n - rank of them; ranks come
-    from enumeration over Z2 and from minors over Q."""
-
-    @staticmethod
-    def z2_span(vectors):
-        span = {0}
-        for v in vectors:
-            bits = sum(int(x) << i for i, x in enumerate(v))
-            span |= {s ^ bits for s in span}
-        return span
-
-    @staticmethod
-    def rank_q(rows):
-        """Rank over Q: the nonzero invariant factors of the rows scaled
-        to integers."""
-        return len(determinantal_divisors(
-            [[int(x * d) for x in row] for row in rows
-             for d in [math.lcm(*(Fraction(x).denominator for x in row))]]))
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_z2(self, data):
-        n = data.draw(st.integers(0, 7))
-        ids = ["g%d" % i for i in range(n)]
-        dense = [[data.draw(st.integers(0, 1)) for _ in ids] for _ in ids]
-        basis = left_kernel_basis(SparseMatrix.from_rows(Z2, ids, ids, dense), ids)
-        rowmasks = z2_matrix_to_rowmasks(dense)
-        span = self.z2_span(basis)
-        # independent, and spanning exactly the enumerated cycles
-        assert len(span) == 2 ** len(basis)
-        assert span == set(z2_cycles(rowmasks, n))
-        assert all(z2_apply(x, rowmasks) == 0 for x in span)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_rationals(self, data):
-        n = data.draw(st.integers(0, 5))
-        ids = ["g%d" % i for i in range(n)]
-        dense = [[data.draw(st.integers(-2, 2)) for _ in ids] for _ in ids]
-        m = SparseMatrix.from_rows(Q, ids, ids, dense)
-        basis = left_kernel_basis(m, ids)
-        assert len(basis) == n - self.rank_q(dense)
-        assert self.rank_q(basis) == len(basis)
-        for z in basis:
-            assert vec_apply(Q, dict(zip(ids, z)), m) == {}
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), ring=st.sampled_from([Z2, Z, Q]))
+    def test_echelon_matches_the_dense_elimination(self, data, ring):
+        """_echelon, on bit rows over Z2 and on dense lists over Z and Q,
+        keeps ordered_echelon's pivots on the nonzero dense rows taken in
+        a drawn order, and returns the support of reduce_against's
+        reduction of a drawn vector; 0-70 positions, so that bit rows
+        cross 64 bits."""
+        n = data.draw(st.integers(0, 70), label="positions")
+        gens = ["g%02d" % i for i in range(n)]
+        order = data.draw(st.permutations(gens), label="order")
+        value = _RING_VALUES[ring.name].map(ring.coerce).filter(
+            lambda x: x != ring.zero)
+        entries, vec = {}, {}
+        if gens:
+            gen = st.sampled_from(gens)
+            entries = data.draw(st.dictionaries(
+                st.tuples(gen, gen), value, max_size=2 * n), label="entries")
+            vec = data.draw(st.dictionaries(gen, value), label="vec")
+        zero = ring.zero
+        dense = [[entries.get((g, c), zero) for c in order] for g in order
+                 if any((g, c) in entries for c in order)]
+        want = ordered_echelon(ring, dense)
+        pivots, support = algebra._echelon(ring, entries, order, vec)
+        assert pivots == ({p: _bits(v) for p, v in want.items()}
+                          if ring is Z2 else want)
+        reduced, _ = reduce_against(
+            ring, [vec.get(g, zero) for g in order], want)
+        assert support == tuple(
+            g for g, x in zip(order, reduced) if x != zero)

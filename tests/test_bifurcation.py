@@ -206,6 +206,20 @@ class TestBirth:
         with pytest.raises(CycleConditionViolated):
             apply_birth(fc, ev, t)
 
+    def test_cycle_condition_names_the_first_failing_row(self):
+        # rows a and b both fail; the message names a, the first in str
+        # order, though the entries list b first
+        t = self._two_lane_birth(F(1, 2))
+        c = chord("c", [(0, 1), (1, 1)])
+        t = CerfTuple(t.arcs[:2] + (c,) + t.arcs[2:], t.vertices)
+        fc = counter(Z, ("b", "a", "c"), {("b", "c"): 3, ("a", "c"): 2},
+                     0, F(1, 2))
+        ev = EventRecord(F(1, 2), Birth("vb", 1, (("c", 1),)))
+        with pytest.raises(CycleConditionViolated) as err:
+            apply_birth(fc, ev, t)
+        assert str(err.value) == (
+            "old matrix does not kill the new column: row 'a' gives 2")
+
     def test_action_constraint(self):
         t = self._two_lane_birth(3)   # lower branch starts above lane b
         fc = counter(Z2, ("a", "b"), {}, 0, F(1, 2))

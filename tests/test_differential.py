@@ -1,7 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario, values, cerf, homology, parse and coset probes
-run here, to keep the check short.
+Only its bundled-scenario, values, cerf, homology, parse, coset and
+ladder probes run here, to keep the check short.
 """
 
 import re
@@ -108,6 +108,25 @@ def test_a_planted_homology_without_its_last_row_shows(tmp_path):
                                                 ["homology"])
     assert 0 < differ < cases
     assert lines[0] == "homology: %d cases, %d differ" % (cases, differ)
+
+
+def test_a_planted_leg_count_past_the_source_block_shows_in_the_ladder_probe(
+        tmp_path):
+    # a leg rank that leaves out the pivots at the first target position
+    # loses a dimension of f(Z) + B wherever one leads there
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracker = tmp_path / "src" / "morseflow" / "tracker.py"
+    text = tracker.read_text(encoding="utf-8")
+    past = "sum(p >= n for p in pivots)"
+    assert text.count(past) == 1
+    tracker.write_text(text.replace(past, "sum(p > n for p in pivots)"),
+                       encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["ladder"])
+    assert 0 < differ < cases
+    assert lines[0] == "ladder: %d cases, %d differ" % (cases, differ)
 
 
 def _planted_bit_echelon(tmp_path, good, bad):
