@@ -35,11 +35,11 @@ from functools import cached_property
 from typing import Callable
 
 from .algebra import is_chain_homotopy, is_chain_map
-from .cerf import Finding
+from .cerf import Finding, ValidationReport
 from .errors import (ActionConstraintViolated, ConstraintViolated,
-                     CycleConditionViolated, DegenerateParameter,
-                     EvolutionError, NonTriangularDelta, NonUnitPivot,
-                     VerificationFailed)
+                     CycleConditionViolated, DeathPivotNotUnit,
+                     DegenerateParameter, EvolutionError, NonTriangularDelta,
+                     NonUnitPivot, VerificationFailed)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import _apart, _range, _side, _walk, frac
 
@@ -407,7 +407,7 @@ def apply_death(gamma_minus, ev, t):
 
     pivot = gm.entry(plus, minus)
     if not ring.is_unit(pivot):
-        raise NonUnitPivot(
+        raise DeathPivotNotUnit(
             "count between the dying branches of %r is %r, not a unit" %
             (v.id, pivot))
     for c in gm.rows:
@@ -493,14 +493,6 @@ def _interval_findings(fc, t):
     return out
 
 
-def _check_interval(fc, t):
-    """Raises EvolutionError naming every standing axiom the counter
-    violates (_interval_findings)."""
-    bad = _interval_findings(fc, t)
-    if bad:
-        raise EvolutionError("; ".join(msg for _, msg in bad))
-
-
 def _alive_ids(lives, fc):
     """Ids of the arcs alive at the midpoint of fc's interval, as
     CerfTuple.arcs_alive finds them, by integer cross products.  lives
@@ -555,18 +547,28 @@ def evolve(gamma0, events, t, enforce_axioms=True):
             "event records reference unknown vertices: %s" % sorted(by_vertex))
 
     lives = [(a.id,) + a.f3.ints[0][:2] + a.f3.ints[-1][:2] for a in t.arcs]
+
+    def check(fc):
+        """Raise EvolutionError when fc's rows are not the arcs alive on
+        its interval, or, with enforce_axioms, when fc violates a standing
+        axiom (_interval_findings), naming each one."""
+        alive = _alive_ids(lives, fc)
+        if set(fc.gamma.rows) != alive:
+            raise EvolutionError(
+                "%s indexes %s but the alive arcs are %s" %
+                ("counter on interval %d" % fc.interval_index
+                 if fc.interval_index < len(evs) else "final counter",
+                 sorted(fc.gamma.rows, key=str), sorted(alive)))
+        bad = enforce_axioms and _interval_findings(fc, t)
+        if bad:
+            raise EvolutionError("; ".join(msg for _, msg in bad))
+
     boundaries = [Fraction(0)] + params + [Fraction(1)]
     current = FlowCounter(0, boundaries[0], boundaries[1], gamma0.gamma)
     intervals = [current]
     steps = []
     for k, ev in enumerate(evs):
-        alive = _alive_ids(lives, current)
-        if set(current.gamma.rows) != alive:
-            raise EvolutionError(
-                "counter on interval %d indexes %s but the alive arcs are %s" %
-                (k, sorted(current.gamma.rows, key=str), sorted(alive)))
-        if enforce_axioms:
-            _check_interval(current, t)
+        check(current)
         if isinstance(ev.payload, HandleSlide):
             gp, build = apply_handle_slide(current, ev, t)
         elif isinstance(ev.payload, Birth):
@@ -577,45 +579,26 @@ def evolve(gamma0, events, t, enforce_axioms=True):
         steps.append(EventStep(ev, current, nxt, build))
         intervals.append(nxt)
         current = nxt
-    alive = _alive_ids(lives, current)
-    if set(current.gamma.rows) != alive:
-        raise EvolutionError(
-            "final counter indexes %s but the alive arcs are %s" %
-            (sorted(current.gamma.rows, key=str), sorted(alive)))
-    if enforce_axioms:
-        _check_interval(current, t)
+    check(current)
     return EvolutionLog(t, tuple(intervals), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
 # total validation report
 
-@dataclass(frozen=True)
-class AxiomReport:
-    findings: tuple
-
-    @property
-    def ok(self):
-        return not [f for f in self.findings if f.severity == "error"]
-
-    def errors(self):
-        return [f for f in self.findings if f.severity == "error"]
-
-    def __str__(self):
-        return "\n".join(str(f) for f in self.findings) or "all axioms pass"
-
-
 _ERROR_AXIOM = {
     NonTriangularDelta: "gamma1",
     ActionConstraintViolated: "gamma1",
     CycleConditionViolated: "gamma4",
     NonUnitPivot: "gamma4",
+    DeathPivotNotUnit: "gamma5",
     ConstraintViolated: "gamma5",
 }
 
 
 def validate_axioms(gamma0, events, t):
-    """Run the full evolution, reporting every axiom violation found.
+    """Run the full evolution, reporting every axiom violation found in
+    a ValidationReport.
 
     Total: engine exceptions become findings.  The events' own identities
     (gamma3 to gamma5) are checked once, by the event updates inside
@@ -635,15 +618,12 @@ def validate_axioms(gamma0, events, t):
     try:
         log = evolve(gamma0, events, t, enforce_axioms=False)
     except tuple(_ERROR_AXIOM) as e:
-        code = _ERROR_AXIOM[type(e)]
-        if isinstance(e, NonUnitPivot) and "dying" in str(e):
-            code = "gamma5"
-        err(code, str(e))
+        err(_ERROR_AXIOM[type(e)], str(e))
         info("structure", "checking stopped at the failing event")
-        return AxiomReport(tuple(out))
+        return ValidationReport(tuple(out))
     except EvolutionError as e:
         err("structure", str(e))
-        return AxiomReport(tuple(out))
+        return ValidationReport(tuple(out))
 
     for fc in log.intervals:
         for code, msg in _interval_findings(fc, t):
@@ -652,4 +632,4 @@ def validate_axioms(gamma0, events, t):
     if not out:
         info("summary", "all axioms pass on %d intervals, %d events" %
              (len(log.intervals), len(log.steps)))
-    return AxiomReport(tuple(out))
+    return ValidationReport(tuple(out))

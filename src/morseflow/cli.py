@@ -178,7 +178,7 @@ def _trace(sc, flags, values_only=False):
     log = evolve(sc.gamma0, sc.events, sc.family)
     w = _flag(flags, "window", parse_window_spec,
               sc.window or wide_window(sc.family))
-    return track_class(rep, log, w, label=sc.label, values_only=values_only)
+    return track_class(rep, log, w, values_only=values_only)
 
 
 def _cmd_track(sc, flags):

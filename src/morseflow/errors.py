@@ -49,6 +49,10 @@ class NonUnitPivot(MorseflowError):
     """Birth or death pivot entry is not invertible in the coefficient ring."""
 
 
+class DeathPivotNotUnit(NonUnitPivot):
+    """Count between a dying pair's branches is not invertible (gamma5)."""
+
+
 class CycleConditionViolated(MorseflowError):
     """New birth column is not annihilated by the incoming boundary operator."""
 

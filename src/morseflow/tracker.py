@@ -14,7 +14,8 @@ action over all representatives in its coset.  Tracking is the one
 reader of those maps: a step builds and verifies them on the first
 read.  The greedy coset reduction that finds the smallest top action
 is proven tight over every coefficient ring (_coset_minimize), so every
-spectral value and slab is certified.
+spectral value and slab is certified.  A class leaves the window only
+below, so a trace's outcome is Survived or LeftWindow(below).
 
 The geometry those calls read is prepared once per family, in one
 arrangement: each pair's crossings, and each window's verdict, sides,
@@ -400,31 +401,34 @@ def _coset_gens(gens, rep, d):
     return [g for g in gens if g in held]
 
 
-def _window_rep(h, gamma, sides, gens, where):
-    """h restricted to the window: its chain of in-window generators and
-    the window's differential.
+def _window_rep(h, fc, sides, inside, where):
+    """(gens, held, rep, d): the in-window generators of fc's interval
+    (_interval_gens) as a list and a set, h restricted to them, and the
+    windowed differential.
 
     Zero entries and entries below the floor are dropped (the floor is
     quotiented away); an entry not alive or above the ceiling, or a
     restriction that is not a cycle, raises NotACycle.
     """
-    ring = gamma.ring
+    ring = fc.gamma.ring
+    gens = _interval_gens(inside, fc)
+    held = set(gens)
     rep = {}
     for g, v in h.items():
         v = ring.coerce(v)
         if v == ring.zero:
             continue
-        if g in gens:
+        if g in held:
             rep[g] = v
-        elif g not in gamma.rows:
+        elif g not in fc.gamma.rows:
             raise NotACycle("representative touches %r, not alive %s" % (g, where))
         elif sides[g] == ABOVE:
             raise NotACycle(
                 "representative touches %r above the window ceiling" % g)
-    d = _window_complex(gamma, gens)
+    d = _window_complex(fc.gamma, gens)
     if vec_apply(ring, rep, d):
         raise NotACycle("representative is not a cycle in the window %s" % where)
-    return rep, d
+    return gens, held, rep, d
 
 
 def spectral_value(h, r, log, w):
@@ -437,9 +441,8 @@ def spectral_value(h, r, log, w):
     t = log.family
     sides, inside = _window(w, t)
     r = frac(r)
-    fc = log.counter_at(r)
-    gens = _interval_gens(inside, fc)
-    rep, d = _window_rep(h, fc.gamma, sides, gens, "at r=%s" % r)
+    gens, _, rep, d = _window_rep(h, log.counter_at(r), sides, inside,
+                                  "at r=%s" % r)
     gens = _coset_gens(gens, rep, d)
     prof = {g: t.arc(g).f3 for g in gens}
     order = sorted(gens, key=_order_key(prof, *r.as_integer_ratio()))
@@ -601,7 +604,6 @@ class TrackedClass:
     """One interval's worth of the tracked class."""
 
     interval_index: int
-    token: str
     representative: tuple    # ((generator, value), ...) sorted by generator
     rho_start: object
     rho_end: object
@@ -611,8 +613,9 @@ class TrackedClass:
 class SpectralTrace:
     """The slabs, transfers and classes of one tracked class.
 
-    outcome is "Survived", "LeftWindow(below)" or "LeftWindow(above)";
-    track_class raises InvalidWindow for an unusable window instead.
+    outcome is "Survived" or "LeftWindow(below)": no class leaves above
+    the ceiling (track_class gives the proof).  track_class raises
+    InvalidWindow for an unusable window instead.
     """
 
     segments: tuple
@@ -662,7 +665,7 @@ def _resort_runs(order, movers, key):
     return out
 
 
-def track_class(h0, log, w, label="h", values_only=False):
+def track_class(h0, log, w, values_only=False):
     """Follow the class of h0 from r=0 through every event of the log.
 
     The trace records, slab by slab between action crossings, the
@@ -683,17 +686,31 @@ def track_class(h0, log, w, label="h", values_only=False):
     transport is homotopic to the identity (is the identity, at a
     slide), so a class whose transport is a boundary was one already.
 
+    The push across an event is the forward image restricted to the next
+    interval's in-window generators, and every entry it drops lies below
+    the floor: a class leaves the window only below.  The forward map
+    sends a generator g to itself and to generators strictly below it at
+    the event.  A slide's is I + N, whose entries are products of jump
+    entries, each pointing down the action order (apply_handle_slide
+    checks them).  A birth's adds the upper branch to g only along g's
+    entry in the new column, and apply_birth checks that g lies above
+    the lower branch; both branches start at the vertex, so they share
+    the lower one's side, which is not above g's.  A death's projects.
+    So each image entry of an in-window g lies below the ceiling at the
+    event, and a window keeps each arc on one side for its whole life.
+
     Each interval is swept once.  The window's sides and in-window ids
     and the crossings of its in-window pairs sorted by parameter come
     from the family's arrangement, prepared once per family and window;
     the in-window arcs' profiles are looked up once per call, so no slab
-    reads an arc by id.  _interval_gens reads each interval's in-window
-    generators off its matrix's rows.  One pointer advances through the
-    sorted crossings across the intervals; the crossings strictly inside
-    an interval, of two arcs both alive there, cut it into slabs.  The
-    crossings at one parameter make one slab bound, and the arcs of
-    their pairs are the bound's movers.  The first read of a step's maps
-    builds and verifies them.
+    reads an arc by id.  Each interval reached derives its window once,
+    its in-window generators (_interval_gens) and their set and windowed
+    complex: interval 0 in _window_rep, each later one at the push into
+    it.  One pointer advances through the sorted crossings across the
+    intervals; the crossings strictly inside an interval, of two arcs
+    both alive there, cut it into slabs.  The crossings at one parameter
+    make one slab bound, and the arcs of their pairs are the bound's
+    movers.  The first read of a step's maps builds and verifies them.
 
     Both sweeps order only the interval's generators that rep or an
     entry of the windowed differential holds (_coset_gens): no other
@@ -725,9 +742,8 @@ def track_class(h0, log, w, label="h", values_only=False):
     cuts = _window_cuts(arr, w, inside)
     prof = {g: t.arc(g).f3 for g in inside}
     ring = log.ring
-    first = log.intervals[0]
-    rep, _ = _window_rep(h0, first.gamma, sides,
-                         _interval_gens(inside, first), "at the start")
+    gens, held, rep, d = _window_rep(h0, log.intervals[0], sides, inside,
+                                     "at the start")
 
     segments = []
     transfers = []
@@ -737,11 +753,9 @@ def track_class(h0, log, w, label="h", values_only=False):
     p = 0                    # the first crossing not yet passed
 
     for fc in log.intervals:
-        gens = _interval_gens(inside, fc)
-        d = _window_complex(fc.gamma, gens)
         rep_record = tuple(sorted(rep.items(), key=lambda kv: str(kv[0])))
         if not rep:
-            classes.append(TrackedClass(fc.interval_index, label, rep_record,
+            classes.append(TrackedClass(fc.interval_index, rep_record,
                                         NEG_INF, NEG_INF))
             outcome = "LeftWindow(below)"
             break
@@ -752,14 +766,13 @@ def track_class(h0, log, w, label="h", values_only=False):
         hn, hd = fc.r_hi.as_integer_ratio()
         while p < len(cuts) and cuts[p][1] * ld <= ln * cuts[p][2]:
             p += 1
-        alive = set(gens)
         # slab bounds as (x, numerator, denominator), and the movers of
         # each bound after the first
         bounds, movers = [(fc.r_lo, ln, ld)], [None]
         while p < len(cuts) and cuts[p][1] * hd < hn * cuts[p][2]:
             x, n, e, g1, g2 = cuts[p]
             p += 1
-            if g1 in alive and g2 in alive:
+            if g1 in held and g2 in held:
                 if n * bounds[-1][2] != bounds[-1][1] * e:
                     bounds.append((x, n, e))
                     movers.append({g1, g2})
@@ -804,25 +817,18 @@ def track_class(h0, log, w, label="h", values_only=False):
             segments.append(seg)
             prev_top = top
         classes.append(TrackedClass(
-            fc.interval_index, label, rep_record,
+            fc.interval_index, rep_record,
             segments[first_seg].rho_lo, segments[-1].rho_hi))
 
         if fc.interval_index == len(log.steps):
             continue
-        rep = vec_apply(ring, rep, log.steps[fc.interval_index].maps.forward)
         nxt = log.intervals[fc.interval_index + 1]
-        gens_next = set(_interval_gens(inside, nxt))
-        clipped = {}
-        for g, v in rep.items():
-            if g in gens_next:
-                clipped[g] = v
-            elif sides[g] == ABOVE:
-                outcome = "LeftWindow(above)"
-                break
-        else:
-            rep = clipped
-            continue
-        break
+        gens = _interval_gens(inside, nxt)
+        held = set(gens)
+        rep = {g: v for g, v in vec_apply(
+            ring, rep, log.steps[fc.interval_index].maps.forward).items()
+            if g in held}
+        d = _window_complex(nxt.gamma, gens)
 
     return SpectralTrace(tuple(segments), tuple(transfers), outcome,
                          tuple(classes))

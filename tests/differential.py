@@ -35,7 +35,8 @@ Probe kinds:
   cascades 6, 12, 30 and 60, and of l1 (and of l1 + l2 when l2 exists)
   on randgen families, 150 per ring over Z2, Z and Q, in wide_window and
   in the window (10, 200): each slab's interval, bounds, top and values,
-  and the transfers, outcome and classes.
+  the transfers and outcome, and each class's interval, representative
+  and values.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
   homology of every interval's count matrix, filtered_homology at the
   interval's midpoint in wide_window and in the window (10, 200), and
@@ -183,17 +184,41 @@ WALK_KNOTS = [F(1, 3), F(1, 2), F(5, 7)]
 NUDGES = [0, F(1, 3), F(-1, 3), 7, -7]
 
 
+def geometry_windows(t, rng, walk):
+    """The geometry probe's windows for the family t, as (label, window):
+    wide_window, three constant windows that rng draws from LEVELS and
+    HITS, and three that walk draws with cutoffs of 2-3 knots at values
+    near the arcs' knot values."""
+    from morseflow.piecewise import Piecewise
+    from morseflow.tracker import Window, wide_window
+
+    windows = [("wide", wide_window(t))]
+    for k in range(3):
+        lo, hi = sorted(rng.sample(LEVELS + HITS, 2))
+        windows.append(("[%s, %s] #%d" % (lo, hi, k), Window.constant(lo, hi)))
+    heights = sorted({v for a in t.arcs for _, v in a.f3.points})
+    for k in range(3):
+        rs = [0] + ([walk.choice(WALK_KNOTS)]
+                    if walk.random() < 0.5 else []) + [1]
+        floor, ceiling = zip(*(sorted(
+            walk.choice(heights) + walk.choice(NUDGES)
+            for _ in range(2)) for _ in rs))
+        w = Window(Piecewise(tuple(zip(rs, floor))),
+                   Piecewise(tuple(zip(rs, ceiling))))
+        windows.append(("%s %s #%d" % (w.a.points, w.b.points, k), w))
+    return windows
+
+
 def probe_geometry(work):
     import dataclasses
 
     import randgen
     from morseflow.bifurcation import evolve, validate_axioms
     from morseflow.matrix import SparseMatrix
-    from morseflow.piecewise import Piecewise, crossings
+    from morseflow.piecewise import crossings
     from morseflow.rings import Q, Z, Z2
-    from morseflow.tracker import (Window, spectral_value, track_class,
-                                   validate_window, wide_window,
-                                   window_violation)
+    from morseflow.tracker import (spectral_value, track_class,
+                                   validate_window, window_violation)
 
     def spectral(h, r, log, w):
         sv = spectral_value(h, r, log, w)
@@ -216,24 +241,10 @@ def probe_geometry(work):
                 cases["%s profile %s" % (name, a.id)] = [
                     [str(r), a.f3.contains(r),
                      _attempt(lambda: a.f3.value(r))] for r in rs]
-            windows = [("wide", wide_window(t))]
-            for k in range(3):
-                lo, hi = sorted(rng.sample(LEVELS + HITS, 2))
-                windows.append(("[%s, %s] #%d" % (lo, hi, k),
-                                Window.constant(lo, hi)))
-            # cutoffs bending through the arcs' values: drawn with their
-            # own generator, so the cases above draw as they did
-            walk = random.Random("geometry walk %s/%d" % (ring.name, seed))
-            heights = sorted({v for a in t.arcs for _, v in a.f3.points})
-            for k in range(3):
-                rs = [0] + ([walk.choice(WALK_KNOTS)]
-                            if walk.random() < 0.5 else []) + [1]
-                floor, ceiling = zip(*(sorted(
-                    walk.choice(heights) + walk.choice(NUDGES)
-                    for _ in range(2)) for _ in rs))
-                w = Window(Piecewise(tuple(zip(rs, floor))),
-                           Piecewise(tuple(zip(rs, ceiling))))
-                windows.append(("%s %s #%d" % (w.a.points, w.b.points, k), w))
+            # cutoffs bending through the arcs' values are drawn with
+            # their own generator, so the cases above draw as they did
+            windows = geometry_windows(t, rng, random.Random(
+                "geometry walk %s/%d" % (ring.name, seed)))
             hs = [("l1", {"l1": 1})]
             if any(a.id == "l2" for a in t.arcs):
                 hs.append(("l1+l2", {"l1": 1, "l2": 1}))
@@ -324,10 +335,13 @@ def probe_escape(work):
 
 def _values(trace):
     """What a values-only trace holds: each slab's interval, bounds, top
-    and values, and the transfers, outcome and classes."""
+    and values, the transfers and outcome, and each class's interval,
+    representative and values."""
     return ([(s.interval_index, s.r_lo, s.r_hi, s.top, s.rho_lo, s.rho_hi)
              for s in trace.segments],
-            trace.transfers, trace.outcome, trace.classes)
+            trace.transfers, trace.outcome,
+            [(c.interval_index, c.representative, c.rho_start, c.rho_end)
+             for c in trace.classes])
 
 
 def probe_values(work):

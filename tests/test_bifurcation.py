@@ -475,14 +475,47 @@ class TestValidateAxioms:
         assert any(f.code == "gamma1" for f in report.errors())
 
     def test_death_pivot_reported_as_gamma5(self):
-        t = eyeball_with_bystander()
-        fc = counter(Z2, ("c1",), {})
-        events = [EventRecord(F(1, 4), Birth("vb", 1)),
-                  EventRecord(F(3, 4), Death("vd"))]
-        # sabotage: flip the intermediate pivot away by validating a log
-        # whose birth pivot exists but whose death pivot was zeroed
-        report = validate_axioms(fc, events, t)
-        assert report.ok   # the honest data passes
+        """Over Z a count of 2 between a dying pair's branches reports
+        exactly gamma5, and a birth pivot of 2 exactly gamma4."""
+        assert self.pivot_findings() == (["gamma5"], ["gamma4"])
+
+    def test_pivot_findings_follow_the_error_type(self, monkeypatch):
+        """Reworded, the birth's message names a dying pair and the
+        death's does not; the findings stay."""
+        for name, text in (("apply_birth", "pivot of the dying pair"),
+                           ("apply_death", "pivot 2")):
+            monkeypatch.setattr(bifurcation, name, _reworded(
+                getattr(bifurcation, name), text))
+        assert self.pivot_findings() == (["gamma5"], ["gamma4"])
+
+    @staticmethod
+    def pivot_findings():
+        """The error codes validate_axioms reports, over Z, for a pair
+        alive from r=0 whose branches count 2 and that dies at its
+        vertex, and for a birth with pivot 2."""
+        up = Arc("up", Piecewise([(0, 6), (F(3, 4), 3)]), BoundaryAt0(),
+                 DeathVertex("vd"))
+        dn = Arc("dn", Piecewise([(0, 1), (F(3, 4), 3)]), BoundaryAt0(),
+                 DeathVertex("vd"))
+        t = CerfTuple((up, dn), (Vertex("vd", "death", F(3, 4), 3, "up",
+                                        "dn"),))
+        death = validate_axioms(counter(Z, ("up", "dn"), {("up", "dn"): 2}),
+                                [EventRecord(F(3, 4), Death("vd"))], t)
+        birth = validate_axioms(counter(Z, ("c1",), {}),
+                                [EventRecord(F(1, 2), Birth("vb", 2))],
+                                birth_tuple())
+        return ([f.code for f in death.errors()],
+                [f.code for f in birth.errors()])
+
+
+def _reworded(apply, text):
+    """apply, raising its NonUnitPivot again with the message text."""
+    def run(*args):
+        try:
+            return apply(*args)
+        except NonUnitPivot as e:
+            raise type(e)(text) from None
+    return run
 
 
 class TestLazyMaps:

@@ -38,6 +38,27 @@ slide r=1/2 : (c2, c1) = 1
 """
 
 
+# a pair alive from r=0 whose branches count 2 to each other: over Z the
+# death's pivot is no unit
+BAD_DEATH = """
+[coefficients]
+ring = z
+
+[arcs]
+up : (0, 6) (3/4, 3) ends=boundary,death(vd)
+dn : (0, 1) (3/4, 3) ends=boundary,death(vd)
+
+[vertices]
+vd : death r=3/4 f3=3 plus=up minus=dn
+
+[gamma]
+(up, dn) = 2
+
+[events]
+death r=3/4 vertex=vd
+"""
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -96,6 +117,13 @@ class TestExitCodes:
         p = write(tmp_path, "bad.scn", BAD_SLIDE)
         assert main(["validate", p]) == 3
         assert "gamma1" in capsys.readouterr().out
+
+    def test_death_pivot_failure(self, tmp_path, capsys):
+        p = write(tmp_path, "bad.scn", BAD_DEATH)
+        assert main(["evolve", p]) == 3
+        assert "dying branches" in capsys.readouterr().err
+        assert main(["validate", p]) == 3
+        assert "error gamma5: count between" in capsys.readouterr().out
 
     def test_computation_failure(self, tmp_path, capsys):
         p = write(tmp_path, "desc.scn", DESCENDING)

@@ -1,7 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario, values, cerf, homology, parse, coset and
-ladder probes run here, to keep the check short.
+Only its bundled-scenario, values, cerf, homology, parse, coset,
+ladder and geometry probes run here, to keep the check short.
 """
 
 import re
@@ -192,3 +192,33 @@ def test_a_planted_reader_that_loses_a_sign_shows_in_the_parse_probe(
     assert lines[0] == "parse: %d cases, %d differ" % (cases, differ)
     assert lines[1] == "  parse Q seed 0 as written"
     assert "= 3/2" in lines[2] and "= -3/2" in lines[3]
+
+
+def test_a_planted_push_that_stops_at_a_dropped_entry_shows(tmp_path):
+    # a push that ends the trace at the first event whose forward image
+    # leaves the window, instead of dropping the entries below the floor,
+    # cuts short the traces of the geometry probe's narrow windows
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracker = tmp_path / "src" / "morseflow" / "tracker.py"
+    text = tracker.read_text(encoding="utf-8")
+    push = """        rep = {g: v for g, v in vec_apply(
+            ring, rep, log.steps[fc.interval_index].maps.forward).items()
+            if g in held}
+"""
+    assert text.count(push) == 1
+    tracker.write_text(text.replace(push, """        image = vec_apply(
+            ring, rep, log.steps[fc.interval_index].maps.forward)
+        if not held.issuperset(image):
+            outcome = "LeftWindow(below)"
+            break
+        rep = image
+"""), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["geometry"])
+    assert 0 < differ < cases
+    assert lines[0] == "geometry: %d cases, %d differ" % (cases, differ)
+    shown = [line.strip() for line in lines if line.startswith("  ")
+             and not line.startswith("    ")]
+    assert shown and all(" track " in line for line in shown)

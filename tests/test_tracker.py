@@ -12,10 +12,11 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+import differential
 import oracles
 import randgen
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
-                      three_lane_tuple)
+                      three_lane_tuple, within)
 from morseflow import algebra, bifurcation, tracker
 from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_handle_slide, evolve,
@@ -24,7 +25,7 @@ from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, DeathVertex,
                             Vertex, validate_cerf)
 from morseflow.errors import (DegenerateParameter, InvalidWindow,
                               NonNestedLadder, NotACycle, VerificationFailed)
-from morseflow.matrix import SparseMatrix
+from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.cli import data_path, main
 from morseflow.escape import build_cascade, linear
 from morseflow.piecewise import Piecewise, _apart, _range
@@ -1517,6 +1518,93 @@ class TestIntervalGenerators:
             raise AssertionError("a window reader scanned the alive arcs")
         monkeypatch.setattr(type(t), "arcs_alive", refuse)
         assert read() == want
+
+
+def pushed_away(trace, log, w):
+    """The entries each push of trace dropped, by a midpoint reference:
+    each lies below the floor on the interval pushed into, and the push
+    keeps every other entry of the forward image as it is."""
+    dropped = []
+    for before, after in zip(trace.classes, trace.classes[1:]):
+        forward = log.steps[before.interval_index].maps.forward
+        image = vec_apply(log.ring, dict(before.representative), forward)
+        kept = dict(after.representative)
+        r = log.intervals[after.interval_index].midpoint()
+        assert kept == {g: v for g, v in image.items() if g in kept}
+        for g in image.keys() - kept.keys():
+            assert (oracles.profile_value(log.family.arc(g).f3.points, r)
+                    < oracles.profile_value(w.a.points, r))
+            dropped.append(g)
+    return dropped
+
+
+class TestPush:
+    def test_an_entry_pushed_away_lies_below_the_floor(self):
+        """No class leaves a window above (track_class gives the proof):
+        every cycle on one or two in-window generators at r=0, in the
+        geometry probe's windows on randgen families with 0-6 events,
+        is carried by the forward image restricted to the window, and
+        each entry the restriction drops lies below the floor."""
+        drops = 0
+        with within(15):
+            for ring in (Z2, Z, Q):
+                scales = (1,) if ring is Z2 else (1, -1)
+                for seed in range(30):
+                    rng = random.Random("push %s/%d" % (ring.name, seed))
+                    sc = randgen.random_scenario(rng, ring)
+                    t = sc.family
+                    log = evolve(sc.gamma0, sc.events, t)
+                    walk = random.Random("push walk %s/%d" % (ring.name, seed))
+                    for _, w in differential.geometry_windows(t, rng, walk):
+                        if window_violation(w, t) is not None:
+                            continue
+                        gens = oracles.in_window_at(
+                            t, w, log.intervals[0].midpoint())
+                        hs = [{g: 1} for g in gens] + [
+                            {g1: 1, g2: c} for g1, g2
+                            in itertools.combinations(gens, 2) for c in scales]
+                        for h in hs:
+                            try:
+                                trace = track_class(h, log, w)
+                            except NotACycle:
+                                continue
+                            assert trace.outcome in ("Survived",
+                                                     "LeftWindow(below)")
+                            drops += len(pushed_away(trace, log, w))
+        assert drops > 0
+
+    def test_each_interval_window_is_derived_once(self, monkeypatch):
+        """A trace reads each interval's in-window generators once per
+        interval it reaches, and restricts interval 0's complex once, in
+        a window that does not hold every arc alive there."""
+        sc = randgen.random_scenario(random.Random(17), Z2)
+        log = evolve(sc.gamma0, sc.events, sc.family)
+        w = Window.constant(F(65, 2), 200)
+        first = log.intervals[0]
+        assert len(window_gens(sc.family, w, first)) < len(first.gamma.rows)
+        u_log = evolve(counter(Z2, ["up", "dn"], {("up", "dn"): 1}),
+                       [EventRecord(F(3, 4), Death("vd"))], u_death_tuple())
+        reads, restricted = [], []
+        interval_gens = tracker._interval_gens
+        restrict = SparseMatrix.restrict
+
+        def read(inside, fc):
+            reads.append(fc.interval_index)
+            return interval_gens(inside, fc)
+
+        def counted(m, gens):
+            restricted.append(m)
+            return restrict(m, gens)
+        monkeypatch.setattr(tracker, "_interval_gens", read)
+        monkeypatch.setattr(SparseMatrix, "restrict", counted)
+        trace = track_class({"u1": 1}, log, w)
+        assert trace.outcome == "Survived"
+        assert reads == list(range(len(log.intervals)))
+        assert sum(m is first.gamma for m in restricted) == 1
+        reads.clear()
+        trace = track_class({"dn": 1}, u_log, Window.constant(-1, 8))
+        assert trace.outcome == "LeftWindow(below)"
+        assert reads == [c.interval_index for c in trace.classes] == [0, 1]
 
 
 class TestIntegerPoints:
