@@ -251,13 +251,15 @@ def _cmd_cascade(arg, flags):
     except (InvalidParameters, NonUnitError) as e:
         raise ScenarioError("cascade: %s" % e) from None
     sc = Scenario(ring, t, gamma0, tuple(events), window=wide_window(t),
-                  rep={"c1": ring.one}, label="h",
+                  rep={"c1": ring.one},
                   phi=linear(Fraction(1), gap=(-ratio, ratio)))
     name = "cascade%d.scn" % flags.n
     return [(name, serialize_scenario(sc))], 0
 
 
 def _cmd_rabinowitz(arg, flags):
+    """The model and its verdict; every verdict class carries phi, None
+    when nothing moves."""
     sc = _load(arg, flags)
     if sc.model is None:
         raise ScenarioSemanticError(
@@ -269,9 +271,8 @@ def _cmd_rabinowitz(arg, flags):
              "motion rate: %s" % m.motion_rate,
              "eta growth rate: %s" % m.eta_growth_rate]
     verdict = classify_invariance(m, rho0=sc.model_rho0, kappa=sc.model_kappa)
-    phi = getattr(verdict, "phi", None)
-    if phi is not None:
-        lines.append("growth bound: %s" % phi_text(phi))
+    if verdict.phi is not None:
+        lines.append("growth bound: %s" % phi_text(verdict.phi))
     if isinstance(verdict, ClassSurvives):
         lines.append("verdict: class survives (margin %s)" % verdict.report.margin)
     elif isinstance(verdict, Inconclusive):

@@ -31,6 +31,7 @@ _FLAT = Fraction(0)          # the cost of every flat step
 # smallest integer safely above the point where the innermost log factor
 # turns positive: 1, e, e^e, e^(e^e)
 _LOG_THRESHOLD = {0: 0, 1: 2, 2: 3, 3: 16, 4: 3814280}
+MAX_LOG_DEPTH = max(_LOG_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class GrowthBound:
         if any(q < 0 for q in self.log_powers):
             raise InvalidParameters("log exponents must be nonnegative")
         depth = len(self.log_powers)
-        if depth > 4:
+        if depth > MAX_LOG_DEPTH:
             raise InvalidParameters("at most four iterated log factors")
         try:
             a, b = self.gap
@@ -103,14 +104,12 @@ class GrowthBound:
                 return q < 1
         return True
 
-    @property
-    def has_closed_form(self):
-        if not self.log_powers:
-            return True
-        return self.power == 1 and all(q == 1 for q in self.log_powers)
-
     def _antiderivative(self, s):
-        """G(s) with G' = 1/Phi, for s above the positivity threshold."""
+        """G(s) with G' = 1/Phi, for s above the positivity threshold.
+
+        Every bound without log factors has one; with them, only p = 1
+        with every q = 1 does: the iterated log of s, over c.
+        """
         c = self.coefficient
         if not self.log_powers:
             if self.power == 1:
@@ -119,7 +118,7 @@ class GrowthBound:
             if e.denominator == 1:
                 return frac(s) ** int(e) / (c * e)
             return float(s) ** float(e) / (float(c) * float(e))
-        if self.has_closed_form:
+        if self.power == 1 and all(q == 1 for q in self.log_powers):
             x = math.log(float(s))
             for _ in range(len(self.log_powers)):
                 x = math.log(x)
@@ -178,13 +177,11 @@ def square(c, gap=None):
 
 
 def iterlog(c, depth, gap=None):
-    if depth < 1:
-        raise InvalidParameters("iterlog needs depth >= 1")
+    if depth not in range(1, MAX_LOG_DEPTH + 1):
+        raise InvalidParameters("iterlog needs a depth from 1 to %d"
+                                % MAX_LOG_DEPTH)
     if gap is None:
-        thr = _LOG_THRESHOLD.get(depth)
-        if thr is None:
-            raise InvalidParameters("at most four iterated log factors")
-        gap = (-thr, thr)
+        gap = (-_LOG_THRESHOLD[depth], _LOG_THRESHOLD[depth])
     return GrowthBound(c, 1, (1,) * depth, gap, "iterlog")
 
 

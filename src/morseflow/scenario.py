@@ -74,7 +74,6 @@ class Scenario:
     window: object = None          # Window or None
     ladder: tuple = ()
     rep: object = None             # {arc id: ring value} or None
-    label: str = "h"
     phi: object = None             # GrowthBound or None
     kappa: object = None
     rho0: object = None
@@ -288,7 +287,7 @@ def _choice(options, what):
 _FIELDS = {
     "[coefficients]": {"ring": (_choice(RINGS, "ring"),)},
     "[window]": {"a": (_cutoff,), "b": (_cutoff,)},
-    "[track]": {"class": (read_class, None), "label": (_name, "h")},
+    "[track]": {"class": (read_class, None)},
     "[phi]": {"bound": (parse_phi, None), "kappa": (_rational, None),
               "rho0": (_rational, None)},
     "[rabinowitz]": {
@@ -566,7 +565,7 @@ def parse_scenario(text, path="", ring=None):
         ladder.append(Window.constant(*_read(
             "window", [(lineno, t) for t in rest.split()], lineno)))
 
-    rep, label = _section(sections, "track", ring, arc_ids)
+    rep = _section(sections, "track", ring, arc_ids)[0]
     phi, kappa, rho0 = _section(sections, "phi")
 
     model = model_rho0 = model_kappa = None
@@ -582,7 +581,7 @@ def parse_scenario(text, path="", ring=None):
                          tame(depth) if tame is LogTame else tame(), variant)
 
     return Scenario(ring, family, gamma0, tuple(events), window,
-                    tuple(ladder), rep, label, phi, kappa, rho0,
+                    tuple(ladder), rep, phi, kappa, rho0,
                     model, model_rho0, model_kappa, path)
 
 
@@ -687,8 +686,7 @@ def serialize_scenario(sc):
                 terms.append(("-" if neg else "") + term)
             else:
                 terms.append(("- " if neg else "+ ") + term)
-        out += _fmt_section("track", " ".join(terms),
-                            None if sc.label == "h" else sc.label)
+        out += _fmt_section("track", " ".join(terms))
     out += _fmt_section("phi", None if sc.phi is None else phi_text(sc.phi),
                         sc.kappa, sc.rho0)
     m = sc.model

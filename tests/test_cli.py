@@ -213,6 +213,15 @@ class TestReports:
         out = capsys.readouterr().out
         assert "verdict: invariant" in out and "growth bound" not in out
 
+    def test_rabinowitz_depth_past_four_is_a_parse_error(
+            self, tmp_path, capsys):
+        p = write(tmp_path, "deep.scn",
+                  "[arcs]\nc1 : (0, 1) (1, 1)\n\n[rabinowitz]\nh_sup = 1\n"
+                  "class = logtame\ndepth = 5\n")
+        assert main(["rabinowitz", p]) == 1
+        err = capsys.readouterr().err
+        assert "line 5" in err and "depth" in err
+
 
     ROOT_TIE = """
 [arcs]

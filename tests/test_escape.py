@@ -250,6 +250,16 @@ class TestCheckH1:
         for phi in (linear(F(1, 1000)), square(F(1, 1000)), iterlog(1, 2)):
             assert check_H1(phi, t).slope_ok
 
+    @pytest.mark.parametrize("slope, ok", [(23, True), (24, False)])
+    def test_log_factor_bound_binds_at_the_low_end(self, slope, ok):
+        # s log s grows past the gap, so on a chord rising from 10 its
+        # minimum is 10 ln 10 = 23.03: the float branch of the check
+        t = tuple_of(chord("a", [(0, 10), (1, 10 + slope)]))
+        rep = check_H1(iterlog(1, 1), t)
+        assert rep.slope_ok is ok
+        assert ("growth bound %s at action 10" % (10 * math.log(10)) in
+                "".join(f.message for f in rep.findings)) is not ok
+
     def test_fractional_power_boundary_is_exact(self):
         # |slope| = 539/500 = Phi(290521/250000) under c |s|^(1/2), while
         # the float square root is 1.0779999999999998

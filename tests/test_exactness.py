@@ -1,10 +1,11 @@
 """No floats enter the engine: a syntax check of its modules.
 
 The exact layers (coefficient rings, matrices, elimination, piecewise
-geometry, the family model, the event engine, tracking and the scenario
-reader) may hold no float literal, call float(...) nowhere and import
-no math module.  The one float allowed is tracker.NEG_INF, the -inf
-value of the zero class.
+geometry, the family model, the event engine, tracking, the scenario
+reader, and the deformation models with their eta bound in rabinowitz)
+may hold no float literal, call float(...) nowhere and import no math
+module.  The one float allowed is tracker.NEG_INF, the -inf value of
+the zero class.
 """
 
 import ast
@@ -15,7 +16,7 @@ import pytest
 import morseflow
 
 EXACT_MODULES = ("rings", "matrix", "algebra", "piecewise", "cerf",
-                 "bifurcation", "tracker", "scenario")
+                 "bifurcation", "tracker", "scenario", "rabinowitz")
 ALLOWED = {("tracker", "NEG_INF")}      # (module, assigned name)
 
 

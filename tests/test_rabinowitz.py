@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from fixtures import chord
 from morseflow.cerf import CerfTuple
 from morseflow.errors import (InvalidParameters, MissingClassData,
                               OutOfRange)
-from morseflow.escape import check_H1
+from morseflow.escape import POWER_CAP_BITS, _exceeds_exp, check_H1
 from morseflow.rabinowitz import (ClassSurvives, HomotopyModel,
                                   HypersurfaceHomotopy, Inconclusive,
                                   Invariant, LogTame, SquareTame,
@@ -38,6 +39,8 @@ class TestModel:
         lambda: model(variant="form"),
         lambda: model(variant=SymplecticFormHomotopy(-1)),
         lambda: model(variant=SymplecticFormHomotopy(1, eta_rate=-2)),
+        lambda: model(cls=LogTame(5)),
+        lambda: model(cls=LogTame(F(3, 2))),
     ])
     def test_rejected_models(self, build):
         with pytest.raises(InvalidParameters):
@@ -74,34 +77,43 @@ class TestEtaBound:
             with pytest.raises(OutOfRange):
                 eta_bound(model(), 1, r)
 
-    def test_overflowing_exponent_rejected(self):
-        # exp(1000) is beyond the float range
-        with pytest.raises(OutOfRange):
-            eta_bound(HomotopyModel(h_sup=1000, tame_constant=1), 1, 1)
-        with pytest.raises(OutOfRange):
-            eta_bound(model(h=10**6), 0, F(1, 2))
+    def test_exponent_past_the_float_range_is_bounded(self):
+        # e^1000 has no float; the exact bound's log is read through
+        # math.log of its numerator and denominator, which takes integers
+        got = eta_bound(HomotopyModel(h_sup=1000, tame_constant=1), 1, 1)
+        assert math.log(got.numerator) - math.log(got.denominator) == (
+            pytest.approx(1000, rel=1e-12))
+        assert eta_bound(model(h=10**6), 0, F(1, 2)) == 0
         assert eta_bound(model(h=1000), 1, F(1, 2)) == pytest.approx(
             math.exp(500), rel=1e-12)
 
     @pytest.mark.parametrize("h", [703, 706, 709])
     def test_exponent_near_the_float_limit(self, h):
-        # the closed form is finite here; the cross-check must not overflow
         got = eta_bound(HomotopyModel(h_sup=h, tame_constant=1), 1, 1)
         assert got == pytest.approx(math.exp(h), rel=1e-12)
 
-    def test_start_beyond_the_float_range_rejected(self):
-        with pytest.raises(OutOfRange):
-            eta_bound(model(h=1), 10**400, 1)
+    def test_start_beyond_the_float_range_is_bounded(self):
+        m = model(h=1)
+        assert eta_bound(m, 10**400, 1) == 10**400 * eta_bound(m, 1, 1)
 
-    def test_infinite_product_rejected(self):
-        # exp(20) and 1e300 are finite, their product is not
-        with pytest.raises(OutOfRange):
-            eta_bound(model(h=20), 10**300, 1)
+    def test_product_beyond_the_float_range_is_bounded(self):
+        # exp(20) and 1e300 are floats, their product is not
+        got = eta_bound(model(h=20), 10**300, 1)
+        assert got == 10**300 * eta_bound(model(h=20), 1, 1)
+        assert math.log(got.numerator) - math.log(got.denominator) == (
+            pytest.approx(20 + 300 * math.log(10), rel=1e-12))
 
     def test_nonzero_start_never_bounded_by_zero(self):
-        # 1/10**400 rounds to 0.0; a zero bound on a nonzero quantity is wrong
+        # 1/10**400 has no nonzero float; the exact bound stays above it
+        assert eta_bound(model(h=1), F(1, 10**400), 1) > F(1, 10**400)
+
+    def test_exponent_past_the_cap_is_refused_at_once(self):
+        start = time.perf_counter()
         with pytest.raises(OutOfRange):
-            eta_bound(model(h=1), F(1, 10**400), 1)
+            eta_bound(model(h=10**100), 1, 1)
+        with pytest.raises(OutOfRange):
+            eta_bound(model(h=POWER_CAP_BITS + 1), 0, 1)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("h", [0, 1, 5])
     def test_closed_form_matches_independent_integration(self, h):
@@ -119,6 +131,17 @@ class TestEtaBound:
         got = eta_bound(model(h=h), eta0, r)
         want = oracles.rk4_exponential(h, abs(float(eta0)), r)
         assert abs(got - want) <= 1e-6 * max(want, 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.fractions(min_value=0, max_value=10**4, max_denominator=10**6),
+           r=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+           eta0=st.fractions(max_denominator=10**9))
+    def test_bound_is_an_exact_upper_bound(self, h, r, eta0):
+        got = eta_bound(model(h=h), eta0, r)
+        if h * r == 0 or eta0 == 0:
+            assert got == abs(eta0)
+        else:
+            assert _exceeds_exp(got / abs(eta0), h * r)
 
 
 class TestPhiForClass:

@@ -37,7 +37,7 @@ BUNDLED = ["slide", "twoslides", "birth", "eyeball", "escaping"]
 
 def fields_for_comparison(sc):
     return (sc.ring, sc.family, sc.gamma0, sc.events, sc.window, sc.ladder,
-            sc.rep, sc.label, sc.phi, sc.kappa, sc.rho0, sc.model,
+            sc.rep, sc.phi, sc.kappa, sc.rho0, sc.model,
             sc.model_rho0, sc.model_kappa)
 
 
@@ -354,6 +354,7 @@ class TestErrors:
         ("[rabinowitz]\nh_sup = -1\n", 5, "nonnegative"),
         ("[rabinowitz]\nclass = logtame\ndepth = 3/2\n", 6, "whole"),
         ("[rabinowitz]\ntheta = -1\n", 5, "theta"),
+        ("[rabinowitz]\nclass = logtame\ndepth = 5\n", 5, "depth"),
     ])
     def test_growth_and_model_values_carry_their_line(self, section, line, words):
         with pytest.raises(ScenarioSemanticError, match=words) as e:
@@ -387,6 +388,7 @@ class TestErrors:
         ("[window]\na = (0, 1) (1, 1) junk\nb = 2\n", 5, "'junk'"),
         ("[window]\na = (0, 1) (1 1) (1, 1)\nb = 2\n", 5, "'(1 1)'"),
         ("[arcs]\n", 4, "repeated"),
+        ("[track]\nclass = c1\nlabel = h\n", 6, "unknown key 'label'"),
     ])
     def test_unknown_keys_and_stray_text(self, text, line, words):
         with pytest.raises(ScenarioSyntaxError, match=re.escape(words)) as e:
@@ -582,7 +584,7 @@ class TestRoundTripFuzz:
         sc = randgen.random_scenario(random.Random(seed), ring)
         if tracked:
             sc = dataclasses.replace(sc, window=wide_window(sc.family),
-                                     rep={"l1": ring.one}, label="h")
+                                     rep={"l1": ring.one})
         assert_text_fixed_point(sc)
 
     @settings(max_examples=40, deadline=None)
@@ -595,7 +597,7 @@ class TestRoundTripFuzz:
                                        delta_value=ring.coerce(delta), ring=ring)
         assert_text_fixed_point(Scenario(
             ring, t, fc0, tuple(events), window=wide_window(t),
-            rep={"c1": ring.one}, label="h",
+            rep={"c1": ring.one},
             phi=linear(F(1), gap=(-ratio, ratio))))
 
 
