@@ -79,9 +79,6 @@ class Arc:
     def r_hi(self):
         return self.f3.r_hi
 
-    def alive_at(self, r):
-        return self.f3.contains(r)
-
     def value(self, r):
         return self.f3.value(r)
 
@@ -161,9 +158,11 @@ class CerfTuple:
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        # reversed, so the first arc with a repeated id wins
+        # reversed, so the first arc or vertex with a repeated id wins
         object.__setattr__(self, "_arc_by_id",
                            {a.id: a for a in reversed(self.arcs)})
+        object.__setattr__(self, "_vertex_by_id",
+                           {v.id: v for v in reversed(self.vertices)})
 
     @property
     def components(self):
@@ -176,14 +175,12 @@ class CerfTuple:
         return self._arc_by_id[arc_id]
 
     def vertex(self, vertex_id):
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
+        """The first vertex with this id."""
+        return self._vertex_by_id[vertex_id]
 
     def arcs_alive(self, r):
         """Arcs whose footprint contains r, in declaration order."""
-        return [a for a in self.arcs if a.alive_at(r)]
+        return [a for a in self.arcs if a.f3.contains(r)]
 
     def f3_range(self):
         """(least, greatest) action over every arc, (None, None) with no

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .algebra import homology
 from .bifurcation import HandleSlide, evolve, validate_axioms
 from .cerf import validate_cerf
@@ -36,7 +37,7 @@ from .scenario import (Scenario, _rational, load_scenario, parse_phi,
                        serialize_scenario)
 from .tracker import filtered_homology, full_homology, track_class, wide_window
 
-HEADER = "# morseflow 0.1.0"
+HEADER = "# morseflow " + __version__
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ def _cmd_evolve(sc, flags):
         lines.append("")
         lines.append("interval %d: (%s, %s)" % (fc.interval_index, fc.r_lo, fc.r_hi))
         lines.append("  generators: %s" % (" ".join(fc.generators) or "-"))
-        for (c1, c2), v in sorted(fc.gamma.items(),
-                                  key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        for (c1, c2), v in fc.gamma.items():
             lines.append("  (%s, %s) = %s" % (c1, c2, v))
     lines.append("")
     for st in log.steps:

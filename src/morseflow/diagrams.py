@@ -8,9 +8,10 @@ output byte for byte.
 
 import bisect
 
+from . import __version__
 from .bifurcation import Birth, Death
 
-VERSION_COMMENT = "<!-- morseflow 0.1.0 -->"
+VERSION_COMMENT = "<!-- morseflow %s -->" % __version__
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2")

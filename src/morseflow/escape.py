@@ -23,8 +23,8 @@ from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
+from .tracker import NEG_INF
 
-NEG_INF = float("-inf")
 INF = float("inf")
 _FLAT = Fraction(0)          # the cost of every flat step
 
@@ -32,6 +32,13 @@ _FLAT = Fraction(0)          # the cost of every flat step
 # turns positive: 1, e, e^e, e^(e^e)
 _LOG_THRESHOLD = {0: 0, 1: 2, 2: 3, 3: 16, 4: 3814280}
 MAX_LOG_DEPTH = max(_LOG_THRESHOLD)
+
+
+def _is_log_depth(depth):
+    """Whether depth is a number of iterated log factors iterlog and
+    LogTame accept: an int (not a bool) from 1 to MAX_LOG_DEPTH.  A whole
+    Fraction or float is refused, since (1,) * depth needs an int."""
+    return type(depth) is int and 1 <= depth <= MAX_LOG_DEPTH
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ def square(c, gap=None):
 
 
 def iterlog(c, depth, gap=None):
-    if depth not in range(1, MAX_LOG_DEPTH + 1):
+    if not _is_log_depth(depth):
         raise InvalidParameters("iterlog needs a depth from 1 to %d"
                                 % MAX_LOG_DEPTH)
     if gap is None:

@@ -49,12 +49,8 @@ class SparseMatrix:
 
     def __init__(self, ring: Ring, rows: Iterable, cols: Iterable, entries: Dict = None):
         self.ring = ring
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        self._row_set = frozenset(self.rows)
-        self._col_set = frozenset(self.cols)
-        if len(self._row_set) != len(self.rows) or len(self._col_set) != len(self.cols):
-            raise DimensionMismatch("duplicate generator identifiers in index set")
+        self.rows, self._row_set = self._index(rows)
+        self.cols, self._col_set = self._index(cols)
         clean = {}
         for (r, c), v in (entries or {}).items():
             if r not in self._row_set or c not in self._col_set:

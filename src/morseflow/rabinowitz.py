@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters, MissingClassData, OutOfRange
-from .escape import (MAX_LOG_DEPTH, POWER_CAP_BITS, _exp_bounds, check_H2,
-                     iterlog, linear, square)
+from .escape import (MAX_LOG_DEPTH, POWER_CAP_BITS, _exp_bounds,
+                     _is_log_depth, check_H2, iterlog, linear, square)
 from .piecewise import frac
 
 H3_NOTE = "conditional on H3"
@@ -88,7 +88,7 @@ class HomotopyModel:
             raise InvalidParameters("unknown tameness class: %r"
                                     % (self.tame_class,))
         if (isinstance(self.tame_class, LogTame)
-                and self.tame_class.depth not in range(1, MAX_LOG_DEPTH + 1)):
+                and not _is_log_depth(self.tame_class.depth)):
             raise InvalidParameters("log-tame depth must be from 1 to %d"
                                     % MAX_LOG_DEPTH)
         if not isinstance(self.variant,

@@ -597,14 +597,6 @@ def _fmt_points(pw):
     return " ".join("(%s, %s)" % (r, v) for r, v in pw.points)
 
 
-def _fmt_tag(tag):
-    if isinstance(tag, BirthVertex):
-        return "birth(%s)" % tag.vertex
-    if isinstance(tag, DeathVertex):
-        return "death(%s)" % tag.vertex
-    return "boundary"
-
-
 def phi_text(phi):
     """The text parse_phi reads back as phi: every field of its family."""
     values = {"c": phi.coefficient, "p": phi.power,
@@ -630,7 +622,9 @@ def serialize_scenario(sc):
         line = "%s : %s" % (a.id, _fmt_points(a.f3))
         tags = (a.lo_tag, a.hi_tag)
         if not all(isinstance(t, (BoundaryAt0, BoundaryAt1)) for t in tags):
-            line += " ends=%s,%s" % (_fmt_tag(a.lo_tag), _fmt_tag(a.hi_tag))
+            line += " ends=%s,%s" % tuple(
+                t if isinstance(t, (BirthVertex, DeathVertex)) else "boundary"
+                for t in tags)
         if a.lo_open or a.hi_open:
             line += " open=%s" % ("both" if a.lo_open and a.hi_open
                                   else ("lo" if a.lo_open else "hi"))

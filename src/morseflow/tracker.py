@@ -328,28 +328,17 @@ class SpectralValue:
     top: object = None
 
 
-class _Descending:
-    """Sort key of a generator: higher action first, ties by str(id).
-
-    The action is an integer pair (num, den > 0) from the piecewise
-    kernel; two keys compare by one cross product.
-    """
-
-    __slots__ = ("num", "den", "name")
-
-    def __init__(self, num, den, name):
-        self.num, self.den, self.name = num, den, name
-
-    def __lt__(self, other):
-        x = self.num * other.den - other.num * self.den
-        return x > 0 or (x == 0 and self.name < other.name)
+# generators as (num, den > 0, str(id)): higher action first, compared by
+# one cross product, ties by str(id)
+_DESCENDING = functools.cmp_to_key(
+    lambda u, v: v[0] * u[1] - u[0] * v[1] or (u[2] > v[2]) - (u[2] < v[2]))
 
 
 def _order_key(prof, rn, rd):
-    """Sort key putting generators in descending action at rn/rd, ties by
-    id, read from the integer points of prof, each generator's profile by
-    id."""
-    return lambda g: _Descending(*_ratio_at(prof[g].ints, rn, rd), str(g))
+    """A cmp_to_key sort key (_DESCENDING) putting generators in
+    descending action at rn/rd, ties by str(id), read from the integer
+    points of prof, each generator's profile by id."""
+    return lambda g: _DESCENDING(_ratio_at(prof[g].ints, rn, rd) + (str(g),))
 
 
 def _coset_minimize(ring, d, rep, order):

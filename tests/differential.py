@@ -28,8 +28,12 @@ Probe kinds:
   reversed.
 * escape: under the bounds linear, square, polylog p=1/2 and iterlog
   depth 1, check_H1 on randgen families, 50 per ring, and on cascades 6
-  and 12; budget_for_heights and check_H2 (kappa 1/2 and 2, from the
-  first height) on the heights of each one's trace in the wide window,
+  and 12; escape_budget on each one's trace in the wide window, and on
+  two traces of c3 in the bundled slide (the boundary of c2): one in its
+  window, where the class is zero (ZeroClass), and one in the window
+  (3/2, 10), which it leaves at once (EmptyTrace); and budget_for_heights
+  and check_H2 (kappa 1/2 and 2, from the first height) on the heights
+  of each trace that has any, the zero class's -inf heights included,
   in both directions, and on the tie [64/9, 361/36].
 * values: the values-only trace (track_class(..., values_only=True)) of
   cascades 6, 12, 30 and 60, and of l1 (and of l1 + l2 when l2 exists)
@@ -288,10 +292,11 @@ def probe_escape(work):
     from morseflow.bifurcation import evolve
     from morseflow.errors import MorseflowError
     from morseflow.escape import (budget_for_heights, build_cascade,
-                                  check_H1, check_H2, iterlog, linear,
-                                  polylog, square)
+                                  check_H1, check_H2, escape_budget, iterlog,
+                                  linear, polylog, square)
     from morseflow.rings import Q, Z, Z2
-    from morseflow.tracker import track_class, wide_window
+    from morseflow.scenario import load_scenario
+    from morseflow.tracker import Window, track_class, wide_window
 
     bounds = [("linear", linear(1)), ("square", square(1)),
               ("polylog p=1/2", polylog(1, F(1, 2))),
@@ -308,20 +313,34 @@ def probe_escape(work):
                          evolve(sc.gamma0, sc.events, sc.family), {"l1": 1}))
 
     cases = {}
-    climbs = [("tie", [F(64, 9), F(361, 36)])]
+    traces = []
     for label, log, h in logs:
         t = log.family
         for bl, phi in bounds:
             cases["escape %s %s H1" % (label, bl)] = _attempt(
                 lambda: check_H1(phi, t))
         try:
-            trace = track_class(h, log, wide_window(t))
+            traces.append((label, track_class(h, log, wide_window(t))))
         except MorseflowError as e:
             cases["escape %s trace" % label] = "%s: %s" % (type(e).__name__, e)
-            continue
-        climbs += [("%s %s" % (label, d), _heights(trace, sign))
-                   for d, sign in (("+", 1), ("-", -1))]
+    # c3 is the boundary of c2 in slide, so it is zero in the window;
+    # below the floor 3/2 it leaves at once and its trace is empty
+    sc = load_scenario(os.path.join(DATA, "slide.scn"))
+    log = evolve(sc.gamma0, sc.events, sc.family)
+    traces += [("slide c3 zero", track_class({"c3": 1}, log, sc.window)),
+               ("slide c3 empty", track_class(
+                   {"c3": 1}, log, Window.constant(F(3, 2), 10)))]
+
+    climbs = [("tie", [F(64, 9), F(361, 36)])]
+    for label, trace in traces:
+        for d, sign in (("+", 1), ("-", -1)):
+            climbs.append(("%s %s" % (label, d), _heights(trace, sign)))
+            for bl, phi in bounds:
+                cases["escape %s %s %s escape_budget" % (label, d, bl)] = (
+                    _attempt(lambda: escape_budget(trace, phi, sign)))
     for label, heights in climbs:
+        if not heights:
+            continue             # an empty trace has no climb to price
         rho0 = heights[0] if heights[0] != NEG_INF else 0
         for bl, phi in bounds:
             key = "escape %s %s" % (label, bl)

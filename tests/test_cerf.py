@@ -103,6 +103,26 @@ class TestValidate:
         assert "vertex-action" in codes and "vertex-orientation" in codes
 
 
+class TestLookupById:
+    """CerfTuple.arc and CerfTuple.vertex: the first entry with an id wins,
+    and an unknown id raises KeyError."""
+
+    def test_first_of_two_entries_with_one_id_wins(self):
+        a1 = chord("a", [(0, 5), (1, 5)])
+        a2 = chord("a", [(0, 3), (1, 3)])
+        v1 = Vertex("v", "birth", F(1, 2), 2, "up", "down")
+        v2 = Vertex("v", "death", F(3, 4), 1, "up", "down")
+        t = CerfTuple((a1, a2), (v1, v2))
+        assert t.arc("a") is a1 and t.vertex("v") is v1
+
+    def test_unknown_id_raises_key_error(self):
+        t = birth_tuple()
+        with pytest.raises(KeyError):
+            t.arc("vb")
+        with pytest.raises(KeyError):
+            t.vertex("c1")
+
+
 def free_ends(chain, loop):
     """The end tags of chain's arcs left once each consecutive pair, and
     for a loop the last and first arc, is joined at a vertex both tag;

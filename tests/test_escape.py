@@ -88,6 +88,9 @@ class TestGrowthBound:
         lambda: polylog(1, 1, (-1,), gap=(-2, 2)),
         lambda: iterlog(1, 0),
         lambda: iterlog(1, 5),
+        lambda: iterlog(1, F(2)),               # whole, but not an int
+        lambda: iterlog(1, 2.0),
+        lambda: iterlog(1, True),
         lambda: linear(1, gap=(1, 2)),          # gap misses 0
         lambda: iterlog(1, 1, gap=(-1, 1)),     # gap below log threshold
         lambda: GrowthBound(1, 1, (1,) * 5, (-INF, INF)),

@@ -41,6 +41,7 @@ class TestModel:
         lambda: model(variant=SymplecticFormHomotopy(1, eta_rate=-2)),
         lambda: model(cls=LogTame(5)),
         lambda: model(cls=LogTame(F(3, 2))),
+        lambda: model(cls=LogTame(F(2))),       # whole, but not an int
     ])
     def test_rejected_models(self, build):
         with pytest.raises(InvalidParameters):

@@ -438,7 +438,8 @@ class TestIntegerKernelAtScale:
             rs = [F(0)] + sorted(draw(st.sets(st.sampled_from(knots), max_size=3))) + [F(1)]
             vs = draw(st.lists(st.sampled_from(values), min_size=len(rs),
                                max_size=len(rs)))
-            arcs.append(chord("a%d" % i, list(zip(rs, vs))))
+            # "a10", "a9", ...: str order is not declaration order
+            arcs.append(chord("a%d" % (10 - i), list(zip(rs, vs))))
         t = CerfTuple(tuple(arcs))
         points = [F(0), F(1)] + knots
         points += [(x + y) / 2 for x, y in zip(points, points[1:])]
