@@ -146,16 +146,6 @@ def is_chain_map(a: SparseMatrix, d_from: SparseMatrix, d_to: SparseMatrix) -> b
     return d_from.mul(a) == a.mul(d_to)
 
 
-def is_chain_homotopy(d: SparseMatrix, h: SparseMatrix, lhs: SparseMatrix) -> bool:
-    """True iff d . h + h . d equals lhs, all on one generator set."""
-    if not d.is_square() or not h.is_square():
-        raise DimensionMismatch("homotopy data must be square")
-    if (d._row_set != h._row_set or lhs._row_set != d._row_set
-            or not lhs.is_square()):
-        raise DimensionMismatch("index sets differ")
-    return d.mul(h).add(h.mul(d)) == lhs
-
-
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:

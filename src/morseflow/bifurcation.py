@@ -25,8 +25,27 @@ Each event is computed once, by one function per kind, which returns
 the new matrix together with a recipe for the comparison maps relating
 the complexes on either side.  Only class tracking reads those maps, so
 the evolution log stores the recipe and each step builds its maps when
-they are first read, verifies them there, and keeps them: validation,
-evolution and homology never build a map.
+they are first read and keeps them: validation, evolution and homology
+never build a map.
+
+The maps need no check of their own.  Every log evolve returns passed
+_interval_findings on every interval before the event closing it, so
+it squares to zero on every interval (above), and every event in it met
+its constraints.  A map A from the complex of G to that of G' is a
+chain map when G A = A G' (row convention), and every bundle passes:
+
+* a slide's, on any matrix: G' = (I+D) G (I+N) with I + N the inverse
+  of I + D, so G (I+N) = (I+N) G' and G' (I+D) = (I+D) G.
+* a birth's inclusion, by the cycle condition: it sends an old
+  generator c to c - w(c) e^-1 times the upper branch, w the new column
+  and e the pivot, and the old matrix kills w.  The projection, its
+  retraction of the inclusion and the homotopy, e^-1 from the lower
+  branch to the upper one, need only the pivot and that nothing flows
+  into the upper branch or out of the lower one.
+* a death's inclusion, by square-zero: the maps are a birth's with the
+  sides swapped, the inclusion corrects along the lower branch's
+  column, and the before matrix's product into the lower branch runs
+  over the survivors only.  The rest is as at a birth.
 """
 
 from dataclasses import dataclass, field
@@ -34,12 +53,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .algebra import is_chain_homotopy, is_chain_map
 from .cerf import Finding, ValidationReport
 from .errors import (ActionConstraintViolated, ConstraintViolated,
                      CycleConditionViolated, DeathPivotNotUnit,
                      DegenerateParameter, EvolutionError, NonTriangularDelta,
-                     NonUnitPivot, VerificationFailed)
+                     NonUnitPivot)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import _apart, _range, _side, _walk, frac
 
@@ -120,10 +138,9 @@ class FlowCounter:
 class ChainMapBundle:
     """Maps relating the complexes on either side of an event.
 
-    A bundle is verified where it is first read, by EventStep.maps, not
-    where it is built.  forward transports representatives left-to-right
-    in the parameter (rows: before-generators, cols: after-generators);
-    backward is the section going the other way.  For a slide both are inverse
+    forward transports representatives left-to-right in the parameter
+    (rows: before-generators, cols: after-generators); backward is the
+    section going the other way.  For a slide both are inverse
     isomorphisms and homotopy is None; for a birth or death the homotopy
     certifies that backward-then-forward is homotopic to the identity on
     the larger side.
@@ -140,8 +157,8 @@ class EventStep:
     """One event of a log: the counters on either side, and its maps.
 
     build_maps is the event update's recipe for the comparison maps.  It
-    runs the first time maps is read, and verify_maps checks its bundle
-    there; every later read returns that same bundle.
+    runs the first time maps is read, and every later read returns that
+    same bundle.
     """
 
     record: EventRecord
@@ -151,10 +168,9 @@ class EventStep:
 
     @cached_property
     def maps(self):
-        """The verified ChainMapBundle of the event."""
-        maps = self.build_maps()
-        verify_maps(maps, self.before.gamma, self.after.gamma)
-        return maps
+        """The ChainMapBundle of the event (module docstring: it relates
+        the two complexes)."""
+        return self.build_maps()
 
 
 @dataclass(frozen=True)
@@ -189,58 +205,26 @@ class EvolutionLog:
 
 # ---------------------------------------------------------------------------
 # single-event updates: each returns (new matrix, recipe), where the recipe
-# builds the event's ChainMapBundle when called; EventStep.maps verifies it
-
-def verify_maps(maps, before, after):
-    """Raise VerificationFailed unless maps relate the two complexes.
-
-    forward must be a chain map from before to after, backward one from
-    after to before.  For a slide that pair is the whole identity: the
-    section I + D being a chain map is the update's defining equation
-    G+ (I + D) = (I + D) G-.  For a birth or death the projection must
-    also retract the inclusion, and the homotopy must join
-    projection-then-inclusion to the identity on the larger side.
-    """
-    if not is_chain_map(maps.forward, before, after):
-        raise VerificationFailed("%s transport is not a chain map" % maps.kind)
-    if not is_chain_map(maps.backward, after, before):
-        raise VerificationFailed("%s section is not a chain map" % maps.kind)
-    if maps.homotopy is None:
-        return
-    if maps.kind == "birth":
-        incl, proj, d_big = maps.forward, maps.backward, after
-    else:
-        incl, proj, d_big = maps.backward, maps.forward, before
-    ring = d_big.ring
-    if incl.mul(proj) != SparseMatrix.identity(ring, incl.rows):
-        raise VerificationFailed("%s projection does not retract the "
-                                 "inclusion" % maps.kind)
-    lhs = SparseMatrix.identity(ring, proj.rows).sub(proj.mul(incl))
-    if not is_chain_homotopy(d_big, maps.homotopy, lhs):
-        raise VerificationFailed("%s homotopy identity fails" % maps.kind)
-
+# builds the event's ChainMapBundle when called
 
 def _nilpotent_series(delta):
     """N = -D + D^2 - ..., the nilpotent part of (I + D)^-1 = I + N.
 
-    D must be nilpotent: its powers are formed until one vanishes, and a
-    jump matrix whose power past the generator count is still nonzero is
-    refused (an n x n matrix is nilpotent exactly when its n-th power
-    vanishes).
+    Each entry of D points strictly down the action order at the event
+    (apply_handle_slide checks it), so an entry of D^k joins the ends of
+    a chain of k strict descents, and D^k vanishes before k reaches the
+    generator count.  The powers are formed until one vanishes.
     """
     minus_delta = delta.neg()
     series = term = minus_delta
-    for _ in range(len(delta.rows)):
+    while True:
         term = term.mul(minus_delta)
         if term.is_zero():
             return series
         series = series.add(term)
-    raise NonTriangularDelta(
-        "jump matrix is not nilpotent; its entries cannot all point down "
-        "the action order")
 
 
-def apply_handle_slide(gamma_minus, ev, t=None):
+def apply_handle_slide(gamma_minus, ev, t):
     """Conjugate the count matrix by I + D at a handle-slide.
 
     The closed form (I+D) G (I+D)^-1 is the unique solution of the
@@ -248,10 +232,10 @@ def apply_handle_slide(gamma_minus, ev, t=None):
     where N = -D + D^2 - ... (_nilpotent_series), it is A + A N: the
     series' powers and two products, none with an identity factor.  The
     maps, I + N forward and the section I + D backward, are built only
-    by the recipe, when class tracking first reads them, and verified
-    there.  When the family t is supplied, both arcs of each jump entry
-    must be alive at the event parameter, and the entry is checked
-    against the action order there, by the sign of the kernel's gap.
+    by the recipe, when class tracking first reads them.  Both arcs of
+    each jump entry must be alive at the event parameter in the family
+    t, and the entry is checked against the action order there, by the
+    sign of the kernel's gap.
     """
     payload = ev.payload
     gm = gamma_minus.gamma
@@ -272,15 +256,14 @@ def apply_handle_slide(gamma_minus, ev, t=None):
         v = ring.coerce(val)
         if v != ring.zero:
             entries[(c1, c2)] = v
-    if t is not None:
-        for (c1, c2) in entries:
-            f1, f2 = t.arc(c1).f3, t.arc(c2).f3
-            if not (f1.contains(ev.r) and f2.contains(ev.r)):
-                raise dead(c1, c2)
-            if not _walk(f1, f2, ev.r, ev.r)[1][0] > 0:
-                raise NonTriangularDelta(
-                    "jump entry (%s, %s) violates the action order at r=%s: "
-                    "%s <= %s" % (c1, c2, ev.r, f1.value(ev.r), f2.value(ev.r)))
+    for (c1, c2) in entries:
+        f1, f2 = t.arc(c1).f3, t.arc(c2).f3
+        if not (f1.contains(ev.r) and f2.contains(ev.r)):
+            raise dead(c1, c2)
+        if not _walk(f1, f2, ev.r, ev.r)[1][0] > 0:
+            raise NonTriangularDelta(
+                "jump entry (%s, %s) violates the action order at r=%s: "
+                "%s <= %s" % (c1, c2, ev.r, f1.value(ev.r), f2.value(ev.r)))
     delta = SparseMatrix(ring, ids, ids, entries)
     series = _nilpotent_series(delta)
     a = gm.add(delta.mul(gm))
@@ -494,27 +477,43 @@ def _interval_findings(fc, t):
 
 
 def _alive_ids(lives, fc):
-    """Ids of the arcs alive at the midpoint of fc's interval, as
-    CerfTuple.arcs_alive finds them, by integer cross products.  lives
-    holds each arc's id and the integer ends of its life,
-    (id, lo_num, lo_den, hi_num, hi_den)."""
+    """The set of ids of the arcs alive at the midpoint of fc's interval,
+    as CerfTuple.arcs_alive finds them, and the set of those among them
+    whose life does not cover the closed interval, by integer cross
+    products.  lives holds each arc's id and the integer ends of its
+    life, (id, lo_num, lo_den, hi_num, hi_den)."""
     a, b = fc.r_lo.as_integer_ratio()
     c, d = fc.r_hi.as_integer_ratio()
     mn, md = a * d + c * b, 2 * b * d
-    return {aid for aid, ln, ld, hn, hd in lives
-            if ln * md <= mn * ld and mn * hd <= hn * md}
+    alive, short = set(), set()
+    for aid, ln, ld, hn, hd in lives:
+        if ln * md <= mn * ld and mn * hd <= hn * md:
+            alive.add(aid)
+            if not (ln * b <= a * ld and c * hd <= hn * d):
+                short.add(aid)
+    return alive, short
 
 
-def evolve(gamma0, events, t, enforce_axioms=True):
+def evolve(gamma0, events, t):
     """Push the initial counter through every event in parameter order.
 
     gamma0 is the counter on the first interval.  Every vertex of the
     family must be matched by exactly one birth or death record; event
-    parameters must be pairwise distinct and interior to (0, 1).  With
-    enforce_axioms, each interval is checked before the event closing it
-    is applied, so the maps a step builds when read relate two complexes
-    and pass verify_maps.
+    parameters must be pairwise distinct and interior to (0, 1).  Each
+    interval is checked before the event closing it is applied, and the
+    last one at the end: its rows must be the arcs alive on it, each arc
+    an entry names must live on all of it, and it must satisfy the
+    standing axioms (_interval_findings).  So each step of the log
+    builds, when read, maps that relate its two complexes (module
+    docstring).
     """
+    return _evolve(gamma0, events, t, True)
+
+
+def _evolve(gamma0, events, t, axioms):
+    """evolve, checking the standing axioms on each interval only when
+    axioms is true; validate_axioms alone runs it without them, so that
+    it can report every interval's findings."""
     evs = sorted(events, key=lambda e: e.r)
     params = [e.r for e in evs]
     if len(set(params)) != len(params):
@@ -550,16 +549,24 @@ def evolve(gamma0, events, t, enforce_axioms=True):
 
     def check(fc):
         """Raise EvolutionError when fc's rows are not the arcs alive on
-        its interval, or, with enforce_axioms, when fc violates a standing
-        axiom (_interval_findings), naming each one."""
-        alive = _alive_ids(lives, fc)
+        its interval, or an entry names an arc alive on only part of it,
+        where the action-order test could not read it, or, with axioms,
+        when fc violates a standing axiom (_interval_findings), naming
+        each one."""
+        alive, short = _alive_ids(lives, fc)
+        name = ("counter on interval %d" % fc.interval_index
+                if fc.interval_index < len(evs) else "final counter")
         if set(fc.gamma.rows) != alive:
             raise EvolutionError(
                 "%s indexes %s but the alive arcs are %s" %
-                ("counter on interval %d" % fc.interval_index
-                 if fc.interval_index < len(evs) else "final counter",
-                 sorted(fc.gamma.rows, key=str), sorted(alive)))
-        bad = enforce_axioms and _interval_findings(fc, t)
+                (name, sorted(fc.gamma.rows, key=str), sorted(alive)))
+        cut = sorted(c for c in short
+                     if any(c in pair for pair in fc.gamma.entries))
+        if cut:
+            raise EvolutionError(
+                "%s has entries on %s, alive on only part of [%s, %s]" %
+                (name, cut, fc.r_lo, fc.r_hi))
+        bad = axioms and _interval_findings(fc, t)
         if bad:
             raise EvolutionError("; ".join(msg for _, msg in bad))
 
@@ -604,19 +611,19 @@ def validate_axioms(gamma0, events, t):
     (gamma3 to gamma5) are checked once, by the event updates inside
     evolve; what remains here is the per-interval action order and
     square-zero on the first interval, which the events carry to every
-    later one (see the module docstring).  No comparison map is built:
-    an event's maps fail only next to a matrix that does not square to
-    zero, which the square-zero finding reports, so a report without
-    errors means every step's maps pass verify_maps when read.  Checking
-    downstream of a failed event is impossible (there is no matrix to
-    check), which the report states explicitly.
+    later one (see the module docstring).  The run behind the report
+    checks those on no interval until every event is applied, so the
+    report lists the findings of every interval; a report without errors
+    means evolve accepts the same input.  No comparison map is built.
+    Checking downstream of a failed event is impossible (there is no
+    matrix to check), which the report states explicitly.
     """
     out = []
     err = lambda code, msg: out.append(Finding(code, "error", msg))
     info = lambda code, msg: out.append(Finding(code, "info", msg))
 
     try:
-        log = evolve(gamma0, events, t, enforce_axioms=False)
+        log = _evolve(gamma0, events, t, False)
     except tuple(_ERROR_AXIOM) as e:
         err(_ERROR_AXIOM[type(e)], str(e))
         info("structure", "checking stopped at the failing event")

@@ -84,7 +84,7 @@ class NonNestedLadder(MorseflowError):
 
 
 class VerificationFailed(MorseflowError):
-    """Constructed comparison maps fail their defining identities."""
+    """A class trace breaks a property the theory guarantees it."""
 
 
 class NotACycle(MorseflowError):

@@ -131,7 +131,8 @@ class GrowthBound:
                 x = math.log(x)
             return x / float(c)
         raise UnsupportedFamily(
-            "no closed-form antiderivative registered for %r" % (self,))
+            "no closed-form antiderivative registered for %s"
+            % self._exponents())
 
     def cost(self, lo, hi):
         """Parameter cost of climbing from lo to hi: INT ds/Phi.
@@ -171,7 +172,12 @@ class GrowthBound:
             return 1.0 / (float(self.coefficient) * float(e)
                           * float(m) ** float(e))
         raise UnsupportedFamily(
-            "no closed-form tail registered for %r" % (self,))
+            "no closed-form tail registered for %s" % self._exponents())
+
+    def _exponents(self):
+        """p and the log exponents, as a growth bound's text writes them."""
+        return "p=%s, logs=(%s)" % (self.power,
+                                    ",".join(map(str, self.log_powers)))
 
 
 # in each constructor below, gap=None gives the family's default interval

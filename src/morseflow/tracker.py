@@ -11,11 +11,13 @@ Class tracking pushes a representative through the comparison maps of
 the event log and recomputes its spectral value on every slab between
 action crossings; the spectral value of a class is the smallest top
 action over all representatives in its coset.  Tracking is the one
-reader of those maps: a step builds and verifies them on the first
-read.  The greedy coset reduction that finds the smallest top action
-is proven tight over every coefficient ring (_coset_minimize), so every
-spectral value and slab is certified.  A class leaves the window only
-below, so a trace's outcome is Survived or LeftWindow(below).
+reader of those maps: a step builds them on the first read, and they
+relate its two complexes because evolve checked the log (bifurcation's
+module docstring).  The greedy coset reduction that finds the smallest
+top action is proven tight over every coefficient ring
+(_coset_minimize), so every spectral value and slab is certified.  A
+class leaves the window only below, so a trace's outcome is Survived or
+LeftWindow(below).
 
 The geometry those calls read is prepared once per family, in one
 arrangement: each pair's crossings, and each window's verdict, sides,
@@ -60,14 +62,12 @@ class nonzero in the window stays so.
 
 A ladder of nested windows (full_homology) is compared through the
 projection and inclusion legs between consecutive windows.  They are
-chain maps because every count lowers action (gamma1), so gamma1 is
-full_homology's precondition: evolve checks it on every interval unless
-told not to, and full_homology tests it once per ladder, raising
-VerificationFailed on an entry that breaks it.  Each window's complex
-is restricted once and read by its homology and by both legs it meets;
-each leg's rank is one elimination (_induced_rank) with no cycle basis.
-Every elimination here enters through algebra._echelon, which alone
-picks bit rows (Z2) or dense lists (Z and Q).
+chain maps because every count lowers action (gamma1), and evolve
+checks gamma1 on every interval of every log it returns.  Each window's
+complex is restricted once and read by its homology and by both legs it
+meets; each leg's rank is one elimination (_induced_rank) with no
+cycle basis.  Every elimination here enters through algebra._echelon,
+which alone picks bit rows (Z2) or dense lists (Z and Q).
 
 The sweep's sign tests are integer ones, through the piecewise kernel:
 window clearance, ladder nesting, an arc's side of the window and the
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import _echelon, homology
-from .bifurcation import HandleSlide, _triangularity_violations
+from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, NotADifferential, VerificationFailed)
 from .matrix import vec_apply
@@ -312,8 +312,8 @@ def filtered_homology(t, fc, r, w):
 # comparison maps across events
 
 def continuation_map(ev, log):
-    """The comparison maps of one event of the log, verified when the
-    step's maps are first read."""
+    """The comparison maps of one event of the log, built when the step's
+    maps are first read."""
     return log.step_at(ev.r).maps
 
 
@@ -516,12 +516,10 @@ def full_homology(t, log, r, ladder):
     The legs are chain maps because every count lowers action (gamma1):
     the generators below a floor then form a subcomplex, the projection
     is the quotient by it, and the inclusion is that of a subcomplex.
-    evolve checks gamma1 on every interval unless told not to; here it
-    is tested once, on the interval of r, and an entry that breaks it
-    raises VerificationFailed.  Each window's and each intermediate
-    window's complex is restricted once, and each leg's rank is one
-    echelon of the rows of both its complexes (_induced_rank), with no
-    cycle basis.
+    evolve checks gamma1 on every interval of the log.  Each window's and
+    each intermediate window's complex is restricted once, and each leg's
+    rank is one echelon of the rows of both its complexes (_induced_rank),
+    with no cycle basis.
     """
     ladder = list(ladder)
     if not ladder:
@@ -533,12 +531,6 @@ def full_homology(t, log, r, ladder):
                 "ladder windows must nest: floors nonincreasing, ceilings "
                 "nondecreasing")
     fc = log.counter_at(r)
-    bad = _triangularity_violations(fc.gamma, t, fc.r_lo, fc.r_hi)
-    if bad:
-        raise VerificationFailed(
-            "entry (%s, %s) violates the action order on (%s, %s): the "
-            "ladder's legs need not be chain maps"
-            % (bad[0] + (fc.r_lo, fc.r_hi)))
     gen_sets = [_interval_gens(inside, fc) for inside in insides]
     ds = [_window_complex(fc.gamma, gens) for gens in gen_sets]
     results = [homology(d) for d in ds]
@@ -699,7 +691,7 @@ def track_class(h0, log, w, values_only=False):
     intervals; the crossings strictly inside an interval, of two arcs
     both alive there, cut it into slabs.  The crossings at one parameter
     make one slab bound, and the arcs of their pairs are the bound's
-    movers.  The first read of a step's maps builds and verifies them.
+    movers.  The first read of a step's maps builds them.
 
     Both sweeps order only the interval's generators that rep or an
     entry of the windowed differential holds (_coset_gens): no other

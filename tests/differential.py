@@ -68,9 +68,14 @@ Probe kinds:
   the descending order and two drawn orders of the in-window
   generators, and three drawn representatives (any chain on them, not
   only cycles).
+* maps: on randgen families, 150 per ring over Z2, Z and Q, each step's
+  kind and its forward, backward and homotopy maps as sorted items; and
+  validate_axioms's findings and evolve's outcome (the number of
+  intervals, or the error) on the family and on three copies with one
+  drawn extra entry in the initial count matrix.
 
-A library probe (ladder, geometry, escape, values, homology, parse, coset)
-records the repr of each result, or the class name and message of the
+A library probe (ladder, geometry, escape, values, homology, parse, coset,
+maps) records the repr of each result, or the class name and message of the
 error raised.
 
 A command case records its exit code, standard output and the sha256 of
@@ -471,6 +476,48 @@ def probe_coset(work):
     return cases
 
 
+def probe_maps(work):
+    import dataclasses
+
+    import randgen
+    from morseflow.bifurcation import evolve, validate_axioms
+    from morseflow.matrix import SparseMatrix
+    from morseflow.rings import Q, Z, Z2
+
+    def bundle(maps):
+        return (maps.kind, maps.forward.items(), maps.backward.items(),
+                None if maps.homotopy is None else maps.homotopy.items())
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        values = [1] if ring is Z2 else [-2, -1, 1, 2] + (
+            [F(1, 2)] if ring is Q else [])
+        for seed in range(150):
+            rng = random.Random("maps %s/%d" % (ring.name, seed))
+            sc = randgen.random_scenario(rng, ring)
+            t, g0 = sc.family, sc.gamma0
+            name = "maps %s seed %d" % (ring.name, seed)
+            for k, step in enumerate(evolve(g0, sc.events, t).steps):
+                cases["%s step %d" % (name, k)] = _attempt(
+                    lambda: bundle(step.maps))
+            copies = [("as drawn", g0)]
+            rows = g0.gamma.rows
+            for _ in range(3):
+                entries = dict(g0.gamma.entries)
+                c1, c2 = rng.choice(rows), rng.choice(rows)
+                entries[c1, c2] = rng.choice(values)
+                copies.append(("with %s" % ((c1, c2, entries[c1, c2]),),
+                               dataclasses.replace(g0, gamma=SparseMatrix(
+                                   ring, rows, g0.gamma.cols, entries))))
+            for label, g in copies:
+                key = "%s %s" % (name, label)
+                cases[key + " axioms"] = _attempt(
+                    lambda: validate_axioms(g, sc.events, t).findings)
+                cases[key + " evolve"] = _attempt(
+                    lambda: len(evolve(g, sc.events, t).intervals))
+    return cases
+
+
 # a numeric literal of a scenario file: not part of an id, a decimal or
 # another fraction
 _LITERAL = re.compile(r"(?<![\w./])(-?)([0-9]+)(?:/([0-9]+))?(?![\w./])")
@@ -610,7 +657,7 @@ PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
           "escape": probe_escape, "values": probe_values, "cerf": probe_cerf,
           "homology": probe_homology, "parse": probe_parse,
-          "coset": probe_coset}
+          "coset": probe_coset, "maps": probe_maps}
 
 
 def _worker(src, kinds, path):

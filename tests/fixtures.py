@@ -1,4 +1,5 @@
-"""Hand-built families and a wall-time guard shared across test modules.
+"""Hand-built families, a wall-time guard and a counter of comparison-map
+builds shared across test modules.
 
 All numeric values here were computed by hand from the piecewise-linear
 profiles; tests freeze them as expected values.
@@ -8,6 +9,7 @@ import contextlib
 import signal
 from fractions import Fraction as F
 
+from morseflow import bifurcation
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex)
 from morseflow.piecewise import Piecewise
@@ -92,3 +94,16 @@ def within(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_bundles(monkeypatch):
+    """The list to which each ChainMapBundle an event recipe builds from
+    now on is appended."""
+    built = []
+    real = bifurcation.ChainMapBundle
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(bifurcation, "ChainMapBundle", counted)
+    return built

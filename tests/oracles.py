@@ -435,6 +435,69 @@ def matmul(a, b):
              for j in range(len(b[0]))] for row in a]
 
 
+def event_maps_hold(before, after, bundle):
+    """True iff bundle relates the complexes of the count matrices before
+    and after an event, by dense arithmetic over the integers or the
+    rationals, reduced mod 2 over Z2.
+
+    In the row convention forward is a chain map when
+    before . forward = forward . after, and backward when
+    after . backward = backward . before.  A slide's two maps are inverse
+    to each other.  A birth's forward (a death's backward) is the
+    inclusion i of the smaller complex and the other map the projection
+    p: p must retract i (i . p = I), and the homotopy h must satisfy
+    d h + h d = I - p . i with d the larger side's matrix.
+    """
+    mod = 2 if before.ring.name == "Z2" else None
+    b_ids, a_ids = list(before.rows), list(after.rows)
+
+    def dense(m, rows, cols):
+        if set(m.rows) != set(rows) or set(m.cols) != set(cols):
+            return None
+        return [[Fraction(x) for x in row] for row in m.to_dense(rows, cols)]
+
+    def same(x, y):
+        return all((u - v) % mod == 0 if mod else u == v
+                   for rx, ry in zip(x, y) for u, v in zip(rx, ry))
+
+    def ident(n):
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def plus(x, y, sign=1):
+        return [[u + sign * v for u, v in zip(rx, ry)]
+                for rx, ry in zip(x, y)]
+
+    def prod(x, y, n):
+        """x . y, where y has n columns (y may have no rows)."""
+        return [[sum(u * y[k][j] for k, u in enumerate(row))
+                 for j in range(n)] for row in x]
+
+    nb, na = len(b_ids), len(a_ids)
+    gm, gp = dense(before, b_ids, b_ids), dense(after, a_ids, a_ids)
+    fwd = dense(bundle.forward, b_ids, a_ids)
+    bwd = dense(bundle.backward, a_ids, b_ids)
+    if fwd is None or bwd is None:
+        return False
+    if not (same(prod(gm, fwd, na), prod(fwd, gp, na))
+            and same(prod(gp, bwd, nb), prod(bwd, gm, nb))):
+        return False
+    if bundle.kind == "slide":
+        return (bundle.homotopy is None
+                and same(prod(fwd, bwd, nb), ident(nb))
+                and same(prod(bwd, fwd, na), ident(na)))
+    if bundle.kind == "birth":
+        incl, proj, d, ids = fwd, bwd, gp, a_ids
+    else:
+        incl, proj, d, ids = bwd, fwd, gm, b_ids
+    n, small = len(ids), len(incl)
+    h = (None if bundle.homotopy is None
+         else dense(bundle.homotopy, ids, ids))
+    return (h is not None
+            and same(prod(incl, proj, small), ident(small))
+            and same(plus(prod(d, h, n), prod(h, d, n)),
+                     plus(ident(n), prod(proj, incl, n), -1)))
+
+
 def gauss_jordan_inverse(a):
     """Inverse of an invertible square matrix of rationals, by Gauss-Jordan
     elimination on [a | I] with Fractions."""

@@ -48,7 +48,7 @@ def suite(request):
     for i in range(SUITE_SIZE):
         ring = Z2 if i % 2 == 0 else Z
         sc = random_scenario(rng, ring)
-        log = evolve(sc.gamma0, sc.events, sc.family, enforce_axioms=False)
+        log = evolve(sc.gamma0, sc.events, sc.family)
         built.append((sc, log))
     return built
 

@@ -19,14 +19,13 @@ from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, DegenerateParameter,
-                              EvolutionError, NonTriangularDelta, NonUnitPivot,
-                              VerificationFailed)
+                              EvolutionError, NonTriangularDelta, NonUnitPivot)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
 
-from fixtures import (birth_tuple, chord, eyeball_with_bystander,
-                      three_lane_tuple)
+from fixtures import (birth_tuple, chord, count_bundles,
+                      eyeball_with_bystander, three_lane_tuple, within)
 
 
 def counter(ring, ids, entries, r_lo=0, r_hi=1, index=0):
@@ -37,10 +36,17 @@ def slide(r, *delta):
     return EventRecord(r, HandleSlide(delta))
 
 
+def lanes(ids):
+    """A family of constant chords named ids, descending in that order."""
+    return CerfTuple(tuple(chord(c, [(0, len(ids) - k), (1, len(ids) - k)])
+                           for k, c in enumerate(ids)))
+
+
 class TestHandleSlide:
     def test_zero_delta_is_identity(self):
         fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1})
-        out, build = apply_handle_slide(fc, slide(F(1, 2)))
+        out, build = apply_handle_slide(fc, slide(F(1, 2)),
+                                        lanes(fc.gamma.rows))
         maps = build()
         assert out == fc.gamma
         ident = SparseMatrix.identity(Z2, fc.gamma.rows)
@@ -61,19 +67,23 @@ class TestHandleSlide:
             apply_handle_slide(fc, slide(F(3, 8), ("c2", "c1", 1)), t)
 
     def test_non_nilpotent_rejected(self):
+        # a cycle of jumps cannot point down the action order both ways
         fc = counter(Z2, ("a", "b"), {})
-        with pytest.raises(NonTriangularDelta):
-            apply_handle_slide(fc, slide(F(1, 2), ("a", "b", 1), ("b", "a", 1)))
+        with pytest.raises(NonTriangularDelta, match=r"\(b, a\) violates"):
+            apply_handle_slide(fc, slide(F(1, 2), ("a", "b", 1), ("b", "a", 1)),
+                               lanes(("a", "b")))
 
     def test_diagonal_rejected(self):
         fc = counter(Z2, ("a", "b"), {})
         with pytest.raises(NonTriangularDelta):
-            apply_handle_slide(fc, slide(F(1, 2), ("a", "a", 1)))
+            apply_handle_slide(fc, slide(F(1, 2), ("a", "a", 1)),
+                               lanes(("a", "b")))
 
     def test_unknown_arc_rejected(self):
         fc = counter(Z2, ("a", "b"), {})
         with pytest.raises(EvolutionError):
-            apply_handle_slide(fc, slide(F(1, 2), ("a", "zz", 1)))
+            apply_handle_slide(fc, slide(F(1, 2), ("a", "zz", 1)),
+                               lanes(("a", "b")))
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -95,7 +105,7 @@ class TestHandleSlide:
                     delta.append((a, b, v))
         fc = counter(Z, order, gamma_entries)
         assert fc.gamma.mul(fc.gamma).is_zero()
-        out, _ = apply_handle_slide(fc, slide(F(1, 2), *delta))
+        out, _ = apply_handle_slide(fc, slide(F(1, 2), *delta), lanes(order))
         assert out.mul(out).is_zero()
         # the inverse slide restores the original exactly
         ident = SparseMatrix.identity(Z, order)
@@ -110,7 +120,8 @@ class TestHandleSlide:
             inv = inv.add(term)
         back_delta = [(a, b, v) for (a, b), v in inv.sub(ident).entries.items()]
         fc2 = counter(Z, order, out.entries)
-        restored, _ = apply_handle_slide(fc2, slide(F(1, 2), *back_delta))
+        restored, _ = apply_handle_slide(fc2, slide(F(1, 2), *back_delta),
+                                         lanes(order))
         assert restored == fc.gamma
 
 
@@ -120,7 +131,7 @@ class TestSlideByProducts:
     and its maps against I + D and that inverse."""
 
     @staticmethod
-    def assert_products(gamma, ev):
+    def assert_products(gamma, ev, t):
         ring, ids = gamma.ring, list(gamma.rows)
         d = SparseMatrix(ring, ids, ids, {(a, b): v for a, b, v
                                           in ev.payload.delta})
@@ -128,7 +139,7 @@ class TestSlideByProducts:
                    for i, row in enumerate(d.to_dense(ids, ids))]
         want = oracles.conjugate_by_products(gamma.to_dense(ids, ids),
                                              d.to_dense(ids, ids))
-        out, build = apply_handle_slide(FlowCounter(0, 0, 1, gamma), ev)
+        out, build = apply_handle_slide(FlowCounter(0, 0, 1, gamma), ev, t)
         maps = build()
 
         def reduced(dense):
@@ -145,7 +156,7 @@ class TestSlideByProducts:
         log = evolve(sc.gamma0, sc.events, sc.family)
         for st_ in log.steps:
             if isinstance(st_.record.payload, HandleSlide):
-                self.assert_products(st_.before.gamma, st_.record)
+                self.assert_products(st_.before.gamma, st_.record, sc.family)
 
     @pytest.mark.parametrize("ring, values", [
         (Z, (2, -1, 3, 1)), (Z, (1, 1, 1, -2)),
@@ -165,7 +176,7 @@ class TestSlideByProducts:
             gamma = SparseMatrix(ring, ids, ids, {
                 (p, q): rng.choice([0, 1, -2, F(3, 2) if ring is Q else 3])
                 for p in ids for q in ids})
-            self.assert_products(gamma, ev)
+            self.assert_products(gamma, ev, lanes(ids))
 
 
 class TestBirth:
@@ -378,17 +389,44 @@ class TestValidateAxioms:
         with pytest.raises(EvolutionError, match="not alive at r=1/2"):
             evolve(fc, events, t)
 
+    @staticmethod
+    def ends_inside():
+        """Lane a, alive at the midpoint 1/2 but ending at 3/4, counted
+        against lane b on the one interval (0, 1), and the message that
+        names a."""
+        t = CerfTuple((chord("a", [(0, 5), (F(3, 4), 5)]),
+                       chord("b", [(0, 1), (1, 1)])))
+        fc = counter(Z2, ("a", "b"), {("a", "b"): 1})
+        return t, fc, ("final counter has entries on ['a'], alive on only "
+                       "part of [0, 1]")
+
+    def test_report_names_a_row_ending_inside_its_interval(self):
+        # a structure finding, where the action-order test would read a
+        # outside its domain and raise ValueError
+        t, fc, why = self.ends_inside()
+        report = validate_axioms(fc, [], t)
+        assert [(f.code, f.message) for f in report.errors()] == [
+            ("structure", why)]
+
+    def test_evolve_refuses_a_row_ending_inside_its_interval(self):
+        t, fc, why = self.ends_inside()
+        with pytest.raises(EvolutionError) as e:
+            evolve(fc, [], t)
+        assert str(e.value) == why
+
     def test_unsquared_matrix_before_a_death_reported(self):
         # no map is built: the interval's own square-zero check reports
-        # it, and checking goes on past the death
+        # it, and checking goes on past the death.  evolve refuses it, and
+        # the death's maps on that matrix would not be chain maps
         t, fc, events = unsquared_before_death()
         report = validate_axioms(fc, events, t)
         assert [f.code for f in report.errors()] == ["gamma2"]
         assert [str(f) for f in report.findings] == [
             "[error] gamma2: square-zero fails on (0, 3/4)"]
-        log = evolve(fc, events, t, enforce_axioms=False)
-        with pytest.raises(VerificationFailed, match="not a chain map"):
-            log.steps[0].maps
+        with pytest.raises(EvolutionError, match="square-zero"):
+            evolve(fc, events, t)
+        gp, build = apply_death(fc, events[0], t)
+        assert not oracles.event_maps_hold(fc.gamma, gp, build())
 
     def test_unsquared_matrix_before_a_birth_reported(self):
         # the birth keeps the old block, so only the first interval's
@@ -431,9 +469,10 @@ class TestValidateAxioms:
            flips=st.integers(0, 2))
     def test_passing_report_means_every_step_maps_verify(self, seed, ring,
                                                          flips):
-        """Whenever the report is ok, reading each step's maps raises
-        nothing; the initial matrix gets up to two random extra entries,
-        so some reports fail."""
+        """Whenever the report is ok, evolve accepts the input and each
+        step's maps relate its two complexes (oracles.event_maps_hold);
+        the initial matrix gets up to two random extra entries, so some
+        reports fail."""
         rng = random.Random(seed)
         sc = randgen.random_scenario(rng, ring)
         gamma = sc.gamma0.gamma
@@ -444,10 +483,12 @@ class TestValidateAxioms:
                          SparseMatrix(ring, gamma.rows, gamma.cols, entries))
         if not validate_axioms(fc, sc.events, sc.family).ok:
             return
-        log = evolve(fc, sc.events, sc.family, enforce_axioms=False)
+        log = evolve(fc, sc.events, sc.family)
         for step in log.steps:
             assert step.maps.kind == step.record.kind.replace("handleslide",
                                                               "slide")
+            assert oracles.event_maps_hold(step.before.gamma,
+                                           step.after.gamma, step.maps)
 
 
     def test_trivial_passes(self):
@@ -518,19 +559,28 @@ def _reworded(apply, text):
     return run
 
 
+@pytest.mark.parametrize("ring", [Z2, Z, Q])
+def test_every_randgen_step_maps_hold(ring):
+    """Each step of 60 randgen logs relates its two complexes by the maps
+    it builds (oracles.event_maps_hold), within a wall-time bound."""
+    steps = 0
+    with within(20):
+        for seed in range(60):
+            sc = randgen.random_scenario(random.Random(seed), ring)
+            for step in evolve(sc.gamma0, sc.events, sc.family).steps:
+                assert oracles.event_maps_hold(step.before.gamma,
+                                               step.after.gamma, step.maps)
+                steps += 1
+    assert steps >= 60
+
+
 class TestLazyMaps:
     def test_built_and_verified_once_on_first_read(self, monkeypatch):
         t = eyeball_with_bystander()
         fc = counter(Z2, ("c1",), {})
         events = [EventRecord(F(1, 4), Birth("vb", 1, (("c1", 1),))),
                   EventRecord(F(3, 4), Death("vd"))]
-        calls = []
-        real = bifurcation.verify_maps
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-        monkeypatch.setattr(bifurcation, "verify_maps", counted)
+        calls = count_bundles(monkeypatch)
         log = evolve(fc, events, t)
         assert calls == []
         first = [step.maps for step in log.steps]
@@ -538,17 +588,24 @@ class TestLazyMaps:
         assert [step.maps for step in log.steps] == first
         assert all(a is step.maps for a, step in zip(first, log.steps))
         assert len(calls) == 2
+        assert calls == first
         assert [m.kind for m in first] == ["birth", "death"]
 
     def test_tampered_recipe_fails_on_read(self):
+        # the step hands out what its recipe builds; the oracle tells the
+        # log's own slide maps from identities put in their place
         t = three_lane_tuple()
         fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1}, 0, F(3, 8))
         log = evolve(fc, [slide(F(3, 8), ("c1", "c2", 1))], t)
         ident = SparseMatrix.identity(Z2, fc.gamma.rows)
-        bad = dataclasses.replace(
-            log.steps[0], build_maps=lambda: ChainMapBundle("slide", ident, ident))
-        with pytest.raises(VerificationFailed):
-            bad.maps
+        tampered = ChainMapBundle("slide", ident, ident)
+        bad = dataclasses.replace(log.steps[0], build_maps=lambda: tampered)
+        step = log.steps[0]
+        assert oracles.event_maps_hold(step.before.gamma, step.after.gamma,
+                                       step.maps)
+        assert bad.maps is tampered
+        assert not oracles.event_maps_hold(bad.before.gamma, bad.after.gamma,
+                                           bad.maps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from fixtures import within
+from fixtures import count_bundles, within
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
 from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
@@ -252,6 +252,13 @@ rho0 = 251001/250000
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "past the cap" in err
 
+    def test_unregistered_bound_is_named_as_written(self, capsys):
+        assert main(["escape", "slide", "--phi",
+                     "polylog(c=1, p=1/3, logs=(2))"]) == 4
+        assert capsys.readouterr().err == (
+            "error: no closed-form antiderivative registered for p=1/3, "
+            "logs=(2)\n")
+
 
 class TestArtifacts:
     def test_out_dir_writes_files(self, tmp_path, capsys):
@@ -302,16 +309,9 @@ class TestArtifacts:
     @pytest.mark.parametrize("n", [3, 8])
     def test_only_tracking_builds_event_maps(self, n, tmp_path, capsys,
                                              monkeypatch):
-        from morseflow import bifurcation
         main(["cascade", "--n", str(n), "--out", str(tmp_path)])
         path = capsys.readouterr().out.strip()
-        calls = []
-        real = bifurcation.verify_maps
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-        monkeypatch.setattr(bifurcation, "verify_maps", counted)
+        calls = count_bundles(monkeypatch)
         for cmd in ("validate", "evolve", "homology"):
             assert main([cmd, path]) == 0
         assert calls == []

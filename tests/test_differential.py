@@ -1,7 +1,7 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
 Only its bundled-scenario, values, cerf, homology, parse, coset,
-ladder and geometry probes run here, to keep the check short.
+ladder, geometry and maps probes run here, to keep the check short.
 """
 
 import re
@@ -127,6 +127,27 @@ def test_a_planted_leg_count_past_the_source_block_shows_in_the_ladder_probe(
                                                 ["ladder"])
     assert 0 < differ < cases
     assert lines[0] == "ladder: %d cases, %d differ" % (cases, differ)
+
+
+def test_a_planted_birth_inclusion_without_its_correction_shows(tmp_path):
+    # an inclusion that sends each old generator to itself alone, not
+    # past the born pair along its new-column entry, is no chain map;
+    # a step's maps are not checked when read, so the maps probe shows it
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bifurcation = tmp_path / "src" / "morseflow" / "bifurcation.py"
+    text = bifurcation.read_text(encoding="utf-8")
+    fix = "incl[(c, plus)] = -x * e_inv"
+    assert text.count(fix) == 1
+    bifurcation.write_text(text.replace(fix, "pass"), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["maps"])
+    assert 0 < differ < cases
+    assert lines[0] == "maps: %d cases, %d differ" % (cases, differ)
+    shown = [line.strip() for line in lines if line.startswith("  ")
+             and not line.startswith("    ")]
+    assert shown and all(re.search(r" step \d+$", line) for line in shown)
 
 
 def _planted_bit_echelon(tmp_path, good, bad):

@@ -162,8 +162,10 @@ class TestAntiderivatives:
     def test_tail_integral_unregistered_family(self):
         phi = polylog(1, 2, (1,), gap=(-2, 2))
         assert not phi.diverges_at_infinity()
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(UnsupportedFamily) as e:
             phi.tail_integral(5)
+        assert str(e.value) == (
+            "no closed-form tail registered for p=2, logs=(1)")
 
 
 class TestParsePhi:
