@@ -427,29 +427,21 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     A range decides first: a piecewise-linear profile takes its least
     and greatest values at its knots, so an entry whose upper arc's
     range lies strictly above its lower arc's has a positive gap
-    wherever both live.  Such an entry needs no walk when both arcs live
-    on all of [r_lo, r_hi]; otherwise the walk decides, and raises
-    ValueError for an arc that does not.  Each arc's range is taken
-    once per call.
+    wherever both live, and needs no walk; otherwise the walk decides.
+    Every entry's arcs live on all of [r_lo, r_hi]: _evolve's structure
+    check refuses any other entry before either caller runs this.  Each
+    arc's range is taken once per call.
     """
-    ln, ld = frac(r_lo).as_integer_ratio()
-    hn, hd = frac(r_hi).as_integer_ratio()
     ranges = {}
 
-    def clear(c):
-        """The range of arc c's profile, or None when c does not live on
-        all of [r_lo, r_hi]."""
+    def arc_range(c):
         if c not in ranges:
-            f = t.arc(c).f3
-            p = f.ints
-            ranges[c] = (_range(f) if p[0][0] * ld <= ln * p[0][1]
-                         and hn * p[-1][1] <= p[-1][0] * hd else None)
+            ranges[c] = _range(t.arc(c).f3)
         return ranges[c]
 
     bad = []
     for (c1, c2), _ in gamma.items():
-        r1, r2 = clear(c1), clear(c2)
-        if r1 is not None and r2 is not None and _apart(r1, r2) > 0:
+        if _apart(arc_range(c1), arc_range(c2)) > 0:
             continue
         f = t.arc(c1).f3
         g = t.arc(c2).f3

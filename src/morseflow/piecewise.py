@@ -6,13 +6,14 @@ private kernel (_walk) reads their points as (numerator, denominator)
 pairs, emits their common knots in one merged walk and returns the
 difference at each as an integer numerator over a positive denominator;
 every comparison is a cross product.  contains and value read the same
-integer pairs.  Each Piecewise converts its points once, when it is
-made, checks on those integers that the parameters increase, and keeps
-them as Piecewise.ints; ints is the one integer reader of a profile,
-for this module and for every caller that evaluates the integer points
-itself (_ratio_at).  It is not a field, so == and repr read the
-Fraction points only; hash reads ints, which agrees with ==, since equal
-Fractions have equal reduced ratios.  A Fraction is built only where a
+integer pairs.  Each Piecewise is made in one pass over its points:
+each point is converted once (frac), kept as Fractions in points and
+as integers in Piecewise.ints, and its parameter checked on those
+integers against the point before.  ints is the one integer reader of
+a profile, for this module and for every caller that evaluates the
+integer points itself (_ratio_at).  It is not a field, so == and repr
+read the Fraction points only; hash reads ints, which agrees with ==,
+since equal Fractions have equal reduced ratios.  A Fraction is built only where a
 value leaves the kernel: a crossing parameter and Piecewise.value.
 _side is the one reader of local order, the sign of f - g beside a
 parameter, for the family validator and the event engine alike.
@@ -33,8 +34,19 @@ from typing import Tuple
 
 
 def frac(x):
-    if type(x) is Fraction:
+    """x as a Fraction: a Fraction (or a subclass) itself, anything
+    else Fraction(x).
+
+    The exact types are tested first, a Fraction returned as it is and
+    an int made Fraction(x): isinstance(x, Fraction) runs the ABC
+    machinery (Fraction is a numbers.Rational), which costs more than
+    the conversion of an int.
+    """
+    t = type(x)
+    if t is Fraction:
         return x
+    if t is int:
+        return Fraction(x)
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -45,17 +57,26 @@ class Piecewise:
     points: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        pts = tuple((frac(r), frac(v)) for r, v in self.points)
+        # each point as Fractions and as the integers (r_num, r_den,
+        # v_num, v_den); an order error is raised after the pass, so that
+        # a conversion error anywhere, then too few points, come first
+        pts, ints = [], []
+        q = None
+        increasing = True
+        for r, v in self.points:
+            r, v = frac(r), frac(v)
+            p = r.as_integer_ratio() + v.as_integer_ratio()
+            if q is not None and not q[0] * p[1] < p[0] * q[1]:
+                increasing = False
+            pts.append((r, v))
+            ints.append(p)
+            q = p
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        ints = tuple(r.as_integer_ratio() + v.as_integer_ratio()
-                     for r, v in pts)
-        for p, q in zip(ints, ints[1:]):
-            if not p[0] * q[1] < q[0] * p[1]:
-                raise ValueError("breakpoints must be strictly increasing in r")
-        object.__setattr__(self, "points", pts)
-        # each point as the integers (r_num, r_den, v_num, v_den)
-        object.__setattr__(self, "ints", ints)
+        if not increasing:
+            raise ValueError("breakpoints must be strictly increasing in r")
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "ints", tuple(ints))
 
     def __hash__(self):
         return hash(self.ints)

@@ -697,7 +697,11 @@ def track_class(h0, log, w, values_only=False):
     entry of the windowed differential holds (_coset_gens): no other
     generator is nonzero in any element of the coset, so the supports
     are those of the full order.  The full sweep minimizes on every
-    slab.  Only an interval's first slab is sorted by action: at each
+    slab of an interval whose windowed differential has entries.  With
+    none, im(d) = 0 and the coset is rep alone; _window_rep and
+    vec_apply keep only nonzero coefficients, so _coset_gens holds
+    exactly rep's generators, and the support is the sorted order
+    itself.  Only an interval's first slab is sorted by action: at each
     later bound the movers form contiguous runs of the previous order,
     and only those runs are re-sorted.
 
@@ -769,7 +773,8 @@ def track_class(h0, log, w, values_only=False):
                 key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
                 order = (_resort_runs(order, movers[i], key)
                          if i and not values_only else sorted(coset, key=key))
-                support = _coset_minimize(ring, d, rep, order)
+                support = (_coset_minimize(ring, d, rep, order) if d.entries
+                           else tuple(order))
                 top = support[0] if support else None
                 if values_only:
                     support = None

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 import randgen
 from morseflow.piecewise import (Piecewise, _apart, _range, _side, _walk,
-                                 common_knots, crossings)
+                                 common_knots, crossings, frac)
 from morseflow.rings import Z
 from morseflow.tracker import Window, wide_window
 
@@ -351,3 +351,110 @@ class TestIntegerPoints:
         w1 = Window(forms[0], Piecewise.constant(7))
         w2 = Window(forms[2], Piecewise.constant(F(14, 2)))
         assert w1 is not w2 and w1 == w2 and hash(w1) == hash(w2)
+
+
+def three_pass(points):
+    """The constructor as three passes, the reference for the one-pass
+    Piecewise: every point converted, then the count tested, then each
+    pair of consecutive integer points.  Returns (points, ints)."""
+    convert = lambda x: x if isinstance(x, F) else F(x)
+    pts = tuple((convert(r), convert(v)) for r, v in points)
+    if len(pts) < 2:
+        raise ValueError("need at least two breakpoints")
+    ints = tuple(r.as_integer_ratio() + v.as_integer_ratio() for r, v in pts)
+    for p, q in zip(ints, ints[1:]):
+        if not p[0] * q[1] < q[0] * p[1]:
+            raise ValueError("breakpoints must be strictly increasing in r")
+    return pts, ints
+
+
+def spellings(x):
+    """The ways a caller may write the Fraction x: itself, a string, and
+    an int, a bool or a float where one is exact."""
+    forms = [x, str(x)]
+    if x.denominator == 1:
+        forms.append(int(x))
+        if x in (0, 1):
+            forms.append(bool(x))
+    if x.denominator & (x.denominator - 1) == 0:
+        forms.append(float(x))
+    return st.sampled_from(forms)
+
+
+NOT_NUMBERS = ["x", "1/0", None, float("nan"), float("inf"), (1, 2)]
+
+
+@st.composite
+def point_lists(draw):
+    """0 to 6 points, each number spelled one of several ways; often out
+    of order (a repeated or swapped r), and often with one value that is
+    not a number."""
+    rs = sorted(draw(st.sets(rationals, max_size=6)))
+    if rs and draw(st.booleans()):
+        i = draw(st.integers(0, len(rs) - 1))
+        if i and draw(st.booleans()):
+            rs[i - 1], rs[i] = rs[i], rs[i - 1]
+        else:
+            rs.insert(i, rs[i])
+    vs = draw(st.lists(rationals, min_size=len(rs), max_size=len(rs)))
+    pts = [[draw(spellings(r)), draw(spellings(v))] for r, v in zip(rs, vs)]
+    if pts and draw(st.booleans()):
+        i = draw(st.integers(0, len(pts) - 1))
+        pts[i][draw(st.integers(0, 1))] = draw(st.sampled_from(NOT_NUMBERS))
+    return tuple(tuple(p) for p in pts)
+
+
+def error(fn, *args):
+    """(type, message) of the error fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+class TestConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(points=point_lists())
+    def test_one_pass_matches_the_three_pass_reference(self, points):
+        want = error(three_pass, points)
+        assert error(Piecewise, points) == want
+        if want is not None:
+            return
+        pts, ints = three_pass(points)
+        pw = Piecewise(points)
+        assert pw.points == pts and pw.ints == ints
+        assert all(type(x) is F for p in pw.points for x in p)
+        assert hash(pw) == hash(ints)
+        assert pw == Piecewise(pts) and hash(pw) == hash(Piecewise(pts))
+
+    def test_errors_and_their_precedence(self):
+        """A value that is not a number is reported before too few points
+        or an order error, wherever it stands; too few points before the
+        order is read."""
+        order = (ValueError, "breakpoints must be strictly increasing in r")
+        few = (ValueError, "need at least two breakpoints")
+        assert error(Piecewise, ((0, 1), (0, 2))) == order
+        assert error(Piecewise, ((1, 1), (0, 2), (2, 3))) == order
+        assert error(Piecewise, ((0, 1),)) == few
+        assert error(Piecewise, ()) == few
+        bad_literal = error(F, "x")
+        assert bad_literal[0] is ValueError
+        assert error(Piecewise, ((0, 1), (0, 2), (1, "x"))) == bad_literal
+        assert error(Piecewise, ((1, 1), (0, "x"))) == bad_literal
+        assert error(Piecewise, (("x", 1),)) == bad_literal
+        assert error(Piecewise, ((0, 1), (0, 2), (1, None))) == error(F, None)
+        assert error(Piecewise, ((0, 1), (0, 2), (1, None)))[0] is TypeError
+
+    def test_frac_returns_a_fraction(self):
+        x = F(3, 4)
+        assert frac(x) is x
+
+        class Sub(F):
+            pass
+        y = Sub(1, 3)
+        assert frac(y) is y
+        for given_, want in ((5, F(5)), (-7, F(-7)), (True, F(1)),
+                             (False, F(0)), ("3/4", F(3, 4)), (0.5, F(1, 2))):
+            got = frac(given_)
+            assert type(got) is F and got == want
