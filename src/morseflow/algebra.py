@@ -26,8 +26,7 @@ runs on bit rows.
 Everything is exact; no floating point enters this module.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import DimensionMismatch, NotADifferential
 from .matrix import SparseMatrix
@@ -65,8 +64,7 @@ def invariant_factors(rows: List[List[int]]) -> List[int]:
     return d
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """Isomorphism type of an ungraded homology module over a PID."""
 
     ring_name: str

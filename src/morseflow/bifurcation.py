@@ -51,7 +51,7 @@ chain map when G A = A G' (row convention), and every bundle passes:
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cerf import Finding, ValidationReport
 from .errors import (ActionConstraintViolated, ConstraintViolated,
@@ -134,8 +134,7 @@ class FlowCounter:
         return (self.r_lo + self.r_hi) / 2
 
 
-@dataclass(frozen=True)
-class ChainMapBundle:
+class ChainMapBundle(NamedTuple):
     """Maps relating the complexes on either side of an event.
 
     forward transports representatives left-to-right in the parameter
@@ -173,8 +172,7 @@ class EventStep:
         return self.build_maps()
 
 
-@dataclass(frozen=True)
-class EvolutionLog:
+class EvolutionLog(NamedTuple):
     family: object               # the CerfTuple the log was computed over
     intervals: tuple
     steps: tuple

@@ -14,6 +14,7 @@ problems at once.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (InvalidTuple, NonIsolatedCusp, VerticalTangency)
 from .piecewise import Piecewise, _range, _side, frac
@@ -99,8 +100,7 @@ class Vertex:
             raise InvalidTuple("vertex kind must be birth or death: %r" % (self.kind,))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     kind: str            # "loop" | "chord"
     arcs: tuple
 
@@ -202,8 +202,7 @@ class CerfTuple:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     code: str
     severity: str        # "error" | "info"
     message: str
@@ -212,8 +211,7 @@ class Finding:
         return "[%s] %s: %s" % (self.severity, self.code, self.message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple
 
     @property
@@ -366,8 +364,7 @@ def validate_cerf(t, event_params=()):
 # ---------------------------------------------------------------------------
 # lifting a front to space
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     samples: tuple           # (s midpoint, x) per segment, exact rationals
     contact_residuals: tuple  # z' + x y' per segment; zero by construction
     nontransverse: tuple      # flagged self-intersection descriptions

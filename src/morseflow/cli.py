@@ -15,8 +15,8 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .algebra import homology
@@ -40,8 +40,7 @@ from .tracker import filtered_homology, full_homology, track_class, wide_window
 HEADER = "# morseflow " + __version__
 
 
-@dataclass(frozen=True)
-class RunArtifacts:
+class RunArtifacts(NamedTuple):
     reports: tuple               # (filename, text) pairs in emission order
     files: tuple = ()            # paths written when an output dir was given
     exit_code: int = 0

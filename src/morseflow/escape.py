@@ -15,6 +15,7 @@ certify divergence.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Finding
@@ -231,8 +232,7 @@ def _power_sign(x, u, e):
 # ---------------------------------------------------------------------------
 # hypothesis (H1): slope bound plus two-sided divergence
 
-@dataclass(frozen=True)
-class H1Report:
+class H1Report(NamedTuple):
     ok: bool
     slope_ok: bool
     divergence_ok: bool
@@ -307,8 +307,7 @@ def check_H1(phi, t):
 # ---------------------------------------------------------------------------
 # hypothesis (H2): tail integrals past the class's starting value
 
-@dataclass(frozen=True)
-class H2Report:
+class H2Report(NamedTuple):
     ok: bool
     upper_threshold: Fraction      # M = max(b, rho0)
     lower_threshold: Fraction      # m = min(a, rho0)
@@ -355,8 +354,7 @@ def check_H2(phi, kappa, rho0):
 # ---------------------------------------------------------------------------
 # escape budget: the telescoping integral lower bound
 
-@dataclass(frozen=True)
-class EscapeBudget:
+class EscapeBudget(NamedTuple):
     heights: tuple
     step_costs: tuple
     total: object

@@ -16,6 +16,7 @@ constant theta are inputs measured elsewhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameters, MissingClassData, OutOfRange
 from .escape import (MAX_LOG_DEPTH, POWER_CAP_BITS, _exp_bounds,
@@ -170,21 +171,18 @@ def phi_for_class(model):
 # ---------------------------------------------------------------------------
 # the verdicts
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(NamedTuple):
     phi: object
     assumption: str = H3_NOTE
 
 
-@dataclass(frozen=True)
-class ClassSurvives:
+class ClassSurvives(NamedTuple):
     phi: object
     report: object              # the H2 evaluation backing the verdict
     assumption: str = H3_NOTE
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     phi: object
     failing_integral: object
     reason: str

@@ -82,8 +82,8 @@ the value the last one ended on.
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import _echelon, homology
 from .bifurcation import HandleSlide
@@ -99,8 +99,7 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # windows
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     a: Piecewise
     b: Piecewise
 
@@ -320,8 +319,7 @@ def continuation_map(ev, log):
 # ---------------------------------------------------------------------------
 # spectral values
 
-@dataclass(frozen=True)
-class SpectralValue:
+class SpectralValue(NamedTuple):
     value: object            # Fraction, or -inf for the zero class
     certified: bool          # proven minimal (see _coset_minimize): always True
     support: tuple = ()
@@ -445,16 +443,14 @@ def spectral_value(h, r, log, w):
 # ---------------------------------------------------------------------------
 # ladders of nested windows
 
-@dataclass(frozen=True)
-class LadderLeg:
+class LadderLeg(NamedTuple):
     proj_rank: int
     incl_rank: int
     proj_iso: bool
     incl_iso: bool
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     results: tuple           # HomologyResult per window
     legs: tuple              # LadderLeg between consecutive windows
     stabilized: object       # HomologyResult or None
@@ -559,7 +555,7 @@ def full_homology(t, log, r, ladder):
                 stabilized = trio[0]
                 break
     if stabilized is not None:
-        message = "stabilized: %s" % stabilized
+        message = "stabilized: %s" % (stabilized,)
     else:
         message = "not stabilized at this ladder depth"
     return StabilizationReport(tuple(results), tuple(legs), stabilized, message)
@@ -568,8 +564,7 @@ def full_homology(t, log, r, ladder):
 # ---------------------------------------------------------------------------
 # tracking a class along the family
 
-@dataclass(frozen=True)
-class TraceSegment:
+class TraceSegment(NamedTuple):
     interval_index: int
     r_lo: Fraction
     r_hi: Fraction
@@ -580,8 +575,7 @@ class TraceSegment:
     certified: bool
 
 
-@dataclass(frozen=True)
-class TrackedClass:
+class TrackedClass(NamedTuple):
     """One interval's worth of the tracked class."""
 
     interval_index: int
@@ -590,8 +584,7 @@ class TrackedClass:
     rho_end: object
 
 
-@dataclass(frozen=True)
-class SpectralTrace:
+class SpectralTrace(NamedTuple):
     """The slabs, transfers and classes of one tracked class.
 
     outcome is "Survived" or "LeftWindow(below)": no class leaves above

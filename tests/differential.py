@@ -41,6 +41,11 @@ Probe kinds:
   in the window (10, 200): each slab's interval, bounds, top and values,
   the transfers and outcome, and each class's interval, representative
   and values.
+* track: the full-sweep trace (track_class) of l1 (and of l1 + l2 when
+  l2 exists) on randgen families, 150 per ring over Z2, Z and Q, and of
+  c1 on cascades 6, 12 and 30, in wide_window and in the window
+  (10, 200): every slab with its support, the transfers, the outcome and
+  the classes.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
   homology of every interval's count matrix, filtered_homology at the
   interval's midpoint in wide_window and in the window (10, 200), and
@@ -74,9 +79,9 @@ Probe kinds:
   intervals, or the error) on the family and on three copies with one
   drawn extra entry in the initial count matrix.
 
-A library probe (ladder, geometry, escape, values, homology, parse, coset,
-maps) records the repr of each result, or the class name and message of the
-error raised.
+A library probe (ladder, geometry, escape, values, track, homology, parse,
+coset, maps) records the repr of each result, or the class name and message
+of the error raised.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -401,6 +406,37 @@ def probe_values(work):
     return cases
 
 
+def probe_track(work):
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.escape import build_cascade
+    from morseflow.rings import Q, Z, Z2
+    from morseflow.tracker import Window, track_class, wide_window
+
+    runs = []
+    for n in CASCADES:
+        t, g0, events = build_cascade(n)
+        runs.append(("cascade %d" % n, t, evolve(g0, events, t),
+                     [("c1", {"c1": 1})]))
+    for ring in (Z2, Z, Q):
+        for seed in range(150):
+            sc = randgen.random_scenario(
+                random.Random("track %s/%d" % (ring.name, seed)), ring)
+            hs = [("l1", {"l1": 1})]
+            if any(a.id == "l2" for a in sc.family.arcs):
+                hs.append(("l1+l2", {"l1": 1, "l2": 1}))
+            runs.append(("randgen %s seed %d" % (ring.name, seed), sc.family,
+                         evolve(sc.gamma0, sc.events, sc.family), hs))
+    cases = {}
+    for label, t, log, hs in runs:
+        for wl, w in (("wide", wide_window(t)),
+                      ("(10, 200)", Window.constant(10, 200))):
+            for hl, h in hs:
+                cases["track %s window %s %s" % (label, wl, hl)] = _attempt(
+                    lambda: track_class(h, log, w))
+    return cases
+
+
 def probe_homology(work):
     import randgen
     from morseflow.algebra import homology
@@ -655,8 +691,8 @@ def probe_cerf(work):
 
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
-          "escape": probe_escape, "values": probe_values, "cerf": probe_cerf,
-          "homology": probe_homology, "parse": probe_parse,
+          "escape": probe_escape, "values": probe_values, "track": probe_track,
+          "cerf": probe_cerf, "homology": probe_homology, "parse": probe_parse,
           "coset": probe_coset, "maps": probe_maps}
 
 

@@ -182,6 +182,29 @@ def conjugated_block(rng, n):
     return b, conjugate_unipotent(rng, d, n)
 
 
+def planted_smith(rng, n, factors):
+    """Dense differential [[0, B], [0, 0]] on n = 2h generators, B = U D V
+    with D = diag(factors) padded with zeros to h x h and U, V products
+    of 2h drawn steps that add +-1 times one row, or column, of
+    B to another, then conjugated by n unipotent steps.  For a
+    divisibility chain of at most h nonzero factors, its homology over
+    the integers is free of rank n - 2 len(factors), with a cyclic group
+    per factor above 1, by construction."""
+    h = n // 2
+    b = [[factors[i] if i == j < len(factors) else 0 for j in range(h)]
+         for i in range(h)]
+    for _ in range(2 * h):
+        i, j = rng.sample(range(h), 2)
+        c = rng.choice((-1, 1))
+        b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+        i, j = rng.sample(range(h), 2)
+        c = rng.choice((-1, 1))
+        for row in b:
+            row[j] += c * row[i]
+    d = [[0] * h + row for row in b] + [[0] * n for _ in range(h)]
+    return conjugate_unipotent(rng, d, n)
+
+
 MUTATIONS = ("retag", "repoint", "drop", "duplicate")
 
 

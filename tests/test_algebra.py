@@ -545,6 +545,51 @@ class TestUnitPivots:
         assert (res.torsion[-1:] or (1,))[0] == det // rest
 
 
+def divisibility_chain(rng, k):
+    """k >= 2 factors d1 | d2 | ... | dk: each the last times 1, 1, 2 or
+    3, but the last two times drawn integers of 30-100 bits, so that the
+    top factor has 60-200 bits beyond its small part."""
+    chain, d = [], rng.choice((1, 2, 3))
+    for i in range(k):
+        if i >= k - 2:
+            bits = rng.randint(30, 100)
+            d *= rng.getrandbits(bits) | 1 << (bits - 1)
+        elif i:
+            d *= rng.choice((1, 1, 2, 3))
+        chain.append(d)
+    return chain
+
+
+class TestPlantedSmith:
+    """Integer homology against an answer known by construction
+    (randgen.planted_smith), at sizes past the minor-enumerating
+    oracles and with invariant factors of up to 200 bits."""
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_homology_finds_the_planted_factors(self, n, seed):
+        rng = random.Random(seed)
+        chain = divisibility_chain(rng, n // 2 - 1)
+        assert chain[-1].bit_length() >= 60
+        d = randgen.planted_smith(rng, n, chain)
+        ids = ["g%02d" % i for i in range(n)]
+        with within(1):
+            res = homology(SparseMatrix.from_rows(Z, ids, ids, d))
+        assert res.torsion == tuple(x for x in chain if x > 1)
+        assert res.free_rank == n - 2 * len(chain)
+
+    def test_small_plants_agree_with_the_minors(self):
+        # the construction itself, checked where every minor can be read:
+        # conjugate_unipotent's steps (row i += c row j, i < j) keep the
+        # block form, so d's upper right block is B up to unimodular steps
+        for seed in range(5):
+            rng = random.Random(seed)
+            chain = divisibility_chain(rng, 3)
+            d = randgen.planted_smith(rng, 8, chain)
+            assert tuple(determinantal_divisors([row[4:] for row in d[:4]])
+                         ) == tuple(chain)
+
+
 class TestKeptHomology:
     """A matrix keeps its homology: asked again, homology returns the
     object it returned the first time."""

@@ -1,6 +1,6 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
-Only its bundled-scenario, values, cerf, homology, parse, coset,
+Only its bundled-scenario, values, track, cerf, homology, parse, coset,
 ladder, geometry and maps probes run here, to keep the check short.
 """
 
@@ -243,3 +243,27 @@ def test_a_planted_push_that_stops_at_a_dropped_entry_shows(tmp_path):
     shown = [line.strip() for line in lines if line.startswith("  ")
              and not line.startswith("    ")]
     assert shown and all(" track " in line for line in shown)
+
+
+
+def test_a_planted_support_cut_to_its_top_shows_in_the_track_probe(tmp_path):
+    # an image-free interval whose support keeps only its top leaves every
+    # value as it was, so only the probe that reads supports sees it
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracker = tmp_path / "src" / "morseflow" / "tracker.py"
+    text = tracker.read_text(encoding="utf-8")
+    shortcut = "else tuple(order))"
+    assert text.count(shortcut) == 1
+    tracker.write_text(text.replace(shortcut, "else tuple(order)[:1])"),
+                       encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["values", "track"])
+    counts = {m.group(1): (int(m.group(2)), int(m.group(3))) for m in (
+        re.match(r"(\w+): (\d+) cases, (\d+) differ$", line)
+        for line in lines) if m}
+    assert counts["values"][1] == 0
+    assert 0 < counts["track"][1] == differ < counts["track"][0]
+    assert all(line.strip().startswith("track ") for line in lines
+               if line.startswith("  ") and not line.startswith("    "))

@@ -1226,9 +1226,9 @@ class TestTrackClass:
         fwd = SparseMatrix(ring, step.maps.forward.rows, step.maps.forward.cols,
                            {(g, "c2" if g == "c1" else g): ring.one
                             for g in step.maps.forward.rows})
-        tampered = dataclasses.replace(step.maps, forward=fwd)
+        tampered = step.maps._replace(forward=fwd)
         bad = dataclasses.replace(step, build_maps=lambda: tampered)
-        log = dataclasses.replace(log, steps=(bad,) + log.steps[1:])
+        log = log._replace(steps=(bad,) + log.steps[1:])
         with pytest.raises(VerificationFailed,
                            match="spectral value jumped across the slide at r=1/9"):
             track_class({"c1": 1}, log, wide_window(t))
@@ -1270,7 +1270,7 @@ class TestTrackClass:
 
 def values_of(trace):
     """Every field of a trace but the slabs' supports."""
-    return ([dataclasses.replace(s, support=None) for s in trace.segments],
+    return ([s._replace(support=None) for s in trace.segments],
             trace.transfers, trace.outcome, trace.classes)
 
 
