@@ -165,10 +165,9 @@ def _cmd_homology(sc, flags):
     return [("homology.txt", "\n".join(lines) + "\n")], 0
 
 
-def _trace(sc, flags, values_only=False):
+def _trace(sc, flags):
     """The trace of the tracked class, --class or else the file's
-    [track] class, or None when neither gives one; values_only as in
-    track_class, for commands that print no support."""
+    [track] class, or None when neither gives one."""
     arc_ids = {a.id for a in sc.family.arcs}
     rep = _flag(flags, "class",
                 lambda text: read_class(text, None, sc.ring, arc_ids), sc.rep)
@@ -177,7 +176,7 @@ def _trace(sc, flags, values_only=False):
     log = evolve(sc.gamma0, sc.events, sc.family)
     w = _flag(flags, "window", parse_window_spec,
               sc.window or wide_window(sc.family))
-    return track_class(rep, log, w, values_only=values_only)
+    return track_class(rep, log, w)
 
 
 def _cmd_track(sc, flags):
@@ -208,7 +207,7 @@ def _cmd_escape(sc, flags):
                   "required: %s" % h2.required,
                   "margin: %s" % h2.margin,
                   "result: %s" % ("ok" if h2.ok else "insufficient")]
-    trace = _trace(sc, flags, values_only=True)
+    trace = _trace(sc, flags)
     if trace is not None:
         budget = escape_budget(trace, phi)
         lines.append("[budget]")
@@ -285,7 +284,7 @@ def _cmd_rabinowitz(arg, flags):
 
 def _cmd_plot(sc, flags):
     out = [("cerf.svg", family_svg(sc.family, sc.events))]
-    trace = _trace(sc, flags, values_only=True)
+    trace = _trace(sc, flags)
     if trace is not None:
         out.append(("trace.svg", trace_svg(trace)))
     return out, 0

@@ -479,8 +479,7 @@ def escape_budget(trace, phi, direction=1):
     -infinity (the mirrored computation of the negative direction).  An
     empty trace realizes no climb, so it has no budget and raises
     EmptyTrace; nor does a class that is zero in the window, whose every
-    slab reads -inf with no top (ZeroClass).  Only tops and values are
-    read, so a values-only trace (track_class) serves.
+    slab reads -inf with no top (ZeroClass).
     """
     if not trace.segments:
         raise EmptyTrace("the trace has no segments, so there is no climb "

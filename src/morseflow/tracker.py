@@ -9,15 +9,15 @@ action, so nothing leaks back in across the floor).
 
 Class tracking pushes a representative through the comparison maps of
 the event log and recomputes its spectral value on every slab between
-action crossings; the spectral value of a class is the smallest top
-action over all representatives in its coset.  Tracking is the one
-reader of those maps: a step builds them on the first read, and they
-relate its two complexes because evolve checked the log (bifurcation's
-module docstring).  The greedy coset reduction that finds the smallest
-top action is proven tight over every coefficient ring
-(_coset_minimize), so every spectral value and slab is certified.  A
-class leaves the window only below, so a trace's outcome is Survived or
-LeftWindow(below).
+action crossings of its coset's generators; the spectral value of a
+class is the smallest top action over all representatives in its
+coset.  Tracking is the one reader of those maps: a step builds them on
+the first read, and they relate its two complexes because evolve
+checked the log (bifurcation's module docstring).  The greedy coset
+reduction that finds the smallest top action is proven tight over every
+coefficient ring (_coset_minimize), so every spectral value and slab is
+certified.  A class leaves the window only below, so a trace's outcome
+is Survived or LeftWindow(below).
 
 The geometry those calls read is prepared once per family, in one
 arrangement: each pair's crossings, and each window's verdict, sides,
@@ -46,19 +46,16 @@ that holds every arc alive filtered_homology, full_homology and the
 count matrix's own homology share one computation, and the sweep reads
 the count matrix without copying it.
 A trace walks the window's sorted crossings with one pointer across the
-intervals, so each interval reads only the crossings inside it, and
-both sweeps share that slab path.  Every reader of a class's coset,
-spectral_value and both sweeps, orders only the generators that the
-representative or an entry of the windowed differential holds
-(_coset_gens gives the proof): no other generator is nonzero in any
-element of the coset.  The full sweep minimizes on every slab: that
-order is sorted on an interval's first slab and then carried across
-each cut, re-sorting only the arcs that meet there.  The values-only
-sweep, for readers of tops and values alone, minimizes on an interval's
-first slab and then only at a cut the current top meets, and carries
-the top across every other cut (track_class gives the proof).  A trace
-that once had a top and then finds none raises VerificationFailed: a
-class nonzero in the window stays so.
+intervals, so each interval reads only the crossings inside it.  Every
+reader of a class's coset, spectral_value and the sweep, orders only
+the generators that the representative or an entry of the windowed
+differential holds (_coset_gens gives the proof): no other generator is
+nonzero in any element of the coset, so the sweep cuts an interval only
+where two of them meet.  It minimizes on every slab: that order is
+sorted on an interval's first slab and then carried across each cut,
+re-sorting only the arcs that meet there.  A trace that once had a top
+and then finds none raises VerificationFailed: a class nonzero in the
+window stays so.
 
 A ladder of nested windows (full_homology) is compared through the
 projection and inclusion legs between consecutive windows.  They are
@@ -368,8 +365,9 @@ def _coset_minimize(ring, d, rep, order):
 
 
 def _coset_gens(gens, rep, d):
-    """The generators of gens, in gens order, that rep or an entry of d
-    holds: the only ones an element of rep + im(d) can be nonzero on.
+    """(list, set) of the generators of gens, the list in gens order,
+    that rep or an entry of d holds: the only ones an element of
+    rep + im(d) can be nonzero on.
 
     d is the windowed differential on gens and rep a chain on them.  A
     generator that neither rep nor an entry of d holds is zero in rep
@@ -379,19 +377,26 @@ def _coset_gens(gens, rep, d):
     order, returns the support it returns on the full order: such a
     generator is zero in every vector it reduces, so it never pivots and
     never leads, and the image rows are echelonized in the same
-    sequence.  The movers of a slab bound form contiguous runs of the
-    full order, so they form contiguous runs of any subsequence of it,
-    and _resort_runs carries this order across a bound as it would the
-    full one.
+    sequence.
+
+    The movers of a slab bound are the generators of this list that
+    meet another of them there, and they form contiguous runs of its
+    order on the slab before.  If a and b meet at the bound x and c sits
+    between them on that slab, it stays between them up to x, where a
+    and b take one value; c takes it too, so it meets a or b there (a
+    crossing, a touch or a tie's end) and is a mover.  Two generators
+    that do not meet at x keep their order across it, as no other
+    parameter between the two slabs' midpoints is a meeting of two of
+    them; so _resort_runs carries the order across a bound.
     """
     held = set(rep).union(*d.entries)
-    return [g for g in gens if g in held]
+    return [g for g in gens if g in held], held
 
 
 def _window_rep(h, fc, sides, inside, where):
-    """(gens, held, rep, d): the in-window generators of fc's interval
-    (_interval_gens) as a list and a set, h restricted to them, and the
-    windowed differential.
+    """(gens, rep, d): the in-window generators of fc's interval
+    (_interval_gens), h restricted to them, and the windowed
+    differential.
 
     Zero entries and entries below the floor are dropped (the floor is
     quotiented away); an entry not alive or above the ceiling, or a
@@ -415,7 +420,7 @@ def _window_rep(h, fc, sides, inside, where):
     d = _window_complex(fc.gamma, gens)
     if vec_apply(ring, rep, d):
         raise NotACycle("representative is not a cycle in the window %s" % where)
-    return gens, held, rep, d
+    return gens, rep, d
 
 
 def spectral_value(h, r, log, w):
@@ -428,9 +433,9 @@ def spectral_value(h, r, log, w):
     t = log.family
     sides, inside = _window(w, t)
     r = frac(r)
-    gens, _, rep, d = _window_rep(h, log.counter_at(r), sides, inside,
-                                  "at r=%s" % r)
-    gens = _coset_gens(gens, rep, d)
+    gens, rep, d = _window_rep(h, log.counter_at(r), sides, inside,
+                               "at r=%s" % r)
+    gens = _coset_gens(gens, rep, d)[0]
     prof = {g: t.arc(g).f3 for g in gens}
     order = sorted(gens, key=_order_key(prof, *r.as_integer_ratio()))
     support = _coset_minimize(d.ring, d, rep, order)
@@ -568,7 +573,7 @@ class TraceSegment(NamedTuple):
     interval_index: int
     r_lo: Fraction
     r_hi: Fraction
-    support: tuple           # None in a values-only trace
+    support: tuple
     top: object
     rho_lo: object
     rho_hi: object
@@ -605,8 +610,7 @@ class SpectralTrace(NamedTuple):
         return self.segments[-1].rho_hi if self.segments else NEG_INF
 
     def table(self):
-        """Tabular text form: one line per slab plus transfer markers.
-        A values-only trace has no supports to print: ValueError."""
+        """Tabular text form: one line per slab plus transfer markers."""
         lines = ["r_lo\tr_hi\trho_lo\trho_hi\ttop\tsupport"]
         marks = {r: (a, b) for r, a, b in self.transfers}
         # a slab starts at the bound the last one ended on, and a carried
@@ -614,8 +618,6 @@ class SpectralTrace(NamedTuple):
         hi = rho = None
         hi_text = rho_text = ""
         for s in self.segments:
-            if s.support is None:
-                raise ValueError("a values-only trace has no supports")
             if s.r_lo in marks:
                 a, b = marks[s.r_lo]
                 lines.append("# transfer at r=%s: %s -> %s" % (s.r_lo, a, b))
@@ -639,16 +641,16 @@ def _resort_runs(order, movers, key):
     return out
 
 
-def track_class(h0, log, w, values_only=False):
+def track_class(h0, log, w):
     """Follow the class of h0 from r=0 through every event of the log.
 
-    The trace records, slab by slab between action crossings, the
-    minimizing representative's support and its top generator; a
-    transfer is a parameter where that top generator changes.  The
-    spectral value is verified continuous across handle-slides.  An
-    unusable window raises InvalidWindow.  A class that is zero in the
-    window has no top: it reads -inf on every slab, and its outcome is
-    Survived while the representative stays in the window.
+    The trace records, slab by slab, the minimizing representative's
+    support and its top generator; a transfer is a parameter where that
+    top generator changes.  The spectral value is verified continuous
+    across handle-slides.  An unusable window raises InvalidWindow.  A
+    class that is zero in the window has no top: it reads -inf on every
+    slab, and its outcome is Survived while the representative stays in
+    the window.
 
     A class that is nonzero in the window stays nonzero while it stays
     in it, so a slab without a top after one with a top raises
@@ -673,46 +675,36 @@ def track_class(h0, log, w, values_only=False):
     So each image entry of an in-window g lies below the ceiling at the
     event, and a window keeps each arc on one side for its whole life.
 
+    A slab bound is a parameter strictly inside an interval where two
+    of the coset's generators (_coset_gens) meet: they cross, touch, or
+    start or end a tie.  Tops, values and supports are those of a finer
+    sweep that cuts at every meeting of two in-window arcs.  A generator
+    outside the coset is zero in every element of the coset, so the
+    minimizing support reads only the order of the coset's generators,
+    and that order is constant on a slab: each piece of a finer cut has
+    the slab's support and top, and the top's values at its ends.
+
     Each interval is swept once.  The window's sides and in-window ids
     and the crossings of its in-window pairs sorted by parameter come
     from the family's arrangement, prepared once per family and window;
     the in-window arcs' profiles are looked up once per call, so no slab
     reads an arc by id.  Each interval reached derives its window once,
-    its in-window generators (_interval_gens) and their set and windowed
-    complex: interval 0 in _window_rep, each later one at the push into
-    it.  One pointer advances through the sorted crossings across the
-    intervals; the crossings strictly inside an interval, of two arcs
-    both alive there, cut it into slabs.  The crossings at one parameter
+    its in-window generators (_interval_gens) and windowed complex:
+    interval 0 in _window_rep, each later one at the push into it.  One
+    pointer advances through the sorted crossings across the intervals;
+    a crossing strictly inside an interval whose two arcs are both
+    coset generators there cuts it.  The crossings at one parameter
     make one slab bound, and the arcs of their pairs are the bound's
     movers.  The first read of a step's maps builds them.
 
-    Both sweeps order only the interval's generators that rep or an
-    entry of the windowed differential holds (_coset_gens): no other
-    generator is nonzero in any element of the coset, so the supports
-    are those of the full order.  The full sweep minimizes on every
-    slab of an interval whose windowed differential has entries.  With
-    none, im(d) = 0 and the coset is rep alone; _window_rep and
-    vec_apply keep only nonzero coefficients, so _coset_gens holds
-    exactly rep's generators, and the support is the sorted order
-    itself.  Only an interval's first slab is sorted by action: at each
-    later bound the movers form contiguous runs of the previous order,
-    and only those runs are re-sorted.
-
-    values_only=True computes what a price or a picture reads: tops,
-    values, transfers, outcome and classes, each equal to the full
-    sweep's, with support None on every slab.  It minimizes on each
-    interval's first slab, and after that only at a bound where the
-    current top is a mover, sorting afresh there; elsewhere the top
-    carries over.  This is exact.  On one interval the differential,
-    and so the coset, is fixed; a zero class therefore stays zero.  rho
-    is the least, over the coset's finitely many supports, of their top
-    action, each continuous, so rho is continuous and a top can only
-    hand over to an arc it meets.  Exactly: the greedy top g is the
-    generator such that some coset element lies on g and the generators
-    after it in the order, and none on those after it alone.  An arc
-    changes its place relative to g across a bound only if the two meet
-    there (they cross, or a coincidence starts or ends), so a top that
-    is no mover keeps the generators after it, and stays the top.
+    The sweep minimizes on every slab of an interval whose windowed
+    differential has entries.  With none, im(d) = 0 and the coset is
+    rep alone; _window_rep and vec_apply keep only nonzero
+    coefficients, so _coset_gens holds exactly rep's generators, and
+    the support is the sorted order itself.  Only an interval's first
+    slab is sorted by action: at each later bound the movers form
+    contiguous runs of the previous order (_coset_gens), and only those
+    runs are re-sorted.
     """
     t = log.family
     sides, inside = _window(w, t)
@@ -720,8 +712,8 @@ def track_class(h0, log, w, values_only=False):
     cuts = _window_cuts(arr, w, inside)
     prof = {g: t.arc(g).f3 for g in inside}
     ring = log.ring
-    gens, held, rep, d = _window_rep(h0, log.intervals[0], sides, inside,
-                                     "at the start")
+    gens, rep, d = _window_rep(h0, log.intervals[0], sides, inside,
+                               "at the start")
 
     segments = []
     transfers = []
@@ -744,13 +736,14 @@ def track_class(h0, log, w, values_only=False):
         hn, hd = fc.r_hi.as_integer_ratio()
         while p < len(cuts) and cuts[p][1] * ld <= ln * cuts[p][2]:
             p += 1
+        coset, in_coset = _coset_gens(gens, rep, d)
         # slab bounds as (x, numerator, denominator), and the movers of
         # each bound after the first
         bounds, movers = [(fc.r_lo, ln, ld)], [None]
         while p < len(cuts) and cuts[p][1] * hd < hn * cuts[p][2]:
             x, n, e, g1, g2 = cuts[p]
             p += 1
-            if g1 in held and g2 in held:
+            if g1 in in_coset and g2 in in_coset:
                 if n * bounds[-1][2] != bounds[-1][1] * e:
                     bounds.append((x, n, e))
                     movers.append({g1, g2})
@@ -758,19 +751,15 @@ def track_class(h0, log, w, values_only=False):
                     movers[-1].update((g1, g2))
         bounds.append((fc.r_hi, hn, hd))
         first_seg = len(segments)
-        coset, top = _coset_gens(gens, rep, d), None
         for i in range(len(bounds) - 1):
             lo, a, b = bounds[i]
             hi, c, e = bounds[i + 1]
-            if not values_only or i == 0 or top in movers[i]:
-                key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
-                order = (_resort_runs(order, movers[i], key)
-                         if i and not values_only else sorted(coset, key=key))
-                support = (_coset_minimize(ring, d, rep, order) if d.entries
-                           else tuple(order))
-                top = support[0] if support else None
-                if values_only:
-                    support = None
+            key = _order_key(prof, a * e + c * b, 2 * b * e)  # the midpoint
+            order = (_resort_runs(order, movers[i], key) if i
+                     else sorted(coset, key=key))
+            support = (_coset_minimize(ring, d, rep, order) if d.entries
+                       else tuple(order))
+            top = support[0] if support else None
             if top is None:
                 if prev_top is not None:
                     raise VerificationFailed(

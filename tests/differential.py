@@ -35,13 +35,13 @@ Probe kinds:
   and check_H2 (kappa 1/2 and 2, from the first height) on the heights
   of each trace that has any, the zero class's -inf heights included,
   in both directions, and on the tie [64/9, 361/36].
-* values: the values-only trace (track_class(..., values_only=True)) of
+* values: what escape and plot read of a trace (track_class) of
   cascades 6, 12, 30 and 60, and of l1 (and of l1 + l2 when l2 exists)
   on randgen families, 150 per ring over Z2, Z and Q, in wide_window and
   in the window (10, 200): each slab's interval, bounds, top and values,
   the transfers and outcome, and each class's interval, representative
   and values.
-* track: the full-sweep trace (track_class) of l1 (and of l1 + l2 when
+* track: the whole trace (track_class) of l1 (and of l1 + l2 when
   l2 exists) on randgen families, 150 per ring over Z2, Z and Q, and of
   c1 on cascades 6, 12 and 30, in wide_window and in the window
   (10, 200): every slab with its support, the transfers, the outcome and
@@ -78,10 +78,20 @@ Probe kinds:
   validate_axioms's findings and evolve's outcome (the number of
   intervals, or the error) on the family and on three copies with one
   drawn extra entry in the initial count matrix.
+* affine: on randgen families, 100 per ring over Z2, Z and Q, and on one
+  drawn randgen.mutate variant of each, under each map v -> c*v + s of
+  AFFINE: the family against its image (randgen.affine_family), with
+  wide_window and the window (10, 200) moved alike.  validate_cerf's
+  verdict and error codes; and, on a valid family, filtered_homology at
+  every interval midpoint and track_class of l1 (and of l1 + l2 when l2
+  exists), each slab's interval, bounds, support and top, its values
+  after rescaling, the transfers, the outcome and the classes.  A case
+  records the parts that differ, so it reads [] wherever the invariance
+  holds.
 
 A library probe (ladder, geometry, escape, values, track, homology, parse,
-coset, maps) records the repr of each result, or the class name and message
-of the error raised.
+coset, maps, affine) records the repr of each result, or the class name and
+message of the error raised.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -363,9 +373,9 @@ def probe_escape(work):
 
 
 def _values(trace):
-    """What a values-only trace holds: each slab's interval, bounds, top
-    and values, the transfers and outcome, and each class's interval,
-    representative and values."""
+    """What escape and plot read of a trace: each slab's interval,
+    bounds, top and values, the transfers and outcome, and each class's
+    interval, representative and values."""
     return ([(s.interval_index, s.r_lo, s.r_hi, s.top, s.rho_lo, s.rho_hi)
              for s in trace.segments],
             trace.transfers, trace.outcome,
@@ -402,7 +412,7 @@ def probe_values(work):
         for wl, w in windows:
             for hl, h in hs:
                 cases["values %s window %s %s" % (label, wl, hl)] = _attempt(
-                    lambda: _values(track_class(h, log, w, values_only=True)))
+                    lambda: _values(track_class(h, log, w)))
     return cases
 
 
@@ -689,11 +699,90 @@ def probe_cerf(work):
     return cases
 
 
+# the affine probe's maps v -> c*v + s, each with c > 0: a scale far
+# below 1, one far above it with a shift, and a shift alone
+AFFINE = [(F(1, 10**9), 0), (F(10**9, 7), F(-5, 3)), (1, F(5, 7))]
+
+
+def _affine_mismatches(sc, t, c, s):
+    """The parts of the family t (a variant of sc's family) that differ
+    from those of its image under v -> c*v + s, after rescaling: [] when
+    the invariance holds."""
+    import randgen
+    from morseflow.bifurcation import evolve
+    from morseflow.cerf import validate_cerf
+    from morseflow.tracker import (Window, filtered_homology, track_class,
+                                   wide_window)
+
+    def moved(v):
+        return v if v == NEG_INF else c * v + s
+
+    def codes(t):
+        report = validate_cerf(t)
+        return report.ok, [f.code for f in report.errors()]
+
+    def trace(h, log, w, move):
+        tr = track_class(h, log, w)
+        return ([(g.interval_index, g.r_lo, g.r_hi, g.support, g.top,
+                  move(g.rho_lo), move(g.rho_hi)) for g in tr.segments],
+                tr.transfers, tr.outcome,
+                [(k.interval_index, k.representative, move(k.rho_start),
+                  move(k.rho_end)) for k in tr.classes])
+
+    t2 = randgen.affine_family(t, c, s)
+    if codes(t) != codes(t2):
+        return ["findings"]
+    if not validate_cerf(t).ok:
+        return []
+    out = []
+    logs = [evolve(sc.gamma0, sc.events, x) for x in (t, t2)]
+    hs = [("l1", {"l1": 1})]
+    if any(a.id == "l2" for a in t.arcs):
+        hs.append(("l1+l2", {"l1": 1, "l2": 1}))
+    for wl, w in (("wide", wide_window(t)),
+                  ("(10, 200)", Window.constant(10, 200))):
+        w2 = Window(randgen.affine_profile(w.a, c, s),
+                    randgen.affine_profile(w.b, c, s))
+        for fc, fc2 in zip(*(log.intervals for log in logs)):
+            r = fc.midpoint()
+            if (_attempt(lambda: filtered_homology(t, fc, r, w))
+                    != _attempt(lambda: filtered_homology(t2, fc2, r, w2))):
+                out.append("homology interval %d window %s"
+                           % (fc.interval_index, wl))
+        for hl, h in hs:
+            if (_attempt(lambda: trace(h, logs[0], w, moved))
+                    != _attempt(lambda: trace(h, logs[1], w2, lambda v: v))):
+                out.append("track window %s %s" % (wl, hl))
+    return out
+
+
+def probe_affine(work):
+    import randgen
+    from morseflow.rings import Q, Z, Z2
+
+    cases = {}
+    for ring in (Z2, Z, Q):
+        for seed in range(100):
+            rng = random.Random("affine %s/%d" % (ring.name, seed))
+            sc = randgen.random_scenario(rng, ring)
+            kind = rng.choice(sorted(randgen.MUTATIONS))
+            variants = [("", sc.family),
+                        (" " + kind, randgen.mutate(rng, sc.family, kind))]
+            for label, t in variants:
+                if t is None:
+                    continue
+                for c, s in AFFINE:
+                    cases["affine %s seed %d%s c=%s s=%s" % (
+                        ring.name, seed, label, c, s)] = _attempt(
+                        lambda: _affine_mismatches(sc, t, c, s))
+    return cases
+
+
 PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
           "escape": probe_escape, "values": probe_values, "track": probe_track,
           "cerf": probe_cerf, "homology": probe_homology, "parse": probe_parse,
-          "coset": probe_coset, "maps": probe_maps}
+          "coset": probe_coset, "maps": probe_maps, "affine": probe_affine}
 
 
 def _worker(src, kinds, path):

@@ -259,6 +259,38 @@ def crossings(f, g, lo=None, hi=None):
     return sorted(out)
 
 
+def merge_slabs(slabs, cosets, t):
+    """A finer trace's slabs merged across every bound at which no two
+    generators of the class's coset meet.
+
+    slabs lists (interval, r_lo, r_hi, support, top, rho_lo, rho_hi) in
+    order, cut at every meeting of two in-window arcs of the family t;
+    cosets maps each interval's index to the generators that its
+    representative or an entry of its windowed differential holds.  Two
+    slabs of one interval that share a bound where no two of those
+    generators meet (crossings, knot by knot) become one, from the
+    first's r_lo and rho_lo to the second's r_hi and rho_hi.  Their
+    supports and tops must agree there, or ValueError.
+    """
+    meetings = {}
+    out = []
+    for slab in slabs:
+        i, lo = slab[0], slab[1]
+        if i not in meetings:
+            meetings[i] = {x for g, h in itertools.combinations(
+                sorted(cosets[i], key=str), 2)
+                for x in crossings(t.arc(g).f3, t.arc(h).f3)}
+        if not out or out[-1][0] != i or lo in meetings[i]:
+            out.append(tuple(slab))
+            continue
+        last = out[-1]
+        if last[3:5] != tuple(slab[3:5]):
+            raise ValueError("support or top changes at r=%s, where no two "
+                             "coset generators meet" % lo)
+        out[-1] = last[:2] + (slab[2],) + last[3:6] + (slab[6],)
+    return out
+
+
 def window_clear(w, t):
     """The window rule checked pointwise: both cutoffs span [0, 1], the
     floor is below the ceiling at every knot of either, and each arc

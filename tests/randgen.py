@@ -155,6 +155,19 @@ def random_scenario(rng, ring, max_arcs=10, max_events=6, n_events=None):
     return Scenario(ring, t, gamma0, tuple(sorted(events, key=lambda e: e.r)))
 
 
+def affine_profile(pw, c, s):
+    """The profile pw with every action v replaced by c*v + s."""
+    return Piecewise(tuple((r, c * v + s) for r, v in pw.points))
+
+
+def affine_family(t, c, s):
+    """The family with every action v replaced by c*v + s."""
+    arcs = tuple(dataclasses.replace(a, f3=affine_profile(a.f3, c, s))
+                 for a in t.arcs)
+    verts = tuple(dataclasses.replace(v, f3=c * v.f3 + s) for v in t.vertices)
+    return CerfTuple(arcs, verts)
+
+
 def conjugate_unipotent(rng, d, steps):
     """d, a dense square integer matrix, conjugated in place by steps
     unipotent steps: add c times row j to row i (i < j) and subtract c

@@ -276,36 +276,6 @@ class TestSmithNormalForm:
         assert chain == determinantal_divisors(dense)
 
 
-def unimodular(rng, k):
-    """A random k x k integer matrix of determinant 1: 2k row additions."""
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-    for _ in range(2 * k):
-        i, j = rng.sample(range(k), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-    return u
-
-
-def conjugated_differential(n, chain, rng):
-    """[[0, U D V], [0, 0]] on n = 2h generators, D = diag(chain) padded
-    with zeros to h x h and U, V random unimodular, then conjugated by n
-    unipotent steps (randgen.conjugate_unipotent).  Its homology over the
-    integers is
-    free of rank n - 2 len(chain) plus a cyclic group per entry of chain
-    above 1."""
-    h = n // 2
-
-    def mul(x, y):
-        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
-                for row in x]
-
-    diag = [[chain[i] if i == j and i < len(chain) else 0 for j in range(h)]
-            for i in range(h)]
-    b = mul(mul(unimodular(rng, h), diag), unimodular(rng, h))
-    d = [[0] * h + row for row in b] + [[0] * n for _ in range(h)]
-    return randgen.conjugate_unipotent(rng, d, n)
-
-
 def echelon_torsion(m):
     """(torsion, pivots) of an integer differential as read off the
     invariant factors of its boundary echelon, the Smith pass that
@@ -415,7 +385,7 @@ class TestHomology:
         (40, (1, 2, 2, 4, 4, 8, 24, 48, 96))])
     def test_large_conjugated_differentials(self, n, chain):
         for seed in range(3):
-            d = conjugated_differential(n, chain, random.Random(seed))
+            d = randgen.planted_smith(random.Random(seed), n, chain)
             ids = ["g%02d" % i for i in range(n)]
             m = SparseMatrix.from_rows(Z, ids, ids, d)
             with within(1):
@@ -494,7 +464,7 @@ class TestHomologyByEveryRow:
         # isolated generators add zero rows and columns to a differential
         # with torsion; the zero rows never pivot
         for seed in range(3):
-            d = conjugated_differential(n, chain, random.Random(seed))
+            d = randgen.planted_smith(random.Random(seed), n, chain)
             d = [row + [0, 0] for row in d] + [[0] * (n + 2)] * 2
             ids = ["g%02d" % i for i in range(n + 2)]
             res = self.assert_every_row_agrees(

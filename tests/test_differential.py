@@ -1,7 +1,9 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
 Only its bundled-scenario, values, track, cerf, homology, parse, coset,
-ladder, geometry and maps probes run here, to keep the check short.
+ladder, geometry, maps and affine probes run here, to keep the check
+short.  The values probe runs the same track_class as the track probe,
+and reads only what escape and plot print.
 """
 
 import re
@@ -34,17 +36,18 @@ def test_a_planted_character_in_the_report_header_shows(tmp_path):
     assert lines[3].startswith("    + ") and "morseflow 0.1.0" in lines[3]
 
 
-def test_a_planted_stale_top_shows_in_the_values_probe(tmp_path):
-    # a values-only sweep that never minimizes past an interval's first
-    # slab carries its top over cuts where the top hands over
+def test_a_planted_stale_order_shows_in_the_values_probe(tmp_path):
+    # a sweep that keeps the previous order at a slab bound, instead of
+    # re-sorting the arcs that meet there, keeps a top past the bound
+    # where it hands over
     src = str(tmp_path / "src")
     shutil.copytree(differential.SRC, src,
                     ignore=shutil.ignore_patterns("__pycache__"))
     tracker = tmp_path / "src" / "morseflow" / "tracker.py"
     text = tracker.read_text(encoding="utf-8")
-    fresh = "if not values_only or i == 0 or top in movers[i]:"
+    fresh = "order = (_resort_runs(order, movers[i], key) if i"
     assert text.count(fresh) == 1
-    tracker.write_text(text.replace(fresh, "if not values_only or i == 0:"),
+    tracker.write_text(text.replace(fresh, "order = (order if i"),
                        encoding="utf-8")
     lines, cases, differ = differential.compare(src, differential.SRC,
                                                 ["values"])
@@ -52,6 +55,28 @@ def test_a_planted_stale_top_shows_in_the_values_probe(tmp_path):
     assert lines[0] == "values: %d cases, %d differ" % (cases, differ)
     assert any(line.strip().startswith("values cascade 6 ")
                for line in lines[1:])
+
+
+def test_a_planted_comparator_of_numerators_shows_in_the_affine_probe(
+        tmp_path):
+    # a slab order that compares actions by their numerators alone is
+    # right only where the denominators agree, so a family and its
+    # rescaled image get other tops
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracker = tmp_path / "src" / "morseflow" / "tracker.py"
+    text = tracker.read_text(encoding="utf-8")
+    cross = "lambda u, v: v[0] * u[1] - u[0] * v[1] or"
+    assert text.count(cross) == 1
+    tracker.write_text(text.replace(cross, "lambda u, v: v[0] - u[0] or"),
+                       encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["affine"])
+    assert 0 < differ < cases
+    assert lines[0] == "affine: %d cases, %d differ" % (cases, differ)
+    planted = [line for line in lines if line.startswith("    - ")]
+    assert planted and all("track window" in line for line in planted)
 
 
 def test_a_planted_side_without_tie_break_shows_in_the_cerf_probe(tmp_path):

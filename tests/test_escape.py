@@ -556,14 +556,12 @@ class TestZeroClass:
     def test_a_zero_class_has_no_budget(self):
         sc = parse_scenario(ZERO_SCN)
         log = evolve(sc.gamma0, sc.events, sc.family)
-        for values_only in (False, True):
-            trace = track_class(sc.rep, log, sc.window,
-                                values_only=values_only)
-            assert trace.survived and trace.segments
-            assert all(s.top is None and s.rho_lo == s.rho_hi == NEG_INF
-                       for s in trace.segments)
-            with pytest.raises(ZeroClass, match=ZERO_ERROR):
-                escape_budget(trace, sc.phi)
+        trace = track_class(sc.rep, log, sc.window)
+        assert trace.survived and trace.segments
+        assert all(s.top is None and s.rho_lo == s.rho_hi == NEG_INF
+                   for s in trace.segments)
+        with pytest.raises(ZeroClass, match=ZERO_ERROR):
+            escape_budget(trace, sc.phi)
 
     def test_escape_exits_4_on_a_zero_class(self, tmp_path, capsys):
         path = tmp_path / "zero.scn"
@@ -594,7 +592,7 @@ class TestZeroClass:
         if any(a.id == "l2" for a in t.arcs):
             hs.append({"l1": 1, "l2": 1})
         for h in hs:
-            trace = track_class(h, log, w, values_only=True)
+            trace = track_class(h, log, w)
             for direction in (1, -1):
                 got = outcome(lambda: escape_budget(trace, phi, direction))
                 if not trace.segments:

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import functools
 import gc
 import itertools
 import random
@@ -17,6 +16,7 @@ import oracles
 import randgen
 from fixtures import (birth_tuple, chord, eyeball_with_bystander,
                       three_lane_tuple, within)
+from randgen import affine_family, affine_profile
 from morseflow import algebra, bifurcation, tracker
 from morseflow.bifurcation import (Birth, Death, EventRecord, FlowCounter,
                                    HandleSlide, apply_handle_slide, evolve)
@@ -63,17 +63,23 @@ def u_death_tuple():
     return CerfTuple((up, dn), (vd,))
 
 
-def reference_slabs(log, w, reached):
-    """(interval, r_lo, r_hi, order) of every slab of the reached intervals,
-    from midpoint membership, per-interval reference crossings and a fresh
-    sort at each slab's midpoint."""
+def reference_slabs(log, w, reps, every_pair=False):
+    """(interval, r_lo, r_hi, order) of every slab of the intervals in
+    reps, a map from an interval's index to the class's representative
+    there: from midpoint membership, per-interval reference crossings of
+    two generators that the representative or an entry of the windowed
+    differential holds (of every two in-window arcs with every_pair) and
+    a fresh sort of the in-window arcs at each slab's midpoint."""
     t = log.family
     out = []
     for fc in log.intervals:
-        if fc.interval_index not in reached:
+        if fc.interval_index not in reps:
             continue
         gens = oracles.in_window_at(t, w, fc.midpoint())
-        cuts = {x for g1, g2 in itertools.combinations(gens, 2)
+        held = set(reps[fc.interval_index]).union(
+            *fc.gamma.restrict(gens).entries)
+        cut_by = gens if every_pair else [g for g in gens if g in held]
+        cuts = {x for g1, g2 in itertools.combinations(cut_by, 2)
                 for x in oracles.crossings(t.arc(g1).f3, t.arc(g2).f3,
                                            fc.r_lo, fc.r_hi)
                 if fc.r_lo < x < fc.r_hi}
@@ -103,10 +109,11 @@ def assert_sweep_matches_reference(h0, log, w, kinds=None):
         return minimize(ring, d, rep, order)
     with mock.patch.object(tracker, "_coset_minimize", spy):
         trace = track_class(h0, log, w)
-    ref = reference_slabs(log, w, {s.interval_index for s in trace.segments})
+    reps = {c.interval_index: dict(c.representative) for c in trace.classes
+            if c.representative}
+    ref = reference_slabs(log, w, reps)
     assert [(s.interval_index, s.r_lo, s.r_hi) for s in trace.segments] == [
         slab[:3] for slab in ref]
-    reps = {c.interval_index: dict(c.representative) for c in trace.classes}
     counted = set()
     calls = iter(orders)
     for s, (i, _, _, full) in zip(trace.segments, ref):
@@ -217,18 +224,6 @@ class TestWindow:
         assert track_class({"c1": 1}, log2, WIDE) == after
         assert after != before
         assert F(2, 3) in {s.r_lo for s in after.segments}
-
-
-def affine_profile(pw, c, s):
-    return Piecewise(tuple((r, c * v + s) for r, v in pw.points))
-
-
-def affine_family(t, c, s):
-    """The family with every action v replaced by c*v + s."""
-    arcs = tuple(dataclasses.replace(a, f3=affine_profile(a.f3, c, s))
-                 for a in t.arcs)
-    verts = tuple(dataclasses.replace(v, f3=c * v.f3 + s) for v in t.vertices)
-    return CerfTuple(arcs, verts)
 
 
 @st.composite
@@ -812,6 +807,15 @@ class TestSpectralValue:
             rep_bits, oracles.z2_matrix_to_rowmasks(dense), n, heights)
         assert sv.value == want
 
+    def test_an_image_free_coset_is_the_representative(self):
+        # with no entries in d, rep + im(d) is rep alone; its zero
+        # entries are no part of the support
+        order = ["g0", "g1", "g2"]
+        d = SparseMatrix(Z, order, order, {})
+        rep = {"g2": 3, "g0": 0, "g1": -1}
+        assert tracker._coset_minimize(Z, d, rep, order) == ("g1", "g2")
+        assert tracker._coset_minimize(Z, d, {"g0": 0}, order) == ()
+
 
 def dense_coset_minimize(ring, d, rep, order):
     """_coset_minimize's elimination on dense rows, over any ring:
@@ -1048,6 +1052,27 @@ class TestFullHomology:
             evolve(sc.gamma0, sc.events, sc.family)
 
 
+# lanes under lanes_over_a_top's top arc, meeting in degenerate ways
+DEGENERATE_MEETINGS = [
+    # three arcs through (1/2, 3)
+    ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
+      ("c3", [(0, 3), (1, 3)])], ()),
+    # c2 touches c1 at 1/2 without crossing it
+    ([("c1", [(0, 3), (1, 3)]), ("c2", [(0, 1), (F(1, 2), 3), (1, 1)])], ()),
+    # c1 coincides with c2 on [1/4, 3/4], then separates above it
+    ([("c1", [(0, 2), (F(1, 4), 3), (F(3, 4), 3), (1, 4)]),
+      ("c2", [(0, 3), (1, 3)]), ("c3", [(0, 3), (F(1, 2), 3), (1, 5)])], ()),
+    # c1 and c2 cross exactly at a slide
+    ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)])],
+     (EventRecord(F(1, 2), HandleSlide((("c1", "c0", 1),))),)),
+    # the same crossing with every lane meeting there as well
+    ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
+      ("c3", [(0, 3), (F(1, 4), 3), (F(3, 4), 4), (1, 4)]),
+      ("c4", [(0, 2), (F(1, 2), 3), (1, 2)])],
+     (EventRecord(F(1, 4), HandleSlide((("c3", "c0", 1),))),)),
+]
+
+
 class TestTrackClass:
     def test_no_events_constant_trace(self):
         t = three_lane_tuple()
@@ -1178,24 +1203,7 @@ class TestTrackClass:
         ids = [a.id for a in arcs]
         return evolve(counter(Z2, ids, {("t", "c1"): 1, ("t", "c2"): 1}), events, t)
 
-    @pytest.mark.parametrize("lanes, events", [
-        # three arcs through (1/2, 3)
-        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
-          ("c3", [(0, 3), (1, 3)])], ()),
-        # c2 touches c1 at 1/2 without crossing it
-        ([("c1", [(0, 3), (1, 3)]), ("c2", [(0, 1), (F(1, 2), 3), (1, 1)])], ()),
-        # c1 coincides with c2 on [1/4, 3/4], then separates above it
-        ([("c1", [(0, 2), (F(1, 4), 3), (F(3, 4), 3), (1, 4)]),
-          ("c2", [(0, 3), (1, 3)]), ("c3", [(0, 3), (F(1, 2), 3), (1, 5)])], ()),
-        # c1 and c2 cross exactly at a slide
-        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)])],
-         (EventRecord(F(1, 2), HandleSlide((("c1", "c0", 1),))),)),
-        # the same crossing with every lane meeting there as well
-        ([("c1", [(0, 1), (1, 5)]), ("c2", [(0, 5), (1, 1)]),
-          ("c3", [(0, 3), (F(1, 4), 3), (F(3, 4), 4), (1, 4)]),
-          ("c4", [(0, 2), (F(1, 2), 3), (1, 2)])],
-         (EventRecord(F(1, 4), HandleSlide((("c3", "c0", 1),))),)),
-    ])
+    @pytest.mark.parametrize("lanes, events", DEGENERATE_MEETINGS)
     def test_degenerate_meetings_match_the_reference(self, lanes, events):
         log = self.lanes_over_a_top(lanes, events)
         for h0 in ({"c1": 1}, {"c1": 1, "c0": 1}, {"c2": 1, "t": 0}):
@@ -1268,65 +1276,41 @@ class TestTrackClass:
             assert a.r_hi == b.r_lo
 
 
-def values_of(trace):
-    """Every field of a trace but the slabs' supports."""
-    return ([s._replace(support=None) for s in trace.segments],
-            trace.transfers, trace.outcome, trace.classes)
-
-
-def minimizations(h0, log, w, **kwargs):
-    """track_class(h0, log, w, **kwargs) and its number of
-    _coset_minimize calls."""
-    calls = []
-    minimize = tracker._coset_minimize
-
-    def spy(ring, d, rep, order):
-        calls.append(order)
-        return minimize(ring, d, rep, order)
-    with mock.patch.object(tracker, "_coset_minimize", spy):
-        trace = track_class(h0, log, w, **kwargs)
-    return trace, len(calls)
-
-
-def top_meetings(full, log, w):
-    """The intervals a full trace reaches, plus its later slab bounds at
-    which the slab before has a top that meets another in-window arc
-    there, by reference crossings."""
+def assert_merged_fine_trace(h0, log, w):
+    """track_class's trace equals oracles.merge_slabs of the finer
+    reference trace: reference_slabs cut at every meeting of two
+    in-window arcs, each slab's support _coset_minimize's on its whole
+    reference order, and its values the top's, by profile_value.
+    Returns the trace and the number of finer slabs."""
     t = log.family
-
-    @functools.lru_cache(maxsize=None)
-    def meets(g, i):
-        """Where g meets another arc in the window on interval i."""
-        gens = oracles.in_window_at(t, w, log.intervals[i].midpoint())
-        return {x for h in gens if h != g
-                for x in oracles.crossings(t.arc(g).f3, t.arc(h).f3)}
-    count, prev = 0, None
-    for s in full.segments:
-        if prev is None or prev.interval_index != s.interval_index:
-            count += 1
-        elif prev.top is not None:
-            count += s.r_lo in meets(prev.top, s.interval_index)
-        prev = s
-    return count
-
-
-def assert_values_only_matches_full(h0, log, w):
-    """The values-only trace equals the full sweep's but for its
-    supports, all None, and minimizes at most once per interval and once
-    per bound its top meets; returns both traces and that count."""
-    full = track_class(h0, log, w)
-    values, calls = minimizations(h0, log, w, values_only=True)
-    assert values_of(values) == values_of(full)
-    assert all(s.support is None for s in values.segments)
-    assert calls <= top_meetings(full, log, w)
-    return full, values, calls
+    trace = track_class(h0, log, w)
+    reps = {c.interval_index: dict(c.representative) for c in trace.classes
+            if c.representative}
+    cosets, fine = {}, []
+    for i, lo, hi, order in reference_slabs(log, w, reps, every_pair=True):
+        d = log.intervals[i].gamma.restrict(order)
+        cosets[i] = set(reps[i]).union(*d.entries)
+        support = tracker._coset_minimize(log.ring, d, reps[i], order)
+        top = support[0] if support else None
+        fine.append((i, lo, hi, support, top) + (
+            (NEG_INF, NEG_INF) if top is None else tuple(
+                oracles.profile_value(t.arc(top).f3.points, r)
+                for r in (lo, hi))))
+    assert oracles.merge_slabs(fine, cosets, t) == [
+        (s.interval_index, s.r_lo, s.r_hi, s.support, s.top, s.rho_lo,
+         s.rho_hi) for s in trace.segments]
+    return trace, len(fine)
 
 
-class TestValuesOnly:
-    @settings(max_examples=200, deadline=None)
+class TestMergeOracle:
+    """A slab bound is a meeting of two of the class's coset generators:
+    the trace is the finer one, cut at every meeting of two in-window
+    arcs, merged across every other bound."""
+
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
            tier=st.booleans())
-    def test_random_families_match_the_full_sweep(self, seed, ring, tier):
+    def test_random_families(self, seed, ring, tier):
         sc = randgen.random_scenario(random.Random(seed), ring)
         log = evolve(sc.gamma0, sc.events, sc.family)
         w = Window.constant(10, 200) if tier else wide_window(sc.family)
@@ -1334,46 +1318,31 @@ class TestValuesOnly:
         if any(a.id == "l2" for a in sc.family.arcs):
             hs.append({"l1": 1, "l2": 1})
         for h0 in hs:
-            assert_values_only_matches_full(h0, log, w)
+            assert_merged_fine_trace(h0, log, w)
 
-    @pytest.mark.parametrize("n", [6, 12, 30, 60])
-    def test_cascades_match_the_full_sweep(self, n):
-        # the top hands over at one cut per slide, and every other cut
-        # misses it
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_cascades(self, n):
+        # a lane that has not yet slid into the class is no coset
+        # generator, so its crossings with the lanes below cut no slab
         t, fc0, events = build_cascade(n)
         log = evolve(fc0, events, t)
-        full, values, calls = assert_values_only_matches_full(
-            {"c1": 1}, log, wide_window(t))
-        assert len(full.transfers) == n
-        assert calls <= 2 * n + 1 < len(values.segments)
+        trace, fine = assert_merged_fine_trace({"c1": 1}, log, wide_window(t))
+        assert len(trace.transfers) == n
+        assert n < len(trace.segments) < fine
 
-    def test_a_zero_class_is_minimized_once_per_interval(self):
-        t, log = three_lane_log()
-        full, values, calls = assert_values_only_matches_full(
-            {"c3": 1}, log, WIDE)
-        assert calls == len(log.intervals)
-        assert all(s.top is None and s.rho_lo == NEG_INF
-                   for s in values.segments)
-
-    def test_a_values_only_table_raises(self):
-        t, log = three_lane_log()
-        trace = track_class({"c1": 1}, log, WIDE, values_only=True)
-        with pytest.raises(ValueError, match="no supports"):
-            trace.table()
-
-    def test_an_image_free_coset_is_the_representative(self):
-        # with no entries in d, rep + im(d) is rep alone; its zero
-        # entries are no part of the support
-        order = ["g0", "g1", "g2"]
-        d = SparseMatrix(Z, order, order, {})
-        rep = {"g2": 3, "g0": 0, "g1": -1}
-        assert tracker._coset_minimize(Z, d, rep, order) == ("g1", "g2")
-        assert tracker._coset_minimize(Z, d, {"g0": 0}, order) == ()
+    def test_degenerate_meetings(self):
+        merged = 0
+        for lanes, events in DEGENERATE_MEETINGS:
+            log = TestTrackClass.lanes_over_a_top(lanes, events)
+            for h0 in ({"c1": 1}, {"c1": 1, "c0": 1}, {"c2": 1, "t": 0}):
+                trace, fine = assert_merged_fine_trace(
+                    h0, log, Window.constant(-10, 10))
+                merged += fine - len(trace.segments)
+        assert merged > 0
 
 
 class TestNonzeroStaysNonzero:
-    @pytest.mark.parametrize("values_only", [False, True])
-    def test_a_class_lost_on_a_later_interval_raises(self, values_only):
+    def test_a_class_lost_on_a_later_interval_raises(self):
         # a minimization that finds the class zero after the first
         # interval breaks the invariant, and the trace refuses it
         t, log = three_lane_log()
@@ -1389,7 +1358,7 @@ class TestNonzeroStaysNonzero:
         assert track_class({"c1": 1}, log, WIDE).segments[-1].top == "c2"
         with mock.patch.object(tracker, "_coset_minimize", lose):
             with pytest.raises(VerificationFailed, match="turned zero"):
-                track_class({"c1": 1}, log, WIDE, values_only=values_only)
+                track_class({"c1": 1}, log, WIDE)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
@@ -1402,9 +1371,8 @@ class TestNonzeroStaysNonzero:
         if any(a.id == "l2" for a in sc.family.arcs):
             hs.append({"l1": 1, "l2": 1})
         for h0 in hs:
-            for values_only in (False, True):
-                trace = track_class(h0, log, w, values_only=values_only)
-                assert len({s.top is None for s in trace.segments}) <= 1
+            trace = track_class(h0, log, w)
+            assert len({s.top is None for s in trace.segments}) <= 1
 
 
 def tie_log():
@@ -1441,14 +1409,12 @@ class TestTies:
     def test_both_sweeps_match_the_reference_and_bruteforce(self, h0):
         log = tie_log()
         assert validate_cerf(log.family).ok
-        full = assert_sweep_matches_reference(h0, log, self.W)
-        values = track_class(h0, log, self.W, values_only=True)
-        assert values_of(values) == values_of(full)
+        trace = assert_sweep_matches_reference(h0, log, self.W)
         want = [(i, lo, hi) for i, lo, hi, _ in
-                reference_slabs(log, self.W, {0})]
+                reference_slabs(log, self.W, {0: h0})]
         assert [(s.interval_index, s.r_lo, s.r_hi)
-                for s in values.segments] == want
-        for s in values.segments:
+                for s in trace.segments] == want
+        for s in trace.segments:
             mid = (s.r_lo + s.r_hi) / 2
             at_mid = (NEG_INF if s.top is None else
                       oracles.profile_value(log.family.arc(s.top).f3.points, mid))
@@ -1461,7 +1427,7 @@ class TestTies:
                                     tracker._window(self.W, log.family)[1])
         met = [(g1, g2) for x, _, _, g1, g2 in cuts if x == F(1, 2)]
         assert len(met) >= 3
-        trace = track_class({"a": 1}, log, self.W, values_only=True)
+        trace = track_class({"a": 1}, log, self.W)
         assert [s.r_lo for s in trace.segments].count(F(1, 2)) == 1
         assert trace.transfers == ((F(1, 2), "a", "b"),)
 
@@ -1469,11 +1435,10 @@ class TestTies:
         # c and d tie on [1/4, 3/4]: the order puts c first, so the
         # greedy pushes the class of c down onto d until d rises past c
         log = tie_log()
-        for values_only in (False, True):
-            trace = track_class({"c": 1}, log, self.W, values_only=values_only)
-            assert trace.transfers == ((F(3, 4), "d", "c"),)
-            assert all(s.rho_hi == 3 for s in trace.segments
-                       if F(1, 4) <= s.r_lo < F(3, 4))
+        trace = track_class({"c": 1}, log, self.W)
+        assert trace.transfers == ((F(3, 4), "d", "c"),)
+        assert all(s.rho_hi == 3 for s in trace.segments
+                   if F(1, 4) <= s.r_lo < F(3, 4))
 
 
 class TestIntervalGenerators:
@@ -1744,7 +1709,6 @@ class TestValueRanges:
                 mock.patch.object(tracker, "crossings", spy_cross):
             inside = tracker._window(w, t)[1]
             for _ in range(2):
-                track_class({"l1": 1}, log, w, values_only=True)
                 track_class({"l1": 1}, log, w)
         assert all(_apart(_range(f), _range(g)) == 0 for f, g in walked)
         want = []
