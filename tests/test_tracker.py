@@ -1342,10 +1342,12 @@ class TestMergeOracle:
 
 
 class TestNonzeroStaysNonzero:
-    def test_a_class_lost_on_a_later_interval_raises(self):
+    @pytest.mark.parametrize("over_z", [False, True])
+    def test_a_class_lost_on_a_later_interval_raises(self, over_z):
         # a minimization that finds the class zero after the first
-        # interval breaks the invariant, and the trace refuses it
-        t, log = three_lane_log()
+        # interval breaks the invariant, and the trace refuses it, over
+        # Z2 and over the integers
+        t, log = three_lane_log(Z if over_z else Z2)
         minimize = tracker._coset_minimize
         first = []
 
