@@ -48,10 +48,9 @@ chain map when G A = A G' (row convention), and every bundle passes:
   over the survivors only.  The rest is as at a birth.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .cerf import Finding, ValidationReport
 from .errors import (ActionConstraintViolated, ConstraintViolated,
@@ -60,60 +59,60 @@ from .errors import (ActionConstraintViolated, ConstraintViolated,
                      NonUnitPivot)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import _apart, _range, _side, _walk, frac
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
 # event payloads
 
-@dataclass(frozen=True)
-class HandleSlide:
-    delta: tuple                 # ((upper arc, lower arc, value), ...)
+class HandleSlide(Value):
+    _fields = ("delta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(tuple(d) for d in self.delta))
+    def __init__(self, delta):
+        # ((upper arc, lower arc, value), ...)
+        object.__setattr__(self, "delta", tuple(tuple(d) for d in delta))
 
 
-@dataclass(frozen=True)
-class Birth:
-    vertex: str
-    pivot: object                # unit of the coefficient ring
-    new_column: tuple = ()       # ((old arc, value), ...): column of the lower branch
+class Birth(Value):
+    _fields = ("vertex", "pivot", "new_column")
 
-    def __post_init__(self):
+    def __init__(self, vertex, pivot, new_column=()):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "pivot", pivot)    # unit of the coefficient ring
+        # ((old arc, value), ...): column of the lower branch
         object.__setattr__(self, "new_column",
-                           tuple(tuple(e) for e in self.new_column))
+                           tuple(tuple(e) for e in new_column))
 
 
-@dataclass(frozen=True)
-class Death:
-    vertex: str
+class Death(Value):
+    _fields = ("vertex",)
+
+    def __init__(self, vertex):
+        object.__setattr__(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    r: Fraction
-    payload: object
+class EventRecord(Value):
+    _fields = ("r", "payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", frac(self.r))
+    def __init__(self, r, payload):
+        object.__setattr__(self, "r", frac(r))
+        object.__setattr__(self, "payload", payload)
 
     @property
     def kind(self):
         return type(self.payload).__name__.lower()
 
 
-@dataclass(frozen=True)
-class FlowCounter:
+class FlowCounter(Value):
     """Constant count matrix on one open interval between events."""
 
-    interval_index: int
-    r_lo: Fraction
-    r_hi: Fraction
-    gamma: SparseMatrix
+    _fields = ("interval_index", "r_lo", "r_hi", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r_lo", frac(self.r_lo))
-        object.__setattr__(self, "r_hi", frac(self.r_hi))
+    def __init__(self, interval_index, r_lo, r_hi, gamma):
+        object.__setattr__(self, "interval_index", interval_index)
+        object.__setattr__(self, "r_lo", frac(r_lo))
+        object.__setattr__(self, "r_hi", frac(r_hi))
+        object.__setattr__(self, "gamma", gamma)    # a SparseMatrix
 
     @property
     def generators(self):
@@ -151,19 +150,28 @@ class ChainMapBundle(NamedTuple):
     homotopy: object = None
 
 
-@dataclass(frozen=True)
-class EventStep:
+class EventStep(Value):
     """One event of a log: the counters on either side, and its maps.
 
     build_maps is the event update's recipe for the comparison maps.  It
     runs the first time maps is read, and every later read returns that
-    same bundle.
+    same bundle.  It is not in _fields, so ==, hash and repr skip it;
+    _replace passes it on.
     """
 
-    record: EventRecord
-    before: FlowCounter          # left approximation at the event parameter
-    after: FlowCounter           # right approximation
-    build_maps: Callable = field(repr=False, compare=False)
+    _fields = ("record", "before", "after")
+
+    def __init__(self, record, before, after, build_maps):
+        object.__setattr__(self, "record", record)  # an EventRecord
+        # the FlowCounters: the left and the right approximation at the
+        # event parameter
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
+        object.__setattr__(self, "build_maps", build_maps)
+
+    def _replace(self, **changes):
+        changes.setdefault("build_maps", self.build_maps)
+        return super()._replace(**changes)
 
     @cached_property
     def maps(self):

@@ -12,40 +12,42 @@ finds rather than raising on the first one, so scenario authors see all
 problems at once.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (InvalidTuple, NonIsolatedCusp, VerticalTangency)
-from .piecewise import Piecewise, _range, _side, frac
+from .piecewise import _range, _side, frac
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
 # end tags
 
-@dataclass(frozen=True)
-class BoundaryAt0:
+class BoundaryAt0(Value):
     def __str__(self):
         return "boundary@0"
 
 
-@dataclass(frozen=True)
-class BoundaryAt1:
+class BoundaryAt1(Value):
     def __str__(self):
         return "boundary@1"
 
 
-@dataclass(frozen=True)
-class BirthVertex:
-    vertex: str
+class BirthVertex(Value):
+    _fields = ("vertex",)
+
+    def __init__(self, vertex):
+        object.__setattr__(self, "vertex", vertex)
 
     def __str__(self):
         return "birth(%s)" % self.vertex
 
 
-@dataclass(frozen=True)
-class DeathVertex:
-    vertex: str
+class DeathVertex(Value):
+    _fields = ("vertex",)
+
+    def __init__(self, vertex):
+        object.__setattr__(self, "vertex", vertex)
 
     def __str__(self):
         return "death(%s)" % self.vertex
@@ -54,8 +56,7 @@ class DeathVertex:
 # ---------------------------------------------------------------------------
 # core types
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Value):
     """One critical point over a closed parameter subinterval.
 
     The action profile f3 determines the footprint: its first and last
@@ -65,12 +66,15 @@ class Arc:
     request so the rejection can be tested.
     """
 
-    id: str
-    f3: Piecewise
-    lo_tag: object
-    hi_tag: object
-    lo_open: bool = False
-    hi_open: bool = False
+    _fields = ("id", "f3", "lo_tag", "hi_tag", "lo_open", "hi_open")
+
+    def __init__(self, id, f3, lo_tag, hi_tag, lo_open=False, hi_open=False):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "f3", f3)          # a Piecewise
+        object.__setattr__(self, "lo_tag", lo_tag)
+        object.__setattr__(self, "hi_tag", hi_tag)
+        object.__setattr__(self, "lo_open", lo_open)
+        object.__setattr__(self, "hi_open", hi_open)
 
     @property
     def r_lo(self):
@@ -84,20 +88,18 @@ class Arc:
         return self.f3.value(r)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    kind: str            # "birth" | "death"
-    r: Fraction
-    f3: Fraction
-    plus_arc: str
-    minus_arc: str
+class Vertex(Value):
+    _fields = ("id", "kind", "r", "f3", "plus_arc", "minus_arc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", frac(self.r))
-        object.__setattr__(self, "f3", frac(self.f3))
-        if self.kind not in ("birth", "death"):
-            raise InvalidTuple("vertex kind must be birth or death: %r" % (self.kind,))
+    def __init__(self, id, kind, r, f3, plus_arc, minus_arc):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)      # "birth" | "death"
+        object.__setattr__(self, "r", frac(r))
+        object.__setattr__(self, "f3", frac(f3))
+        object.__setattr__(self, "plus_arc", plus_arc)
+        object.__setattr__(self, "minus_arc", minus_arc)
+        if kind not in ("birth", "death"):
+            raise InvalidTuple("vertex kind must be birth or death: %r" % (kind,))
 
 
 class Component(NamedTuple):
@@ -150,19 +152,18 @@ def _components(arcs, vertices):
     return tuple(c for _, c in sorted(comps))
 
 
-@dataclass(frozen=True)
-class CerfTuple:
-    arcs: tuple
-    vertices: tuple = ()
+class CerfTuple(Value):
+    _fields = ("arcs", "vertices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, arcs, vertices=()):
+        arcs, vertices = tuple(arcs), tuple(vertices)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "vertices", vertices)
         # reversed, so the first arc or vertex with a repeated id wins
         object.__setattr__(self, "_arc_by_id",
-                           {a.id: a for a in reversed(self.arcs)})
+                           {a.id: a for a in reversed(arcs)})
         object.__setattr__(self, "_vertex_by_id",
-                           {v.id: v for v in reversed(self.vertices)})
+                           {v.id: v for v in reversed(vertices)})
 
     @property
     def components(self):

@@ -13,7 +13,6 @@ certify divergence.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,6 +24,7 @@ from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
 from .tracker import NEG_INF
+from .values import Value
 
 INF = float("inf")
 _FLAT = Fraction(0)          # the cost of every flat step
@@ -42,33 +42,27 @@ def _is_log_depth(depth):
     return type(depth) is int and 1 <= depth <= MAX_LOG_DEPTH
 
 
-@dataclass(frozen=True)
-class GrowthBound:
-    coefficient: Fraction
-    power: Fraction
-    log_powers: tuple        # exponents q_j of the iterated log factors
-    gap: tuple               # exclusion interval (a, b), a <= 0 <= b
-    label: str = "polylog"
+class GrowthBound(Value):
+    _fields = ("coefficient", "power", "log_powers", "gap", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", frac(self.coefficient))
-        object.__setattr__(self, "power", frac(self.power))
-        object.__setattr__(self, "log_powers",
-                           tuple(frac(q) for q in self.log_powers))
-        if self.coefficient <= 0:
+    def __init__(self, coefficient, power, log_powers, gap, label="polylog"):
+        coefficient, power = frac(coefficient), frac(power)
+        # exponents q_j of the iterated log factors
+        log_powers = tuple(frac(q) for q in log_powers)
+        if coefficient <= 0:
             raise InvalidParameters("coefficient must be positive")
-        if any(q < 0 for q in self.log_powers):
+        if any(q < 0 for q in log_powers):
             raise InvalidParameters("log exponents must be nonnegative")
-        depth = len(self.log_powers)
+        depth = len(log_powers)
         if depth > MAX_LOG_DEPTH:
             raise InvalidParameters("at most four iterated log factors")
+        # the exclusion interval (a, b), a <= 0 <= b
         try:
-            a, b = self.gap
+            a, b = gap
         except (TypeError, ValueError):
             raise InvalidParameters("the exclusion interval is a pair (a, b), "
-                                    "not %r" % (self.gap,)) from None
+                                    "not %r" % (gap,)) from None
         a, b = frac(a), frac(b)
-        object.__setattr__(self, "gap", (a, b))
         if not a <= 0 <= b:
             raise InvalidParameters("exclusion interval must contain 0")
         thr = _LOG_THRESHOLD[depth]
@@ -76,6 +70,11 @@ class GrowthBound:
             raise InvalidParameters(
                 "with %d log factors the exclusion interval must reach +-%d"
                 % (depth, thr))
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "log_powers", log_powers)
+        object.__setattr__(self, "gap", (a, b))
+        object.__setattr__(self, "label", label)
 
     def value(self, s):
         """Phi(s); exact Fraction when no transcendental factor enters."""

@@ -11,10 +11,12 @@ each point is converted once (frac), kept as Fractions in points and
 as integers in Piecewise.ints, and its parameter checked on those
 integers against the point before.  ints is the one integer reader of
 a profile, for this module and for every caller that evaluates the
-integer points itself (_ratio_at).  It is not a field, so == and repr
-read the Fraction points only; hash reads ints, which agrees with ==,
-since equal Fractions have equal reduced ratios.  A Fraction is built only where a
-value leaves the kernel: a crossing parameter and Piecewise.value.
+integer points itself (_ratio_at).  It is not in Piecewise._fields, so
+==, repr and _replace (values.Value) read the Fraction points only, and
+_replace makes ints again from the new points; hash reads ints, which
+agrees with ==, since equal Fractions have equal reduced ratios.  A
+Fraction is built only where a value leaves the kernel: a crossing
+parameter and Piecewise.value.
 _side is the one reader of local order, the sign of f - g beside a
 parameter, for the family validator and the event engine alike.
 
@@ -28,9 +30,9 @@ on the profile.  common_knots stays in Fraction arithmetic, as the
 tests' reference for the kernel's knots.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+
+from .values import Value
 
 
 def frac(x):
@@ -50,20 +52,19 @@ def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Piecewise:
+class Piecewise(Value):
     """Linear interpolation through (r, value) breakpoints, r strictly increasing."""
 
-    points: Tuple[Tuple[Fraction, Fraction], ...]
+    _fields = ("points",)
 
-    def __post_init__(self):
+    def __init__(self, points):
         # each point as Fractions and as the integers (r_num, r_den,
         # v_num, v_den); an order error is raised after the pass, so that
         # a conversion error anywhere, then too few points, come first
         pts, ints = [], []
         q = None
         increasing = True
-        for r, v in self.points:
+        for r, v in points:
             r, v = frac(r), frac(v)
             p = r.as_integer_ratio() + v.as_integer_ratio()
             if q is not None and not q[0] * p[1] < p[0] * q[1]:

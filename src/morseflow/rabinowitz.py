@@ -14,7 +14,6 @@ No geometry lives here: suprema, tame constants, and the form-variation
 constant theta are inputs measured elsewhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ from .errors import InvalidParameters, MissingClassData, OutOfRange
 from .escape import (MAX_LOG_DEPTH, POWER_CAP_BITS, _exp_bounds,
                      _is_log_depth, check_H2, iterlog, linear, square)
 from .piecewise import frac
+from .values import Value
 
 H3_NOTE = "conditional on H3"
 
@@ -29,28 +29,26 @@ H3_NOTE = "conditional on H3"
 # ---------------------------------------------------------------------------
 # tameness classes and homotopy variants
 
-@dataclass(frozen=True)
-class Tame:
+class Tame(Value):
     pass
 
 
-@dataclass(frozen=True)
-class LogTame:
-    depth: int = 1
+class LogTame(Value):
+    _fields = ("depth",)
+
+    def __init__(self, depth=1):
+        object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
-class SquareTame:
+class SquareTame(Value):
     pass
 
 
-@dataclass(frozen=True)
-class HypersurfaceHomotopy:
+class HypersurfaceHomotopy(Value):
     pass
 
 
-@dataclass(frozen=True)
-class SymplecticFormHomotopy:
+class SymplecticFormHomotopy(Value):
     """Deformation of the ambient form rather than the hypersurface.
 
     theta replaces the homotopy supremum in the growth bound.  eta_rate,
@@ -58,44 +56,46 @@ class SymplecticFormHomotopy:
     the stated growth relation is used as an upper bound.
     """
 
-    theta: Fraction
-    eta_rate: object = None
+    _fields = ("theta", "eta_rate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", frac(self.theta))
-        if self.theta < 0:
+    def __init__(self, theta, eta_rate=None):
+        theta = frac(theta)
+        if theta < 0:
             raise InvalidParameters("theta must be nonnegative")
-        if self.eta_rate is not None:
-            object.__setattr__(self, "eta_rate", frac(self.eta_rate))
-            if self.eta_rate < 0:
+        if eta_rate is not None:
+            eta_rate = frac(eta_rate)
+            if eta_rate < 0:
                 raise InvalidParameters("eta rate must be nonnegative")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "eta_rate", eta_rate)
 
 
-@dataclass(frozen=True)
-class HomotopyModel:
-    h_sup: Fraction                       # sup over r of the motion rate
-    tame_constant: Fraction
-    tame_class: object = Tame()
-    variant: object = HypersurfaceHomotopy()
+class HomotopyModel(Value):
+    _fields = ("h_sup", "tame_constant", "tame_class", "variant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h_sup", frac(self.h_sup))
-        object.__setattr__(self, "tame_constant", frac(self.tame_constant))
-        if self.h_sup < 0:
+    def __init__(self, h_sup, tame_constant, tame_class=Tame(),
+                 variant=HypersurfaceHomotopy()):
+        h_sup = frac(h_sup)               # sup over r of the motion rate
+        tame_constant = frac(tame_constant)
+        if h_sup < 0:
             raise InvalidParameters("homotopy supremum must be nonnegative")
-        if self.tame_constant <= 0:
+        if tame_constant <= 0:
             raise InvalidParameters("tame constant must be positive")
-        if not isinstance(self.tame_class, (Tame, LogTame, SquareTame)):
+        if not isinstance(tame_class, (Tame, LogTame, SquareTame)):
             raise InvalidParameters("unknown tameness class: %r"
-                                    % (self.tame_class,))
-        if (isinstance(self.tame_class, LogTame)
-                and not _is_log_depth(self.tame_class.depth)):
+                                    % (tame_class,))
+        if (isinstance(tame_class, LogTame)
+                and not _is_log_depth(tame_class.depth)):
             raise InvalidParameters("log-tame depth must be from 1 to %d"
                                     % MAX_LOG_DEPTH)
-        if not isinstance(self.variant,
+        if not isinstance(variant,
                           (HypersurfaceHomotopy, SymplecticFormHomotopy)):
             raise InvalidParameters("unknown homotopy variant: %r"
-                                    % (self.variant,))
+                                    % (variant,))
+        object.__setattr__(self, "h_sup", h_sup)
+        object.__setattr__(self, "tame_constant", tame_constant)
+        object.__setattr__(self, "tame_class", tame_class)
+        object.__setattr__(self, "variant", variant)
 
     @property
     def motion_rate(self):

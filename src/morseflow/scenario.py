@@ -43,8 +43,8 @@ Parse errors carry the line number.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
                           HandleSlide)
@@ -65,8 +65,7 @@ _SECTIONS = ("coefficients", "arcs", "vertices", "gamma", "events",
              "window", "ladder", "track", "phi", "rabinowitz")
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     ring: object
     family: CerfTuple
     gamma0: FlowCounter

@@ -234,10 +234,8 @@ def geometry_windows(t, rng, walk):
 
 
 def probe_geometry(work):
-    import dataclasses
-
     import randgen
-    from morseflow.bifurcation import evolve, validate_axioms
+    from morseflow.bifurcation import FlowCounter, evolve, validate_axioms
     from morseflow.matrix import SparseMatrix
     from morseflow.piecewise import crossings
     from morseflow.rings import Q, Z, Z2
@@ -294,8 +292,9 @@ def probe_geometry(work):
                 entries = dict(g0.gamma.entries)
                 del entries[c1, c2]
                 entries[c2, c1] = v
-                rev = dataclasses.replace(g0, gamma=SparseMatrix(
-                    ring, g0.gamma.rows, g0.gamma.cols, entries))
+                rev = FlowCounter(g0.interval_index, g0.r_lo, g0.r_hi,
+                                  SparseMatrix(ring, g0.gamma.rows,
+                                               g0.gamma.cols, entries))
                 cases["%s axioms %s reversed" % (name, (c1, c2))] = _attempt(
                     lambda: validate_axioms(rev, sc.events, t).findings)
     return cases
@@ -523,10 +522,8 @@ def probe_coset(work):
 
 
 def probe_maps(work):
-    import dataclasses
-
     import randgen
-    from morseflow.bifurcation import evolve, validate_axioms
+    from morseflow.bifurcation import FlowCounter, evolve, validate_axioms
     from morseflow.matrix import SparseMatrix
     from morseflow.rings import Q, Z, Z2
 
@@ -553,8 +550,10 @@ def probe_maps(work):
                 c1, c2 = rng.choice(rows), rng.choice(rows)
                 entries[c1, c2] = rng.choice(values)
                 copies.append(("with %s" % ((c1, c2, entries[c1, c2]),),
-                               dataclasses.replace(g0, gamma=SparseMatrix(
-                                   ring, rows, g0.gamma.cols, entries))))
+                               FlowCounter(g0.interval_index, g0.r_lo,
+                                           g0.r_hi, SparseMatrix(
+                                               ring, rows, g0.gamma.cols,
+                                               entries))))
             for label, g in copies:
                 key = "%s %s" % (name, label)
                 cases[key + " axioms"] = _attempt(
@@ -640,11 +639,9 @@ def probe_parse(work):
 
 
 def probe_cerf(work):
-    import dataclasses
-
     import randgen
     from morseflow.bifurcation import Birth, EventRecord, evolve
-    from morseflow.cerf import validate_cerf
+    from morseflow.cerf import CerfTuple, validate_cerf
     from morseflow.errors import MorseflowError
     from morseflow.rings import Q, Z, Z2
 
@@ -675,15 +672,15 @@ def probe_cerf(work):
                 if bad is not None:
                     cases["%s %s" % (name, kind)] = findings(bad)
             for i, v in enumerate(t.vertices):
-                variants = [("swapped", dataclasses.replace(
+                variants = [("swapped", randgen.vertex_with(
                     v, plus_arc=v.minus_arc, minus_arc=v.plus_arc))]
                 variants += [("f3%+d/%d" % (d.numerator, d.denominator),
-                              dataclasses.replace(v, f3=v.f3 + d))
+                              randgen.vertex_with(v, f3=v.f3 + d))
                              for d in (F(1, 3), F(-1, 2))]
                 for label, w in variants:
                     vs = t.vertices[:i] + (w,) + t.vertices[i + 1:]
                     cases["%s %s %s" % (name, v.id, label)] = findings(
-                        dataclasses.replace(t, vertices=vs))
+                        CerfTuple(t.arcs, vs))
             for e in sc.events:
                 if not isinstance(e.payload, Birth):
                     continue
@@ -691,8 +688,8 @@ def probe_cerf(work):
                 for a in t.arcs_alive(e.r):
                     if a.id in (v.plus_arc, v.minus_arc):
                         continue
-                    ev = EventRecord(e.r, dataclasses.replace(
-                        e.payload, new_column=((a.id, 1),)))
+                    ev = EventRecord(e.r, Birth(
+                        e.payload.vertex, e.payload.pivot, ((a.id, 1),)))
                     events = [ev if x is e else x for x in sc.events]
                     cases["%s evolve %s column %s" % (name, v.id, a.id)] = (
                         outcome(sc.gamma0, events, t))

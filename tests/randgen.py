@@ -14,7 +14,6 @@ rejection sampling:
   entry of its plus row and empty minus row / plus column.
 """
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -160,11 +159,31 @@ def affine_profile(pw, c, s):
     return Piecewise(tuple((r, c * v + s) for r, v in pw.points))
 
 
+def arc_with(a, **changes):
+    """The arc a with the fields in changes replaced.
+
+    Made by Arc's constructor, not a._replace, as vertex_with is by
+    Vertex's: tests/differential.py runs this module against the classes
+    of another revision, and both share only the constructors.
+    """
+    fields = dict(id=a.id, f3=a.f3, lo_tag=a.lo_tag, hi_tag=a.hi_tag,
+                  lo_open=a.lo_open, hi_open=a.hi_open)
+    fields.update(changes)
+    return Arc(**fields)
+
+
+def vertex_with(v, **changes):
+    """The vertex v with the fields in changes replaced (arc_with)."""
+    fields = dict(id=v.id, kind=v.kind, r=v.r, f3=v.f3, plus_arc=v.plus_arc,
+                  minus_arc=v.minus_arc)
+    fields.update(changes)
+    return Vertex(**fields)
+
+
 def affine_family(t, c, s):
     """The family with every action v replaced by c*v + s."""
-    arcs = tuple(dataclasses.replace(a, f3=affine_profile(a.f3, c, s))
-                 for a in t.arcs)
-    verts = tuple(dataclasses.replace(v, f3=c * v.f3 + s) for v in t.vertices)
+    arcs = tuple(arc_with(a, f3=affine_profile(a.f3, c, s)) for a in t.arcs)
+    verts = tuple(vertex_with(v, f3=c * v.f3 + s) for v in t.vertices)
     return CerfTuple(arcs, verts)
 
 
@@ -233,17 +252,17 @@ def mutate(rng, t, kind):
         tags = [BoundaryAt0(), BoundaryAt1()]
         tags += [tag(v.id) for v in verts for tag in (BirthVertex, DeathVertex)]
         tags.remove(getattr(arcs[i], end))
-        arcs[i] = dataclasses.replace(arcs[i], **{end: rng.choice(tags)})
+        arcs[i] = arc_with(arcs[i], **{end: rng.choice(tags)})
     elif kind == "repoint" and verts:
         i = rng.randrange(len(verts))
         side = rng.choice(("plus_arc", "minus_arc"))
         ids = [a.id for a in arcs if a.id != getattr(verts[i], side)]
-        verts[i] = dataclasses.replace(verts[i], **{side: rng.choice(ids)})
+        verts[i] = vertex_with(verts[i], **{side: rng.choice(ids)})
     elif kind == "drop" and verts:
         del verts[rng.randrange(len(verts))]
     elif kind == "duplicate" and len(arcs) > 1:
         i, j = rng.sample(range(len(arcs)), 2)
-        arcs[i] = dataclasses.replace(arcs[i], id=arcs[j].id)
+        arcs[i] = arc_with(arcs[i], id=arcs[j].id)
     else:
         return None
-    return dataclasses.replace(t, arcs=tuple(arcs), vertices=tuple(verts))
+    return CerfTuple(arcs, verts)

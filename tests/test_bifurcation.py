@@ -1,6 +1,5 @@
 """Event engine: slides, births, deaths, evolution, axiom reports."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -599,7 +598,7 @@ class TestLazyMaps:
         log = evolve(fc, [slide(F(3, 8), ("c1", "c2", 1))], t)
         ident = SparseMatrix.identity(Z2, fc.gamma.rows)
         tampered = ChainMapBundle("slide", ident, ident)
-        bad = dataclasses.replace(log.steps[0], build_maps=lambda: tampered)
+        bad = log.steps[0]._replace(build_maps=lambda: tampered)
         step = log.steps[0]
         assert oracles.event_maps_hold(step.before.gamma, step.after.gamma,
                                        step.maps)

@@ -1,6 +1,5 @@
 """Scenario text format: parsing, serialization, error locations."""
 
-import dataclasses
 import os
 import random
 import re
@@ -583,8 +582,8 @@ class TestRoundTripFuzz:
     def test_random_families(self, seed, ring, tracked):
         sc = randgen.random_scenario(random.Random(seed), ring)
         if tracked:
-            sc = dataclasses.replace(sc, window=wide_window(sc.family),
-                                     rep={"l1": ring.one})
+            sc = sc._replace(window=wide_window(sc.family),
+                             rep={"l1": ring.one})
         assert_text_fixed_point(sc)
 
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import itertools
 import random
@@ -214,9 +213,9 @@ class TestWindow:
     def test_a_changed_copy_is_not_served_a_stale_arrangement(self, monkeypatch):
         t, log = three_lane_log()
         # c2 now climbs to 8, so it crosses c1 at r = 2/3 instead of 3/4
-        moved = dataclasses.replace(t.arcs[1], f3=Piecewise(
+        moved = t.arcs[1]._replace(f3=Piecewise(
             [(0, 2), (F(1, 2), 2), (1, 8)]))
-        t2 = dataclasses.replace(t, arcs=(t.arcs[0], moved, t.arcs[2]))
+        t2 = t._replace(arcs=(t.arcs[0], moved, t.arcs[2]))
         log2 = evolve(log.intervals[0], [s.record for s in log.steps], t2)
         before = track_class({"c1": 1}, log, WIDE)
         after = track_class({"c1": 1}, log2, WIDE)
@@ -367,11 +366,11 @@ class TestTraceScaleInvariance:
         scenarios = [load_scenario(data_path(name)) for name in
                      ("slide", "twoslides", "birth", "eyeball", "escaping")]
         scenarios += [cascade,
-                      dataclasses.replace(cascade, window=Window.constant(0, 5))]
+                      cascade._replace(window=Window.constant(0, 5))]
         for i, sc in enumerate(scenarios):
             w = sc.window
-            moved = dataclasses.replace(
-                sc, family=affine_family(sc.family, c, s),
+            moved = sc._replace(
+                family=affine_family(sc.family, c, s),
                 window=None if w is None else Window(affine_profile(w.a, c, s),
                                                      affine_profile(w.b, c, s)),
                 ladder=tuple(Window(affine_profile(r.a, c, s),
@@ -1235,7 +1234,7 @@ class TestTrackClass:
                            {(g, "c2" if g == "c1" else g): ring.one
                             for g in step.maps.forward.rows})
         tampered = step.maps._replace(forward=fwd)
-        bad = dataclasses.replace(step, build_maps=lambda: tampered)
+        bad = step._replace(build_maps=lambda: tampered)
         log = log._replace(steps=(bad,) + log.steps[1:])
         with pytest.raises(VerificationFailed,
                            match="spectral value jumped across the slide at r=1/9"):
@@ -1591,12 +1590,12 @@ class TestIntegerPoints:
         profiles = [a.f3 for a in t.arcs] + [w.a, w.b]
         kept = [pw.ints for pw in profiles]
         made = []
-        init = Piecewise.__post_init__
+        init = Piecewise.__init__
 
-        def spy(pw):
+        def spy(pw, points):
             made.append(pw)
-            init(pw)
-        monkeypatch.setattr(Piecewise, "__post_init__", spy)
+            init(pw, points)
+        monkeypatch.setattr(Piecewise, "__init__", spy)
 
         bifurcation.validate_axioms(sc.gamma0, sc.events, t)
         log = evolve(sc.gamma0, sc.events, t)
