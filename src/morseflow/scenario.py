@@ -145,10 +145,6 @@ def _at_line(line, make, *args):
         return make(*args)
     except (InvalidParameters, NonUnitError) as e:
         raise ScenarioSemanticError(str(e), line) from None
-    except ScenarioSyntaxError as e:
-        if e.line is not None:
-            raise
-        raise ScenarioSyntaxError(str(e), line) from None
 
 
 _TERM = re.compile(
@@ -210,6 +206,14 @@ def _depth(text, line):
     if depth.denominator != 1:
         raise ScenarioSemanticError("depth must be a whole number", line)
     return int(depth)
+
+
+def _margin(text, line):
+    """A tail margin kappa, which must be positive."""
+    kappa = _rational(text, line)
+    if kappa <= 0:
+        raise ScenarioSemanticError("kappa must be positive", line)
+    return kappa
 
 
 def _numbers(text, line):
@@ -287,7 +291,7 @@ _FIELDS = {
     "[coefficients]": {"ring": (_choice(RINGS, "ring"),)},
     "[window]": {"a": (_cutoff,), "b": (_cutoff,)},
     "[track]": {"class": (read_class, None)},
-    "[phi]": {"bound": (parse_phi, None), "kappa": (_rational, None),
+    "[phi]": {"bound": (parse_phi, None), "kappa": (_margin, None),
               "rho0": (_rational, None)},
     "[rabinowitz]": {
         "h_sup": (_rational, Fraction(0)), "c": (_rational, Fraction(1)),
@@ -296,7 +300,7 @@ _FIELDS = {
                   Tame),
         "depth": (_depth, 1), "theta": (_rational, None),
         "eta_rate": (_rational, None), "rho0": (_rational, None),
-        "kappa": (_rational, None)},
+        "kappa": (_margin, None)},
     "arc": {"ends": (_ends, None),
             "open": (_choice({"lo": (True, False), "hi": (False, True),
                               "both": (True, True)}, "open side"),

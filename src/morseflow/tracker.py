@@ -19,18 +19,18 @@ coefficient ring (_coset_minimize), so every spectral value and slab is
 certified.  A class leaves the window only below, so a trace's outcome
 is Survived or LeftWindow(below).
 
-The geometry those calls read is prepared once per family, in one
-arrangement: each pair's crossings, and each window's verdict, sides,
-in-window ids and the crossings of its in-window pairs sorted by
-parameter.  An arrangement pair can be empty without a walk: a pair
-whose value ranges are strictly apart (the kernel's _range and _apart)
-never meets, so it is stored with no crossings.  validate_window,
-filtered_homology, full_homology, spectral_value and track_class read
-the arrangement of the family they are given.  One slot holds the
-arrangement of the last family read, keyed by its identity.  A
-profile's integer points are its own (Piecewise.ints); spectral_value,
-track_class and _window_cuts look each in-window arc's profile up once
-per call.
+The geometry those calls read is kept once per family and window, in
+one entry per window: its verdict, sides, in-window ids and the
+crossings of its in-window pairs sorted by parameter, which the first
+trace in that window fills.  A pair whose lives do not meet, or whose
+value ranges are strictly apart (the kernel's _range and _apart),
+never meets, so it adds no crossings and is not walked.
+validate_window, filtered_homology, full_homology, spectral_value and
+track_class read the entries of the family they are given.  One slot
+holds the entries of the last family read, keyed by its identity, and
+each entry is keyed by its window's value.  A profile's integer points
+are its own (Piecewise.ints); spectral_value, track_class and
+_window_cuts look each in-window arc's profile up once per call.
 
 An interval's in-window generators have one reader, _interval_gens:
 the window's in-window ids among the rows of the interval's count
@@ -72,9 +72,9 @@ slab order compare (numerator, denominator) pairs by cross products,
 and so do the sort of the window's crossings and the grouping of a
 slab's bounds.  Window clearance reads the value ranges first and
 walks only where they overlap.  Fractions are built for what a trace
-returns and prints: the crossing parameters, once per family, and one
-spectral value per slab end, a slab whose top carries over starting at
-the value the last one ended on.
+returns and prints: the crossing parameters, once per family and
+window, and one spectral value per slab end, a slab whose top carries
+over starting at the value the last one ended on.
 """
 
 import functools
@@ -154,41 +154,29 @@ def window_violation(w, t):
 BELOW, INSIDE, ABOVE = -1, 0, 1
 
 
-class _Arrangement:
-    """The geometry of one family that every tracker call reads.
-
-    pairs maps a pair of ids to their crossings, each as (x, numerator,
-    denominator), computed the first time a window needs them: an empty
-    list, with no walk, for a pair whose value ranges are apart.  windows
-    maps a window, by value, to (verdict, sides, in-window ids); cuts
-    maps a usable window to the crossings of its in-window pairs, sorted
-    by parameter.
-    """
-
-    __slots__ = ("family", "pairs", "windows", "cuts")
-
-    def __init__(self, t):
-        self.family = t
-        self.pairs = {}
-        self.windows = {}
-        self.cuts = {}
+_prepared = None         # (family, {window: entry}) of the family read last
 
 
-_prepared = None         # the arrangement of the family read last
-
-
-def _arrangement(t):
-    """The arrangement of t: the one in the slot if it is t's, else a new
-    one that replaces it.
+def _entry(w, t):
+    """The entry [verdict, sides, inside, cuts] of the window w for t,
+    made on the first read; an unusable window raises InvalidWindow.
 
     The slot is keyed by the family's identity and holds a strong
     reference to it, so no other family can take over its id while it is
-    there; only the last family read is kept alive.
+    there; only the last family read is kept alive.  Its entries are
+    keyed by the window's value.  cuts is None until _window_cuts fills
+    it.
     """
     global _prepared
-    if _prepared is None or _prepared.family is not t:
-        _prepared = _Arrangement(t)
-    return _prepared
+    if _prepared is None or _prepared[0] is not t:
+        _prepared = t, {}
+    windows = _prepared[1]
+    entry = windows.get(w)
+    if entry is None:
+        entry = windows[w] = _judge_window(w, t)
+    if entry[0] is not None:
+        raise InvalidWindow(entry[0])
+    return entry
 
 
 def validate_window(w, t):
@@ -198,7 +186,7 @@ def validate_window(w, t):
     window clears every arc strictly on one side for the arc's whole
     life, so the arc's first point decides, compared with each cutoff
     there by a cross product.  The first arc with an id wins, as in
-    CerfTuple.arc.  The sides returned are the arrangement's own:
+    CerfTuple.arc.  The sides returned are the window entry's own:
     callers read them and do not change them.
     """
     return _window(w, t)[0]
@@ -208,25 +196,19 @@ def _window(w, t):
     """(sides, inside) of the window w for t: each arc's side, by id, and
     the in-window ids in declaration order.  Both are computed once per
     family and window; an unusable window raises InvalidWindow."""
-    arr = _arrangement(t)
-    entry = arr.windows.get(w)
-    if entry is None:
-        entry = arr.windows[w] = _judge_window(arr, w)
-    why, sides, inside = entry
-    if why is not None:
-        raise InvalidWindow(why)
-    return sides, inside
+    return _entry(w, t)[1:3]
 
 
-def _judge_window(arr, w):
-    """(verdict, sides, inside) of the window w for the family of arr;
-    sides and inside are None when the verdict is a reason to reject it."""
-    why = window_violation(w, arr.family)
+def _judge_window(w, t):
+    """The new entry [verdict, sides, inside, None] of the window w for
+    t; sides and inside are None when the verdict is a reason to reject
+    it."""
+    why = window_violation(w, t)
     if why is not None:
-        return why, None, None
+        return [why, None, None, None]
     a, b = w.a.ints, w.b.ints
     sides = {}
-    for arc in arr.family.arcs:
+    for arc in t.arcs:
         if arc.id in sides:
             continue             # the first arc with an id wins
         rn, rd, vn, vd = arc.f3.ints[0]
@@ -234,39 +216,37 @@ def _judge_window(arr, w):
         bn, bd = _ratio_at(b, rn, rd)
         sides[arc.id] = (BELOW if vn * ad < an * vd else
                          INSIDE if vn * bd < bn * vd else ABOVE)
-    return None, sides, [g for g, side in sides.items() if side == INSIDE]
+    return [None, sides, [g for g, side in sides.items() if side == INSIDE],
+            None]
 
 
 # a stable sort of cuts by parameter, compared by one cross product
 _BY_PARAMETER = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
 
 
-def _window_cuts(arr, w, inside):
+def _window_cuts(w, t):
     """The crossings of every pair of in-window arcs whose lives meet, as
-    (x, numerator, denominator, id, id), sorted by x; computed once per
-    family and window, each pair's crossings once per family.  A pair
-    whose value ranges are strictly apart never meets, so it gets no
-    crossings without a walk."""
-    cuts = arr.cuts.get(w)
-    if cuts is None:
-        prof = {g: arr.family.arc(g).f3 for g in inside}
+    (x, numerator, denominator, id, id), sorted by x: computed once per
+    family and window, into the window's entry, walking each pair once.
+    A pair whose value ranges are strictly apart never meets, so it gets
+    no crossings without a walk."""
+    entry = _entry(w, t)
+    if entry[3] is None:
+        prof = {g: t.arc(g).f3 for g in entry[2]}
         ranges = {g: _range(f) for g, f in prof.items()}
         cuts = []
-        for g1, g2 in itertools.combinations(inside, 2):
+        for g1, g2 in itertools.combinations(entry[2], 2):
             f1, f2 = prof[g1], prof[g2]
             p, q = f1.ints, f2.ints
             if (p[0][0] * q[-1][1] > q[-1][0] * p[0][1]
-                    or q[0][0] * p[-1][1] > p[-1][0] * q[0][1]):
-                continue             # the two lives do not meet
-            xs = arr.pairs.get((g1, g2))
-            if xs is None:
-                xs = arr.pairs[g1, g2] = [] if _apart(
-                    ranges[g1], ranges[g2]) else [
-                    (x,) + x.as_integer_ratio() for x in crossings(f1, f2)]
-            cuts.extend(c + (g1, g2) for c in xs)
+                    or q[0][0] * p[-1][1] > p[-1][0] * q[0][1]
+                    or _apart(ranges[g1], ranges[g2])):
+                continue             # the lives or the ranges do not meet
+            cuts.extend((x,) + x.as_integer_ratio() + (g1, g2)
+                        for x in crossings(f1, f2))
         cuts.sort(key=_BY_PARAMETER)
-        arr.cuts[w] = cuts
-    return cuts
+        entry[3] = cuts
+    return entry[3]
 
 
 def _interval_gens(inside, fc):
@@ -274,7 +254,7 @@ def _interval_gens(inside, fc):
     (the window's in-window ids, in declaration order) among its
     matrix's rows.  The rows are exactly the arcs alive on the interval
     (evolve checks it at the midpoint), so no arc list is scanned."""
-    rows = set(fc.gamma.rows)
+    rows = fc.gamma._row_set
     return [g for g in inside if g in rows]
 
 
@@ -358,9 +338,6 @@ def _coset_minimize(ring, d, rep, order):
     element of the coset leads below l, and greedy is tight.  Over Z2
     _echelon eliminates on bit rows, with the same pivots and support.
     """
-    zero = ring.zero
-    if not d.entries:        # im(d) = 0: rep is its coset's only element
-        return tuple(g for g in order if rep.get(g, zero) != zero)
     return _echelon(ring, d.entries, order, rep)[1]
 
 
@@ -412,7 +389,7 @@ def _window_rep(h, fc, sides, inside, where):
             continue
         if g in held:
             rep[g] = v
-        elif g not in fc.gamma.rows:
+        elif g not in fc.gamma._row_set:
             raise NotACycle("representative touches %r, not alive %s" % (g, where))
         elif sides[g] == ABOVE:
             raise NotACycle(
@@ -686,7 +663,7 @@ def track_class(h0, log, w):
 
     Each interval is swept once.  The window's sides and in-window ids
     and the crossings of its in-window pairs sorted by parameter come
-    from the family's arrangement, prepared once per family and window;
+    from the window's entry, which the first trace in the window fills;
     the in-window arcs' profiles are looked up once per call, so no slab
     reads an arc by id.  Each interval reached derives its window once,
     its in-window generators (_interval_gens) and windowed complex:
@@ -708,8 +685,7 @@ def track_class(h0, log, w):
     """
     t = log.family
     sides, inside = _window(w, t)
-    arr = _arrangement(t)
-    cuts = _window_cuts(arr, w, inside)
+    cuts = _window_cuts(w, t)
     prof = {g: t.arc(g).f3 for g in inside}
     ring = log.ring
     gens, rep, d = _window_rep(h0, log.intervals[0], sides, inside,

@@ -548,6 +548,127 @@ class TestValidateAxioms:
                 [f.code for f in birth.errors()])
 
 
+def _dying_pair(rows, entries):
+    """Chords z (action 0) and w (2) beside a pair up (6 down to 3) and
+    dn (1 up to 3) that dies at vd, r = 3/4: the counter on (0, 3/4) with
+    rows in the order given, and the death."""
+    up = Arc("up", Piecewise([(0, 6), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    dn = Arc("dn", Piecewise([(0, 1), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    t = CerfTuple((chord("z", [(0, 0), (1, 0)]), chord("w", [(0, 2), (1, 2)]),
+                   up, dn), (Vertex("vd", "death", F(3, 4), 3, "up", "dn"),))
+    return (t, counter(Z2, rows, entries, 0, F(3, 4)),
+            [EventRecord(F(3, 4), Death("vd"))])
+
+
+def _born_alive():
+    """up is a whole chord, so the pair of vb is half alive before it."""
+    down = Arc("down", Piecewise([(F(1, 2), 3), (1, 1)]), BirthVertex("vb"),
+               BoundaryAt1())
+    t = CerfTuple((chord("up", [(0, 3), (1, 3)]), down),
+                  (Vertex("vb", "birth", F(1, 2), 3, "up", "down"),))
+    return (t, counter(Z2, ("up",), {}, 0, F(1, 2)),
+            [EventRecord(F(1, 2), Birth("vb", 1))])
+
+
+def _dying_unborn():
+    """The pair of vd lives on [1/2, 3/4], so it is not alive on (0, 3/4)."""
+    up = Arc("up", Piecewise([(F(1, 2), 4), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    dn = Arc("dn", Piecewise([(F(1, 2), 2), (F(3, 4), 3)]), BoundaryAt0(),
+             DeathVertex("vd"))
+    t = CerfTuple((chord("c", [(0, 5), (1, 5)]), up, dn),
+                  (Vertex("vd", "death", F(3, 4), 3, "up", "dn"),))
+    return (t, counter(Z2, ("c",), {}, 0, F(3, 4)),
+            [EventRecord(F(3, 4), Death("vd"))])
+
+
+def _eyeball(*events):
+    return (eyeball_with_bystander(), counter(Z2, ("c1",), {}, 0, F(1, 4)),
+            [EventRecord(r, payload) for r, payload in events])
+
+
+# name -> (family, counter, events), the error evolve raises, and the
+# finding code validate_axioms reports it under
+REFUSALS = {
+    "birth-branches-alive": (
+        _born_alive, EvolutionError,
+        "branches of 'vb' already alive before r=1/2", "structure"),
+    "birth-column-not-alive": (
+        lambda: (birth_tuple(), counter(Z2, ("c1",), {}, 0, F(1, 2)),
+                 [EventRecord(F(1, 2), Birth("vb", 1, (("zz", 1),)))]),
+        EvolutionError, "new column references 'zz', not alive before r=1/2",
+        "structure"),
+    "death-branches-not-alive": (
+        _dying_unborn, EvolutionError,
+        "branches of 'vd' not alive before r=3/4", "structure"),
+    # over Z2 the two paths up -> dn -> z and up -> w -> z cancel, so the
+    # counter squares to zero and only the death refuses it
+    "death-lower-branch-flows": (
+        lambda: _dying_pair(("z", "w", "up", "dn"), {
+            ("up", "dn"): 1, ("dn", "z"): 1, ("up", "w"): 1, ("w", "z"): 1}),
+        ConstraintViolated, "lower branch of 'vd' still flows to 'z'",
+        "gamma5"),
+    "death-upper-branch-flows": (
+        lambda: _dying_pair(("w", "z", "up", "dn"),
+                            {("up", "dn"): 1, ("up", "w"): 1}),
+        ConstraintViolated,
+        "upper branch of 'vd' flows to 'w' besides its partner", "gamma5"),
+    "parameter-at-the-end": (
+        lambda: (three_lane_tuple(), counter(Z2, ("c1", "c2", "c3"), {}),
+                 [slide(F(1), ("c1", "c2", 1))]),
+        EvolutionError, "event parameters must lie strictly inside (0, 1)",
+        "structure"),
+    "vertex-two-records": (
+        lambda: _eyeball((F(1, 4), Birth("vb", 1)), (F(1, 3), Birth("vb", 1)),
+                         (F(3, 4), Death("vd"))),
+        EvolutionError, "vertex 'vb' has two event records", "structure"),
+    "vertex-kind": (
+        lambda: _eyeball((F(1, 4), Death("vb")), (F(3, 4), Death("vd"))),
+        EvolutionError,
+        "vertex 'vb' is a birth but its event record is a death",
+        "structure"),
+    "vertex-parameter": (
+        lambda: _eyeball((F(1, 3), Birth("vb", 1)), (F(3, 4), Death("vd"))),
+        EvolutionError,
+        "vertex 'vb' sits at r=1/4 but its event record says r=1/3",
+        "structure"),
+    "vertex-unknown": (
+        lambda: (three_lane_tuple(), counter(Z2, ("c1", "c2", "c3"), {}),
+                 [EventRecord(F(1, 2), Birth("vx", 1))]),
+        EvolutionError, "event records reference unknown vertices: ['vx']",
+        "structure"),
+    "rows-not-the-alive-arcs": (
+        lambda: (three_lane_tuple(), counter(Z2, ("c1", "c2"), {}), []),
+        EvolutionError,
+        "final counter indexes ['c1', 'c2'] but the alive arcs are "
+        "['c1', 'c2', 'c3']", "structure"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_through_evolve_and_the_report(name):
+    """Each refusal of an event update or of evolve's own checks raises
+    its error and message through evolve, and validate_axioms reports it
+    as one finding with that message."""
+    build, error, why, code = REFUSALS[name]
+    t, fc, events = build()
+    with pytest.raises(error) as e:
+        evolve(fc, events, t)
+    assert (type(e.value), str(e.value)) == (error, why)
+    report = validate_axioms(fc, events, t)
+    assert [(f.code, f.message) for f in report.errors()] == [(code, why)]
+
+
+def test_step_at_a_parameter_without_an_event():
+    t = three_lane_tuple()
+    log = evolve(counter(Z2, ("c1", "c2", "c3"), {}),
+                 [slide(F(3, 8), ("c1", "c2", 1))], t)
+    with pytest.raises(EvolutionError, match=r"^no event at r=1/3$"):
+        log.step_at(F(1, 3))
+
+
 def _reworded(apply, text):
     """apply, raising its NonUnitPivot again with the message text."""
     def run(*args):

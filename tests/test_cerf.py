@@ -103,6 +103,13 @@ class TestValidate:
         assert "vertex-action" in codes and "vertex-orientation" in codes
 
 
+    def test_unrecognized_end_tag(self):
+        t = CerfTuple((Arc("c", Piecewise([(0, 5), (1, 5)]), "boundary",
+                           BoundaryAt1()),))
+        assert [(f.code, f.message) for f in validate_cerf(t).errors()] == [
+            ("unknown-tag", "arc 'c' has unrecognized lo tag 'boundary'")]
+
+
 class TestLookupById:
     """CerfTuple.arc and CerfTuple.vertex: the first entry with an id wins,
     and an unknown id raises KeyError."""

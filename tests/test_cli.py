@@ -213,6 +213,16 @@ class TestReports:
         out = capsys.readouterr().out
         assert "verdict: invariant" in out and "growth bound" not in out
 
+    def test_rabinowitz_inconclusive_verdict(self, tmp_path, capsys):
+        # square-tame, c = 1: the tails reach 1/rho0 = 1, short of 1 + kappa
+        p = write(tmp_path, "far.scn",
+                  "[arcs]\nc1 : (0, 1) (1, 1)\n\n[rabinowitz]\nh_sup = 1\n"
+                  "c = 1\nclass = squaretame\nrho0 = 1\nkappa = 1\n")
+        assert main(["rabinowitz", p]) == 0
+        assert ("verdict: inconclusive: a tail integral reaches only 1 where "
+                "2 is required (failing integral 1)\n"
+                in capsys.readouterr().out)
+
     def test_rabinowitz_depth_past_four_is_a_parse_error(
             self, tmp_path, capsys):
         p = write(tmp_path, "deep.scn",
@@ -534,6 +544,11 @@ class TestDeclaredFields:
         ("birth", "pivot=1", "pivto=3", "validate", ("line 16:", "'pivto'")),
         ("eyeball", "kappa = 1", "kappa = 1\nthata = 2", "rabinowitz",
          ("line 35:", "'thata'")),
+        ("eyeball", "kappa = 1", "kappa = 0", "rabinowitz",
+         ("line 34:", "kappa must be positive")),
+        ("eyeball", "kappa = 1",
+         "kappa = 1\n[phi]\nbound = linear(c=1)\nrho0 = 1\nkappa = 0",
+         "escape", ("line 38:", "kappa must be positive")),
         ("slide", "ring = z2", "ring = z2\nring = z", "validate",
          ("line 6:", "'ring'", "twice")),
         ("slide", "b = 10", "b = 10\na = 1", "track",
@@ -587,6 +602,17 @@ class TestMalformedScenarioText:
     ])
     def test_bad_breakpoints(self, text, words, tmp_path, capsys):
         assert main(["validate", write(tmp_path, "bp.scn", text)]) == 1
+        TestInputLimits.assert_one_error_line(capsys, *words)
+
+    @pytest.mark.parametrize("text, words", [
+        ("[arcs]\nc1 : 0, 4 1, 4\n", ("line 2", "expected (r, value) pairs")),
+        ("[arcs]\nc1 : (0, 4) (1, 4) ends=boundary\n",
+         ("line 2", "ends= needs two tags")),
+        ("[arcs]\nc1 : (0, 4) (1, 4)\n[vertices]\nvb birth r=1/2\n",
+         ("line 4", "vertex lines are `id : kind")),
+    ])
+    def test_malformed_line(self, text, words, tmp_path, capsys):
+        assert main(["validate", write(tmp_path, "bad.scn", text)]) == 1
         TestInputLimits.assert_one_error_line(capsys, *words)
 
     def test_ladder_line_without_colon(self, tmp_path, capsys):

@@ -354,6 +354,10 @@ class TestErrors:
         ("[rabinowitz]\nclass = logtame\ndepth = 3/2\n", 6, "whole"),
         ("[rabinowitz]\ntheta = -1\n", 5, "theta"),
         ("[rabinowitz]\nclass = logtame\ndepth = 5\n", 5, "depth"),
+        ("[phi]\nkappa = 0\n", 5, "kappa must be positive"),
+        ("[phi]\nbound = linear(c=1)\nrho0 = 1\nkappa = -1/2\n", 7,
+         "kappa must be positive"),
+        ("[rabinowitz]\nrho0 = 1/3\nkappa = 0\n", 6, "kappa must be positive"),
     ])
     def test_growth_and_model_values_carry_their_line(self, section, line, words):
         with pytest.raises(ScenarioSemanticError, match=words) as e:
@@ -509,6 +513,16 @@ class TestRoundTrip:
         sc2 = parse_scenario(serialize_scenario(sc))
         assert sc2.rep == sc.rep
         assert serialize_scenario(sc2) == serialize_scenario(sc)
+
+    def test_later_class_terms_round_trip(self):
+        text = ("[coefficients]\nring = z\n[arcs]\nc1 : (0, 4) (1, 4)\n"
+                "c2 : (0, 2) (1, 2)\nc3 : (0, 1) (1, 1)\n"
+                "[track]\nclass = -c1 + 2*c2 - c3\n")
+        sc = parse_scenario(text)
+        assert sc.rep == {"c1": -1, "c2": 2, "c3": -1}
+        out = serialize_scenario(sc)
+        assert "class = -c1 + 2*c2 - c3\n" in out
+        assert parse_scenario(out).rep == sc.rep
 
     @pytest.mark.parametrize("points, lo, hi", [
         ("(0, 4) (1/2, 4)", BoundaryAt0(), BoundaryAt0()),

@@ -199,7 +199,7 @@ class TestWindow:
         monkeypatch.setattr(tracker, "_prepared", None)
         sides = validate_window(w1, t)
         assert validate_window(w2, t) is sides
-        assert list(tracker._arrangement(t).windows) == [w1]
+        assert list(tracker._prepared[1]) == [w1]
 
     def test_only_the_last_family_read_stays_alive(self):
         t1 = three_lane_tuple()
@@ -1424,8 +1424,7 @@ class TestTies:
 
     def test_three_pairs_share_one_bound(self):
         log = tie_log()
-        cuts = tracker._window_cuts(tracker._arrangement(log.family), self.W,
-                                    tracker._window(self.W, log.family)[1])
+        cuts = tracker._window_cuts(self.W, log.family)
         met = [(g1, g2) for x, _, _, g1, g2 in cuts if x == F(1, 2)]
         assert len(met) >= 3
         trace = track_class({"a": 1}, log, self.W)
@@ -1627,12 +1626,11 @@ def reversed_copies(gamma):
 def range_readers(t, w, counters):
     """What each reader of a value range decides: window_violation, the
     window's sides and cuts, and the action-order violations of each
-    (gamma, r_lo, r_hi) in counters, from a fresh arrangement."""
+    (gamma, r_lo, r_hi) in counters, from an empty slot."""
     with mock.patch.object(tracker, "_prepared", None):
         why = outcome(window_violation, w, t)
         got = outcome(tracker._window, w, t)
-        cuts = (got if isinstance(got, str) else tracker._window_cuts(
-            tracker._arrangement(t), w, got[1]))
+        cuts = got if isinstance(got, str) else tracker._window_cuts(w, t)
         return why, got, cuts, [
             outcome(bifurcation._triangularity_violations, gamma, t, lo, hi)
             for gamma, lo, hi in counters]
