@@ -53,10 +53,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cerf import Finding, ValidationReport
-from .errors import (ActionConstraintViolated, ConstraintViolated,
-                     CycleConditionViolated, DeathPivotNotUnit,
-                     DegenerateParameter, EvolutionError, NonTriangularDelta,
-                     NonUnitPivot)
+from .errors import (ActionConstraintViolated, AxiomViolation,
+                     ConstraintViolated, CycleConditionViolated,
+                     DeathPivotNotUnit, DegenerateParameter, EvolutionError,
+                     MorseflowError, NonTriangularDelta, NonUnitPivot)
 from .matrix import SparseMatrix, vec_apply
 from .piecewise import _apart, _range, _side, _walk, frac
 from .values import Value
@@ -591,22 +591,14 @@ def _evolve(gamma0, events, t, axioms):
 # ---------------------------------------------------------------------------
 # total validation report
 
-_ERROR_AXIOM = {
-    NonTriangularDelta: "gamma1",
-    ActionConstraintViolated: "gamma1",
-    CycleConditionViolated: "gamma4",
-    NonUnitPivot: "gamma4",
-    DeathPivotNotUnit: "gamma5",
-    ConstraintViolated: "gamma5",
-}
-
-
 def validate_axioms(gamma0, events, t):
     """Run the full evolution, reporting every axiom violation found in
     a ValidationReport.
 
-    Total: engine exceptions become findings.  The events' own identities
-    (gamma3 to gamma5) are checked once, by the event updates inside
+    Total: engine exceptions become findings, an AxiomViolation under
+    its axiom code and any other engine error (a bad schedule, or an
+    event value outside the ring) under "structure".  The events' own
+    identities (gamma3 to gamma5) are checked once, by the updates inside
     evolve; what remains here is the per-interval action order and
     square-zero on the first interval, which the events carry to every
     later one (see the module docstring).  The run behind the report
@@ -622,11 +614,11 @@ def validate_axioms(gamma0, events, t):
 
     try:
         log = _evolve(gamma0, events, t, False)
-    except tuple(_ERROR_AXIOM) as e:
-        err(_ERROR_AXIOM[type(e)], str(e))
+    except AxiomViolation as e:
+        err(e.axiom, str(e))
         info("structure", "checking stopped at the failing event")
         return ValidationReport(tuple(out))
-    except EvolutionError as e:
+    except MorseflowError as e:
         err("structure", str(e))
         return ValidationReport(tuple(out))
 

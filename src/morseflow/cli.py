@@ -7,6 +7,9 @@ Exit codes tell CI where a problem was detected:
     3  axiom violation while evolving the count matrix
     4  downstream computation (budgets, classification, tracking)
 
+An error's code is its class's exit_code (errors.py); file I/O is the
+one failure outside that taxonomy.
+
 All text and SVG output is deterministic: exact rationals printed as
 fractions, sorted iteration, fixed geometry, no timestamps.
 """
@@ -23,12 +26,8 @@ from .algebra import homology
 from .bifurcation import HandleSlide, evolve, validate_axioms
 from .cerf import validate_cerf
 from .diagrams import family_svg, trace_svg
-from .errors import (MAX_LITERAL_DIGITS, ActionConstraintViolated,
-                     ConstraintViolated, CycleConditionViolated,
-                     EvolutionError, InvalidParameters, InvalidTuple,
-                     InvalidWindow, MorseflowError, NonNestedLadder,
-                     NonTriangularDelta, NonUnitError, NonUnitPivot,
-                     NotADifferential, ScenarioError, ScenarioSemanticError)
+from .errors import (MAX_LITERAL_DIGITS, InvalidParameters, MorseflowError,
+                     NonUnitError, ScenarioError, ScenarioSemanticError)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance
 from .rings import RINGS, Z2
@@ -346,27 +345,16 @@ def _build_parser():
     return ap
 
 
-_AXIOM_ERRORS = (NotADifferential, NonTriangularDelta, NonUnitPivot,
-                 CycleConditionViolated, ActionConstraintViolated,
-                 ConstraintViolated, EvolutionError)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         arts = run(args.command, args.scenario, args)
-    except (ScenarioError, OSError) as e:
+    except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (InvalidTuple, InvalidWindow, NonNestedLadder) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except _AXIOM_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
     except MorseflowError as e:
         print("error: %s" % e, file=sys.stderr)
-        return 4
+        return e.exit_code
     if arts.files:
         for p in arts.files:
             print(p)

@@ -1,14 +1,19 @@
 """Exception taxonomy shared across the package.
 
 Grouped by the area that raises them; everything derives from
-MorseflowError so callers can catch coarsely.  The input size limit that
-scenario, flag and growth-bound parsing share sits at the end, with the
-scenario errors it raises.
+MorseflowError so callers can catch coarsely.  Each class states how it
+is classified, once: exit_code is the command line's exit status for it
+(cli), and an AxiomViolation's axiom is the finding code validate_axioms
+reports it under.  A subclass inherits both unless it states its own.
+The input size limit that scenario, flag and growth-bound parsing share
+sits at the end, with the scenario errors it raises.
 """
 
 
 class MorseflowError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors: a downstream computation
+    (budgets, classification, tracking) failed."""
+    exit_code = 4
 
 
 # exact linear algebra
@@ -19,6 +24,7 @@ class DimensionMismatch(MorseflowError):
 
 class NotADifferential(MorseflowError):
     """Square of the proposed boundary operator is nonzero."""
+    exit_code = 3
 
 
 class NonUnitError(MorseflowError):
@@ -29,6 +35,7 @@ class NonUnitError(MorseflowError):
 
 class InvalidTuple(MorseflowError):
     """Operation requires a structurally valid diagram and got one that fails validation."""
+    exit_code = 2
 
 
 class VerticalTangency(MorseflowError):
@@ -41,32 +48,45 @@ class NonIsolatedCusp(MorseflowError):
 
 # event algebra
 
-class NonTriangularDelta(MorseflowError):
+class AxiomViolation(MorseflowError):
+    """An event's data breaks the axiom named by axiom."""
+    exit_code = 3
+    axiom = None
+
+
+class NonTriangularDelta(AxiomViolation):
     """Jump data has an entry that violates the strict action ordering."""
+    axiom = "gamma1"
 
 
-class NonUnitPivot(MorseflowError):
+class NonUnitPivot(AxiomViolation):
     """Birth or death pivot entry is not invertible in the coefficient ring."""
+    axiom = "gamma4"
 
 
 class DeathPivotNotUnit(NonUnitPivot):
     """Count between a dying pair's branches is not invertible (gamma5)."""
+    axiom = "gamma5"
 
 
-class CycleConditionViolated(MorseflowError):
+class CycleConditionViolated(AxiomViolation):
     """New birth column is not annihilated by the incoming boundary operator."""
+    axiom = "gamma4"
 
 
-class ActionConstraintViolated(MorseflowError):
+class ActionConstraintViolated(AxiomViolation):
     """Birth column entry refers to a generator at or below the birth level."""
+    axiom = "gamma1"
 
 
-class ConstraintViolated(MorseflowError):
+class ConstraintViolated(AxiomViolation):
     """Zero constraints around a death pair do not hold in the incoming matrix."""
+    axiom = "gamma5"
 
 
 class EvolutionError(MorseflowError):
     """Event schedule is inconsistent with the diagram (indices, parameters, vertices)."""
+    exit_code = 3
 
 
 # class tracking
@@ -77,10 +97,12 @@ class DegenerateParameter(MorseflowError):
 
 class InvalidWindow(MorseflowError):
     """Window boundaries intersect the diagram or are malformed."""
+    exit_code = 2
 
 
 class NonNestedLadder(MorseflowError):
     """Window ladder is not nested (floors descending, ceilings ascending)."""
+    exit_code = 2
 
 
 class VerificationFailed(MorseflowError):
@@ -133,6 +155,7 @@ class OutOfRange(MorseflowError):
 
 class ScenarioError(MorseflowError):
     """Base for scenario file problems; carries a line number when known."""
+    exit_code = 1
 
     def __init__(self, message, line=None):
         self.line = line

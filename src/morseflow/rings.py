@@ -50,11 +50,11 @@ class IntMod2(Ring):
     def coerce(self, x):
         if type(x) is int:
             return x % 2
-        if isinstance(x, Fraction):
-            if x.denominator % 2 == 0:
-                raise NonUnitError("cannot reduce %s mod 2" % (x,))
-            return x.numerator % 2
-        return int(x) % 2
+        if not isinstance(x, Fraction):
+            x = Fraction(x)      # exactly: 0.5 is 1/2, not 0
+        if x.denominator % 2 == 0:
+            raise NonUnitError("cannot reduce %s mod 2" % (x,))
+        return x.numerator % 2
 
     def is_unit(self, x):
         return self.coerce(x) == 1

@@ -20,11 +20,13 @@ certified.  A class leaves the window only below, so a trace's outcome
 is Survived or LeftWindow(below).
 
 The geometry those calls read is kept once per family and window, in
-one entry per window: its verdict, sides, in-window ids and the
-crossings of its in-window pairs sorted by parameter, which the first
-trace in that window fills.  A pair whose lives do not meet, or whose
-value ranges are strictly apart (the kernel's _range and _apart),
-never meets, so it adds no crossings and is not walked.
+one entry per usable window, made by _window: its sides, in-window ids
+and the crossings of its in-window pairs sorted by parameter, which the
+first trace in that window fills.  An unusable window gets no entry:
+every read of it judges it again and raises InvalidWindow.  A pair
+whose lives do not meet, or whose value ranges are strictly apart (the
+kernel's _range and _apart), never meets, so it adds no crossings and
+is not walked.
 validate_window, filtered_homology, full_homology, spectral_value and
 track_class read the entries of the family they are given.  One slot
 holds the entries of the last family read, keyed by its identity, and
@@ -85,7 +87,7 @@ from typing import NamedTuple
 from .algebra import _echelon, homology
 from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
-                     NotACycle, NotADifferential, VerificationFailed)
+                     NotACycle, VerificationFailed)
 from .matrix import vec_apply
 from .piecewise import (Piecewise, _apart, _range, _ratio_at, _walk,
                         crossings, frac)
@@ -157,25 +159,40 @@ BELOW, INSIDE, ABOVE = -1, 0, 1
 _prepared = None         # (family, {window: entry}) of the family read last
 
 
-def _entry(w, t):
-    """The entry [verdict, sides, inside, cuts] of the window w for t,
-    made on the first read; an unusable window raises InvalidWindow.
+def _window(w, t):
+    """The entry [sides, inside, cuts] of the window w for t: each arc's
+    side, by id, the in-window ids in declaration order, and the
+    crossings of the in-window pairs, None until _window_cuts fills
+    them.  The entry is made on the first read and kept only for a
+    usable window; an unusable one raises InvalidWindow on every read.
 
     The slot is keyed by the family's identity and holds a strong
     reference to it, so no other family can take over its id while it is
     there; only the last family read is kept alive.  Its entries are
-    keyed by the window's value.  cuts is None until _window_cuts fills
-    it.
+    keyed by the window's value.
     """
     global _prepared
     if _prepared is None or _prepared[0] is not t:
         _prepared = t, {}
     windows = _prepared[1]
     entry = windows.get(w)
-    if entry is None:
-        entry = windows[w] = _judge_window(w, t)
-    if entry[0] is not None:
-        raise InvalidWindow(entry[0])
+    if entry is not None:
+        return entry
+    why = window_violation(w, t)
+    if why is not None:
+        raise InvalidWindow(why)
+    a, b = w.a.ints, w.b.ints
+    sides = {}
+    for arc in t.arcs:
+        if arc.id in sides:
+            continue             # the first arc with an id wins
+        rn, rd, vn, vd = arc.f3.ints[0]
+        an, ad = _ratio_at(a, rn, rd)
+        bn, bd = _ratio_at(b, rn, rd)
+        sides[arc.id] = (BELOW if vn * ad < an * vd else
+                         INSIDE if vn * bd < bn * vd else ABOVE)
+    entry = windows[w] = [
+        sides, [g for g, side in sides.items() if side == INSIDE], None]
     return entry
 
 
@@ -192,34 +209,6 @@ def validate_window(w, t):
     return _window(w, t)[0]
 
 
-def _window(w, t):
-    """(sides, inside) of the window w for t: each arc's side, by id, and
-    the in-window ids in declaration order.  Both are computed once per
-    family and window; an unusable window raises InvalidWindow."""
-    return _entry(w, t)[1:3]
-
-
-def _judge_window(w, t):
-    """The new entry [verdict, sides, inside, None] of the window w for
-    t; sides and inside are None when the verdict is a reason to reject
-    it."""
-    why = window_violation(w, t)
-    if why is not None:
-        return [why, None, None, None]
-    a, b = w.a.ints, w.b.ints
-    sides = {}
-    for arc in t.arcs:
-        if arc.id in sides:
-            continue             # the first arc with an id wins
-        rn, rd, vn, vd = arc.f3.ints[0]
-        an, ad = _ratio_at(a, rn, rd)
-        bn, bd = _ratio_at(b, rn, rd)
-        sides[arc.id] = (BELOW if vn * ad < an * vd else
-                         INSIDE if vn * bd < bn * vd else ABOVE)
-    return [None, sides, [g for g, side in sides.items() if side == INSIDE],
-            None]
-
-
 # a stable sort of cuts by parameter, compared by one cross product
 _BY_PARAMETER = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
 
@@ -230,12 +219,12 @@ def _window_cuts(w, t):
     family and window, into the window's entry, walking each pair once.
     A pair whose value ranges are strictly apart never meets, so it gets
     no crossings without a walk."""
-    entry = _entry(w, t)
-    if entry[3] is None:
-        prof = {g: t.arc(g).f3 for g in entry[2]}
+    entry = _window(w, t)
+    if entry[2] is None:
+        prof = {g: t.arc(g).f3 for g in entry[1]}
         ranges = {g: _range(f) for g, f in prof.items()}
         cuts = []
-        for g1, g2 in itertools.combinations(entry[2], 2):
+        for g1, g2 in itertools.combinations(entry[1], 2):
             f1, f2 = prof[g1], prof[g2]
             p, q = f1.ints, f2.ints
             if (p[0][0] * q[-1][1] > q[-1][0] * p[0][1]
@@ -245,8 +234,8 @@ def _window_cuts(w, t):
             cuts.extend((x,) + x.as_integer_ratio() + (g1, g2)
                         for x in crossings(f1, f2))
         cuts.sort(key=_BY_PARAMETER)
-        entry[3] = cuts
-    return entry[3]
+        entry[2] = cuts
+    return entry[2]
 
 
 def _interval_gens(inside, fc):
@@ -271,17 +260,15 @@ def _window_complex(gamma, gens):
 
 def filtered_homology(t, fc, r, w):
     """Homology of the count matrix restricted to the window at r, which
-    must lie in the interval of fc (FlowCounter.holds)."""
-    _, inside = _window(w, t)
+    must lie in the interval of fc (FlowCounter.holds).  The restriction
+    squares to zero: a usable window clears every arc, and every count
+    lowers action (gamma1), so no flow between two in-window generators
+    passes outside the window."""
+    inside = _window(w, t)[1]
     if not fc.holds(r):
         raise DegenerateParameter("r=%s is not inside the interval (%s, %s)"
                                   % (r, fc.r_lo, fc.r_hi))
-    try:
-        return homology(_window_complex(fc.gamma, _interval_gens(inside, fc)))
-    except NotADifferential:
-        raise InvalidWindow(
-            "restriction to the window does not square to zero; the window "
-            "boundaries must be crossing the diagram") from None
+    return homology(_window_complex(fc.gamma, _interval_gens(inside, fc)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +395,7 @@ def spectral_value(h, r, log, w):
     An unusable window raises InvalidWindow.
     """
     t = log.family
-    sides, inside = _window(w, t)
+    sides, inside, _ = _window(w, t)
     r = frac(r)
     gens, rep, d = _window_rep(h, log.counter_at(r), sides, inside,
                                "at r=%s" % r)
@@ -502,7 +489,7 @@ def full_homology(t, log, r, ladder):
     ladder = list(ladder)
     if not ladder:
         raise NonNestedLadder("empty ladder")
-    sides, insides = zip(*(_window(w, t) for w in ladder))
+    sides, insides, _ = zip(*(_window(w, t) for w in ladder))
     for w1, w2 in zip(ladder, ladder[1:]):
         if not (_pointwise_leq(w2.a, w1.a) and _pointwise_leq(w1.b, w2.b)):
             raise NonNestedLadder(
@@ -684,7 +671,7 @@ def track_class(h0, log, w):
     runs are re-sorted.
     """
     t = log.family
-    sides, inside = _window(w, t)
+    sides, inside, _ = _window(w, t)
     cuts = _window_cuts(w, t)
     prof = {g: t.arc(g).f3 for g in inside}
     ring = log.ring

@@ -39,6 +39,12 @@ class TestRings:
         assert Z2.coerce(Fraction(-5, 3)) == 1
         with pytest.raises(NonUnitError):
             Z2.coerce(Fraction(1, 2))
+        # a float is read exactly, as the Fraction it equals
+        assert Z2.coerce(2.0) == 0 and Z2.coerce(3.0) == 1
+        assert type(Z2.coerce(3.0)) is int
+        for x in (0.5, 1.5):
+            with pytest.raises(NonUnitError):
+                Z2.coerce(x)
 
     def test_integer_coerce(self):
         assert Z.coerce(-7) == -7 and Z.coerce(Fraction(-6, 2)) == -3

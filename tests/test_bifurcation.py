@@ -18,7 +18,8 @@ from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, DegenerateParameter,
-                              EvolutionError, NonTriangularDelta, NonUnitPivot)
+                              EvolutionError, NonTriangularDelta, NonUnitError,
+                              NonUnitPivot)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
@@ -639,6 +640,21 @@ REFUSALS = {
                  [EventRecord(F(1, 2), Birth("vx", 1))]),
         EvolutionError, "event records reference unknown vertices: ['vx']",
         "structure"),
+    # a library-built event value outside the ring: the parser coerces
+    # every value at its line, so only a library caller can reach these
+    "slide-value-outside-the-ring": (
+        lambda: (three_lane_tuple(),
+                 counter(Z, ("c1", "c2", "c3"), {("c2", "c3"): 1}),
+                 [slide(F(3, 8), ("c1", "c2", F(1, 2)))]),
+        NonUnitError, "1/2 is not an integer", "structure"),
+    "birth-pivot-outside-the-ring": (
+        lambda: (birth_tuple(), counter(Z, ("c1",), {}, 0, F(1, 2)),
+                 [EventRecord(F(1, 2), Birth("vb", F(1, 2)))]),
+        NonUnitError, "1/2 is not an integer", "structure"),
+    "birth-column-value-outside-the-ring": (
+        lambda: (birth_tuple(), counter(Z, ("c1",), {}, 0, F(1, 2)),
+                 [EventRecord(F(1, 2), Birth("vb", 1, (("c1", F(3, 2)),)))]),
+        NonUnitError, "3/2 is not an integer", "structure"),
     "rows-not-the-alive-arcs": (
         lambda: (three_lane_tuple(), counter(Z2, ("c1", "c2"), {}), []),
         EvolutionError,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import golden
 from fixtures import count_bundles, within
+from morseflow import cli, errors
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
 from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
@@ -78,7 +79,37 @@ class TestDataPath:
             data_path("nonexistent")
 
 
+# the exit code of every error class in errors.py, and of file I/O
+EXIT_CODES = {
+    1: ("ScenarioError", "ScenarioSyntaxError", "ScenarioSemanticError",
+        "OSError"),
+    2: ("InvalidTuple", "InvalidWindow", "NonNestedLadder"),
+    3: ("AxiomViolation", "NonTriangularDelta", "NonUnitPivot",
+        "DeathPivotNotUnit", "CycleConditionViolated",
+        "ActionConstraintViolated", "ConstraintViolated", "EvolutionError",
+        "NotADifferential"),
+    4: ("MorseflowError", "DimensionMismatch", "NonUnitError",
+        "VerticalTangency", "NonIsolatedCusp", "DegenerateParameter",
+        "VerificationFailed", "NotACycle", "NonMonotoneTail", "EmptyTrace",
+        "ZeroClass", "UnsupportedFamily", "PrecisionExhausted",
+        "InvalidParameters", "MissingClassData", "OutOfRange"),
+}
+EXIT_CODE = {name: code for code, names in EXIT_CODES.items() for name in names}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.MorseflowError)]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error", ERROR_CLASSES + [OSError],
+                             ids=lambda c: c.__name__)
+    def test_every_error_class_exits_with_its_code(self, error, monkeypatch,
+                                                   capsys):
+        def fail(arg, flags):
+            raise error("planted")
+        monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+        assert main(["validate", "slide"]) == EXIT_CODE[error.__name__]
+        assert capsys.readouterr().err == "error: planted\n"
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "slide"]) == 0
         out = capsys.readouterr().out

@@ -201,6 +201,17 @@ class TestWindow:
         assert validate_window(w2, t) is sides
         assert list(tracker._prepared[1]) == [w1]
 
+    def test_an_unusable_window_gets_no_entry(self, monkeypatch):
+        t = three_lane_tuple()
+        w = Window.constant(0, 3)            # the ceiling crosses c2
+        monkeypatch.setattr(tracker, "_prepared", None)
+        why = window_violation(w, t)
+        for _ in range(2):
+            with pytest.raises(InvalidWindow) as e:
+                validate_window(w, t)
+            assert str(e.value) == why
+            assert w not in tracker._prepared[1]
+
     def test_only_the_last_family_read_stays_alive(self):
         t1 = three_lane_tuple()
         validate_window(WIDE, t1)
