@@ -354,14 +354,10 @@ def apply_birth(gamma_minus, ev, t):
             "old matrix does not kill the new column: row %r gives %r" %
             (c, image[c]))
 
-    # action order just after the vertex, read by the kernel (_side)
+    # action order just after r (_side; None: not both alive there)
     f_minus = t.arc(minus).f3
     for aid in sorted(w, key=str):
-        try:
-            above = _side(t.arc(aid).f3, f_minus, ev.r) > 0
-        except ValueError:      # the two are not both alive just after r
-            above = False
-        if not above:
+        if _side(t.arc(aid).f3, f_minus, ev.r) != 1:
             raise ActionConstraintViolated(
                 "new column entry at %r sits at or below the lower branch "
                 "just after r=%s" % (aid, ev.r))

@@ -331,12 +331,9 @@ def validate_cerf(t, event_params=()):
     for v in t.vertices:
         if v.plus_arc not in arcs or v.minus_arc not in arcs:
             continue
-        try:
-            above = _side(arcs[v.plus_arc].f3, arcs[v.minus_arc].f3, v.r,
-                          v.kind == "birth") > 0
-        except ValueError:
-            continue   # endpoint mismatch, reported above
-        if not above:
+        # None: an endpoint mismatch, reported above
+        if _side(arcs[v.plus_arc].f3, arcs[v.minus_arc].f3, v.r,
+                 v.kind == "birth") not in (1, None):
             err("vertex-orientation",
                 "vertex %r: plus arc %r must have strictly larger action than "
                 "minus arc %r adjacent to the vertex" %

@@ -138,7 +138,8 @@ class PrecisionExhausted(MorseflowError):
 
 
 class InvalidParameters(MorseflowError):
-    """Growth bound or cascade parameters out of their legal range."""
+    """Not an exact number (piecewise.frac), a profile that cannot be made,
+    or growth bound or cascade parameters out of their legal range."""
 
 
 # model classification
@@ -148,7 +149,7 @@ class MissingClassData(MorseflowError):
 
 
 class OutOfRange(MorseflowError):
-    """Model parameter outside the range where the classification applies."""
+    """Parameter outside a profile's domain or a classification's range."""
 
 
 # scenario files

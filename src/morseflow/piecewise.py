@@ -6,19 +6,21 @@ private kernel (_walk) reads their points as (numerator, denominator)
 pairs, emits their common knots in one merged walk and returns the
 difference at each as an integer numerator over a positive denominator;
 every comparison is a cross product.  contains and value read the same
-integer pairs.  Each Piecewise is made in one pass over its points:
-each point is converted once (frac), kept as Fractions in points and
-as integers in Piecewise.ints, and its parameter checked on those
-integers against the point before.  ints is the one integer reader of
-a profile, for this module and for every caller that evaluates the
-integer points itself (_ratio_at).  It is not in Piecewise._fields, so
-==, repr and _replace (values.Value) read the Fraction points only, and
-_replace makes ints again from the new points; hash reads ints, which
-agrees with ==, since equal Fractions have equal reduced ratios.  A
-Fraction is built only where a value leaves the kernel: a crossing
-parameter and Piecewise.value.
-_side is the one reader of local order, the sign of f - g beside a
-parameter, for the family validator and the event engine alike.
+integer pairs.  Each Piecewise is made in one pass over its points: each
+point is converted once (frac, the one door for numbers), kept as
+Fractions in points and as integers in Piecewise.ints, and its parameter
+checked on those integers against the point before.  ints is the one
+integer reader of a profile, for this module and for every caller that
+evaluates the integer points itself (_ratio_at).  It is not in
+Piecewise._fields, so ==, repr and _replace (values.Value) read the
+Fraction points only, and _replace makes ints again from the new points;
+hash reads ints, which agrees with ==, since equal Fractions have equal
+reduced ratios.  A Fraction is built only where a value leaves the
+kernel: a crossing parameter and Piecewise.value.  A profile that cannot
+be made raises InvalidParameters, and a parameter outside its domain
+OutOfRange.  _side is the one reader of local order, the sign of f - g
+beside a parameter (None where the two are not both alive there), for
+the family validator and the event engine alike.
 
 _range is the kernel's second reader of a profile: its least and
 greatest knot value, as integer pairs off ints.  A linear piece takes
@@ -32,24 +34,32 @@ tests' reference for the kernel's knots.
 
 from fractions import Fraction
 
+from .errors import (InvalidParameters, OutOfRange, ScenarioSyntaxError,
+                     check_literal)
 from .values import Value
 
 
 def frac(x):
-    """x as a Fraction: a Fraction (or a subclass) itself, anything
-    else Fraction(x).
-
-    The exact types are tested first, a Fraction returned as it is and
-    an int made Fraction(x): isinstance(x, Fraction) runs the ABC
-    machinery (Fraction is a numbers.Rational), which costs more than
-    the conversion of an int.
-    """
+    """x as a Fraction, the one door for numbers: a Fraction (or a
+    subclass) itself; an int, a float or a string (held to check_literal's
+    bound) read exactly; anything else, NaN and the infinities refused
+    with InvalidParameters.  The exact types come first: isinstance(x,
+    Fraction) runs the ABC machinery, which costs more than Fraction(int)."""
     t = type(x)
-    if t is Fraction:
-        return x
     if t is int:
         return Fraction(x)
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if t is Fraction or isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, float, str)):
+        try:
+            if isinstance(x, str):
+                check_literal(x)
+            return Fraction(x)
+        except ScenarioSyntaxError as e:
+            raise InvalidParameters(str(e)) from None
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise InvalidParameters("not an exact number: %r" % (x,))
 
 
 class Piecewise(Value):
@@ -73,9 +83,9 @@ class Piecewise(Value):
             ints.append(p)
             q = p
         if len(pts) < 2:
-            raise ValueError("need at least two breakpoints")
+            raise InvalidParameters("need at least two breakpoints")
         if not increasing:
-            raise ValueError("breakpoints must be strictly increasing in r")
+            raise InvalidParameters("breakpoints must be strictly increasing in r")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "ints", tuple(ints))
 
@@ -83,8 +93,8 @@ class Piecewise(Value):
         return hash(self.ints)
 
     @staticmethod
-    def constant(value, lo=0, hi=1):
-        return Piecewise(((frac(lo), frac(value)), (frac(hi), frac(value))))
+    def constant(value):
+        return Piecewise(((0, value), (1, value)))
 
     @property
     def r_lo(self):
@@ -105,7 +115,7 @@ class Piecewise(Value):
         """Value at r: a Fraction built from the kernel's integer pair."""
         r = frac(r)
         if not self.contains(r):
-            raise ValueError("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
+            raise OutOfRange("parameter %s outside domain [%s, %s]" % (r, self.r_lo, self.r_hi))
         return Fraction(*_ratio_at(self.ints, *r.as_integer_ratio()))
 
 
@@ -156,7 +166,7 @@ def _walk(f, g, lo, hi):
     merged walk over both point lists, read as integers, emits the knots
     and evaluates both profiles; each pointer only moves forward, and
     every comparison is a cross product.  lo > hi gives empty lists; a
-    range outside either domain raises ValueError.
+    range outside either domain raises OutOfRange.
     """
     fp, gp = f.points, g.points
     fi, gi = f.ints, g.ints
@@ -172,7 +182,7 @@ def _walk(f, g, lo, hi):
     for pw, pts in ((f, fi), (g, gi)):
         for k, kn, kd in ((lo, ln, ld), (hi, hn, hd)):
             if pts[0][0] * kd > kn * pts[0][1] or kn * pts[-1][1] > pts[-1][0] * kd:
-                raise ValueError("parameter %s outside domain [%s, %s]"
+                raise OutOfRange("parameter %s outside domain [%s, %s]"
                                  % (k, pw.r_lo, pw.r_hi))
     i = j = 0
     while fi[i][0] * ld < ln * fi[i][1]:
@@ -264,17 +274,18 @@ def _apart(rf, rg):
 
 def _side(f, g, r, after=True):
     """Sign (-1, 0 or 1) of f - g on the immediate right (after) or left
-    neighbourhood of r.
+    neighbourhood of r, or None where there is no such neighbourhood.
 
     Both profiles are linear between common knots, so _walk's difference
     at r decides, with a tie broken at the nearest common knot on that
     side: a tie there too means the profiles coincide beside r.  r
     outside either domain, or with no common knot beyond it on that
-    side, raises ValueError.
+    side, gives None: the two are not both alive there.
     """
-    diffs = _walk(f, g, r, None)[1] if after else _walk(f, g, None, r)[1][::-1]
-    if len(diffs) < 2:
-        raise ValueError("profiles share no knot %s r=%s"
-                         % ("after" if after else "before", r))
-    d = diffs[0] or diffs[1]
-    return (d > 0) - (d < 0)
+    if f.contains(r) and g.contains(r):
+        diffs = (_walk(f, g, r, None)[1] if after
+                 else _walk(f, g, None, r)[1][::-1])
+        if len(diffs) > 1:
+            d = diffs[0] or diffs[1]
+            return (d > 0) - (d < 0)
+    return None

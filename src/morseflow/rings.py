@@ -2,14 +2,15 @@
 
 Elements are plain Python values (int for Z2 and Z, Fraction for Q),
 combined in plain Python arithmetic; a Ring object gives the units, the
-inverses and coerce, which brings each kept result into the ring once.
-All three are principal ideal domains with decidable invertibility, which is
-what the event algebra needs.
+inverses and coerce, which brings each kept result into the ring once:
+an int as it is, any other value through piecewise.frac, the one door
+for numbers, then refused (NonUnitError) by Z2 with an even denominator
+and by Z if not whole.  All three are principal ideal domains with
+decidable invertibility, which is what the event algebra needs.
 """
 
-from fractions import Fraction
-
 from .errors import NonUnitError
+from .piecewise import frac
 
 
 class Ring:
@@ -50,8 +51,7 @@ class IntMod2(Ring):
     def coerce(self, x):
         if type(x) is int:
             return x % 2
-        if not isinstance(x, Fraction):
-            x = Fraction(x)      # exactly: 0.5 is 1/2, not 0
+        x = frac(x)              # exactly: 0.5 is 1/2, not 0
         if x.denominator % 2 == 0:
             raise NonUnitError("cannot reduce %s mod 2" % (x,))
         return x.numerator % 2
@@ -74,20 +74,16 @@ class Integer(Ring):
     def coerce(self, x):
         if type(x) is int:
             return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise NonUnitError("%s is not an integer" % (x,))
-            return int(x)
-        if isinstance(x, bool):
-            return int(x)
-        if not isinstance(x, int):
-            raise TypeError("integer coefficient expected, got %r" % (x,))
-        return x
+        x = frac(x)
+        if x.denominator != 1:
+            raise NonUnitError("%s is not an integer" % (x,))
+        return x.numerator
 
     def is_unit(self, x):
-        return x in (1, -1)
+        return self.coerce(x) in (1, -1)
 
     def invert(self, x):
+        x = self.coerce(x)
         if x not in (1, -1):
             raise NonUnitError("%r is not a unit in the integers" % (x,))
         return x
@@ -97,13 +93,13 @@ class Rational(Ring):
     __slots__ = ()
 
     def coerce(self, x):
-        return Fraction(x)
+        return frac(x)
 
     def is_unit(self, x):
-        return Fraction(x) != 0
+        return frac(x) != 0
 
     def invert(self, x):
-        x = Fraction(x)
+        x = frac(x)
         if x == 0:
             raise NonUnitError("0 is not invertible")
         return 1 / x

@@ -51,11 +51,10 @@ from .bifurcation import (Birth, Death, EventRecord, FlowCounter,
 from .cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1, CerfTuple,
                    DeathVertex, Vertex)
 from .errors import (MAX_LITERAL_DIGITS, InvalidParameters, NonUnitError,
-                     ScenarioSemanticError, ScenarioSyntaxError,
-                     check_literal)
+                     ScenarioSemanticError, ScenarioSyntaxError)
 from .escape import iterlog, linear, polylog, square
 from .matrix import SparseMatrix
-from .piecewise import Piecewise
+from .piecewise import Piecewise, frac
 from .rabinowitz import (HomotopyModel, HypersurfaceHomotopy, LogTame,
                          SquareTame, SymplecticFormHomotopy, Tame)
 from .rings import RINGS, Z2
@@ -96,7 +95,8 @@ def _rational(text, line):
     the two integers make the value Fraction(text) makes.  Every other
     form (decimals, exponents, `+`, underscores, non-ASCII digits,
     inner spaces, a zero denominator, a longer literal) goes through
-    check_literal and Fraction(text), with their errors and messages.
+    piecewise.frac, the one reader of text as a number, whose message
+    the ScenarioSyntaxError carries with the line.
     """
     text = text.strip()
     m = _PLAIN.fullmatch(text)
@@ -106,11 +106,10 @@ def _rational(text, line):
             return Fraction(int(num))
         if den.strip("0"):
             return Fraction(int(num), int(den))
-    check_literal(text, line)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioSyntaxError("not an exact number: %r" % text, line)
+        return frac(text)
+    except InvalidParameters as e:
+        raise ScenarioSyntaxError(str(e), line) from None
 
 
 _PAIR = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
@@ -130,7 +129,7 @@ def _points(text, line):
         return Piecewise(tuple((_rational(a, line), _rational(b, line))
                                for a, b in zip(parts[1::3], parts[2::3]))
                          ), parts[-1]
-    except ValueError as e:
+    except InvalidParameters as e:
         raise ScenarioSyntaxError(str(e), line)
 
 

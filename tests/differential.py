@@ -89,9 +89,20 @@ Probe kinds:
   records the parts that differ, so it reads [] wherever the invariance
   holds.
 
+* numbers: the doors by which a number enters: frac, each ring's coerce,
+  Piecewise with the value or the parameter of a point given as each of
+  a fixed list of values (ints, Fractions and floats whole or not, NaN
+  and the infinities, text within and past the literal bound, None,
+  tuples, a complex and a Decimal), Piecewise.value at each of them and
+  Piecewise with too few or unordered points; and _side on both sides
+  of each end of two profiles' common domain, inside it and outside
+  either domain.
+
 A library probe (ladder, geometry, escape, values, track, homology, parse,
-coset, maps, affine) records the repr of each result, or the class name and
-message of the error raised.
+coset, maps, affine, numbers) records the repr of each result, or the
+class name and message of the error raised: a MorseflowError or a
+ValueError, which older revisions raise for a profile's domain, and for
+numbers an error of any class.
 
 A command case records its exit code, standard output and the sha256 of
 every file written under --out (the SVGs), as tests/golden.py does.  The
@@ -111,6 +122,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from decimal import Decimal
 from fractions import Fraction as F
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -638,6 +650,55 @@ def probe_parse(work):
     return cases
 
 
+# every kind of value a caller may pass for a number, for the numbers
+# probe: ints, Fractions and floats that are whole or not, NaN and the
+# infinities, text within and past the literal bound, and non-numbers
+NUMBER_VALUES = [0, 1, -7, 2, 10 ** 400, True, False, F(1, 2), F(-6, 2),
+                 F(1, 3), 2.0, 0.5, -0.0, 0.1, 1e308, float("nan"),
+                 float("inf"), float("-inf"), None, "1", "-3/4", " 5 ", "0.25",
+                 "1e3", "1e97", "1e98", "9" * 101, "x", "", "1/0", (), (1, 2),
+                 1j, Decimal("0.5")]
+
+
+def probe_numbers(work):
+    from morseflow.piecewise import Piecewise, _side, frac
+    from morseflow.rings import Q, Z, Z2
+
+    def attempt(fn):
+        # any error class: a revision may let Python's own errors through
+        try:
+            return repr(fn())
+        except Exception as e:
+            return "%s: %s" % (type(e).__name__, e)
+
+    cases = {}
+    pw = Piecewise(((0, 0), (F(1, 2), 1), (1, 3)))
+    for v in NUMBER_VALUES + [F(-1, 2), F(3, 2)]:
+        cases["numbers frac %r" % (v,)] = attempt(lambda: frac(v))
+        for ring in (Z2, Z, Q):
+            cases["numbers %s.coerce %r" % (ring, v)] = attempt(
+                lambda: ring.coerce(v))
+        cases["numbers Piecewise value %r" % (v,)] = attempt(
+            lambda: Piecewise(((0, v), (1, 1))))
+        cases["numbers Piecewise parameter %r" % (v,)] = attempt(
+            lambda: Piecewise(((v, 0), (2, 1))))
+        cases["numbers value %r" % (v,)] = attempt(lambda: pw.value(v))
+    for short in ((), ((0, 1),), ((1, 1), (0, 2)), ((0, 1), (0, 2))):
+        cases["numbers Piecewise %r" % (short,)] = attempt(
+            lambda: Piecewise(short))
+    # _side at the ends of two profiles that share [1/4, 1/2], inside it
+    # and outside either domain, on both sides
+    f = Piecewise(((0, 0), (F(1, 2), 1)))
+    g = Piecewise(((F(1, 4), 1), (1, 0)))
+    for r in (-1, 0, F(1, 4), F(3, 8), F(1, 2), F(3, 4), 1, 2):
+        for after in (True, False):
+            cases["numbers _side r=%s after=%s" % (r, after)] = attempt(
+                lambda: _side(f, g, r, after))
+            cases["numbers _side f f r=%s after=%s" % (r, after)] = attempt(
+                lambda: _side(f, f, r, after))
+    return cases
+
+
 def probe_cerf(work):
     import randgen
     from morseflow.bifurcation import Birth, EventRecord, evolve
@@ -779,7 +840,8 @@ PROBES = {"bundled": probe_bundled, "cascade": probe_cascade,
           "ladder": probe_ladder, "geometry": probe_geometry,
           "escape": probe_escape, "values": probe_values, "track": probe_track,
           "cerf": probe_cerf, "homology": probe_homology, "parse": probe_parse,
-          "coset": probe_coset, "maps": probe_maps, "affine": probe_affine}
+          "coset": probe_coset, "maps": probe_maps, "affine": probe_affine,
+          "numbers": probe_numbers}
 
 
 def _worker(src, kinds, path):

@@ -15,8 +15,8 @@ from morseflow import algebra
 from morseflow.algebra import (HomologyResult, homology, invariant_factors,
                                is_chain_map, ordered_echelon, reduce_against)
 from morseflow.bifurcation import evolve
-from morseflow.errors import (DimensionMismatch, NonUnitError,
-                              NotADifferential)
+from morseflow.errors import (DimensionMismatch, InvalidParameters,
+                              NonUnitError, NotADifferential)
 from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.rings import RINGS, Q, Z, Z2
 from morseflow.tracker import (INSIDE, Window, filtered_homology,
@@ -51,8 +51,11 @@ class TestRings:
         assert Z.coerce(True) == 1 and type(Z.coerce(True)) is int
         with pytest.raises(NonUnitError):
             Z.coerce(Fraction(1, 2))
-        with pytest.raises(TypeError):
-            Z.coerce("1")
+        assert Z.coerce("1") == 1 and Z.coerce(2.0) == 2
+        with pytest.raises(NonUnitError, match="^1/2 is not an integer$"):
+            Z.coerce(0.5)
+        with pytest.raises(InvalidParameters):
+            Z.coerce(None)
 
     def test_z2_inverse(self):
         assert Z2.invert(1) == 1
@@ -61,6 +64,10 @@ class TestRings:
 
     def test_integer_units(self):
         assert Z.is_unit(-1) and Z.is_unit(1) and not Z.is_unit(2)
+        assert Z.is_unit("1") and Z.is_unit(-1.0) and not Z.is_unit("2")
+        assert Z.invert(1.0) == 1 and type(Z.invert(1.0)) is int
+        with pytest.raises(NonUnitError):
+            Z.invert(2.0)
 
     def test_rational_field(self):
         assert Q.invert(Fraction(3, 7)) == Fraction(7, 3)

@@ -402,7 +402,7 @@ class TestValidateAxioms:
 
     def test_report_names_a_row_ending_inside_its_interval(self):
         # a structure finding, where the action-order test would read a
-        # outside its domain and raise ValueError
+        # outside its domain and raise OutOfRange
         t, fc, why = self.ends_inside()
         report = validate_axioms(fc, [], t)
         assert [(f.code, f.message) for f in report.errors()] == [
@@ -647,6 +647,11 @@ REFUSALS = {
                  counter(Z, ("c1", "c2", "c3"), {("c2", "c3"): 1}),
                  [slide(F(3, 8), ("c1", "c2", F(1, 2)))]),
         NonUnitError, "1/2 is not an integer", "structure"),
+    "slide-float-value-outside-the-ring": (
+        lambda: (three_lane_tuple(),
+                 counter(Z, ("c1", "c2", "c3"), {("c2", "c3"): 1}),
+                 [slide(F(3, 8), ("c1", "c2", 0.5))]),
+        NonUnitError, "1/2 is not an integer", "structure"),
     "birth-pivot-outside-the-ring": (
         lambda: (birth_tuple(), counter(Z, ("c1",), {}, 0, F(1, 2)),
                  [EventRecord(F(1, 2), Birth("vb", F(1, 2)))]),
@@ -675,6 +680,19 @@ def test_refusal_through_evolve_and_the_report(name):
     assert (type(e.value), str(e.value)) == (error, why)
     report = validate_axioms(fc, events, t)
     assert [(f.code, f.message) for f in report.errors()] == [(code, why)]
+
+
+def test_a_whole_float_slide_value_is_its_integer():
+    """A library-built slide value 2.0 over Z reads as 2 through the
+    ring's coerce: evolve gives the matrices the value 2 gives, and
+    validate_axioms reports no finding."""
+    t = three_lane_tuple()
+    fc = counter(Z, ("c1", "c2", "c3"), {("c2", "c3"): 1})
+    events = [slide(F(3, 8), ("c1", "c2", 2.0))]
+    want = evolve(fc, [slide(F(3, 8), ("c1", "c2", 2))], t)
+    assert [c.gamma for c in evolve(fc, events, t).intervals] == [
+        c.gamma for c in want.intervals]
+    assert validate_axioms(fc, events, t).ok
 
 
 def test_step_at_a_parameter_without_an_event():

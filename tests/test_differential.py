@@ -1,8 +1,8 @@
 """tests/differential.py tells two trees apart by their command outputs.
 
 Only its bundled-scenario, values, track, cerf, homology, parse, coset,
-ladder, geometry, maps and affine probes run here, to keep the check
-short.  The values probe runs the same track_class as the track probe,
+ladder, geometry, maps, affine and numbers probes run here, to keep the
+check short.  The values probe runs the same track_class as the track probe,
 and reads only what escape and plot print.
 """
 
@@ -238,6 +238,29 @@ def test_a_planted_reader_that_loses_a_sign_shows_in_the_parse_probe(
     assert lines[0] == "parse: %d cases, %d differ" % (cases, differ)
     assert lines[1] == "  parse Q seed 0 as written"
     assert "= 3/2" in lines[2] and "= -3/2" in lines[3]
+
+
+def test_a_planted_integer_type_ladder_shows_in_the_numbers_probe(tmp_path):
+    # the integer ring's former type ladder: a float or a string, whole or
+    # not, raises TypeError before frac reads it
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rings = tmp_path / "src" / "morseflow" / "rings.py"
+    text = rings.read_text(encoding="utf-8")
+    read = "        x = frac(x)\n        if x.denominator != 1:"
+    assert text.count(read) == 1
+    rings.write_text(text.replace(read, (
+        "        if isinstance(x, (float, str)):\n"
+        "            raise TypeError('integer coefficient expected')\n")
+        + read), encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["numbers"])
+    assert 0 < differ < cases
+    assert lines[0] == "numbers: %d cases, %d differ" % (cases, differ)
+    names = [line for line in lines[1:] if line.startswith("  numbers")]
+    assert names and all(n.startswith("  numbers Z.coerce ") for n in names)
+    assert "TypeError: integer coefficient expected" in lines[2]
 
 
 def test_a_planted_push_that_stops_at_a_dropped_entry_shows(tmp_path):

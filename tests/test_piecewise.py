@@ -1,6 +1,7 @@
 """Piecewise-linear profiles: evaluation and crossings agree with references."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import randgen
+from morseflow.errors import InvalidParameters, OutOfRange
 from morseflow.piecewise import (Piecewise, _apart, _range, _side, _walk,
                                  common_knots, crossings, frac)
 from morseflow.rings import Z
@@ -40,7 +42,7 @@ class TestValue:
     @given(pw=profiles(), gap=st.builds(F, st.integers(1, 50), st.integers(1, 7)))
     def test_outside_the_domain_is_an_error(self, pw, gap):
         for r in (pw.r_lo - gap, pw.r_hi + gap):
-            with pytest.raises(ValueError):
+            with pytest.raises(OutOfRange):
                 pw.value(r)
 
     def test_repeated_values_and_integer_arguments(self):
@@ -98,9 +100,9 @@ class TestCrossings:
     def test_differences_outside_a_domain_is_an_error(self):
         f = Piecewise(((0, 1), (F(1, 2), 2)))
         g = Piecewise.constant(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             _walk(f, g, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             _walk(g, f, -1, F(1, 4))
 
     def test_one_point_range(self):
@@ -127,7 +129,7 @@ class TestSide:
     def test_agrees_with_a_midpoint_probe(self, pair):
         """At each common knot, on each side with a common neighbour,
         the sign of f - g halfway to the nearest knot of either profile
-        or crossing of the two; at a shared end, an error."""
+        or crossing of the two; at a shared end, None."""
         f, g, _, _ = pair
         lo, hi = max(f.r_lo, g.r_lo), min(f.r_hi, g.r_hi)
         ks = common_knots(f, g, lo, hi)
@@ -139,8 +141,7 @@ class TestSide:
                     m = (k + stops[at + 1 if after else at - 1]) / 2
                     assert _side(f, g, k, after) == sign(f.value(m) - g.value(m))
                 else:
-                    with pytest.raises(ValueError):
-                        _side(f, g, k, after)
+                    assert _side(f, g, k, after) is None
 
     def test_tie_at_r_broken_beside_it(self):
         f = Piecewise(((0, 0), (1, 2)))
@@ -161,8 +162,7 @@ class TestSide:
         g = Piecewise.constant(0)
         for r, after in ((0, True), (F(3, 4), False), (F(1, 8), False),
                          (F(1, 2), True), (F(1, 4), False), (1, True)):
-            with pytest.raises(ValueError):
-                _side(f, g, r, after)
+            assert _side(f, g, r, after) is None
         assert _side(f, g, F(1, 4)) == 1 and _side(f, g, F(1, 2), False) == 1
 
 
@@ -355,15 +355,25 @@ class TestIntegerPoints:
 def three_pass(points):
     """The constructor as three passes, the reference for the one-pass
     Piecewise: every point converted, then the count tested, then each
-    pair of consecutive integer points.  Returns (points, ints)."""
-    convert = lambda x: x if isinstance(x, F) else F(x)
+    pair of consecutive integer points.  Returns (points, ints).  Each
+    point is read by Fraction itself, not by frac, so that the test
+    checks Piecewise's conversion too."""
+    def convert(x):
+        if isinstance(x, F):
+            return x
+        try:
+            return F(x)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise InvalidParameters("not an exact number: %r" % (x,)) from None
+
     pts = tuple((convert(r), convert(v)) for r, v in points)
     if len(pts) < 2:
-        raise ValueError("need at least two breakpoints")
+        raise InvalidParameters("need at least two breakpoints")
     ints = tuple(r.as_integer_ratio() + v.as_integer_ratio() for r, v in pts)
     for p, q in zip(ints, ints[1:]):
         if not p[0] * q[1] < q[0] * p[1]:
-            raise ValueError("breakpoints must be strictly increasing in r")
+            raise InvalidParameters(
+                "breakpoints must be strictly increasing in r")
     return pts, ints
 
 
@@ -431,19 +441,21 @@ class TestConstructor:
         """A value that is not a number is reported before too few points
         or an order error, wherever it stands; too few points before the
         order is read."""
-        order = (ValueError, "breakpoints must be strictly increasing in r")
-        few = (ValueError, "need at least two breakpoints")
+        order = (InvalidParameters,
+                 "breakpoints must be strictly increasing in r")
+        few = (InvalidParameters, "need at least two breakpoints")
         assert error(Piecewise, ((0, 1), (0, 2))) == order
         assert error(Piecewise, ((1, 1), (0, 2), (2, 3))) == order
         assert error(Piecewise, ((0, 1),)) == few
         assert error(Piecewise, ()) == few
-        bad_literal = error(F, "x")
-        assert bad_literal[0] is ValueError
+        bad_literal = error(frac, "x")
+        assert bad_literal == (InvalidParameters, "not an exact number: 'x'")
         assert error(Piecewise, ((0, 1), (0, 2), (1, "x"))) == bad_literal
         assert error(Piecewise, ((1, 1), (0, "x"))) == bad_literal
         assert error(Piecewise, (("x", 1),)) == bad_literal
-        assert error(Piecewise, ((0, 1), (0, 2), (1, None))) == error(F, None)
-        assert error(Piecewise, ((0, 1), (0, 2), (1, None)))[0] is TypeError
+        none = error(frac, None)
+        assert none == (InvalidParameters, "not an exact number: None")
+        assert error(Piecewise, ((0, 1), (0, 2), (1, None))) == none
 
     def test_frac_returns_a_fraction(self):
         x = F(3, 4)
@@ -454,6 +466,12 @@ class TestConstructor:
         y = Sub(1, 3)
         assert frac(y) is y
         for given_, want in ((5, F(5)), (-7, F(-7)), (True, F(1)),
-                             (False, F(0)), ("3/4", F(3, 4)), (0.5, F(1, 2))):
+                             (False, F(0)), ("3/4", F(3, 4)), (0.5, F(1, 2)),
+                             (" -3/4 ", F(-3, 4)), ("1e90", F(10 ** 90)),
+                             (0.1, F(3602879701896397, 2 ** 55))):
             got = frac(given_)
             assert type(got) is F and got == want
+        for refused in (float("nan"), float("-inf"), None, "1e100", (),
+                        Decimal(1)):
+            with pytest.raises(InvalidParameters):
+                frac(refused)

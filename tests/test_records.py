@@ -310,7 +310,7 @@ REFUSED = [
      InvalidParameters, "the exclusion interval is a pair"),
     (_vertex(), {"kind": "both"}, InvalidTuple,
      "vertex kind must be birth or death"),
-    (_piecewise(), {"points": ((0, 1),)}, ValueError,
+    (_piecewise(), {"points": ((0, 1),)}, InvalidParameters,
      "need at least two breakpoints"),
     (SymplecticFormHomotopy(1, 2), {"eta_rate": -1}, InvalidParameters,
      "eta rate must be nonnegative"),

@@ -23,7 +23,7 @@ from morseflow.cerf import (Arc, BoundaryAt0, CerfTuple, DeathVertex,
                             Vertex, validate_cerf)
 from morseflow.errors import (DegenerateParameter, EvolutionError,
                               InvalidWindow, NonNestedLadder, NotACycle,
-                              VerificationFailed)
+                              OutOfRange, VerificationFailed)
 from morseflow.matrix import SparseMatrix, vec_apply
 from morseflow.cli import data_path, main
 from morseflow.escape import build_cascade, linear
@@ -1621,7 +1621,7 @@ def outcome(fn, *args):
     """fn(*args), or the class name and message of the error it raises."""
     try:
         return fn(*args)
-    except (InvalidWindow, ValueError) as e:
+    except (InvalidWindow, OutOfRange) as e:
         return "%s: %s" % (type(e).__name__, e)
 
 
