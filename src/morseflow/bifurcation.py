@@ -46,6 +46,23 @@ chain map when G A = A G' (row convention), and every bundle passes:
   sides swapped, the inclusion corrects along the lower branch's
   column, and the before matrix's product into the lower branch runs
   over the survivors only.  The rest is as at a birth.
+
+A family is evolved once when validate_axioms and then evolve read it.
+A run of validate_axioms whose report has no error keeps its log in one
+slot, _validated, with the gamma0, event records and family it read, and
+evolve returns that log when it is given those same objects (by is, not
+by ==, which would compare every field of every record).  The slot holds
+strong references, so no other object can take over an id while it is
+there.  The log is the one evolve would build.  validate_axioms runs
+_evolve with axioms false, which differs from evolve's run only in
+check: with axioms, check also raises on the first interval with a
+_interval_findings entry.  A report without errors means that run
+applied every event and passed check's structure tests on every
+interval, and that _interval_findings is empty on every interval it
+built.  _evolve and _interval_findings read nothing but their inputs,
+which are immutable values, so evolve's run would apply the same events
+to the same counters, raise nowhere, and build equal intervals and
+steps.  evolve does not fill the slot.
 """
 
 from fractions import Fraction
@@ -488,6 +505,11 @@ def _alive_ids(lives, fc):
     return alive, short
 
 
+# (gamma0, event records, family, log) of the last validate_axioms run
+# whose report has no error; evolve returns its log for the same objects
+_validated = None
+
+
 def evolve(gamma0, events, t):
     """Push the initial counter through every event in parameter order.
 
@@ -500,7 +522,20 @@ def evolve(gamma0, events, t):
     standing axioms (_interval_findings).  So each step of the log
     builds, when read, maps that relate its two complexes (module
     docstring).
+
+    When gamma0, t and each event record are, by is, the objects of the
+    last validate_axioms run without errors, the log that run built is
+    returned, not built again: the module docstring proves it is the log
+    evolve builds.  evolve itself keeps nothing, so evolve followed by
+    validate_axioms still evolves twice; no workload calls them in that
+    order.
     """
+    events = tuple(events)
+    if _validated is not None:
+        g, evs, ft, log = _validated
+        if (g is gamma0 and ft is t and len(evs) == len(events)
+                and all(a is b for a, b in zip(evs, events))):
+            return log
     return _evolve(gamma0, events, t, True)
 
 
@@ -603,7 +638,16 @@ def validate_axioms(gamma0, events, t):
     means evolve accepts the same input.  No comparison map is built.
     Checking downstream of a failed event is impossible (there is no
     matrix to check), which the report states explicitly.
+
+    A report without errors keeps its run's log, with gamma0, the event
+    records and t, in the slot that evolve reads: an evolve of the same
+    objects (by is) returns that log, which the module docstring proves
+    is the log evolve would build.  A report with an error leaves the
+    slot as it was.  Only this order shares a run: evolve followed by
+    validate_axioms still evolves twice, and no workload calls them so.
     """
+    global _validated
+    events = tuple(events)
     out = []
     err = lambda code, msg: out.append(Finding(code, "error", msg))
     info = lambda code, msg: out.append(Finding(code, "info", msg))
@@ -623,6 +667,7 @@ def validate_axioms(gamma0, events, t):
             err(code, msg)
 
     if not out:
+        _validated = gamma0, events, t, log
         info("summary", "all axioms pass on %d intervals, %d events" %
              (len(log.intervals), len(log.steps)))
     return ValidationReport(tuple(out))

@@ -42,13 +42,24 @@ def _is_log_depth(depth):
     return type(depth) is int and 1 <= depth <= MAX_LOG_DEPTH
 
 
+def _log_powers(logs):
+    """The exponents q_j of the iterated log factors, each read by frac;
+    logs that is text or no sequence raises InvalidParameters."""
+    if not isinstance(logs, str):
+        try:
+            return tuple(frac(q) for q in logs)
+        except TypeError:
+            pass
+    raise InvalidParameters("the log exponents are a sequence of numbers, "
+                            "not %r" % (logs,))
+
+
 class GrowthBound(Value):
     _fields = ("coefficient", "power", "log_powers", "gap", "label")
 
     def __init__(self, coefficient, power, log_powers, gap, label="polylog"):
         coefficient, power = frac(coefficient), frac(power)
-        # exponents q_j of the iterated log factors
-        log_powers = tuple(frac(q) for q in log_powers)
+        log_powers = _log_powers(log_powers)
         if coefficient <= 0:
             raise InvalidParameters("coefficient must be positive")
         if any(q < 0 for q in log_powers):
@@ -137,19 +148,25 @@ class GrowthBound(Value):
     def cost(self, lo, hi):
         """Parameter cost of climbing from lo to hi: INT ds/Phi.
 
-        Exact (rational) whenever the antiderivative stays rational.  A
-        left endpoint where 1/Phi is non-integrable (height 0 under a
-        superlinear bound) costs INF.
+        Exact (rational) whenever the antiderivative stays rational.  lo
+        and hi are read by frac.  An end where 1/Phi is non-integrable
+        (height 0 under a superlinear bound) costs INF.  A climb whose
+        float antiderivative leaves the range of floats raises
+        InvalidParameters.
         """
+        lo, hi = frac(lo), frac(hi)
         if lo > hi:
             raise InvalidParameters("cost requires lo <= hi")
         if lo == hi:
             return Fraction(0)
         try:
             g_lo = self._antiderivative(lo)
+            return self._antiderivative(hi) - g_lo
         except (ZeroDivisionError, ValueError):
             return INF
-        return self._antiderivative(hi) - g_lo
+        except OverflowError:
+            raise InvalidParameters("the cost of this climb leaves the "
+                                    "range of floats") from None
 
     def tail_integral(self, m):
         """INT_m^infinity ds/Phi in closed form; INF when divergent.
@@ -199,10 +216,11 @@ def iterlog(c, depth, gap=None):
 
 
 def polylog(c, p, logs=(), gap=None):
+    logs = _log_powers(logs)
     if gap is None:
-        thr = max(_LOG_THRESHOLD.get(len(tuple(logs)), 0), 1 if p != 0 else 0)
+        thr = max(_LOG_THRESHOLD.get(len(logs), 0), 1 if p != 0 else 0)
         gap = (-thr, thr)
-    return GrowthBound(c, p, tuple(logs), gap, "polylog")
+    return GrowthBound(c, p, logs, gap, "polylog")
 
 
 # bit cap on the integers that _power_sign builds; an exponent such as

@@ -75,9 +75,10 @@ Probe kinds:
   only cycles).
 * maps: on randgen families, 150 per ring over Z2, Z and Q, each step's
   kind and its forward, backward and homotopy maps as sorted items; and
-  validate_axioms's findings and evolve's outcome (the number of
-  intervals, or the error) on the family and on three copies with one
-  drawn extra entry in the initial count matrix.
+  validate_axioms's findings and then evolve's outcome on the family and
+  on three copies with one drawn extra entry in the initial count
+  matrix: the whole log evolve returns (each interval's bounds and
+  sorted items, and each step's record), or the error.
 * affine: on randgen families, 100 per ring over Z2, Z and Q, and on one
   drawn randgen.mutate variant of each, under each map v -> c*v + s of
   AFFINE: the family against its image (randgen.affine_family), with
@@ -94,9 +95,11 @@ Probe kinds:
   a fixed list of values (ints, Fractions and floats whole or not, NaN
   and the infinities, text within and past the literal bound, None,
   tuples, a complex and a Decimal), Piecewise.value at each of them and
-  Piecewise with too few or unordered points; and _side on both sides
-  of each end of two profiles' common domain, inside it and outside
-  either domain.
+  Piecewise with too few or unordered points; _side on both sides of
+  each end of two profiles' common domain, inside it and outside either
+  domain; and the growth-bound doors at each value: polylog's logs as
+  the value and as its one exponent, GrowthBound's log exponents, and
+  each end of linear(1).cost.
 
 A library probe (ladder, geometry, escape, values, track, homology, parse,
 coset, maps, affine, numbers) records the repr of each result, or the
@@ -543,6 +546,11 @@ def probe_maps(work):
         return (maps.kind, maps.forward.items(), maps.backward.items(),
                 None if maps.homotopy is None else maps.homotopy.items())
 
+    def whole(log):
+        return ([(fc.interval_index, fc.r_lo, fc.r_hi, fc.gamma.rows,
+                  fc.gamma.items()) for fc in log.intervals],
+                [st.record for st in log.steps])
+
     cases = {}
     for ring in (Z2, Z, Q):
         values = [1] if ring is Z2 else [-2, -1, 1, 2] + (
@@ -571,7 +579,7 @@ def probe_maps(work):
                 cases[key + " axioms"] = _attempt(
                     lambda: validate_axioms(g, sc.events, t).findings)
                 cases[key + " evolve"] = _attempt(
-                    lambda: len(evolve(g, sc.events, t).intervals))
+                    lambda: whole(evolve(g, sc.events, t)))
     return cases
 
 
@@ -661,6 +669,7 @@ NUMBER_VALUES = [0, 1, -7, 2, 10 ** 400, True, False, F(1, 2), F(-6, 2),
 
 
 def probe_numbers(work):
+    from morseflow.escape import GrowthBound, linear, polylog
     from morseflow.piecewise import Piecewise, _side, frac
     from morseflow.rings import Q, Z, Z2
 
@@ -683,6 +692,16 @@ def probe_numbers(work):
         cases["numbers Piecewise parameter %r" % (v,)] = attempt(
             lambda: Piecewise(((v, 0), (2, 1))))
         cases["numbers value %r" % (v,)] = attempt(lambda: pw.value(v))
+        cases["numbers polylog logs %r" % (v,)] = attempt(
+            lambda: polylog(1, 1, logs=v))
+        cases["numbers polylog log exponent %r" % (v,)] = attempt(
+            lambda: polylog(1, 1, logs=(v,)))
+        cases["numbers GrowthBound log_powers %r" % (v,)] = attempt(
+            lambda: GrowthBound(1, 1, v, (-2, 2)))
+        cases["numbers cost lo %r" % (v,)] = attempt(
+            lambda: linear(1).cost(v, 2))
+        cases["numbers cost hi %r" % (v,)] = attempt(
+            lambda: linear(1).cost(2, v))
     for short in ((), ((0, 1),), ((1, 1), (0, 2)), ((0, 1), (0, 2))):
         cases["numbers Piecewise %r" % (short,)] = attempt(
             lambda: Piecewise(short))

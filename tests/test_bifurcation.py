@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -483,7 +484,9 @@ class TestValidateAxioms:
                          SparseMatrix(ring, gamma.rows, gamma.cols, entries))
         if not validate_axioms(fc, sc.events, sc.family).ok:
             return
-        log = evolve(fc, sc.events, sc.family)
+        # from an empty slot, so that evolve runs its own checks
+        with mock.patch.object(bifurcation, "_validated", None):
+            log = evolve(fc, sc.events, sc.family)
         for step in log.steps:
             assert step.maps.kind == step.record.kind.replace("handleslide",
                                                               "slide")
@@ -547,6 +550,122 @@ class TestValidateAxioms:
                                 birth_tuple())
         return ([f.code for f in death.errors()],
                 [f.code for f in birth.errors()])
+
+
+def log_shape(log):
+    """Each interval's bounds and sorted entries, and each step's record,
+    counters and maps, of log."""
+    def items(fc):
+        return (fc.interval_index, fc.r_lo, fc.r_hi, fc.gamma.rows,
+                sorted(fc.gamma.items(), key=str))
+    return ([items(fc) for fc in log.intervals],
+            [(st.record, items(st.before), items(st.after), st.maps)
+             for st in log.steps])
+
+
+class TestValidatedSlot:
+    """A report without errors keeps its log, and evolve returns it for
+    the same gamma0, event records and family, by identity."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(bifurcation, "_validated", None)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The list to which each later _evolve call appends its axioms
+        argument."""
+        calls = []
+        real = bifurcation._evolve
+
+        def counted(gamma0, events, t, axioms):
+            calls.append(axioms)
+            return real(gamma0, events, t, axioms)
+        monkeypatch.setattr(bifurcation, "_evolve", counted)
+        return calls
+
+    @staticmethod
+    def three_lanes():
+        t = three_lane_tuple()
+        fc = counter(Z2, ("c1", "c2", "c3"), {("c2", "c3"): 1})
+        return t, fc, [slide(F(3, 8), ("c1", "c2", 1))]
+
+    def test_validate_then_evolve_evolves_once(self, monkeypatch):
+        t, fc, events = self.three_lanes()
+        calls = self.spy(monkeypatch)
+        assert validate_axioms(fc, events, t).ok
+        log = evolve(fc, events, t)
+        assert calls == [False]
+        assert bifurcation._validated == (fc, tuple(events), t, log)
+        # another sequence holding the same records, and a second read
+        assert evolve(fc, tuple(events), t) is log
+        assert evolve(fc, iter(events), t) is log
+        assert calls == [False]
+        assert [st.record for st in log.steps] == events
+
+    @pytest.mark.parametrize("change", ["gamma0", "record", "family",
+                                        "no record"])
+    def test_other_objects_evolve_again(self, monkeypatch, change):
+        t, fc, events = self.three_lanes()
+        assert validate_axioms(fc, events, t).ok
+        kept = bifurcation._validated[3]
+        calls = self.spy(monkeypatch)
+        # an equal object that is not the one validated, or fewer records
+        if change == "gamma0":
+            fc = fc._replace()
+        elif change == "record":
+            events = [events[0]._replace()]
+        elif change == "family":
+            t = t._replace()
+        else:
+            events = []
+        log = evolve(fc, events, t)
+        assert calls == [True]
+        assert log is not kept
+        assert (log_shape(log) == log_shape(kept)) == (change != "no record")
+
+    def test_a_report_with_errors_leaves_the_slot(self, monkeypatch):
+        t, fc, events = self.three_lanes()
+        assert validate_axioms(fc, events, t).ok
+        kept = bifurcation._validated
+        calls = self.spy(monkeypatch)
+        bad = counter(Z2, ("c1", "c2", "c3"),
+                      {("c1", "c2"): 1, ("c2", "c3"): 1})
+        assert not validate_axioms(bad, [], t).ok
+        d, d_fc, d_events = unsquared_before_death()
+        assert not validate_axioms(d_fc, d_events, d).ok
+        assert not validate_axioms(fc, [slide(F(3, 8), ("c3", "c1", 1))],
+                                   t).ok
+        assert bifurcation._validated is kept
+        with pytest.raises(EvolutionError) as e:
+            evolve(bad, [], t)
+        assert str(e.value) == ("entry (c1, c2) violates the action order "
+                                "on (0, 1); square-zero fails on (0, 1)")
+        with pytest.raises(EvolutionError) as e:
+            evolve(d_fc, d_events, d)
+        assert str(e.value) == "square-zero fails on (0, 3/4)"
+        assert calls == [False] * 3 + [True] * 2
+        assert evolve(fc, events, t) is kept[3]
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("ring", [Z2, Z, Q])
+    def test_the_kept_log_is_the_log_evolve_builds(self, ring, monkeypatch):
+        """On randgen families the log validate_axioms keeps equals a
+        fresh evolve's, interval by interval and step by step, maps
+        included."""
+        kept_logs = 0
+        for seed in range(40):
+            sc = randgen.random_scenario(random.Random(seed), ring)
+            if not validate_axioms(sc.gamma0, sc.events, sc.family).ok:
+                continue
+            kept = evolve(sc.gamma0, sc.events, sc.family)
+            assert kept is bifurcation._validated[3]
+            monkeypatch.setattr(bifurcation, "_validated", None)
+            fresh = evolve(sc.gamma0, sc.events, sc.family)
+            assert fresh is not kept and fresh.family is kept.family
+            assert log_shape(fresh) == log_shape(kept)
+            kept_logs += 1
+        assert kept_logs >= 30
 
 
 def _dying_pair(rows, entries):

@@ -94,6 +94,11 @@ class TestGrowthBound:
         lambda: linear(1, gap=(1, 2)),          # gap misses 0
         lambda: iterlog(1, 1, gap=(-1, 1)),     # gap below log threshold
         lambda: GrowthBound(1, 1, (1,) * 5, (-INF, INF)),
+        lambda: polylog(1, 1, logs=None),       # no sequence
+        lambda: polylog(1, 1, logs=5),
+        lambda: GrowthBound(1, 1, None, (-2, 2)),
+        lambda: polylog(1, 1, logs=("x",)),     # no number
+        lambda: polylog(1, 1, logs="1"),        # text, not a sequence
     ])
     def test_rejected_parameters(self, build):
         with pytest.raises(InvalidParameters):
@@ -146,8 +151,16 @@ class TestAntiderivatives:
         with pytest.raises(InvalidParameters):
             phi.cost(5, 3)
 
+    @pytest.mark.parametrize("lo, hi", [("a", 2), (2, "a"), (None, 2),
+                                        (2, INF), (2, 10 ** 400)])
+    def test_cost_reads_its_ends_through_frac(self, lo, hi):
+        with pytest.raises(InvalidParameters):
+            linear(1).cost(lo, hi)
+        assert linear(1).cost("2", 4.0) == linear(1).cost(2, 4)
+
     def test_cost_from_zero_under_superlinear_bound_is_infinite(self):
         assert square(1).cost(0, 5) == INF
+        assert square(1).cost(-1, 0) == INF
 
     def test_tail_integral_square_exact(self):
         phi = square(F(2, 7))

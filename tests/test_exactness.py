@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import morseflow
 from morseflow.bifurcation import Death, EventRecord
 from morseflow.errors import MorseflowError
-from morseflow.escape import iterlog, linear, polylog, square
+from morseflow.escape import GrowthBound, iterlog, linear, polylog, square
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise, crossings, frac
 from morseflow.rings import Q, Z, Z2
@@ -93,6 +93,7 @@ NUMBERS = st.one_of(
 
 RISING = Piecewise(((0, 0), (1, 2)))
 LEVEL = Piecewise.constant(1)
+LINEAR = linear(1)
 
 DOORS = [("frac", frac),
          ("Piecewise value", lambda v: Piecewise(((0, v), (1, 1)))),
@@ -105,6 +106,11 @@ DOORS = [("frac", frac),
          ("iterlog depth", lambda v: iterlog(1, v)),
          ("polylog c", lambda v: polylog(v, 1)),
          ("polylog p", lambda v: polylog(1, v)),
+         ("polylog logs", lambda v: polylog(1, 1, logs=v)),
+         ("polylog log exponent", lambda v: polylog(1, 1, logs=(v,))),
+         ("GrowthBound log_powers", lambda v: GrowthBound(1, 1, v, (-2, 2))),
+         ("cost lo", lambda v: LINEAR.cost(v, 2)),
+         ("cost hi", lambda v: LINEAR.cost(2, v)),
          ("EventRecord", lambda v: EventRecord(v, Death("v")))]
 for ring in (Z2, Z, Q):
     DOORS += [("%s.coerce" % ring, ring.coerce),
