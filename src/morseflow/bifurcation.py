@@ -47,24 +47,21 @@ chain map when G A = A G' (row convention), and every bundle passes:
   column, and the before matrix's product into the lower branch runs
   over the survivors only.  The rest is as at a birth.
 
-A family is evolved once when validate_axioms and then evolve read it.
-A run of validate_axioms whose report has no error keeps its log in one
-slot, _validated, with the gamma0, event records and family it read, and
-evolve returns that log when it is given those same objects (by is, not
-by ==, which would compare every field of every record).  The slot holds
-strong references, so no other object can take over an id while it is
-there.  The log is the one evolve would build.  validate_axioms runs
-_evolve with axioms false, which differs from evolve's run only in
-check: with axioms, check also raises on the first interval with a
-_interval_findings entry.  A report without errors means that run
-applied every event and passed check's structure tests on every
-interval, and that _interval_findings is empty on every interval it
-built.  _evolve and _interval_findings read nothing but their inputs,
-which are immutable values, so evolve's run would apply the same events
-to the same counters, raise nowhere, and build equal intervals and
-steps.  evolve does not fill the slot.
+evolve and validate_axioms read one run, _evolve's.  It checks each
+interval's structure before the event closing it, records the
+interval's _interval_findings and goes on past them, and stops at the
+first MorseflowError, keeping what it built.  validate_axioms reports
+the run; evolve raises the first thing it met: the findings of the
+earliest interval with any, recorded before that interval's event
+applied, or else the error it stopped at.  The last run is kept, in
+one slot, _last_run, with the gamma0, event records and family it
+read, whatever its outcome; either reader given those same objects (by
+is, not by ==, which would compare every field of every record) reads
+it.  The slot holds strong references, so no other object can take
+over an id while it is there.
 """
 
+import copy
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -448,7 +445,7 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     range lies strictly above its lower arc's has a positive gap
     wherever both live, and needs no walk; otherwise the walk decides.
     Every entry's arcs live on all of [r_lo, r_hi]: _evolve's structure
-    check refuses any other entry before either caller runs this.  Each
+    check refuses any other entry before it runs this.  Each
     arc's range is taken once per call.
     """
     ranges = {}
@@ -505,9 +502,21 @@ def _alive_ids(lives, fc):
     return alive, short
 
 
-# (gamma0, event records, family, log) of the last validate_axioms run
-# whose report has no error; evolve returns its log for the same objects
-_validated = None
+_last_run = None
+
+
+def _run(gamma0, events, t):
+    """The run of these objects (by is) kept in _last_run, which holds
+    (gamma0, event records, family, run), or else a new one, kept there."""
+    global _last_run
+    events = tuple(events)
+    if _last_run is not None:
+        g, evs, ft, run = _last_run
+        if g is gamma0 and ft is t and [*map(id, evs)] == [*map(id, events)]:
+            return run
+    run = _evolve(gamma0, events, t)
+    _last_run = gamma0, events, t, run
+    return run
 
 
 def evolve(gamma0, events, t):
@@ -523,65 +532,32 @@ def evolve(gamma0, events, t):
     builds, when read, maps that relate its two complexes (module
     docstring).
 
-    When gamma0, t and each event record are, by is, the objects of the
-    last validate_axioms run without errors, the log that run built is
-    returned, not built again: the module docstring proves it is the log
-    evolve builds.  evolve itself keeps nothing, so evolve followed by
-    validate_axioms still evolves twice; no workload calls them in that
-    order.
+    It reads the run validate_axioms reads (module docstring) and raises
+    the earliest interval's findings, joined by "; ", as an
+    EvolutionError, or else a copy of the error the run stopped at, so
+    that the kept error's traceback does not grow.
     """
-    events = tuple(events)
-    if _validated is not None:
-        g, evs, ft, log = _validated
-        if (g is gamma0 and ft is t and len(evs) == len(events)
-                and all(a is b for a, b in zip(evs, events))):
-            return log
-    return _evolve(gamma0, events, t, True)
+    log, findings, stop = _run(gamma0, events, t)
+    bad = next((f for f in findings if f), None)
+    if bad:
+        raise EvolutionError("; ".join(msg for _, msg in bad))
+    if stop is not None:
+        raise copy.copy(stop).with_traceback(stop.__traceback__)
+    return log
 
 
-def _evolve(gamma0, events, t, axioms):
-    """evolve, checking the standing axioms on each interval only when
-    axioms is true; validate_axioms alone runs it without them, so that
-    it can report every interval's findings."""
-    evs = sorted(events, key=lambda e: e.r)
-    params = [e.r for e in evs]
-    if len(set(params)) != len(params):
-        raise EvolutionError("event parameters must be pairwise distinct")
-    if params and (params[0] <= 0 or params[-1] >= 1):
-        raise EvolutionError("event parameters must lie strictly inside (0, 1)")
-
-    by_vertex = {}
-    for e in evs:
-        if isinstance(e.payload, (Birth, Death)):
-            if e.payload.vertex in by_vertex:
-                raise EvolutionError(
-                    "vertex %r has two event records" % e.payload.vertex)
-            by_vertex[e.payload.vertex] = e
-    for v in t.vertices:
-        e = by_vertex.pop(v.id, None)
-        if e is None:
-            raise EvolutionError("vertex %r has no event record" % v.id)
-        want = Birth if v.kind == "birth" else Death
-        if not isinstance(e.payload, want):
-            raise EvolutionError(
-                "vertex %r is a %s but its event record is a %s" %
-                (v.id, v.kind, e.kind))
-        if e.r != v.r:
-            raise EvolutionError(
-                "vertex %r sits at r=%s but its event record says r=%s" %
-                (v.id, v.r, e.r))
-    if by_vertex:
-        raise EvolutionError(
-            "event records reference unknown vertices: %s" % sorted(by_vertex))
-
+def _evolve(gamma0, events, t):
+    """The run evolve and validate_axioms read: (log, findings, stop), the
+    log built, the _interval_findings of each interval that passed its
+    structure check, and the MorseflowError that ended the run, or None."""
+    intervals, steps, findings = [], [], []
     lives = [(a.id,) + a.f3.ints[0][:2] + a.f3.ints[-1][:2] for a in t.arcs]
 
     def check(fc):
         """Raise EvolutionError when fc's rows are not the arcs alive on
         its interval, or an entry names an arc alive on only part of it,
-        where the action-order test could not read it, or, with axioms,
-        when fc violates a standing axiom (_interval_findings), naming
-        each one."""
+        where the action-order test could not read it; otherwise record
+        fc's _interval_findings."""
         alive, short = _alive_ids(lives, fc)
         name = ("counter on interval %d" % fc.interval_index
                 if fc.interval_index < len(evs) else "final counter")
@@ -595,28 +571,60 @@ def _evolve(gamma0, events, t, axioms):
             raise EvolutionError(
                 "%s has entries on %s, alive on only part of [%s, %s]" %
                 (name, cut, fc.r_lo, fc.r_hi))
-        bad = axioms and _interval_findings(fc, t)
-        if bad:
-            raise EvolutionError("; ".join(msg for _, msg in bad))
+        findings.append(_interval_findings(fc, t))
 
-    boundaries = [Fraction(0)] + params + [Fraction(1)]
-    current = FlowCounter(0, boundaries[0], boundaries[1], gamma0.gamma)
-    intervals = [current]
-    steps = []
-    for k, ev in enumerate(evs):
+    try:
+        evs = sorted(events, key=lambda e: e.r)
+        params = [e.r for e in evs]
+        if len(set(params)) != len(params):
+            raise EvolutionError("event parameters must be pairwise distinct")
+        if params and (params[0] <= 0 or params[-1] >= 1):
+            raise EvolutionError(
+                "event parameters must lie strictly inside (0, 1)")
+
+        by_vertex = {}
+        for e in evs:
+            if isinstance(e.payload, (Birth, Death)):
+                if e.payload.vertex in by_vertex:
+                    raise EvolutionError(
+                        "vertex %r has two event records" % e.payload.vertex)
+                by_vertex[e.payload.vertex] = e
+        for v in t.vertices:
+            e = by_vertex.pop(v.id, None)
+            if e is None:
+                raise EvolutionError("vertex %r has no event record" % v.id)
+            want = Birth if v.kind == "birth" else Death
+            if not isinstance(e.payload, want):
+                raise EvolutionError(
+                    "vertex %r is a %s but its event record is a %s" %
+                    (v.id, v.kind, e.kind))
+            if e.r != v.r:
+                raise EvolutionError(
+                    "vertex %r sits at r=%s but its event record says r=%s" %
+                    (v.id, v.r, e.r))
+        if by_vertex:
+            raise EvolutionError("event records reference unknown "
+                                 "vertices: %s" % sorted(by_vertex))
+
+        boundaries = [Fraction(0)] + params + [Fraction(1)]
+        current = FlowCounter(0, boundaries[0], boundaries[1], gamma0.gamma)
+        intervals.append(current)
+        for k, ev in enumerate(evs):
+            check(current)
+            if isinstance(ev.payload, HandleSlide):
+                gp, build = apply_handle_slide(current, ev, t)
+            elif isinstance(ev.payload, Birth):
+                gp, build = apply_birth(current, ev, t)
+            else:
+                gp, build = apply_death(current, ev, t)
+            nxt = FlowCounter(k + 1, ev.r, boundaries[k + 2], gp)
+            steps.append(EventStep(ev, current, nxt, build))
+            intervals.append(nxt)
+            current = nxt
         check(current)
-        if isinstance(ev.payload, HandleSlide):
-            gp, build = apply_handle_slide(current, ev, t)
-        elif isinstance(ev.payload, Birth):
-            gp, build = apply_birth(current, ev, t)
-        else:
-            gp, build = apply_death(current, ev, t)
-        nxt = FlowCounter(k + 1, ev.r, boundaries[k + 2], gp)
-        steps.append(EventStep(ev, current, nxt, build))
-        intervals.append(nxt)
-        current = nxt
-    check(current)
-    return EvolutionLog(t, tuple(intervals), tuple(steps))
+    except MorseflowError as e:
+        return EvolutionLog(t, tuple(intervals), tuple(steps)), findings, e
+    return EvolutionLog(t, tuple(intervals), tuple(steps)), findings, None
 
 
 # ---------------------------------------------------------------------------
@@ -633,41 +641,25 @@ def validate_axioms(gamma0, events, t):
     evolve; what remains here is the per-interval action order and
     square-zero on the first interval, which the events carry to every
     later one (see the module docstring).  The run behind the report
-    checks those on no interval until every event is applied, so the
-    report lists the findings of every interval; a report without errors
-    means evolve accepts the same input.  No comparison map is built.
-    Checking downstream of a failed event is impossible (there is no
-    matrix to check), which the report states explicitly.
-
-    A report without errors keeps its run's log, with gamma0, the event
-    records and t, in the slot that evolve reads: an evolve of the same
-    objects (by is) returns that log, which the module docstring proves
-    is the log evolve would build.  A report with an error leaves the
-    slot as it was.  Only this order shares a run: evolve followed by
-    validate_axioms still evolves twice, and no workload calls them so.
+    goes on past an interval's findings, so the report lists those of
+    every interval; a report without errors means evolve accepts the
+    same input, since both read one run (module docstring).  No
+    comparison map is built.  Checking downstream of a failed event is
+    impossible (there is no matrix to check), which the report states
+    explicitly.
     """
-    global _validated
-    events = tuple(events)
-    out = []
-    err = lambda code, msg: out.append(Finding(code, "error", msg))
-    info = lambda code, msg: out.append(Finding(code, "info", msg))
-
-    try:
-        log = _evolve(gamma0, events, t, False)
-    except AxiomViolation as e:
-        err(e.axiom, str(e))
-        info("structure", "checking stopped at the failing event")
-        return ValidationReport(tuple(out))
-    except MorseflowError as e:
-        err("structure", str(e))
-        return ValidationReport(tuple(out))
-
-    for fc in log.intervals:
-        for code, msg in _interval_findings(fc, t):
-            err(code, msg)
-
+    log, findings, stop = _run(gamma0, events, t)
+    if isinstance(stop, AxiomViolation):
+        return ValidationReport((
+            Finding(stop.axiom, "error", str(stop)),
+            Finding("structure", "info",
+                    "checking stopped at the failing event")))
+    if stop is not None:
+        return ValidationReport((Finding("structure", "error", str(stop)),))
+    out = [Finding(code, "error", msg) for bad in findings
+           for code, msg in bad]
     if not out:
-        _validated = gamma0, events, t, log
-        info("summary", "all axioms pass on %d intervals, %d events" %
-             (len(log.intervals), len(log.steps)))
+        out.append(Finding("summary", "info",
+                           "all axioms pass on %d intervals, %d events" %
+                           (len(log.intervals), len(log.steps))))
     return ValidationReport(tuple(out))

@@ -149,20 +149,27 @@ class GrowthBound(Value):
         """Parameter cost of climbing from lo to hi: INT ds/Phi.
 
         Exact (rational) whenever the antiderivative stays rational.  lo
-        and hi are read by frac.  An end where 1/Phi is non-integrable
-        (height 0 under a superlinear bound) costs INF.  A climb whose
-        float antiderivative leaves the range of floats raises
+        and hi are read by frac; Phi is even, so the part of a climb below
+        0 costs its mirror image's.  An end at 0 where 1/Phi is not
+        integrable (p >= 1, no log factor) costs INF, as does one where
+        the antiderivative's iterated logs are undefined (at most 1
+        under one log factor, e under two).  A climb whose float
+        antiderivative leaves the range of floats raises
         InvalidParameters.
         """
         lo, hi = frac(lo), frac(hi)
         if lo > hi:
             raise InvalidParameters("cost requires lo <= hi")
+        if lo < 0:
+            return self.cost(max(-hi, 0), -lo) + self.cost(0, max(hi, 0))
         if lo == hi:
             return Fraction(0)
+        if lo == 0 and self.power >= 1 and not self.log_powers:
+            return INF
         try:
             g_lo = self._antiderivative(lo)
             return self._antiderivative(hi) - g_lo
-        except (ZeroDivisionError, ValueError):
+        except ValueError:
             return INF
         except OverflowError:
             raise InvalidParameters("the cost of this climb leaves the "

@@ -78,7 +78,9 @@ Probe kinds:
   validate_axioms's findings and then evolve's outcome on the family and
   on three copies with one drawn extra entry in the initial count
   matrix: the whole log evolve returns (each interval's bounds and
-  sorted items, and each step's record), or the error.
+  sorted items, and each step's record), or the error; and then, copy
+  by copy, validate_axioms's findings taken after an evolve of the same
+  objects.
 * affine: on randgen families, 100 per ring over Z2, Z and Q, and on one
   drawn randgen.mutate variant of each, under each map v -> c*v + s of
   AFFINE: the family against its image (randgen.affine_family), with
@@ -98,8 +100,9 @@ Probe kinds:
   Piecewise with too few or unordered points; _side on both sides of
   each end of two profiles' common domain, inside it and outside either
   domain; and the growth-bound doors at each value: polylog's logs as
-  the value and as its one exponent, GrowthBound's log exponents, and
-  each end of linear(1).cost.
+  the value and as its one exponent, GrowthBound's log exponents, each
+  end of linear(1).cost, and the lower end of square(1).cost up to 2
+  and of polylog(1, 1/2, gap=(-1, 1)).cost up to -1.
 
 A library probe (ladder, geometry, escape, values, track, homology, parse,
 coset, maps, affine, numbers) records the repr of each result, or the
@@ -580,6 +583,11 @@ def probe_maps(work):
                     lambda: validate_axioms(g, sc.events, t).findings)
                 cases[key + " evolve"] = _attempt(
                     lambda: whole(evolve(g, sc.events, t)))
+            # evolve first: the last objects read were another copy's
+            for label, g in copies:
+                _attempt(lambda: evolve(g, sc.events, t))
+                cases["%s %s axioms after evolve" % (name, label)] = _attempt(
+                    lambda: validate_axioms(g, sc.events, t).findings)
     return cases
 
 
@@ -669,7 +677,7 @@ NUMBER_VALUES = [0, 1, -7, 2, 10 ** 400, True, False, F(1, 2), F(-6, 2),
 
 
 def probe_numbers(work):
-    from morseflow.escape import GrowthBound, linear, polylog
+    from morseflow.escape import GrowthBound, linear, polylog, square
     from morseflow.piecewise import Piecewise, _side, frac
     from morseflow.rings import Q, Z, Z2
 
@@ -702,6 +710,10 @@ def probe_numbers(work):
             lambda: linear(1).cost(v, 2))
         cases["numbers cost hi %r" % (v,)] = attempt(
             lambda: linear(1).cost(2, v))
+        cases["numbers square cost lo %r" % (v,)] = attempt(
+            lambda: square(1).cost(v, 2))
+        cases["numbers root cost lo %r to -1" % (v,)] = attempt(
+            lambda: polylog(1, F(1, 2), gap=(-1, 1)).cost(v, -1))
     for short in ((), ((0, 1),), ((1, 1), (0, 2)), ((0, 1), (0, 2))):
         cases["numbers Piecewise %r" % (short,)] = attempt(
             lambda: Piecewise(short))

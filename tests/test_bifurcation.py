@@ -1,6 +1,7 @@
 """Event engine: slides, births, deaths, evolution, axiom reports."""
 
 import random
+import traceback
 from fractions import Fraction as F
 from unittest import mock
 
@@ -19,8 +20,8 @@ from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex)
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, DegenerateParameter,
-                              EvolutionError, NonTriangularDelta, NonUnitError,
-                              NonUnitPivot)
+                              EvolutionError, MorseflowError,
+                              NonTriangularDelta, NonUnitError, NonUnitPivot)
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
@@ -484,8 +485,8 @@ class TestValidateAxioms:
                          SparseMatrix(ring, gamma.rows, gamma.cols, entries))
         if not validate_axioms(fc, sc.events, sc.family).ok:
             return
-        # from an empty slot, so that evolve runs its own checks
-        with mock.patch.object(bifurcation, "_validated", None):
+        # from an empty slot, so that evolve makes a run of its own
+        with mock.patch.object(bifurcation, "_last_run", None):
             log = evolve(fc, sc.events, sc.family)
         for step in log.steps:
             assert step.maps.kind == step.record.kind.replace("handleslide",
@@ -564,23 +565,23 @@ def log_shape(log):
 
 
 class TestValidatedSlot:
-    """A report without errors keeps its log, and evolve returns it for
-    the same gamma0, event records and family, by identity."""
+    """evolve and validate_axioms read one run: the slot keeps the last
+    run whatever its outcome, and either reader given the same gamma0,
+    event records and family, by identity, reads it in either order."""
 
     @pytest.fixture(autouse=True)
     def empty_slot(self, monkeypatch):
-        monkeypatch.setattr(bifurcation, "_validated", None)
+        monkeypatch.setattr(bifurcation, "_last_run", None)
 
     @staticmethod
     def spy(monkeypatch):
-        """The list to which each later _evolve call appends its axioms
-        argument."""
+        """The list to which each later _evolve run appends its gamma0."""
         calls = []
         real = bifurcation._evolve
 
-        def counted(gamma0, events, t, axioms):
-            calls.append(axioms)
-            return real(gamma0, events, t, axioms)
+        def counted(gamma0, events, t):
+            calls.append(gamma0)
+            return real(gamma0, events, t)
         monkeypatch.setattr(bifurcation, "_evolve", counted)
         return calls
 
@@ -595,22 +596,34 @@ class TestValidatedSlot:
         calls = self.spy(monkeypatch)
         assert validate_axioms(fc, events, t).ok
         log = evolve(fc, events, t)
-        assert calls == [False]
-        assert bifurcation._validated == (fc, tuple(events), t, log)
-        # another sequence holding the same records, and a second read
+        assert calls == [fc]
+        assert bifurcation._last_run[:3] == (fc, tuple(events), t)
+        assert bifurcation._last_run[3][0] is log
+        # another sequence holding the same records, and more reads
         assert evolve(fc, tuple(events), t) is log
         assert evolve(fc, iter(events), t) is log
-        assert calls == [False]
+        assert validate_axioms(fc, iter(events), t).ok
+        assert calls == [fc]
         assert [st.record for st in log.steps] == events
+
+    def test_evolve_then_validate_evolves_once(self, monkeypatch):
+        t, fc, events = self.three_lanes()
+        calls = self.spy(monkeypatch)
+        log = evolve(fc, events, t)
+        report = validate_axioms(fc, events, t)
+        assert calls == [fc]
+        assert [str(f) for f in report.findings] == [
+            "[info] summary: all axioms pass on 2 intervals, 1 events"]
+        assert evolve(fc, events, t) is log
 
     @pytest.mark.parametrize("change", ["gamma0", "record", "family",
                                         "no record"])
     def test_other_objects_evolve_again(self, monkeypatch, change):
         t, fc, events = self.three_lanes()
         assert validate_axioms(fc, events, t).ok
-        kept = bifurcation._validated[3]
+        kept = evolve(fc, events, t)
         calls = self.spy(monkeypatch)
-        # an equal object that is not the one validated, or fewer records
+        # an equal object that is not the one read, or fewer records
         if change == "gamma0":
             fc = fc._replace()
         elif change == "record":
@@ -620,52 +633,98 @@ class TestValidatedSlot:
         else:
             events = []
         log = evolve(fc, events, t)
-        assert calls == [True]
+        assert calls == [fc]
         assert log is not kept
         assert (log_shape(log) == log_shape(kept)) == (change != "no record")
-
-    def test_a_report_with_errors_leaves_the_slot(self, monkeypatch):
-        t, fc, events = self.three_lanes()
         assert validate_axioms(fc, events, t).ok
-        kept = bifurcation._validated
+        assert calls == [fc]
+
+    def test_a_failing_family_evolves_once_in_either_order(self,
+                                                          monkeypatch):
+        """Interval findings, findings before a failing event, an axiom
+        that stops the run, and a structure error: each is run once in
+        either order, and both orders give the same report and error."""
+        t, fc, events = self.three_lanes()
+        unsquared = counter(Z2, ("c1", "c2", "c3"),
+                            {("c1", "c2"): 1, ("c2", "c3"): 1})
+        reversed_slide = [slide(F(3, 8), ("c3", "c1", 1))]
+        cases = [
+            ((t, unsquared, []), EvolutionError,
+             "entry (c1, c2) violates the action order on (0, 1); "
+             "square-zero fails on (0, 1)",
+             ["gamma1", "gamma2"]),
+            (unsquared_before_death(), EvolutionError,
+             "square-zero fails on (0, 3/4)", ["gamma2"]),
+            ((t, fc, reversed_slide), NonTriangularDelta,
+             "jump entry (c3, c1) violates the action order at r=3/8: "
+             "1 <= 4", ["gamma1"]),
+            # the report names only the stopping slide; evolve raises the
+            # finding of the interval before it
+            ((t, unsquared, reversed_slide), EvolutionError,
+             "square-zero fails on (0, 3/8)", ["gamma1"]),
+            ((t, counter(Z2, ("c1", "c2"), {}), []), EvolutionError,
+             "final counter indexes ['c1', 'c2'] but the alive arcs are "
+             "['c1', 'c2', 'c3']", ["structure"]),
+        ]
         calls = self.spy(monkeypatch)
-        bad = counter(Z2, ("c1", "c2", "c3"),
-                      {("c1", "c2"): 1, ("c2", "c3"): 1})
-        assert not validate_axioms(bad, [], t).ok
-        d, d_fc, d_events = unsquared_before_death()
-        assert not validate_axioms(d_fc, d_events, d).ok
-        assert not validate_axioms(fc, [slide(F(3, 8), ("c3", "c1", 1))],
-                                   t).ok
-        assert bifurcation._validated is kept
-        with pytest.raises(EvolutionError) as e:
-            evolve(bad, [], t)
-        assert str(e.value) == ("entry (c1, c2) violates the action order "
-                                "on (0, 1); square-zero fails on (0, 1)")
-        with pytest.raises(EvolutionError) as e:
-            evolve(d_fc, d_events, d)
-        assert str(e.value) == "square-zero fails on (0, 3/4)"
-        assert calls == [False] * 3 + [True] * 2
-        assert evolve(fc, events, t) is kept[3]
-        assert len(calls) == 5
+        for (ft, g, evs), error, why, codes in cases:
+            seen = []
+            for validate_first in (True, False):
+                monkeypatch.setattr(bifurcation, "_last_run", None)
+                del calls[:]
+                if validate_first:
+                    report = validate_axioms(g, evs, ft)
+                with pytest.raises(MorseflowError) as e:
+                    evolve(g, evs, ft)
+                if not validate_first:
+                    report = validate_axioms(g, evs, ft)
+                assert calls == [g]
+                seen.append((report, type(e.value), str(e.value)))
+            assert seen[0] == seen[1]
+            assert seen[0][1:] == (error, why)
+            assert [f.code for f in report.errors()] == codes
+
+    def test_evolve_raises_a_copy_of_the_kept_error(self, monkeypatch):
+        """Each evolve of a family whose run stopped raises a new copy of
+        the run's error, and its traceback, which reaches the update that
+        raised, does not grow from call to call."""
+        t, fc, _ = self.three_lanes()
+        events = [slide(F(3, 8), ("c3", "c1", 1))]
+        calls = self.spy(monkeypatch)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(NonTriangularDelta) as e:
+                evolve(fc, events, t)
+            raised.append(e.value)
+        assert calls == [fc]
+        assert len({id(e) for e in raised}) == 3
+        assert len({str(e) for e in raised}) == 1
+        frames = [traceback.extract_tb(e.__traceback__) for e in raised]
+        assert frames[0][-1].name == "apply_handle_slide"
+        assert len({len(f) for f in frames}) == 1
 
     @pytest.mark.parametrize("ring", [Z2, Z, Q])
     def test_the_kept_log_is_the_log_evolve_builds(self, ring, monkeypatch):
-        """On randgen families the log validate_axioms keeps equals a
-        fresh evolve's, interval by interval and step by step, maps
-        included."""
+        """On randgen families, in either order of the two readers, one
+        run gives the report and the log, and the log equals a fresh
+        run's, interval by interval and step by step, maps included."""
+        calls = self.spy(monkeypatch)
         kept_logs = 0
         for seed in range(40):
             sc = randgen.random_scenario(random.Random(seed), ring)
-            if not validate_axioms(sc.gamma0, sc.events, sc.family).ok:
+            g, evs, ft = sc.gamma0, sc.events, sc.family
+            if not validate_axioms(g, evs, ft).ok:
                 continue
-            kept = evolve(sc.gamma0, sc.events, sc.family)
-            assert kept is bifurcation._validated[3]
-            monkeypatch.setattr(bifurcation, "_validated", None)
-            fresh = evolve(sc.gamma0, sc.events, sc.family)
+            kept = evolve(g, evs, ft)
+            assert kept is bifurcation._last_run[3][0]
+            monkeypatch.setattr(bifurcation, "_last_run", None)
+            fresh = evolve(g, evs, ft)
+            assert validate_axioms(g, evs, ft).ok
             assert fresh is not kept and fresh.family is kept.family
             assert log_shape(fresh) == log_shape(kept)
             kept_logs += 1
         assert kept_logs >= 30
+        assert len(calls) == 40 + kept_logs
 
 
 def _dying_pair(rows, entries):
@@ -845,6 +904,80 @@ def test_every_randgen_step_maps_hold(ring):
                                                step.after.gamma, step.maps)
                 steps += 1
     assert steps >= 60
+
+
+def _walked(fc, events, t):
+    """(findings, stop) of the event updates applied to fc in parameter
+    order: each interval's _interval_findings before the event closing
+    it, and the MorseflowError of the first update that raises, or None.
+    The intervals' structure is not checked."""
+    updates = {HandleSlide: apply_handle_slide, Birth: apply_birth,
+               Death: apply_death}
+    evs = sorted(events, key=lambda e: e.r)
+    ends = [e.r for e in evs] + [1]
+    current = FlowCounter(0, 0, ends[0], fc.gamma)
+    found = []
+    for k, ev in enumerate(evs):
+        found.append(bifurcation._interval_findings(current, t))
+        try:
+            gp, _ = updates[type(ev.payload)](current, ev, t)
+        except MorseflowError as e:
+            return found, e
+        current = FlowCounter(k + 1, ev.r, ends[k + 1], gp)
+    return found + [bifurcation._interval_findings(current, t)], None
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]),
+       extra=st.integers(0, 2), slides=st.integers(0, 2))
+def test_the_two_readers_agree_in_either_order(seed, ring, extra, slides):
+    """On a randgen family with up to two planted entries in the initial
+    matrix and up to two planted slides, validate_axioms then evolve and
+    evolve then validate_axioms, each from an empty slot, give the same
+    report and outcome.  evolve raises exactly when the report has an
+    error: the first failing interval's findings joined by "; ", or else
+    the report's stopping error."""
+    rng = random.Random(seed)
+    sc = randgen.random_scenario(rng, ring)
+    t, gamma = sc.family, sc.gamma0.gamma
+    entries = dict(gamma.entries)
+    for _ in range(extra):
+        entries[rng.choice(gamma.rows), rng.choice(gamma.rows)] = 1
+    fc = FlowCounter(0, sc.gamma0.r_lo, sc.gamma0.r_hi,
+                     SparseMatrix(ring, gamma.rows, gamma.cols, entries))
+    # at odd 64ths, which randgen's event parameters never take
+    ids = [a.id for a in t.arcs]
+    events = list(sc.events) + [
+        slide(F(2 * k + 1, 64), (rng.choice(ids), rng.choice(ids), 1))
+        for k in rng.sample(range(32), slides)]
+
+    seen = []
+    for validate_first in (True, False):
+        with mock.patch.object(bifurcation, "_last_run", None):
+            if validate_first:
+                report = validate_axioms(fc, events, t)
+            try:
+                outcome = evolve(fc, events, t)
+            except MorseflowError as e:
+                outcome = "%s: %s" % (type(e).__name__, e)
+            if not validate_first:
+                report = validate_axioms(fc, events, t)
+        seen.append((report.findings, outcome))
+    assert seen[0] == seen[1]
+
+    found, stop = _walked(fc, events, t)
+    errors = report.errors()
+    assert isinstance(outcome, str) == bool(errors)
+    if stop is None:
+        assert [(f.code, f.message) for f in errors] == [
+            item for bad in found for item in bad]
+    else:
+        assert errors[0].message == str(stop)
+    if errors:
+        first = next((bad for bad in found if bad), None)
+        assert outcome == ("EvolutionError: " + "; ".join(
+            msg for _, msg in first) if first else "%s: %s" % (
+                type(stop).__name__, errors[0].message))
 
 
 class TestLazyMaps:

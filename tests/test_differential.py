@@ -177,25 +177,27 @@ def test_a_planted_birth_inclusion_without_its_correction_shows(tmp_path):
 
 def test_a_planted_slot_that_ignores_gamma0_shows_in_the_maps_probe(
         tmp_path):
-    # a validated log handed out for any initial counter on the same
-    # family and records: the copies with an extra entry evolve to the
-    # log of the family as drawn
+    # the kept run handed out for any initial counter on the same family
+    # and records: the copies with an extra entry read the run of the
+    # family as drawn, in the report and in evolve, in either order
     src = str(tmp_path / "src")
     shutil.copytree(differential.SRC, src,
                     ignore=shutil.ignore_patterns("__pycache__"))
     bifurcation = tmp_path / "src" / "morseflow" / "bifurcation.py"
     text = bifurcation.read_text(encoding="utf-8")
-    key = "if (g is gamma0 and ft is t"
+    key = "if g is gamma0 and ft is t"
     assert text.count(key) == 1
-    bifurcation.write_text(text.replace(key, "if (ft is t"), encoding="utf-8")
+    bifurcation.write_text(text.replace(key, "if ft is t"), encoding="utf-8")
     lines, cases, differ = differential.compare(src, differential.SRC,
                                                 ["maps"])
     assert 0 < differ < cases
     assert lines[0] == "maps: %d cases, %d differ" % (cases, differ)
     shown = [line.strip() for line in lines if line.startswith("  ")
              and not line.startswith("    ")]
-    assert shown and all(re.search(r" with \(.*\) evolve$", line)
-                         for line in shown)
+    assert shown and all(
+        re.search(r" with \(.*\) (axioms|evolve|axioms after evolve)$", line)
+        for line in shown)
+    assert any(line.endswith(" axioms") for line in shown)
 
 
 def _planted_bit_echelon(tmp_path, good, bad):

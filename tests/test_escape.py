@@ -162,6 +162,19 @@ class TestAntiderivatives:
         assert square(1).cost(0, 5) == INF
         assert square(1).cost(-1, 0) == INF
 
+    def test_cost_below_and_across_zero_reads_phi_as_even(self):
+        # a climb below 0 costs its mirror image's, and one across 0 the
+        # sum of its two halves, each from 0
+        assert linear(1).cost(-4, -1) == pytest.approx(math.log(4))
+        assert square(1).cost(-1, 2) == INF
+        assert square(F(1, 3)).cost(-10, -2) == F(6, 5)
+        root = polylog(1, F(1, 2), gap=(-1, 1))
+        assert root.cost(-4, -1) == root.cost(1, 4) == pytest.approx(2)
+        assert isinstance(root.cost(-4, -1), float)
+        assert root.cost(-4, 1) == pytest.approx(6)
+        assert iterlog(1, 1).cost(-40, -2) == iterlog(1, 1).cost(2, 40)
+        assert iterlog(1, 1).cost(-2, 2) == INF
+
     def test_tail_integral_square_exact(self):
         phi = square(F(2, 7))
         assert phi.tail_integral(3) == F(7, 6)   # 1 / (c * m)
