@@ -26,8 +26,9 @@ from .algebra import homology
 from .bifurcation import HandleSlide, evolve, validate_axioms
 from .cerf import validate_cerf
 from .diagrams import family_svg, trace_svg
-from .errors import (MAX_LITERAL_DIGITS, InvalidParameters, MorseflowError,
-                     NonUnitError, ScenarioError, ScenarioSemanticError)
+from .errors import (MAX_LITERAL_DIGITS, AxiomViolation, InvalidParameters,
+                     InvalidTuple, MorseflowError, NonUnitError,
+                     ScenarioError, ScenarioSemanticError)
 from .escape import build_cascade, check_H1, check_H2, escape_budget, linear
 from .rabinowitz import ClassSurvives, Inconclusive, classify_invariance
 from .rings import RINGS, Z2
@@ -100,12 +101,13 @@ def _cerf_lines(sc):
 
 def _valid_family(cmd):
     """cmd(sc, flags) run on the loaded scenario once its family passes
-    validate_cerf; otherwise the [cerf] findings, with exit code 2."""
+    validate_cerf; otherwise the [cerf] findings, exiting as InvalidTuple."""
     def checked(arg, flags):
         sc = _load(arg, flags)
         ok, lines = _cerf_lines(sc)
         if not ok:
-            return [("validation.txt", "\n".join(lines) + "\n")], 2
+            return ([("validation.txt", "\n".join(lines) + "\n")],
+                    InvalidTuple.exit_code)
         return cmd(sc, flags)
     return checked
 
@@ -113,12 +115,12 @@ def _valid_family(cmd):
 def _cmd_validate(arg, flags):
     sc = _load(arg, flags)
     ok, lines = _cerf_lines(sc)
-    code = 0 if ok else 2
+    code = 0 if ok else InvalidTuple.exit_code
     if ok:
         ax = validate_axioms(sc.gamma0, sc.events, sc.family)
         lines += _findings_block("axioms", ax.findings, ax.ok)
         if not ax.ok:
-            code = 3
+            code = AxiomViolation.exit_code
     else:
         lines += ["[axioms]", "skipped: family is structurally invalid"]
     return [("validation.txt", "\n".join(lines) + "\n")], code
@@ -214,7 +216,7 @@ def _cmd_escape(sc, flags):
         flat = 0
         for i, (cost, (x, y)) in enumerate(zip(budget.step_costs,
                                                zip(heights, heights[1:]))):
-            if cost == 0:
+            if x == y:
                 flat += 1
                 continue
             lines.append("step %d: %s -> %s costs %s" % (i, x, y, cost))

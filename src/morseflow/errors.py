@@ -115,10 +115,6 @@ class NotACycle(MorseflowError):
 
 # escape analysis
 
-class NonMonotoneTail(MorseflowError):
-    """Trace heights outside the exclusion interval are not monotone."""
-
-
 class EmptyTrace(MorseflowError):
     """Trace has no segments, so it realizes no height climb to price."""
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .bifurcation import EventRecord, FlowCounter, HandleSlide
 from .cerf import Arc, BoundaryAt0, BoundaryAt1, CerfTuple, Finding
-from .errors import (EmptyTrace, InvalidParameters, NonMonotoneTail,
-                     PrecisionExhausted, UnsupportedFamily, ZeroClass)
+from .errors import (EmptyTrace, InvalidParameters, PrecisionExhausted,
+                     UnsupportedFamily, ZeroClass)
 from .matrix import SparseMatrix
 from .piecewise import Piecewise, frac
 from .rings import Z2
@@ -454,53 +454,54 @@ def _exceeds_exp(q, c):
 
 
 def budget_for_heights(heights, phi):
-    """Cumulative cost of a monotone height climb, clipped below at b.
+    """Total variation of G, G' = 1/Phi, over heights clipped below at b.
 
-    Telescoping makes the total exactly the single integral from the
-    first clipped height to the last, so the result is invariant under
-    refinement of the partition.  Under Phi = c|s| that integral is
-    ln(last / first) / c, so the verdict is the exact comparison of
-    last / first with e^c (_exceeds_exp); the printed total and step
-    costs stay floats.  The -inf of a zero class is told from a height
-    by its type, so no height is compared with a float.
+    A class whose value obeys |d rho/dr| <= Phi(rho) moves G by at most
+    its parameter span, whether it rises or falls, so each non-flat step
+    between consecutive clipped heights costs phi.cost(low, high) either
+    way.  On a monotone climb the steps telescope to the single integral
+    from the first clipped height to the last, so that total is
+    invariant under refinement of the partition.  Under Phi = c|s| a
+    step costs ln(high / low) / c, so while every clipped height is
+    positive the verdict is the exact comparison of P, the product of
+    the steps' high / low, with e^c (_exceeds_exp); the printed total
+    and step costs stay floats.  The -inf of a zero class is told from a
+    height by its type, so no height is compared with a float.
     """
     b = phi.gap[1]
     clipped = [b if type(s) is float and s == NEG_INF else max(frac(s), b)
                for s in heights]
-    # a slab whose top carried over starts at the very value the last one
-    # ended on: such a pair is flat without a comparison
-    for x, y in zip(clipped, clipped[1:]):
-        if y is not x and y < x:
-            raise NonMonotoneTail(
-                "heights decrease from %s to %s beyond the exclusion "
-                "interval" % (x, y))
-    # only a rising step is priced; a flat one costs 0, as cost(x, x)
-    # does, and adding 0 leaves the total as it is
+    # a clipped height is at least b >= 0, so positive unless it is 0
+    exact = (phi.power == 1 and not phi.log_powers
+             and (b > 0 or 0 not in clipped))
     costs = []
     total = Fraction(0)
+    ratio = Fraction(1)
     for x, y in zip(clipped, clipped[1:]):
-        if y is not x and x < y:
-            c = phi.cost(x, y)
-            costs.append(c)
-            total = total + c
-        else:
+        # a slab whose top carried over starts at the very value the last
+        # one ended on: such a pair is flat without a comparison
+        if y is x or x == y:
             costs.append(_FLAT)
-    if (phi.power == 1 and not phi.log_powers and clipped
-            and clipped[0] > 0):
-        over = _exceeds_exp(clipped[-1] / clipped[0], phi.coefficient)
-    else:
-        over = total > 1
+            continue
+        lo, hi = (x, y) if x < y else (y, x)
+        c = phi.cost(lo, hi)
+        costs.append(c)
+        total = total + c
+        if exact:
+            ratio *= hi / lo
+    over = _exceeds_exp(ratio, phi.coefficient) if exact else total > 1
     verdict = "InfeasibleWithinUnitTime" if over else "WithinBudget"
     return EscapeBudget(tuple(clipped), tuple(costs), total, verdict,
                         phi.diverges_at_infinity())
 
 
 def escape_budget(trace, phi, direction=1):
-    """Parameter cost lower bound for the height climb a trace realizes.
+    """Parameter cost lower bound for the heights a trace realizes.
 
     The heights are each slab's rho_lo and rho_hi, -inf where the class
-    is zero.  direction -1 reflects them to bound a dive toward
-    -infinity (the mirrored computation of the negative direction).  An
+    is zero, priced as they are by budget_for_heights.  direction -1
+    reflects them to bound a dive toward -infinity (the mirrored
+    computation of the negative direction); -inf stays as it is.  An
     empty trace realizes no climb, so it has no budget and raises
     EmptyTrace; nor does a class that is zero in the window, whose every
     slab reads -inf with no top (ZeroClass).
@@ -511,13 +512,9 @@ def escape_budget(trace, phi, direction=1):
     if all(seg.top is None for seg in trace.segments):
         raise ZeroClass("the class is zero in the window, so there is no "
                         "climb to price")
-    heights = []
-    for seg in trace.segments:
-        for v in (seg.rho_lo, seg.rho_hi):
-            if type(v) is float and v == NEG_INF:
-                heights.append(v)
-            else:
-                heights.append(frac(v) if direction > 0 else -frac(v))
+    heights = [v for seg in trace.segments for v in (seg.rho_lo, seg.rho_hi)]
+    if direction <= 0:
+        heights = [v if type(v) is float else -v for v in heights]
     return budget_for_heights(heights, phi)
 
 

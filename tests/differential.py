@@ -368,7 +368,8 @@ def probe_escape(work):
                ("slide c3 empty", track_class(
                    {"c3": 1}, log, Window.constant(F(3, 2), 10)))]
 
-    climbs = [("tie", [F(64, 9), F(361, 36)])]
+    climbs = [("tie", [F(64, 9), F(361, 36)]),
+              ("descending", [F(2), F(5), F(4)])]
     for label, trace in traces:
         for d, sign in (("+", 1), ("-", -1)):
             climbs.append(("%s %s" % (label, d), _heights(trace, sign)))

@@ -90,7 +90,7 @@ EXIT_CODES = {
         "NotADifferential"),
     4: ("MorseflowError", "DimensionMismatch", "NonUnitError",
         "VerticalTangency", "NonIsolatedCusp", "DegenerateParameter",
-        "VerificationFailed", "NotACycle", "NonMonotoneTail", "EmptyTrace",
+        "VerificationFailed", "NotACycle", "EmptyTrace",
         "ZeroClass", "UnsupportedFamily", "PrecisionExhausted",
         "InvalidParameters", "MissingClassData", "OutOfRange"),
 }
@@ -156,10 +156,11 @@ class TestExitCodes:
         assert main(["validate", p]) == 3
         assert "error gamma5: count between" in capsys.readouterr().out
 
-    def test_computation_failure(self, tmp_path, capsys):
-        p = write(tmp_path, "desc.scn", DESCENDING)
-        assert main(["escape", p]) == 4
-        assert "decrease" in capsys.readouterr().err
+    def test_computation_failure(self, capsys):
+        # slide's slope test under |s|^(1/10^7) needs integers past the cap
+        assert main(["escape", "slide", "--phi",
+                     "polylog(c=1, p=1/10000000)"]) == 4
+        assert "past the cap" in capsys.readouterr().err
 
     def test_track_needs_class(self, tmp_path, capsys):
         p = write(tmp_path, "min.scn", "[arcs]\nc1 : (0, 4) (1, 4)\n")
@@ -219,6 +220,26 @@ class TestReports:
         assert main(["evolve", "slide"]) == 0
         out = capsys.readouterr().out
         assert "(c1, c3) = 1" in out and "event r=3/8: handleslide" in out
+
+    def test_descending_trace_is_priced(self, tmp_path, capsys):
+        # the fall from 8 to 2 costs ln 4 under linear(c=1), as the rise would
+        p = write(tmp_path, "desc.scn", DESCENDING)
+        assert main(["escape", p]) == 0
+        out = capsys.readouterr().out
+        assert "step 0: 8 -> 2 costs 1.3862943611198904" in out
+        assert "flat steps: 0" in out
+        assert "verdict: InfeasibleWithinUnitTime" in out
+
+    def test_a_rise_whose_float_cost_rounds_to_zero_is_not_flat(
+            self, tmp_path, capsys):
+        p = write(tmp_path, "rise.scn", DESCENDING.replace(
+            "(0, 8) (1, 2)",
+            "(0, 100000000000000000000) (1, 100000000000000000001)"))
+        assert main(["escape", p]) == 0
+        out = capsys.readouterr().out
+        assert ("step 0: 100000000000000000000 -> 100000000000000000001 "
+                "costs 0.0") in out
+        assert "flat steps: 0" in out
 
     def test_escape_with_phi_flag(self, capsys):
         assert main(["escape", "slide", "--phi", "linear(c=9)"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import randgen
-from fixtures import chord, three_lane_tuple
+from fixtures import chord, three_lane_tuple, within
 from morseflow.algebra import homology
 from morseflow.bifurcation import FlowCounter, evolve
 from morseflow.cerf import CerfTuple, validate_cerf
@@ -16,8 +16,8 @@ from morseflow import escape
 from morseflow.cli import main
 from morseflow.errors import (MAX_LITERAL_DIGITS, EmptyTrace,
                               InvalidParameters, MorseflowError,
-                              NonMonotoneTail, PrecisionExhausted,
-                              ScenarioError, UnsupportedFamily, ZeroClass)
+                              PrecisionExhausted, ScenarioError,
+                              UnsupportedFamily, ZeroClass)
 from morseflow.escape import (NEG_INF, EscapeBudget, GrowthBound,
                               budget_for_heights, build_cascade, check_H1,
                               check_H2, escape_budget, iterlog, linear,
@@ -335,6 +335,15 @@ class TestCheckH1:
         with pytest.raises(PrecisionExhausted):
             check_H1(polylog(1, F(1, 10 ** 7)), t)
 
+    def test_power_cap_counts_the_power_side(self):
+        # x = 2 and u = 3 are 3 bits each, numerator and denominator, so
+        # with q = 1 the estimate is 3 + 3p: p = 699049 gives 2^21 - 2
+        # bits, p = 699050 one past the cap, through the u side alone
+        x, u = F(2), F(3)
+        assert escape._power_sign(x, u, F(699049)) == -1
+        with pytest.raises(PrecisionExhausted):
+            escape._power_sign(x, u, F(699050))
+
 
 class TestCheckH2:
     def test_inverse_square_holds_for_every_kappa(self):
@@ -442,9 +451,25 @@ class TestBudget:
         assert b.verdict == "WithinBudget"
         assert not b.escape_cost_infinite           # the escape gap
 
-    def test_descending_tail_is_rejected(self):
-        with pytest.raises(NonMonotoneTail):
-            budget_for_heights([2, 5, 4], linear(1))
+    def test_descending_step_costs_its_rise(self):
+        # the fall 5 -> 4 costs what the rise 4 -> 5 does, so the product
+        # of the steps' high / low is 5/2 * 5/4 = 25/8 > e
+        b = budget_for_heights([2, 5, 4], linear(1))
+        assert b.step_costs == (pytest.approx(math.log(F(5, 2)), rel=1e-12),
+                                pytest.approx(math.log(F(5, 4)), rel=1e-12))
+        assert b.total == pytest.approx(math.log(F(25, 8)), rel=1e-12)
+        assert b.verdict == "InfeasibleWithinUnitTime"
+        fall = budget_for_heights([5, 4], linear(1))
+        assert fall.step_costs == budget_for_heights([4, 5], linear(1)).step_costs
+
+    def test_linear_gap_ending_at_zero_prices_by_floats(self):
+        # a height clipped to 0 makes no ratio, so the exact path is
+        # not taken: ln(2) - ln(0) is infinite
+        b = budget_for_heights([0, 2], linear(1, gap=(-1, 0)))
+        assert b.total == INF
+        assert b.verdict == "InfeasibleWithinUnitTime"
+        b = budget_for_heights([2, 0, 2], linear(1, gap=(-1, 0)))
+        assert b.total == INF and b.verdict == "InfeasibleWithinUnitTime"
 
     def test_heights_below_the_gap_are_clipped(self):
         b = budget_for_heights([-5, 3, 8], linear(1))
@@ -774,3 +799,33 @@ class TestCascadeBudgetBounds:
                     break
                 n += 1
             assert trace.final_value() == 2 ** n
+
+
+class TestGrowthArgument:
+    """The paper's argument: when H1 holds, a class's value moves no
+    faster than |d rho/dr| <= Phi(rho), so the total variation of G
+    (G' = 1/Phi) over its trace is at most the parameter span 1, rising
+    or falling.  Under linear(c) the verdict is exact."""
+
+    def test_h1_keeps_every_trace_within_budget(self):
+        bounds = [linear(c) for c in (F(1, 2), 1, 3, 10, 50, 1000)]
+        priced = 0
+        with within(30):
+            for ring in (Z2, Z, Q):
+                for seed in range(100):
+                    sc = randgen.random_scenario(random.Random(
+                        "growth %s/%d" % (ring.name, seed)), ring)
+                    trace = track_class(
+                        {"l1": 1}, evolve(sc.gamma0, sc.events, sc.family),
+                        wide_window(sc.family))
+                    if all(seg.top is None for seg in trace.segments):
+                        continue            # a zero class has no price
+                    for phi in bounds:
+                        if not check_H1(phi, sc.family).ok:
+                            continue
+                        for direction in (1, -1):
+                            b = escape_budget(trace, phi, direction)
+                            assert b.verdict == "WithinBudget", (
+                                ring.name, seed, phi, direction, b.heights)
+                            priced += 1
+        assert priced > 500
