@@ -3,9 +3,10 @@
 A family is described by its diagram in the (parameter, action) strip
 [0, 1] x R: each critical point traces an arc carrying a piecewise-linear
 action profile, and arcs meet in pairs at birth and death vertices.  The
-loop and chord components are not declared: they follow from the arcs
-and vertices (CerfTuple.components).  Everything is exact: the parameter
-and the action values are rationals.
+loop and chord components are implicit: no field holds them, and the
+checks of validate_cerf make the arcs of an accepted family, joined at
+their vertices, form loops and chords.  Everything is exact: the
+parameter and the action values are rationals.
 
 The validator is total.  It returns a report listing every violation it
 finds rather than raising on the first one, so scenario authors see all
@@ -102,56 +103,6 @@ class Vertex(Value):
             raise InvalidTuple("vertex kind must be birth or death: %r" % (kind,))
 
 
-class Component(NamedTuple):
-    kind: str            # "loop" | "chord"
-    arcs: tuple
-
-
-def _components(arcs, vertices):
-    """Group arcs sharing a vertex; all-vertex ends make a loop.
-
-    Each component lists its arcs as a chain along shared vertices: a
-    chord from its first arc (in file order) with a boundary end, a loop
-    from its first arc, each step to the earliest unvisited neighbour.
-    Arcs the walk does not reach follow in file order.
-    """
-    parent = {a.id: a.id for a in arcs}
-    nbrs = {a.id: [] for a in arcs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in vertices:
-        if v.plus_arc in parent and v.minus_arc in parent:
-            parent[find(v.plus_arc)] = find(v.minus_arc)
-            nbrs[v.plus_arc].append(v.minus_arc)
-            nbrs[v.minus_arc].append(v.plus_arc)
-    groups = {}
-    for a in arcs:
-        groups.setdefault(find(a.id), []).append(a)
-    comps = []
-    for members in groups.values():
-        rank = {a.id: i for i, a in enumerate(members)}
-        chord = [a.id for a in members if any(
-            isinstance(tag, (BoundaryAt0, BoundaryAt1))
-            for tag in (a.lo_tag, a.hi_tag))]
-        walk = [chord[0] if chord else members[0].id]
-        seen = set(walk)
-        while True:
-            step = [b for b in nbrs[walk[-1]] if b not in seen]
-            if not step:
-                break
-            walk.append(min(step, key=rank.get))
-            seen.add(walk[-1])
-        walk += [a.id for a in members if a.id not in seen]
-        comps.append((members[0].id,
-                      Component("chord" if chord else "loop", tuple(walk))))
-    return tuple(c for _, c in sorted(comps))
-
-
 class CerfTuple(Value):
     _fields = ("arcs", "vertices")
 
@@ -164,12 +115,6 @@ class CerfTuple(Value):
                            {a.id: a for a in reversed(arcs)})
         object.__setattr__(self, "_vertex_by_id",
                            {v.id: v for v in reversed(vertices)})
-
-    @property
-    def components(self):
-        """The loops and chords the arcs form, joined at the vertices
-        (_components); derived, never declared."""
-        return _components(self.arcs, self.vertices)
 
     def arc(self, arc_id):
         """The first arc with this id."""
@@ -234,9 +179,9 @@ def validate_cerf(t, event_params=()):
     event_params: parameter values of declared non-vertex events, folded
     into the disjointness check when they are known to the caller.
 
-    No check reads the components; a report without errors proves they
-    are loops and chords (CerfTuple.components).  Every arc has two
-    ends.  The end-tag checks make each end either a boundary at its
+    The components are implicit, and no check reads them; a report
+    without errors proves that they are loops and chords.  Every arc has
+    two ends.  The end-tag checks make each end either a boundary at its
     footprint's end or a known vertex, and vertex-arcs makes each vertex
     join exactly its two distinct arcs, at one end of each.  So each arc
     is joined to at most two others, one per vertex end, and the arcs

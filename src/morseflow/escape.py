@@ -88,7 +88,9 @@ class GrowthBound(Value):
         object.__setattr__(self, "label", label)
 
     def value(self, s):
-        """Phi(s); exact Fraction when no transcendental factor enters."""
+        """Phi(s); exact Fraction when no transcendental factor enters,
+        and PrecisionExhausted when that Fraction passes
+        EXACT_POWER_CAP_BITS."""
         u = abs(frac(s))
         if not self.log_powers:
             if u == 0:
@@ -96,7 +98,8 @@ class GrowthBound(Value):
                     return Fraction(0)
                 return self.coefficient if self.power == 0 else INF
             if self.power.denominator == 1:
-                return self.coefficient * u ** int(self.power)
+                return self.coefficient * _power(u, int(self.power),
+                                                 self.coefficient)
             return float(self.coefficient) * float(u) ** float(self.power)
         x = float(u)
         out = float(self.coefficient) * x ** float(self.power)
@@ -123,10 +126,12 @@ class GrowthBound(Value):
         return True
 
     def _antiderivative(self, s):
-        """G(s) with G' = 1/Phi, for s above the positivity threshold.
+        """G(s) with G' = 1/Phi at a rational s; None where the iterated
+        logs of G are undefined.
 
         Every bound without log factors has one; with them, only p = 1
-        with every q = 1 does: the iterated log of s, over c.
+        with every q = 1 does: the iterated log of s, over c, defined
+        while each log's argument is positive.
         """
         c = self.coefficient
         if not self.log_powers:
@@ -134,11 +139,14 @@ class GrowthBound(Value):
                 return math.log(float(s)) / float(c)
             e = 1 - self.power
             if e.denominator == 1:
-                return frac(s) ** int(e) / (c * e)
+                scale = c * e
+                return _power(s, int(e), scale) / scale
             return float(s) ** float(e) / (float(c) * float(e))
         if self.power == 1 and all(q == 1 for q in self.log_powers):
-            x = math.log(float(s))
-            for _ in range(len(self.log_powers)):
+            x = float(s)
+            for _ in range(len(self.log_powers) + 1):
+                if x <= 0:
+                    return None
                 x = math.log(x)
             return x / float(c)
         raise UnsupportedFamily(
@@ -151,11 +159,14 @@ class GrowthBound(Value):
         Exact (rational) whenever the antiderivative stays rational.  lo
         and hi are read by frac; Phi is even, so the part of a climb below
         0 costs its mirror image's.  An end at 0 where 1/Phi is not
-        integrable (p >= 1, no log factor) costs INF, as does one where
-        the antiderivative's iterated logs are undefined (at most 1
-        under one log factor, e under two).  A climb whose float
+        integrable (p >= 1, no log factor) costs INF, as does a lower
+        end where the antiderivative's iterated logs are undefined (at
+        most 1 under one log factor, e under two).  The iterated logs
+        increase, so where they are defined at lo they are defined at
+        hi.  A climb whose float
         antiderivative leaves the range of floats raises
-        InvalidParameters.
+        InvalidParameters, and one whose exact antiderivative passes
+        EXACT_POWER_CAP_BITS raises PrecisionExhausted.
         """
         lo, hi = frac(lo), frac(hi)
         if lo > hi:
@@ -168,15 +179,16 @@ class GrowthBound(Value):
             return INF
         try:
             g_lo = self._antiderivative(lo)
+            if g_lo is None:
+                return INF
             return self._antiderivative(hi) - g_lo
-        except ValueError:
-            return INF
         except OverflowError:
             raise InvalidParameters("the cost of this climb leaves the "
                                     "range of floats") from None
 
     def tail_integral(self, m):
-        """INT_m^infinity ds/Phi in closed form; INF when divergent.
+        """INT_m^infinity ds/Phi in closed form; INF when divergent, and
+        PrecisionExhausted when an exact tail passes EXACT_POWER_CAP_BITS.
 
         By evenness of Phi this is also the integral from -infinity to
         -m.  m at or below the positivity threshold gives INF (the
@@ -192,7 +204,8 @@ class GrowthBound(Value):
                 return INF
             e = self.power - 1
             if e.denominator == 1:
-                return 1 / (self.coefficient * e * m ** int(e))
+                scale = self.coefficient * e
+                return 1 / (scale * _power(m, int(e), scale))
             return 1.0 / (float(self.coefficient) * float(e)
                           * float(m) ** float(e))
         raise UnsupportedFamily(
@@ -234,14 +247,41 @@ def polylog(c, p, logs=(), gap=None):
 # 1/1000 on inputs of a few hundred bits stays well inside it
 POWER_CAP_BITS = 1 << 21
 
+# bit cap on the exact powers that value, _antiderivative and
+# tail_integral build, coefficient included.  A report prints such a
+# value, or a step cost, the difference of two, whose numerator and
+# denominator then have at most _STEP_COST_BITS bits each: inside the
+# 14,284 bits (4,300 digits) that Python turns into text.
+EXACT_POWER_CAP_BITS = 7000
+_STEP_COST_BITS = 2 * EXACT_POWER_CAP_BITS + 1
+
+
+def _power_bits(x, n):
+    """The bits of x^n's numerator and denominator together, at most,
+    for a rational x and an int n (bit lengths add under products)."""
+    return abs(n) * (x.numerator.bit_length() + x.denominator.bit_length())
+
+
+def _power(x, n, scale):
+    """x^n, for a rational x and an int n, once the bits of x^n and of
+    the rational scale it is printed with stay within
+    EXACT_POWER_CAP_BITS; past it PrecisionExhausted is raised before any
+    work is done."""
+    need = _power_bits(x, n) + _power_bits(scale, 1)
+    if need > EXACT_POWER_CAP_BITS:
+        raise PrecisionExhausted(
+            "raising a %d-bit rational to the power %d needs %d bits, past "
+            "the cap of %d" % (_power_bits(x, 1), n, need,
+                               EXACT_POWER_CAP_BITS))
+    return x ** n
+
 
 def _power_sign(x, u, e):
     """Sign of x - u^e for positive rationals x, u and rational e = p/q:
     that of x^q - u^p, compared as integers.  Past POWER_CAP_BITS bits
     PrecisionExhausted is raised rather than a guess."""
     p, q = e.numerator, e.denominator
-    need = (q * (x.numerator.bit_length() + x.denominator.bit_length())
-            + abs(p) * (u.numerator.bit_length() + u.denominator.bit_length()))
+    need = _power_bits(x, q) + _power_bits(u, p)
     if need > POWER_CAP_BITS:
         raise PrecisionExhausted(
             "comparing %s with %s^%s needs %d-bit integers, past the cap of "
@@ -466,7 +506,10 @@ def budget_for_heights(heights, phi):
     positive the verdict is the exact comparison of P, the product of
     the steps' high / low, with e^c (_exceeds_exp); the printed total
     and step costs stay floats.  The -inf of a zero class is told from a
-    height by its type, so no height is compared with a float.
+    height by its type, so no height is compared with a float.  The
+    partial totals of a monotone climb are step costs too, so an exact
+    total past _STEP_COST_BITS, which only a trace that turns can reach,
+    raises PrecisionExhausted.
     """
     b = phi.gap[1]
     clipped = [b if type(s) is float and s == NEG_INF else max(frac(s), b)
@@ -487,6 +530,12 @@ def budget_for_heights(heights, phi):
         c = phi.cost(lo, hi)
         costs.append(c)
         total = total + c
+        if type(total) is Fraction and max(
+                total.numerator.bit_length(),
+                total.denominator.bit_length()) > _STEP_COST_BITS:
+            raise PrecisionExhausted(
+                "the total of these step costs needs more than %d bits, "
+                "the most a step cost needs" % _STEP_COST_BITS)
         if exact:
             ratio *= hi / lo
     over = _exceeds_exp(ratio, phi.coefficient) if exact else total > 1
@@ -501,10 +550,12 @@ def escape_budget(trace, phi, direction=1):
     The heights are each slab's rho_lo and rho_hi, -inf where the class
     is zero, priced as they are by budget_for_heights.  direction -1
     reflects them to bound a dive toward -infinity (the mirrored
-    computation of the negative direction); -inf stays as it is.  An
-    empty trace realizes no climb, so it has no budget and raises
-    EmptyTrace; nor does a class that is zero in the window, whose every
-    slab reads -inf with no top (ZeroClass).
+    computation of the negative direction); -inf stays as it is.  Phi
+    is even, so the reflected heights are priced under the mirrored
+    exclusion interval (-b, -a) of phi.gap = (a, b), and are clipped
+    below at -a.  An empty trace realizes no climb, so it has no budget
+    and raises EmptyTrace; nor does a class that is zero in the window,
+    whose every slab reads -inf with no top (ZeroClass).
     """
     if not trace.segments:
         raise EmptyTrace("the trace has no segments, so there is no climb "
@@ -515,6 +566,8 @@ def escape_budget(trace, phi, direction=1):
     heights = [v for seg in trace.segments for v in (seg.rho_lo, seg.rho_hi)]
     if direction <= 0:
         heights = [v if type(v) is float else -v for v in heights]
+        a, b = phi.gap
+        phi = phi._replace(gap=(-b, -a))
     return budget_for_heights(heights, phi)
 
 

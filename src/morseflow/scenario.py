@@ -26,12 +26,11 @@ literals, so coefficient arithmetic never sees floating point.  Example:
     [track]
     class = c1 + c2
 
-Components are not written: arcs sharing a vertex belong to one
-component, and a component whose free ends are all vertices is a loop
-(CerfTuple.components derives them).  `#` starts
-a comment; blank lines separate nothing.  The [phi] and [rabinowitz]
-sections configure the growth-bound commands; see docs/format.md for
-the complete grammar.
+Components are not written: they are implicit in the arcs and the
+vertices joining them, and validate_cerf's checks make them loops and
+chords.  `#` starts a comment; blank lines separate nothing.  The [phi]
+and [rabinowitz] sections configure the growth-bound commands; see
+docs/format.md for the complete grammar.
 
 One reader (_read) takes every record of keyed fields, growth bounds
 included, and one table (_FIELDS) declares each record kind's keys,

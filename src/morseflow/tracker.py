@@ -111,8 +111,12 @@ class Window(NamedTuple):
 
 
 def wide_window(t):
-    """Constant window clearing every action value of the family by 1."""
+    """Constant window clearing every action value of the family by 1.
+    A family with no arcs gets (-1, 1), as one whose every action is 0
+    does: every window is usable for it."""
     lo, hi = t.f3_range()
+    if lo is None:
+        lo = hi = 0
     return Window.constant(lo - 1, hi + 1)
 
 

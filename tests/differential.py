@@ -26,9 +26,9 @@ Probe kinds:
   top at every interval midpoint; and validate_axioms's findings on the
   family and on copies with one entry of the initial count matrix
   reversed.
-* escape: under the bounds linear, square, polylog p=1/2 and iterlog
-  depth 1, check_H1 on randgen families, 50 per ring, and on cascades 6
-  and 12; escape_budget on each one's trace in the wide window, and on
+* escape: under the bounds linear, linear with the asymmetric gap
+  (-1, 5), square, polylog p=1/2 and iterlog depth 1, check_H1 on
+  randgen families, 50 per ring, and on cascades 6 and 12; escape_budget on each one's trace in the wide window, and on
   two traces of c3 in the bundled slide (the boundary of c2): one in its
   window, where the class is zero (ZeroClass), and one in the window
   (3/2, 10), which it leaves at once (EmptyTrace); and budget_for_heights
@@ -335,7 +335,8 @@ def probe_escape(work):
     from morseflow.scenario import load_scenario
     from morseflow.tracker import Window, track_class, wide_window
 
-    bounds = [("linear", linear(1)), ("square", square(1)),
+    bounds = [("linear", linear(1)), ("linear gap=(-1, 5)", linear(1, (-1, 5))),
+              ("square", square(1)),
               ("polylog p=1/2", polylog(1, F(1, 2))),
               ("iterlog 1", iterlog(1, 1))]
     logs = []

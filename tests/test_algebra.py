@@ -92,6 +92,28 @@ class TestSparseMatrix:
         with pytest.raises(DimensionMismatch):
             m.mul(other)
 
+    def test_every_door_refuses_an_index_outside_its_sets(self):
+        m = mat(Z, ["a", "b"], {("a", "b"): 3})
+        with pytest.raises(DimensionMismatch, match="outside the declared"):
+            SparseMatrix(Z, ["a"], ["a"], {("a", "z"): 1})
+        with pytest.raises(DimensionMismatch, match="outside the index sets"):
+            m.entry("a", "z")
+        with pytest.raises(DimensionMismatch, match="restriction outside"):
+            m.restrict(["a", "z"])
+        with pytest.raises(DimensionMismatch, match="outside the operator"):
+            vec_apply(Z, {"z": 1}, m)
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_mixed_rings_are_refused(self, op):
+        m = mat(Z, ["a", "b"], {("a", "b"): 3})
+        with pytest.raises(DimensionMismatch, match="mixed coefficient rings"):
+            getattr(m, op)(mat(Q, ["a", "b"], {("a", "b"): 3}))
+
+    def test_a_matrix_never_equals_a_non_matrix(self):
+        m = mat(Z, ["a"], {})
+        assert m.__eq__(m.entries) is NotImplemented
+        assert m != {} and m != ()
+
     def test_restrict(self):
         m = mat(Z, ["a", "b", "c"], {("a", "b"): 1, ("a", "c"): 2})
         r = m.restrict(["a", "b"])
@@ -629,6 +651,15 @@ class TestChainMaps:
     def test_identity_between_different_differentials_fails(self):
         ident = SparseMatrix.identity(Z2, ["c1", "c2", "c3"])
         assert not is_chain_map(ident, self.d_plus(Z2), self.d_minus(Z2))
+
+    def test_a_non_square_differential_is_refused(self):
+        ids = ["c1", "c2", "c3"]
+        d = self.d_plus(Z2)
+        skew = SparseMatrix(Z2, ids, ["c1", "c2"], {})
+        ident = SparseMatrix.identity(Z2, ids)
+        for d_from, d_to in ((skew, d), (d, skew)):
+            with pytest.raises(DimensionMismatch, match="must be square"):
+                is_chain_map(ident, d_from, d_to)
 
     def test_birth_triple_homotopy(self):
         # one old generator c, a born pair (p upper, m lower), pivot 1,

@@ -196,6 +196,14 @@ class TestBirth:
         out, _ = apply_birth(fc, ev, t)
         assert out.entries == {("up", "down"): 1, ("c1", "down"): 1}
 
+    def test_a_death_vertex_is_no_birth(self):
+        t = eyeball_with_bystander()
+        fc = counter(Z2, ("c1", "up", "down"), {("up", "down"): 1},
+                     F(1, 4), F(3, 4))
+        with pytest.raises(EvolutionError,
+                           match="^vertex 'vd' is a death, not a birth$"):
+            apply_birth(fc, EventRecord(F(3, 4), Birth("vd", 1)), t)
+
     def test_non_unit_pivot(self):
         t = birth_tuple()
         fc = counter(Z, ("c1",), {}, 0, F(1, 2))
@@ -270,6 +278,13 @@ class TestDeath:
                      F(1, 4), F(3, 4))
         with pytest.raises(NonUnitPivot):
             apply_death(fc, EventRecord(F(3, 4), Death("vd")), t)
+
+    def test_a_birth_vertex_is_no_death(self):
+        t = birth_tuple()
+        fc = counter(Z2, ("c1",), {}, 0, F(1, 2))
+        with pytest.raises(EvolutionError,
+                           match="^vertex 'vb' is a birth, not a death$"):
+            apply_death(fc, EventRecord(F(1, 2), Death("vb")), t)
 
     def test_zero_constraints(self):
         t = eyeball_with_bystander()

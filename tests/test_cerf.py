@@ -1,8 +1,7 @@
-"""Family data model: validation, derived components, crossings of the
-front, lifting."""
+"""Family data model: validation, the premises of its loops-and-chords
+proof, crossings of the front, lifting."""
 
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex,
-                            legendrian_lift, validate_cerf)
+                            _segments_cross, legendrian_lift, validate_cerf)
 from morseflow.errors import NonIsolatedCusp, VerticalTangency
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Z2
@@ -130,26 +129,10 @@ class TestLookupById:
             t.vertex("c1")
 
 
-def free_ends(chain, loop):
-    """The end tags of chain's arcs left once each consecutive pair, and
-    for a loop the last and first arc, is joined at a vertex both tag;
-    fails where a pair shares none."""
-    ends = [[a.lo_tag, a.hi_tag] for a in chain]
-    links = list(zip(range(len(chain) - 1), range(1, len(chain))))
-    if loop:
-        links.append((len(chain) - 1, 0))
-    for i, j in links:
-        shared = [tag for tag in ends[i] if tag in ends[j]
-                  and isinstance(tag, (BirthVertex, DeathVertex))]
-        assert shared, "%s and %s share no vertex" % (chain[i].id, chain[j].id)
-        ends[i].remove(shared[0])
-        ends[j].remove(shared[0])
-    return [tag for tags in ends for tag in tags]
-
-
 class TestDerivedComponents:
-    """What validate_cerf's docstring proves of an accepted family: its
-    components are loops and chords."""
+    """The premises from which validate_cerf's docstring proves that the
+    components of an accepted family are loops and chords, read off the
+    tags and compared with the declarations."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -161,18 +144,20 @@ class TestDerivedComponents:
             t = randgen.mutate(rng, t, kind) or t
         if not validate_cerf(t).ok:
             return
-        comps = t.components
-        assert Counter(x for c in comps for x in c.arcs) == Counter(
-            a.id for a in t.arcs)
-        for c in comps:
-            loop = c.kind == "loop"
-            assert len(c.arcs) > 1 or not loop
-            ends = free_ends([t.arc(x) for x in c.arcs], loop)
-            if loop:
-                assert ends == []
-            else:
-                assert len(ends) == 2 and all(
-                    isinstance(tag, (BoundaryAt0, BoundaryAt1)) for tag in ends)
+        ends = [(a.id, tag) for a in t.arcs for tag in (a.lo_tag, a.hi_tag)]
+        tagged = [(aid, tag.vertex) for aid, tag in ends
+                  if isinstance(tag, (BirthVertex, DeathVertex))]
+        for v in t.vertices:
+            # one end each of exactly its two declared, distinct arcs
+            at = [aid for aid, vid in tagged if vid == v.id]
+            assert v.plus_arc != v.minus_arc
+            assert sorted(at) == sorted((v.plus_arc, v.minus_arc)), v.id
+        # so no end names any other vertex, and every other end is a
+        # boundary
+        assert len(tagged) == 2 * len(t.vertices)
+        assert all(isinstance(tag, (BoundaryAt0, BoundaryAt1))
+                   for _, tag in ends
+                   if not isinstance(tag, (BirthVertex, DeathVertex)))
 
 
 class TestFront:
@@ -212,6 +197,26 @@ class TestLift:
         # last stroke crosses the first with a different slope
         res = legendrian_lift([(0, 0), (4, 4), (5, 3), (0, 1)])
         assert res.embedded
+
+    def test_one_sample_has_no_segment(self):
+        with pytest.raises(VerticalTangency, match="at least two samples"):
+            legendrian_lift([(0, 0)])
+
+    @pytest.mark.parametrize("s_values", [(0, 1, 1), (0, 2, 1), (0, 1)])
+    def test_parameters_must_strictly_increase(self, s_values):
+        # one per sample, each above the last
+        with pytest.raises(NonIsolatedCusp, match="strictly increase"):
+            legendrian_lift([(0, 0), (1, 1), (2, 0)], s_values)
+
+    @pytest.mark.parametrize("q0, q1, hit", [
+        ((0, 1), (1, 2), None),
+        ((2, 2), (3, 3), None),
+        ((-2, -2), (-1, -1), None),
+        ((F(1, 2), F(1, 2)), (3, 3), ("overlap", None))],
+        ids=["parallel", "collinear beyond", "collinear before", "overlapping"])
+    def test_parallel_segments_cross_only_where_they_overlap(self, q0, q1,
+                                                             hit):
+        assert _segments_cross((0, 0), (1, 1), q0, q1) == hit
 
     def test_overlap_flagged(self):
         res = legendrian_lift([(0, 0), (2, 0), (1, 1), (F(1, 2), 0), (3, 0)])

@@ -136,6 +136,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "disjoint" in err
 
+    def test_validate_needs_a_scenario(self, capsys):
+        assert main(["validate"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: this command needs a scenario argument\n")
+
+    def test_run_refuses_an_unknown_command(self):
+        with pytest.raises(errors.ScenarioError,
+                           match="^unknown command 'frobnicate'$"):
+            cli.run("frobnicate", "slide", None)
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no_such_scenario"]) == 1
 

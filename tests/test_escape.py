@@ -185,6 +185,14 @@ class TestAntiderivatives:
         assert iterlog(1, 2).tail_integral(10) == INF
         assert reciprocal().tail_integral(1) == INF
 
+    def test_cost_where_the_iterated_logs_are_undefined_is_infinite(self):
+        # log log s needs s > 1, and log log log s needs s > e: a lower
+        # end below that is not integrable, and one above it is
+        assert iterlog(1, 1).cost(F(1, 2), 5) == INF
+        assert iterlog(1, 2).cost(2, 20) == INF
+        assert iterlog(1, 1).cost(F(3, 2), 5) == pytest.approx(
+            math.log(math.log(5)) - math.log(math.log(1.5)))
+
     def test_tail_integral_unregistered_family(self):
         phi = polylog(1, 2, (1,), gap=(-2, 2))
         assert not phi.diverges_at_infinity()
@@ -345,6 +353,56 @@ class TestCheckH1:
             escape._power_sign(x, u, F(699050))
 
 
+class TestPowerCap:
+    """Exact integer powers stay within escape.EXACT_POWER_CAP_BITS, so
+    the work is bounded and every exact value a report prints turns into
+    text."""
+
+    def test_the_three_powers_refuse_a_huge_exponent_at_once(self):
+        phi = polylog(1, 10 ** 6)
+        with within(5):
+            for fn in (lambda: phi.value(2), lambda: phi.cost(2, 3),
+                       lambda: phi.tail_integral(2)):
+                with pytest.raises(PrecisionExhausted):
+                    fn()
+
+    def test_the_estimate_counts_the_coefficient(self):
+        # by the estimate 2^p takes 3p bits, c = 1 two and c = 15 five:
+        # 6998 and 7001 bits at p = 2332, 7001 at p = 2333
+        assert polylog(1, 2332).value(2) == 2 ** 2332
+        with pytest.raises(PrecisionExhausted):
+            polylog(1, 2333).value(2)
+        with pytest.raises(PrecisionExhausted):
+            polylog(15, 2332).value(2)
+
+    @pytest.mark.parametrize("lo, hi", [(3, 5), (F(2, 3), F(5, 7)),
+                                        (7, 2 ** 61 - 1)],
+                             ids=["3 to 5", "2/3 to 5/7", "7 to 2^61 - 1"])
+    def test_the_largest_admitted_power_prints(self, lo, hi):
+        p = 7000
+        while True:
+            try:
+                cost = polylog(1, p).cost(lo, hi)
+                break
+            except PrecisionExhausted:
+                p -= 1
+        assert isinstance(cost, F) and cost > 0
+        assert len(str(cost)) > 1000
+        assert str(polylog(1, p).tail_integral(hi))
+
+    @pytest.mark.parametrize("n, p", [(6, "100000"), (6, "1000000"),
+                                      (12, "3000")])
+    def test_escape_exits_4_past_the_cap(self, tmp_path, capsys, n, p):
+        assert main(["cascade", "--n", str(n), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / ("cascade%d.scn" % n))
+        with within(5):
+            code = main(["escape", path, "--phi", "polylog(c=1, p=%s)" % p])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCheckH2:
     def test_inverse_square_holds_for_every_kappa(self):
         phi = polylog(1, -2, gap=(F(-1, 2), F(1, 2)))
@@ -462,6 +520,25 @@ class TestBudget:
         fall = budget_for_heights([5, 4], linear(1))
         assert fall.step_costs == budget_for_heights([4, 5], linear(1)).step_costs
 
+    @pytest.mark.parametrize("gap, start, end, total, verdict", [
+        # the dive -1 -> -5 leaves the gap (-1, 5) at -1, so it costs ln 5
+        ((-1, 5), -1, -5, math.log(5), "InfeasibleWithinUnitTime"),
+        # the dive -2 -> -4 stays inside the gap (-5, 1): it costs nothing
+        ((-5, 1), -2, -4, 0, "WithinBudget")],
+        ids=["leaving the gap", "inside the gap"])
+    def test_a_dive_is_priced_under_the_mirrored_gap(self, gap, start, end,
+                                                     total, verdict):
+        t = tuple_of(chord("c1", [(0, start), (1, end)]))
+        fc0 = FlowCounter(0, F(0), F(1), SparseMatrix(Z2, ["c1"], ["c1"], {}))
+        trace = track_class({"c1": Z2.one}, evolve(fc0, (), t),
+                            wide_window(t))
+        b = escape_budget(trace, linear(1, gap=gap), direction=-1)
+        assert b.total == pytest.approx(total, rel=1e-12)
+        assert b.verdict == verdict
+        # the mirror image of the dive, a climb under the mirrored gap
+        mirror = linear(1, gap=(-gap[1], -gap[0]))
+        assert b == budget_for_heights([-start, -end], mirror)
+
     def test_linear_gap_ending_at_zero_prices_by_floats(self):
         # a height clipped to 0 makes no ratio, so the exact path is
         # not taken: ln(2) - ln(0) is infinite
@@ -550,6 +627,14 @@ class TestBudget:
         assert (budget_for_heights([1, q], linear(1)).verdict
                 == ("InfeasibleWithinUnitTime" if oracles.exp_exceeds(q, 1)
                     else "WithinBudget"))
+
+    def test_a_total_that_passes_a_step_cost_bits_raises(self):
+        # each G(h) = h^-499 / -499 at these 13-bit primes fits the power
+        # cap, but a trace that turns sums the coprime denominators
+        phi = polylog(1, 500)
+        assert budget_for_heights([8191, 8179], phi).total > 0
+        with pytest.raises(PrecisionExhausted):
+            budget_for_heights([8191, 8179, 8191, 8171, 8191, 8167], phi)
 
     def test_str_summary(self):
         b = budget_for_heights([2, 4], square(1))

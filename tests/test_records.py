@@ -21,8 +21,8 @@ from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
                                    EventStep, EvolutionLog, FlowCounter,
                                    HandleSlide, evolve)
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
-                            CerfTuple, Component, DeathVertex, Finding,
-                            LiftResult, ValidationReport, Vertex)
+                            CerfTuple, DeathVertex, Finding, LiftResult,
+                            ValidationReport, Vertex)
 from morseflow.cli import RunArtifacts, data_path
 from morseflow.errors import InvalidParameters, InvalidTuple
 from morseflow.escape import EscapeBudget, GrowthBound, H1Report, H2Report
@@ -44,7 +44,6 @@ RECORDS = {
     ChainMapBundle: (("kind", "forward", "backward", "homotopy"),
                      {"homotopy": None}),
     EvolutionLog: (("family", "intervals", "steps"), {}),
-    Component: (("kind", "arcs"), {}),
     Finding: (("code", "severity", "message"), {}),
     ValidationReport: (("findings",), {}),
     LiftResult: (("samples", "contact_residuals", "nontransverse"), {}),

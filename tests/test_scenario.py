@@ -106,37 +106,20 @@ class TestParseBasics:
         assert sc.model_rho0 == F(1, 3) and sc.model_kappa == 1
 
 
-class TestComponentInference:
-    def test_loop_when_all_ends_are_vertices(self):
-        sc = load_scenario(data_path("eyeball"))
-        kinds = {c.kind: c.arcs for c in sc.family.components}
-        assert kinds["loop"] == ("up", "down") or kinds["loop"] == ("down", "up")
-
-    def test_chord_when_any_end_is_boundary(self):
-        sc = load_scenario(data_path("birth"))
-        by_first = {c.arcs[0]: c.kind for c in sc.family.components}
-        assert by_first["c1"] == "chord"
-        assert by_first.get("up", by_first.get("down")) == "chord"
-
+class TestFileOrder:
+    # a chord A - B - C joined at v1 and v2; components are not declared
     ZIGZAG = {"A": "A : (0, 5) (1/2, 3) ends=boundary,death(v1)",
               "B": "B : (1/4, 2) (1/2, 3) ends=birth(v2),death(v1)",
               "C": "C : (1/4, 2) (1, 0) ends=birth(v2),boundary"}
 
     @pytest.mark.parametrize("order", ["ABC", "ACB", "BAC", "BCA", "CAB", "CBA"])
-    def test_chord_arcs_follow_the_chain_in_any_file_order(self, order):
+    def test_a_chain_validates_in_any_file_order(self, order):
         text = ("[arcs]\n" + "\n".join(self.ZIGZAG[x] for x in order)
                 + "\n[vertices]\nv1 : death r=1/2 f3=3 plus=A minus=B\n"
                 "v2 : birth r=1/4 f3=2 plus=B minus=C\n")
-        sc = parse_scenario(text)
-        (comp,) = sc.family.components
-        assert comp.kind == "chord"
-        assert "".join(comp.arcs) in ("ABC", "CBA")
-        assert validate_cerf(sc.family).ok
-
-    def test_singleton_chords(self):
-        sc = load_scenario(data_path("slide"))
-        assert all(c.kind == "chord" and len(c.arcs) == 1
-                   for c in sc.family.components)
+        t = parse_scenario(text).family
+        assert "".join(a.id for a in t.arcs) == order
+        assert validate_cerf(t).ok
 
 
 class TestParseChain:
@@ -582,7 +565,7 @@ class TestGrowthBoundText:
 def assert_text_fixed_point(sc):
     """serialize -> parse gives the family back, and serializing that
     gives the first text back.  Families compare by their arcs and
-    vertices, from which both sides derive the same components."""
+    vertices."""
     text = serialize_scenario(sc)
     back = parse_scenario(text)
     assert back.family == sc.family

@@ -171,6 +171,24 @@ class TestWindow:
         assert window_violation(w, t) is None
         assert w.a.value(0) == 0 and w.b.value(0) == 7
 
+    def test_wide_window_of_a_family_without_arcs(self):
+        t = CerfTuple(())
+        assert t.f3_range() == (None, None)
+        w = wide_window(t)
+        assert w == Window.constant(-1, 1)
+        assert validate_window(w, t) == {}
+
+    def test_a_repeated_arc_id_takes_its_first_arcs_side(self, monkeypatch):
+        # such a family fails validate_cerf (duplicate-id); the entry
+        # still reads each id once, from its first arc, as CerfTuple.arc
+        low, high = chord("a", [(0, 4), (1, 4)]), chord("a", [(0, 20), (1, 20)])
+        monkeypatch.setattr(tracker, "_prepared", None)
+        for arcs, side in (((low, high), tracker.INSIDE),
+                           ((high, low), tracker.ABOVE)):
+            sides, inside, _ = tracker._window(WIDE, CerfTuple(arcs))
+            assert sides == {"a": side}
+            assert inside == (["a"] if side == tracker.INSIDE else [])
+
     def test_equal_but_distinct_objects_share_a_verdict(self):
         t1, t2 = three_lane_tuple(), three_lane_tuple()
         for lo, hi in ((0, 10), (0, 3), (1, 10), (F(1, 2), 7), (5, 5)):
