@@ -89,8 +89,9 @@ class GrowthBound(Value):
 
     def value(self, s):
         """Phi(s); exact Fraction when no transcendental factor enters,
-        and PrecisionExhausted when that Fraction passes
-        EXACT_POWER_CAP_BITS."""
+        PrecisionExhausted when that Fraction passes EXACT_POWER_CAP_BITS,
+        and InvalidParameters when a float power leaves the range of
+        floats."""
         u = abs(frac(s))
         if not self.log_powers:
             if u == 0:
@@ -100,10 +101,9 @@ class GrowthBound(Value):
             if self.power.denominator == 1:
                 return self.coefficient * _power(u, int(self.power),
                                                  self.coefficient)
-            return float(self.coefficient) * float(u) ** float(self.power)
-        x = float(u)
-        out = float(self.coefficient) * x ** float(self.power)
-        y = x
+            return float(self.coefficient) * _float_power(u, self.power)
+        out = float(self.coefficient) * _float_power(u, self.power)
+        y = float(u)
         for q in self.log_powers:
             y = math.log(y)
             out *= y ** float(q)
@@ -187,8 +187,10 @@ class GrowthBound(Value):
                                     "range of floats") from None
 
     def tail_integral(self, m):
-        """INT_m^infinity ds/Phi in closed form; INF when divergent, and
-        PrecisionExhausted when an exact tail passes EXACT_POWER_CAP_BITS.
+        """INT_m^infinity ds/Phi in closed form; INF when divergent,
+        PrecisionExhausted when an exact tail passes EXACT_POWER_CAP_BITS,
+        and InvalidParameters when a float power leaves the range of
+        floats.
 
         By evenness of Phi this is also the integral from -infinity to
         -m.  m at or below the positivity threshold gives INF (the
@@ -207,7 +209,7 @@ class GrowthBound(Value):
                 scale = self.coefficient * e
                 return 1 / (scale * _power(m, int(e), scale))
             return 1.0 / (float(self.coefficient) * float(e)
-                          * float(m) ** float(e))
+                          * _float_power(m, e))
         raise UnsupportedFamily(
             "no closed-form tail registered for %s" % self._exponents())
 
@@ -276,6 +278,17 @@ def _power(x, n, scale):
     return x ** n
 
 
+def _float_power(x, e):
+    """float(x) ** float(e) for rationals x >= 0 and e; InvalidParameters
+    where it leaves the range of floats.  The message names no operand,
+    whose digits may be past what Python prints."""
+    try:
+        return float(x) ** float(e)
+    except OverflowError:
+        raise InvalidParameters("a float power of this growth bound leaves "
+                                "the range of floats") from None
+
+
 def _power_sign(x, u, e):
     """Sign of x - u^e for positive rationals x, u and rational e = p/q:
     that of x^q - u^p, compared as integers.  Past POWER_CAP_BITS bits
@@ -284,8 +297,10 @@ def _power_sign(x, u, e):
     need = _power_bits(x, q) + _power_bits(u, p)
     if need > POWER_CAP_BITS:
         raise PrecisionExhausted(
-            "comparing %s with %s^%s needs %d-bit integers, past the cap of "
-            "%d" % (x, u, e, need, POWER_CAP_BITS))
+            "comparing a %d-bit rational with a %d-bit one to a %d-bit "
+            "power needs %d-bit integers, past the cap of %d"
+            % (_power_bits(x, 1), _power_bits(u, 1), _power_bits(e, 1), need,
+               POWER_CAP_BITS))
     if p < 0:
         u, p = 1 / u, -p
     lhs = x.numerator ** q * u.denominator ** p

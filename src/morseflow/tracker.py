@@ -27,20 +27,20 @@ every read of it judges it again and raises InvalidWindow.  A pair
 whose lives do not meet, or whose value ranges are strictly apart (the
 kernel's _range and _apart), never meets, so it adds no crossings and
 is not walked.
-validate_window, filtered_homology, full_homology, spectral_value and
-track_class read the entries of the family they are given.  One slot
-holds the entries of the last family read, keyed by its identity, and
-each entry is keyed by its window's value.  A profile's integer points
-are its own (Piecewise.ints); spectral_value, track_class and
-_window_cuts look each in-window arc's profile up once per call.
+validate_window, filtered_homology, full_homology and track_class read
+the entries of the family they are given.  One slot holds the entries of
+the last family read, keyed by its identity, and each entry is keyed by
+its window's value.  A profile's integer points are its own
+(Piecewise.ints); track_class and _window_cuts look each in-window
+arc's profile up once per call.
 
 An interval's in-window generators have one reader, _interval_gens:
 the window's in-window ids among the rows of the interval's count
 matrix.  The rows are the arcs alive on the interval (evolve checks it),
 so no reader scans the family's arcs.  Each entry point finds its
 interval one way: filtered_homology is given it and checks that r lies
-in it, and spectral_value and full_homology take it from
-EvolutionLog.counter_at; an event parameter raises DegenerateParameter.
+in it, and full_homology takes it from EvolutionLog.counter_at; an
+event parameter raises DegenerateParameter.
 The windowed complex has one reader too, _window_complex: the count
 matrix itself when the window holds every row, and its restriction
 otherwise.  A matrix keeps its homology (matrix.py), so in a window
@@ -48,9 +48,9 @@ that holds every arc alive filtered_homology, full_homology and the
 count matrix's own homology share one computation, and the sweep reads
 the count matrix without copying it.
 A trace walks the window's sorted crossings with one pointer across the
-intervals, so each interval reads only the crossings inside it.  Every
-reader of a class's coset, spectral_value and the sweep, orders only
-the generators that the representative or an entry of the windowed
+intervals, so each interval reads only the crossings inside it.  The
+sweep is the one reader of a class's coset.  It orders only the
+generators that the representative or an entry of the windowed
 differential holds (_coset_gens gives the proof): no other generator is
 nonzero in any element of the coset, so the sweep cuts an interval only
 where two of them meet.  It minimizes on every slab: that order is
@@ -89,8 +89,7 @@ from .bifurcation import HandleSlide
 from .errors import (DegenerateParameter, InvalidWindow, NonNestedLadder,
                      NotACycle, VerificationFailed)
 from .matrix import vec_apply
-from .piecewise import (Piecewise, _apart, _range, _ratio_at, _walk,
-                        crossings, frac)
+from .piecewise import Piecewise, _apart, _range, _ratio_at, _walk, crossings
 
 NEG_INF = float("-inf")
 
@@ -287,13 +286,6 @@ def continuation_map(ev, log):
 # ---------------------------------------------------------------------------
 # spectral values
 
-class SpectralValue(NamedTuple):
-    value: object            # Fraction, or -inf for the zero class
-    certified: bool          # proven minimal (see _coset_minimize): always True
-    support: tuple = ()
-    top: object = None
-
-
 # generators as (num, den > 0, str(id)): higher action first, compared by
 # one cross product, ties by str(id)
 _DESCENDING = functools.cmp_to_key(
@@ -389,28 +381,6 @@ def _window_rep(h, fc, sides, inside, where):
     if vec_apply(ring, rep, d):
         raise NotACycle("representative is not a cycle in the window %s" % where)
     return gens, rep, d
-
-
-def spectral_value(h, r, log, w):
-    """Least achievable top action of the class of h at parameter r.
-
-    h is a representative chain over the arcs alive at r (entries below
-    the window floor are quotiented away).  The zero class reports -inf.
-    An unusable window raises InvalidWindow.
-    """
-    t = log.family
-    sides, inside, _ = _window(w, t)
-    r = frac(r)
-    gens, rep, d = _window_rep(h, log.counter_at(r), sides, inside,
-                               "at r=%s" % r)
-    gens = _coset_gens(gens, rep, d)[0]
-    prof = {g: t.arc(g).f3 for g in gens}
-    order = sorted(gens, key=_order_key(prof, *r.as_integer_ratio()))
-    support = _coset_minimize(d.ring, d, rep, order)
-    if not support:
-        return SpectralValue(NEG_INF, True)
-    top = support[0]
-    return SpectralValue(prof[top].value(r), True, support, top)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ Probe kinds:
   three drawn windows whose cutoffs have 2-3 knots at values near the
   arcs' knot values, so that their ranges overlap the arcs' and the
   walk decides; in each usable one, track_class(...).table() of l1 (and
-  of l1 + l2 when l2 exists) and spectral_value's value, support and
-  top at every interval midpoint; and validate_axioms's findings on the
+  of l1 + l2 when l2 exists); and validate_axioms's findings on the
   family and on copies with one entry of the initial count matrix
   reversed.
 * escape: under the bounds linear, linear with the asymmetric gap
@@ -45,7 +44,9 @@ Probe kinds:
   l2 exists) on randgen families, 150 per ring over Z2, Z and Q, and of
   c1 on cascades 6, 12 and 30, in wide_window and in the window
   (10, 200): every slab with its support, the transfers, the outcome and
-  the classes.
+  the classes, and whether certify.certify_trace certifies every slab
+  (certify.py builds the witnesses with each tree's own echelon), so a
+  slab that is not minimal differs against any revision.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
   homology of every interval's count matrix, filtered_homology at the
   interval's midpoint in wide_window and in the window (10, 200), and
@@ -102,7 +103,9 @@ Probe kinds:
   domain; and the growth-bound doors at each value: polylog's logs as
   the value and as its one exponent, GrowthBound's log exponents, each
   end of linear(1).cost, and the lower end of square(1).cost up to 2
-  and of polylog(1, 1/2, gap=(-1, 1)).cost up to -1.
+  and of polylog(1, 1/2, gap=(-1, 1)).cost up to -1; the float power
+  of polylog(1, 2001/2) in value and tail_integral at 3, past the range
+  of floats; and escape._power_sign's refusal on a 5,001-digit base.
 
 A library probe (ladder, geometry, escape, values, track, homology, parse,
 coset, maps, affine, numbers) records the repr of each result, or the
@@ -257,12 +260,8 @@ def probe_geometry(work):
     from morseflow.matrix import SparseMatrix
     from morseflow.piecewise import crossings
     from morseflow.rings import Q, Z, Z2
-    from morseflow.tracker import (spectral_value, track_class,
-                                   validate_window, window_violation)
-
-    def spectral(h, r, log, w):
-        sv = spectral_value(h, r, log, w)
-        return sv.value, sv.support, sv.top
+    from morseflow.tracker import (track_class, validate_window,
+                                   window_violation)
 
     cases = {}
     for ring in (Z2, Z, Q):
@@ -299,10 +298,6 @@ def probe_geometry(work):
                 for hl, h in hs:
                     cases["%s track %s" % (key, hl)] = _attempt(
                         lambda: track_class(h, log, w).table())
-                    for fc in log.intervals:
-                        r = fc.midpoint()
-                        cases["%s spectral %s r=%s" % (key, hl, r)] = _attempt(
-                            lambda: spectral(h, r, log, w))
             g0 = sc.gamma0
             cases[name + " axioms"] = _attempt(
                 lambda: validate_axioms(g0, sc.events, t).findings)
@@ -436,6 +431,7 @@ def probe_values(work):
 
 
 def probe_track(work):
+    import certify
     import randgen
     from morseflow.bifurcation import evolve
     from morseflow.escape import build_cascade
@@ -456,13 +452,17 @@ def probe_track(work):
                 hs.append(("l1+l2", {"l1": 1, "l2": 1}))
             runs.append(("randgen %s seed %d" % (ring.name, seed), sc.family,
                          evolve(sc.gamma0, sc.events, sc.family), hs))
+    def certified(h, log, w):
+        trace = track_class(h, log, w)
+        return trace, not certify.certify_trace(trace, log, w)
+
     cases = {}
     for label, t, log, hs in runs:
         for wl, w in (("wide", wide_window(t)),
                       ("(10, 200)", Window.constant(10, 200))):
             for hl, h in hs:
                 cases["track %s window %s %s" % (label, wl, hl)] = _attempt(
-                    lambda: track_class(h, log, w))
+                    lambda: certified(h, log, w))
     return cases
 
 
@@ -679,7 +679,8 @@ NUMBER_VALUES = [0, 1, -7, 2, 10 ** 400, True, False, F(1, 2), F(-6, 2),
 
 
 def probe_numbers(work):
-    from morseflow.escape import GrowthBound, linear, polylog, square
+    from morseflow.escape import (GrowthBound, _power_sign, linear, polylog,
+                                  square)
     from morseflow.piecewise import Piecewise, _side, frac
     from morseflow.rings import Q, Z, Z2
 
@@ -729,6 +730,12 @@ def probe_numbers(work):
                 lambda: _side(f, g, r, after))
             cases["numbers _side f f r=%s after=%s" % (r, after)] = attempt(
                 lambda: _side(f, f, r, after))
+    steep = polylog(1, F(2001, 2))
+    cases["numbers polylog p=2001/2 value"] = attempt(lambda: steep.value(3))
+    cases["numbers polylog p=2001/2 tail"] = attempt(
+        lambda: steep.tail_integral(3))
+    cases["numbers _power_sign 10^5000"] = attempt(
+        lambda: _power_sign(F(10 ** 5000), F(3), F(10 ** 6)))
     return cases
 
 

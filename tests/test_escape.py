@@ -402,6 +402,32 @@ class TestPowerCap:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_power_sign_refusal_states_bit_lengths(self):
+        # a base of 5,001 digits is past what Python turns into text, so
+        # the message names the operands' sizes, not their values
+        with pytest.raises(PrecisionExhausted) as info:
+            escape._power_sign(F(10 ** 5000), F(3), F(10 ** 6))
+        assert "16611-bit rational" in str(info.value)
+
+
+class TestFloatPower:
+    """A fractional power is taken in floats; one past the range of
+    floats raises InvalidParameters, as cost already did."""
+
+    def test_value_and_tail_refuse_an_overflow(self):
+        phi = polylog(1, F(2001, 2))
+        for fn in (lambda: phi.value(3), lambda: phi.tail_integral(3),
+                   lambda: phi.cost(F(1, 4), 1)):
+            with pytest.raises(InvalidParameters):
+                fn()
+        assert polylog(1, F(3, 2)).value(4) == 8.0
+
+    def test_escape_exits_4_on_an_overflow(self, capsys):
+        code = main(["escape", "slide", "--phi", "polylog(c=1, p=2001/2)"])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCheckH2:
     def test_inverse_square_holds_for_every_kappa(self):

@@ -1,6 +1,9 @@
 """README.md's Python examples and morseflow commands run as written."""
 
+import builtins
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -8,6 +11,7 @@ import sys
 
 import pytest
 
+import morseflow
 from morseflow.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -17,6 +21,19 @@ def blocks(language):
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
     return re.findall(r"^```%s\n(.*?)^```$" % language, text, re.M | re.S)
+
+
+def library_names():
+    """The backticked CamelCase names of README's two lists of library
+    types: the paragraphs that open "Result records are" and "The value
+    types derive from"."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        paragraphs = fh.read().split("\n\n")
+    lists = [p for p in paragraphs if p.startswith(
+        ("Result records are", "The value types derive from"))]
+    assert len(lists) == 2
+    return sorted({name for p in lists
+                   for name in re.findall(r"`([A-Z][A-Za-z0-9]*)`", p)})
 
 
 def morseflow_lines():
@@ -52,6 +69,19 @@ def test_readme_python_block_runs(k):
                           cwd=REPO, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_readme_names_only_library_types_that_exist():
+    """Each name of README's lists of records and value types is an
+    attribute of some morseflow module; builtins such as AttributeError
+    are exempt."""
+    modules = [importlib.import_module("morseflow." + m.name)
+               for m in pkgutil.iter_modules(morseflow.__path__)]
+    names = library_names()
+    assert len(names) > 30
+    missing = [n for n in names if not hasattr(builtins, n)
+               and not any(hasattr(m, n) for m in modules)]
+    assert missing == []
 
 
 def test_the_readme_runs_morseflow():

@@ -34,9 +34,9 @@ from morseflow.rabinowitz import (H3_NOTE, ClassSurvives, HomotopyModel,
                                   SymplecticFormHomotopy, Tame)
 from morseflow.rings import Z2
 from morseflow.scenario import Scenario, load_scenario
-from morseflow.tracker import (LadderLeg, SpectralTrace, SpectralValue,
-                               StabilizationReport, TraceSegment, TrackedClass,
-                               Window, full_homology)
+from morseflow.tracker import (LadderLeg, SpectralTrace, StabilizationReport,
+                               TraceSegment, TrackedClass, Window,
+                               full_homology)
 
 # each record with its declared fields, in order, and its defaults
 RECORDS = {
@@ -59,8 +59,6 @@ RECORDS = {
     Inconclusive: (("phi", "failing_integral", "reason", "assumption"),
                    {"assumption": H3_NOTE}),
     Window: (("a", "b"), {}),
-    SpectralValue: (("value", "certified", "support", "top"),
-                    {"support": (), "top": None}),
     LadderLeg: (("proj_rank", "incl_rank", "proj_iso", "incl_iso"), {}),
     StabilizationReport: (("results", "legs", "stabilized", "message"), {}),
     TraceSegment: (("interval_index", "r_lo", "r_hi", "support", "top",

@@ -32,9 +32,8 @@ from morseflow.rings import Q, Z, Z2
 from morseflow.scenario import (Scenario, load_scenario, parse_scenario,
                                 serialize_scenario)
 from morseflow.tracker import (NEG_INF, Window, continuation_map,
-                               filtered_homology, full_homology,
-                               spectral_value, track_class, validate_window,
-                               wide_window, window_violation)
+                               filtered_homology, full_homology, track_class,
+                               validate_window, wide_window, window_violation)
 
 WIDE = Window.constant(0, 10)
 WIDE_Z = Window.constant(-100, 200)     # clears every randgen family
@@ -542,7 +541,7 @@ class TestChainGroup:
                 with pytest.raises(DegenerateParameter):
                     filtered_homology(t, fc, r, WIDE)
             with pytest.raises(DegenerateParameter):
-                spectral_value({"c1": 1}, r, log, WIDE)
+                full_homology(t, log, r, [WIDE])
 
     def test_forbidden_parameter_rejected(self):
         # a slide's parameter ends both intervals beside it
@@ -556,7 +555,7 @@ class TestChainGroup:
         with pytest.raises(DegenerateParameter, match="not inside"):
             filtered_homology(t, log.intervals[0], F(1, 2), WIDE)
         with pytest.raises(DegenerateParameter, match="outside"):
-            spectral_value({"c1": 1}, F(3, 2), log, WIDE)
+            full_homology(t, log, F(3, 2), [WIDE])
 
     def test_dead_arcs_excluded(self):
         t, log = eyeball_log()
@@ -604,7 +603,7 @@ class TestFilteredHomology:
         log = evolve(fc, [], t)
         assert all(x is h for x in
                    full_homology(t, log, F(1, 4), [WIDE] * 3).results)
-        assert spectral_value({"c1": 1}, F(1, 4), log, WIDE).top == "c1"
+        assert track_class({"c1": 1}, log, WIDE).segments[0].top == "c1"
 
 
 class TestContinuationMap:
@@ -680,50 +679,65 @@ class TestContinuationMap:
         assert continuation_map(log.steps[0].record, log) is log.steps[0].maps
 
 
+def slab_at(trace, r):
+    """The slab of trace whose open span holds r."""
+    return next(s for s in trace.segments if s.r_lo < r < s.r_hi)
+
+
 class TestSpectralValue:
+    """Spectral values as the sweep reads them: track_class on the
+    three lanes and on one-interval logs, and its coset reduction
+    (_coset_gens, _coset_minimize) against the oracles."""
+
     def test_zero_class_is_minus_inf(self):
         t, log = three_lane_log()
-        sv = spectral_value({}, F(1, 4), log, WIDE)
-        assert sv.value == NEG_INF
+        trace = track_class({}, log, WIDE)
+        assert trace.segments == () and trace.final_value() == NEG_INF
 
     def test_boundary_class_is_minus_inf(self):
         # the bottom lane is the boundary of the middle one
         t, log = three_lane_log()
-        sv = spectral_value({"c3": 1}, F(1, 4), log, WIDE)
-        assert sv.value == NEG_INF and sv.certified
+        seg = slab_at(track_class({"c3": 1}, log, WIDE), F(1, 4))
+        assert seg.top is None and seg.rho_lo == seg.rho_hi == NEG_INF
 
     def test_schedule_before_and_after_the_crossing(self):
         t, log = three_lane_log()
-        before = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
-        assert before.value == 4 and before.support == ("c1",)
-        after = spectral_value({"c1": 1, "c2": 1}, F(7, 8), log, WIDE)
-        assert after.value == 5 and after.top == "c2"
+        trace = track_class({"c1": 1}, log, WIDE)
+        before = slab_at(trace, F(1, 4))
+        assert before.rho_lo == before.rho_hi == 4
+        assert before.support == ("c1",)
+        # the slide carries c1 to c1 + c2, which c2 tops after 3/4
+        assert trace.classes[1].representative == (("c1", 1), ("c2", 1))
+        after = slab_at(trace, F(7, 8))
+        assert after.top == "c2" and t.arc("c2").f3.value(F(7, 8)) == 5
 
     def test_not_a_cycle(self):
         t, log = three_lane_log()
-        with pytest.raises(NotACycle):
-            spectral_value({"c2": 1}, F(1, 4), log, WIDE)
+        with pytest.raises(NotACycle, match="not a cycle"):
+            track_class({"c2": 1}, log, WIDE)
 
     def test_support_above_the_ceiling_rejected(self):
         t, log = three_lane_log()
-        with pytest.raises(NotACycle):
-            spectral_value({"c1": 1}, F(1, 4), log, Window.constant(F(1, 2), F(3, 2)))
+        with pytest.raises(NotACycle, match="above the window ceiling"):
+            track_class({"c1": 1}, log, Window.constant(F(1, 2), F(3, 2)))
 
     def test_support_below_the_floor_quotiented(self):
         t, log = three_lane_log()
-        sv = spectral_value({"c1": 1, "c3": 1}, F(1, 4), log,
+        trace = track_class({"c1": 1, "c3": 1}, log,
                             Window.constant(F(3, 2), 10))
-        assert sv.value == 4 and sv.support == ("c1",)
+        seg = slab_at(trace, F(1, 4))
+        assert seg.rho_lo == 4 and seg.support == ("c1",)
+        assert trace.classes[0].representative == (("c1", 1),)
 
     def test_event_parameter_rejected(self):
         t, log = three_lane_log()
         with pytest.raises(DegenerateParameter):
-            spectral_value({"c1": 1}, F(3, 8), log, WIDE)
+            full_homology(t, log, F(3, 8), [WIDE])
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_large_window_matches_span_oracle(self, data):
-        # 21 to 24 generators: greedy reduction stays certified and
+        # 21 to 24 constant lanes on one interval: the trace's one value
         # agrees with enumerating the image span
         n = data.draw(st.integers(21, 24), label="generators")
         ids = ["c%02d" % k for k in range(n)]
@@ -739,18 +753,18 @@ class TestSpectralValue:
         log = evolve(counter(Z2, ids, entries), [], t)
         rep = {ids[j]: 1 for j in range(split, n)
                if data.draw(st.booleans(), label="rep%d" % j)}
-        sv = spectral_value(rep, F(1, 3), log, wide_window(t))
-        assert sv.certified
+        trace = track_class(rep, log, wide_window(t))
+        assert len(trace.segments) <= 1
         dense = [[entries.get((r, c), 0) for c in ids] for r in ids]
         rep_bits = sum(1 << ids.index(g) for g in rep)
         want = oracles.z2_spectral_span(
             rep_bits, oracles.z2_matrix_to_rowmasks(dense), heights)
-        assert sv.value == want
+        assert trace.final_value() == want
 
     def test_integer_coefficients_certified(self):
         t, log = three_lane_log(ring=Z)
-        sv = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
-        assert sv.value == 4 and sv.certified
+        seg = slab_at(track_class({"c1": 1}, log, WIDE), F(1, 4))
+        assert seg.rho_lo == seg.rho_hi == 4 and seg.top == "c1"
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -782,30 +796,24 @@ class TestSpectralValue:
             order = oracles.descending_order(t, gens, r)
             d = fc.gamma.restrict(gens)
             rows = [[d.entry(g, c) for c in order] for g in order]
-            # spectral_value orders only what the class or d holds, and
-            # its support is the one on the whole order
             held = set().union(*d.entries)
-            minimize = tracker._coset_minimize
             for g in order:
                 if any(rows[order.index(g)]):
                     continue             # not a cycle
-                orders = []
-
-                def spy(ring, d_, rep, order_):
-                    orders.append(list(order_))
-                    return minimize(ring, d_, rep, order_)
-                with mock.patch.object(tracker, "_coset_minimize", spy):
-                    sv = spectral_value({g: 1}, r, log, WIDE_Z)
-                assert orders == [[x for x in order if x == g or x in held]]
-                assert sv.support == minimize(Z, d, {g: 1}, order)
+                # the coset's generators are what the class or d holds,
+                # and the support on them is the one on the whole order
+                coset = tracker._coset_gens(order, {g: 1}, d)[0]
+                assert coset == [x for x in order if x == g or x in held]
+                support = tracker._coset_minimize(Z, d, {g: 1}, coset)
+                assert support == tracker._coset_minimize(Z, d, {g: 1}, order)
                 lead = oracles.z_least_lead([int(x == g) for x in order], rows)
-                assert sv.certified
-                assert sv.top == (order[lead] if lead < len(order) else None)
+                assert (support[0] if support else None) == (
+                    order[lead] if lead < len(order) else None)
 
     def test_rational_coefficients_certified(self):
         t, log = three_lane_log(ring=Q)
-        sv = spectral_value({"c1": 1}, F(1, 4), log, WIDE)
-        assert sv.value == 4 and sv.certified
+        seg = slab_at(track_class({"c1": 1}, log, WIDE), F(1, 4))
+        assert seg.rho_lo == seg.rho_hi == 4 and seg.top == "c1"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -828,12 +836,12 @@ class TestSpectralValue:
             if data.draw(st.booleans(), label="rep%d" % j):
                 rep[ids[j]] = 1
                 rep_bits |= 1 << j
-        sv = spectral_value(rep, F(1, 3), log, wide_window(t))
-        assert sv.certified
+        trace = track_class(rep, log, wide_window(t))
+        assert len(trace.segments) <= 1
         dense = [[entries.get((r, c), 0) for c in ids] for r in ids]
         want = oracles.z2_spectral_bruteforce(
             rep_bits, oracles.z2_matrix_to_rowmasks(dense), n, heights)
-        assert sv.value == want
+        assert trace.final_value() == want
 
     def test_an_image_free_coset_is_the_representative(self):
         # with no entries in d, rep + im(d) is rep alone; its zero
@@ -1246,8 +1254,6 @@ class TestTrackClass:
         with pytest.raises(InvalidWindow):
             track_class({"c1": 1}, log, w)
         with pytest.raises(InvalidWindow):
-            spectral_value({"c1": 1}, F(1, 4), log, w)
-        with pytest.raises(InvalidWindow):
             filtered_homology(t, log.counter_at(F(1, 4)), F(1, 4), w)
         with pytest.raises(InvalidWindow):
             full_homology(t, log, F(1, 4), [w])
@@ -1507,7 +1513,7 @@ class TestIntervalGenerators:
         def read():
             return ([filtered_homology(t, fc, fc.midpoint(), w)
                      for fc in log.intervals],
-                    spectral_value({"c1": 1}, F(1, 2), log, w),
+                    track_class({"c1": 1}, log, w),
                     full_homology(t, log, F(1, 2), ladder))
         want = read()
 
