@@ -444,9 +444,9 @@ def _triangularity_violations(gamma, t, r_lo, r_hi):
     and greatest values at its knots, so an entry whose upper arc's
     range lies strictly above its lower arc's has a positive gap
     wherever both live, and needs no walk; otherwise the walk decides.
-    Every entry's arcs live on all of [r_lo, r_hi]: _evolve's structure
-    check refuses any other entry before it runs this.  Each
-    arc's range is taken once per call.
+    Every row lives on all of [r_lo, r_hi]: _evolve's structure check
+    refuses any other row before it runs this.  Each arc's range is
+    taken once per call.
     """
     ranges = {}
 
@@ -526,8 +526,8 @@ def evolve(gamma0, events, t):
     family must be matched by exactly one birth or death record; event
     parameters must be pairwise distinct and interior to (0, 1).  Each
     interval is checked before the event closing it is applied, and the
-    last one at the end: its rows must be the arcs alive on it, each arc
-    an entry names must live on all of it, and it must satisfy the
+    last one at the end: its rows must be the arcs alive on it, each
+    alive on all of its closed interval, and it must satisfy the
     standing axioms (_interval_findings).  So each step of the log
     builds, when read, maps that relate its two complexes (module
     docstring).
@@ -554,10 +554,9 @@ def _evolve(gamma0, events, t):
     lives = [(a.id,) + a.f3.ints[0][:2] + a.f3.ints[-1][:2] for a in t.arcs]
 
     def check(fc):
-        """Raise EvolutionError when fc's rows are not the arcs alive on
-        its interval, or an entry names an arc alive on only part of it,
-        where the action-order test could not read it; otherwise record
-        fc's _interval_findings."""
+        """Raise EvolutionError unless fc's rows are the arcs alive on
+        its interval, each alive on all of the closed interval; otherwise
+        record fc's _interval_findings."""
         alive, short = _alive_ids(lives, fc)
         name = ("counter on interval %d" % fc.interval_index
                 if fc.interval_index < len(evs) else "final counter")
@@ -565,12 +564,10 @@ def _evolve(gamma0, events, t):
             raise EvolutionError(
                 "%s indexes %s but the alive arcs are %s" %
                 (name, sorted(fc.gamma.rows, key=str), sorted(alive)))
-        cut = sorted(c for c in short
-                     if any(c in pair for pair in fc.gamma.entries))
-        if cut:
+        if short:
             raise EvolutionError(
-                "%s has entries on %s, alive on only part of [%s, %s]" %
-                (name, cut, fc.r_lo, fc.r_hi))
+                "%s has rows %s alive on only part of [%s, %s]" %
+                (name, sorted(short), fc.r_lo, fc.r_hi))
         findings.append(_interval_findings(fc, t))
 
     try:

@@ -325,16 +325,19 @@ def _segments_cross(p0, p1, q0, q1):
     d2 = (x4 - x3, y4 - y3)
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     if denom == 0:
-        # parallel: overlap iff collinear with interval overlap
+        # parallel: they meet iff collinear with interval overlap, along
+        # a subsegment or, where it has zero length, at an end of one
         cross = (x3 - x1) * d1[1] - (y3 - y1) * d1[0]
         if cross != 0:
             return None
         proj = lambda p: (p[0] - x1) * d1[0] + (p[1] - y1) * d1[1]
         lo, hi = sorted((proj(q0), proj(q1)))
-        length = d1[0] * d1[0] + d1[1] * d1[1]
-        if hi < 0 or lo > length:
+        lo, hi = max(lo, 0), min(hi, d1[0] * d1[0] + d1[1] * d1[1])
+        if lo > hi:
             return None
-        return ("overlap", None)
+        if lo < hi:
+            return ("overlap", None)
+        return ("point", next(p for p in (p0, p1, q0) if proj(p) == lo))
     t = ((x3 - x1) * d2[1] - (y3 - y1) * d2[0]) / denom
     u = ((x3 - x1) * d1[1] - (y3 - y1) * d1[0]) / denom
     if 0 <= t <= 1 and 0 <= u <= 1:

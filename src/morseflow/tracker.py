@@ -519,12 +519,10 @@ class TraceSegment(NamedTuple):
 
 
 class TrackedClass(NamedTuple):
-    """One interval's worth of the tracked class."""
+    """An interval the tracked class reached, and its representative there."""
 
     interval_index: int
     representative: tuple    # ((generator, value), ...) sorted by generator
-    rho_start: object
-    rho_end: object
 
 
 class SpectralTrace(NamedTuple):
@@ -532,7 +530,8 @@ class SpectralTrace(NamedTuple):
 
     outcome is "Survived" or "LeftWindow(below)": no class leaves above
     the ceiling (track_class gives the proof).  track_class raises
-    InvalidWindow for an unusable window instead.
+    InvalidWindow for an unusable window instead.  An interval's values
+    are those of its segments; classes holds only its representative.
     """
 
     segments: tuple
@@ -551,20 +550,12 @@ class SpectralTrace(NamedTuple):
         """Tabular text form: one line per slab plus transfer markers."""
         lines = ["r_lo\tr_hi\trho_lo\trho_hi\ttop\tsupport"]
         marks = {r: (a, b) for r, a, b in self.transfers}
-        # a slab starts at the bound the last one ended on, and a carried
-        # top at the very value it ended on: each object is written once
-        hi = rho = None
-        hi_text = rho_text = ""
         for s in self.segments:
             if s.r_lo in marks:
                 a, b = marks[s.r_lo]
                 lines.append("# transfer at r=%s: %s -> %s" % (s.r_lo, a, b))
-            lo_text = hi_text if s.r_lo is hi else str(s.r_lo)
-            rho_lo_text = rho_text if s.rho_lo is rho else str(s.rho_lo)
-            hi, hi_text = s.r_hi, str(s.r_hi)
-            rho, rho_text = s.rho_hi, str(s.rho_hi)
             lines.append("\t".join((
-                lo_text, hi_text, rho_lo_text, rho_text,
+                str(s.r_lo), str(s.r_hi), str(s.rho_lo), str(s.rho_hi),
                 "-" if s.top is None else str(s.top),
                 "+".join(map(str, s.support)) or "-")))
         lines.append("# outcome: %s" % self.outcome)
@@ -660,10 +651,9 @@ def track_class(h0, log, w):
     p = 0                    # the first crossing not yet passed
 
     for fc in log.intervals:
-        rep_record = tuple(sorted(rep.items(), key=lambda kv: str(kv[0])))
+        classes.append(TrackedClass(fc.interval_index, tuple(
+            sorted(rep.items(), key=lambda kv: str(kv[0])))))
         if not rep:
-            classes.append(TrackedClass(fc.interval_index, rep_record,
-                                        NEG_INF, NEG_INF))
             outcome = "LeftWindow(below)"
             break
 
@@ -687,7 +677,6 @@ def track_class(h0, log, w):
                 else:
                     movers[-1].update((g1, g2))
         bounds.append((fc.r_hi, hn, hd))
-        first_seg = len(segments)
         for i in range(len(bounds) - 1):
             lo, a, b = bounds[i]
             hi, c, e = bounds[i + 1]
@@ -721,9 +710,6 @@ def track_class(h0, log, w):
                 transfers.append((lo, prev_top, top))
             segments.append(seg)
             prev_top = top
-        classes.append(TrackedClass(
-            fc.interval_index, rep_record,
-            segments[first_seg].rho_lo, segments[-1].rho_hi))
 
         if fc.interval_index == len(log.steps):
             continue

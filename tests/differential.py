@@ -38,13 +38,14 @@ Probe kinds:
   cascades 6, 12, 30 and 60, and of l1 (and of l1 + l2 when l2 exists)
   on randgen families, 150 per ring over Z2, Z and Q, in wide_window and
   in the window (10, 200): each slab's interval, bounds, top and values,
-  the transfers and outcome, and each class's interval, representative
-  and values.
+  the transfers and outcome, and each class's interval and
+  representative.
 * track: the whole trace (track_class) of l1 (and of l1 + l2 when
   l2 exists) on randgen families, 150 per ring over Z2, Z and Q, and of
   c1 on cascades 6, 12 and 30, in wide_window and in the window
-  (10, 200): every slab with its support, the transfers, the outcome and
-  the classes, and whether certify.certify_trace certifies every slab
+  (10, 200): every slab with its support, the transfers, the outcome,
+  each class's interval and representative, and whether
+  certify.certify_trace certifies every slab
   (certify.py builds the witnesses with each tree's own echelon), so a
   slab that is not minimal differs against any revision.
 * homology: on randgen families, 100 per ring over Z2, Z and Q,
@@ -81,7 +82,10 @@ Probe kinds:
   matrix: the whole log evolve returns (each interval's bounds and
   sorted items, and each step's record), or the error; and then, copy
   by copy, validate_axioms's findings taken after an evolve of the same
-  objects.
+  objects.  The same two readers on the bundled escaping scenario and on
+  one randgen family over Z with an arc's life cut short inside an
+  interval (randgen.cut_short), so that a change to what an interval's
+  rows must cover shows against any revision.
 * affine: on randgen families, 100 per ring over Z2, Z and Q, and on one
   drawn randgen.mutate variant of each, under each map v -> c*v + s of
   AFFINE: the family against its image (randgen.affine_family), with
@@ -389,12 +393,11 @@ def probe_escape(work):
 def _values(trace):
     """What escape and plot read of a trace: each slab's interval,
     bounds, top and values, the transfers and outcome, and each class's
-    interval, representative and values."""
+    interval and representative."""
     return ([(s.interval_index, s.r_lo, s.r_hi, s.top, s.rho_lo, s.rho_hi)
              for s in trace.segments],
             trace.transfers, trace.outcome,
-            [(c.interval_index, c.representative, c.rho_start, c.rho_end)
-             for c in trace.classes])
+            [(c.interval_index, c.representative) for c in trace.classes])
 
 
 def probe_values(work):
@@ -454,7 +457,9 @@ def probe_track(work):
                          evolve(sc.gamma0, sc.events, sc.family), hs))
     def certified(h, log, w):
         trace = track_class(h, log, w)
-        return trace, not certify.certify_trace(trace, log, w)
+        return (trace.segments, trace.transfers, trace.outcome,
+                [(c.interval_index, c.representative) for c in trace.classes],
+                not certify.certify_trace(trace, log, w))
 
     cases = {}
     for label, t, log, hs in runs:
@@ -546,6 +551,7 @@ def probe_maps(work):
     from morseflow.bifurcation import FlowCounter, evolve, validate_axioms
     from morseflow.matrix import SparseMatrix
     from morseflow.rings import Q, Z, Z2
+    from morseflow.scenario import load_scenario
 
     def bundle(maps):
         return (maps.kind, maps.forward.items(), maps.backward.items(),
@@ -590,6 +596,22 @@ def probe_maps(work):
                 _attempt(lambda: evolve(g, sc.events, t))
                 cases["%s %s axioms after evolve" % (name, label)] = _attempt(
                     lambda: validate_axioms(g, sc.events, t).findings)
+    # an interval's rows must cover it: the escaping arc does not, nor
+    # does the first randgen arc over Z that cut_short finds
+    sc = load_scenario(os.path.join(DATA, "escaping.scn"))
+    short = [("maps escaping", sc.gamma0, sc.events, sc.family)]
+    for seed in itertools.count():
+        rng = random.Random("maps cut short %d" % seed)
+        sc = randgen.random_scenario(rng, Z)
+        found = randgen.cut_short(rng, sc.family, sc.events)
+        if found:
+            short.append(("maps Z seed %d cut short %s" % (seed, found[1]),
+                          sc.gamma0, sc.events, found[0]))
+            break
+    for key, g, events, t in short:
+        cases[key + " axioms"] = _attempt(
+            lambda: validate_axioms(g, events, t).findings)
+        cases[key + " evolve"] = _attempt(lambda: whole(evolve(g, events, t)))
     return cases
 
 
@@ -824,8 +846,7 @@ def _affine_mismatches(sc, t, c, s):
         return ([(g.interval_index, g.r_lo, g.r_hi, g.support, g.top,
                   move(g.rho_lo), move(g.rho_hi)) for g in tr.segments],
                 tr.transfers, tr.outcome,
-                [(k.interval_index, k.representative, move(k.rho_start),
-                  move(k.rho_end)) for k in tr.classes])
+                [(k.interval_index, k.representative) for k in tr.classes])
 
     t2 = randgen.affine_family(t, c, s)
     if codes(t) != codes(t2):

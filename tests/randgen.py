@@ -237,6 +237,27 @@ def planted_smith(rng, n, factors):
     return conjugate_unipotent(rng, d, n)
 
 
+def cut_short(rng, t, events):
+    """(family, arc id, interval index): t with one drawn arc's life cut
+    short at one of its interior knots, its end tags kept, where the knot
+    lies strictly inside an interval between the event parameters, at or
+    past its midpoint, so that the arc is alive there and ends inside it;
+    None when no knot does."""
+    ends = [F(0)] + sorted(e.r for e in events) + [F(1)]
+    cuts = []
+    for i, a in enumerate(t.arcs):
+        for j, (k, _) in enumerate(a.f3.points[1:-1], start=1):
+            n = next(n for n in range(len(ends) - 1) if k < ends[n + 1])
+            if ends[n] < k and 2 * k >= ends[n] + ends[n + 1]:
+                cuts.append((i, j, n))
+    if not cuts:
+        return None
+    i, j, n = rng.choice(cuts)
+    arcs = list(t.arcs)
+    arcs[i] = arc_with(arcs[i], f3=Piecewise(arcs[i].f3.points[:j + 1]))
+    return CerfTuple(arcs, t.vertices), arcs[i].id, n
+
+
 MUTATIONS = ("retag", "repoint", "drop", "duplicate")
 
 

@@ -103,6 +103,13 @@ class TestSparseMatrix:
         with pytest.raises(DimensionMismatch, match="outside the operator"):
             vec_apply(Z, {"z": 1}, m)
 
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_sums_of_different_index_sets_are_refused(self, op):
+        m = mat(Z, ["a", "b"], {("a", "b"): 3})
+        with pytest.raises(DimensionMismatch,
+                           match="indexed by different generator sets"):
+            getattr(m, op)(mat(Z, ["a", "c"], {("a", "c"): 3}))
+
     @pytest.mark.parametrize("op", ["add", "mul"])
     def test_mixed_rings_are_refused(self, op):
         m = mat(Z, ["a", "b"], {("a", "b"): 3})

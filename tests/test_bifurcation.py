@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from morseflow.bifurcation import (Birth, ChainMapBundle, Death, EventRecord,
                                    validate_axioms)
 from morseflow.cerf import (Arc, BirthVertex, BoundaryAt0, BoundaryAt1,
                             CerfTuple, DeathVertex, Vertex)
+from morseflow.cli import data_path
 from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
                               CycleConditionViolated, DegenerateParameter,
                               EvolutionError, MorseflowError,
@@ -25,6 +26,7 @@ from morseflow.errors import (ActionConstraintViolated, ConstraintViolated,
 from morseflow.matrix import SparseMatrix
 from morseflow.piecewise import Piecewise
 from morseflow.rings import Q, Z, Z2
+from morseflow.scenario import load_scenario
 
 from fixtures import (birth_tuple, chord, count_bundles,
                       eyeball_with_bystander, three_lane_tuple, within)
@@ -251,7 +253,9 @@ class TestBirth:
     @pytest.mark.parametrize("end", [F(1, 2), F(3, 8)])
     def test_column_on_an_arc_gone_after_the_birth(self, end):
         # the entry's arc ends at or before the vertex, so it is not above
-        # the lower branch just after it: a gamma1 finding, not a crash
+        # the lower branch just after it: not a crash, but a gamma1
+        # finding, or a structure finding where the arc, a row, ends
+        # inside the interval before the birth
         t = self._two_lane_birth(F(1, 2))
         a = Arc("a", Piecewise([(0, 4), (end, 4)]), BoundaryAt0(),
                 BoundaryAt1())
@@ -261,7 +265,8 @@ class TestBirth:
         with pytest.raises(ActionConstraintViolated):
             apply_birth(fc, ev, t)
         report = validate_axioms(fc, [ev], t)
-        assert [f.code for f in report.errors()] == ["gamma1"]
+        assert [f.code for f in report.errors()] == [
+            "gamma1" if end == F(1, 2) else "structure"]
 
 
 class TestDeath:
@@ -393,18 +398,24 @@ def unsquared_before_death():
 
 class TestValidateAxioms:
     def test_slide_entry_on_an_arc_gone_before_the_slide(self):
-        # c ends at 3/8, before the slide at 1/2: one structure finding,
-        # where the action-order test would read c outside its domain
+        # c, a row, ends at 3/8, inside the interval before the slide at
+        # 1/2: one structure finding, before the slide reads c
         t = CerfTuple((chord("c", [(0, 5), (F(3, 8), 5)]),
                        chord("d", [(0, 1), (1, 1)])))
         fc = counter(Z2, ("c", "d"), {}, 0, F(1, 2))
         events = [slide(F(1, 2), ("c", "d", 1))]
-        why = "jump entry (c, d) references an arc not alive at r=1/2"
+        why = "counter on interval 0 has rows ['c'] alive on only part of " \
+              "[0, 1/2]"
         report = validate_axioms(fc, events, t)
         assert [(f.code, f.message) for f in report.errors()] == [
             ("structure", why)]
-        with pytest.raises(EvolutionError, match="not alive at r=1/2"):
+        with pytest.raises(EvolutionError) as e:
             evolve(fc, events, t)
+        assert str(e.value) == why
+        # called on its own, the slide refuses the arc itself
+        with pytest.raises(EvolutionError, match="^jump entry \\(c, d\\) "
+                           "references an arc not alive at r=1/2$"):
+            apply_handle_slide(fc, events[0], t)
 
     @staticmethod
     def ends_inside():
@@ -414,8 +425,8 @@ class TestValidateAxioms:
         t = CerfTuple((chord("a", [(0, 5), (F(3, 4), 5)]),
                        chord("b", [(0, 1), (1, 1)])))
         fc = counter(Z2, ("a", "b"), {("a", "b"): 1})
-        return t, fc, ("final counter has entries on ['a'], alive on only "
-                       "part of [0, 1]")
+        return t, fc, ("final counter has rows ['a'] alive on only part "
+                       "of [0, 1]")
 
     def test_report_names_a_row_ending_inside_its_interval(self):
         # a structure finding, where the action-order test would read a
@@ -429,6 +440,18 @@ class TestValidateAxioms:
         t, fc, why = self.ends_inside()
         with pytest.raises(EvolutionError) as e:
             evolve(fc, [], t)
+        assert str(e.value) == why
+
+    def test_the_escaping_arc_is_refused(self):
+        # runaway lives on [0, 1/2] with an open end, the paper's escape:
+        # the one interval (0, 1) cannot count it
+        sc = load_scenario(data_path("escaping"))
+        why = "final counter has rows ['runaway'] alive on only part of [0, 1]"
+        report = validate_axioms(sc.gamma0, sc.events, sc.family)
+        assert [(f.code, f.message) for f in report.findings] == [
+            ("structure", why)]
+        with pytest.raises(EvolutionError) as e:
+            evolve(sc.gamma0, sc.events, sc.family)
         assert str(e.value) == why
 
     def test_unsquared_matrix_before_a_death_reported(self):
@@ -919,6 +942,30 @@ def test_every_randgen_step_maps_hold(ring):
                                                step.after.gamma, step.maps)
                 steps += 1
     assert steps >= 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([Z2, Z, Q]))
+def test_a_row_cut_short_inside_its_interval_is_refused(seed, ring):
+    """A randgen arc whose life is cut short at one of its interior knots,
+    with its end tags kept (randgen.cut_short), is a row alive at the
+    midpoint of an interval it ends inside: validate_axioms reports one
+    structure finding naming it, and evolve raises the same message."""
+    rng = random.Random(seed)
+    sc = randgen.random_scenario(rng, ring)
+    found = randgen.cut_short(rng, sc.family, sc.events)
+    assume(found is not None)
+    cut, aid, n = found
+    ends = [F(0)] + [e.r for e in sc.events] + [F(1)]
+    why = "%s has rows ['%s'] alive on only part of [%s, %s]" % (
+        "counter on interval %d" % n if n < len(sc.events) else
+        "final counter", aid, ends[n], ends[n + 1])
+    report = validate_axioms(sc.gamma0, sc.events, cut)
+    assert [(f.code, f.message) for f in report.findings] == [
+        ("structure", why)]
+    with pytest.raises(EvolutionError) as e:
+        evolve(sc.gamma0, sc.events, cut)
+    assert str(e.value) == why
 
 
 def _walked(fc, events, t):

@@ -212,8 +212,10 @@ class TestLift:
         ((0, 1), (1, 2), None),
         ((2, 2), (3, 3), None),
         ((-2, -2), (-1, -1), None),
-        ((F(1, 2), F(1, 2)), (3, 3), ("overlap", None))],
-        ids=["parallel", "collinear beyond", "collinear before", "overlapping"])
+        ((F(1, 2), F(1, 2)), (3, 3), ("overlap", None)),
+        ((1, 1), (2, 2), ("point", (1, 1)))],
+        ids=["parallel", "collinear beyond", "collinear before", "overlapping",
+             "collinear touching"])
     def test_parallel_segments_cross_only_where_they_overlap(self, q0, q1,
                                                              hit):
         assert _segments_cross((0, 0), (1, 1), q0, q1) == hit
@@ -221,3 +223,14 @@ class TestLift:
     def test_overlap_flagged(self):
         res = legendrian_lift([(0, 0), (2, 0), (1, 1), (F(1, 2), 0), (3, 0)])
         assert any("overlap" in f for f in res.nontransverse)
+
+    def test_straight_front_is_embedded(self):
+        # consecutive collinear segments share only their breakpoint
+        assert legendrian_lift([(0, 0), (1, 0), (2, 0)]).embedded
+
+    def test_collinear_touching_is_a_nontransverse_point(self):
+        # segments 1 and 5 lie on y = x - 2 and meet only at (2, 0)
+        res = legendrian_lift([(0, 0), (2, 0), (3, 1), (4, 0), (3, -1),
+                               (2, 0), (1, -1)])
+        assert res.nontransverse == (
+            "non-transverse self-intersection of segments 1 and 5 at (2, 0)",)

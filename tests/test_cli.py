@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 import golden
 from fixtures import count_bundles, within
 from morseflow import cli, errors
+from morseflow.cerf import CerfTuple
 from morseflow.cli import MAX_CASCADE_STAGES, data_path, main
+from morseflow.diagrams import family_svg, trace_svg
 from morseflow.errors import MAX_LITERAL_DIGITS
 from morseflow.scenario import load_scenario, serialize_scenario
+from morseflow.tracker import SpectralTrace, TraceSegment
 
 DESCENDING = """
 [arcs]
@@ -415,6 +419,27 @@ class TestArtifacts:
 
     def test_cascade_needs_n(self, capsys):
         assert main(["cascade"]) == 1
+
+
+class TestDiagrams:
+    def test_a_family_with_no_arcs_is_drawn_on_the_unit_range(self):
+        svg = family_svg(CerfTuple(()))
+        assert "<polyline" not in svg and "<circle" not in svg
+        assert re.findall(r'text-anchor="end">([^<]*)<', svg) == ["0", "1"]
+
+    def test_a_transfer_that_starts_no_slab_draws_no_mark(self):
+        # a hand-built trace: track_class marks transfers at slab starts
+        slabs = (TraceSegment(0, Fraction(0), Fraction(1, 2), ("a",), "a",
+                              Fraction(2), Fraction(3), True),
+                 TraceSegment(0, Fraction(1, 2), Fraction(1), ("b",), "b",
+                              Fraction(3), Fraction(4), True))
+        plain = trace_svg(SpectralTrace(slabs, (), "Survived", ()))
+        inside = trace_svg(SpectralTrace(
+            slabs, ((Fraction(1, 4), "a", "b"),), "Survived", ()))
+        at_start = trace_svg(SpectralTrace(
+            slabs, ((Fraction(1, 2), "a", "b"),), "Survived", ()))
+        assert inside == plain
+        assert at_start.count("<circle") == 1
 
 
 class TestInputLimits:

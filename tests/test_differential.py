@@ -175,6 +175,29 @@ def test_a_planted_birth_inclusion_without_its_correction_shows(tmp_path):
     assert shown and all(re.search(r" step \d+$", line) for line in shown)
 
 
+def test_a_planted_rule_that_lets_a_row_end_inside_shows(tmp_path):
+    # a rule that lets a row end inside its interval: the escaping arc
+    # passes, and the randgen arc cut short is refused later, if at all
+    src = str(tmp_path / "src")
+    shutil.copytree(differential.SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bifurcation = tmp_path / "src" / "morseflow" / "bifurcation.py"
+    text = bifurcation.read_text(encoding="utf-8")
+    rule = "        if short:\n"
+    assert text.count(rule) == 1
+    bifurcation.write_text(text.replace(rule, "        if False:\n"),
+                           encoding="utf-8")
+    lines, cases, differ = differential.compare(src, differential.SRC,
+                                                ["maps"])
+    assert lines[0] == "maps: %d cases, 4 differ" % cases
+    shown = [line.strip() for line in lines if line.startswith("  ")
+             and not line.startswith("    ")]
+    assert [line for line in shown if "escaping" in line] == [
+        "maps escaping axioms", "maps escaping evolve"]
+    assert all(re.search(r"^maps (escaping|Z seed \d+ cut short \w+) "
+                         r"(axioms|evolve)$", line) for line in shown)
+
+
 def test_a_planted_slot_that_ignores_gamma0_shows_in_the_maps_probe(
         tmp_path):
     # the kept run handed out for any initial counter on the same family

@@ -63,8 +63,7 @@ RECORDS = {
     StabilizationReport: (("results", "legs", "stabilized", "message"), {}),
     TraceSegment: (("interval_index", "r_lo", "r_hi", "support", "top",
                     "rho_lo", "rho_hi", "certified"), {}),
-    TrackedClass: (("interval_index", "representative", "rho_start",
-                    "rho_end"), {}),
+    TrackedClass: (("interval_index", "representative"), {}),
     SpectralTrace: (("segments", "transfers", "outcome", "classes"), {}),
     Scenario: (("ring", "family", "gamma0", "events", "window", "ladder",
                 "rep", "phi", "kappa", "rho0", "model", "model_rho0",
